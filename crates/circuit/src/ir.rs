@@ -1,8 +1,8 @@
 //! Word-level circuit IR: gates, builder, evaluator.
 
-use crate::shared::{InternTable, Pages};
+use crate::cons::{hash_fields, ConsTable, SharedConsTable};
+use crate::shared::Pages;
 use qec_par::Pool;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -163,8 +163,10 @@ impl std::error::Error for EvalError {}
 /// By default the builder hash-conses logic gates: pushing a gate that is
 /// structurally identical to an earlier one (after sorting the operands
 /// of commutative gates) returns the existing wire instead of a new one.
-/// The cache key is the gate value itself, which exists in both modes, so
-/// consing never breaks Build/Count parity. Use [`Builder::without_cse`]
+/// The cons table is index-only: it stores wire ids and compares keys
+/// against the builder's own gate records, which both modes keep while
+/// building, so consing never breaks Build/Count parity. Constants go
+/// through the same table. Use [`Builder::without_cse`]
 /// when wire ids must track pushes one-for-one (the netlist reader does).
 pub struct Builder {
     inner: BuilderInner,
@@ -183,15 +185,20 @@ enum BuilderInner {
 
 struct SeqBuilder {
     mode: Mode,
+    /// Every wire's gate, in both modes: the key arena of `cons`. Count
+    /// mode drops it at `finish`.
     gates: Vec<Gate>,
     depths: Vec<u32>,
     num_inputs: usize,
     size: u64,
-    const_cache: HashMap<u64, WireId>,
     cse: bool,
-    cse_cache: HashMap<Gate, WireId>,
-    /// Logic pushes answered from `cse_cache` (online dedup hits).
-    cse_hits: u64,
+    /// Index-only hash-cons over `gates`: constants always, logic gates
+    /// when `cse` is on.
+    cons: ConsTable,
+    /// Interning lookups answered by an existing wire.
+    cons_hits: u64,
+    /// Interning lookups that created a wire.
+    cons_misses: u64,
 }
 
 /// Sorts the operands of commutative gates so `add(a, b)` and
@@ -217,10 +224,10 @@ impl SeqBuilder {
             depths: Vec::new(),
             num_inputs: 0,
             size: 0,
-            const_cache: HashMap::new(),
             cse: true,
-            cse_cache: HashMap::new(),
-            cse_hits: 0,
+            cons: ConsTable::new(),
+            cons_hits: 0,
+            cons_misses: 0,
         }
     }
 
@@ -245,25 +252,36 @@ impl SeqBuilder {
         if is_logic {
             self.size += 1;
         }
-        if self.mode == Mode::Build {
-            self.gates.push(gate);
-        }
+        self.gates.push(gate);
         id
     }
 
-    /// Pushes a logic gate through the hash-consing cache.
+    /// Returns the wire of an earlier gate equal to `key`, or pushes
+    /// `key` and records it in the cons table.
+    fn intern(&mut self, key: Gate, depth: u32, is_logic: bool) -> WireId {
+        let h = gate_hash(key);
+        let gates = &self.gates;
+        self.cons.reserve_one(|w| gate_hash(gates[w as usize]));
+        match self.cons.find(h, |w| gates[w as usize] == key) {
+            Ok(w) => {
+                self.cons_hits += 1;
+                w
+            }
+            Err(at) => {
+                self.cons_misses += 1;
+                let w = self.push(key, depth, is_logic);
+                self.cons.insert(at, h, w);
+                w
+            }
+        }
+    }
+
+    /// Pushes a logic gate through the hash-cons.
     fn logic(&mut self, gate: Gate, depth: u32) -> WireId {
         if !self.cse {
             return self.push(gate, depth, true);
         }
-        let key = canon(gate);
-        if let Some(&w) = self.cse_cache.get(&key) {
-            self.cse_hits += 1;
-            return w;
-        }
-        let w = self.push(key, depth, true);
-        self.cse_cache.insert(key, w);
-        w
+        self.intern(canon(gate), depth, true)
     }
 
     fn depth_of(&self, w: WireId) -> u32 {
@@ -283,12 +301,7 @@ impl SeqBuilder {
 
     /// A constant wire (deduplicated).
     pub fn constant(&mut self, v: u64) -> WireId {
-        if let Some(&w) = self.const_cache.get(&v) {
-            return w;
-        }
-        let w = self.push(Gate::Const(v), 0, false);
-        self.const_cache.insert(v, w);
-        w
+        self.intern(Gate::Const(v), 0, false)
     }
 
     /// A constant wire without deduplication (used by the netlist reader,
@@ -375,13 +388,19 @@ impl SeqBuilder {
         if rec.is_enabled() {
             rec.add("build.gates", self.size);
             rec.add("build.wires", self.depths.len() as u64);
-            rec.add("build.cse_hits", self.cse_hits);
+            rec.add("build.cons_hits", self.cons_hits);
+            rec.add("build.cons_misses", self.cons_misses);
+            rec.gauge_max("build.cons_bytes", self.cons.bytes() as u64);
         }
         let depth = self.depth();
         let num_wires = self.depths.len();
+        let gates = match self.mode {
+            Mode::Build => self.gates,
+            Mode::Count => Vec::new(),
+        };
         Circuit {
             mode: self.mode,
-            gates: self.gates,
+            gates,
             depths: self.depths,
             outputs,
             num_inputs: self.num_inputs,
@@ -392,11 +411,10 @@ impl SeqBuilder {
     }
 }
 
-// ---- parallel construction core ----
+// ---- gate records: the cons-table hash and the parallel arena ----
 //
-// Gate kind tags for the packed-key/struct-of-arrays encoding. 1-based:
-// the intern table uses key 0 as its empty-slot sentinel, so no encoded
-// gate may pack to 0.
+// Gate kind tags for the struct-of-arrays encoding. 1-based, so a
+// zeroed (never written) record decodes to no gate.
 const K_INPUT: u8 = 1;
 const K_CONST: u8 = 2;
 const K_ADD: u8 = 3;
@@ -455,25 +473,25 @@ fn decode_gate(kind: u8, a: u32, b: u32, c: u32) -> Gate {
     }
 }
 
-/// Packs the columns into the intern key: 5 bits of kind, then three
-/// 32-bit operand fields (5 + 96 = 101 ≤ 128). `Const` values span the
-/// a/b fields contiguously, so the packing is exact — two gates collide
-/// iff they are structurally identical.
-fn pack_key(kind: u8, a: u32, b: u32, c: u32) -> u128 {
-    kind as u128 | (a as u128) << 5 | (b as u128) << 37 | (c as u128) << 69
+/// The cons-table hash of a gate. The encoding is exact (`Const` values
+/// span the a/b fields), so equal gates hash equally in every builder.
+pub(crate) fn gate_hash(g: Gate) -> u64 {
+    let (kind, a, b, c) = encode_gate(g);
+    hash_fields(kind, a, b, c)
 }
 
 /// The shared state behind every parallel builder handle: the sharded
 /// hash-cons, the struct-of-arrays gate arena, and the atomic counters
 /// that replace the sequential builder's scalar bookkeeping.
 ///
-/// Invariant: a gate's depth (and, in build mode, its SoA record) is
-/// written *before* its key is published in the intern table, both under
-/// the owning shard's lock, so any handle that can name a wire can read
-/// its depth and record.
+/// Invariant: a gate's depth and SoA record are written *before* its id
+/// is published in the cons table, both under the owning shard's lock,
+/// so any handle that can name a wire can read its depth and record. The
+/// table stores ids only and compares keys against these records, so
+/// count mode writes them too.
 struct ParCore {
     mode: Mode,
-    table: InternTable,
+    table: SharedConsTable,
     depths: Pages<AtomicU32>,
     kinds: Pages<AtomicU8>,
     opa: Pages<AtomicU32>,
@@ -489,7 +507,7 @@ impl ParCore {
     fn new(mode: Mode) -> ParCore {
         ParCore {
             mode,
-            table: InternTable::new(),
+            table: SharedConsTable::new(),
             depths: Pages::new(),
             kinds: Pages::new(),
             opa: Pages::new(),
@@ -506,22 +524,20 @@ impl ParCore {
         self.depths.at(w).load(Ordering::Acquire)
     }
 
-    /// Allocates a fresh wire for `g` and records its depth (and its SoA
-    /// row in build mode). Callers interning must run this under the
-    /// shard lock via `InternTable::intern_with`.
+    /// Allocates a fresh wire for `g` and records its depth and SoA row.
+    /// Callers interning must run this under the shard lock via
+    /// `SharedConsTable::intern_with`.
     fn create(&self, g: Gate, depth: u32, is_logic: bool) -> WireId {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         if let Err(e) = checked_wire_id(id as u64) {
             panic!("{e}");
         }
         self.depths.at(id).store(depth, Ordering::Release);
-        if self.mode == Mode::Build {
-            let (kind, a, b, c) = encode_gate(g);
-            self.opa.at(id).store(a, Ordering::Release);
-            self.opb.at(id).store(b, Ordering::Release);
-            self.opc.at(id).store(c, Ordering::Release);
-            self.kinds.at(id).store(kind, Ordering::Release);
-        }
+        let (kind, a, b, c) = encode_gate(g);
+        self.opa.at(id).store(a, Ordering::Release);
+        self.opb.at(id).store(b, Ordering::Release);
+        self.opc.at(id).store(c, Ordering::Release);
+        self.kinds.at(id).store(kind, Ordering::Release);
         if is_logic {
             self.size.fetch_add(1, Ordering::Relaxed);
         }
@@ -529,23 +545,40 @@ impl ParCore {
         id
     }
 
-    /// Hash-consed logic gate: canonicalize, pack, intern-or-create.
-    fn logic(&self, g: Gate, depth: u32) -> WireId {
-        let g = canon(g);
-        let (kind, a, b, c) = encode_gate(g);
-        let (id, _created) = self
-            .table
-            .intern_with(pack_key(kind, a, b, c), || self.create(g, depth, true));
+    /// Returns the wire of an earlier gate equal to `key` (compared
+    /// against the SoA records), or creates one.
+    fn intern(&self, key: Gate, depth: u32, is_logic: bool) -> WireId {
+        let fields = encode_gate(key);
+        let (kind, a, b, c) = fields;
+        let (id, _created) = self.table.intern_with(
+            hash_fields(kind, a, b, c),
+            |w| self.record(w) == fields,
+            |w| {
+                let (kind, a, b, c) = self.record(w);
+                hash_fields(kind, a, b, c)
+            },
+            || self.create(key, depth, is_logic),
+        );
         id
     }
 
-    fn read_gate(&self, w: WireId) -> Gate {
-        decode_gate(
+    /// Hash-consed logic gate: canonicalize, then intern-or-create.
+    fn logic(&self, g: Gate, depth: u32) -> WireId {
+        self.intern(canon(g), depth, true)
+    }
+
+    fn record(&self, w: WireId) -> (u8, u32, u32, u32) {
+        (
             self.kinds.at(w).load(Ordering::Acquire),
             self.opa.at(w).load(Ordering::Acquire),
             self.opb.at(w).load(Ordering::Acquire),
             self.opc.at(w).load(Ordering::Acquire),
         )
+    }
+
+    fn read_gate(&self, w: WireId) -> Gate {
+        let (kind, a, b, c) = self.record(w);
+        decode_gate(kind, a, b, c)
     }
 }
 
@@ -584,11 +617,8 @@ impl ParBuilder {
     }
 
     fn constant(&mut self, v: u64) -> WireId {
-        let (kind, a, b, c) = encode_gate(Gate::Const(v));
-        let (id, _created) = self.core.table.intern_with(pack_key(kind, a, b, c), || {
-            self.core.create(Gate::Const(v), 0, false)
-        });
-        self.note(id)
+        let w = self.core.intern(Gate::Const(v), 0, false);
+        self.note(w)
     }
 
     fn raw_const(&mut self, v: u64) -> WireId {
@@ -632,7 +662,7 @@ impl ParBuilder {
     /// list through [`Circuit::from_raw`].
     fn finish(self, outputs: Vec<WireId>) -> Circuit {
         assert!(self.root, "finish must be called on the root builder");
-        let core = &self.core;
+        let ParBuilder { core, log, .. } = self;
         let rec = qec_obs::global();
         if rec.is_enabled() {
             rec.add("build.gates", core.size.load(Ordering::Relaxed));
@@ -640,6 +670,7 @@ impl ParBuilder {
             let (hits, misses) = core.table.hit_stats();
             rec.add("build.cons_hits", hits);
             rec.add("build.cons_misses", misses);
+            rec.gauge_max("build.cons_bytes", core.table.bytes() as u64);
         }
         let num_inputs = core.num_inputs.load(Ordering::Relaxed);
         if core.mode == Mode::Count {
@@ -664,7 +695,7 @@ impl ParBuilder {
             debug_assert_ne!(m, UNSET, "operand must be logged before use");
             m
         };
-        for &w in &self.log {
+        for &w in &log {
             if remap[w as usize] != UNSET {
                 continue;
             }
@@ -692,6 +723,9 @@ impl ParBuilder {
         if let Some(t0) = replay_start {
             rec.record_span("build.replay", t0, t0.elapsed().as_nanos() as u64);
         }
+        // Free the arena, the cons table and the log before the depth
+        // pass allocates, so their peaks do not stack.
+        drop((core, log, remap));
         Circuit::from_raw(gates, outputs, num_inputs)
     }
 }

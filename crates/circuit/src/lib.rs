@@ -33,6 +33,7 @@
 //! | output-bounded join ([`join_output_bounded`]) | Alg. 10 | `Õ(M+N+OUT)` | `Õ(1)` |
 
 pub mod bitengine;
+mod cons;
 mod decompose;
 pub mod driver;
 mod engine;

@@ -8,14 +8,14 @@
 //! protocols consume — XOR gates are "free" in both, so [`BitCircuit`]
 //! reports AND count and AND depth separately.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 use qec_par::Pool;
 
+use crate::cons::{hash_fields, ConsTable, SharedConsTable};
 use crate::driver::CompileOptions;
-use crate::shared::{InternTable, Pages};
+use crate::shared::Pages;
 use crate::{Circuit, Gate, WireId};
 
 /// A bit-level gate over GF(2) with NOT.
@@ -285,7 +285,7 @@ fn remap_bgate(g: BGate, renum: &[u32]) -> BGate {
 /// identity here is unconditionally sound.
 ///
 /// Implementors provide the storage primitives: [`Lowerer`] (sequential
-/// vector + `HashMap`), `ParTaskStore` (the sharded concurrent core used
+/// vector + cons table), `ParTaskStore` (the sharded concurrent core used
 /// by [`lower_with_pool`]), and `BitSpec` (the read-only decision view
 /// used by [`optimize_bits_with_pool`]). One copy of the rule bodies is
 /// what keeps the three schedules byte-identical.
@@ -450,11 +450,12 @@ pub(crate) trait BitRewrite {
     }
 }
 
-/// Sequential store behind [`BitRewrite`]: a gate vector plus a single
-/// `HashMap` cons table, with fold/CSE counters for [`BitOptStats`].
+/// Sequential store behind [`BitRewrite`]: a gate vector plus the
+/// index-only cons table over it, with fold/CSE counters for
+/// [`BitOptStats`].
 pub(crate) struct Lowerer {
     pub(crate) gates: Vec<BGate>,
-    cse: HashMap<BGate, u32>,
+    cons: ConsTable,
     pub(crate) cse_hits: u64,
     pub(crate) folds: u64,
 }
@@ -463,10 +464,17 @@ impl Lowerer {
     pub(crate) fn new() -> Lowerer {
         Lowerer {
             gates: vec![BGate::Const(false), BGate::Const(true)],
-            cse: HashMap::new(),
+            cons: ConsTable::new(),
             cse_hits: 0,
             folds: 0,
         }
+    }
+
+    /// The wire already interned for `key`, if any.
+    fn lookup(&self, key: BGate) -> Option<u32> {
+        self.cons
+            .find(bgate_hash(key), |w| self.gates[w as usize] == key)
+            .ok()
     }
 }
 
@@ -481,13 +489,20 @@ impl BitRewrite for Lowerer {
     }
 
     fn intern(&mut self, key: BGate) -> u32 {
-        if let Some(&w) = self.cse.get(&key) {
-            self.cse_hits += 1;
-            return w;
+        let h = bgate_hash(key);
+        let gates = &self.gates;
+        self.cons.reserve_one(|w| bgate_hash(gates[w as usize]));
+        match self.cons.find(h, |w| gates[w as usize] == key) {
+            Ok(w) => {
+                self.cse_hits += 1;
+                w
+            }
+            Err(at) => {
+                let w = self.push(key);
+                self.cons.insert(at, h, w);
+                w
+            }
         }
-        let w = self.push(key);
-        self.cse.insert(key, w);
-        w
     }
 
     fn not_operand(&self, w: u32) -> Option<u32> {
@@ -789,7 +804,7 @@ fn assemble_bits(bc: &BitCircuit, out: BitRewriteOut, live: &[bool]) -> (BitCirc
 // `lower_with_pool` replays the word circuit level by level (word gate
 // lists give every gate a depth strictly above its operands), lowering
 // every word gate of a level as an independent task into a shared
-// concurrent core: the sharded intern table dedups structurally, paged
+// concurrent core: the sharded cons table dedups structurally, paged
 // atomic columns hold the gate payloads, and a single atomic counter
 // hands out wire ids. Parallel ids are schedule-dependent, so tasks log
 // the wire returned by *every* table attempt; the attempt keyed
@@ -804,8 +819,9 @@ fn assemble_bits(bc: &BitCircuit, out: BitRewriteOut, live: &[bool]) -> (BitCirc
 // constant ids (0/1 in both), and dedup makes parallel↔sequential ids a
 // bijection, so identity tests agree everywhere.
 
-/// Bit-gate kind tags for the packed intern key and the paged columns.
-/// Tags start at 1: key 0 is the intern table's empty-slot sentinel.
+/// Bit-gate kind tags for the cons-table hash and the paged columns.
+/// Tags start at 1, so a zeroed (never written) record decodes to no
+/// gate.
 const BK_CONST: u8 = 1;
 const BK_INPUT: u8 = 2;
 const BK_XOR: u8 = 3;
@@ -828,20 +844,20 @@ fn bgate_parts(g: BGate) -> (u8, u32, u32) {
     }
 }
 
-/// Packs a canonical gate into the non-zero intern key: kind tag in the
-/// low 3 bits, operands above.
-fn pack_bkey(g: BGate) -> u128 {
+/// The cons-table hash of a bit gate, shared by the sequential and the
+/// parallel stores so both dedup the same keys.
+fn bgate_hash(g: BGate) -> u64 {
     let (k, a, b) = bgate_parts(g);
-    (k as u128) | ((a as u128) << 3) | ((b as u128) << 35)
+    hash_fields(k, a, b, 0)
 }
 
 /// The shared concurrent bit-gate store: struct-of-arrays payload columns
 /// (1-byte kind + two 4-byte operands per gate) over paged write-once
-/// storage, a sharded intern table for structural dedup, and an atomic
-/// wire-id allocator. Wires 0/1 are preseeded with the constants, same as
-/// the sequential [`Lowerer`].
+/// storage, the sharded index-only cons table over those columns, and an
+/// atomic wire-id allocator. Wires 0/1 are preseeded with the constants,
+/// same as the sequential [`Lowerer`].
 struct ParLowerCore {
-    table: InternTable,
+    table: SharedConsTable,
     kinds: Pages<AtomicU8>,
     opa: Pages<AtomicU32>,
     opb: Pages<AtomicU32>,
@@ -851,7 +867,7 @@ struct ParLowerCore {
 impl ParLowerCore {
     fn new() -> ParLowerCore {
         let core = ParLowerCore {
-            table: InternTable::new(),
+            table: SharedConsTable::new(),
             kinds: Pages::new(),
             opa: Pages::new(),
             opb: Pages::new(),
@@ -863,8 +879,8 @@ impl ParLowerCore {
     }
 
     /// Stores `g`'s payload at wire `w`. Relaxed suffices: cross-thread
-    /// visibility rides on the intern table's shard lock (payload is
-    /// written before the key is published) or on pool scope joins.
+    /// visibility rides on the cons table's shard lock (payload is
+    /// written before the id is published) or on pool scope joins.
     fn write(&self, w: u32, g: BGate) {
         let (k, a, b) = bgate_parts(g);
         self.opa.at(w).store(a, Ordering::Relaxed);
@@ -913,7 +929,12 @@ impl BitRewrite for ParTaskStore<'_> {
 
     fn intern(&mut self, key: BGate) -> u32 {
         let core = self.core;
-        let (w, _created) = core.table.intern_with(pack_bkey(key), || core.alloc(key));
+        let (w, _created) = core.table.intern_with(
+            bgate_hash(key),
+            |w| core.read(w) == key,
+            |w| bgate_hash(core.read(w)),
+            || core.alloc(key),
+        );
         self.log.push(w);
         w
     }
@@ -987,11 +1008,20 @@ fn lower_pooled(c: &Circuit, width: u32, pool: &Pool) -> BitCircuit {
 
     // Renumber into sequential creation order (= ascending creator), and
     // re-canonicalize: commutative operand order depends on numbering.
+    // Each scratch structure is freed as soon as the renumbering is done
+    // with it, so their peaks do not stack on the final gate list.
+    let outputs: Vec<u32> = c
+        .outputs()
+        .iter()
+        .flat_map(|&wid: &WireId| word_bits[wid as usize].iter().copied())
+        .collect();
+    drop((word_bits, levels));
     let total = core.next.load(Ordering::Relaxed) as usize;
     debug_assert_eq!(creator.len(), total);
     debug_assert!(creator.iter().all(|&k| k != u64::MAX));
     let mut order: Vec<u32> = (0..total as u32).collect();
     order.sort_unstable_by_key(|&x| creator[x as usize]);
+    drop(creator);
     let mut renum = vec![0u32; total];
     for (new, &old) in order.iter().enumerate() {
         renum[old as usize] = new as u32;
@@ -1000,11 +1030,8 @@ fn lower_pooled(c: &Circuit, width: u32, pool: &Pool) -> BitCircuit {
         .iter()
         .map(|&old| canon_bit(remap_bgate(core.read(old), &renum)))
         .collect();
-    let outputs: Vec<u32> = c
-        .outputs()
-        .iter()
-        .flat_map(|&wid: &WireId| word_bits[wid as usize].iter().map(|&bw| renum[bw as usize]))
-        .collect();
+    drop((core, order));
+    let outputs = outputs.iter().map(|&bw| renum[bw as usize]).collect();
     BitCircuit::new(gates, outputs, num_input_bits, width)
 }
 
@@ -1087,8 +1114,8 @@ impl BitRewrite for BitSpec<'_> {
             matches!(self.attempt, BitAttempt::None),
             "a rule performs at most one table action"
         );
-        match self.lw.cse.get(&key) {
-            Some(&w) => {
+        match self.lw.lookup(key) {
+            Some(w) => {
                 self.cse_hits += 1;
                 self.attempt = BitAttempt::Hit(w);
                 w

@@ -23,12 +23,13 @@
 //! canonical coercion `Or(x, x)` (= `bool(x)`) when the operand may be a
 //! wide word.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use qec_par::Pool;
 
+use crate::cons::ConsTable;
 use crate::driver::CompileOptions;
-use crate::ir::{canon, Circuit, Gate, WireId};
+use crate::ir::{canon, gate_hash, Circuit, Gate, WireId};
 
 /// Counters describing one [`optimize`] run.
 #[derive(Clone, Debug, Default)]
@@ -107,12 +108,10 @@ impl OptStats {
 /// Gate-list rewriter with value/boolean-ness dataflow and CSE.
 struct Rewriter {
     gates: Vec<Gate>,
-    /// Compile-time value of each new wire, when provable.
-    val: Vec<Option<u64>>,
     /// Is the wire provably `0`/`1`?
     boolish: Vec<bool>,
-    cse: HashMap<Gate, WireId>,
-    consts: HashMap<u64, WireId>,
+    /// Index-only hash-cons over `gates`: constants and logic gates.
+    cons: ConsTable,
     folded: u64,
     identities: u64,
     cse_hits: u64,
@@ -122,24 +121,50 @@ impl Rewriter {
     fn new(cap: usize) -> Rewriter {
         Rewriter {
             gates: Vec::with_capacity(cap),
-            val: Vec::with_capacity(cap),
             boolish: Vec::with_capacity(cap),
-            cse: HashMap::new(),
-            consts: HashMap::new(),
+            cons: ConsTable::new(),
             folded: 0,
             identities: 0,
             cse_hits: 0,
         }
     }
 
-    fn raw_push(&mut self, g: Gate) -> WireId {
-        let v = match g {
+    /// Compile-time value of wire `w`, when provable: a constant's value,
+    /// or `0` for an assert's own wire, which carries 0 whenever
+    /// evaluation proceeds past it (on failure nothing downstream is
+    /// observable).
+    fn value(&self, w: WireId) -> Option<u64> {
+        match self.gates[w as usize] {
             Gate::Const(v) => Some(v),
-            // An assert's own wire carries 0 whenever evaluation proceeds
-            // past it; on failure nothing downstream is observable.
             Gate::AssertZero(_) => Some(0),
             _ => None,
-        };
+        }
+    }
+
+    /// The wire already interned for `key`, if any.
+    fn lookup(&self, key: Gate) -> Option<WireId> {
+        self.cons
+            .find(gate_hash(key), |w| self.gates[w as usize] == key)
+            .ok()
+    }
+
+    /// Returns the wire interned for `key` and whether it already
+    /// existed, pushing and recording `key` when it did not.
+    fn intern(&mut self, key: Gate) -> (WireId, bool) {
+        let h = gate_hash(key);
+        let gates = &self.gates;
+        self.cons.reserve_one(|w| gate_hash(gates[w as usize]));
+        match self.cons.find(h, |w| gates[w as usize] == key) {
+            Ok(w) => (w, true),
+            Err(at) => {
+                let w = self.raw_push(key);
+                self.cons.insert(at, h, w);
+                (w, false)
+            }
+        }
+    }
+
+    fn raw_push(&mut self, g: Gate) -> WireId {
         let b = match g {
             Gate::Const(v) => v <= 1,
             Gate::Eq(..)
@@ -154,7 +179,6 @@ impl Rewriter {
         };
         let id = self.gates.len() as WireId;
         self.gates.push(g);
-        self.val.push(v);
         self.boolish.push(b);
         id
     }
@@ -162,7 +186,7 @@ impl Rewriter {
 
 impl Rewrite for Rewriter {
     fn v(&self, w: WireId) -> Option<u64> {
-        self.val[w as usize]
+        self.value(w)
     }
 
     fn is_bool(&self, w: WireId) -> bool {
@@ -174,22 +198,14 @@ impl Rewrite for Rewriter {
     }
 
     fn konst(&mut self, v: u64) -> WireId {
-        if let Some(&w) = self.consts.get(&v) {
-            return w;
-        }
-        let w = self.raw_push(Gate::Const(v));
-        self.consts.insert(v, w);
-        w
+        self.intern(Gate::Const(v)).0
     }
 
     fn emit(&mut self, g: Gate) -> WireId {
-        let key = canon(g);
-        if let Some(&w) = self.cse.get(&key) {
+        let (w, hit) = self.intern(canon(g));
+        if hit {
             self.cse_hits += 1;
-            return w;
         }
-        let w = self.raw_push(key);
-        self.cse.insert(key, w);
         w
     }
 
@@ -649,7 +665,7 @@ struct Spec<'a> {
 
 impl Rewrite for Spec<'_> {
     fn v(&self, w: WireId) -> Option<u64> {
-        self.rw.val[w as usize]
+        self.rw.value(w)
     }
 
     fn is_bool(&self, w: WireId) -> bool {
@@ -665,8 +681,8 @@ impl Rewrite for Spec<'_> {
             matches!(self.attempt, Attempt::None),
             "a rule performs at most one table action"
         );
-        match self.rw.consts.get(&v) {
-            Some(&w) => {
+        match self.rw.lookup(Gate::Const(v)) {
+            Some(w) => {
                 self.attempt = Attempt::Hit(w);
                 w
             }
@@ -683,8 +699,8 @@ impl Rewrite for Spec<'_> {
             "a rule performs at most one table action"
         );
         let key = canon(g);
-        match self.rw.cse.get(&key) {
-            Some(&w) => {
+        match self.rw.lookup(key) {
+            Some(w) => {
                 self.cse_hits += 1;
                 self.attempt = Attempt::Hit(w);
                 w
@@ -885,18 +901,31 @@ fn rewrite_par(c: &Circuit, pool: &Pool) -> Option<RewriteOut> {
 
     // Renumber into sequential creation order (= ascending creator), and
     // re-canonicalize: commutative operand order depends on numbering.
-    let n = rw.gates.len();
+    // The cons table, the level lists and the creator keys are freed as
+    // soon as they are done with, so their peaks do not stack on the
+    // renumbered gate list.
+    let Rewriter {
+        gates: pre,
+        folded,
+        identities,
+        cse_hits,
+        ..
+    } = rw;
+    drop(levels);
+    let n = pre.len();
     debug_assert_eq!(creator.len(), n);
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.sort_unstable_by_key(|&w| creator[w as usize]);
+    drop(creator);
     let mut renum = vec![0u32; n];
     for (new, &old) in order.iter().enumerate() {
         renum[old as usize] = new as u32;
     }
     let gates: Vec<Gate> = order
         .iter()
-        .map(|&old| canon(remap_gate(rw.gates[old as usize], &renum)))
+        .map(|&old| canon(remap_gate(pre[old as usize], &renum)))
         .collect();
+    drop((pre, order));
     for m in &mut map {
         *m = renum[*m as usize];
     }
@@ -910,9 +939,9 @@ fn rewrite_par(c: &Circuit, pool: &Pool) -> Option<RewriteOut> {
         gates,
         map,
         assert_origin,
-        folded: rw.folded,
-        identities: rw.identities,
-        cse_hits: rw.cse_hits,
+        folded,
+        identities,
+        cse_hits,
         asserts_before,
         always_fail,
     })

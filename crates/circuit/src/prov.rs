@@ -11,7 +11,9 @@
 //! bounds in X24; [`ProvCircuit::monomials`] counts the flat polynomial
 //! expansion it avoids.
 
-use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
+
+use crate::cons::ConsTable;
 
 /// Index of a node in a [`ProvCircuit`].
 pub type ProvId = u32;
@@ -43,34 +45,46 @@ pub enum ProvNode {
     Times(Vec<ProvId>),
 }
 
+/// The cons-table hash of a node: SipHash with fixed keys, so a node's
+/// hash is the same whenever the table recomputes it.
+fn node_hash(n: &ProvNode) -> u64 {
+    let mut h = DefaultHasher::new();
+    n.hash(&mut h);
+    h.finish()
+}
+
 /// A hash-consed provenance DAG. `Zero` and `One` are pre-interned as
 /// ids 0 and 1.
 #[derive(Clone, Debug, Default)]
 pub struct ProvCircuit {
     nodes: Vec<ProvNode>,
-    cons: HashMap<ProvNode, ProvId>,
+    /// The index-only cons table over `nodes`: each node, child list
+    /// included, is stored once.
+    cons: ConsTable,
 }
 
 impl ProvCircuit {
     /// An empty circuit (holding just the two identities).
     pub fn new() -> Self {
-        let mut pc = ProvCircuit {
-            nodes: Vec::new(),
-            cons: HashMap::new(),
-        };
+        let mut pc = ProvCircuit::default();
         pc.intern(ProvNode::Zero);
         pc.intern(ProvNode::One);
         pc
     }
 
     fn intern(&mut self, n: ProvNode) -> ProvId {
-        if let Some(&id) = self.cons.get(&n) {
-            return id;
+        let h = node_hash(&n);
+        let nodes = &self.nodes;
+        self.cons.reserve_one(|id| node_hash(&nodes[id as usize]));
+        match self.cons.find(h, |id| nodes[id as usize] == n) {
+            Ok(id) => id,
+            Err(at) => {
+                let id = self.nodes.len() as ProvId;
+                self.nodes.push(n);
+                self.cons.insert(at, h, id);
+                id
+            }
         }
-        let id = self.nodes.len() as ProvId;
-        self.nodes.push(n.clone());
-        self.cons.insert(n, id);
-        id
     }
 
     /// The `⊕`-identity.

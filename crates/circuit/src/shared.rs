@@ -1,27 +1,25 @@
-//! Shared-memory primitives for parallel circuit construction: a sharded
-//! insert-only intern table (the concurrent hash-cons) and paged
-//! write-once atomic stores (the compact struct-of-arrays gate arena).
+//! Paged write-once atomic stores: the compact struct-of-arrays gate
+//! arena of the parallel construction cores.
 //!
-//! Both the word-level `Builder` and the bit-level `Lowerer` use these
-//! with their own key encodings: a gate is packed into a non-zero `u128`
-//! (kind tag in the low bits, operand ids above), interned into a table
-//! sharded by the key hash's high bits, and its payload is written into
-//! per-column pages *before* the key is published, so any thread that
-//! finds the key also sees the payload (the per-shard mutex orders the
-//! two). Wire ids come from a single atomic counter; dedup makes the set
-//! of allocated gates schedule-independent even though the id order is
-//! not — a deterministic replay (see `ir.rs`) restores sequential
-//! numbering for materialized circuits.
+//! Both the word-level `Builder` and the bit-level `Lowerer` keep their
+//! parallel gate records here, one column per field, and intern them
+//! through the index-only [`SharedConsTable`](crate::cons::SharedConsTable):
+//! a gate's record is written into the columns *before* its id is
+//! published in the table (the per-shard mutex orders the two), so any
+//! thread that finds the id also sees the record. Wire ids come from a
+//! single atomic counter; dedup makes the set of allocated gates
+//! schedule-independent even though the id order is not — a
+//! deterministic replay (see `ir.rs`) restores sequential numbering for
+//! materialized circuits.
 //!
 //! Storage is paged (`Pages<T>`): a fixed directory of lazily allocated
 //! fixed-size pages, so concurrent writers never reallocate or move
-//! entries, and count-mode builds that never touch a column pay nothing
-//! for it. Entries are 4-byte operand indices and 1-byte kind tags —
-//! ~13 bytes per materialized gate plus ~21 bytes of intern table at the
-//! default load factor, which is what makes the N=1024 count-mode sweep
+//! entries. Entries are 4-byte operand indices and 1-byte kind tags —
+//! ~17 bytes per word gate with its depth, plus ~9 bytes of cons table at
+//! the average load, which is what makes the N=1024 count-mode sweep
 //! (≈1.4 billion wires) feasible in tens of GB instead of hundreds.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// log2 of entries per page: 1Mi entries. A page of `AtomicU32` is 4 MiB.
 const PAGE_BITS: usize = 20;
@@ -55,143 +53,6 @@ impl<T: Default> Pages<T> {
     }
 }
 
-/// Splitmix64 finalizer.
-#[inline]
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-#[inline]
-fn hash128(key: u128) -> u64 {
-    mix((key as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ mix((key >> 64) as u64))
-}
-
-/// One shard: open-addressed, insert-only, parallel key/id arrays
-/// (a `(u128, u32)` tuple would pad to 32 bytes; split arrays cost 20).
-/// Key `0` marks an empty slot — gate encodings start their kind tags at
-/// 1, so no legal key is 0.
-struct Shard {
-    keys: Vec<u128>,
-    ids: Vec<u32>,
-    len: usize,
-    /// Lookups that found an existing key (the hash-cons doing its job).
-    hits: u64,
-    /// Lookups that created a new entry.
-    misses: u64,
-}
-
-const SHARD_INIT_CAP: usize = 16;
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            keys: vec![0; SHARD_INIT_CAP],
-            ids: vec![0; SHARD_INIT_CAP],
-            len: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Linear-probe slot for `key`: either its current position or the
-    /// empty slot where it belongs.
-    fn slot(&self, key: u128, h: u64) -> usize {
-        let mask = self.keys.len() - 1;
-        let mut i = (h as usize) & mask;
-        loop {
-            let k = self.keys[i];
-            if k == 0 || k == key {
-                return i;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Doubles the arrays when load reaches 3/4.
-    fn maybe_grow(&mut self) {
-        if self.len * 4 < self.keys.len() * 3 {
-            return;
-        }
-        let new_cap = self.keys.len() * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![0; new_cap]);
-        let old_ids = std::mem::replace(&mut self.ids, vec![0; new_cap]);
-        for (k, id) in old_keys.into_iter().zip(old_ids) {
-            if k == 0 {
-                continue;
-            }
-            let i = self.slot(k, hash128(k));
-            self.keys[i] = k;
-            self.ids[i] = id;
-        }
-    }
-}
-
-/// Number of shards (must be a power of two). 256 keeps lock contention
-/// negligible at 8–16 workers while the per-shard mutexes stay cheap.
-const NUM_SHARDS: usize = 256;
-
-/// The sharded intern table: `u128` gate key → `u32` wire id, insert-only.
-pub(crate) struct InternTable {
-    shards: Box<[Mutex<Shard>]>,
-}
-
-impl InternTable {
-    pub(crate) fn new() -> Self {
-        let shards: Box<[Mutex<Shard>]> =
-            (0..NUM_SHARDS).map(|_| Mutex::new(Shard::new())).collect();
-        InternTable { shards }
-    }
-
-    /// Looks up `key`; if absent, runs `create` *under the shard lock* to
-    /// allocate and record the gate, then publishes `key → id`. Returns
-    /// the id and whether this call created it. Because payload writes in
-    /// `create` happen before the key is published and the same lock
-    /// guards lookups, any thread that observes the key also observes the
-    /// payload.
-    pub(crate) fn intern_with(&self, key: u128, create: impl FnOnce() -> u32) -> (u32, bool) {
-        debug_assert_ne!(key, 0, "key 0 is the empty-slot sentinel");
-        let h = hash128(key);
-        let shard = &self.shards[(h >> 56) as usize & (NUM_SHARDS - 1)];
-        let mut s = shard.lock().unwrap();
-        s.maybe_grow();
-        let i = s.slot(key, h);
-        if s.keys[i] != 0 {
-            s.hits += 1;
-            return (s.ids[i], false);
-        }
-        s.misses += 1;
-        let id = create();
-        s.keys[i] = key;
-        s.ids[i] = id;
-        s.len += 1;
-        (id, true)
-    }
-
-    /// `(hits, misses)` summed over all shards since construction. Hits
-    /// are dedup lookups that returned an existing wire; the hit *rate*
-    /// `hits / (hits + misses)` is the online-CSE effectiveness the
-    /// observability layer exports. Counted under the shard locks the
-    /// lookups already take, so the untraced cost is one integer add.
-    pub(crate) fn hit_stats(&self) -> (u64, u64) {
-        let mut hits = 0;
-        let mut misses = 0;
-        for s in self.shards.iter() {
-            let s = s.lock().unwrap();
-            hits += s.hits;
-            misses += s.misses;
-        }
-        (hits, misses)
-    }
-
-    /// Total interned entries (test/diagnostic use).
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().len).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,53 +83,5 @@ mod tests {
         }
         // untouched entries read as default
         assert_eq!(p.at(12345).load(Ordering::Acquire), 0);
-    }
-
-    #[test]
-    fn intern_dedups_sequentially() {
-        let t = InternTable::new();
-        let next = AtomicU32::new(0);
-        let mk = || next.fetch_add(1, Ordering::Relaxed);
-        let (a, created_a) = t.intern_with(100, mk);
-        let (b, created_b) = t.intern_with(100, mk);
-        let (c, created_c) = t.intern_with(200, mk);
-        assert!(created_a && !created_b && created_c);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn intern_dedups_under_contention() {
-        let t = InternTable::new();
-        let next = AtomicU32::new(0);
-        // 8 workers × 4k keys with heavy overlap: every key must map to
-        // exactly one id, and the id set must be dense.
-        qec_par::Pool::new(8).run_chunks(8 * 4096, 64, |r| {
-            for i in r {
-                let key = 1 + (i % 4096) as u128;
-                t.intern_with(key, || next.fetch_add(1, Ordering::Relaxed));
-            }
-        });
-        assert_eq!(t.len(), 4096);
-        assert_eq!(next.load(Ordering::Relaxed), 4096);
-        // re-interning returns stable ids
-        let (id0, created) = t.intern_with(1, || unreachable!());
-        assert!(!created);
-        assert!(id0 < 4096);
-    }
-
-    #[test]
-    fn shards_grow_past_initial_capacity() {
-        let t = InternTable::new();
-        let next = AtomicU32::new(0);
-        for k in 1..=100_000u128 {
-            t.intern_with(k, || next.fetch_add(1, Ordering::Relaxed));
-        }
-        assert_eq!(t.len(), 100_000);
-        for k in 1..=100_000u128 {
-            let (_, created) = t.intern_with(k, || unreachable!());
-            assert!(!created);
-        }
     }
 }

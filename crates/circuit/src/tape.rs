@@ -237,8 +237,14 @@ struct Header {
     num_outputs: u64,
 }
 
+/// Size of a container holding `words` code and output words: header,
+/// the words, and the checksum trailer.
+fn container_len(words: usize) -> usize {
+    HEADER_BYTES + 8 * words + 8
+}
+
 fn write_container(h: &Header, code: &[u64], outputs: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_BYTES + 8 * (code.len() + outputs.len()) + 8);
+    let mut out = Vec::with_capacity(container_len(code.len() + outputs.len()));
     out.extend_from_slice(&TAPE_MAGIC);
     for v in [TAPE_VERSION, h.kind, h.format, h.width] {
         out.extend_from_slice(&v.to_le_bytes());
@@ -632,6 +638,11 @@ impl WordTape {
             &self.code,
             &self.outputs,
         )
+    }
+
+    /// Length of [`WordTape::to_bytes`], without serializing.
+    pub fn byte_len(&self) -> usize {
+        container_len(self.code.len() + self.outputs.len())
     }
 
     /// Parses a container produced by [`WordTape::to_bytes`], verifying
@@ -1444,6 +1455,7 @@ mod tests {
             assert_eq!(t.evaluate(&[x, y]), c.evaluate(&[x, y]));
         }
         let bytes = t.to_bytes();
+        assert_eq!(t.byte_len(), bytes.len());
         let t2 = WordTape::from_bytes(&bytes).unwrap();
         assert_eq!(t2, t);
         assert_eq!(t2.to_bytes(), bytes);

@@ -392,7 +392,7 @@ impl PlanCache {
             let Ok((engine, _report)) = CompiledCircuit::compile_tape_with(&tape, opts) else {
                 continue;
             };
-            let plan_bytes = tape.to_bytes().len();
+            let plan_bytes = tape.byte_len();
             let key = plan.key.clone();
             let compiled = Arc::new(CompiledPlan {
                 key: key.clone(),

@@ -505,16 +505,18 @@ fn process_batch(shared: &Shared, mut batch: Vec<Job>) {
                 fx.rc.lower_with(Mode::Build, &cfg.compile)
             }
         };
-        let tape =
-            WordTape::encode(&lowered.circuit).map_err(|e| ServeError::Compile(e.to_string()))?;
         let (engine, _report) = CompiledCircuit::compile_with(&lowered.circuit, &cfg.compile)
             .map_err(|e| ServeError::Compile(format!("{e:?}")))?;
+        // Encoded after the engine compile, so the tape does not sit in
+        // memory through the optimizer's peak.
+        let tape =
+            WordTape::encode(&lowered.circuit).map_err(|e| ServeError::Compile(e.to_string()))?;
         let plan = CompiledPlan {
             key: key.clone(),
             engine,
             layout: lowered.layout,
             outputs: lowered.outputs,
-            plan_bytes: tape.to_bytes().len(),
+            plan_bytes: tape.byte_len(),
             compile_ns: t.elapsed().as_nanos() as u64,
         };
         shared.cache.persist(&plan, &tape)?;
