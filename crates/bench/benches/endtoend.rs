@@ -64,8 +64,10 @@ fn bench_mpc(c: &mut Criterion) {
     let mut inputs = qec_circuit::relation_to_values(&rr, m).unwrap();
     inputs.extend(qec_circuit::relation_to_values(&ss, m).unwrap());
     let bits = bc.pack_inputs(&inputs);
+    let eng = qec_circuit::CompiledBitCircuit::compile_gmw(&bc);
+    let instances = [bits.clone()];
     g.bench_function("two_party_pk_join/M=8", |bch| {
-        bch.iter(|| qec_mpc::run_two_party(&bc, &bits, 42).unwrap())
+        bch.iter(|| qec_mpc::run_two_party(&eng, &instances, 64, 42).unwrap())
     });
     g.bench_function("plaintext_bits/M=8", |bch| b_iter_plain(bch, &bc, &bits));
     g.finish();

@@ -1,7 +1,9 @@
-//! Child-process tape evaluator: loads a serialized circuit tape and
-//! evaluates it on inputs read from stdin — the "load-and-evaluate-many"
-//! half of the compile-once contract, exercised across a real process
-//! boundary by experiment X20 and the corpus replay tests.
+//! Child-process tape evaluator: loads a serialized circuit tape,
+//! compiles it into the level's engine (`CompiledCircuit` for word
+//! tapes, `CompiledBitCircuit` for bit tapes) and evaluates it on inputs
+//! read from stdin — the "load-and-evaluate-many" half of the
+//! compile-once contract, exercised across a real process boundary by
+//! experiment X20 and the corpus replay tests.
 //!
 //! ```text
 //! tape_eval word <tape-file>   # stdin: whitespace-separated u64 inputs
@@ -20,7 +22,10 @@
 //! the tape, reloads it, and verifies the round-trip — all inside
 //! whatever `ulimit` the caller imposed.
 
-use qec_circuit::{lower_streamed, BitTape, CompileOptions, Mode, StreamOptions, WordTape};
+use qec_circuit::{
+    lower_streamed, BitTape, CompileOptions, CompiledBitCircuit, CompiledCircuit, Mode,
+    StreamOptions, WordTape,
+};
 use std::io::Read;
 
 fn fail(msg: impl std::fmt::Display) -> ! {
@@ -83,7 +88,10 @@ fn main() {
                         .unwrap_or_else(|_| fail(format!("bad input word {t:?}")))
                 })
                 .collect();
-            let out = tape.evaluate(&inputs).unwrap_or_else(|e| fail(e));
+            let (engine, _) =
+                CompiledCircuit::compile_tape_with(&tape, &CompileOptions::sequential())
+                    .unwrap_or_else(|e| fail(e));
+            let out = engine.evaluate(&inputs).unwrap_or_else(|e| fail(e));
             let words: Vec<String> = out.iter().map(u64::to_string).collect();
             println!("{}", words.join(" "));
         }
@@ -97,7 +105,11 @@ fn main() {
                     _ => fail(format!("bad input bit {t:?}")),
                 })
                 .collect();
-            let out = tape.evaluate(&inputs).unwrap_or_else(|e| fail(e));
+            let circuit = tape.decode().unwrap_or_else(|e| fail(e));
+            let out = CompiledBitCircuit::compile(&circuit)
+                .evaluate_batch(&[inputs])
+                .remove(0)
+                .unwrap_or_else(|e| fail(e));
             let bits: Vec<String> = out
                 .iter()
                 .map(|&b| (if b { "1" } else { "0" }).to_string())

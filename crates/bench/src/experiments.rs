@@ -591,8 +591,9 @@ pub fn x11_mpc() -> Table {
         inputs.extend(qec_circuit::relation_to_values(&ss, m).expect("fits"));
         let plain = c.evaluate(&inputs).expect("plaintext");
         let bits = bc.pack_inputs(&inputs);
-        let (shared, stats) = qec_mpc::run_two_party(&bc, &bits, 99).expect("protocol");
-        let shared_words = bc.unpack_outputs(&shared);
+        let eng = qec_circuit::CompiledBitCircuit::compile_gmw(&bc);
+        let (mut shared, stats) = qec_mpc::run_two_party(&eng, &[bits], 64, 99).expect("protocol");
+        let shared_words = bc.unpack_outputs(&shared.remove(0).expect("constraints hold"));
         let ok = shared_words == plain
             && qec_circuit::decode_relation(&schema, &shared_words) == rr.natural_join(&ss);
         let garble = qec_mpc::garbling_cost(&bc);
@@ -1620,7 +1621,7 @@ pub fn x20_tape_streaming() -> Table {
                         .map(u64::to_string)
                         .collect::<Vec<_>>()
                         .join(" "),
-                    word_tape
+                    word_circuit
                         .evaluate(&word_inputs)
                         .expect("in-process word evaluation")
                         .iter()
@@ -1728,10 +1729,10 @@ pub fn x20_tape_streaming() -> Table {
 
 /// X21 — the bitsliced BitEngine: transposed batch evaluation of the
 /// X15 join circuit's lowered bit circuit at 64–512 instances per
-/// scalar op, versus the per-instance interpreter; then the
-/// batched-triple GMW protocol on a secure triangle evaluation, where
-/// the dealer hands out one packed triple (64–256 scalar triples) per
-/// AND step instead of one bit triple per AND per instance.
+/// scalar op, versus the per-instance interpreter; then the GMW session
+/// protocol on a secure triangle evaluation, where the dealer hands out
+/// one packed triple (64–256 scalar triples) per AND step, at batch 1
+/// (the baseline) and at batches that fill the packed lanes.
 ///
 /// Sizing knob: `QEC_X21_SMOKE=1` shrinks both circuits for CI.
 pub fn x21_bitengine() -> Table {
@@ -1874,9 +1875,10 @@ pub fn x21_bitengine() -> Table {
         ]);
     }
 
-    // --- Part 2: GMW secure triangle evaluation, per-gate vs batched
-    // triples. Empty-database inputs keep every degree-constraint
-    // assert quiet; outputs are still cross-checked against plaintext. ---
+    // --- Part 2: GMW secure triangle evaluation through the session
+    // protocol, one packed triple per AND step, against its own batch-1
+    // run. Empty-database inputs keep every degree-constraint assert
+    // quiet; outputs are still cross-checked against plaintext. ---
     let tri_n = if smoke { 4 } else { 8 };
     let (rc, _) = triangle_heavy_light(tri_n);
     let tri = rc.lower(Mode::Build).circuit;
@@ -1886,53 +1888,35 @@ pub fn x21_bitengine() -> Table {
     let plain = tri_bits.evaluate(&zeros).expect("empty db evaluates");
     // (lanes, batch) pairs: batch scales at a fixed 64-lane width so the
     // two register files stay cache-resident, plus one 256-lane point to
-    // show the cost of quadrupling the packed word count.
+    // show the cost of quadrupling the packed word count. The first
+    // point, a single instance, is the baseline the speedups divide.
     let gmw_points = [(64usize, 1usize), (64, 64), (64, 256), (256, 256)];
     let gmw_insts: Vec<Vec<bool>> =
         vec![zeros.clone(); gmw_points.iter().map(|&(_, b)| b).max().expect("nonempty")];
-
-    // The per-gate baseline: one bit triple per AND per instance,
-    // consumed gate by gate (`evaluate_shared`); `run_two_party` itself
-    // is session-based these days, so the demo is invoked directly.
-    let per_gate = || {
-        let (s0, s1) = qec_mpc::share_bits(&zeros, 2);
-        let dealer = qec_mpc::Dealer::new(tri_bits.and_count() as usize, 1);
-        qec_mpc::evaluate_shared(&tri_bits, &s0, &s1, dealer).expect("per-gate gmw")
-    };
-    let (pg_out, pg_stats) = per_gate();
-    correct &= pg_out == plain;
-    let mut gmw_times: Vec<Vec<f64>> = vec![Vec::new(); 1 + gmw_points.len()];
+    let mut gmw_times: Vec<Vec<f64>> = vec![Vec::new(); gmw_points.len()];
     let gmw_rounds = if smoke { 1 } else { 3 };
     let mut batched_stats = qec_mpc::ProtocolStats::default();
     for _ in 0..gmw_rounds {
-        let t0 = std::time::Instant::now();
-        let _ = per_gate();
-        gmw_times[0].push(t0.elapsed().as_nanos() as f64);
         for (i, &(lanes, batch)) in gmw_points.iter().enumerate() {
             let t0 = std::time::Instant::now();
-            let (outs, st) =
-                qec_mpc::run_two_party_batched_with(&tri_eng, &gmw_insts[..batch], lanes, 1)
-                    .expect("batched gmw");
-            gmw_times[i + 1].push(t0.elapsed().as_nanos() as f64);
+            let (outs, st) = qec_mpc::run_two_party(&tri_eng, &gmw_insts[..batch], lanes, 1)
+                .expect("batched gmw");
+            gmw_times[i].push(t0.elapsed().as_nanos() as f64);
             batched_stats = st;
             correct &= outs
                 .iter()
                 .all(|o| o.as_ref().map(|v| v == &plain).unwrap_or(false));
         }
     }
-    let pg_per_inst = median(&mut gmw_times[0]);
-    t.row(vec![
-        "gmw-pergate".into(),
-        "-".into(),
-        "1".into(),
-        f(pg_per_inst / 1e3),
-        f(tri_bits.gate_count() as f64 / (pg_per_inst / 1e9) / 1e6),
-        f(1.0),
-    ]);
+    let gmw_per_inst: Vec<f64> = gmw_times
+        .iter_mut()
+        .zip(&gmw_points)
+        .map(|(v, &(_, batch))| median(v) / batch as f64)
+        .collect();
+    let batch1_per_inst = gmw_per_inst[0];
     let mut gmw64_speedup = 0.0;
-    for (i, &(lanes, batch)) in gmw_points.iter().enumerate() {
-        let ns = median(&mut gmw_times[i + 1]) / batch as f64;
-        let speedup = pg_per_inst / ns;
+    for (&(lanes, batch), &ns) in gmw_points.iter().zip(&gmw_per_inst) {
+        let speedup = batch1_per_inst / ns;
         if lanes == 64 && batch == 64 {
             gmw64_speedup = speedup;
         }
@@ -1947,7 +1931,7 @@ pub fn x21_bitengine() -> Table {
     }
 
     t.verdict(format!(
-        "{} bit gates, peak {} registers, kernels [{}] — scalar batch-64 bitslicing is {}x the per-instance interpreter ({}; target ≥8x), and batched-triple GMW at batch 64 is {}x the per-gate demo ({} ANDs, {} triples/AND-step packed; correct: {correct})",
+        "{} bit gates, peak {} registers, kernels [{}] — scalar batch-64 bitslicing is {}x the per-instance interpreter ({}; target ≥8x), and session GMW at batch 64 is {}x its own batch-1 run per instance ({} ANDs, {} triples/AND-step packed; correct: {correct})",
         eng.stats().tape_len,
         eng.stats().peak_registers,
         BitKernel::available()
@@ -1962,7 +1946,7 @@ pub fn x21_bitengine() -> Table {
             "BELOW the ≥8x target"
         },
         f(gmw64_speedup),
-        pg_stats.and_gates,
+        tri_bits.and_count(),
         batched_stats.and_gates / tri_bits.and_count().max(1),
     ));
     t
@@ -2275,7 +2259,7 @@ pub fn x22_serve() -> Table {
 pub fn x23_networked_gmw() -> Table {
     use qec_circuit::CompiledBitCircuit;
     use qec_mpc::{
-        share_instances, Duplex, Outcome, PackedDealer, Role, Session, TcpTransport, Transport,
+        run_sessions, share_instances, Duplex, Outcome, PackedDealer, TcpTransport, Transport,
     };
     use std::time::Instant;
 
@@ -2294,34 +2278,21 @@ pub fn x23_networked_gmw() -> Table {
         ],
     );
 
-    /// Two `Session`s against each other over an arbitrary transport
-    /// pair (P1 on a scoped thread), fed by a split packed dealer.
+    /// Both parties over `transports`, fed by a split packed dealer.
     fn sessions<T0, T1>(
         eng: &CompiledBitCircuit,
-        t0: T0,
-        t1: T1,
+        transports: (T0, T1),
         s0: &[Vec<bool>],
         s1: &[Vec<bool>],
         seed: u64,
     ) -> (Outcome, Outcome)
     where
-        T0: Transport + Send,
+        T0: Transport,
         T1: Transport + Send,
     {
-        let (d0, d1) = PackedDealer::new(eng.stats().and_ops as usize, 1, seed).split();
-        std::thread::scope(|scope| {
-            let h = scope.spawn(move || {
-                Session::new(eng, Role::P1, t1, d1)
-                    .with_words(1)
-                    .run(s1)
-                    .expect("P1 session")
-            });
-            let o0 = Session::new(eng, Role::P0, t0, d0)
-                .with_words(1)
-                .run(s0)
-                .expect("P0 session");
-            (o0, h.join().expect("P1 thread"))
-        })
+        let triples = PackedDealer::new(eng.stats().and_ops as usize, 1, seed).split();
+        let (o0, o1) = run_sessions(eng, 1, transports, triples, (s0, s1));
+        (o0.expect("P0 session"), o1.expect("P1 session"))
     }
 
     let ns: Vec<u64> = if smoke { vec![4] } else { vec![4, 8, 16] };
@@ -2354,8 +2325,7 @@ pub fn x23_networked_gmw() -> Table {
         for transport in ["duplex", "tcp"] {
             let t0i = Instant::now();
             let (o0, o1) = if transport == "duplex" {
-                let (a, b) = Duplex::pair();
-                sessions(&eng, a, b, &s0v, &s1v, 900 + n)
+                sessions(&eng, Duplex::pair(), &s0v, &s1v, 900 + n)
             } else {
                 let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
                 let addr = listener.local_addr().expect("local addr");
@@ -2364,7 +2334,7 @@ pub fn x23_networked_gmw() -> Table {
                 });
                 let a = TcpTransport::accept(&listener, qec_mpc::DEFAULT_TIMEOUT).expect("accept");
                 let b = conn.join().expect("connect thread");
-                sessions(&eng, a, b, &s0v, &s1v, 900 + n)
+                sessions(&eng, (a, b), &s0v, &s1v, 900 + n)
             };
             let ms = t0i.elapsed().as_secs_f64() * 1e3;
             for o in [&o0, &o1] {

@@ -18,8 +18,10 @@
 //!    reproduce the in-memory lowering byte for byte), and the
 //!    bitsliced `BitEngine`: every available kernel, recompiled under
 //!    every matrix point, must reproduce per-instance
-//!    `BitCircuit::evaluate` lane for lane on a random batch, and its
-//!    word-level entry point must match the word interpreter.
+//!    `BitCircuit::evaluate` lane for lane on a random batch, and the
+//!    case input's unpacked output must match the word interpreter.
+//!    Finally two networked GMW sessions must reproduce the same
+//!    reference on a small batch, failing assertion gate included.
 //!
 //! Any disagreement comes back as a [`Divergence`] naming the stage and
 //! configuration, ready for the shrinker.
@@ -481,9 +483,9 @@ pub fn run_case(
         // over the case's real input plus a word-boundary-straddling
         // random batch; then every matrix point recompiles the tape under
         // its CompileOptions and every available kernel must reproduce
-        // the reference lane for lane. The word-level entry point must
-        // also match the word interpreter (itself already cross-checked
-        // against the engine sweep above).
+        // the reference lane for lane. The case input's output, unpacked
+        // to words, must also match the word interpreter (itself already
+        // cross-checked against the engine sweep above).
         let mut brng = crate::rng::Rng::new(case.seed ^ 0xb17_e461);
         let mut instances: Vec<Vec<bool>> = vec![bits.pack_inputs(&inputs)];
         instances.extend((0..67).map(|_| {
@@ -527,64 +529,54 @@ pub fn run_case(
                     });
                 }
             }
-            match eng.evaluate_words(std::slice::from_ref(&inputs)).remove(0) {
-                Ok(words) if words == word_want => {}
-                got => {
-                    return Err(Divergence::Validator {
-                        stage: "bitengine-words",
-                        error: format!(
-                            "evaluate_words ({opts:?}) diverged from the word interpreter: \
-                             got {got:?}, want {word_want:?}"
-                        ),
-                    });
-                }
+            let words = eng
+                .evaluate_batch(&instances[..1])
+                .remove(0)
+                .map(|out| bits.unpack_outputs(&out));
+            if words.as_ref() != Ok(&word_want) {
+                return Err(Divergence::Validator {
+                    stage: "bitengine-words",
+                    error: format!(
+                        "unpacked BitEngine output ({opts:?}) diverged from the word \
+                         interpreter: got {words:?}, want {word_want:?}"
+                    ),
+                });
             }
         }
 
         // Stage 5e: the networked two-party GMW session. Two `Session`s
         // wired through a `Duplex` pair on the round-optimal gmw
-        // schedule must reproduce the in-process batched reference
-        // (`evaluate_shared_batch`) result for result — including which
-        // instances fail which assertions — and match plaintext
-        // wherever the reference succeeds, at exactly one message per
-        // AND-bearing level.
+        // schedule must reproduce the bit level's reference interpreter
+        // (`BitCircuit::evaluate`, the `reference` above) result for
+        // result on both parties — the outputs, and for an instance that
+        // fails an assertion the same gate index — at exactly one
+        // message per AND-bearing level.
         {
-            use qec_mpc::{evaluate_shared_batch, share_instances, Duplex, PackedDealer};
+            use qec_mpc::{run_sessions, share_instances, Duplex, MpcError, PackedDealer};
             let eng = qec_circuit::CompiledBitCircuit::compile_gmw(&bits);
-            let batch: Vec<Vec<bool>> = instances[..3].to_vec();
-            let steps = eng.stats().and_ops as usize;
-            let (s0, s1) = share_instances(&batch, case.seed ^ 0x6a3);
-            let dealer = PackedDealer::new(steps, 1, case.seed ^ 0x15e);
-            let (want, _) =
-                evaluate_shared_batch(&eng, &s0, &s1, &dealer).map_err(|e| Divergence::Mpc {
-                    detail: format!("in-process reference failed: {e}"),
-                })?;
-            let (t0, t1) = PackedDealer::new(steps, 1, case.seed ^ 0x15e).split();
-            let (d0, d1) = Duplex::pair();
-            let (o0, o1) = std::thread::scope(|scope| {
-                let eng = &eng;
-                let (s1ref, t1m, d1m) = (&s1, t1, d1);
-                let h = scope.spawn(move || {
-                    qec_mpc::Session::new(eng, qec_mpc::Role::P1, d1m, t1m)
-                        .with_words(1)
-                        .run(s1ref)
+            let batch = &instances[..3];
+            let mut want = Vec::with_capacity(batch.len());
+            for r in &reference[..batch.len()] {
+                want.push(match r {
+                    Ok(out) => Ok(out.clone()),
+                    Err(qec_circuit::EvalError::AssertionFailed { gate, .. }) => {
+                        Err(MpcError::AssertionFailed(*gate))
+                    }
+                    Err(e) => return Err(harness(format!("bit interpreter rejected: {e}"))),
                 });
-                let o0 = qec_mpc::Session::new(eng, qec_mpc::Role::P0, d0, t0)
-                    .with_words(1)
-                    .run(&s0);
-                (o0, h.join().expect("P1 session thread"))
-            });
-            let o0 = o0.map_err(|e| Divergence::Mpc {
-                detail: format!("party 0 session failed: {e}"),
-            })?;
-            let o1 = o1.map_err(|e| Divergence::Mpc {
-                detail: format!("party 1 session failed: {e}"),
-            })?;
-            for (party, o) in [(0, &o0), (1, &o1)] {
+            }
+            let (s0, s1) = share_instances(batch, case.seed ^ 0x6a3);
+            let triples =
+                PackedDealer::new(eng.stats().and_ops as usize, 1, case.seed ^ 0x15e).split();
+            let (o0, o1) = run_sessions(&eng, 1, Duplex::pair(), triples, (&s0, &s1));
+            for (party, o) in [(0, o0), (1, o1)] {
+                let o = o.map_err(|e| Divergence::Mpc {
+                    detail: format!("party {party} session failed: {e}"),
+                })?;
                 if o.results != want {
                     return Err(Divergence::Mpc {
                         detail: format!(
-                            "party {party} session results differ from evaluate_shared_batch: \
+                            "party {party} session results differ from BitCircuit::evaluate: \
                              got {:?}, want {want:?}",
                             o.results
                         ),
@@ -598,26 +590,6 @@ pub fn run_case(
                             eng.stats().and_levels
                         ),
                     });
-                }
-            }
-            for (i, want_plain) in reference.iter().take(batch.len()).enumerate() {
-                match (want_plain, &o0.results[i]) {
-                    (Ok(p), Ok(got)) if got == p => {}
-                    (Ok(p), got) => {
-                        return Err(Divergence::Mpc {
-                            detail: format!(
-                                "instance {i}: session got {got:?}, plaintext wants Ok({p:?})"
-                            ),
-                        });
-                    }
-                    (Err(_), Err(qec_mpc::MpcError::AssertionFailed(_))) => {}
-                    (Err(e), got) => {
-                        return Err(Divergence::Mpc {
-                            detail: format!(
-                                "instance {i}: plaintext rejects with {e} but session got {got:?}"
-                            ),
-                        });
-                    }
                 }
             }
         }

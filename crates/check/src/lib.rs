@@ -12,7 +12,7 @@
 //!   matrix of [`CompileOptions`](qec_circuit::CompileOptions) points
 //!   (optimizer on/off × thread counts × tracing) and insists every
 //!   decoded circuit output equals the RAM references, with the
-//!   structural validators ([`qec_circuit::validate`],
+//!   structural validators ([`qec_circuit::validate()`],
 //!   [`qec_circuit::validate_bits`]) armed after every stage;
 //! * [`shrink`] delta-debugs a divergent case down to a minimal
 //!   replayable fragment;

@@ -8,7 +8,8 @@
 //! scalar `&`/`^`/`!` evaluates the gate for 64 instances at once — 256
 //! or 512 with the AVX2/AVX-512 kernels.
 //!
-//! The compile step mirrors [`engine.rs`](crate::engine) exactly:
+//! The compile step mirrors the word engine's
+//! ([`CompiledCircuit`](crate::CompiledCircuit)) exactly:
 //!
 //! 1. **Liveness.** The last level reading each wire is computed in one
 //!    pass; output wires are pinned.
@@ -659,42 +660,6 @@ impl CompiledBitCircuit {
         results
     }
 
-    /// Word-level mirror of the word engine's API: packs each word
-    /// instance LSB-first at the circuit's lowering width (exactly
-    /// [`BitCircuit::pack_inputs`]), evaluates the batch, and unpacks
-    /// surviving lanes back into words.
-    pub fn evaluate_words(&self, instances: &[Vec<u64>]) -> Vec<Result<Vec<u64>, EvalError>> {
-        let width = self.width as usize;
-        let bits: Vec<Vec<bool>> = instances
-            .iter()
-            .map(|ws| {
-                let mut v = Vec::with_capacity(ws.len() * width);
-                for &word in ws {
-                    for i in 0..width {
-                        v.push((word >> i) & 1 == 1);
-                    }
-                }
-                v
-            })
-            .collect();
-        self.evaluate_batch(&bits)
-            .into_iter()
-            .map(|r| {
-                r.map(|out_bits| {
-                    out_bits
-                        .chunks(width)
-                        .map(|chunk| {
-                            chunk
-                                .iter()
-                                .enumerate()
-                                .fold(0u64, |acc, (i, &b)| acc | (u64::from(b) << i))
-                        })
-                        .collect()
-                })
-            })
-            .collect()
-    }
-
     /// Packs one block (≤ `kernel.lanes()` instances) and runs the tape.
     /// After return, `scratch.regs`/`scratch.fail` hold the block state.
     fn run_block(&self, block: &[Vec<bool>], kernel: BitKernel, scratch: &mut BitScratch) {
@@ -1036,19 +1001,6 @@ mod tests {
                 got: 3
             })
         ));
-    }
-
-    #[test]
-    fn evaluate_words_round_trips() {
-        let bits = sample_bits();
-        let eng = CompiledBitCircuit::compile(&bits);
-        let instances: Vec<Vec<u64>> = (0..70u64).map(|i| vec![i % 13, (i * 7) % 11]).collect();
-        for (inst, r) in instances.iter().zip(eng.evaluate_words(&instances)) {
-            let want = bits
-                .evaluate(&bits.pack_inputs(inst))
-                .map(|b| bits.unpack_outputs(&b));
-            assert_eq!(r.ok(), want.ok());
-        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub struct CompileOptions {
     /// when `recorder` is disabled: the driver substitutes a private
     /// enabled recorder for the duration of the call.
     pub collect_metrics: bool,
-    /// Run the structural validator ([`crate::validate`]) on the circuit
+    /// Run the structural validator ([`crate::validate()`]) on the circuit
     /// after every driver stage (on the source before anything runs, and
     /// on the optimizer's output together with its assertion-provenance
     /// map). A violation aborts the compile with

@@ -23,8 +23,7 @@
 //!    ([`CompiledCircuit::evaluate_batch_threaded`]): Brent's-theorem
 //!    scheduling across OS threads (each level's instructions are split
 //!    over workers, one barrier per level) *combined* with batching
-//!    within each worker. [`crate::evaluate_levelized`] is rebased on
-//!    this path.
+//!    within each worker.
 //! 4. **Observability** ([`EngineStats`], [`EvalMetrics`]): per-kind
 //!    gate counts, level widths, peak register count, nanoseconds and
 //!    bytes touched per evaluation — the numbers the bench harness
@@ -81,6 +80,16 @@ enum BinKind {
     Xor,
 }
 
+/// Lanes per tape pass: the batch is processed in tiles sized so the
+/// register file (`peak_registers × tile × 8` bytes) stays
+/// cache-resident — on large circuits a full-width register file spills
+/// to DRAM and the batching win evaporates. 16 lanes is the measured
+/// sweet spot across 2·10⁵–1.3·10⁶ gate circuits: wide enough that SIMD
+/// lane loops and tape-decode amortization engage, narrow enough that
+/// `peak_registers × 16` words stay cache-resident. Wider tiles lose
+/// more to register-file spill than they gain in decode amortization.
+const LANE_TILE: usize = 16;
+
 /// Gate-kind slots for [`EngineStats::gate_counts`], in a fixed order.
 pub const GATE_KINDS: [&str; 13] = [
     "input",
@@ -130,14 +139,14 @@ pub struct EngineStats {
     pub circuit_depth: u32,
     /// Total wires (inputs + constants + gates) in the source circuit.
     pub circuit_wires: usize,
-    /// Logic-gate count actually compiled. Under [`CompiledCircuit::compile`]
-    /// this is the optimized circuit's size; under
-    /// [`CompiledCircuit::compile_raw`] it equals `circuit_size`.
+    /// Logic-gate count actually compiled. With the optimizer on (the
+    /// [`CompiledCircuit::compile_with`] default) this is the optimized
+    /// circuit's size; with it off it equals `circuit_size`.
     pub optimized_size: u64,
     /// Depth of the compiled circuit (optimized or raw).
     pub optimized_depth: u32,
-    /// Optimizer counters, when [`CompiledCircuit::compile`] ran the
-    /// offline pass; `None` for [`CompiledCircuit::compile_raw`].
+    /// Optimizer counters, when [`CompiledCircuit::compile_with`] ran
+    /// the offline pass; `None` with the optimizer off.
     pub opt: Option<OptStats>,
     /// Instructions on the tape (one per wire of the compiled circuit —
     /// at most `circuit_wires`, less whenever the optimizer shrank it).
@@ -471,25 +480,6 @@ impl CompiledCircuit {
         self.evaluate_batch_metered(instances, threads).0
     }
 
-    /// Lanes per tape pass: the batch is processed in tiles sized so
-    /// the register file (`peak_registers × tile × 8` bytes) stays
-    /// cache-resident — on large circuits a full-width register file
-    /// spills to DRAM and the batching win evaporates.
-    fn lane_tile(&self, b: usize) -> usize {
-        if let Some(t) = std::env::var("QEC_ENGINE_TILE")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            return t.clamp(1, b.max(1));
-        }
-        // 16 lanes is the measured sweet spot across 2·10⁵–1.3·10⁶ gate
-        // circuits: wide enough that SIMD lane loops and tape-decode
-        // amortization engage, narrow enough that `peak_registers × 16`
-        // words stay cache-resident. Wider tiles lose more to register
-        // -file spill than they gain in decode amortization.
-        16.min(b.max(1))
-    }
-
     /// [`Self::evaluate_batch_threaded`] plus wall-clock/traffic
     /// metrics for the call.
     pub fn evaluate_batch_metered<I: AsRef<[u64]>>(
@@ -499,11 +489,11 @@ impl CompiledCircuit {
     ) -> (Vec<Result<Vec<u64>, EvalError>>, EvalMetrics) {
         assert!(threads >= 1, "at least one worker");
         let start = std::time::Instant::now();
-        let tile = self.lane_tile(instances.len());
+        let tile = LANE_TILE.min(instances.len().max(1));
         let mut regs = vec![0u64; self.num_regs * tile];
         let mut results = Vec::with_capacity(instances.len());
 
-        for chunk in instances.chunks(tile.max(1)) {
+        for chunk in instances.chunks(tile) {
             let b = chunk.len();
             let mut failures: Vec<(u32, u64)> = vec![(u32::MAX, 0); b];
             // Lanes with the wrong arity error out up front and are

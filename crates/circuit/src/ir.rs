@@ -93,7 +93,7 @@ pub enum EvalError {
     /// The circuit was built in [`Mode::Count`] and has no gates.
     CountOnly,
     /// A structural invariant violation found by the validator
-    /// ([`crate::validate`]) when compiling with
+    /// ([`crate::validate()`]) when compiling with
     /// [`CompileOptions::with_validate`](crate::CompileOptions::with_validate).
     Invalid(crate::validate::ValidateError),
     /// Wire-id allocation ran past the 32-bit id space of the in-memory

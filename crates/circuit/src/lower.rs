@@ -633,7 +633,7 @@ fn lower_seq(c: &Circuit, width: u32) -> BitCircuit {
     BitCircuit::new(lw.gates, outputs, num_input_bits, width)
 }
 
-/// Counters describing one [`optimize_bits`] run.
+/// Counters describing one [`optimize_bits_with`] run.
 #[derive(Clone, Debug, Default)]
 pub struct BitOptStats {
     /// Logic gates before (XOR + AND + NOT + asserts).
@@ -1037,8 +1037,8 @@ fn lower_pooled(c: &Circuit, width: u32, pool: &Pool) -> BitCircuit {
 
 /// Lowers a word circuit to bits under `opts`, scheduled across
 /// `opts.pool` (byte-identical [`BitCircuit`] for every worker count).
-/// See [`lower_seq`]'s width contract: every domain value must fit in
-/// `width` bits, with the all-ones word reserved for the `?` sentinel.
+/// Width contract: every domain value must fit in `width` bits, with
+/// the all-ones word reserved for the `?` sentinel.
 ///
 /// When `opts.recorder` is enabled the pass records a `lower` span and
 /// the headline bit-level gate counts; the produced circuit never

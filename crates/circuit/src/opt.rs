@@ -31,7 +31,7 @@ use crate::cons::ConsTable;
 use crate::driver::CompileOptions;
 use crate::ir::{canon, gate_hash, Circuit, Gate, WireId};
 
-/// Counters describing one [`optimize`] run.
+/// Counters describing one [`optimize_with`] run.
 #[derive(Clone, Debug, Default)]
 pub struct OptStats {
     /// Logic gates in the source circuit.

@@ -103,7 +103,7 @@ impl ProvCircuit {
     }
 
     /// Interns `⊕(children)`: drops `Zero`s, flattens nested `Plus` (up
-    /// to [`FLATTEN_CAP`]), sorts, and deduplicates (idempotence).
+    /// to 1024 children), sorts, and deduplicates (idempotence).
     /// Empty → `Zero`, singleton → the child itself.
     pub fn plus(&mut self, children: impl IntoIterator<Item = ProvId>) -> ProvId {
         let kept: Vec<ProvId> = children
@@ -135,7 +135,7 @@ impl ProvCircuit {
     }
 
     /// Interns `⊗(children)`: drops `One`s, annihilates on `Zero`,
-    /// flattens nested `Times` (up to [`FLATTEN_CAP`]), and sorts
+    /// flattens nested `Times` (up to 1024 children), and sorts
     /// (commutativity). Empty → `One`, singleton → the child itself.
     pub fn times(&mut self, children: impl IntoIterator<Item = ProvId>) -> ProvId {
         let mut kept: Vec<ProvId> = Vec::new();

@@ -1,41 +1,10 @@
 //! Brent's theorem, operationally (Sec. 1): a circuit of size `W` and
 //! depth `D` runs on a `P`-processor PRAM in `O(W/P + D)` steps by
-//! executing it level by level.
+//! executing it level by level. This module counts those steps;
+//! [`CompiledCircuit::evaluate_batch_threaded`](crate::CompiledCircuit::evaluate_batch_threaded)
+//! runs the schedule.
 
-use crate::driver::CompileOptions;
-use crate::engine::CompiledCircuit;
-use crate::{Circuit, EvalError};
-
-/// Evaluates a materialized circuit with a levelized multi-threaded
-/// schedule: gates of equal depth are independent by construction, so
-/// each level is split across `threads` workers with a barrier between
-/// levels — the PRAM schedule behind Brent's theorem, realized with OS
-/// threads.
-///
-/// Since the engine rework this compiles the circuit to a
-/// register-allocated tape ([`CompiledCircuit`]) and runs its
-/// level-parallel path on a single-instance batch. Results are
-/// deterministic for every thread count: an input that violates several
-/// assertions always reports the **lowest-index** failing gate, exactly
-/// like [`Circuit::evaluate`]. Worthwhile only for large circuits — for
-/// small ones thread coordination dominates; callers that evaluate many
-/// inputs should compile once and use [`CompiledCircuit::evaluate_batch`]
-/// directly.
-pub fn evaluate_levelized(
-    c: &Circuit,
-    inputs: &[u64],
-    threads: usize,
-) -> Result<Vec<u64>, EvalError> {
-    assert!(threads >= 1);
-    if c.gates().is_empty() {
-        return c.evaluate(inputs); // count-only or trivial: delegate
-    }
-    let (compiled, _) = CompiledCircuit::compile_with(c, &CompileOptions::from_env())?;
-    compiled
-        .evaluate_batch_threaded(std::slice::from_ref(&inputs), threads)
-        .pop()
-        .expect("one lane in, one out")
-}
+use crate::Circuit;
 
 /// Number of logic gates at each depth level `1..=depth` (level `d` holds
 /// gates whose longest input path is `d`).
@@ -61,7 +30,13 @@ pub fn brent_steps(c: &Circuit, p: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Builder, Mode};
+    use crate::{Builder, CompileOptions, CompiledCircuit, EvalError, Mode};
+
+    /// One instance through the engine's level-parallel schedule.
+    fn levelized(c: &Circuit, inputs: &[u64], threads: usize) -> Result<Vec<u64>, EvalError> {
+        let (eng, _) = CompiledCircuit::compile_with(c, &CompileOptions::sequential())?;
+        eng.evaluate_batch_threaded(&[inputs], threads).remove(0)
+    }
 
     fn sample_circuit() -> Circuit {
         let mut b = Builder::new(Mode::Count);
@@ -113,11 +88,7 @@ mod tests {
         let inputs = relation_to_values(&r, 32).unwrap();
         let seq = c.evaluate(&inputs).unwrap();
         for threads in [1, 2, 4, 8] {
-            assert_eq!(
-                evaluate_levelized(&c, &inputs, threads).unwrap(),
-                seq,
-                "{threads}"
-            );
+            assert_eq!(levelized(&c, &inputs, threads).unwrap(), seq, "{threads}");
         }
     }
 
@@ -132,11 +103,11 @@ mod tests {
         }
         let c = b.finish(vec![]);
         let ones = vec![1u64; 64];
-        assert!(evaluate_levelized(&c, &ones, 4).is_ok());
+        assert!(levelized(&c, &ones, 4).is_ok());
         let mut bad = ones.clone();
         bad[17] = 0;
         assert!(matches!(
-            evaluate_levelized(&c, &bad, 4),
+            levelized(&c, &bad, 4),
             Err(EvalError::AssertionFailed { .. })
         ));
     }
@@ -175,7 +146,7 @@ mod tests {
             panic!("sequential evaluation must fail");
         };
         for threads in 1..=8 {
-            let got = evaluate_levelized(&c, &ones, threads);
+            let got = levelized(&c, &ones, threads);
             assert_eq!(
                 got,
                 Err(EvalError::AssertionFailed {

@@ -136,7 +136,9 @@ pub fn sort_slots_with(
     sort_slots_network(b, rel, key, extra, SortNetwork::default())
 }
 
-/// [`sort_slots_with`] with an explicit network choice.
+/// Sorts the slots of `rel` by `key` with an explicit network choice,
+/// permuting the auxiliary per-slot `extra` columns (referenced by
+/// [`SortKey::ColumnsThen`]) alongside and returning them.
 pub fn sort_slots_network(
     b: &mut Builder,
     rel: &RelWires,
@@ -264,7 +266,8 @@ pub fn sort_slots_network(
     )
 }
 
-/// [`sort_slots_with`] without auxiliary columns.
+/// Sorts the slots of `rel` by `key` with the default network and no
+/// auxiliary columns.
 pub fn sort_slots(b: &mut Builder, rel: &RelWires, key: &SortKey) -> RelWires {
     sort_slots_with(b, rel, key, &[]).0
 }

@@ -13,8 +13,12 @@
 //!    (`[opcode:4][a:30][b:30]`, extra words for `Const`/`Mux`); the
 //!    *wide* format spends one word per operand and therefore carries
 //!    full 64-bit ids — the escape hatch past the 32-bit in-memory id
-//!    space (see [`EvalError::CircuitTooLarge`]). Both evaluate directly
-//!    off the words, no decode step required.
+//!    space (see [`EvalError::CircuitTooLarge`]). A tape is a storage
+//!    and transfer format, not an evaluator: [`WordTape::decode`] /
+//!    [`BitTape::decode`] hand it back to the level's reference
+//!    interpreter, and
+//!    [`CompiledCircuit::compile_tape_with`](crate::CompiledCircuit::compile_tape_with)
+//!    compiles a word tape straight into the engine.
 //! 2. **Serialization.** [`WordTape::to_bytes`]/[`BitTape::to_bytes`]
 //!    emit a magic-tagged, versioned container with an FNV-1a-64
 //!    checksum trailer; `from_bytes` rejects truncation, trailing bytes,
@@ -297,15 +301,16 @@ fn read_container(
         code_words: read_u64(bytes, 40),
         num_outputs: read_u64(bytes, 48),
     };
-    let payload_words = h
+    let needed = h
         .code_words
         .checked_add(h.num_outputs)
-        .filter(|&w| w < (usize::MAX as u64) / 8)
+        .and_then(|w| usize::try_from(w).ok())
+        .and_then(|w| w.checked_mul(8))
+        .and_then(|b| b.checked_add(HEADER_BYTES + 8))
         .ok_or(TapeError::Truncated {
             needed: usize::MAX,
             got: bytes.len(),
         })?;
-    let needed = HEADER_BYTES + 8 * payload_words as usize + 8;
     if bytes.len() < needed {
         return Err(TapeError::Truncated {
             needed,
@@ -493,64 +498,10 @@ impl WordTape {
         Ok(Circuit::from_raw(gates, outputs, self.num_inputs as usize))
     }
 
-    /// Evaluates directly off the flat words — no `Vec<Gate>` is ever
-    /// materialized. Semantics match [`Circuit::evaluate`] exactly,
-    /// including the failing-assert gate index.
-    pub fn evaluate(&self, inputs: &[u64]) -> Result<Vec<u64>, EvalError> {
-        if inputs.len() != self.num_inputs as usize {
-            return Err(EvalError::InputArity {
-                expected: self.num_inputs as usize,
-                got: inputs.len(),
-            });
-        }
-        let as_bool = |v: u64| v != 0;
-        let mut values: Vec<u64> = Vec::with_capacity(self.num_wires as usize);
-        let mut failure: Option<(usize, u64)> = None;
-        self.for_each_instruction(|_w, op, a, b, c| {
-            let gi = values.len();
-            let va = |o: u64| values[o as usize];
-            let v = match op {
-                OP_INPUT => inputs[a as usize],
-                OP_CONST => a,
-                3 => va(a).wrapping_add(va(b)),
-                4 => va(a).wrapping_sub(va(b)),
-                5 => va(a).wrapping_mul(va(b)),
-                6 => u64::from(va(a) == va(b)),
-                7 => u64::from(va(a) < va(b)),
-                8 => u64::from(as_bool(va(a)) && as_bool(va(b))),
-                9 => u64::from(as_bool(va(a)) || as_bool(va(b))),
-                10 => u64::from(as_bool(va(a)) != as_bool(va(b))),
-                11 => u64::from(!as_bool(va(a))),
-                OP_MUX => {
-                    if as_bool(va(a)) {
-                        va(b)
-                    } else {
-                        va(c)
-                    }
-                }
-                OP_ASSERT => {
-                    let v = va(a);
-                    if v != 0 && failure.is_none() {
-                        failure = Some((gi, v));
-                    }
-                    0
-                }
-                _ => unreachable!("for_each_instruction rejects bad opcodes"),
-            };
-            values.push(v);
-            Ok(())
-        })
-        .map_err(EvalError::Tape)?;
-        if let Some((gate, value)) = failure {
-            return Err(EvalError::AssertionFailed { gate, value });
-        }
-        Ok(self.outputs.iter().map(|&o| values[o as usize]).collect())
-    }
-
     /// Walks the instruction stream, handing each decoded instruction
     /// `(word_index, opcode, a, b, c)` to `f`. Operand *range* checks
-    /// against preceding wires are the caller's concern (`decode` does
-    /// them; `evaluate` trusts a tape that already decoded or loaded).
+    /// against preceding wires are the caller's concern (`decode` and
+    /// the loader's structural validation do them).
     fn for_each_instruction<F>(&self, mut f: F) -> Result<(), TapeError>
     where
         F: FnMut(usize, u64, u64, u64, u64) -> Result<(), TapeError>,
@@ -821,44 +772,6 @@ impl BitTape {
             self.num_inputs as usize,
             self.width,
         ))
-    }
-
-    /// Evaluates directly off the flat words. Semantics match
-    /// [`BitCircuit::evaluate`]; a firing assert reports its instruction
-    /// index.
-    pub fn evaluate(&self, inputs: &[bool]) -> Result<Vec<bool>, EvalError> {
-        if inputs.len() != self.num_inputs as usize {
-            return Err(EvalError::InputArity {
-                expected: self.num_inputs as usize,
-                got: inputs.len(),
-            });
-        }
-        let mut values: Vec<bool> = Vec::with_capacity(self.num_wires as usize);
-        let mut failure: Option<usize> = None;
-        self.for_each_instruction(|_w, op, a, b| {
-            let gi = values.len();
-            let v = match op {
-                BOP_CONST => a != 0,
-                BOP_INPUT => inputs[a as usize],
-                BOP_XOR => values[a as usize] != values[b as usize],
-                BOP_AND => values[a as usize] && values[b as usize],
-                BOP_NOT => !values[a as usize],
-                BOP_ASSERT => {
-                    if values[a as usize] && failure.is_none() {
-                        failure = Some(gi);
-                    }
-                    false
-                }
-                _ => unreachable!("for_each_instruction rejects bad opcodes"),
-            };
-            values.push(v);
-            Ok(())
-        })
-        .map_err(EvalError::Tape)?;
-        if let Some(gate) = failure {
-            return Err(EvalError::AssertionFailed { gate, value: 1 });
-        }
-        Ok(self.outputs.iter().map(|&o| values[o as usize]).collect())
     }
 
     fn for_each_instruction<F>(&self, mut f: F) -> Result<(), TapeError>
@@ -1451,8 +1364,11 @@ mod tests {
         assert_eq!(back.gates(), c.gates());
         assert_eq!(back.outputs(), c.outputs());
         assert_eq!(back.num_inputs(), c.num_inputs());
+        let (eng, _) =
+            crate::CompiledCircuit::compile_tape_with(&t, &crate::CompileOptions::sequential())
+                .unwrap();
         for (x, y) in [(3u64, 9u64), (9, 3), (0, 0), (u64::MAX, 1)] {
-            assert_eq!(t.evaluate(&[x, y]), c.evaluate(&[x, y]));
+            assert_eq!(eng.evaluate(&[x, y]), c.evaluate(&[x, y]));
         }
         let bytes = t.to_bytes();
         assert_eq!(t.byte_len(), bytes.len());
@@ -1515,6 +1431,22 @@ mod tests {
     }
 
     #[test]
+    fn header_counts_at_the_size_limit_are_truncation_not_overflow() {
+        // Declared payloads whose byte length overflows `usize` once the
+        // header and trailer are added must be rejected, not wrap.
+        let bytes = WordTape::encode(&sample_circuit()).unwrap().to_bytes();
+        for words in [usize::MAX as u64 / 8 - 1, u64::MAX / 8, u64::MAX] {
+            let mut b = bytes.clone();
+            b[40..48].copy_from_slice(&words.to_le_bytes()); // code_words
+            b[48..56].copy_from_slice(&0u64.to_le_bytes()); // num_outputs
+            assert!(matches!(
+                WordTape::from_bytes(&b),
+                Err(TapeError::Truncated { .. })
+            ));
+        }
+    }
+
+    #[test]
     fn bit_tape_roundtrips_and_evaluates() {
         let c = sample_circuit();
         let bc = crate::lower_with(&c, 16, &crate::CompileOptions::sequential());
@@ -1525,7 +1457,11 @@ mod tests {
         assert_eq!(back.num_inputs(), bc.num_inputs());
         assert_eq!(back.width(), bc.width());
         let inputs = bc.pack_inputs(&[7, 11]);
-        assert_eq!(t.evaluate(&inputs), bc.evaluate(&inputs));
+        let eng = crate::CompiledBitCircuit::compile(&back);
+        assert_eq!(
+            eng.evaluate_batch(std::slice::from_ref(&inputs)),
+            vec![bc.evaluate(&inputs)]
+        );
         let bytes = t.to_bytes();
         let t2 = BitTape::from_bytes(&bytes).unwrap();
         assert_eq!(t2, t);
@@ -1556,9 +1492,8 @@ mod tests {
             outputs: narrow.outputs.clone(),
         };
         let back = BitTape::from_bytes(&wide.to_bytes()).unwrap();
+        assert_eq!(back, wide);
         assert_eq!(back.decode().unwrap().gates(), bc.gates());
-        let inputs = bc.pack_inputs(&[3, 200]);
-        assert_eq!(wide.evaluate(&inputs), bc.evaluate(&inputs));
     }
 
     #[test]

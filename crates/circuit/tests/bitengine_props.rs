@@ -185,23 +185,4 @@ proptest! {
             prop_assert_eq!(&got, &base, "kernel {} vs scalar", kernel.name());
         }
     }
-
-    /// The word-level entry point agrees with pack → interpret → unpack
-    /// per instance.
-    #[test]
-    fn evaluate_words_matches_interpreter(
-        seeds in prop::collection::vec(any::<GateSeed>(), 1..60),
-        raw in prop::collection::vec(prop::collection::vec(any::<u64>(), 2), 1..80),
-    ) {
-        let bits = build_random_bits(2, &seeds, 8);
-        let eng = CompiledBitCircuit::compile(&bits);
-        let got = eng.evaluate_words(&raw);
-        for (inst, g) in raw.iter().zip(&got) {
-            let want = bits
-                .evaluate(&bits.pack_inputs(inst))
-                .map(|b| bits.unpack_outputs(&b));
-            prop_assert_eq!(g.as_ref().ok(), want.as_ref().ok());
-            prop_assert_eq!(g.is_err(), want.is_err());
-        }
-    }
 }

@@ -6,9 +6,7 @@
 //! count.
 
 use proptest::prelude::*;
-use qec_circuit::{
-    evaluate_levelized, Builder, Circuit, CompileOptions, CompiledCircuit, EvalError, Mode,
-};
+use qec_circuit::{Builder, Circuit, CompileOptions, CompiledCircuit, EvalError, Mode};
 
 /// Raw material for one random gate: kind selector plus operand seeds,
 /// reduced modulo the live wire count at build time.
@@ -108,8 +106,8 @@ proptest! {
         prop_assert_eq!(eng.evaluate(&instances[0]), c.evaluate(&instances[0]));
         for threads in [1, 3] {
             prop_assert_eq!(
-                evaluate_levelized(&c, &instances[0], threads),
-                c.evaluate(&instances[0])
+                eng.evaluate_batch_threaded(&instances[..1], threads),
+                vec![c.evaluate(&instances[0])]
             );
         }
     }

@@ -180,7 +180,8 @@ proptest! {
         let mut vals = relation_values(&r, 12);
         vals.extend(relation_values(&s, 12));
         let seq = c.evaluate(&vals).unwrap();
-        let par = qec_circuit::evaluate_levelized(&c, &vals, threads).unwrap();
+        let (eng, _) = qec_circuit::CompiledCircuit::compile_with(&c, &qec_circuit::CompileOptions::sequential()).unwrap();
+        let par = eng.evaluate_batch_threaded(&[&vals], threads).remove(0).unwrap();
         prop_assert_eq!(seq, par);
     }
 }

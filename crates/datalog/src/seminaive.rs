@@ -80,7 +80,7 @@ impl Algebra for ProvAlgebra {
 }
 
 /// Builds a [`Database`] over the program's canonical EDB schemas (keys
-/// `Var(0..arity)`, plus [`ANNOT`] for annotated predicates) from plain
+/// `Var(0..arity)`, plus [`ANNOT`](crate::ANNOT) for annotated predicates) from plain
 /// row lists. Rows for predicates the program never reads are ignored.
 pub fn database(
     dp: &DatalogProgram,

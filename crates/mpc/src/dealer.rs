@@ -2,54 +2,23 @@
 //! [`TripleSource`] streaming-consumption seam, and a file format for
 //! shipping each party its correlated triple shares.
 
-use crate::share::TripleShare;
 use crate::transport::Role;
 use crate::MpcError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
 
-/// The trusted dealer's offline output: correlated triple shares.
-pub struct Dealer {
-    pub(crate) triples: (Vec<TripleShare>, Vec<TripleShare>),
-}
-
-impl Dealer {
-    /// Prepares `n` multiplication triples (deterministic in `seed`).
-    pub fn new(n: usize, seed: u64) -> Dealer {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut p0 = Vec::with_capacity(n);
-        let mut p1 = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (a, b) = (rng.gen::<bool>(), rng.gen::<bool>());
-            let c = a & b;
-            let (a0, b0, c0) = (rng.gen::<bool>(), rng.gen::<bool>(), rng.gen::<bool>());
-            p0.push(TripleShare {
-                a: a0,
-                b: b0,
-                c: c0,
-            });
-            p1.push(TripleShare {
-                a: a ^ a0,
-                b: b ^ b0,
-                c: c ^ c0,
-            });
-        }
-        Dealer { triples: (p0, p1) }
-    }
-}
-
-/// The trusted dealer's offline output for the *batched* protocol:
-/// transposed triple shares, `words` lane words per packed AND step
-/// (64 triples per word — the dealer hands out `words × 64` scalar
-/// triples every time the tape executes one AND instruction).
+/// The trusted dealer's offline output: transposed triple shares,
+/// `words` lane words per packed AND step (64 triples per word — the
+/// dealer hands out `words × 64` scalar triples every time the tape
+/// executes one AND instruction).
 ///
 /// Layout per step `s` and party: `[a₀..a_w, b₀..b_w, c₀..c_w]` at
 /// offset `s × 3 × words`, with `a ∧ b = c` lane-wise across parties.
 pub struct PackedDealer {
-    pub(crate) words: usize,
-    pub(crate) p0: Vec<u64>,
-    pub(crate) p1: Vec<u64>,
+    words: usize,
+    p0: Vec<u64>,
+    p1: Vec<u64>,
 }
 
 impl PackedDealer {
@@ -85,16 +54,6 @@ impl PackedDealer {
         PackedDealer { words, p0, p1 }
     }
 
-    /// Lane words per packed step.
-    pub fn words(&self) -> usize {
-        self.words
-    }
-
-    /// Packed AND steps prepared.
-    pub fn steps(&self) -> usize {
-        self.p0.len() / (3 * self.words)
-    }
-
     /// Splits the dealer into the two parties' triple streams — what
     /// each [`Session`](crate::Session) consumes independently.
     pub fn split(self) -> (TripleVec, TripleVec) {
@@ -110,19 +69,6 @@ impl PackedDealer {
                 pos: 0,
             },
         )
-    }
-
-    /// One party's triple stream, leaving the dealer intact (clones the
-    /// share words).
-    pub fn for_role(&self, role: Role) -> TripleVec {
-        TripleVec {
-            words: self.words,
-            data: match role {
-                Role::P0 => self.p0.clone(),
-                Role::P1 => self.p1.clone(),
-            },
-            pos: 0,
-        }
     }
 }
 

@@ -25,16 +25,15 @@
 //! * [`protocol`] — the online phase: a networked [`Session`] per
 //!   party, exchanging **one message per AND level** of the compiled
 //!   tape (`stats.rounds == AND depth` under
-//!   [`CompiledBitCircuit::compile_gmw`]), plus single-process
-//!   reference evaluators ([`evaluate_shared`],
-//!   [`evaluate_shared_batch`]).
+//!   [`CompiledBitCircuit::compile_gmw`]).
 //!
-//! The [`run_two_party`] / [`run_two_party_batched`] conveniences wire
-//! two [`Duplex`]-connected sessions onto two threads — same code path
-//! as a real deployment, minus the network. No cryptographic hardness
-//! is claimed for the dealer (it is the standard trusted-dealer model);
-//! the online phase is faithfully message-passing with exact cost
-//! accounting.
+//! [`Session`] is the only online phase. [`run_sessions`] runs both
+//! parties over any transport pair, party 1 on its own thread, and
+//! [`run_two_party`] wraps it for plain in-process batches over a
+//! [`Duplex`] pair — the same code path as a real deployment, minus the
+//! network. No cryptographic hardness is claimed for the dealer (it is
+//! the standard trusted-dealer model); the online phase is faithfully
+//! message-passing with exact cost accounting.
 
 use qec_circuit::bitengine::CompiledBitCircuit;
 use qec_circuit::lower::BitCircuit;
@@ -45,11 +44,11 @@ pub mod share;
 pub mod transport;
 
 pub use dealer::{
-    write_triple_files, write_triples, Dealer, InsecureSeedTriples, PackedDealer, TripleSource,
+    write_triple_files, write_triples, InsecureSeedTriples, PackedDealer, TripleSource,
     TripleStream, TripleVec, TRIPLE_MAGIC, TRIPLE_VERSION,
 };
-pub use protocol::{evaluate_shared, evaluate_shared_batch, BatchedOutcome, Outcome, Session};
-pub use share::{pack_bits, share_bits, share_instances, unpack_bits, TripleShare};
+pub use protocol::{BatchedOutcome, Outcome, Session};
+pub use share::share_instances;
 pub use transport::{
     Duplex, Fault, FaultTransport, Frame, FrameKind, Role, TcpTransport, Transport,
     DEFAULT_TIMEOUT, FRAME_HEADER_BYTES, FRAME_MAGIC, FRAME_TRAILER_BYTES, FRAME_VERSION,
@@ -60,7 +59,7 @@ pub use transport::{
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProtocolStats {
     /// AND gates evaluated = scalar triples consumed (counted at the
-    /// full packed width in batched runs).
+    /// full packed width, padding lanes included).
     pub and_gates: u64,
     /// Online-phase bits whose transfer the protocol fundamentally
     /// requires: 2 mask bits each direction per AND gate. The wire
@@ -191,26 +190,17 @@ impl std::fmt::Display for MpcError {
 
 impl std::error::Error for MpcError {}
 
-/// Convenience: full offline + online batched pipeline on plain
-/// instances at a packed width of `lanes` (rounded up to whole lane
-/// words; 64, 256 and 512 are the natural sizes). Compiles the tape
-/// with the round-optimal GMW schedule, provisions exactly enough
-/// packed triples, shares every instance, and runs **two
-/// [`Session`]s over an in-process [`Duplex`] pair** — party 1 on its
-/// own thread — returning party 0's view.
-pub fn run_two_party_batched(
-    circuit: &BitCircuit,
-    instances: &[Vec<bool>],
-    lanes: usize,
-    seed: u64,
-) -> Result<BatchedOutcome, MpcError> {
-    let eng = CompiledBitCircuit::compile_gmw(circuit);
-    run_two_party_batched_with(&eng, instances, lanes, seed)
-}
-
-/// [`run_two_party_batched`] against an already-compiled tape (the
-/// shape benches want: compile once, batch many).
-pub fn run_two_party_batched_with(
+/// Runs the whole protocol in process on plain `instances` at a packed
+/// width of `lanes` (rounded up to whole lane words; 64, 256 and 512
+/// are the natural sizes). Provisions exactly enough packed triples,
+/// shares every instance, and runs both parties' [`Session`]s over a
+/// [`Duplex`] pair with [`run_sessions`], returning party 0's view.
+/// Compile `eng` with [`CompiledBitCircuit::compile_gmw`] for the
+/// round-optimal schedule.
+///
+/// An instance of the wrong arity gets its own
+/// [`MpcError::InputLength`]; the rest of the batch still runs.
+pub fn run_two_party(
     eng: &CompiledBitCircuit,
     instances: &[Vec<bool>],
     lanes: usize,
@@ -218,58 +208,80 @@ pub fn run_two_party_batched_with(
 ) -> Result<BatchedOutcome, MpcError> {
     let words = lanes.max(1).div_ceil(64);
     let num_inputs = eng.num_inputs();
-    let valid: Vec<&Vec<bool>> = instances.iter().filter(|i| i.len() == num_inputs).collect();
-    let mut results: Vec<Result<Vec<bool>, MpcError>> = instances
+    let valid: Vec<Vec<bool>> = instances
         .iter()
-        .map(|i| {
-            Err(MpcError::InputLength {
-                expected: num_inputs,
-                got: i.len(),
-            })
+        .filter(|i| i.len() == num_inputs)
+        .cloned()
+        .collect();
+    let (session_results, stats) = if valid.is_empty() {
+        (Vec::new(), ProtocolStats::default())
+    } else {
+        let blocks = valid.len().div_ceil(words * 64);
+        let steps = eng.stats().and_ops as usize * blocks;
+        let (s0, s1) = share_instances(&valid, seed.wrapping_add(1));
+        let (o0, o1) = run_sessions(
+            eng,
+            words,
+            Duplex::pair(),
+            PackedDealer::new(steps, words, seed).split(),
+            (&s0, &s1),
+        );
+        let (o0, o1) = (o0?, o1?);
+        debug_assert_eq!(o0.results, o1.results);
+        (o0.results, o0.stats)
+    };
+    let mut session_results = session_results.into_iter();
+    let results = instances
+        .iter()
+        .map(|inst| {
+            if inst.len() == num_inputs {
+                session_results
+                    .next()
+                    .expect("one session result per valid instance")
+            } else {
+                Err(MpcError::InputLength {
+                    expected: num_inputs,
+                    got: inst.len(),
+                })
+            }
         })
         .collect();
-    if valid.is_empty() {
-        return Ok((results, ProtocolStats::default()));
-    }
-    let valid_insts: Vec<Vec<bool>> = valid.iter().map(|i| (*i).clone()).collect();
-    let blocks = valid_insts.len().div_ceil(words * 64);
-    let steps = eng.stats().and_ops as usize * blocks;
-    let (t0, t1) = PackedDealer::new(steps, words, seed).split();
-    let (s0, s1) = share_instances(&valid_insts, seed.wrapping_add(1));
-    let (o0, o1) = run_duplex_sessions(eng, words, t0, t1, &s0, &s1)?;
-    debug_assert_eq!(o0.results, o1.results);
-    let mut it = o0.results.into_iter();
-    for (slot, inst) in results.iter_mut().zip(instances) {
-        if inst.len() == num_inputs {
-            *slot = it.next().expect("one session result per valid instance");
-        }
-    }
-    Ok((results, o0.stats))
+    Ok((results, stats))
 }
 
-/// Runs both parties of one batch over a fresh [`Duplex`] pair, party 1
-/// on a scoped thread.
-fn run_duplex_sessions<A: TripleSource + Send, B: TripleSource + Send>(
+/// Runs both parties of one batch against each other: party 0 on the
+/// calling thread over `transports.0`, party 1 on a scoped thread over
+/// `transports.1`, each consuming its own triple source and input
+/// shares at a packed width of `words` lane words. Works over any
+/// transport pair — a [`Duplex`] pair, two ends of a TCP connection, or
+/// a [`FaultTransport`] wrapping either. Returns each party's own
+/// result, so a failure on one side does not hide the other's.
+pub fn run_sessions<T0, T1, S0, S1>(
     eng: &CompiledBitCircuit,
     words: usize,
-    t0: A,
-    t1: B,
-    s0: &[Vec<bool>],
-    s1: &[Vec<bool>],
-) -> Result<(Outcome, Outcome), MpcError> {
-    let (d0, d1) = Duplex::pair();
-    let (o0, o1) = std::thread::scope(|scope| {
+    transports: (T0, T1),
+    triples: (S0, S1),
+    shares: (&[Vec<bool>], &[Vec<bool>]),
+) -> (Result<Outcome, MpcError>, Result<Outcome, MpcError>)
+where
+    T0: Transport,
+    T1: Transport + Send,
+    S0: TripleSource,
+    S1: TripleSource + Send,
+{
+    let (t0, t1) = transports;
+    let (a, b) = triples;
+    std::thread::scope(|scope| {
         let h = scope.spawn(move || {
-            Session::new(eng, Role::P1, d1, t1)
+            Session::new(eng, Role::P1, t1, b)
                 .with_words(words)
-                .run(s1)
+                .run(shares.1)
         });
-        let o0 = Session::new(eng, Role::P0, d0, t0)
+        let o0 = Session::new(eng, Role::P0, t0, a)
             .with_words(words)
-            .run(s0);
+            .run(shares.0);
         (o0, h.join().expect("party 1 thread panicked"))
-    });
-    Ok((o0?, o1?))
+    })
 }
 
 /// Garbled-circuit (Yao) cost estimate for a lowered circuit under the
@@ -291,7 +303,7 @@ pub struct GarblingCost {
 }
 
 /// Estimates Yao/half-gates garbling costs for `circuit`.
-pub fn garbling_cost(circuit: &qec_circuit::lower::BitCircuit) -> GarblingCost {
+pub fn garbling_cost(circuit: &BitCircuit) -> GarblingCost {
     let and_gates = circuit.and_count();
     let ciphertexts = 2 * and_gates;
     GarblingCost {
@@ -302,27 +314,11 @@ pub fn garbling_cost(circuit: &qec_circuit::lower::BitCircuit) -> GarblingCost {
     }
 }
 
-/// Convenience: run the full offline + online pipeline on one plain
-/// input — two networked [`Session`]s over a [`Duplex`] pair at a
-/// packed width of one lane word. Returns outputs and party 0's stats.
-pub fn run_two_party(
-    circuit: &BitCircuit,
-    input_bits: &[bool],
-    seed: u64,
-) -> Result<(Vec<bool>, ProtocolStats), MpcError> {
-    let eng = CompiledBitCircuit::compile_gmw(circuit);
-    let (t0, t1) = PackedDealer::new(eng.stats().and_ops as usize, 1, seed).split();
-    let (s0, s1) = share_bits(input_bits, seed.wrapping_add(1));
-    let (o0, _) = run_duplex_sessions(&eng, 1, t0, t1, &[s0], &[s1])?;
-    let out = o0.results.into_iter().next().expect("one instance")?;
-    Ok((out, o0.stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qec_circuit::lower::lower_with;
-    use qec_circuit::{Builder, CompileOptions, Mode};
+    use qec_circuit::{Builder, CompileOptions, EvalError, Mode};
 
     fn adder_circuit() -> BitCircuit {
         let mut b = Builder::new(Mode::Build);
@@ -334,15 +330,51 @@ mod tests {
         lower_with(&c, 16, &CompileOptions::sequential())
     }
 
+    /// `x + y` under an `x == 0` assertion, so odd `x` fails it.
+    fn asserting_circuit() -> BitCircuit {
+        let mut b = Builder::new(Mode::Build);
+        let x = b.input();
+        let y = b.input();
+        b.assert_zero(x);
+        let s = b.add(x, y);
+        let c = b.finish(vec![s]);
+        lower_with(&c, 4, &CompileOptions::sequential())
+    }
+
+    /// The bit level's reference interpreter, in the protocol's error
+    /// type: a failing assertion keeps its gate index.
+    fn plaintext(bc: &BitCircuit, inst: &[bool]) -> Result<Vec<bool>, MpcError> {
+        bc.evaluate(inst).map_err(|e| match e {
+            EvalError::AssertionFailed { gate, .. } => MpcError::AssertionFailed(gate),
+            other => panic!("reference rejected the instance: {other}"),
+        })
+    }
+
+    /// Runs `instances` through two sessions at one lane word, with
+    /// each party's triple stream cut to `steps` packed steps.
+    fn sessions_with_steps(
+        eng: &CompiledBitCircuit,
+        instances: &[Vec<bool>],
+        steps: usize,
+    ) -> (Result<Outcome, MpcError>, Result<Outcome, MpcError>) {
+        let (s0, s1) = share_instances(instances, 4);
+        run_sessions(
+            eng,
+            1,
+            Duplex::pair(),
+            PackedDealer::new(steps, 1, 3).split(),
+            (&s0, &s1),
+        )
+    }
+
     #[test]
     fn shared_evaluation_matches_plaintext() {
         let bc = adder_circuit();
         let eng = CompiledBitCircuit::compile_gmw(&bc);
         for (x, y) in [(3u64, 5u64), (100, 250), (65535, 1), (0, 0)] {
             let bits = bc.pack_inputs(&[x, y]);
-            let plain = bc.evaluate(&bits).unwrap();
-            let (shared, stats) = run_two_party(&bc, &bits, 42).unwrap();
-            assert_eq!(shared, plain, "inputs ({x}, {y})");
+            let (shared, stats) = run_two_party(&eng, std::slice::from_ref(&bits), 64, 42).unwrap();
+            assert_eq!(shared, vec![plaintext(&bc, &bits)], "inputs ({x}, {y})");
             // one packed triple (64 lanes) per tape AND
             assert_eq!(stats.and_gates, bc.and_count() * 64);
             // one exchange per AND-bearing level == AND depth under
@@ -354,94 +386,80 @@ mod tests {
     }
 
     #[test]
-    fn per_gate_reference_matches_plaintext() {
-        let bc = adder_circuit();
-        for (x, y) in [(3u64, 5u64), (100, 250), (65535, 1), (0, 0)] {
-            let bits = bc.pack_inputs(&[x, y]);
-            let plain = bc.evaluate(&bits).unwrap();
-            let dealer = Dealer::new(bc.and_count() as usize, 42);
-            let (s0, s1) = share_bits(&bits, 43);
-            let (shared, stats) = evaluate_shared(&bc, &s0, &s1, dealer).unwrap();
-            assert_eq!(shared, plain, "inputs ({x}, {y})");
-            assert_eq!(stats.and_gates, bc.and_count());
-        }
-    }
-
-    #[test]
     fn different_seeds_same_result() {
         let bc = adder_circuit();
-        let bits = bc.pack_inputs(&[123, 456]);
-        let (r1, _) = run_two_party(&bc, &bits, 1).unwrap();
-        let (r2, _) = run_two_party(&bc, &bits, 999).unwrap();
+        let eng = CompiledBitCircuit::compile_gmw(&bc);
+        let bits = vec![bc.pack_inputs(&[123, 456])];
+        let (r1, _) = run_two_party(&eng, &bits, 64, 1).unwrap();
+        let (r2, _) = run_two_party(&eng, &bits, 64, 999).unwrap();
         assert_eq!(r1, r2);
-    }
-
-    #[test]
-    fn shares_alone_reveal_nothing_structural() {
-        // sanity: a party's share vector differs across seeds even for the
-        // same input (masking is doing something)
-        let bc = adder_circuit();
-        let bits = bc.pack_inputs(&[7, 9]);
-        let (a0, _) = share_bits(&bits, 5);
-        let (b0, _) = share_bits(&bits, 6);
-        assert_ne!(a0, b0);
-        // and shares XOR back to the input
-        let (s0, s1) = share_bits(&bits, 7);
-        let rec: Vec<bool> = s0.iter().zip(s1.iter()).map(|(&a, &b)| a ^ b).collect();
-        assert_eq!(rec, bits);
     }
 
     #[test]
     fn out_of_triples_detected() {
         let bc = adder_circuit();
-        let bits = bc.pack_inputs(&[1, 2]);
-        let dealer = Dealer::new(1, 3); // far too few
-        let (s0, s1) = share_bits(&bits, 4);
-        assert_eq!(
-            evaluate_shared(&bc, &s0, &s1, dealer).unwrap_err(),
-            MpcError::OutOfTriples
-        );
+        let eng = CompiledBitCircuit::compile_gmw(&bc);
+        let and_ops = eng.stats().and_ops as usize;
+        // a single instance with far too few triples
+        let one = vec![bc.pack_inputs(&[1, 2])];
+        let (r0, r1) = sessions_with_steps(&eng, &one, 1);
+        assert_eq!(r0.unwrap_err(), MpcError::OutOfTriples);
+        assert_eq!(r1.unwrap_err(), MpcError::OutOfTriples);
+        // a two-block batch provisioned for one block only
+        let batch: Vec<Vec<bool>> = (0..70u64).map(|i| bc.pack_inputs(&[i, 3])).collect();
+        let (r0, r1) = sessions_with_steps(&eng, &batch, and_ops);
+        assert_eq!(r0.unwrap_err(), MpcError::OutOfTriples);
+        assert_eq!(r1.unwrap_err(), MpcError::OutOfTriples);
+        // and exactly enough for both blocks succeeds
+        let (r0, _) = sessions_with_steps(&eng, &batch, 2 * and_ops);
+        assert!(r0.unwrap().results.iter().all(Result::is_ok));
     }
 
     #[test]
     fn wrong_share_length_detected() {
         let bc = adder_circuit();
-        let dealer = Dealer::new(10, 0);
-        assert!(matches!(
-            evaluate_shared(&bc, &[true], &[false], dealer),
-            Err(MpcError::InputLength { .. })
-        ));
-        assert!(matches!(
-            run_two_party(&bc, &[true, false], 3),
-            Err(MpcError::InputLength { .. })
-        ));
+        let eng = CompiledBitCircuit::compile_gmw(&bc);
+        let (r0, r1) = sessions_with_steps(&eng, &[vec![true]], 10);
+        let want = MpcError::InputLength {
+            expected: bc.num_inputs(),
+            got: 1,
+        };
+        assert_eq!(r0.unwrap_err(), want);
+        assert_eq!(r1.unwrap_err(), want);
+        let (results, _) = run_two_party(&eng, &[vec![true, false]], 64, 3).unwrap();
+        assert_eq!(
+            results,
+            vec![Err(MpcError::InputLength {
+                expected: bc.num_inputs(),
+                got: 2
+            })]
+        );
     }
 
     #[test]
     fn assertion_gates_surface() {
-        let mut b = Builder::new(Mode::Build);
-        let x = b.input();
-        b.assert_zero(x);
-        let c = b.finish(vec![]);
-        let bc = lower_with(&c, 4, &CompileOptions::sequential());
-        let ok = run_two_party(&bc, &bc.pack_inputs(&[0]), 9);
-        assert!(ok.is_ok());
-        let bad = run_two_party(&bc, &bc.pack_inputs(&[5]), 9);
-        assert!(matches!(bad, Err(MpcError::AssertionFailed(_))));
+        let bc = asserting_circuit();
+        let eng = CompiledBitCircuit::compile_gmw(&bc);
+        let ok = bc.pack_inputs(&[0, 3]);
+        let bad = bc.pack_inputs(&[5, 3]);
+        let (results, _) = run_two_party(&eng, &[ok.clone(), bad.clone()], 64, 9).unwrap();
+        assert!(results[0].is_ok());
+        assert!(matches!(results[1], Err(MpcError::AssertionFailed(_))));
+        assert_eq!(results, vec![plaintext(&bc, &ok), plaintext(&bc, &bad)]);
     }
 
     #[test]
-    fn batched_matches_per_gate_demo() {
+    fn batched_matches_plaintext_at_every_width() {
         let bc = adder_circuit();
+        let eng = CompiledBitCircuit::compile_gmw(&bc);
         let instances: Vec<Vec<bool>> = (0..70u64)
             .map(|i| bc.pack_inputs(&[i * 37 % 1009, i * i % 997]))
             .collect();
         for lanes in [64usize, 256, 512] {
-            let (batched, stats) = run_two_party_batched(&bc, &instances, lanes, 7).unwrap();
+            let (batched, stats) = run_two_party(&eng, &instances, lanes, 7).unwrap();
             assert_eq!(batched.len(), instances.len());
             for (inst, got) in instances.iter().zip(&batched) {
-                let want = run_two_party(&bc, inst, 99).map(|(out, _)| out);
-                assert_eq!(got, &want, "lanes {lanes}");
+                assert_eq!(got, &plaintext(&bc, inst), "lanes {lanes}");
             }
             // one packed triple per AND per block, full width
             let blocks = instances.len().div_ceil(lanes.max(64));
@@ -454,33 +472,20 @@ mod tests {
     }
 
     #[test]
-    fn networked_sessions_match_in_process_reference() {
+    fn multi_block_sessions_match_the_interpreter() {
+        // 130 instances at one lane word: three blocks, the last ragged.
         let bc = adder_circuit();
         let eng = CompiledBitCircuit::compile_gmw(&bc);
         let instances: Vec<Vec<bool>> = (0..130u64)
             .map(|i| bc.pack_inputs(&[i * 31 % 777, i * 5 % 999]))
             .collect();
-        let words = 1usize;
-        let blocks = instances.len().div_ceil(words * 64);
-        let dealer = PackedDealer::new(eng.stats().and_ops as usize * blocks, words, 21);
-        let (s0, s1) = share_instances(&instances, 22);
-        let reference = evaluate_shared_batch(&eng, &s0, &s1, &dealer).unwrap();
-        let (t0, t1) = dealer.split();
-        let (d0, d1) = Duplex::pair();
-        let (o0, o1) = std::thread::scope(|scope| {
-            let h = scope.spawn(|| {
-                Session::new(&eng, Role::P1, d1, t1)
-                    .with_words(words)
-                    .run(&s1)
-            });
-            let o0 = Session::new(&eng, Role::P0, d0, t0)
-                .with_words(words)
-                .run(&s0);
-            (o0.unwrap(), h.join().unwrap().unwrap())
-        });
-        assert_eq!(o0.results, reference.0);
-        assert_eq!(o1.results, reference.0);
-        assert_eq!(o0.stats.and_gates, reference.1.and_gates);
+        let blocks = instances.len().div_ceil(64);
+        let (o0, o1) = sessions_with_steps(&eng, &instances, eng.stats().and_ops as usize * blocks);
+        let (o0, o1) = (o0.unwrap(), o1.unwrap());
+        let want: Vec<_> = instances.iter().map(|i| plaintext(&bc, i)).collect();
+        assert_eq!(o0.results, want);
+        assert_eq!(o1.results, want);
+        assert_eq!(o0.stats.and_gates, bc.and_count() * 64 * blocks as u64);
         assert_eq!(
             o0.stats.rounds,
             eng.stats().and_levels as u64 * blocks as u64
@@ -491,39 +496,22 @@ mod tests {
 
     #[test]
     fn batched_asserts_report_source_gate() {
-        let mut b = Builder::new(Mode::Build);
-        let x = b.input();
-        let y = b.input();
-        b.assert_zero(x);
-        let s = b.add(x, y);
-        let c = b.finish(vec![s]);
-        let bc = lower_with(&c, 4, &CompileOptions::sequential());
+        let bc = asserting_circuit();
+        let eng = CompiledBitCircuit::compile_gmw(&bc);
         let instances: Vec<Vec<bool>> = (0..5u64).map(|i| bc.pack_inputs(&[i % 2, 3])).collect();
-        let (results, _) = run_two_party_batched(&bc, &instances, 64, 3).unwrap();
+        let (results, _) = run_two_party(&eng, &instances, 64, 3).unwrap();
         for (inst, got) in instances.iter().zip(&results) {
-            assert_eq!(got, &run_two_party(&bc, inst, 3).map(|(o, _)| o));
+            assert_eq!(got, &plaintext(&bc, inst));
         }
-    }
-
-    #[test]
-    fn batched_out_of_triples_detected() {
-        let bc = adder_circuit();
-        let eng = qec_circuit::CompiledBitCircuit::compile(&bc);
-        let inst = bc.pack_inputs(&[1, 2]);
-        let dealer = PackedDealer::new(1, 1, 5); // far too few steps
-        let (s0, s1) = share_bits(&inst, 6);
-        assert_eq!(
-            evaluate_shared_batch(&eng, &[s0], &[s1], &dealer).unwrap_err(),
-            MpcError::OutOfTriples
-        );
     }
 
     #[test]
     fn batched_flags_wrong_arity_lanes() {
         let bc = adder_circuit();
+        let eng = CompiledBitCircuit::compile_gmw(&bc);
         let good = bc.pack_inputs(&[9, 10]);
         let (results, _) =
-            run_two_party_batched(&bc, &[good.clone(), vec![true; 3], good], 64, 11).unwrap();
+            run_two_party(&eng, &[good.clone(), vec![true; 3], good], 64, 11).unwrap();
         assert!(results[0].is_ok() && results[2].is_ok());
         assert!(matches!(results[1], Err(MpcError::InputLength { .. })));
         assert_eq!(results[0], results[2]);
@@ -542,14 +530,17 @@ mod tests {
     #[test]
     fn cost_scales_with_and_count() {
         let bc = adder_circuit();
-        let bits = bc.pack_inputs(&[11, 22]);
-        let (_, stats) = run_two_party(&bc, &bits, 12).unwrap();
+        let eng = CompiledBitCircuit::compile_gmw(&bc);
+        let bits = vec![bc.pack_inputs(&[11, 22])];
+        let (_, stats) = run_two_party(&eng, &bits, 64, 12).unwrap();
         assert_eq!(stats.messages_bits, 4 * stats.and_gates);
         assert!(stats.free_gates > 0);
     }
 
     #[test]
     fn handshake_rejects_mismatched_tapes() {
+        // Each party runs a different tape, so this drives the two
+        // sessions by hand rather than through `run_sessions`.
         let bc = adder_circuit();
         let mut b = Builder::new(Mode::Build);
         let x = b.input();
@@ -562,18 +553,18 @@ mod tests {
         let (tb, _) = PackedDealer::new(eng_b.stats().and_ops as usize, 1, 2).split();
         let bits_a = bc.pack_inputs(&[1, 2]);
         let bits_b = other.pack_inputs(&[3, 4]);
-        let (sa, _) = share_bits(&bits_a, 5);
-        let (sb, _) = share_bits(&bits_b, 6);
+        let (sa, _) = share_instances(&[bits_a], 5);
+        let (sb, _) = share_instances(&[bits_b], 6);
         let (d0, d1) = Duplex::pair();
         let (ra, rb) = std::thread::scope(|scope| {
             let h = scope.spawn(|| {
                 Session::new(&eng_b, Role::P1, d1, tb)
                     .with_words(1)
-                    .run(&[sb])
+                    .run(&sb)
             });
             let ra = Session::new(&eng_a, Role::P0, d0, ta)
                 .with_words(1)
-                .run(&[sa]);
+                .run(&sa);
             (ra, h.join().unwrap())
         });
         assert!(matches!(ra.unwrap_err(), MpcError::TapeMismatch(_)));

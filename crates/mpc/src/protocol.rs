@@ -1,295 +1,20 @@
-//! The GMW online phase: the per-gate reference evaluator, the
-//! in-process batched evaluator, and the networked [`Session`] that
-//! speaks the framed wire protocol with **one message exchange per AND
-//! level** of the compiled tape.
+//! The GMW online phase: the networked [`Session`] that speaks the
+//! framed wire protocol with **one message exchange per AND level** of
+//! the compiled tape. It is the crate's only protocol execution path;
+//! in-process runs wire two sessions through a [`Duplex`](crate::Duplex)
+//! pair.
 
-use crate::dealer::{Dealer, PackedDealer, TripleSource};
+use crate::dealer::TripleSource;
 use crate::share::pack_share_block;
 use crate::transport::{Frame, FrameKind, Role, Transport};
 use crate::{MpcError, ProtocolStats};
 use qec_circuit::bitengine::{BitOp, CompiledBitCircuit};
-use qec_circuit::lower::{BGate, BitCircuit};
 use std::time::Instant;
 
-/// Per-party evaluation state of the per-gate reference protocol.
-struct Party {
-    shares: Vec<bool>,
-    triples: Vec<crate::TripleShare>,
-    input_shares: Vec<bool>,
-}
-
-impl Party {
-    /// Local phase of one AND gate: masks the operand shares with the
-    /// triple, returning `(d, e)` shares to be exchanged.
-    fn and_open(&self, x: bool, y: bool, t: usize) -> (bool, bool) {
-        let tr = self.triples[t];
-        (x ^ tr.a, y ^ tr.b)
-    }
-
-    /// Completion of an AND gate after `(d, e)` are publicly
-    /// reconstructed.
-    fn and_close(&self, d: bool, e: bool, t: usize, party_id: bool) -> bool {
-        let tr = self.triples[t];
-        // z = c ⊕ d·b ⊕ e·a ⊕ d·e  (the d·e term added by one party only)
-        let mut z = tr.c ^ (d & tr.b) ^ (e & tr.a);
-        if party_id {
-            z ^= d & e;
-        }
-        z
-    }
-}
-
-/// Evaluates a lowered circuit under two-party XOR sharing. `shares0` and
-/// `shares1` are the parties' input-bit shares (their XOR is the true
-/// input). Returns the reconstructed output bits and the cost stats.
-///
-/// This is the gate-at-a-time *reference* implementation (both parties
-/// simulated in one loop); the deployable path is [`Session`].
-///
-/// Assertion gates are reconstructed during evaluation (they are part of
-/// the query's *declared* constraints, so revealing their single bit
-/// leaks nothing beyond "the input conformed, as promised").
-pub fn evaluate_shared(
-    circuit: &BitCircuit,
-    shares0: &[bool],
-    shares1: &[bool],
-    dealer: Dealer,
-) -> Result<(Vec<bool>, ProtocolStats), MpcError> {
-    if shares0.len() != circuit.num_inputs() || shares1.len() != circuit.num_inputs() {
-        return Err(MpcError::InputLength {
-            expected: circuit.num_inputs(),
-            got: shares0.len().min(shares1.len()),
-        });
-    }
-    let mut p0 = Party {
-        shares: vec![false; circuit.gates().len()],
-        triples: dealer.triples.0,
-        input_shares: shares0.to_vec(),
-    };
-    let mut p1 = Party {
-        shares: vec![false; circuit.gates().len()],
-        triples: dealer.triples.1,
-        input_shares: shares1.to_vec(),
-    };
-    let mut stats = ProtocolStats::default();
-    let mut next_triple = 0usize;
-
-    for (i, g) in circuit.gates().iter().enumerate() {
-        match *g {
-            BGate::Input(idx) => {
-                p0.shares[i] = p0.input_shares[idx];
-                p1.shares[i] = p1.input_shares[idx];
-            }
-            BGate::Const(v) => {
-                // public constant: party 0 holds it, party 1 holds 0
-                p0.shares[i] = v;
-                p1.shares[i] = false;
-            }
-            BGate::Xor(a, b) => {
-                p0.shares[i] = p0.shares[a as usize] ^ p0.shares[b as usize];
-                p1.shares[i] = p1.shares[a as usize] ^ p1.shares[b as usize];
-                stats.free_gates += 1;
-            }
-            BGate::Not(a) => {
-                // negate on one side only
-                p0.shares[i] = !p0.shares[a as usize];
-                p1.shares[i] = p1.shares[a as usize];
-                stats.free_gates += 1;
-            }
-            BGate::And(a, b) => {
-                if next_triple >= p0.triples.len() {
-                    return Err(MpcError::OutOfTriples);
-                }
-                let (d0, e0) =
-                    p0.and_open(p0.shares[a as usize], p0.shares[b as usize], next_triple);
-                let (d1, e1) =
-                    p1.and_open(p1.shares[a as usize], p1.shares[b as usize], next_triple);
-                // exchange: both parties learn d = d0^d1, e = e0^e1
-                let (d, e) = (d0 ^ d1, e0 ^ e1);
-                p0.shares[i] = p0.and_close(d, e, next_triple, false);
-                p1.shares[i] = p1.and_close(d, e, next_triple, true);
-                next_triple += 1;
-                stats.and_gates += 1;
-                stats.messages_bits += 4; // two bits each direction
-            }
-            BGate::AssertFalse(a) => {
-                let v = p0.shares[a as usize] ^ p1.shares[a as usize];
-                if v {
-                    return Err(MpcError::AssertionFailed(i));
-                }
-            }
-        }
-    }
-    let outputs = circuit
-        .outputs()
-        .iter()
-        .map(|&w| p0.shares[w as usize] ^ p1.shares[w as usize])
-        .collect();
-    Ok((outputs, stats))
-}
-
-/// What every batched entry point returns: one `Result` per instance,
-/// in input order, plus the aggregate protocol stats for the whole
-/// batch.
+/// What [`run_two_party`](crate::run_two_party) returns: one `Result`
+/// per instance, in input order, plus the aggregate protocol stats for
+/// the whole batch.
 pub type BatchedOutcome = (Vec<Result<Vec<bool>, MpcError>>, ProtocolStats);
-
-/// Evaluates a batch of secret-shared instances over the bitsliced
-/// tape — the GMW local-computation inner loop running on
-/// [`CompiledBitCircuit`]'s register-allocated schedule, with both
-/// parties simulated in one loop. Each party holds one transposed
-/// register file (`num_regs × words` lane words); XOR/NOT/Const steps
-/// are local word ops on both files, and every AND instruction consumes
-/// one packed triple (`words × 64` scalar triples) with a single
-/// `(d, e)` word exchange for all lanes at once.
-///
-/// Returns one `Result` per instance, in order, plus aggregate stats.
-/// Stats count scalar-equivalent work at the dealer's full packed
-/// width: a ragged final block still burns (and communicates) whole
-/// lane words, exactly as a real deployment would.
-pub fn evaluate_shared_batch(
-    eng: &CompiledBitCircuit,
-    shares0: &[Vec<bool>],
-    shares1: &[Vec<bool>],
-    dealer: &PackedDealer,
-) -> Result<BatchedOutcome, MpcError> {
-    if shares0.len() != shares1.len() {
-        return Err(MpcError::InputLength {
-            expected: shares0.len(),
-            got: shares1.len(),
-        });
-    }
-    let words = dealer.words;
-    let lanes = words * 64;
-    let num_inputs = eng.num_inputs();
-    let nr = eng.num_regs() as usize;
-    let mut results = Vec::with_capacity(shares0.len());
-    let mut stats = ProtocolStats::default();
-    let mut next_step = 0usize;
-
-    let mut packed0 = vec![0u64; num_inputs * words];
-    let mut packed1 = vec![0u64; num_inputs * words];
-    let mut regs0 = vec![0u64; nr * words];
-    let mut regs1 = vec![0u64; nr * words];
-    let mut fail = vec![u32::MAX; lanes];
-    let mut d_pub = vec![0u64; words];
-    let mut e_pub = vec![0u64; words];
-
-    for block_start in (0..shares0.len()).step_by(lanes) {
-        let block_n = (shares0.len() - block_start).min(lanes);
-        let block0 = &shares0[block_start..block_start + block_n];
-        let block1 = &shares1[block_start..block_start + block_n];
-        pack_share_block(block0, num_inputs, words, &mut packed0);
-        pack_share_block(block1, num_inputs, words, &mut packed1);
-        for f in fail.iter_mut() {
-            *f = u32::MAX;
-        }
-
-        for op in eng.ops() {
-            match *op {
-                BitOp::Input { dst, idx } => {
-                    let (d, s) = (dst as usize * words, idx as usize * words);
-                    regs0[d..d + words].copy_from_slice(&packed0[s..s + words]);
-                    regs1[d..d + words].copy_from_slice(&packed1[s..s + words]);
-                }
-                BitOp::Const { dst, v } => {
-                    // public constant: party 0 holds it, party 1 holds 0
-                    let d = dst as usize * words;
-                    regs0[d..d + words].fill(if v { !0 } else { 0 });
-                    regs1[d..d + words].fill(0);
-                }
-                BitOp::Xor { dst, a, b } => {
-                    let (d, ra, rb) =
-                        (dst as usize * words, a as usize * words, b as usize * words);
-                    for w in 0..words {
-                        regs0[d + w] = regs0[ra + w] ^ regs0[rb + w];
-                        regs1[d + w] = regs1[ra + w] ^ regs1[rb + w];
-                    }
-                    stats.free_gates += lanes as u64;
-                }
-                BitOp::Not { dst, a } => {
-                    // negate on one side only
-                    let (d, ra) = (dst as usize * words, a as usize * words);
-                    for w in 0..words {
-                        regs0[d + w] = !regs0[ra + w];
-                        regs1[d + w] = regs1[ra + w];
-                    }
-                    stats.free_gates += lanes as u64;
-                }
-                BitOp::And { dst, a, b } => {
-                    if next_step >= dealer.steps() {
-                        return Err(MpcError::OutOfTriples);
-                    }
-                    let base = next_step * 3 * words;
-                    let (ta0, tb0, tc0) = (base, base + words, base + 2 * words);
-                    let (d, ra, rb) =
-                        (dst as usize * words, a as usize * words, b as usize * words);
-                    // local phase: mask operand shares with the triple,
-                    // then exchange (d, e) words — one message pair for
-                    // all lanes of this AND step
-                    for w in 0..words {
-                        d_pub[w] = (regs0[ra + w] ^ dealer.p0[ta0 + w])
-                            ^ (regs1[ra + w] ^ dealer.p1[ta0 + w]);
-                        e_pub[w] = (regs0[rb + w] ^ dealer.p0[tb0 + w])
-                            ^ (regs1[rb + w] ^ dealer.p1[tb0 + w]);
-                    }
-                    // z = c ⊕ d·b ⊕ e·a ⊕ d·e (d·e term on one party only)
-                    for w in 0..words {
-                        regs0[d + w] = dealer.p0[tc0 + w]
-                            ^ (d_pub[w] & dealer.p0[tb0 + w])
-                            ^ (e_pub[w] & dealer.p0[ta0 + w]);
-                        regs1[d + w] = dealer.p1[tc0 + w]
-                            ^ (d_pub[w] & dealer.p1[tb0 + w])
-                            ^ (e_pub[w] & dealer.p1[ta0 + w])
-                            ^ (d_pub[w] & e_pub[w]);
-                    }
-                    next_step += 1;
-                    stats.and_gates += lanes as u64;
-                    stats.messages_bits += 4 * lanes as u64; // two words each direction
-                }
-                BitOp::AssertFalse { dst, a, gate } => {
-                    let (d, ra) = (dst as usize * words, a as usize * words);
-                    for w in 0..words {
-                        let valid = valid_mask(block_n, w);
-                        let mut m = (regs0[ra + w] ^ regs1[ra + w]) & valid;
-                        while m != 0 {
-                            let lane = w * 64 + m.trailing_zeros() as usize;
-                            if gate < fail[lane] {
-                                fail[lane] = gate;
-                            }
-                            m &= m - 1;
-                        }
-                        regs0[d + w] = 0;
-                        regs1[d + w] = 0;
-                    }
-                }
-            }
-        }
-
-        for (l, (s0, s1)) in block0.iter().zip(block1).enumerate() {
-            if s0.len() != num_inputs || s1.len() != num_inputs {
-                results.push(Err(MpcError::InputLength {
-                    expected: num_inputs,
-                    got: s0.len().min(s1.len()),
-                }));
-                continue;
-            }
-            if fail[l] != u32::MAX {
-                results.push(Err(MpcError::AssertionFailed(fail[l] as usize)));
-                continue;
-            }
-            let out = eng
-                .output_regs()
-                .iter()
-                .map(|&r| {
-                    let i = r as usize * words + l / 64;
-                    (regs0[i] ^ regs1[i]) >> (l % 64) & 1 == 1
-                })
-                .collect();
-            results.push(Ok(out));
-        }
-    }
-    Ok((results, stats))
-}
 
 /// Lanes of word `w` that hold real instances when the block carries
 /// `block_n` of them.
@@ -459,7 +184,7 @@ impl<'a, T: Transport, S: TripleSource> Session<'a, T, S> {
         for block_start in (0..shares.len()).step_by(lanes) {
             let block_n = (shares.len() - block_start).min(lanes);
             let block = &shares[block_start..block_start + block_n];
-            pack_share_block(block, num_inputs, words, &mut packed);
+            pack_share_block(block, words, &mut packed);
             fail.fill(u32::MAX);
             assert_gates.clear();
             assert_words.clear();
@@ -551,9 +276,10 @@ impl<'a, T: Transport, S: TripleSource> Session<'a, T, S> {
             }
 
             // Open round: output shares plus the deferred assert
-            // openings (assert bits are declared constraints; see
-            // `evaluate_shared`). One exchange per block, no matter how
-            // many asserts the tape carries.
+            // openings. Assert bits are the query's declared
+            // constraints, so opening one leaks nothing beyond "the
+            // input conformed, as promised". One exchange per block, no
+            // matter how many asserts the tape carries.
             let out_regs = eng.output_regs();
             let mut open: Vec<u64> = Vec::with_capacity(
                 (out_regs.len() + assert_gates.len()) * words + assert_gates.len(),

@@ -1,30 +1,12 @@
 //! XOR secret sharing of inputs and the transposed share packing the
-//! batched protocol runs on.
+//! protocol runs on.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One Beaver triple share: `(a, b, c)` with `c = a ∧ b` across parties.
-#[derive(Clone, Copy, Debug)]
-pub struct TripleShare {
-    /// Share of `a`.
-    pub a: bool,
-    /// Share of `b`.
-    pub b: bool,
-    /// Share of `c = a ∧ b`.
-    pub c: bool,
-}
-
-/// Secret-shares a bit vector between the two parties.
-pub fn share_bits(bits: &[bool], seed: u64) -> (Vec<bool>, Vec<bool>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let s0: Vec<bool> = bits.iter().map(|_| rng.gen()).collect();
-    let s1: Vec<bool> = bits.iter().zip(s0.iter()).map(|(&v, &m)| v ^ m).collect();
-    (s0, s1)
-}
-
-/// [`share_bits`] over a whole batch: one `(share0, share1)` pair per
-/// instance, masks drawn from a single seeded stream.
+/// Secret-shares a batch of bit vectors between the two parties: one
+/// `(share0, share1)` pair per instance whose XOR is the instance, masks
+/// drawn from a single seeded stream.
 pub fn share_instances(instances: &[Vec<bool>], seed: u64) -> (Vec<Vec<bool>>, Vec<Vec<bool>>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut shares0 = Vec::with_capacity(instances.len());
@@ -38,21 +20,12 @@ pub fn share_instances(instances: &[Vec<bool>], seed: u64) -> (Vec<Vec<bool>>, V
     (shares0, shares1)
 }
 
-/// Transposes one block of share vectors into input-major lane words.
-/// Wrong-arity instances contribute zeros; their lanes are reported as
-/// [`MpcError::InputLength`](crate::MpcError::InputLength) and never
-/// read back.
-pub(crate) fn pack_share_block(
-    block: &[Vec<bool>],
-    num_inputs: usize,
-    words: usize,
-    out: &mut [u64],
-) {
+/// Transposes one block of share vectors (each `num_inputs` long —
+/// [`Session::run`](crate::Session::run) checks arity first) into
+/// input-major lane words.
+pub(crate) fn pack_share_block(block: &[Vec<bool>], words: usize, out: &mut [u64]) {
     out.fill(0);
     for (l, inst) in block.iter().enumerate() {
-        if inst.len() != num_inputs {
-            continue;
-        }
         let (word, bit) = (l / 64, l % 64);
         for (idx, &b) in inst.iter().enumerate() {
             if b {
@@ -62,23 +35,6 @@ pub(crate) fn pack_share_block(
     }
 }
 
-/// Packs a `bool` bit vector into LSB-first `u64` words (the wire
-/// encoding of input-share transfers).
-pub fn pack_bits(bits: &[bool]) -> Vec<u64> {
-    let mut out = vec![0u64; bits.len().div_ceil(64)];
-    for (i, &b) in bits.iter().enumerate() {
-        if b {
-            out[i / 64] |= 1u64 << (i % 64);
-        }
-    }
-    out
-}
-
-/// Inverse of [`pack_bits`] for a known bit count.
-pub fn unpack_bits(words: &[u64], n: usize) -> Vec<bool> {
-    (0..n).map(|i| words[i / 64] >> (i % 64) & 1 == 1).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,15 +42,14 @@ mod tests {
     #[test]
     fn shares_xor_back_to_the_input() {
         let bits: Vec<bool> = (0..130).map(|i| i % 3 == 0).collect();
-        let (s0, s1) = share_bits(&bits, 7);
-        let rec: Vec<bool> = s0.iter().zip(&s1).map(|(&a, &b)| a ^ b).collect();
+        let (s0, s1) = share_instances(std::slice::from_ref(&bits), 7);
+        let rec: Vec<bool> = s0[0].iter().zip(&s1[0]).map(|(&a, &b)| a ^ b).collect();
         assert_eq!(rec, bits);
     }
 
     #[test]
-    fn bit_packing_round_trips() {
-        let bits: Vec<bool> = (0..200).map(|i| (i * 7) % 5 == 0).collect();
-        assert_eq!(unpack_bits(&pack_bits(&bits), bits.len()), bits);
-        assert_eq!(pack_bits(&[]), Vec::<u64>::new());
+    fn masks_depend_on_the_seed() {
+        let bits = vec![vec![true, false, true, true]; 20];
+        assert_ne!(share_instances(&bits, 5).0, share_instances(&bits, 6).0);
     }
 }

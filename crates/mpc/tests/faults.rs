@@ -10,7 +10,7 @@
 use qec_circuit::lower::{lower_with, BitCircuit};
 use qec_circuit::{Builder, CompileOptions, CompiledBitCircuit, Mode};
 use qec_mpc::{
-    share_bits, Duplex, Fault, FaultTransport, MpcError, Outcome, PackedDealer, Role, Session,
+    run_sessions, share_instances, Duplex, Fault, FaultTransport, MpcError, Outcome, PackedDealer,
     TcpTransport, Transport,
 };
 use std::net::TcpListener;
@@ -40,19 +40,19 @@ where
     let bc = adder();
     let eng = CompiledBitCircuit::compile_gmw(&bc);
     let bits = bc.pack_inputs(&[77, 11]);
-    let (s0, s1) = share_bits(&bits, 5);
-    let (sh0, sh1) = ([s0], [s1]);
-    let (t0, t1) = PackedDealer::new(eng.stats().and_ops as usize, 1, 7).split();
+    let (s0, s1) = share_instances(&[bits], 5);
     let (d0, d1) = make();
     let mut f0 = FaultTransport::new(d0);
     for &(at, f) in faults {
         f0 = f0.inject(at, f);
     }
-    std::thread::scope(|s| {
-        let h = s.spawn(|| Session::new(&eng, Role::P1, d1, t1).with_words(1).run(&sh1));
-        let r0 = Session::new(&eng, Role::P0, f0, t0).with_words(1).run(&sh0);
-        (r0, h.join().expect("party 1 thread"))
-    })
+    run_sessions(
+        &eng,
+        1,
+        (f0, d1),
+        PackedDealer::new(eng.stats().and_ops as usize, 1, 7).split(),
+        (&s0, &s1),
+    )
 }
 
 fn duplex_pair() -> (Duplex, Duplex) {

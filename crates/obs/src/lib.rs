@@ -296,11 +296,11 @@ impl Recorder {
         self.metrics_json_capped(usize::MAX)
     }
 
-    /// [`metrics_json`] with a span budget: at most `max_spans` spans
+    /// [`Self::metrics_json`] with a span budget: at most `max_spans` spans
     /// (kept in open order, so the leading pipeline spans survive) and,
     /// when anything was cut, a trailing `"spans_dropped":N` key. The
     /// key is omitted at zero so uncapped documents stay byte-identical
-    /// to [`metrics_json`] output. Fuzzing sweeps record millions of
+    /// to [`Self::metrics_json`] output. Fuzzing sweeps record millions of
     /// pool spans; artifacts that get committed need this bound.
     pub fn metrics_json_capped(&self, max_spans: usize) -> String {
         let snap = self.snapshot();

@@ -145,7 +145,7 @@ pub fn agm_worst_case_even_cycle(k: usize, n: usize) -> Vec<Relation> {
 /// full `n`-dimensional grid of `≈ N^{n/(n-1)}` tuples — matching
 /// `ρ* = n/(n-1)`.
 ///
-/// Returns one relation per atom of [`qec-query`'s] `loomis_whitney(n)`,
+/// Returns one relation per atom of `qec-query`'s `loomis_whitney(n)`,
 /// in atom order (`R_i` omits variable `i`).
 pub fn agm_worst_case_loomis_whitney(n: usize, target: usize) -> Vec<Relation> {
     assert!(n >= 3);

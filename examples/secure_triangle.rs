@@ -4,9 +4,10 @@
 //!
 //! Party 0 owns the follower graph `R(a,b)`; party 1 owns `S(b,c)` and
 //! `T(a,c)`. The query circuit is public (it depends only on the query
-//! and the agreed degree constraints), and it is evaluated gate-by-gate
-//! under XOR secret sharing — GMW-style, with a trusted dealer for the
-//! multiplication triples. Communication ∝ AND gates, rounds ∝ AND depth:
+//! and the agreed degree constraints), and it is evaluated under XOR
+//! secret sharing — GMW-style, with a trusted dealer for the
+//! multiplication triples — by two protocol sessions that exchange one
+//! message per AND level. Communication ∝ AND gates, rounds ∝ AND depth:
 //! exactly the quantities the paper's circuit sizes control.
 //!
 //! ```text
@@ -14,9 +15,9 @@
 //! ```
 
 use query_circuits::circuit::Mode;
-use query_circuits::circuit::{lower_with, CompileOptions};
+use query_circuits::circuit::{lower_with, CompileOptions, CompiledBitCircuit};
 use query_circuits::core::compile_fcq;
-use query_circuits::mpc::{evaluate_shared, share_bits, Dealer};
+use query_circuits::mpc::run_two_party;
 use query_circuits::query::{baseline::evaluate_pairwise, parse_cq};
 use query_circuits::relation::{
     random_relation_with_domain, Database, DcSet, DegreeConstraint, Var,
@@ -45,7 +46,7 @@ fn main() {
     );
 
     // Private inputs (simulated): each party fills its relations' slots;
-    // the joint input vector is secret-shared bit by bit.
+    // `run_two_party` secret-shares the joint input vector bit by bit.
     let mut db = Database::new();
     db.insert(
         "R",
@@ -61,16 +62,16 @@ fn main() {
     ); // party 1
     let words = lowered.layout.values(&db).expect("conforming");
     let bits = boolean.pack_inputs(&words);
-    let (share0, share1) = share_bits(&bits, 0xC0FFEE);
 
-    // Offline phase: the dealer hands out Beaver triples; online phase:
-    // the two parties evaluate, exchanging two masked bits per AND gate.
-    let dealer = Dealer::new(boolean.and_count() as usize, 0xDEA1);
-    let (output_bits, stats) =
-        evaluate_shared(&boolean, &share0, &share1, dealer).expect("protocol");
+    // Offline phase: the dealer hands out packed Beaver triples; online
+    // phase: the two parties evaluate on the round-optimal schedule,
+    // exchanging one message of masked bits per AND level.
+    let eng = CompiledBitCircuit::compile_gmw(&boolean);
+    let (mut results, stats) = run_two_party(&eng, &[bits], 64, 0xDEA1).expect("protocol");
+    let output_bits = results.remove(0).expect("declared constraints hold");
     println!(
-        "protocol: {} triples consumed, {} bits exchanged, {} free (XOR/NOT) gates",
-        stats.and_gates, stats.messages_bits, stats.free_gates
+        "protocol: {} triples consumed, {} bits exchanged in {} rounds, {} free (XOR/NOT) gates",
+        stats.and_gates, stats.messages_bits, stats.rounds, stats.free_gates
     );
 
     // Reconstruct and verify against a plaintext RAM evaluation.

@@ -155,7 +155,9 @@ fn secure_two_party_join_end_to_end() {
     let mut inputs = relation_to_values(&r, m).unwrap();
     inputs.extend(relation_to_values(&s, m).unwrap());
     let bits = bc.pack_inputs(&inputs);
-    let (out_bits, stats) = query_circuits::mpc::run_two_party(&bc, &bits, 5).unwrap();
+    let eng = query_circuits::circuit::CompiledBitCircuit::compile_gmw(&bc);
+    let (mut results, stats) = query_circuits::mpc::run_two_party(&eng, &[bits], 64, 5).unwrap();
+    let out_bits = results.remove(0).unwrap();
     let out = query_circuits::circuit::decode_relation(&schema, &bc.unpack_outputs(&out_bits));
     assert_eq!(out, r.natural_join(&s));
     // the networked session consumes one packed triple (64 scalar
@@ -219,11 +221,13 @@ fn single_bit_secure_triangle_existence() {
     // the circuit's entire output is one word: arity-0 slot = validity bit
     assert_eq!(lowered.circuit.outputs().len(), 1);
     let bc = lower_with(&lowered.circuit, 16, &CompileOptions::from_env());
+    let eng = query_circuits::circuit::CompiledBitCircuit::compile_gmw(&bc);
 
     let run = |db: &Database| -> bool {
         let words = lowered.layout.values(db).unwrap();
         let bits = bc.pack_inputs(&words);
-        let (out, _) = query_circuits::mpc::run_two_party(&bc, &bits, 11).unwrap();
+        let (mut results, _) = query_circuits::mpc::run_two_party(&eng, &[bits], 64, 11).unwrap();
+        let out = results.remove(0).unwrap();
         let words = bc.unpack_outputs(&out);
         words[0] != 0
     };
