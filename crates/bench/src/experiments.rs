@@ -1035,9 +1035,10 @@ pub fn x16_optimizer() -> Table {
 }
 
 /// X17 — parallel compile pipeline: the X1 heavy/light circuit is
-/// lowered through `qec-par`'s worker pool at 1/2/4/8 threads
-/// (sharded hash-consing), with byte-identity checks against the
-/// sequential pipeline at every stage.
+/// lowered to a word circuit through `qec-par`'s worker pool at 1/2/4/8
+/// threads (sharded hash-consing), with byte-identity checks against the
+/// sequential build and word optimizer. Bit lowering is sequential at
+/// every pool size, so it has no row here.
 ///
 /// Sizing knobs: `QEC_X17_SMOKE=1` shrinks the sweep to N=64 for CI;
 /// `QEC_X17_N1024=1` adds the N=1024 count-mode column (the size the
@@ -1094,8 +1095,8 @@ pub fn x17_parallel_pipeline() -> Table {
     }
 
     // --- Build-mode byte-identity at a small N: gate lists (not just
-    // totals) and the bit-level AND count must match sequential exactly
-    // through parallel build, lowering, and both optimizer passes. ---
+    // totals) and `OptStats` must match sequential exactly through the
+    // parallel build and the parallel word optimizer. ---
     let n_exact = 16;
     let (rc16, _) = triangle_heavy_light(n_exact);
     let seq = rc16
@@ -1108,24 +1109,17 @@ pub fn x17_parallel_pipeline() -> Table {
         )
         .circuit;
     let word_identical = seq.gates() == par.gates() && seq.outputs() == par.outputs();
-    let bits_seq = lower_with(&seq, 16, &CompileOptions::sequential());
-    let bits_par = lower_with(
-        &par,
-        16,
-        &CompileOptions::sequential().with_pool(Pool::new(8)),
-    );
-    let bits_identical = bits_seq.gates() == bits_par.gates();
     let (opt_seq, st_seq) = optimize_with(&seq, &CompileOptions::sequential());
     let (opt_par, st_par) =
         optimize_with(&par, &CompileOptions::sequential().with_pool(Pool::new(8)));
     let opt_identical =
         opt_seq.gates() == opt_par.gates() && format!("{st_seq:?}") == format!("{st_par:?}");
     assert!(
-        word_identical && bits_identical && opt_identical,
+        word_identical && opt_identical,
         "parallel pipeline diverged from sequential at N={n_exact}"
     );
     t.row(vec![
-        "build+lower+opt".into(),
+        "build+opt".into(),
         n_exact.to_string(),
         "8 vs 1".into(),
         par.size().to_string(),
@@ -1133,8 +1127,8 @@ pub fn x17_parallel_pipeline() -> Table {
         "-".into(),
         "-".into(),
         format!(
-            "gates/bit-ANDs/OptStats byte-identical ({} ANDs)",
-            bits_par.and_count()
+            "word gates/OptStats byte-identical ({} gates after opt)",
+            opt_par.size()
         ),
     ]);
 
@@ -1160,7 +1154,7 @@ pub fn x17_parallel_pipeline() -> Table {
 
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     t.verdict(format!(
-        "8-worker lowering runs {speedup_at_8:.2}x the 1-worker pass on {cores} detected core(s) with byte-identical circuits at every stage; the ≥3x wall-clock target needs ≥8 physical cores (speedup is core-bound, parity is not){}",
+        "8-worker word lowering runs {speedup_at_8:.2}x the 1-worker pass on {cores} detected core(s) with byte-identical word circuits from the build and the optimizer; the ≥3x wall-clock target needs ≥8 physical cores (speedup is core-bound, parity is not){}",
         if with_n1024 { "" } else { " — set QEC_X17_N1024=1 for the N=1024 column" },
     ));
     t

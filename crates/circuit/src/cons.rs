@@ -5,19 +5,20 @@
 //! The table is *index-only*: a slot holds a wire id and a 7-bit hash
 //! tag, never the gate itself. The gate already lives in the caller's
 //! arena (a `Vec<Gate>`, or the paged struct-of-arrays columns of the
-//! parallel cores), so a lookup compares the probe key against the arena
-//! record of each candidate whose tag matches, and a resize recomputes
-//! each id's hash from its record. A slot costs 5 bytes, where holding the
-//! key would cost 20 (a packed `u128` key beside the id) or about 25 (a
-//! `HashMap<Gate, WireId>` bucket).
+//! parallel word builder), so a lookup compares the probe key against
+//! the arena record of each candidate whose tag matches, and a resize
+//! recomputes each id's hash from its record, visiting the ids in
+//! ascending order so the arena is read front to back. A slot costs 5
+//! bytes, where holding the key would cost 20 (a packed `u128` key
+//! beside the id) or about 25 (a `HashMap<Gate, WireId>` bucket).
 //!
-//! [`ConsTable`] is the single-threaded table; [`SharedConsTable`] shards
-//! the same table behind 256 mutexes for the parallel cores. Both are
-//! insert-only open-addressing tables with linear probing, doubled at 3/4
-//! load. Gate hashes come from [`hash_fields`] (provenance nodes, whose
-//! child lists have no fixed width, use SipHash): the slot index uses the
-//! low bits, the shard index bits 48–55 and the tag the top 7 bits, so
-//! the three stay independent.
+//! [`ConsTable`] is the single-threaded table; [`SharedConsTable`]
+//! shards the same table behind 256 mutexes for the parallel word
+//! builder. Both are insert-only open-addressing tables with linear
+//! probing, doubled at 3/4 load. Gate hashes come from [`hash_fields`]
+//! (provenance nodes, whose child lists have no fixed width, use
+//! SipHash): the slot index uses the low bits, the shard index bits
+//! 48–55 and the tag the top 7 bits, so the three stay independent.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -71,24 +72,35 @@ impl ConsTable {
     /// Makes room for one more entry. When the insert would pass 3/4
     /// load the slot arrays double, and every stored id is re-placed
     /// under `hash_of(id)` — the hash of its arena record, which must
-    /// equal the hash it was inserted with.
+    /// equal the hash it was inserted with. The ids are re-placed in
+    /// ascending order, so `hash_of` walks the arena forward instead of
+    /// reading it at random.
     pub(crate) fn reserve_one(&mut self, hash_of: impl Fn(u32) -> u64) {
         if (self.len + 1) * 4 <= self.tags.len() * 3 {
             return;
         }
         let slots = (self.tags.len() * 2).max(MIN_SLOTS);
         let old_tags = std::mem::replace(&mut self.tags, vec![0; slots]);
-        let old_ids = std::mem::replace(&mut self.ids, vec![0; slots]);
-        for (t, id) in old_tags.into_iter().zip(old_ids) {
+        let mut ids = std::mem::replace(&mut self.ids, vec![0; slots]);
+        let mut n = 0;
+        for (i, &t) in old_tags.iter().enumerate() {
             if t != 0 {
-                let h = hash_of(id);
-                let mut i = h as usize & (slots - 1);
-                while self.tags[i] != 0 {
-                    i = (i + 1) & (slots - 1);
-                }
-                self.tags[i] = tag(h);
-                self.ids[i] = id;
+                ids[n] = ids[i];
+                n += 1;
             }
+        }
+        ids.truncate(n);
+        let budget = old_tags.len();
+        drop(old_tags);
+        sort_distinct(&mut ids, budget);
+        for id in ids {
+            let h = hash_of(id);
+            let mut i = h as usize & (slots - 1);
+            while self.tags[i] != 0 {
+                i = (i + 1) & (slots - 1);
+            }
+            self.tags[i] = tag(h);
+            self.ids[i] = id;
         }
     }
 
@@ -132,6 +144,36 @@ impl ConsTable {
     }
 }
 
+/// Sorts distinct `ids` ascending with at most `budget` bytes of
+/// scratch. Ids that fill enough of their range are marked in a bitmap
+/// over it and read back in order, in linear time; sparser ones (a shard
+/// of [`SharedConsTable`] holds ids from the whole wire range) are sorted
+/// in place.
+fn sort_distinct(ids: &mut [u32], budget: usize) {
+    let (Some(&lo), Some(&hi)) = (ids.iter().min(), ids.iter().max()) else {
+        return;
+    };
+    let span = (hi - lo) as usize + 1;
+    if span.div_ceil(8) > budget {
+        ids.sort_unstable();
+        return;
+    }
+    let mut bits = vec![0u64; span.div_ceil(64)];
+    for &x in ids.iter() {
+        let k = (x - lo) as usize;
+        bits[k / 64] |= 1 << (k % 64);
+    }
+    let mut out = ids.iter_mut();
+    for (w, &word) in bits.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            let slot = out.next().expect("ids are distinct");
+            *slot = lo + (w * 64) as u32 + word.trailing_zeros();
+            word &= word - 1;
+        }
+    }
+}
+
 /// Number of shards (a power of two). 256 keeps lock contention
 /// negligible at 8–16 workers while the per-shard mutexes stay cheap.
 const NUM_SHARDS: usize = 256;
@@ -152,10 +194,10 @@ fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
         .expect("cons shard poisoned: a builder panicked while interning")
 }
 
-/// The concurrent hash-cons of the parallel cores: [`ConsTable`]s sharded
-/// by hash. The arena is the caller's paged columns, written by `create`
-/// under the shard lock before the id is published, so any thread that
-/// finds an id also sees its record.
+/// The concurrent hash-cons of the parallel word builder: [`ConsTable`]s
+/// sharded by hash. The arena is the caller's paged columns, written by
+/// `create` under the shard lock before the id is published, so any
+/// thread that finds an id also sees its record.
 pub(crate) struct SharedConsTable {
     shards: Box<[Mutex<Shard>]>,
 }
@@ -220,6 +262,7 @@ impl SharedConsTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     /// Interns `key` into a table whose arena is `keys` (id = position).
@@ -277,6 +320,49 @@ mod tests {
         }
         // 5 bytes per slot: a 7-bit tag byte and a 4-byte id.
         assert_eq!(t.bytes(), t.tags.len() * 5);
+    }
+
+    #[test]
+    fn growth_rehashes_sparse_ids_in_ascending_order() {
+        // Only every `stride`-th id is interned, so the largest id is
+        // `stride` times the entry count. Stride 7 keeps the ids within
+        // the bitmap's budget; stride 4099 is sparse enough to be sorted.
+        let h = |id: u32| hash_fields(2, id, 0, 0);
+        for stride in [7u32, 4099] {
+            let mut t = ConsTable::new();
+            let rehashed = RefCell::new(Vec::new());
+            let mut resizes = 0;
+            for k in 0..20_000u32 {
+                let id = k * stride;
+                t.reserve_one(|x| {
+                    rehashed.borrow_mut().push(x);
+                    h(x)
+                });
+                let seen = rehashed.take();
+                if !seen.is_empty() {
+                    resizes += 1;
+                    assert_eq!(seen.len(), k as usize, "stride {stride}");
+                    assert!(
+                        seen.windows(2).all(|p| p[0] < p[1]),
+                        "stride {stride}: a resize read the arena out of id order"
+                    );
+                    assert!(seen.iter().zip(0..).all(|(&x, j)| x == j * stride));
+                }
+                let Err(at) = t.find(h(id), |x| x == id) else {
+                    panic!("id {id} found before insertion");
+                };
+                t.insert(at, h(id), id);
+            }
+            assert!(resizes >= 10, "stride {stride}: {resizes} doublings");
+            for k in 0..20_000u32 {
+                let id = k * stride;
+                assert_eq!(t.find(h(id), |x| x == id).ok(), Some(id));
+            }
+            assert!(t.find(h(1), |x| x == 1).is_err());
+            // The slot count depends on the entry count alone: 20k
+            // entries at ≤ 3/4 load take 2^15 five-byte slots.
+            assert_eq!(t.bytes(), 163_840, "stride {stride}");
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Paged write-once atomic stores: the compact struct-of-arrays gate
-//! arena of the parallel construction cores.
+//! arena of the parallel word builder.
 //!
-//! Both the word-level `Builder` and the bit-level `Lowerer` keep their
-//! parallel gate records here, one column per field, and intern them
+//! A `Builder` with a multi-worker pool keeps its parallel gate records
+//! here, one column per field, and interns them
 //! through the index-only [`SharedConsTable`](crate::cons::SharedConsTable):
 //! a gate's record is written into the columns *before* its id is
 //! published in the table (the per-shard mutex orders the two), so any
