@@ -13,7 +13,7 @@
 //! the printed table (`title`/`headers`/`rows`/`verdict`) and
 //! `pipeline` is the `qec-obs` metrics document captured during the
 //! run — per-pass spans (build/optimize/tape/lower) and counters from
-//! the builder, optimizer, and pool. A fresh enabled recorder is
+//! the builder and optimizer. A fresh enabled recorder is
 //! installed per experiment, so each artifact's breakdown covers only
 //! its own run.
 
@@ -47,13 +47,13 @@ fn main() {
             .filter(|(id, _)| ids.iter().any(|a| a == id))
             .collect();
         if sel.is_empty() {
-            eprintln!("unknown experiment id(s); valid: x1..x24 or `all`");
+            eprintln!("unknown experiment id(s); valid: x1..x24 except the retired x17, or `all`");
             std::process::exit(2);
         }
         sel
     };
     for (id, run) in selected {
-        // Route the run's builder/pool/driver instrumentation into a
+        // Route the run's builder/driver instrumentation into a
         // per-experiment recorder so the JSON artifact carries its own
         // per-pass breakdown (experiments built on
         // `CompileOptions::from_env` inherit it as their driver sink).
@@ -66,7 +66,7 @@ fn main() {
         let table = run();
         let elapsed = start.elapsed();
         // Cap the span dump: fuzz-scale experiments (x19, x20) record
-        // millions of pool spans, and the artifact gets committed. The
+        // millions of spans, and the artifact gets committed. The
         // leading spans carry the per-pass pipeline breakdown; counters
         // are never cut.
         let pipeline = if json {

@@ -7,29 +7,26 @@
 //! and the engine configuration that exposed the failure — so a bug
 //! report is a single small text file.
 
-use qec_circuit::{CompileOptions, Pool};
+use qec_circuit::CompileOptions;
 use qec_obs::Recorder;
 use qec_query::{parse_cq, Cq};
 use qec_relation::{Database, DcSet, DegreeConstraint, Relation, VarSet};
 
 /// One point in the engine-configuration matrix the differ sweeps:
-/// optimizer on/off × worker threads × tracing on/off.
+/// optimizer on/off × tracing on/off.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineOptions {
     /// Run the word/bit optimizer pipeline.
     pub optimize: bool,
-    /// Worker threads for parallel build/lower/optimize stages.
-    pub threads: usize,
     /// Attach an enabled [`Recorder`] and collect evaluation metrics.
     pub traced: bool,
 }
 
 impl EngineOptions {
-    /// The simplest configuration: sequential, unoptimized, untraced.
+    /// The simplest configuration: unoptimized, untraced.
     pub fn baseline() -> EngineOptions {
         EngineOptions {
             optimize: false,
-            threads: 1,
             traced: false,
         }
     }
@@ -39,7 +36,6 @@ impl EngineOptions {
     /// pipeline stage regardless of the sampled configuration.
     pub fn compile_options(&self) -> CompileOptions {
         let mut opts = CompileOptions::sequential()
-            .with_pool(Pool::new(self.threads))
             .with_optimize(self.optimize)
             .with_validate(true);
         if self.traced {

@@ -4,7 +4,7 @@
 //! qec-case v1
 //! seed 42
 //! n 4
-//! options optimize=1 threads=3 traced=0
+//! options optimize=1 traced=0
 //! query Q(a, c) :- R0(a, b), R1(b, c)
 //! rel R0 2
 //! 0,1
@@ -30,8 +30,8 @@ pub fn format_case(case: &Case) -> String {
     out.push_str(&format!("seed {}\n", case.seed));
     out.push_str(&format!("n {}\n", case.n));
     out.push_str(&format!(
-        "options optimize={} threads={} traced={}\n",
-        case.options.optimize as u8, case.options.threads, case.options.traced as u8
+        "options optimize={} traced={}\n",
+        case.options.optimize as u8, case.options.traced as u8
     ));
     out.push_str(&format!("query {}\n", case.query));
     for (name, rows) in &case.rels {
@@ -92,7 +92,6 @@ pub fn parse_case(text: &str) -> Result<Case, String> {
     let at = next("options")?;
     let opts_line = field(at, "options")?;
     let mut optimize = None;
-    let mut threads = None;
     let mut traced = None;
     for tok in opts_line.split_whitespace() {
         let (key, val) = tok
@@ -101,22 +100,14 @@ pub fn parse_case(text: &str) -> Result<Case, String> {
         let v = parse_u64(at.0, key, val)?;
         match key {
             "optimize" => optimize = Some(v != 0),
-            "threads" => threads = Some(v as usize),
             "traced" => traced = Some(v != 0),
             _ => return Err(err(at.0, format!("unknown option {key:?}"))),
         }
     }
     let options = EngineOptions {
         optimize: optimize.ok_or_else(|| err(at.0, "missing optimize="))?,
-        threads: threads.ok_or_else(|| err(at.0, "missing threads="))?,
         traced: traced.ok_or_else(|| err(at.0, "missing traced="))?,
     };
-    if options.threads == 0 || options.threads > 64 {
-        return Err(err(
-            at.0,
-            format!("threads must be in 1..=64, found {}", options.threads),
-        ));
-    }
 
     let at = next("query")?;
     let query = field(at, "query")?;
@@ -211,7 +202,6 @@ mod tests {
             ],
             options: EngineOptions {
                 optimize: true,
-                threads: 4,
                 traced: false,
             },
         }
@@ -237,21 +227,26 @@ mod tests {
             ("", "ended early"),
             ("qec-case v2\n", "qec-case v1"),
             ("qec-case v1\nseed x\n", "bad seed"),
-            ("qec-case v1\nseed 1\nn 2\noptions optimize=1\n", "missing threads"),
+            ("qec-case v1\nseed 1\nn 2\noptions optimize=1\n", "missing traced"),
+            ("qec-case v1\nseed 1\nn 2\noptions traced=0\n", "missing optimize"),
             (
-                "qec-case v1\nseed 1\nn 2\noptions optimize=1 threads=0 traced=0\n",
-                "threads must be",
+                "qec-case v1\nseed 1\nn 2\noptions optimize=1 threads=2 traced=0\n",
+                "unknown option",
             ),
             (
-                "qec-case v1\nseed 1\nn 2\noptions optimize=1 threads=1 traced=0\nquery Q(a) :- R(a)\nrel R 2\n0\n",
+                "qec-case v1\nseed 1\nn 2\noptions optimize=x traced=0\n",
+                "bad optimize",
+            ),
+            (
+                "qec-case v1\nseed 1\nn 2\noptions optimize=1 traced=0\nquery Q(a) :- R(a)\nrel R 2\n0\n",
                 "ended early",
             ),
             (
-                "qec-case v1\nseed 1\nn 2\noptions optimize=1 threads=1 traced=0\nquery Q(a) :- R(a)\nrel R 1\nzz\n",
+                "qec-case v1\nseed 1\nn 2\noptions optimize=1 traced=0\nquery Q(a) :- R(a)\nrel R 1\nzz\n",
                 "bad cell",
             ),
             (
-                "qec-case v1\nseed 1\nn 2\noptions optimize=1 threads=1 traced=0\nquery Q(a) :- R(a)\nrel R 0\nrel R 0\n",
+                "qec-case v1\nseed 1\nn 2\noptions optimize=1 traced=0\nquery Q(a) :- R(a)\nrel R 0\nrel R 0\n",
                 "duplicate relation",
             ),
         ];
@@ -263,7 +258,7 @@ mod tests {
 
     #[test]
     fn comments_and_blank_lines_are_ignored() {
-        let text = "# corpus case\nqec-case v1\n\nseed 5\nn 2\n# opts\noptions optimize=0 threads=1 traced=0\nquery Q() :- R(a)\nrel R 1\n3\n";
+        let text = "# corpus case\nqec-case v1\n\nseed 5\nn 2\n# opts\noptions optimize=0 traced=0\nquery Q() :- R(a)\nrel R 1\n3\n";
         let case = parse_case(text).unwrap();
         assert_eq!(case.rels[0].1, vec![vec![3]]);
         case.materialize().unwrap();

@@ -372,7 +372,7 @@ mod tests {
             let case = gen_datalog_case(seed);
             let outcome = run_datalog_case(&case, &options_matrix(seed))
                 .unwrap_or_else(|d| panic!("seed {seed} ({}): {d}", case.program));
-            assert_eq!(outcome.configs, 8);
+            assert_eq!(outcome.configs, 4);
             assert!(outcome.word_gates > 0);
         }
     }

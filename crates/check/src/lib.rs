@@ -10,7 +10,7 @@
 //!   random instances under uniform degree constraints;
 //! * [`differ`] compiles each query through the full pipeline under a
 //!   matrix of [`CompileOptions`](qec_circuit::CompileOptions) points
-//!   (optimizer on/off × thread counts × tracing) and insists every
+//!   (optimizer on/off × tracing on/off) and insists every
 //!   decoded circuit output equals the RAM references, with the
 //!   structural validators ([`qec_circuit::validate()`],
 //!   [`qec_circuit::validate_bits`]) armed after every stage;
@@ -45,13 +45,9 @@ pub use gen::gen_case;
 pub use rng::Rng;
 pub use shrink::shrink_case;
 
-/// Replays a corpus case through the full differential matrix (the
-/// case's own recorded configuration is part of the sweep by
-/// construction of [`options_matrix`] plus an explicit extra point).
+/// Replays a corpus case through the full differential matrix, which
+/// covers every [`EngineOptions`] point, the case's recorded one
+/// included.
 pub fn replay(case: &Case) -> Result<CaseOutcome, Divergence> {
-    let mut matrix = options_matrix(case.seed);
-    if !matrix.contains(&case.options) {
-        matrix.push(case.options);
-    }
-    differ::run_case(case, &matrix, None, true, true)
+    differ::run_case(case, &options_matrix(case.seed), None, true, true)
 }

@@ -12,7 +12,7 @@
 //! auto-detects the machine's parallelism. `--trace-out <path>` writes a
 //! Chrome trace-event document for the compile (load it in
 //! `chrome://tracing` or Perfetto); combine with `QEC_TRACE=1` to also
-//! capture pool and builder counters from the process-global recorder.
+//! capture the builder counters from the process-global recorder.
 //!
 //! Prints the compiled tape's statistics (per-kind gate counts, level
 //! widths, peak registers) and the measured throughput of the batched

@@ -13,8 +13,8 @@
 //!
 //! 1. **Liveness.** The last level reading each wire is computed in one
 //!    pass; output wires are pinned.
-//! 2. **Level-major tape.** Gates are emitted level by level (the same
-//!    scheduling levels the parallel lowering uses), so operands always
+//! 2. **Level-major tape.** Gates are emitted level by level (the
+//!    scheduling levels of `lower::bit_levels`), so operands always
 //!    sit at strictly lower levels than their consumers.
 //! 3. **Register allocation.** Registers are freed only at level
 //!    boundaries — a level's destinations can never alias its sources —

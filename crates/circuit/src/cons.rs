@@ -1,26 +1,21 @@
 //! The hash-cons table behind every circuit construction pass: the word
-//! builder (sequential and parallel), the word optimizer's CSE, the bit
-//! lowering and bit optimizer, and the provenance DAG.
+//! builder, the word optimizer's CSE, the bit lowering and bit
+//! optimizer, and the provenance DAG.
 //!
 //! The table is *index-only*: a slot holds a wire id and a 7-bit hash
 //! tag, never the gate itself. The gate already lives in the caller's
-//! arena (a `Vec<Gate>`, or the paged struct-of-arrays columns of the
-//! parallel word builder), so a lookup compares the probe key against
-//! the arena record of each candidate whose tag matches, and a resize
-//! recomputes each id's hash from its record, visiting the ids in
+//! arena (a `Vec<Gate>` or `Vec<BGate>`), so a lookup compares the
+//! probe key against the arena record of each candidate whose tag
+//! matches, and a resize recomputes each id's hash from its record, visiting the ids in
 //! ascending order so the arena is read front to back. A slot costs 5
 //! bytes, where holding the key would cost 20 (a packed `u128` key
 //! beside the id) or about 25 (a `HashMap<Gate, WireId>` bucket).
 //!
-//! [`ConsTable`] is the single-threaded table; [`SharedConsTable`]
-//! shards the same table behind 256 mutexes for the parallel word
-//! builder. Both are insert-only open-addressing tables with linear
+//! [`ConsTable`] is an insert-only open-addressing table with linear
 //! probing, doubled at 3/4 load. Gate hashes come from [`hash_fields`]
 //! (provenance nodes, whose child lists have no fixed width, use
-//! SipHash): the slot index uses the low bits, the shard index bits
-//! 48–55 and the tag the top 7 bits, so the three stay independent.
-
-use std::sync::{Mutex, MutexGuard};
+//! SipHash): the slot index uses the low bits and the tag the top 7
+//! bits, so the two stay independent.
 
 /// Splitmix64 finalizer.
 #[inline]
@@ -54,7 +49,7 @@ const MIN_SLOTS: usize = 16;
 /// goes if the caller inserts it. Valid until the table next changes.
 pub(crate) struct Vacant(usize);
 
-/// The single-threaded index-only hash-cons (see the module docs).
+/// The index-only hash-cons (see the module docs).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ConsTable {
     /// Per slot: `0` when empty, else [`tag`] of the entry's hash.
@@ -146,9 +141,8 @@ impl ConsTable {
 
 /// Sorts distinct `ids` ascending with at most `budget` bytes of
 /// scratch. Ids that fill enough of their range are marked in a bitmap
-/// over it and read back in order, in linear time; sparser ones (a shard
-/// of [`SharedConsTable`] holds ids from the whole wire range) are sorted
-/// in place.
+/// over it and read back in order, in linear time; sparser ones are
+/// sorted in place.
 fn sort_distinct(ids: &mut [u32], budget: usize) {
     let (Some(&lo), Some(&hi)) = (ids.iter().min(), ids.iter().max()) else {
         return;
@@ -174,96 +168,10 @@ fn sort_distinct(ids: &mut [u32], budget: usize) {
     }
 }
 
-/// Number of shards (a power of two). 256 keeps lock contention
-/// negligible at 8–16 workers while the per-shard mutexes stay cheap.
-const NUM_SHARDS: usize = 256;
-
-/// One shard: a [`ConsTable`] plus its lookup counters.
-#[derive(Default)]
-struct Shard {
-    table: ConsTable,
-    /// Lookups that found an existing entry (the hash-cons doing its job).
-    hits: u64,
-    /// Lookups that created a new entry.
-    misses: u64,
-}
-
-fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
-    shard
-        .lock()
-        .expect("cons shard poisoned: a builder panicked while interning")
-}
-
-/// The concurrent hash-cons of the parallel word builder: [`ConsTable`]s
-/// sharded by hash. The arena is the caller's paged columns, written by
-/// `create` under the shard lock before the id is published, so any
-/// thread that finds an id also sees its record.
-pub(crate) struct SharedConsTable {
-    shards: Box<[Mutex<Shard>]>,
-}
-
-impl SharedConsTable {
-    pub(crate) fn new() -> SharedConsTable {
-        SharedConsTable {
-            shards: (0..NUM_SHARDS).map(|_| Mutex::default()).collect(),
-        }
-    }
-
-    /// Looks up the key with hash `h` (`is_key` compares a candidate's
-    /// record with it; `hash_of` rehashes records when the shard grows).
-    /// If absent, runs `create` *under the shard lock* to allocate the
-    /// wire and write its record, then publishes the id. Returns the id
-    /// and whether this call created it.
-    pub(crate) fn intern_with(
-        &self,
-        h: u64,
-        is_key: impl Fn(u32) -> bool,
-        hash_of: impl Fn(u32) -> u64,
-        create: impl FnOnce() -> u32,
-    ) -> (u32, bool) {
-        let mut s = lock(&self.shards[(h >> 48) as usize & (NUM_SHARDS - 1)]);
-        s.table.reserve_one(hash_of);
-        match s.table.find(h, is_key) {
-            Ok(id) => {
-                s.hits += 1;
-                (id, false)
-            }
-            Err(at) => {
-                s.misses += 1;
-                let id = create();
-                s.table.insert(at, h, id);
-                (id, true)
-            }
-        }
-    }
-
-    /// `(hits, misses)` summed over all shards since construction. The
-    /// hit rate `hits / (hits + misses)` is the online-CSE effectiveness
-    /// the observability layer exports.
-    pub(crate) fn hit_stats(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(h, m), s| {
-            let s = lock(s);
-            (h + s.hits, m + s.misses)
-        })
-    }
-
-    /// Heap bytes held by every shard's slot arrays.
-    pub(crate) fn bytes(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).table.bytes()).sum()
-    }
-
-    /// Total interned entries (test/diagnostic use).
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).table.len()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::cell::RefCell;
-    use std::sync::atomic::{AtomicU32, Ordering};
 
     /// Interns `key` into a table whose arena is `keys` (id = position).
     fn intern(t: &mut ConsTable, keys: &mut Vec<u64>, key: u64, h: u64) -> (u32, bool) {
@@ -363,44 +271,5 @@ mod tests {
             // entries at ≤ 3/4 load take 2^15 five-byte slots.
             assert_eq!(t.bytes(), 163_840, "stride {stride}");
         }
-    }
-
-    #[test]
-    fn shared_table_dedups_under_contention() {
-        let t = SharedConsTable::new();
-        let next = AtomicU32::new(0);
-        // The arena: id → key, written by `create` under the shard lock.
-        let arena: Vec<AtomicU32> = (0..4096).map(|_| AtomicU32::new(0)).collect();
-        let h = |k: u32| hash_fields(1, k, 0, 0);
-        // 8 workers × 4k keys with heavy overlap: every key must map to
-        // exactly one id, and the id set must be dense.
-        qec_par::Pool::new(8).run_chunks(8 * 4096, 64, |r| {
-            for i in r {
-                let key = (i % 4096) as u32;
-                t.intern_with(
-                    h(key),
-                    |id| arena[id as usize].load(Ordering::Relaxed) == key,
-                    |id| h(arena[id as usize].load(Ordering::Relaxed)),
-                    || {
-                        let id = next.fetch_add(1, Ordering::Relaxed);
-                        arena[id as usize].store(key, Ordering::Relaxed);
-                        id
-                    },
-                );
-            }
-        });
-        assert_eq!(t.len(), 4096);
-        assert_eq!(next.load(Ordering::Relaxed), 4096);
-        assert_eq!(t.hit_stats(), (7 * 4096, 4096));
-        // Re-interning returns stable ids.
-        let (id, created) = t.intern_with(
-            h(17),
-            |id| arena[id as usize].load(Ordering::Relaxed) == 17,
-            |id| h(arena[id as usize].load(Ordering::Relaxed)),
-            || unreachable!("17 is interned"),
-        );
-        assert!(!created);
-        assert_eq!(arena[id as usize].load(Ordering::Relaxed), 17);
-        assert!(t.bytes() >= 4096 * 5);
     }
 }

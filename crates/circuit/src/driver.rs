@@ -1,50 +1,43 @@
 //! The unified compile driver: one options struct, one entry point, one
 //! report.
 //!
-//! Before this module existed every stage of the pipeline grew its own
-//! `foo` / `foo_with_pool` pair and every caller picked its own pool
-//! plumbing. [`CompileOptions`] replaces those ad-hoc knobs with a
-//! single value that travels the whole pipeline — worker pool, whether
-//! the optimizer runs, and where observability data goes — and
+//! [`CompileOptions`] is the single value that travels the whole
+//! pipeline — whether the optimizer runs, whether the validator checks
+//! every stage, and where observability data goes — and
 //! [`CompiledCircuit::compile_with`] is the one driver that consumes it,
 //! returning the engine plus a [`PipelineReport`] describing where the
-//! compile time went.
+//! compile time went. Every pass it drives (word build, optimize, bit
+//! lowering, bit optimize) is one sequential walk over its gate list.
 //!
 //! Observability has two sinks by design:
 //!
 //! * **Driver stages** (optimize, tape, and the word-circuit build when
 //!   entered through `RelCircuit::lower_with`) record spans and counters
 //!   on `CompileOptions::recorder`.
-//! * **Low-level layers** (the `qec-par` pool regions, the builder
-//!   hash-cons) flush to the process-global recorder
-//!   ([`qec_obs::global`]), because threading a handle through every hot
-//!   worker closure would tax the untraced path.
+//! * **Low-level layers** (the builder hash-cons) flush to the
+//!   process-global recorder ([`qec_obs::global`]), because threading a
+//!   handle through every builder would tax the untraced path.
 //!
 //! Setting `QEC_TRACE=1` unifies the two: [`CompileOptions::from_env`]
-//! uses the global recorder, so driver spans and pool counters land in
+//! uses the global recorder, so driver spans and builder counters land in
 //! the same document. Programmatic users who want the same unification
 //! call [`qec_obs::install`] with their recorder.
 
 use std::time::Instant;
 
 use qec_obs::Recorder;
-use qec_par::Pool;
 
 use crate::engine::CompiledCircuit;
 use crate::ir::{Circuit, EvalError};
 use crate::opt::OptStats;
 
-/// Options consumed by every pipeline entry point: the worker pool, the
-/// optimizer switch, and the observability sink. Construct with
-/// [`CompileOptions::from_env`] (honours `QEC_THREADS` / `QEC_TRACE`) or
+/// Options consumed by every pipeline entry point: the optimizer switch,
+/// the validator switch, and the observability sink. Construct with
+/// [`CompileOptions::from_env`] (honours `QEC_TRACE` / `QEC_VALIDATE`) or
 /// [`CompileOptions::sequential`], then refine with the `with_*`
 /// builders.
 #[derive(Clone, Debug)]
 pub struct CompileOptions {
-    /// Worker pool used by the parallel build/optimize/lower passes. All
-    /// passes are byte-identical across worker counts, so this is purely
-    /// a throughput knob.
-    pub pool: Pool,
     /// Run the word-level optimizer before taping (`true` everywhere
     /// except raw A/B measurements).
     pub optimize: bool,
@@ -65,13 +58,13 @@ pub struct CompileOptions {
 }
 
 impl CompileOptions {
-    /// Environment-driven options: `QEC_THREADS` sizes the pool and
-    /// `QEC_TRACE` selects the process-global recorder (enabled iff the
-    /// variable is set to a non-empty value other than `0`), so driver
-    /// spans and low-level pool/builder counters share one document.
+    /// Environment-driven options: `QEC_TRACE` selects the process-global
+    /// recorder (enabled iff the variable is set to a non-empty value
+    /// other than `0`), so driver spans and low-level builder counters
+    /// share one document, and `QEC_VALIDATE` switches the validator on
+    /// the same way.
     pub fn from_env() -> CompileOptions {
         CompileOptions {
-            pool: Pool::from_env(),
             optimize: true,
             collect_metrics: false,
             validate: std::env::var("QEC_VALIDATE").is_ok_and(|v| !v.is_empty() && v != "0"),
@@ -79,22 +72,15 @@ impl CompileOptions {
         }
     }
 
-    /// Single-threaded, optimizing, untraced — the deterministic
-    /// baseline every parity test compares against.
+    /// Optimizing, unvalidated, untraced: the environment-independent
+    /// options tests and embedders start from.
     pub fn sequential() -> CompileOptions {
         CompileOptions {
-            pool: Pool::sequential(),
             optimize: true,
             collect_metrics: false,
             validate: false,
             recorder: Recorder::disabled(),
         }
-    }
-
-    /// Replaces the worker pool.
-    pub fn with_pool(mut self, pool: Pool) -> CompileOptions {
-        self.pool = pool;
-        self
     }
 
     /// Switches the word-level optimizer on or off.
@@ -199,8 +185,7 @@ impl CompiledCircuit {
     /// Compiles `c` into a register-allocated instruction tape under
     /// `opts` — the single compile entry point.
     /// When `opts.optimize` is set the word-level optimizer runs
-    /// first (on `opts.pool`; byte-identical for every worker count) and
-    /// assertion failures keep reporting **source** gate indices via
+    /// first and assertion failures keep reporting **source** gate indices via
     /// [`OptStats::assert_origin`]. Fails with [`EvalError::CountOnly`]
     /// for circuits built in count-only mode.
     pub fn compile_with(

@@ -1,11 +1,7 @@
 //! Word-level circuit IR: gates, builder, evaluator.
 
-use crate::cons::{hash_fields, ConsTable, SharedConsTable};
-use crate::shared::Pages;
-use qec_par::Pool;
+use crate::cons::{hash_fields, ConsTable};
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// A wire identifier.
 pub type WireId = u32;
@@ -133,7 +129,7 @@ impl fmt::Display for EvalError {
 }
 
 /// The number of wires the 32-bit in-memory IR can address. `u32::MAX`
-/// itself is reserved (the parallel cores use it as a sentinel), so the
+/// itself is reserved (the engines use it as a "no wire" sentinel), so the
 /// last allocatable id is `u32::MAX - 1`.
 pub(crate) const MAX_WIRES: u64 = u32::MAX as u64;
 
@@ -169,21 +165,6 @@ impl std::error::Error for EvalError {}
 /// through the same table. Use [`Builder::without_cse`]
 /// when wire ids must track pushes one-for-one (the netlist reader does).
 pub struct Builder {
-    inner: BuilderInner,
-}
-
-/// The builder's engine. `Seq` is the original single-threaded builder,
-/// byte-for-byte: same caches, same wire numbering, same everything —
-/// the default construction path never pays for parallelism. `Par` is a
-/// handle onto a shared concurrent core ([`ParCore`]) used by
-/// [`Builder::with_pool`] and the child builders that
-/// [`Builder::fork_join`] spawns.
-enum BuilderInner {
-    Seq(SeqBuilder),
-    Par(ParBuilder),
-}
-
-struct SeqBuilder {
     mode: Mode,
     /// Every wire's gate, in both modes: the key arena of `cons`. Count
     /// mode drops it at `finish`.
@@ -216,9 +197,32 @@ pub(crate) fn canon(gate: Gate) -> Gate {
     }
 }
 
-impl SeqBuilder {
-    fn new(mode: Mode) -> SeqBuilder {
-        SeqBuilder {
+/// The cons-table hash of a gate: its kind tag and up to three operand
+/// words. The encoding is exact (`Const` values span two words, `Input`
+/// stores its index), so equal gates hash equally.
+pub(crate) fn gate_hash(g: Gate) -> u64 {
+    let (kind, a, b, c) = match g {
+        Gate::Input(i) => (1, u32::try_from(i).expect("input index fits u32"), 0, 0),
+        Gate::Const(v) => (2, v as u32, (v >> 32) as u32, 0),
+        Gate::Add(a, b) => (3, a, b, 0),
+        Gate::Sub(a, b) => (4, a, b, 0),
+        Gate::Mul(a, b) => (5, a, b, 0),
+        Gate::Eq(a, b) => (6, a, b, 0),
+        Gate::Lt(a, b) => (7, a, b, 0),
+        Gate::And(a, b) => (8, a, b, 0),
+        Gate::Or(a, b) => (9, a, b, 0),
+        Gate::Xor(a, b) => (10, a, b, 0),
+        Gate::Not(a) => (11, a, 0, 0),
+        Gate::Mux(s, a, b) => (12, s, a, b),
+        Gate::AssertZero(a) => (13, a, 0, 0),
+    };
+    hash_fields(kind, a, b, c)
+}
+
+impl Builder {
+    /// Creates an empty builder with hash-consing enabled.
+    pub fn new(mode: Mode) -> Builder {
+        Builder {
             mode,
             gates: Vec::new(),
             depths: Vec::new(),
@@ -231,15 +235,30 @@ impl SeqBuilder {
         }
     }
 
-    fn size(&self) -> u64 {
+    /// Creates a builder that never hash-conses: every push allocates a
+    /// fresh wire, keeping wire ids aligned with the push sequence. The
+    /// netlist reader needs this so ids match the source text.
+    pub fn without_cse(mode: Mode) -> Builder {
+        Builder {
+            cse: false,
+            ..Builder::new(mode)
+        }
+    }
+
+    /// Current gate count (inputs and constants excluded: they carry no
+    /// logic; this matches how circuit size is counted in Sec. 4.1, where
+    /// input gates exist but the interesting quantity is the work).
+    pub fn size(&self) -> u64 {
         self.size
     }
 
-    fn depth(&self) -> u32 {
+    /// Current depth (longest input→wire path, counting logic gates).
+    pub fn depth(&self) -> u32 {
         self.depths.iter().copied().max().unwrap_or(0)
     }
 
-    fn num_inputs(&self) -> usize {
+    /// Number of inputs declared so far.
+    pub fn num_inputs(&self) -> usize {
         self.num_inputs
     }
 
@@ -382,589 +401,6 @@ impl SeqBuilder {
         self.push(Gate::AssertZero(a), d, true)
     }
 
-    /// Finalizes the circuit with the given output wires.
-    fn finish(self, outputs: Vec<WireId>) -> Circuit {
-        let rec = qec_obs::global();
-        if rec.is_enabled() {
-            rec.add("build.gates", self.size);
-            rec.add("build.wires", self.depths.len() as u64);
-            rec.add("build.cons_hits", self.cons_hits);
-            rec.add("build.cons_misses", self.cons_misses);
-            rec.gauge_max("build.cons_bytes", self.cons.bytes() as u64);
-        }
-        let depth = self.depth();
-        let num_wires = self.depths.len();
-        let gates = match self.mode {
-            Mode::Build => self.gates,
-            Mode::Count => Vec::new(),
-        };
-        Circuit {
-            mode: self.mode,
-            gates,
-            depths: self.depths,
-            outputs,
-            num_inputs: self.num_inputs,
-            size: self.size,
-            depth,
-            num_wires,
-        }
-    }
-}
-
-// ---- gate records: the cons-table hash and the parallel arena ----
-//
-// Gate kind tags for the struct-of-arrays encoding. 1-based, so a
-// zeroed (never written) record decodes to no gate.
-const K_INPUT: u8 = 1;
-const K_CONST: u8 = 2;
-const K_ADD: u8 = 3;
-const K_SUB: u8 = 4;
-const K_MUL: u8 = 5;
-const K_EQ: u8 = 6;
-const K_LT: u8 = 7;
-const K_AND: u8 = 8;
-const K_OR: u8 = 9;
-const K_XOR: u8 = 10;
-const K_NOT: u8 = 11;
-const K_MUX: u8 = 12;
-const K_ASSERT: u8 = 13;
-
-/// Splits a gate into `(kind, a, b, c)` columns. `Const` packs its value
-/// as (low 32, high 32); `Input` stores the input index in `a`.
-fn encode_gate(g: Gate) -> (u8, u32, u32, u32) {
-    match g {
-        Gate::Input(i) => (
-            K_INPUT,
-            u32::try_from(i).expect("input index fits u32"),
-            0,
-            0,
-        ),
-        Gate::Const(v) => (K_CONST, v as u32, (v >> 32) as u32, 0),
-        Gate::Add(a, b) => (K_ADD, a, b, 0),
-        Gate::Sub(a, b) => (K_SUB, a, b, 0),
-        Gate::Mul(a, b) => (K_MUL, a, b, 0),
-        Gate::Eq(a, b) => (K_EQ, a, b, 0),
-        Gate::Lt(a, b) => (K_LT, a, b, 0),
-        Gate::And(a, b) => (K_AND, a, b, 0),
-        Gate::Or(a, b) => (K_OR, a, b, 0),
-        Gate::Xor(a, b) => (K_XOR, a, b, 0),
-        Gate::Not(a) => (K_NOT, a, 0, 0),
-        Gate::Mux(s, a, b) => (K_MUX, s, a, b),
-        Gate::AssertZero(a) => (K_ASSERT, a, 0, 0),
-    }
-}
-
-fn decode_gate(kind: u8, a: u32, b: u32, c: u32) -> Gate {
-    match kind {
-        K_INPUT => Gate::Input(a as usize),
-        K_CONST => Gate::Const(a as u64 | (b as u64) << 32),
-        K_ADD => Gate::Add(a, b),
-        K_SUB => Gate::Sub(a, b),
-        K_MUL => Gate::Mul(a, b),
-        K_EQ => Gate::Eq(a, b),
-        K_LT => Gate::Lt(a, b),
-        K_AND => Gate::And(a, b),
-        K_OR => Gate::Or(a, b),
-        K_XOR => Gate::Xor(a, b),
-        K_NOT => Gate::Not(a),
-        K_MUX => Gate::Mux(a, b, c),
-        K_ASSERT => Gate::AssertZero(a),
-        _ => unreachable!("corrupt gate record"),
-    }
-}
-
-/// The cons-table hash of a gate. The encoding is exact (`Const` values
-/// span the a/b fields), so equal gates hash equally in every builder.
-pub(crate) fn gate_hash(g: Gate) -> u64 {
-    let (kind, a, b, c) = encode_gate(g);
-    hash_fields(kind, a, b, c)
-}
-
-/// The shared state behind every parallel builder handle: the sharded
-/// hash-cons, the struct-of-arrays gate arena, and the atomic counters
-/// that replace the sequential builder's scalar bookkeeping.
-///
-/// Invariant: a gate's depth and SoA record are written *before* its id
-/// is published in the cons table, both under the owning shard's lock,
-/// so any handle that can name a wire can read its depth and record. The
-/// table stores ids only and compares keys against these records, so
-/// count mode writes them too.
-struct ParCore {
-    mode: Mode,
-    table: SharedConsTable,
-    depths: Pages<AtomicU32>,
-    kinds: Pages<AtomicU8>,
-    opa: Pages<AtomicU32>,
-    opb: Pages<AtomicU32>,
-    opc: Pages<AtomicU32>,
-    next_id: AtomicU32,
-    num_inputs: AtomicUsize,
-    size: AtomicU64,
-    depth: AtomicU32,
-}
-
-impl ParCore {
-    fn new(mode: Mode) -> ParCore {
-        ParCore {
-            mode,
-            table: SharedConsTable::new(),
-            depths: Pages::new(),
-            kinds: Pages::new(),
-            opa: Pages::new(),
-            opb: Pages::new(),
-            opc: Pages::new(),
-            next_id: AtomicU32::new(0),
-            num_inputs: AtomicUsize::new(0),
-            size: AtomicU64::new(0),
-            depth: AtomicU32::new(0),
-        }
-    }
-
-    fn depth_of(&self, w: WireId) -> u32 {
-        self.depths.at(w).load(Ordering::Acquire)
-    }
-
-    /// Allocates a fresh wire for `g` and records its depth and SoA row.
-    /// Callers interning must run this under the shard lock via
-    /// `SharedConsTable::intern_with`.
-    fn create(&self, g: Gate, depth: u32, is_logic: bool) -> WireId {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = checked_wire_id(id as u64) {
-            panic!("{e}");
-        }
-        self.depths.at(id).store(depth, Ordering::Release);
-        let (kind, a, b, c) = encode_gate(g);
-        self.opa.at(id).store(a, Ordering::Release);
-        self.opb.at(id).store(b, Ordering::Release);
-        self.opc.at(id).store(c, Ordering::Release);
-        self.kinds.at(id).store(kind, Ordering::Release);
-        if is_logic {
-            self.size.fetch_add(1, Ordering::Relaxed);
-        }
-        self.depth.fetch_max(depth, Ordering::Relaxed);
-        id
-    }
-
-    /// Returns the wire of an earlier gate equal to `key` (compared
-    /// against the SoA records), or creates one.
-    fn intern(&self, key: Gate, depth: u32, is_logic: bool) -> WireId {
-        let fields = encode_gate(key);
-        let (kind, a, b, c) = fields;
-        let (id, _created) = self.table.intern_with(
-            hash_fields(kind, a, b, c),
-            |w| self.record(w) == fields,
-            |w| {
-                let (kind, a, b, c) = self.record(w);
-                hash_fields(kind, a, b, c)
-            },
-            || self.create(key, depth, is_logic),
-        );
-        id
-    }
-
-    /// Hash-consed logic gate: canonicalize, then intern-or-create.
-    fn logic(&self, g: Gate, depth: u32) -> WireId {
-        self.intern(canon(g), depth, true)
-    }
-
-    fn record(&self, w: WireId) -> (u8, u32, u32, u32) {
-        (
-            self.kinds.at(w).load(Ordering::Acquire),
-            self.opa.at(w).load(Ordering::Acquire),
-            self.opb.at(w).load(Ordering::Acquire),
-            self.opc.at(w).load(Ordering::Acquire),
-        )
-    }
-
-    fn read_gate(&self, w: WireId) -> Gate {
-        let (kind, a, b, c) = self.record(w);
-        decode_gate(kind, a, b, c)
-    }
-}
-
-/// One handle onto the shared core. The root handle is the one returned
-/// by [`Builder::with_pool`]; [`Builder::fork_join`] hands children
-/// non-root handles that share the core but keep their own attempt log.
-struct ParBuilder {
-    core: Arc<ParCore>,
-    pool: Pool,
-    root: bool,
-    /// Build-mode attempt log: the wire id returned by *every* builder
-    /// call on this handle, in program order (creations and cache hits
-    /// alike). Child logs are spliced in at the fork point in task order,
-    /// so the root log is exactly the id sequence a sequential run of the
-    /// same program would observe — replaying it at `finish` renumbers
-    /// the schedule-dependent ids back into sequential creation order.
-    log: Vec<WireId>,
-}
-
-impl ParBuilder {
-    fn note(&mut self, w: WireId) -> WireId {
-        if self.core.mode == Mode::Build {
-            self.log.push(w);
-        }
-        w
-    }
-
-    fn input(&mut self) -> WireId {
-        assert!(
-            self.root,
-            "inputs must be declared before forking: the input order is the circuit's I/O layout"
-        );
-        let idx = self.core.num_inputs.fetch_add(1, Ordering::Relaxed);
-        let w = self.core.create(Gate::Input(idx), 0, false);
-        self.note(w)
-    }
-
-    fn constant(&mut self, v: u64) -> WireId {
-        let w = self.core.intern(Gate::Const(v), 0, false);
-        self.note(w)
-    }
-
-    fn raw_const(&mut self, v: u64) -> WireId {
-        let w = self.core.create(Gate::Const(v), 0, false);
-        self.note(w)
-    }
-
-    fn binary(&mut self, g: Gate, a: WireId, b: WireId) -> WireId {
-        let d = self.core.depth_of(a).max(self.core.depth_of(b)) + 1;
-        let w = self.core.logic(g, d);
-        self.note(w)
-    }
-
-    fn not(&mut self, a: WireId) -> WireId {
-        let d = self.core.depth_of(a) + 1;
-        let w = self.core.logic(Gate::Not(a), d);
-        self.note(w)
-    }
-
-    fn mux(&mut self, s: WireId, a: WireId, b: WireId) -> WireId {
-        let d = self
-            .core
-            .depth_of(s)
-            .max(self.core.depth_of(a))
-            .max(self.core.depth_of(b))
-            + 1;
-        let w = self.core.logic(Gate::Mux(s, a, b), d);
-        self.note(w)
-    }
-
-    fn assert_zero(&mut self, a: WireId) -> WireId {
-        let d = self.core.depth_of(a) + 1;
-        let w = self.core.create(Gate::AssertZero(a), d, true);
-        self.note(w)
-    }
-
-    /// Finalizes a parallel build. Count mode reads the atomic totals;
-    /// build mode replays the root attempt log, numbering each wire at
-    /// its first occurrence — which is precisely the sequential builder's
-    /// creation order for the same program — and rebuilds the dense gate
-    /// list through [`Circuit::from_raw`].
-    fn finish(self, outputs: Vec<WireId>) -> Circuit {
-        assert!(self.root, "finish must be called on the root builder");
-        let ParBuilder { core, log, .. } = self;
-        let rec = qec_obs::global();
-        if rec.is_enabled() {
-            rec.add("build.gates", core.size.load(Ordering::Relaxed));
-            rec.add("build.wires", core.next_id.load(Ordering::Relaxed) as u64);
-            let (hits, misses) = core.table.hit_stats();
-            rec.add("build.cons_hits", hits);
-            rec.add("build.cons_misses", misses);
-            rec.gauge_max("build.cons_bytes", core.table.bytes() as u64);
-        }
-        let num_inputs = core.num_inputs.load(Ordering::Relaxed);
-        if core.mode == Mode::Count {
-            return Circuit {
-                mode: Mode::Count,
-                gates: Vec::new(),
-                depths: Vec::new(),
-                outputs,
-                num_inputs,
-                size: core.size.load(Ordering::Relaxed),
-                depth: core.depth.load(Ordering::Relaxed),
-                num_wires: core.next_id.load(Ordering::Relaxed) as usize,
-            };
-        }
-        let replay_start = rec.is_enabled().then(std::time::Instant::now);
-        const UNSET: u32 = u32::MAX;
-        let total = core.next_id.load(Ordering::Relaxed) as usize;
-        let mut remap = vec![UNSET; total];
-        let mut gates: Vec<Gate> = Vec::with_capacity(total);
-        let map = |remap: &[u32], w: WireId| {
-            let m = remap[w as usize];
-            debug_assert_ne!(m, UNSET, "operand must be logged before use");
-            m
-        };
-        for &w in &log {
-            if remap[w as usize] != UNSET {
-                continue;
-            }
-            let g = match core.read_gate(w) {
-                g @ (Gate::Input(_) | Gate::Const(_)) => g,
-                Gate::Add(a, b) => Gate::Add(map(&remap, a), map(&remap, b)),
-                Gate::Sub(a, b) => Gate::Sub(map(&remap, a), map(&remap, b)),
-                Gate::Mul(a, b) => Gate::Mul(map(&remap, a), map(&remap, b)),
-                Gate::Eq(a, b) => Gate::Eq(map(&remap, a), map(&remap, b)),
-                Gate::Lt(a, b) => Gate::Lt(map(&remap, a), map(&remap, b)),
-                Gate::And(a, b) => Gate::And(map(&remap, a), map(&remap, b)),
-                Gate::Or(a, b) => Gate::Or(map(&remap, a), map(&remap, b)),
-                Gate::Xor(a, b) => Gate::Xor(map(&remap, a), map(&remap, b)),
-                Gate::Not(a) => Gate::Not(map(&remap, a)),
-                Gate::Mux(s, a, b) => Gate::Mux(map(&remap, s), map(&remap, a), map(&remap, b)),
-                Gate::AssertZero(a) => Gate::AssertZero(map(&remap, a)),
-            };
-            remap[w as usize] = gates.len() as u32;
-            // Re-canonicalize: commutative operands were sorted under the
-            // schedule-dependent global numbering; the sequential builder
-            // sorts them under the replayed numbering.
-            gates.push(canon(g));
-        }
-        let outputs = outputs.iter().map(|&w| map(&remap, w)).collect();
-        if let Some(t0) = replay_start {
-            rec.record_span("build.replay", t0, t0.elapsed().as_nanos() as u64);
-        }
-        // Free the arena, the cons table and the log before the depth
-        // pass allocates, so their peaks do not stack.
-        drop((core, log, remap));
-        Circuit::from_raw(gates, outputs, num_inputs)
-    }
-}
-
-impl Builder {
-    /// Creates an empty builder with hash-consing enabled.
-    pub fn new(mode: Mode) -> Builder {
-        Builder {
-            inner: BuilderInner::Seq(SeqBuilder::new(mode)),
-        }
-    }
-
-    /// Creates a builder that never hash-conses: every push allocates a
-    /// fresh wire, keeping wire ids aligned with the push sequence. The
-    /// netlist reader needs this so ids match the source text.
-    pub fn without_cse(mode: Mode) -> Builder {
-        let mut s = SeqBuilder::new(mode);
-        s.cse = false;
-        Builder {
-            inner: BuilderInner::Seq(s),
-        }
-    }
-
-    /// Creates a builder whose [`Builder::fork_join`] regions run on
-    /// `pool`: gates are emitted into a sharded concurrent hash-cons with
-    /// struct-of-arrays storage, and `finish` replays the construction
-    /// log so the resulting circuit is byte-identical to a sequential
-    /// build of the same program (same wire numbering, same gate list,
-    /// same size/depth accounting) for any worker count.
-    pub fn with_pool(mode: Mode, pool: Pool) -> Builder {
-        Builder {
-            inner: BuilderInner::Par(ParBuilder {
-                core: Arc::new(ParCore::new(mode)),
-                pool,
-                root: true,
-                log: Vec::new(),
-            }),
-        }
-    }
-
-    /// Current gate count (inputs and constants excluded: they carry no
-    /// logic; this matches how circuit size is counted in Sec. 4.1, where
-    /// input gates exist but the interesting quantity is the work).
-    pub fn size(&self) -> u64 {
-        match &self.inner {
-            BuilderInner::Seq(s) => s.size(),
-            BuilderInner::Par(p) => p.core.size.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Current depth (longest input→wire path, counting logic gates).
-    pub fn depth(&self) -> u32 {
-        match &self.inner {
-            BuilderInner::Seq(s) => s.depth(),
-            BuilderInner::Par(p) => p.core.depth.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Number of inputs declared so far.
-    pub fn num_inputs(&self) -> usize {
-        match &self.inner {
-            BuilderInner::Seq(s) => s.num_inputs(),
-            BuilderInner::Par(p) => p.core.num_inputs.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Declares the next circuit input.
-    ///
-    /// # Panics
-    /// Panics on a forked child handle: inputs fix the circuit's I/O
-    /// layout and must all be declared before the first `fork_join`.
-    pub fn input(&mut self) -> WireId {
-        match &mut self.inner {
-            BuilderInner::Seq(s) => s.input(),
-            BuilderInner::Par(p) => p.input(),
-        }
-    }
-
-    /// A constant wire (deduplicated).
-    pub fn constant(&mut self, v: u64) -> WireId {
-        match &mut self.inner {
-            BuilderInner::Seq(s) => s.constant(v),
-            BuilderInner::Par(p) => p.constant(v),
-        }
-    }
-
-    /// A constant wire without deduplication (used by the netlist reader,
-    /// which must keep wire ids aligned with the source text).
-    pub fn raw_const(&mut self, v: u64) -> WireId {
-        match &mut self.inner {
-            BuilderInner::Seq(s) => s.raw_const(v),
-            BuilderInner::Par(p) => p.raw_const(v),
-        }
-    }
-
-    /// Wrapping addition.
-    pub fn add(&mut self, a: WireId, b: WireId) -> WireId {
-        match &mut self.inner {
-            BuilderInner::Seq(s) => s.add(a, b),
-            BuilderInner::Par(p) => p.binary(Gate::Add(a, b), a, b),
-        }
-    }
-
-    /// Wrapping subtraction.
-    pub fn sub(&mut self, a: WireId, b: WireId) -> WireId {
-        match &mut self.inner {
-            BuilderInner::Seq(s) => s.sub(a, b),
-            BuilderInner::Par(p) => p.binary(Gate::Sub(a, b), a, b),
-        }
-    }
-
-    /// Wrapping multiplication.
-    pub fn mul(&mut self, a: WireId, b: WireId) -> WireId {
-        match &mut self.inner {
-            BuilderInner::Seq(s) => s.mul(a, b),
-            BuilderInner::Par(p) => p.binary(Gate::Mul(a, b), a, b),
-        }
-    }
-
-    /// Equality test.
-    pub fn eq(&mut self, a: WireId, b: WireId) -> WireId {
-        match &mut self.inner {
-            BuilderInner::Seq(s) => s.eq(a, b),
-            BuilderInner::Par(p) => p.binary(Gate::Eq(a, b), a, b),
-        }
-    }
-
-    /// Unsigned less-than.
-    pub fn lt(&mut self, a: WireId, b: WireId) -> WireId {
-        match &mut self.inner {
-            BuilderInner::Seq(s) => s.lt(a, b),
-            BuilderInner::Par(p) => p.binary(Gate::Lt(a, b), a, b),
-        }
-    }
-
-    /// Logical AND.
-    pub fn and(&mut self, a: WireId, b: WireId) -> WireId {
-        match &mut self.inner {
-            BuilderInner::Seq(s) => s.and(a, b),
-            BuilderInner::Par(p) => p.binary(Gate::And(a, b), a, b),
-        }
-    }
-
-    /// Logical OR.
-    pub fn or(&mut self, a: WireId, b: WireId) -> WireId {
-        match &mut self.inner {
-            BuilderInner::Seq(s) => s.or(a, b),
-            BuilderInner::Par(p) => p.binary(Gate::Or(a, b), a, b),
-        }
-    }
-
-    /// Logical XOR.
-    pub fn xor(&mut self, a: WireId, b: WireId) -> WireId {
-        match &mut self.inner {
-            BuilderInner::Seq(s) => s.xor(a, b),
-            BuilderInner::Par(p) => p.binary(Gate::Xor(a, b), a, b),
-        }
-    }
-
-    /// Logical NOT.
-    pub fn not(&mut self, a: WireId) -> WireId {
-        match &mut self.inner {
-            BuilderInner::Seq(s) => s.not(a),
-            BuilderInner::Par(p) => p.not(a),
-        }
-    }
-
-    /// Multiplexer `sel ≠ 0 ? a : b`.
-    pub fn mux(&mut self, sel: WireId, a: WireId, b: WireId) -> WireId {
-        match &mut self.inner {
-            BuilderInner::Seq(s) => s.mux(sel, a, b),
-            BuilderInner::Par(p) => p.mux(sel, a, b),
-        }
-    }
-
-    /// Asserts a wire is zero at evaluation time, returning the assert
-    /// gate's wire (which carries value `0` when the assert passes).
-    /// Asserts are effects, not expressions: they are never hash-consed.
-    pub fn assert_zero(&mut self, a: WireId) -> WireId {
-        match &mut self.inner {
-            BuilderInner::Seq(s) => s.assert_zero(a),
-            BuilderInner::Par(p) => p.assert_zero(a),
-        }
-    }
-
-    /// Runs `f(i, builder)` for `i in 0..n` and returns the results in
-    /// index order. On a sequential builder (or a forked child, or a
-    /// one-thread pool) this is a plain loop over `self` — the gate
-    /// emission order is exactly the loop's. On a parallel root builder
-    /// the tasks run on the pool, each against its own child handle onto
-    /// the shared hash-cons; the children's construction logs are spliced
-    /// back in task order, so `finish` produces the same circuit the
-    /// plain loop would have.
-    ///
-    /// Tasks must be independent: a task must not use wires returned by a
-    /// sibling of the same `fork_join` (wires from before the fork, and
-    /// results of earlier fork_joins, are fine). Forks from child handles
-    /// run inline — parallelism is one level deep.
-    pub fn fork_join<R, F>(&mut self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &mut Builder) -> R + Sync,
-    {
-        match &mut self.inner {
-            BuilderInner::Par(p) if p.root && p.pool.threads() > 1 && n > 1 => {
-                let rec = qec_obs::global();
-                if rec.is_enabled() {
-                    rec.add("build.fork_joins", 1);
-                    rec.add("build.fork_tasks", n as u64);
-                }
-                let core = &p.core;
-                let pool = p.pool;
-                let results = pool.map(n, |i| {
-                    let mut child = Builder {
-                        inner: BuilderInner::Par(ParBuilder {
-                            core: Arc::clone(core),
-                            pool,
-                            root: false,
-                            log: Vec::new(),
-                        }),
-                    };
-                    let r = f(i, &mut child);
-                    let log = match child.inner {
-                        BuilderInner::Par(pb) => pb.log,
-                        BuilderInner::Seq(_) => unreachable!(),
-                    };
-                    (r, log)
-                });
-                let mut out = Vec::with_capacity(n);
-                for (r, log) in results {
-                    p.log.extend_from_slice(&log);
-                    out.push(r);
-                }
-                out
-            }
-            _ => (0..n).map(|i| f(i, self)).collect(),
-        }
-    }
-
     // ---- small derived helpers used by every operator circuit ----
 
     /// `a != b` as a boolean wire.
@@ -1011,9 +447,27 @@ impl Builder {
 
     /// Finalizes the circuit with the given output wires.
     pub fn finish(self, outputs: Vec<WireId>) -> Circuit {
-        match self.inner {
-            BuilderInner::Seq(s) => s.finish(outputs),
-            BuilderInner::Par(p) => p.finish(outputs),
+        let rec = qec_obs::global();
+        if rec.is_enabled() {
+            rec.add("build.gates", self.size);
+            rec.add("build.wires", self.depths.len() as u64);
+            rec.add("build.cons_hits", self.cons_hits);
+            rec.add("build.cons_misses", self.cons_misses);
+            rec.gauge_max("build.cons_bytes", self.cons.bytes() as u64);
+        }
+        let depth = self.depth();
+        let gates = match self.mode {
+            Mode::Build => self.gates,
+            Mode::Count => Vec::new(),
+        };
+        Circuit {
+            mode: self.mode,
+            gates,
+            depths: self.depths,
+            outputs,
+            num_inputs: self.num_inputs,
+            size: self.size,
+            depth,
         }
     }
 }
@@ -1028,10 +482,6 @@ pub struct Circuit {
     num_inputs: usize,
     size: u64,
     depth: u32,
-    /// Total wires. Equal to `depths.len()` for materialized circuits;
-    /// kept as an explicit field so huge count-mode circuits built by the
-    /// parallel core don't have to materialize a per-wire depth vector.
-    num_wires: usize,
 }
 
 impl Circuit {
@@ -1056,7 +506,6 @@ impl Circuit {
             depths.push(d);
         }
         let depth = depths.iter().copied().max().unwrap_or(0);
-        let num_wires = depths.len();
         Circuit {
             mode: Mode::Build,
             gates,
@@ -1065,7 +514,6 @@ impl Circuit {
             num_inputs,
             size,
             depth,
-            num_wires,
         }
     }
     /// Gate count (logic gates; inputs/constants excluded).
@@ -1090,7 +538,7 @@ impl Circuit {
 
     /// Total wires (inputs + constants + gates).
     pub fn num_wires(&self) -> usize {
-        self.num_wires
+        self.depths.len()
     }
 
     /// The gates (empty in count-only mode).
@@ -1346,82 +794,6 @@ mod tests {
         let g2 = b.assert_zero(x);
         assert_ne!(g1, g2);
         assert_eq!(b.size(), 2);
-    }
-
-    /// A small forked program with cross-task duplicate gates, pre-fork
-    /// shared wires, post-fork sequential work, and asserts.
-    fn forked_program(b: &mut Builder) -> Vec<WireId> {
-        let xs: Vec<WireId> = (0..8).map(|_| b.input()).collect();
-        let k = b.constant(5);
-        let pre = b.add(xs[0], k);
-        let per_task = b.fork_join(4, |i, b| {
-            let shared = b.add(xs[0], xs[1]); // duplicated by every task
-            let a = b.add(xs[i], xs[i + 4]);
-            let m = b.mul(a, pre);
-            let lt = b.lt(m, xs[7 - i]);
-            let sel = b.mux(lt, a, shared);
-            let c = b.constant(7); // duplicated constant
-            let e = b.eq(sel, c);
-            b.assert_zero(e);
-            vec![shared, m, sel]
-        });
-        let mut outs: Vec<WireId> = per_task.into_iter().flatten().collect();
-        let tail = b.xor(outs[0], outs[1]);
-        outs.push(tail);
-        outs
-    }
-
-    #[test]
-    fn par_build_replay_is_byte_identical_to_sequential() {
-        let seq = {
-            let mut b = Builder::new(Mode::Build);
-            let outs = forked_program(&mut b);
-            b.finish(outs)
-        };
-        for threads in [1usize, 2, 3, 8] {
-            let mut b = Builder::with_pool(Mode::Build, qec_par::Pool::new(threads));
-            let outs = forked_program(&mut b);
-            let par = b.finish(outs);
-            assert_eq!(par.gates(), seq.gates(), "threads={threads}");
-            assert_eq!(par.outputs(), seq.outputs(), "threads={threads}");
-            assert_eq!(par.wire_depths(), seq.wire_depths());
-            assert_eq!(par.size(), seq.size());
-            assert_eq!(par.depth(), seq.depth());
-            assert_eq!(par.num_wires(), seq.num_wires());
-            assert_eq!(par.num_inputs(), seq.num_inputs());
-            let inputs: Vec<u64> = (0..8).collect();
-            assert_eq!(par.evaluate(&inputs), seq.evaluate(&inputs));
-        }
-    }
-
-    #[test]
-    fn par_count_mode_matches_sequential_accounting() {
-        let seq = {
-            let mut b = Builder::new(Mode::Count);
-            let outs = forked_program(&mut b);
-            b.finish(outs)
-        };
-        for threads in [1usize, 4] {
-            let mut b = Builder::with_pool(Mode::Count, qec_par::Pool::new(threads));
-            let outs = forked_program(&mut b);
-            let par = b.finish(outs);
-            assert_eq!(par.size(), seq.size(), "threads={threads}");
-            assert_eq!(par.depth(), seq.depth());
-            assert_eq!(par.num_wires(), seq.num_wires());
-            assert_eq!(par.num_inputs(), seq.num_inputs());
-            assert!(!par.is_evaluable());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "inputs must be declared before forking")]
-    fn par_child_input_panics() {
-        let mut b = Builder::with_pool(Mode::Build, qec_par::Pool::new(2));
-        // every task tries to declare an input; whichever runs on the
-        // calling thread raises the expected panic message
-        b.fork_join(2, |_, c| {
-            c.input();
-        });
     }
 
     #[test]

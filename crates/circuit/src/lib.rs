@@ -48,7 +48,6 @@ mod prov;
 mod rel;
 mod scan;
 mod schedule;
-mod shared;
 mod sort;
 pub mod tape;
 pub mod validate;
@@ -68,7 +67,6 @@ pub use netlist::{read_netlist, write_netlist, NetlistError};
 pub use ops::{aggregate, project, select, truncate, union, AggOp};
 pub use opt::{optimize_with, OptStats};
 pub use prov::{ProvCircuit, ProvId, ProvNode};
-pub use qec_par::Pool;
 pub use rel::{
     decode_relation, encode_database, encode_relation, relation_to_values, InputLayout, RelWires,
     SlotWires,

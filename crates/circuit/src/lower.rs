@@ -605,9 +605,9 @@ pub(crate) fn lower_gate<S: BitRewrite>(
 /// level, but a domain value equal to `2^width − 1` would collide with it.
 ///
 /// The pass is one sequential walk over the word gates on the calling
-/// thread; it ignores `opts.pool`. When `opts.recorder` is enabled it
-/// records a `lower` span and the headline bit-level gate counts; the
-/// produced circuit never depends on whether tracing was on.
+/// thread. When `opts.recorder` is enabled it records a `lower` span and
+/// the headline bit-level gate counts; the produced circuit never
+/// depends on whether tracing was on.
 ///
 /// # Panics
 /// Panics if the circuit was built in count-only mode.
@@ -691,9 +691,9 @@ impl BitOptStats {
 /// `opts.optimize` (that flag gates the *word-level* pass inside the
 /// compile driver; calling this function is already the opt-in).
 ///
-/// The pass runs sequentially on the calling thread; it ignores
-/// `opts.pool`. When `opts.recorder` is enabled it records an
-/// `opt_bits` span and its headline counters.
+/// The pass runs sequentially on the calling thread. When
+/// `opts.recorder` is enabled it records an `opt_bits` span and its
+/// headline counters.
 pub fn optimize_bits_with(bc: &BitCircuit, opts: &CompileOptions) -> (BitCircuit, BitOptStats) {
     let rec = &opts.recorder;
     let _span = rec.span("opt_bits");

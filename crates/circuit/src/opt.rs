@@ -25,8 +25,6 @@
 
 use std::collections::HashSet;
 
-use qec_par::Pool;
-
 use crate::cons::ConsTable;
 use crate::driver::CompileOptions;
 use crate::ir::{canon, gate_hash, Circuit, Gate, WireId};
@@ -67,9 +65,8 @@ pub struct OptStats {
     pub assert_origin: Vec<(u32, u32)>,
     /// Per-phase `(name, logic gates before, logic gates after)` in
     /// execution order — currently `rewrite` (fold/identity/CSE) then
-    /// `dce`. Deterministic: the sequential and parallel passes produce
-    /// identical vectors, and no timing data lives here (wall times
-    /// belong to the recorder, not to stats that parity tests compare).
+    /// `dce`. Deterministic: no timing data lives here (wall times
+    /// belong to the recorder, not to stats that golden tests compare).
     pub phase_gates: Vec<(&'static str, u64, u64)>,
 }
 
@@ -105,7 +102,9 @@ impl OptStats {
     }
 }
 
-/// Gate-list rewriter with value/boolean-ness dataflow and CSE.
+/// Gate-list rewriter with value/boolean-ness dataflow and CSE. Its
+/// methods are the rewrite rules: each takes already-rewritten operands
+/// and returns the wire standing for the gate.
 struct Rewriter {
     gates: Vec<Gate>,
     /// Is the wire provably `0`/`1`?
@@ -139,13 +138,6 @@ impl Rewriter {
             Gate::AssertZero(_) => Some(0),
             _ => None,
         }
-    }
-
-    /// The wire already interned for `key`, if any.
-    fn lookup(&self, key: Gate) -> Option<WireId> {
-        self.cons
-            .find(gate_hash(key), |w| self.gates[w as usize] == key)
-            .ok()
     }
 
     /// Returns the wire interned for `key` and whether it already
@@ -182,20 +174,6 @@ impl Rewriter {
         self.boolish.push(b);
         id
     }
-}
-
-impl Rewrite for Rewriter {
-    fn v(&self, w: WireId) -> Option<u64> {
-        self.value(w)
-    }
-
-    fn is_bool(&self, w: WireId) -> bool {
-        self.boolish[w as usize]
-    }
-
-    fn peek(&self, w: WireId) -> Gate {
-        self.gates[w as usize]
-    }
 
     fn konst(&mut self, v: u64) -> WireId {
         self.intern(Gate::Const(v)).0
@@ -209,63 +187,35 @@ impl Rewrite for Rewriter {
         w
     }
 
-    fn count_fold(&mut self) {
-        self.folded += 1;
-    }
-
-    fn count_identity(&mut self) {
-        self.identities += 1;
-    }
-}
-
-/// The rewrite rules, written once against an abstract state interface.
-///
-/// Two implementors exist: [`Rewriter`] (the committing state used by the
-/// sequential pass and by the per-level commit step of the parallel pass)
-/// and [`Spec`] (a read-only speculative view of a `Rewriter` used by the
-/// parallel decision phase — it records the single would-be table action
-/// instead of mutating). Keeping one copy of the rule bodies is what
-/// makes the parallel pass byte-identical by construction: there is no
-/// second implementation to drift.
-trait Rewrite {
-    fn v(&self, w: WireId) -> Option<u64>;
-    fn is_bool(&self, w: WireId) -> bool;
-    /// The gate defining wire `w` (for the double-`Not` peephole).
-    fn peek(&self, w: WireId) -> Gate;
-    fn konst(&mut self, v: u64) -> WireId;
-    fn emit(&mut self, g: Gate) -> WireId;
-    fn count_fold(&mut self);
-    fn count_identity(&mut self);
-
     fn fold(&mut self, v: u64) -> WireId {
-        self.count_fold();
+        self.folded += 1;
         self.konst(v)
     }
 
     /// Canonical `bool(w)`: `w` itself when provably boolean, otherwise
     /// the gate `Or(w, w)`.
     fn coerce_bool(&mut self, w: WireId) -> WireId {
-        if let Some(v) = self.v(w) {
+        if let Some(v) = self.value(w) {
             return self.fold(u64::from(v != 0));
         }
-        if self.is_bool(w) {
-            self.count_identity();
+        if self.boolish[w as usize] {
+            self.identities += 1;
             w
         } else {
-            self.count_identity();
+            self.identities += 1;
             self.emit(Gate::Or(w, w))
         }
     }
 
     fn add(&mut self, a: WireId, b: WireId) -> WireId {
-        match (self.v(a), self.v(b)) {
+        match (self.value(a), self.value(b)) {
             (Some(x), Some(y)) => self.fold(x.wrapping_add(y)),
             (Some(0), _) => {
-                self.count_identity();
+                self.identities += 1;
                 b
             }
             (_, Some(0)) => {
-                self.count_identity();
+                self.identities += 1;
                 a
             }
             _ => self.emit(Gate::Add(a, b)),
@@ -276,10 +226,10 @@ trait Rewrite {
         if a == b {
             return self.fold(0);
         }
-        match (self.v(a), self.v(b)) {
+        match (self.value(a), self.value(b)) {
             (Some(x), Some(y)) => self.fold(x.wrapping_sub(y)),
             (_, Some(0)) => {
-                self.count_identity();
+                self.identities += 1;
                 a
             }
             _ => self.emit(Gate::Sub(a, b)),
@@ -287,15 +237,15 @@ trait Rewrite {
     }
 
     fn mul(&mut self, a: WireId, b: WireId) -> WireId {
-        match (self.v(a), self.v(b)) {
+        match (self.value(a), self.value(b)) {
             (Some(x), Some(y)) => self.fold(x.wrapping_mul(y)),
             (Some(0), _) | (_, Some(0)) => self.fold(0),
             (Some(1), _) => {
-                self.count_identity();
+                self.identities += 1;
                 b
             }
             (_, Some(1)) => {
-                self.count_identity();
+                self.identities += 1;
                 a
             }
             _ => self.emit(Gate::Mul(a, b)),
@@ -306,7 +256,7 @@ trait Rewrite {
         if a == b {
             return self.fold(1);
         }
-        match (self.v(a), self.v(b)) {
+        match (self.value(a), self.value(b)) {
             (Some(x), Some(y)) => self.fold(u64::from(x == y)),
             _ => self.emit(Gate::Eq(a, b)),
         }
@@ -316,7 +266,7 @@ trait Rewrite {
         if a == b {
             return self.fold(0);
         }
-        match (self.v(a), self.v(b)) {
+        match (self.value(a), self.value(b)) {
             (Some(x), Some(y)) => self.fold(u64::from(x < y)),
             // Nothing is below 0; nothing is above MAX.
             (_, Some(0)) | (Some(u64::MAX), _) => self.fold(0),
@@ -325,7 +275,7 @@ trait Rewrite {
     }
 
     fn and(&mut self, a: WireId, b: WireId) -> WireId {
-        match (self.v(a), self.v(b)) {
+        match (self.value(a), self.value(b)) {
             (Some(x), Some(y)) => self.fold(u64::from(x != 0) & u64::from(y != 0)),
             (Some(0), _) | (_, Some(0)) => self.fold(0),
             (Some(_), _) => self.coerce_bool(b),
@@ -336,7 +286,7 @@ trait Rewrite {
     }
 
     fn or(&mut self, a: WireId, b: WireId) -> WireId {
-        match (self.v(a), self.v(b)) {
+        match (self.value(a), self.value(b)) {
             (Some(x), Some(y)) => self.fold(u64::from(x != 0) | u64::from(y != 0)),
             (Some(0), _) => self.coerce_bool(b),
             (_, Some(0)) => self.coerce_bool(a),
@@ -350,7 +300,7 @@ trait Rewrite {
         if a == b {
             return self.fold(0);
         }
-        match (self.v(a), self.v(b)) {
+        match (self.value(a), self.value(b)) {
             (Some(x), Some(y)) => self.fold(u64::from(x != 0) ^ u64::from(y != 0)),
             (Some(0), _) => self.coerce_bool(b),
             (_, Some(0)) => self.coerce_bool(a),
@@ -362,29 +312,29 @@ trait Rewrite {
     }
 
     fn not(&mut self, a: WireId) -> WireId {
-        if let Some(x) = self.v(a) {
+        if let Some(x) = self.value(a) {
             return self.fold(u64::from(x == 0));
         }
         // Double negation is boolean coercion of the inner wire.
-        if let Gate::Not(y) = self.peek(a) {
+        if let Gate::Not(y) = self.gates[a as usize] {
             return self.coerce_bool(y);
         }
         self.emit(Gate::Not(a))
     }
 
     fn mux(&mut self, s: WireId, a: WireId, b: WireId) -> WireId {
-        if let Some(sv) = self.v(s) {
-            self.count_identity();
+        if let Some(sv) = self.value(s) {
+            self.identities += 1;
             return if sv != 0 { a } else { b };
         }
         if a == b {
-            self.count_identity();
+            self.identities += 1;
             return a;
         }
-        match (self.v(a), self.v(b)) {
+        match (self.value(a), self.value(b)) {
             (Some(1), Some(0)) => self.coerce_bool(s),
             (Some(0), Some(1)) => {
-                self.count_identity();
+                self.identities += 1;
                 self.not(s)
             }
             _ => self.emit(Gate::Mux(s, a, b)),
@@ -392,14 +342,45 @@ trait Rewrite {
     }
 }
 
-/// The sequential rewrite + DCE pass (see [`optimize_with`] for the
-/// public entry point and the semantics contract).
+/// Optimizes a circuit under `opts`: constant folding, algebraic
+/// identity rewrites, structural CSE, and assertion-safe mark-and-sweep
+/// DCE, in one rewrite walk over the gate list and one sweep.
+///
+/// Count-only circuits, and any circuit when `opts.optimize` is off,
+/// pass through unchanged. Output order and input arity are always
+/// preserved; every declared input wire survives even if unused, so
+/// optimized circuits accept the exact same input vectors.
+///
+/// When `opts.recorder` is enabled the pass records an `optimize` span
+/// and its headline counters; the produced [`OptStats`] never depends on
+/// whether tracing was on.
+pub fn optimize_with(c: &Circuit, opts: &CompileOptions) -> (Circuit, OptStats) {
+    if !opts.optimize {
+        return (c.clone(), OptStats::passthrough(c));
+    }
+    let rec = &opts.recorder;
+    let _span = rec.span("optimize");
+    let (opt, st) = optimize_seq(c);
+    if rec.is_enabled() {
+        rec.add("opt.gates_before", st.gates_before);
+        rec.add("opt.gates_after", st.gates_after);
+        rec.add("opt.folded", st.folded);
+        rec.add("opt.identities", st.identities);
+        rec.add("opt.cse_hits", st.cse_hits);
+        rec.add("opt.dead", st.dead);
+    }
+    (opt, st)
+}
+
+/// The rewrite walk, the liveness mark and the sweep (see
+/// [`optimize_with`] for the semantics contract).
 fn optimize_seq(c: &Circuit) -> (Circuit, OptStats) {
     if !c.is_evaluable() {
         return (c.clone(), OptStats::passthrough(c));
     }
     let src = c.gates();
     let mut rw = Rewriter::new(src.len());
+    // Source wire → rewritten wire.
     let mut map: Vec<WireId> = Vec::with_capacity(src.len());
     let mut seen_asserts: HashSet<WireId> = HashSet::new();
     // (pre-DCE new index, source index) per surviving assert.
@@ -424,7 +405,7 @@ fn optimize_seq(c: &Circuit) -> (Circuit, OptStats) {
             Gate::AssertZero(a) => {
                 asserts_before += 1;
                 let a = map[a as usize];
-                match rw.v(a) {
+                match rw.value(a) {
                     // Provably passes: the assert can never fire; its own
                     // wire value is 0.
                     Some(0) => rw.konst(0),
@@ -449,83 +430,41 @@ fn optimize_seq(c: &Circuit) -> (Circuit, OptStats) {
         map.push(new);
     }
 
-    let out = RewriteOut {
-        gates: rw.gates,
-        map,
-        assert_origin,
-        folded: rw.folded,
-        identities: rw.identities,
-        cse_hits: rw.cse_hits,
-        asserts_before,
-        always_fail,
-    };
-    let live = mark_live_seq(c, &out);
-    assemble(c, out, &live)
-}
-
-/// The rewritten (pre-DCE) gate list plus everything the sweep and the
-/// final stats need. Produced by both the sequential rewrite loop and the
-/// parallel level pipeline.
-struct RewriteOut {
-    gates: Vec<Gate>,
-    /// Source wire → rewritten wire.
-    map: Vec<WireId>,
-    /// (pre-DCE new index, source index) per surviving assert, sorted by
-    /// new index.
-    assert_origin: Vec<(u32, u32)>,
-    folded: u64,
-    identities: u64,
-    cse_hits: u64,
-    asserts_before: u64,
-    always_fail: u64,
-}
-
-/// Sequential liveness mark. Roots: circuit outputs, every surviving
-/// assert, and all input gates (arity must be preserved). A single
-/// reverse pass suffices because the gate list is topologically ordered.
-fn mark_live_seq(c: &Circuit, out: &RewriteOut) -> Vec<bool> {
-    let n = out.gates.len();
+    // Mark: outputs, surviving asserts and inputs (arity must be
+    // preserved) are roots; one reverse pass suffices because the gate
+    // list is topologically ordered.
+    let n = rw.gates.len();
     let mut live = vec![false; n];
     for &o in c.outputs() {
-        live[out.map[o as usize] as usize] = true;
-    }
-    for (w, g) in out.gates.iter().enumerate() {
-        if matches!(g, Gate::AssertZero(_) | Gate::Input(_)) {
-            live[w] = true;
-        }
+        live[map[o as usize] as usize] = true;
     }
     for w in (0..n).rev() {
-        if live[w] {
-            for op in out.gates[w].operands().iter().flatten() {
-                live[*op as usize] = true;
-            }
+        let g = rw.gates[w];
+        if !live[w] && !matches!(g, Gate::AssertZero(_) | Gate::Input(_)) {
+            continue;
+        }
+        live[w] = true;
+        for op in g.operands().iter().flatten() {
+            live[*op as usize] = true;
         }
     }
-    live
-}
 
-/// Sweep (compaction in id order) and final stats assembly, shared by the
-/// sequential and parallel passes so the produced `(Circuit, OptStats)`
-/// agree byte for byte whenever the rewrite outputs and live sets agree.
-fn assemble(c: &Circuit, out: RewriteOut, live: &[bool]) -> (Circuit, OptStats) {
-    let n = out.gates.len();
+    // Sweep: compact the live gates in id order.
     let mut remap = vec![WireId::MAX; n];
     let mut out_gates: Vec<Gate> = Vec::with_capacity(n);
     for w in 0..n {
-        if !live[w] {
-            continue;
+        if live[w] {
+            remap[w] = out_gates.len() as WireId;
+            out_gates.push(remap_gate(rw.gates[w], &remap));
         }
-        remap[w] = out_gates.len() as WireId;
-        out_gates.push(remap_gate(out.gates[w], &remap));
     }
     let dead = (n - out_gates.len()) as u64;
     let outputs: Vec<WireId> = c
         .outputs()
         .iter()
-        .map(|&o| remap[out.map[o as usize] as usize])
+        .map(|&o| remap[map[o as usize] as usize])
         .collect();
-    let assert_origin: Vec<(u32, u32)> = out
-        .assert_origin
+    let assert_origin: Vec<(u32, u32)> = assert_origin
         .into_iter()
         .map(|(nw, oi)| (remap[nw as usize], oi))
         .collect();
@@ -533,7 +472,7 @@ fn assemble(c: &Circuit, out: RewriteOut, live: &[bool]) -> (Circuit, OptStats) 
 
     // Logic-gate count of the rewritten-but-unswept list: the boundary
     // between the rewrite and DCE phases.
-    let pre_dce_gates = out
+    let pre_dce_gates = rw
         .gates
         .iter()
         .filter(|g| !matches!(g, Gate::Input(_) | Gate::Const(_)))
@@ -546,13 +485,13 @@ fn assemble(c: &Circuit, out: RewriteOut, live: &[bool]) -> (Circuit, OptStats) 
         wires_after: opt.num_wires(),
         depth_before: c.depth(),
         depth_after: opt.depth(),
-        folded: out.folded,
-        identities: out.identities,
-        cse_hits: out.cse_hits,
+        folded: rw.folded,
+        identities: rw.identities,
+        cse_hits: rw.cse_hits,
         dead,
-        asserts_before: out.asserts_before,
+        asserts_before,
         asserts_after,
-        always_fail: out.always_fail,
+        always_fail,
         assert_origin,
         phase_gates: vec![
             ("rewrite", c.size(), pre_dce_gates),
@@ -580,473 +519,6 @@ fn remap_gate(g: Gate, renum: &[WireId]) -> Gate {
         Gate::Mux(s, a, b) => Gate::Mux(r(s), r(a), r(b)),
         Gate::AssertZero(a) => Gate::AssertZero(r(a)),
     }
-}
-
-// ---------------------------------------------------------------------
-// Parallel pass.
-//
-// The sequential pass above is the reference; the parallel pass promises
-// the *byte-identical* `(Circuit, OptStats)`. It works in level waves
-// over the source circuit (a gate's operands sit at strictly smaller
-// depths, so by the time a level is processed every operand image is
-// committed):
-//
-//   1. decision phase (parallel): every gate of the level runs the full
-//      rule set (`Rewrite` impl'd by `Spec`) against the committed state
-//      only, recording the exact counter deltas and the single would-be
-//      table action (a rule fires at most one `konst`/`emit`);
-//   2. commit phase (sequential, in source order within the level):
-//      deltas are applied and pending actions resolve against the live
-//      tables — a same-level predecessor may have created the gate, in
-//      which case the commit becomes the CSE hit the sequential pass
-//      would have counted.
-//
-// Wire numbering under this schedule differs from the sequential pass
-// (levels interleave differently than source order), so every table
-// attempt records the *source index* of its gate; since any wire's first
-// attempt is the one that creates it sequentially, renumbering created
-// wires by minimum attempt index restores the exact sequential
-// numbering. Asserts are deferred to a post-pass in source order (their
-// dedup winner is the lowest source index, which a level schedule cannot
-// know in-flight); the renumbering slots their gates correctly anyway.
-// The one construct the schedule cannot reproduce is a gate *consuming*
-// an assert's own wire before the post-pass resolves it — detected via a
-// sentinel image, and the whole pass falls back to the sequential
-// reference (operator circuits never feed assert wires forward).
-// ---------------------------------------------------------------------
-
-/// Unresolved assert image in `map` (asserts resolve in the post-pass).
-const SENTINEL: WireId = WireId::MAX;
-/// Placeholder returned by `Spec` for a not-yet-committed creation.
-const SPEC_WIRE: WireId = WireId::MAX - 1;
-
-/// The single table action a gate's rule run performs, if any.
-#[derive(Clone, Copy, Debug)]
-enum Attempt {
-    /// Identity rewrite: the result is an existing wire, no table lookup.
-    None,
-    /// Decision-time lookup hit this existing wire.
-    Hit(WireId),
-    /// Missed the const table; commit must `konst(v)`.
-    CreateConst(u64),
-    /// Missed the CSE table; commit must `emit` (key already canonical).
-    CreateGate(Gate),
-}
-
-/// One gate's planned rewrite: its result (or [`SPEC_WIRE`]), the pending
-/// table action, and the exact counter deltas the sequential pass would
-/// record for it.
-struct Decision {
-    result: WireId,
-    attempt: Attempt,
-    folded: u64,
-    identities: u64,
-    cse_hits: u64,
-}
-
-enum Planned {
-    /// Resolved in the post-pass.
-    Assert,
-    /// An operand is an unresolved assert wire: take the sequential path.
-    Fallback,
-    Do(Decision),
-}
-
-/// Read-only speculative view of a [`Rewriter`] for the decision phase:
-/// same rules, but table misses record the pending action instead of
-/// mutating.
-struct Spec<'a> {
-    rw: &'a Rewriter,
-    folded: u64,
-    identities: u64,
-    cse_hits: u64,
-    attempt: Attempt,
-}
-
-impl Rewrite for Spec<'_> {
-    fn v(&self, w: WireId) -> Option<u64> {
-        self.rw.value(w)
-    }
-
-    fn is_bool(&self, w: WireId) -> bool {
-        self.rw.boolish[w as usize]
-    }
-
-    fn peek(&self, w: WireId) -> Gate {
-        self.rw.gates[w as usize]
-    }
-
-    fn konst(&mut self, v: u64) -> WireId {
-        debug_assert!(
-            matches!(self.attempt, Attempt::None),
-            "a rule performs at most one table action"
-        );
-        match self.rw.lookup(Gate::Const(v)) {
-            Some(w) => {
-                self.attempt = Attempt::Hit(w);
-                w
-            }
-            None => {
-                self.attempt = Attempt::CreateConst(v);
-                SPEC_WIRE
-            }
-        }
-    }
-
-    fn emit(&mut self, g: Gate) -> WireId {
-        debug_assert!(
-            matches!(self.attempt, Attempt::None),
-            "a rule performs at most one table action"
-        );
-        let key = canon(g);
-        match self.rw.lookup(key) {
-            Some(w) => {
-                self.cse_hits += 1;
-                self.attempt = Attempt::Hit(w);
-                w
-            }
-            None => {
-                self.attempt = Attempt::CreateGate(key);
-                SPEC_WIRE
-            }
-        }
-    }
-
-    fn count_fold(&mut self) {
-        self.folded += 1;
-    }
-
-    fn count_identity(&mut self) {
-        self.identities += 1;
-    }
-}
-
-/// Runs the rule set for one source gate against committed state only.
-fn decide(rw: &Rewriter, map: &[WireId], g: Gate) -> Planned {
-    for op in g.operands().iter().flatten() {
-        if map[*op as usize] >= SPEC_WIRE {
-            return Planned::Fallback;
-        }
-    }
-    let m = |w: WireId| map[w as usize];
-    let mut sp = Spec {
-        rw,
-        folded: 0,
-        identities: 0,
-        cse_hits: 0,
-        attempt: Attempt::None,
-    };
-    let result = match g {
-        Gate::Add(a, b) => sp.add(m(a), m(b)),
-        Gate::Sub(a, b) => sp.sub(m(a), m(b)),
-        Gate::Mul(a, b) => sp.mul(m(a), m(b)),
-        Gate::Eq(a, b) => sp.eq(m(a), m(b)),
-        Gate::Lt(a, b) => sp.lt(m(a), m(b)),
-        Gate::And(a, b) => sp.and(m(a), m(b)),
-        Gate::Or(a, b) => sp.or(m(a), m(b)),
-        Gate::Xor(a, b) => sp.xor(m(a), m(b)),
-        Gate::Not(a) => sp.not(m(a)),
-        Gate::Mux(s, a, b) => sp.mux(m(s), m(a), m(b)),
-        Gate::Input(_) | Gate::Const(_) | Gate::AssertZero(_) => {
-            unreachable!("handled outside the decision phase")
-        }
-    };
-    Planned::Do(Decision {
-        result,
-        attempt: sp.attempt,
-        folded: sp.folded,
-        identities: sp.identities,
-        cse_hits: sp.cse_hits,
-    })
-}
-
-/// Records a table attempt by source gate `i` that resolved to wire `w`:
-/// a fresh creation appends its creator, a hit lowers the existing one.
-/// `total` is the wire count *after* the attempt.
-fn note_attempt(creator: &mut Vec<u32>, total: usize, w: WireId, i: u32) {
-    if creator.len() < total {
-        debug_assert_eq!(creator.len() + 1, total);
-        debug_assert_eq!(w as usize, total - 1);
-        creator.push(i);
-    } else if i < creator[w as usize] {
-        creator[w as usize] = i;
-    }
-}
-
-/// The level-parallel rewrite. `None` means an assert wire was consumed
-/// before its post-pass resolution — take the sequential path instead.
-fn rewrite_par(c: &Circuit, pool: &Pool) -> Option<RewriteOut> {
-    let src = c.gates();
-    let depths = c.wire_depths();
-    let mut levels: Vec<Vec<u32>> = vec![Vec::new(); c.depth() as usize + 1];
-    for (i, &d) in depths.iter().enumerate() {
-        levels[d as usize].push(i as u32);
-    }
-
-    let mut rw = Rewriter::new(src.len());
-    // Per created wire: lowest source index that attempted it. Distinct
-    // across wires (a source gate makes at most one attempt), and the
-    // first attempt is the one that creates the wire sequentially.
-    let mut creator: Vec<u32> = Vec::with_capacity(src.len());
-    let mut map: Vec<WireId> = vec![SENTINEL; src.len()];
-    // (source index, image wire) per assert, resolved in the post-pass.
-    let mut assert_images: Vec<(u32, WireId)> = Vec::new();
-
-    for (lvl, idxs) in levels.iter().enumerate() {
-        if lvl == 0 {
-            // Inputs and constants; sequential, they are trivially cheap.
-            for &i in idxs {
-                let w = match src[i as usize] {
-                    Gate::Input(idx) => {
-                        let w = rw.raw_push(Gate::Input(idx));
-                        creator.push(i);
-                        w
-                    }
-                    Gate::Const(v) => {
-                        let w = rw.konst(v);
-                        note_attempt(&mut creator, rw.gates.len(), w, i);
-                        w
-                    }
-                    _ => unreachable!("depth-0 gates are inputs and constants"),
-                };
-                map[i as usize] = w;
-            }
-            continue;
-        }
-        let planned = pool.map(idxs.len(), |k| {
-            let i = idxs[k] as usize;
-            match src[i] {
-                Gate::AssertZero(_) => Planned::Assert,
-                g => decide(&rw, &map, g),
-            }
-        });
-        for (k, &i) in idxs.iter().enumerate() {
-            match &planned[k] {
-                Planned::Fallback => return None,
-                Planned::Assert => {
-                    let Gate::AssertZero(a) = src[i as usize] else {
-                        unreachable!()
-                    };
-                    let img = map[a as usize];
-                    if img >= SPEC_WIRE {
-                        // Assert over an assert's own wire.
-                        return None;
-                    }
-                    assert_images.push((i, img));
-                    // map[i] stays SENTINEL; any consumer falls back.
-                }
-                Planned::Do(d) => {
-                    rw.folded += d.folded;
-                    rw.identities += d.identities;
-                    rw.cse_hits += d.cse_hits;
-                    let w = match d.attempt {
-                        Attempt::None => d.result,
-                        Attempt::Hit(w0) => {
-                            note_attempt(&mut creator, rw.gates.len(), w0, i);
-                            d.result
-                        }
-                        Attempt::CreateConst(v) => {
-                            let w = rw.konst(v);
-                            note_attempt(&mut creator, rw.gates.len(), w, i);
-                            w
-                        }
-                        // A same-level predecessor may have committed the
-                        // same key, in which case this becomes the CSE
-                        // hit the sequential pass would count.
-                        Attempt::CreateGate(g) => {
-                            let w = rw.emit(g);
-                            note_attempt(&mut creator, rw.gates.len(), w, i);
-                            w
-                        }
-                    };
-                    map[i as usize] = w;
-                }
-            }
-        }
-    }
-
-    // Deferred asserts, in source order: the dedup winner for a given
-    // image is the lowest source index, exactly the sequential choice.
-    assert_images.sort_unstable_by_key(|&(i, _)| i);
-    let mut seen_asserts: HashSet<WireId> = HashSet::new();
-    let mut assert_origin: Vec<(u32, u32)> = Vec::new();
-    let mut asserts_before = 0u64;
-    let mut always_fail = 0u64;
-    for &(i, img) in &assert_images {
-        asserts_before += 1;
-        let w = match rw.v(img) {
-            Some(0) => {
-                let w = rw.konst(0);
-                note_attempt(&mut creator, rw.gates.len(), w, i);
-                w
-            }
-            opt_v => {
-                if seen_asserts.insert(img) {
-                    if opt_v.is_some() {
-                        always_fail += 1;
-                    }
-                    let w = rw.raw_push(Gate::AssertZero(img));
-                    creator.push(i);
-                    assert_origin.push((w, i));
-                    w
-                } else {
-                    let w = rw.konst(0);
-                    note_attempt(&mut creator, rw.gates.len(), w, i);
-                    w
-                }
-            }
-        };
-        map[i as usize] = w;
-    }
-
-    // Renumber into sequential creation order (= ascending creator), and
-    // re-canonicalize: commutative operand order depends on numbering.
-    // The cons table, the level lists and the creator keys are freed as
-    // soon as they are done with, so their peaks do not stack on the
-    // renumbered gate list.
-    let Rewriter {
-        gates: pre,
-        folded,
-        identities,
-        cse_hits,
-        ..
-    } = rw;
-    drop(levels);
-    let n = pre.len();
-    debug_assert_eq!(creator.len(), n);
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_unstable_by_key(|&w| creator[w as usize]);
-    drop(creator);
-    let mut renum = vec![0u32; n];
-    for (new, &old) in order.iter().enumerate() {
-        renum[old as usize] = new as u32;
-    }
-    let gates: Vec<Gate> = order
-        .iter()
-        .map(|&old| canon(remap_gate(pre[old as usize], &renum)))
-        .collect();
-    drop((pre, order));
-    for m in &mut map {
-        *m = renum[*m as usize];
-    }
-    let mut assert_origin: Vec<(u32, u32)> = assert_origin
-        .into_iter()
-        .map(|(w, i)| (renum[w as usize], i))
-        .collect();
-    assert_origin.sort_unstable_by_key(|&(w, _)| w);
-
-    Some(RewriteOut {
-        gates,
-        map,
-        assert_origin,
-        folded,
-        identities,
-        cse_hits,
-        asserts_before,
-        always_fail,
-    })
-}
-
-/// Parallel liveness mark: same closure as [`mark_live_seq`], computed in
-/// descending level waves (a gate's own flag is settled before its wave;
-/// it only stores into strictly lower levels, so waves never race).
-fn mark_live_par(c: &Circuit, out: &RewriteOut, pool: &Pool) -> Vec<bool> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    let n = out.gates.len();
-    let mut depth = vec![0u32; n];
-    let mut max_d = 0u32;
-    for w in 0..n {
-        let d = out.gates[w]
-            .operands()
-            .iter()
-            .flatten()
-            .map(|&op| depth[op as usize] + 1)
-            .max()
-            .unwrap_or(0);
-        depth[w] = d;
-        max_d = max_d.max(d);
-    }
-    let mut glevels: Vec<Vec<u32>> = vec![Vec::new(); max_d as usize + 1];
-    for (w, &d) in depth.iter().enumerate() {
-        glevels[d as usize].push(w as u32);
-    }
-
-    let live: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    for &o in c.outputs() {
-        live[out.map[o as usize] as usize].store(true, Ordering::Relaxed);
-    }
-    pool.run_chunks(n, pool.grain_for(n), |r| {
-        for w in r {
-            if matches!(out.gates[w], Gate::AssertZero(_) | Gate::Input(_)) {
-                live[w].store(true, Ordering::Relaxed);
-            }
-        }
-    });
-    for lvl in glevels.iter().rev() {
-        pool.run_chunks(lvl.len(), pool.grain_for(lvl.len()), |r| {
-            for k in r {
-                let w = lvl[k] as usize;
-                if live[w].load(Ordering::Relaxed) {
-                    for op in out.gates[w].operands().iter().flatten() {
-                        live[*op as usize].store(true, Ordering::Relaxed);
-                    }
-                }
-            }
-        });
-    }
-    live.into_iter().map(|b| b.into_inner()).collect()
-}
-
-/// [`optimize_seq`], scheduled across `pool`'s workers. Produces the
-/// byte-identical `(Circuit, OptStats)` — including [`OptStats::assert_origin`]
-/// — for every circuit; a single-worker pool (and the rare circuit that
-/// feeds an assert's own wire into a later gate) delegates to the
-/// sequential pass directly.
-fn optimize_pooled(c: &Circuit, pool: &Pool) -> (Circuit, OptStats) {
-    if !c.is_evaluable() {
-        return (c.clone(), OptStats::passthrough(c));
-    }
-    if pool.is_sequential() {
-        return optimize_seq(c);
-    }
-    match rewrite_par(c, pool) {
-        Some(out) => {
-            let live = mark_live_par(c, &out, pool);
-            assemble(c, out, &live)
-        }
-        None => optimize_seq(c),
-    }
-}
-
-/// Optimizes a circuit under `opts`: constant folding, algebraic
-/// identity rewrites, structural CSE, and assertion-safe mark-and-sweep
-/// DCE, scheduled across `opts.pool` (byte-identical result — including
-/// [`OptStats::assert_origin`] — for every worker count).
-///
-/// Count-only circuits, and any circuit when `opts.optimize` is off,
-/// pass through unchanged. Output order and input arity are always
-/// preserved; every declared input wire survives even if unused, so
-/// optimized circuits accept the exact same input vectors.
-///
-/// When `opts.recorder` is enabled the pass records an `optimize` span
-/// and its headline counters; the produced [`OptStats`] never depends on
-/// whether tracing was on.
-pub fn optimize_with(c: &Circuit, opts: &CompileOptions) -> (Circuit, OptStats) {
-    if !opts.optimize {
-        return (c.clone(), OptStats::passthrough(c));
-    }
-    let rec = &opts.recorder;
-    let _span = rec.span("optimize");
-    let (opt, st) = optimize_pooled(c, &opts.pool);
-    if rec.is_enabled() {
-        rec.add("opt.gates_before", st.gates_before);
-        rec.add("opt.gates_after", st.gates_after);
-        rec.add("opt.folded", st.folded);
-        rec.add("opt.identities", st.identities);
-        rec.add("opt.cse_hits", st.cse_hits);
-        rec.add("opt.dead", st.dead);
-    }
-    (opt, st)
 }
 
 #[cfg(test)]
@@ -1301,65 +773,34 @@ mod tests {
         b.finish(vec![m1, xr, lt, deep, x])
     }
 
-    fn assert_same_opt(c: &Circuit, threads: usize) {
-        let (seq_c, seq_st) = optimize_with(c, &CompileOptions::sequential());
-        let (par_c, par_st) = optimize_with(
-            c,
-            &CompileOptions::sequential().with_pool(Pool::new(threads)),
-        );
-        assert_eq!(par_c.gates(), seq_c.gates(), "threads={threads}");
-        assert_eq!(par_c.outputs(), seq_c.outputs(), "threads={threads}");
-        assert_eq!(par_c.num_inputs(), seq_c.num_inputs());
-        assert_eq!(
-            format!("{par_st:?}"),
-            format!("{seq_st:?}"),
-            "threads={threads}"
-        );
-    }
-
     #[test]
-    fn parallel_optimize_is_byte_identical() {
+    fn gnarly_circuit_keeps_its_semantics() {
         let c = gnarly_circuit();
-        for threads in [1, 2, 3, 8] {
-            assert_same_opt(&c, threads);
-        }
-    }
-
-    #[test]
-    fn parallel_optimize_falls_back_on_consumed_assert_wires() {
-        // The level schedule cannot resolve an assert wire in-flight;
-        // consuming one must fall back to (and so agree with) the
-        // sequential pass.
-        let mut b = Builder::without_cse(Mode::Build);
-        let x = b.input();
-        let y = b.input();
-        let d = b.sub(x, y);
-        let aw = b.assert_zero(d);
-        let o = b.add(aw, x); // consumes the assert's own wire
-        let c = b.finish(vec![o]);
-        for threads in [2, 4] {
-            assert_same_opt(&c, threads);
-        }
-    }
-
-    #[test]
-    fn parallel_optimize_matches_on_wide_flat_circuits() {
-        // Many independent same-level gates: exercises same-level CSE
-        // commits and the creator renumbering.
-        let mut b = Builder::without_cse(Mode::Build);
-        let xs: Vec<_> = (0..32).map(|_| b.input()).collect();
-        let mut outs = Vec::new();
-        for i in 0..32 {
-            for j in 0..4 {
-                let s = b.add(xs[i], xs[(i + j) % 32]);
-                let t = b.add(xs[(i + j) % 32], xs[i]); // canon dup
-                let u = b.mul(s, t);
-                outs.push(u);
+        let (opt, st) = optimize_with(&c, &CompileOptions::sequential());
+        assert!(st.folded > 0 && st.identities > 0 && st.cse_hits > 0 && st.dead > 0);
+        assert_eq!(
+            (st.asserts_before, st.asserts_after, st.always_fail),
+            (4, 2, 1)
+        );
+        // The always-failing assert fires on every input; both circuits
+        // must report it at corresponding gates with the same value.
+        for inp in [[0u64, 0, 0], [3, 3, 1], [5, 2, 9]] {
+            match (c.evaluate(&inp), opt.evaluate(&inp)) {
+                (
+                    Err(EvalError::AssertionFailed {
+                        gate: sg,
+                        value: sv,
+                    }),
+                    Err(EvalError::AssertionFailed {
+                        gate: og,
+                        value: ov,
+                    }),
+                ) => {
+                    assert_eq!(sv, ov);
+                    assert_eq!(st.origin_of(og as u32), Some(sg as u32));
+                }
+                other => panic!("expected assertion failures, got {other:?}"),
             }
-        }
-        let c = b.finish(outs);
-        for threads in [2, 8] {
-            assert_same_opt(&c, threads);
         }
     }
 

@@ -78,13 +78,6 @@ impl RelWires {
 /// Declares input wires for a relation of the given capacity. Input order
 /// is `fields…, valid` per slot — the same order
 /// [`relation_to_values`] produces.
-///
-/// Input declaration is deliberately *not* routed through
-/// [`Builder::fork_join`]: input indices come from a sequential counter
-/// and define the wire ↔ value mapping, so declaring them from forked
-/// workers would make the input layout schedule-dependent (child builders
-/// refuse `input()` for exactly this reason). Everything downstream of
-/// the declared wires is fair game for forking.
 pub fn encode_relation(b: &mut Builder, schema: Vec<Var>, capacity: usize) -> RelWires {
     let arity = schema.len();
     let slots = (0..capacity)

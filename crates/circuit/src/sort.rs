@@ -191,9 +191,9 @@ pub fn sort_slots_network(
     // lexicographic compare plus a mux per carried wire. A comparator
     // depends only on the latest earlier comparator touching either of
     // its lanes, so a greedy pass groups the schedule into conflict-free
-    // layers: the data-flow DAG is unchanged, and `fork_join` can emit
-    // each layer's comparators from multiple workers (on a sequential
-    // builder the layers simply run in order).
+    // layers, and the comparators are emitted layer by layer. The
+    // data-flow DAG is the schedule's; the layer order fixes the gate
+    // (and so wire) numbering.
     let schedule = comparators(network, padded);
     let mut layer_of = vec![0usize; schedule.len()];
     let mut last_on_lane = vec![usize::MAX; padded];
@@ -214,35 +214,25 @@ pub fn sort_slots_network(
         layers[l].push(k);
     }
 
-    for layer in &layers {
-        let swapped = b.fork_join(layer.len(), |t, bb| {
-            let (i, j, ascending) = schedule[layer[t]];
-            let (ei, ej) = (&elems[i], &elems[j]);
-            let swap_raw = bb.lex_lt(&ej.key, &ei.key);
-            let swap = if ascending {
-                swap_raw
-            } else {
-                bb.not(swap_raw)
-            };
-            let new_i = Elem {
-                fields: bb.vec_mux(swap, &ej.fields, &ei.fields),
-                valid: bb.mux(swap, ej.valid, ei.valid),
-                extra: bb.vec_mux(swap, &ej.extra, &ei.extra),
-                key: bb.vec_mux(swap, &ej.key, &ei.key),
-            };
-            let new_j = Elem {
-                fields: bb.vec_mux(swap, &ei.fields, &ej.fields),
-                valid: bb.mux(swap, ei.valid, ej.valid),
-                extra: bb.vec_mux(swap, &ei.extra, &ej.extra),
-                key: bb.vec_mux(swap, &ei.key, &ej.key),
-            };
-            (new_i, new_j)
-        });
-        for (t, (new_i, new_j)) in swapped.into_iter().enumerate() {
-            let (i, j, _) = schedule[layer[t]];
-            elems[i] = new_i;
-            elems[j] = new_j;
-        }
+    for &k in layers.iter().flatten() {
+        let (i, j, ascending) = schedule[k];
+        let (ei, ej) = (&elems[i], &elems[j]);
+        let swap_raw = b.lex_lt(&ej.key, &ei.key);
+        let swap = if ascending { swap_raw } else { b.not(swap_raw) };
+        let new_i = Elem {
+            fields: b.vec_mux(swap, &ej.fields, &ei.fields),
+            valid: b.mux(swap, ej.valid, ei.valid),
+            extra: b.vec_mux(swap, &ej.extra, &ei.extra),
+            key: b.vec_mux(swap, &ej.key, &ei.key),
+        };
+        let new_j = Elem {
+            fields: b.vec_mux(swap, &ei.fields, &ej.fields),
+            valid: b.mux(swap, ei.valid, ej.valid),
+            extra: b.vec_mux(swap, &ei.extra, &ej.extra),
+            key: b.vec_mux(swap, &ei.key, &ej.key),
+        };
+        elems[i] = new_i;
+        elems[j] = new_j;
     }
 
     // Real slots all sort before padding (padding keys are maximal), so

@@ -3,15 +3,14 @@
 //! `collect_metrics`) must produce **byte-identical** results — gate
 //! lists, outputs, `OptStats` (including `assert_origin` and the
 //! per-pass `phase_gates` breakdown), and per-instance evaluation
-//! outcomes — to the untraced compile, at every worker count from 1
-//! to 8. The exporter round-trip tests validate that both output
+//! outcomes — to the untraced compile. The exporter round-trip tests validate that both output
 //! formats (the versioned metrics document and the Chrome trace-event
 //! document) are well-formed JSON carrying the recorded spans.
 
 use proptest::prelude::*;
 use qec_circuit::{
     lower_with, optimize_bits_with, optimize_with, Builder, Circuit, CompileOptions,
-    CompiledCircuit, Mode, Pool,
+    CompiledCircuit, Mode,
 };
 use qec_obs::Recorder;
 
@@ -114,51 +113,49 @@ proptest! {
             .collect();
         let raw = build_random(num_inputs, &seeds);
 
-        for t in [1usize, 2, 3, 8] {
-            let plain = CompileOptions::sequential().with_pool(Pool::new(t));
+        let plain = CompileOptions::sequential();
 
-            // Reference artifacts, untraced.
-            let (opt_c, opt_st) = optimize_with(&raw, &plain);
-            let bc = lower_with(&raw, 8, &plain);
-            let (bopt, bst) = optimize_bits_with(&bc, &plain);
-            let (eng, _) = CompiledCircuit::compile_with(&raw, &plain).expect("evaluable");
-            let outs: Vec<_> = instances.iter().map(|i| eng.evaluate(i)).collect();
+        // Reference artifacts, untraced.
+        let (opt_c, opt_st) = optimize_with(&raw, &plain);
+        let bc = lower_with(&raw, 8, &plain);
+        let (bopt, bst) = optimize_bits_with(&bc, &plain);
+        let (eng, _) = CompiledCircuit::compile_with(&raw, &plain).expect("evaluable");
+        let outs: Vec<_> = instances.iter().map(|i| eng.evaluate(i)).collect();
 
-            for (tag, topts) in traced_variants(&plain) {
-                let (opt_c2, opt_st2) = optimize_with(&raw, &topts);
-                assert_same_circuit(&opt_c, &opt_c2, tag)?;
-                prop_assert_eq!(
-                    format!("{opt_st:?}"),
-                    format!("{opt_st2:?}"),
-                    "OptStats (incl. assert_origin, phase_gates) diverge under {} at {} workers",
-                    tag, t
-                );
+        for (tag, topts) in traced_variants(&plain) {
+            let (opt_c2, opt_st2) = optimize_with(&raw, &topts);
+            assert_same_circuit(&opt_c, &opt_c2, tag)?;
+            prop_assert_eq!(
+                format!("{opt_st:?}"),
+                format!("{opt_st2:?}"),
+                "OptStats (incl. assert_origin, phase_gates) diverge under {}",
+                tag
+            );
 
-                let bc2 = lower_with(&raw, 8, &topts);
-                prop_assert_eq!(bc.gates(), bc2.gates(), "{}: lowered gates diverge", tag);
-                prop_assert_eq!(bc.outputs(), bc2.outputs());
+            let bc2 = lower_with(&raw, 8, &topts);
+            prop_assert_eq!(bc.gates(), bc2.gates(), "{}: lowered gates diverge", tag);
+            prop_assert_eq!(bc.outputs(), bc2.outputs());
 
-                let (bopt2, bst2) = optimize_bits_with(&bc, &topts);
-                prop_assert_eq!(bopt.gates(), bopt2.gates(), "{}: bit-opt gates diverge", tag);
-                prop_assert_eq!(format!("{bst:?}"), format!("{bst2:?}"));
+            let (bopt2, bst2) = optimize_bits_with(&bc, &topts);
+            prop_assert_eq!(bopt.gates(), bopt2.gates(), "{}: bit-opt gates diverge", tag);
+            prop_assert_eq!(format!("{bst:?}"), format!("{bst2:?}"));
 
-                let (eng2, report) =
-                    CompiledCircuit::compile_with(&raw, &topts).expect("evaluable");
-                prop_assert_eq!(eng.stats().tape_len, eng2.stats().tape_len, "{}", tag);
-                prop_assert_eq!(
-                    eng.stats().peak_registers,
-                    eng2.stats().peak_registers,
-                    "{}", tag
-                );
-                for (inst, want) in instances.iter().zip(&outs) {
-                    // Err equality covers the reported source assert gate.
-                    prop_assert_eq!(&eng2.evaluate(inst), want, "{} at {} workers", tag, t);
-                }
-
-                // The traced run must actually have traced something.
-                prop_assert!(report.recorder.is_enabled(), "{}", tag);
-                prop_assert!(report.recorder.span_total_ns("compile") > 0, "{}", tag);
+            let (eng2, report) =
+                CompiledCircuit::compile_with(&raw, &topts).expect("evaluable");
+            prop_assert_eq!(eng.stats().tape_len, eng2.stats().tape_len, "{}", tag);
+            prop_assert_eq!(
+                eng.stats().peak_registers,
+                eng2.stats().peak_registers,
+                "{}", tag
+            );
+            for (inst, want) in instances.iter().zip(&outs) {
+                // Err equality covers the reported source assert gate.
+                prop_assert_eq!(&eng2.evaluate(inst), want, "{}", tag);
             }
+
+            // The traced run must actually have traced something.
+            prop_assert!(report.recorder.is_enabled(), "{}", tag);
+            prop_assert!(report.recorder.span_total_ns("compile") > 0, "{}", tag);
         }
     }
 }

@@ -19,7 +19,7 @@ use qec_circuit::{
     aggregate as c_aggregate, decompose as c_decompose, join_degree_bounded, join_output_bounded,
     join_pk, project as c_project, select as c_select, semijoin as c_semijoin,
     truncate as c_truncate, union as c_union, AggOp, Builder, Circuit, CompileOptions, InputLayout,
-    Mode, Pool, RelWires, SlotWires,
+    Mode, RelWires, SlotWires,
 };
 use qec_relation::{AggKind, Database, Relation, Var, VarSet};
 
@@ -616,29 +616,19 @@ impl RelationalCircuit {
     }
 
     /// Lowers the relational circuit to a word-level oblivious circuit
-    /// (Sec. 5) under environment defaults (`QEC_THREADS`, `QEC_TRACE`):
+    /// (Sec. 5) under environment defaults (`QEC_TRACE`):
     /// each gate becomes the corresponding `qec-circuit` construction
     /// sized by this circuit's wire bounds.
     pub fn lower(&self, mode: Mode) -> LoweredCircuit {
         self.lower_with(mode, &CompileOptions::from_env())
     }
 
-    /// [`RelationalCircuit::lower`] under explicit [`CompileOptions`]:
-    /// with a multi-worker pool the word builder runs in its parallel
-    /// mode (sharded hash-consing plus deterministic replay), so
-    /// per-operator circuit blocks can be emitted from multiple workers
-    /// while the finished circuit stays byte-identical to the sequential
-    /// build. When `opts.recorder` is enabled the whole word-circuit
+    /// [`RelationalCircuit::lower`] under explicit [`CompileOptions`].
+    /// When `opts.recorder` is enabled the whole word-circuit
     /// construction is recorded as a `build` span.
     pub fn lower_with(&self, mode: Mode, opts: &CompileOptions) -> LoweredCircuit {
         let _span = opts.recorder.span("build");
-        let pool = opts.pool;
-        let b = if pool.is_sequential() {
-            Builder::new(mode)
-        } else {
-            Builder::with_pool(mode, pool)
-        };
-        self.lower_into(b)
+        self.lower_into(Builder::new(mode))
     }
 
     /// Measurement baseline: the same lowering with the builder's online
@@ -936,16 +926,6 @@ impl RelationalCircuit {
             outputs: out_meta,
         }
     }
-
-    /// Pool-selecting alias for [`RelationalCircuit::lower_with`], kept
-    /// for source compatibility.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `lower_with(mode, &CompileOptions::sequential().with_pool(pool))`"
-    )]
-    pub fn lower_with_pool(&self, mode: Mode, pool: Pool) -> LoweredCircuit {
-        self.lower_with(mode, &CompileOptions::sequential().with_pool(pool))
-    }
 }
 
 /// RAM mirror of one decomposition part (Alg. 2 semantics; tie-breaking
@@ -1135,48 +1115,6 @@ impl LoweredCircuit {
         Ok(self.decode(&raw))
     }
 
-    /// Compiles the word-level circuit to a reusable evaluation tape
-    /// (see [`qec_circuit::CompiledCircuit`]); the handle outlives this
-    /// value and amortizes compilation over many [`Self::run_batch`]
-    /// calls.
-    pub fn compile_engine(&self) -> Result<qec_circuit::CompiledCircuit, qec_circuit::EvalError> {
-        self.compile_engine_with(&CompileOptions::from_env())
-            .map(|(eng, _)| eng)
-    }
-
-    /// [`Self::compile_engine`] under explicit [`CompileOptions`],
-    /// returning the engine together with the pipeline's timing/metrics
-    /// report.
-    pub fn compile_engine_with(
-        &self,
-        opts: &CompileOptions,
-    ) -> Result<(qec_circuit::CompiledCircuit, qec_circuit::PipelineReport), qec_circuit::EvalError>
-    {
-        qec_circuit::CompiledCircuit::compile_with(&self.circuit, opts)
-    }
-
-    /// Evaluates one circuit over many databases in a single batched
-    /// tape pass — the oblivious-evaluation pattern the paper targets
-    /// (the same topology serves every instance). Each database gets
-    /// exactly the result [`Self::run`] would give it.
-    pub fn run_batch(
-        &self,
-        dbs: &[Database],
-    ) -> Result<Vec<Vec<Relation>>, Box<dyn std::error::Error>> {
-        let engine = self.compile_engine()?;
-        let inputs: Result<Vec<Vec<u64>>, _> =
-            dbs.iter().map(|db| self.layout.values(db)).collect();
-        let inputs = inputs?;
-        engine
-            .evaluate_batch(&inputs)
-            .into_iter()
-            .map(|lane| {
-                let raw = lane?;
-                Ok(self.decode(&raw))
-            })
-            .collect()
-    }
-
     fn decode(&self, raw: &[u64]) -> Vec<Relation> {
         self.outputs
             .iter()
@@ -1226,25 +1164,6 @@ mod tests {
             let ram = rc.evaluate_ram(&db).unwrap();
             let circ = lowered.run(&db).unwrap();
             assert_eq!(ram, circ, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn run_batch_matches_run_per_database() {
-        let rc = sample_circuit();
-        let lowered = rc.lower(Mode::Build);
-        let dbs: Vec<Database> = (0..6)
-            .map(|seed| {
-                let mut db = Database::new();
-                db.insert("R", random_relation(vec![Var(0), Var(1)], 14, seed));
-                db.insert("S", random_relation(vec![Var(1), Var(2)], 14, seed + 5));
-                db
-            })
-            .collect();
-        let batched = lowered.run_batch(&dbs).unwrap();
-        assert_eq!(batched.len(), dbs.len());
-        for (db, got) in dbs.iter().zip(batched) {
-            assert_eq!(got, lowered.run(db).unwrap());
         }
     }
 

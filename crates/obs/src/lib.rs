@@ -5,8 +5,8 @@
 //! The compile pipeline (build → optimize → lower → tape → evaluate) is
 //! instrumented against a [`Recorder`]: each stage opens a [`Span`]
 //! (monotonic wall-clock timing, per-thread nesting) and flushes named
-//! counters (gates emitted, gates folded/CSE'd/DCE'd, cons-table shard
-//! hit rates, pool task/steal counts, per-worker busy time). A recorder
+//! counters (gates emitted, gates folded/CSE'd/DCE'd, cons-table hit
+//! rates, bit-level AND counts). A recorder
 //! is either *enabled* — everything is kept under one mutex — or
 //! *disabled*, in which case every call returns after one unsynchronized
 //! field read. Disabled is the default ([`TRACE_ENV`] = `QEC_TRACE`
@@ -18,9 +18,9 @@
 //! * an explicit recorder handed around by the driver layer
 //!   (`qec-circuit`'s `CompileOptions`), which owns the stage spans; and
 //! * the process-global recorder ([`global`]/[`install`]), which the
-//!   low-level layers (the `qec-par` pool, the builder's hash-cons
-//!   tables) flush into, because threading a handle through every
-//!   worker closure would put observability into hot signatures.
+//!   low-level layers (the builder's hash-cons table) flush into,
+//!   because threading a handle through every builder would put
+//!   observability into hot signatures.
 //!
 //! With `QEC_TRACE=1` the driver layer defaults to the global recorder,
 //! so both sinks are the same object and one export contains the whole
@@ -203,25 +203,6 @@ impl Recorder {
         }
     }
 
-    /// Records one already-timed span (used by pool workers, which
-    /// measure their busy window without holding the recorder lock).
-    pub fn record_span(&self, name: impl Into<Cow<'static, str>>, start: Instant, dur_ns: u64) {
-        if !self.inner.enabled {
-            return;
-        }
-        let start_ns = start.saturating_duration_since(self.inner.epoch).as_nanos() as u64;
-        let mut st = self.inner.state.lock().expect("recorder poisoned");
-        let tid = st.tid();
-        let parent = st.stacks[tid as usize].last().copied();
-        st.spans.push(SpanRec {
-            name: name.into(),
-            tid,
-            parent,
-            start_ns,
-            dur_ns,
-        });
-    }
-
     /// Adds `delta` to the named counter.
     #[inline]
     pub fn add(&self, name: &str, delta: u64) {
@@ -301,7 +282,7 @@ impl Recorder {
     /// when anything was cut, a trailing `"spans_dropped":N` key. The
     /// key is omitted at zero so uncapped documents stay byte-identical
     /// to [`Self::metrics_json`] output. Fuzzing sweeps record millions of
-    /// pool spans; artifacts that get committed need this bound.
+    /// spans; artifacts that get committed need this bound.
     pub fn metrics_json_capped(&self, max_spans: usize) -> String {
         let snap = self.snapshot();
         let kept = snap.spans.len().min(max_spans);
@@ -416,7 +397,7 @@ fn global_slot() -> &'static Mutex<Recorder> {
 /// The process-global recorder. Initialized from [`TRACE_ENV`] on first
 /// touch (so `QEC_TRACE=1` traces every pipeline in the process without
 /// code changes); replaceable with [`install`]. Low-level layers (the
-/// worker pool, the builders' cons tables) flush here.
+/// builders' cons tables) flush here.
 pub fn global() -> Recorder {
     global_slot()
         .lock()
@@ -579,16 +560,6 @@ mod tests {
         assert!(x.get("dur").and_then(json::Value::as_f64).is_some());
         let c = &events[1];
         assert_eq!(c.get("ph").and_then(json::Value::as_str), Some("C"));
-    }
-
-    #[test]
-    fn record_span_attaches_preclosed_spans() {
-        let r = Recorder::new(true);
-        let t0 = Instant::now();
-        r.record_span("pool.worker", t0, 1234);
-        let snap = r.snapshot();
-        assert_eq!(snap.spans.len(), 1);
-        assert_eq!(snap.span_total_ns("pool.worker"), 1234);
     }
 
     #[test]

@@ -20,11 +20,8 @@
 //!    compile on cold keys), one `evaluate_batch` over the batch's
 //!    instances, per-job decode back to the request's variable space.
 //!
-//! Worker count defaults to the `qec-par` pool width (`QEC_THREADS`).
-//! Workers are plain `std::thread`s rather than pool regions because
-//! they live as long as the server, not as long as a call — the
-//! region-scoped pool is still what sizes them and what the compile
-//! pipeline parallelizes on.
+//! Worker count defaults to `std::thread::available_parallelism()`.
+//! Workers are plain `std::thread`s that live as long as the server.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -46,7 +43,7 @@ use crate::ServeError;
 /// suitable for tests; production knobs are all here.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads; 0 means "the `qec-par` pool width" (`QEC_THREADS`).
+    /// Worker threads; 0 means `std::thread::available_parallelism()`.
     pub workers: usize,
     /// Admission queue capacity; a full queue rejects with
     /// [`ServeError::Overloaded`].
@@ -67,7 +64,7 @@ pub struct ServerConfig {
     /// Coalesce same-plan requests into batches; `false` evaluates
     /// every request alone (the batch-size-1 A/B baseline).
     pub coalesce: bool,
-    /// Options for plan compilation (pool, optimizer, validator).
+    /// Options for plan compilation (optimizer, validator, recorder).
     pub compile: CompileOptions,
     /// Observability sink for serve-layer counters/gauges/spans.
     pub recorder: Recorder,
@@ -214,7 +211,7 @@ impl Server {
             cache.warm_start(&cfg.compile);
         }
         let workers = if cfg.workers == 0 {
-            qec_par::Pool::from_env().threads().max(1)
+            std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             cfg.workers
         };

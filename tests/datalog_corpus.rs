@@ -16,7 +16,7 @@ fn datalog_corpus_replays_clean_through_the_full_matrix() {
             .unwrap_or_else(|d| panic!("{} diverges: {d}", path.display()));
         assert_eq!(
             outcome.configs,
-            8,
+            4,
             "{} ran a truncated matrix",
             path.display()
         );
