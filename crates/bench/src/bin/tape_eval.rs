@@ -8,23 +8,21 @@
 //! ```text
 //! tape_eval word <tape-file>   # stdin: whitespace-separated u64 inputs
 //! tape_eval bit  <tape-file>   # stdin: whitespace-separated 0/1 bits
-//! tape_eval stream-lower <seed> <width> <out-file>
+//! tape_eval lower <seed> <width> <out-file>
 //! ```
 //!
 //! Outputs are printed space-separated on one stdout line. Any load or
 //! evaluation error goes to stderr with a non-zero exit, so a corrupted
 //! or version-skewed tape fails loudly instead of producing output.
 //!
-//! `stream-lower` is the producer half for CI's bounded-memory smoke:
-//! it compiles the seeded conjunctive-query case, bit-lowers it through
-//! the spillable streaming path ([`StreamOptions::from_env`] reads
-//! `QEC_STREAM_CHUNK` / `QEC_STREAM_WINDOW` / `QEC_SPILL_DIR`), saves
-//! the tape, reloads it, and verifies the round-trip — all inside
-//! whatever `ulimit` the caller imposed.
+//! `lower` is the producer half for CI's memory-ceiling smoke: it
+//! compiles the seeded conjunctive-query case, bit-lowers it with
+//! [`lower_with`], encodes the result as a [`BitTape`], saves it,
+//! reloads it, and verifies the round-trip — all inside whatever
+//! `ulimit` the caller imposed.
 
 use qec_circuit::{
-    lower_streamed, BitTape, CompileOptions, CompiledBitCircuit, CompiledCircuit, Mode,
-    StreamOptions, WordTape,
+    lower_with, BitTape, CompileOptions, CompiledBitCircuit, CompiledCircuit, Mode, WordTape,
 };
 use std::io::Read;
 
@@ -33,7 +31,7 @@ fn fail(msg: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
-fn stream_lower(seed: &str, width: &str, out: &str) {
+fn lower(seed: &str, width: &str, out: &str) {
     let seed: u64 = seed
         .parse()
         .unwrap_or_else(|_| fail(format!("bad seed {seed:?}")));
@@ -43,35 +41,34 @@ fn stream_lower(seed: &str, width: &str, out: &str) {
     let case = qec_check::gen_case(seed);
     let (cq, _db, dc) = case.materialize().unwrap_or_else(|e| fail(e));
     let (rc, _) = qec_core::naive_circuit(&cq, &dc).unwrap_or_else(|e| fail(e));
-    let lowered = rc.lower_with(Mode::Build, &CompileOptions::sequential());
-    let (tape, stats) = lower_streamed(&lowered.circuit, width, &StreamOptions::from_env())
-        .unwrap_or_else(|e| fail(e));
+    let opts = CompileOptions::sequential();
+    let lowered = rc.lower_with(Mode::Build, &opts);
+    let tape = BitTape::encode(&lower_with(&lowered.circuit, width, &opts));
     tape.save(out).unwrap_or_else(|e| fail(e));
     let back = BitTape::load(out).unwrap_or_else(|e| fail(e));
     if back != tape {
         fail("saved tape did not reload identically");
     }
     println!(
-        "stream-lower seed={seed} width={width}: {} instructions, {} spill(s), \
-         window ≤ {} bytes, {} bytes on disk, round-trip identical",
+        "lower seed={seed} width={width}: {} instructions, {} bytes on disk, \
+         round-trip identical, peak RSS {} MiB",
         tape.num_instructions(),
-        stats.spills,
-        stats.peak_window_bytes,
         std::fs::metadata(out).map(|m| m.len()).unwrap_or(0),
+        qec_obs::peak_rss_bytes().map_or("?".to_string(), |b| (b >> 20).to_string()),
     );
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (kind, path) = match args.as_slice() {
-        [kind, seed, width, out] if kind == "stream-lower" => {
-            stream_lower(seed, width, out);
+        [kind, seed, width, out] if kind == "lower" => {
+            lower(seed, width, out);
             return;
         }
         [kind, path] => (kind.as_str(), path.as_str()),
         _ => fail(
             "usage: tape_eval <word|bit> <tape-file>  (inputs on stdin)\n\
-             \x20      tape_eval stream-lower <seed> <width> <out-file>",
+             \x20      tape_eval lower <seed> <width> <out-file>",
         ),
     };
     let mut text = String::new();

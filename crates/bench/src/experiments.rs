@@ -1267,7 +1267,7 @@ pub fn all_experiments() -> Vec<(&'static str, fn() -> Table)> {
         ("x16", x16_optimizer),
         ("x18", x18_obs_overhead),
         ("x19", x19_differential),
-        ("x20", x20_tape_streaming),
+        ("x20", x20_tape_persistence),
         ("x21", x21_bitengine),
         ("x22", x22_serve),
         ("x23", x23_networked_gmw),
@@ -1350,12 +1350,10 @@ fn tape_eval_binary() -> Option<std::path::PathBuf> {
         .find(|candidate| candidate.is_file())
 }
 
-/// X20 — Flat instruction tapes and bounded-memory streaming lowering:
-/// a generated conjunctive-query circuit is (a) bit-lowered both
-/// in-memory and through the spillable streaming path under a
-/// deliberately tiny window, demanding byte-identity; (b) tape-encoded,
-/// serialized, reloaded, and decoded with round-trip identity and
-/// save+load throughput measured; and (c) evaluated by a separate
+/// X20 — Flat instruction tapes: a generated conjunctive-query circuit
+/// is (a) bit-lowered with [`lower_with`]; (b) tape-encoded at both
+/// levels, serialized, reloaded, and decoded with round-trip identity
+/// and save+load throughput measured; and (c) evaluated by a separate
 /// `tape_eval` child process from the serialized bytes alone, with
 /// outputs matched against the in-process evaluation — the
 /// compile-once / load-and-evaluate-many contract across a real
@@ -1365,14 +1363,14 @@ fn tape_eval_binary() -> Option<std::path::PathBuf> {
 /// `QEC_X20_N1280=1` adds the count-mode word lowering at N=1280 — one
 /// step beyond the N=1024 the X1 sweep reaches — with the process peak
 /// RSS (`VmHWM`) recorded.
-pub fn x20_tape_streaming() -> Table {
-    use qec_circuit::{lower_streamed, BitTape, StreamOptions, WordTape};
+pub fn x20_tape_persistence() -> Table {
+    use qec_circuit::{BitTape, WordTape};
     use std::io::Write as _;
     use std::process::{Command, Stdio};
     use std::time::Instant;
 
     let mut t = Table::new(
-        "X20  Flat instruction tapes: streaming lowering, serialization, cross-process reload",
+        "X20  Flat instruction tapes: bit lowering, serialization, cross-process reload",
         &["stage", "N", "gates", "seconds", "detail", "check"],
     );
     let smoke = std::env::var("QEC_X20_SMOKE").is_ok_and(|v| v == "1");
@@ -1389,45 +1387,22 @@ pub fn x20_tape_streaming() -> Table {
     let word_inputs = lowered.layout.values(&db).expect("layout inputs");
     let n_label = case.seed.to_string();
 
-    // --- In-memory vs streaming bit lowering, byte for byte. The
-    // window is sized to force spills on any non-trivial circuit. ---
+    // --- Bit lowering, traced into the run's recorder so the artifact
+    // carries its `lower` span and gate counters. ---
     let t0 = Instant::now();
-    let bits = lower_with(word_circuit, 64, &CompileOptions::sequential());
-    let mem_secs = t0.elapsed().as_secs_f64();
+    let bits = lower_with(
+        word_circuit,
+        64,
+        &CompileOptions::sequential().with_recorder(qec_obs::global()),
+    );
+    let lower_secs = t0.elapsed().as_secs_f64();
     t.row(vec![
-        "lower(mem)".into(),
+        "lower".into(),
         n_label.clone(),
         bits.gates().len().to_string(),
-        format!("{mem_secs:.3}"),
+        format!("{lower_secs:.3}"),
         format!("{} ANDs", bits.and_count()),
         "-".into(),
-    ]);
-
-    let stream_opts = StreamOptions {
-        chunk_words: 4096,
-        window_chunks: 2,
-        spill_dir: None,
-    };
-    let t0 = Instant::now();
-    let (streamed_tape, stats) =
-        lower_streamed(word_circuit, 64, &stream_opts).expect("streaming lowering");
-    let stream_secs = t0.elapsed().as_secs_f64();
-    let streamed = streamed_tape.decode().expect("streamed tape decodes");
-    let identical = streamed.gates() == bits.gates()
-        && streamed.outputs() == bits.outputs()
-        && streamed.num_inputs() == bits.num_inputs();
-    assert!(identical, "streaming lowering diverged from in-memory");
-    t.row(vec![
-        "lower(stream)".into(),
-        n_label.clone(),
-        streamed.gates().len().to_string(),
-        format!("{stream_secs:.3}"),
-        format!(
-            "{} spills, window ≤ {} KiB",
-            stats.spills,
-            stats.peak_window_bytes / 1024
-        ),
-        "byte-identical".into(),
     ]);
 
     // --- Serialization round-trips with save+load throughput. ---
@@ -1577,9 +1552,7 @@ pub fn x20_tape_streaming() -> Table {
     }
 
     t.verdict(format!(
-        "streaming lowering is byte-identical to in-memory under a {}-chunk window with {} spill(s); both tape kinds round-trip losslessly and {} child-process evaluation(s) matched in-process outputs{}",
-        stream_opts.window_chunks,
-        stats.spills,
+        "both tape kinds round-trip losslessly and {} child-process evaluation(s) matched in-process outputs{}",
         child_checks,
         if heavy {
             "; N=1280 count-mode lowering completed (see row)"

@@ -13,7 +13,7 @@ mod table;
 pub use experiments::{
     all_experiments, x10_semiring, x11_mpc, x12_primitive_scaling, x13_brent, x14_bound_tightness,
     x15_engine_throughput, x16_optimizer, x18_obs_overhead, x19_differential, x1_heavy_light,
-    x20_tape_streaming, x21_bitengine, x22_serve, x23_networked_gmw, x24_datalog_fixpoint,
+    x20_tape_persistence, x21_bitengine, x22_serve, x23_networked_gmw, x24_datalog_fixpoint,
     x2_panda_triangle, x3_proof_sequences, x4_panda_cost, x5_project_aggregate, x6_pk_join,
     x7_degree_join, x8_output_join, x9_output_sensitive,
 };

@@ -62,3 +62,34 @@ fn every_artifact_named_in_experiments_md_is_committed_with_the_schema_version()
         }
     }
 }
+
+/// `report` caps an artifact's span dump at this many spans.
+const MAX_SPANS: usize = 2048;
+/// Size ceiling for one committed artifact.
+const MAX_BYTES: usize = 1 << 20;
+
+#[test]
+fn every_committed_artifact_is_capped_in_spans_and_size() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(&root).expect("repo root lists") {
+        let path = entry.expect("dir entry").path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if !(name.starts_with("BENCH_X") && name.ends_with(".json")) {
+            continue;
+        }
+        seen += 1;
+        let body = std::fs::read_to_string(&path).expect("artifact reads");
+        assert!(
+            body.len() <= MAX_BYTES,
+            "{name} is {} bytes, over the {MAX_BYTES}-byte ceiling",
+            body.len()
+        );
+        let spans = body.matches("\"dur_ns\":").count();
+        assert!(
+            spans <= MAX_SPANS,
+            "{name} records {spans} spans, over the cap of {MAX_SPANS}"
+        );
+    }
+    assert!(seen > 0, "no BENCH_X*.json artifact found");
+}

@@ -8,13 +8,11 @@
 //!    `OutputSensitive::evaluate_ram` must all agree.
 //! 2. The naive relational circuit's RAM interpreter must match.
 //! 3. The lowered word circuit is structurally validated, checked for a
-//!    flat-tape serialize/decode round-trip (netlist equality), then
+//!    flat-tape serialize/decode round-trip (gate-for-gate equality), then
 //!    compiled and evaluated under every [`EngineOptions`] point in the
 //!    sweep matrix; each decoded output must equal the RAM ground truth.
 //! 4. Optionally the bit-level lowering and bit optimizer run under the
-//!    structural validator as well, plus a bit-tape round-trip, a
-//!    streaming-lowering parity check (a spill-forcing window must
-//!    reproduce the in-memory lowering byte for byte), and the
+//!    structural validator as well, plus a bit-tape round-trip and the
 //!    bitsliced `BitEngine`: every available kernel, recompiled under
 //!    every matrix point, must reproduce per-instance
 //!    `BitCircuit::evaluate` lane for lane on a random batch, and the
@@ -27,9 +25,9 @@
 
 use crate::case::{Case, EngineOptions};
 use qec_circuit::{
-    compile_bits_with, decode_relation, lower_streamed, lower_with, optimize_bits_with,
-    read_netlist, validate, validate_bits, write_netlist, BitEvalScratch, BitKernel, BitTape,
-    Circuit, CompileOptions, CompiledCircuit, Mode, StreamOptions, WordTape,
+    compile_bits_with, decode_relation, lower_with, optimize_bits_with, validate, validate_bits,
+    BitEvalScratch, BitKernel, BitTape, Circuit, CompileOptions, CompiledCircuit, Gate, Mode,
+    WordTape,
 };
 use qec_core::{naive_circuit, OutputSensitive};
 use qec_query::baseline::{evaluate_pairwise, generic_join, yannakakis};
@@ -179,11 +177,11 @@ pub fn options_matrix(_seed: u64) -> Vec<EngineOptions> {
     matrix
 }
 
-/// Test-only miscompile injection: swaps the opcode of one gate (the
-/// `index`-th swappable one, wrapping) so the acceptance check "an
-/// injected miscompile is caught and shrunk" has a hook. Goes through
-/// the public netlist round-trip on purpose — the mutated circuit is
-/// re-parsed and so stays structurally well-formed; only its semantics
+/// Test-only miscompile injection: swaps the variant of one binary gate
+/// (the `index`-th swappable one, wrapping) so the acceptance check "an
+/// injected miscompile is caught and shrunk" has a hook. The edited gate
+/// list goes back through the checked [`Circuit::from_raw`], so the
+/// mutated circuit stays structurally well-formed; only its semantics
 /// change, which is exactly what the differential layer must catch.
 #[derive(Clone, Copy, Debug)]
 pub struct Mutation {
@@ -192,40 +190,34 @@ pub struct Mutation {
     pub index: usize,
 }
 
-const OPCODE_SWAPS: [(&str, &str); 8] = [
-    ("add", "sub"),
-    ("sub", "add"),
-    ("mul", "add"),
-    ("eq", "lt"),
-    ("lt", "eq"),
-    ("and", "or"),
-    ("or", "and"),
-    ("xor", "or"),
-];
+/// The gate a mutation puts in place of `g`; `None` when `g` is not a
+/// swappable binary gate.
+fn swapped(g: Gate) -> Option<Gate> {
+    Some(match g {
+        Gate::Add(a, b) => Gate::Sub(a, b),
+        Gate::Sub(a, b) => Gate::Add(a, b),
+        Gate::Mul(a, b) => Gate::Add(a, b),
+        Gate::Eq(a, b) => Gate::Lt(a, b),
+        Gate::Lt(a, b) => Gate::Eq(a, b),
+        Gate::And(a, b) => Gate::Or(a, b),
+        Gate::Or(a, b) => Gate::And(a, b),
+        Gate::Xor(a, b) => Gate::Or(a, b),
+        _ => return None,
+    })
+}
 
 /// Applies `m` to `c`; `None` when the circuit has no swappable gate.
 pub fn mutate_circuit(c: &Circuit, m: &Mutation) -> Option<Circuit> {
-    let text = write_netlist(c);
-    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-    let mut candidates: Vec<(usize, &str)> = Vec::new();
-    for (i, line) in lines.iter().enumerate().skip(1) {
-        let mut toks = line.split_whitespace();
-        let (Some(_id), Some(op)) = (toks.next(), toks.next()) else {
-            continue;
-        };
-        if let Some(&(_, to)) = OPCODE_SWAPS.iter().find(|(from, _)| *from == op) {
-            candidates.push((i, to));
-        }
-    }
-    if candidates.is_empty() {
+    let mut gates = c.gates().to_vec();
+    let sites: Vec<usize> = (0..gates.len())
+        .filter(|&i| swapped(gates[i]).is_some())
+        .collect();
+    if sites.is_empty() {
         return None;
     }
-    let (line_idx, to) = candidates[m.index % candidates.len()];
-    let mut parts: Vec<&str> = lines[line_idx].split_whitespace().collect();
-    parts[1] = to;
-    lines[line_idx] = parts.join(" ");
-    let mutated = lines.join("\n") + "\n";
-    read_netlist(&mutated).ok()
+    let at = sites[m.index % sites.len()];
+    gates[at] = swapped(gates[at])?;
+    Circuit::from_raw(gates, c.outputs().to_vec(), c.num_inputs()).ok()
 }
 
 pub(crate) fn digest(r: &Relation) -> String {
@@ -323,9 +315,9 @@ pub fn run_case(
 
     // Stage 3b: flat-tape round-trip — encode the lowered word circuit
     // to an instruction tape, serialize, reload, decode, and demand the
-    // exact same netlist back. This is the persistence contract: a tape
-    // written today and decoded tomorrow is the circuit, not a
-    // semantically-equivalent cousin.
+    // exact same gates, outputs and input count back. This is the
+    // persistence contract: a tape written today and decoded tomorrow is
+    // the circuit, not a semantically-equivalent cousin.
     {
         let tape = WordTape::encode(&lowered.circuit).map_err(|e| Divergence::Validator {
             stage: "word-tape-roundtrip",
@@ -338,10 +330,13 @@ pub fn run_case(
                 stage: "word-tape-roundtrip",
                 error: format!("reload: {e}"),
             })?;
-        if write_netlist(&back) != write_netlist(&lowered.circuit) {
+        if back.gates() != lowered.circuit.gates()
+            || back.outputs() != lowered.circuit.outputs()
+            || back.num_inputs() != lowered.circuit.num_inputs()
+        {
             return Err(Divergence::Validator {
                 stage: "word-tape-roundtrip",
-                error: "decoded tape produced a different netlist".into(),
+                error: "decoded tape produced a different circuit".into(),
             });
         }
     }
@@ -429,34 +424,7 @@ pub fn run_case(
             });
         }
 
-        // Stage 5c: streaming lowering under an aggressively small window
-        // (forcing spills on any non-trivial case) must be byte-identical
-        // to the in-memory lowering.
-        let stream_opts = StreamOptions {
-            chunk_words: 64,
-            window_chunks: 1,
-            spill_dir: None,
-        };
-        let (streamed, _stats) =
-            lower_streamed(&circuit, 64, &stream_opts).map_err(|e| Divergence::Validator {
-                stage: "streaming-lowering-parity",
-                error: format!("lower_streamed: {e}"),
-            })?;
-        let streamed = streamed.decode().map_err(|e| Divergence::Validator {
-            stage: "streaming-lowering-parity",
-            error: format!("decode: {e}"),
-        })?;
-        if streamed.gates() != bits.gates()
-            || streamed.outputs() != bits.outputs()
-            || streamed.num_inputs() != bits.num_inputs()
-        {
-            return Err(Divergence::Validator {
-                stage: "streaming-lowering-parity",
-                error: "streamed lowering diverged from in-memory lowering".into(),
-            });
-        }
-
-        // Stage 5d: the bitsliced BitEngine, riding the options matrix.
+        // Stage 5c: the bitsliced BitEngine, riding the options matrix.
         // Reference once: the interpreter per instance (scratch-buffered)
         // over the case's real input plus a word-boundary-straddling
         // random batch; then every matrix point recompiles the tape under
@@ -522,7 +490,7 @@ pub fn run_case(
             }
         }
 
-        // Stage 5e: the networked two-party GMW session. Two `Session`s
+        // Stage 5d: the networked two-party GMW session. Two `Session`s
         // wired through a `Duplex` pair on the round-optimal gmw
         // schedule must reproduce the bit level's reference interpreter
         // (`BitCircuit::evaluate`, the `reference` above) result for
@@ -720,10 +688,11 @@ mod tests {
         let mutated = mutate_circuit(&lowered.circuit, &Mutation { index: 0 }).unwrap();
         assert!(validate(&mutated).is_ok());
         assert_ne!(
-            write_netlist(&mutated),
-            write_netlist(&lowered.circuit),
-            "mutation must change the netlist"
+            mutated.gates(),
+            lowered.circuit.gates(),
+            "mutation must change a gate"
         );
+        assert_eq!(mutated.num_wires(), lowered.circuit.num_wires());
     }
 
     #[test]

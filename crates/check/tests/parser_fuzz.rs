@@ -1,11 +1,11 @@
 //! Fuzzes the front ends that read queries and circuits from bytes:
-//! `parse_cq`, `read_netlist` and the tape loader must return typed
+//! `parse_cq` and the tape loader must return typed
 //! errors on malformed input, never panic.
 
 use qec_check::Rng;
 use qec_circuit::{
-    fnv1a64, lower_with, read_netlist, write_netlist, BitTape, Builder, CompileOptions,
-    CompiledBitCircuit, CompiledCircuit, Mode, WordTape,
+    fnv1a64, lower_with, BitTape, Builder, CompileOptions, CompiledBitCircuit, CompiledCircuit,
+    Mode, WordTape,
 };
 use qec_query::{parse_cq, CqError};
 
@@ -86,45 +86,6 @@ fn duplicate_head_variables_are_a_typed_error() {
             "unexpected message: {msg}"
         ),
         other => panic!("expected CqError::Parse, got {other:?}"),
-    }
-}
-
-/// Netlist reader under the same treatment: mutate a real serialized
-/// circuit and demand graceful rejection.
-#[test]
-fn read_netlist_survives_mutated_netlists() {
-    let case = qec_check::gen_case(3);
-    let (cq, _db, dc) = case.materialize().unwrap();
-    let (rc, _) = qec_core::naive_circuit(&cq, &dc).unwrap();
-    let lowered = rc.lower_with(
-        qec_circuit::Mode::Build,
-        &qec_circuit::CompileOptions::sequential(),
-    );
-    let base = write_netlist(&lowered.circuit);
-    assert!(read_netlist(&base).is_ok());
-
-    let mut rng = Rng::new(0x2E7);
-    let bytes = base.as_bytes();
-    for _ in 0..800 {
-        let mut mutated = bytes.to_vec();
-        for _ in 0..1 + rng.below(4) {
-            let i = rng.below(mutated.len() as u64) as usize;
-            match rng.below(3) {
-                0 => {
-                    mutated.remove(i);
-                }
-                1 => mutated[i] = rng.next_u64() as u8,
-                _ => {
-                    // truncate — exercises the "header declares more" path
-                    mutated.truncate(i);
-                }
-            }
-            if mutated.is_empty() {
-                break;
-            }
-        }
-        let text = String::from_utf8_lossy(&mutated);
-        let _ = read_netlist(&text);
     }
 }
 

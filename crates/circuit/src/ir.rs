@@ -1,6 +1,7 @@
 //! Word-level circuit IR: gates, builder, evaluator.
 
 use crate::cons::{hash_fields, ConsTable};
+use crate::validate::ValidateError;
 use std::fmt;
 
 /// A wire identifier.
@@ -121,7 +122,7 @@ impl fmt::Display for EvalError {
             EvalError::CircuitTooLarge { wires, limit } => write!(
                 f,
                 "circuit too large: {wires} wires exceed the {limit}-wire id space \
-                 (use the wide tape encoding / streaming lowering for larger circuits)"
+                 (use the wide tape encoding for larger circuits)"
             ),
             EvalError::Tape(e) => write!(f, "tape error: {e}"),
         }
@@ -162,8 +163,8 @@ impl std::error::Error for EvalError {}
 /// The cons table is index-only: it stores wire ids and compares keys
 /// against the builder's own gate records, which both modes keep while
 /// building, so consing never breaks Build/Count parity. Constants go
-/// through the same table. Use [`Builder::without_cse`]
-/// when wire ids must track pushes one-for-one (the netlist reader does).
+/// through the same table. Use [`Builder::without_cse`] when logic
+/// wire ids must track pushes one-for-one.
 pub struct Builder {
     mode: Mode,
     /// Every wire's gate, in both modes: the key arena of `cons`. Count
@@ -235,9 +236,9 @@ impl Builder {
         }
     }
 
-    /// Creates a builder that never hash-conses: every push allocates a
-    /// fresh wire, keeping wire ids aligned with the push sequence. The
-    /// netlist reader needs this so ids match the source text.
+    /// Creates a builder that never hash-conses logic gates: every logic
+    /// push allocates a fresh wire, so structurally duplicate gates stay
+    /// distinct (constants are still deduplicated).
     pub fn without_cse(mode: Mode) -> Builder {
         Builder {
             cse: false,
@@ -321,12 +322,6 @@ impl Builder {
     /// A constant wire (deduplicated).
     pub fn constant(&mut self, v: u64) -> WireId {
         self.intern(Gate::Const(v), 0, false)
-    }
-
-    /// A constant wire without deduplication (used by the netlist reader,
-    /// which must keep wire ids aligned with the source text).
-    pub fn raw_const(&mut self, v: u64) -> WireId {
-        self.push(Gate::Const(v), 0, false)
     }
 
     /// Wrapping addition.
@@ -485,28 +480,44 @@ pub struct Circuit {
 }
 
 impl Circuit {
-    /// Rebuilds a materialized circuit from a raw gate list, recomputing
-    /// depths and size. Used by the offline optimizer, which constructs
-    /// gate lists directly. The list must be topologically ordered.
-    pub(crate) fn from_raw(gates: Vec<Gate>, outputs: Vec<WireId>, num_inputs: usize) -> Circuit {
-        let mut depths = Vec::with_capacity(gates.len());
+    /// Builds a materialized circuit from a raw gate list, recomputing
+    /// depths and size: the one constructor for gate lists made outside a
+    /// [`Builder`] (the offline optimizer, tape decoding, hand-edited
+    /// circuits). Every operand must name an earlier wire and every output
+    /// a wire of the list; otherwise the typed
+    /// [`ValidateError::ForwardReference`] or
+    /// [`ValidateError::OutputOutOfRange`] comes back.
+    pub fn from_raw(
+        gates: Vec<Gate>,
+        outputs: Vec<WireId>,
+        num_inputs: usize,
+    ) -> Result<Circuit, ValidateError> {
+        let mut depths: Vec<u32> = Vec::with_capacity(gates.len());
         let mut size = 0u64;
-        for g in &gates {
-            let is_logic = !matches!(g, Gate::Input(_) | Gate::Const(_));
-            if is_logic {
+        for (i, g) in gates.iter().enumerate() {
+            if !matches!(g, Gate::Input(_) | Gate::Const(_)) {
                 size += 1;
             }
-            let d = g
-                .operands()
-                .iter()
-                .flatten()
-                .map(|&w| depths[w as usize])
-                .max()
-                .map_or(0, |m: u32| m + 1);
+            let mut d = 0;
+            for &w in g.operands().iter().flatten() {
+                let Some(&dw) = depths.get(w as usize) else {
+                    return Err(ValidateError::ForwardReference {
+                        gate: i,
+                        operand: w,
+                    });
+                };
+                d = d.max(dw + 1);
+            }
             depths.push(d);
         }
+        if let Some(position) = outputs.iter().position(|&w| w as usize >= gates.len()) {
+            return Err(ValidateError::OutputOutOfRange {
+                position,
+                wire: outputs[position],
+            });
+        }
         let depth = depths.iter().copied().max().unwrap_or(0);
-        Circuit {
+        Ok(Circuit {
             mode: Mode::Build,
             gates,
             depths,
@@ -514,8 +525,9 @@ impl Circuit {
             num_inputs,
             size,
             depth,
-        }
+        })
     }
+
     /// Gate count (logic gates; inputs/constants excluded).
     pub fn size(&self) -> u64 {
         self.size
@@ -794,6 +806,46 @@ mod tests {
         let g2 = b.assert_zero(x);
         assert_ne!(g1, g2);
         assert_eq!(b.size(), 2);
+    }
+
+    #[test]
+    fn from_raw_rebuilds_and_rejects_bad_wiring() {
+        let mut b = Builder::new(Mode::Build);
+        let x = b.input();
+        let y = b.input();
+        let s = b.add(x, y);
+        let n = b.not(s);
+        let c = b.finish(vec![s, n]);
+        let back = Circuit::from_raw(c.gates().to_vec(), c.outputs().to_vec(), 2).unwrap();
+        assert_eq!(back.wire_depths(), c.wire_depths());
+        assert_eq!((back.size(), back.depth()), (c.size(), c.depth()));
+
+        // an operand naming the gate itself or a later wire
+        let fwd = vec![Gate::Input(0), Gate::Add(0, 2), Gate::Not(0)];
+        assert_eq!(
+            Circuit::from_raw(fwd, vec![1], 1).err(),
+            Some(ValidateError::ForwardReference {
+                gate: 1,
+                operand: 2
+            })
+        );
+        let own = vec![Gate::Input(0), Gate::Not(1)];
+        assert_eq!(
+            Circuit::from_raw(own, vec![1], 1).err(),
+            Some(ValidateError::ForwardReference {
+                gate: 1,
+                operand: 1
+            })
+        );
+        // an output past the last wire
+        let gates = vec![Gate::Input(0), Gate::Not(0)];
+        assert_eq!(
+            Circuit::from_raw(gates, vec![1, 2], 1).err(),
+            Some(ValidateError::OutputOutOfRange {
+                position: 1,
+                wire: 2
+            })
+        );
     }
 
     #[test]

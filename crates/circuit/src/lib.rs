@@ -63,7 +63,7 @@ pub use ir::{Builder, Circuit, EvalError, Gate, Mode, WireId};
 pub use join::{join_degree_bounded, join_pk, semijoin};
 pub use join_out::join_output_bounded;
 pub use lower::{lower_with, optimize_bits_with, BitCircuit, BitEvalScratch, BitOptStats};
-pub use netlist::{read_netlist, write_netlist, NetlistError};
+pub use netlist::write_netlist;
 pub use ops::{aggregate, project, select, truncate, union, AggOp};
 pub use opt::{optimize_with, OptStats};
 pub use prov::{ProvCircuit, ProvId, ProvNode};
@@ -74,7 +74,7 @@ pub use rel::{
 pub use scan::{scan, segmented_scan};
 pub use schedule::{brent_steps, level_widths};
 pub use sort::{sort_slots, sort_slots_network, SortKey, SortNetwork};
-pub use tape::{fnv1a64, lower_streamed, BitTape, StreamOptions, StreamStats, TapeError, WordTape};
+pub use tape::{fnv1a64, BitTape, TapeError, WordTape};
 pub use validate::{
     validate, validate_bit_tape, validate_bits, validate_opt, validate_word_tape, ValidateError,
 };

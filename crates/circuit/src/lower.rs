@@ -11,7 +11,9 @@
 //! Both passes here, [`lower_with`] and the bit optimizer
 //! [`optimize_bits_with`], are one sequential walk over a topologically
 //! ordered gate list into one store (`Lowerer`: a gate vector plus an
-//! index-only cons table), so a wire's id is its creation order.
+//! index-only cons table), so a wire's id is its creation order. This is
+//! the only bit lowering; [`BitTape::encode`](crate::BitTape::encode)
+//! turns its result into the storage and transfer format.
 
 use std::sync::OnceLock;
 
@@ -231,8 +233,8 @@ pub struct BitEvalScratch {
     outs: Vec<bool>,
 }
 
-/// The constant-`false` wire: always id 0 (every [`BitRewrite`] store
-/// seeds it first).
+/// The constant-`false` wire: always id 0 (every [`Lowerer`] seeds it
+/// first).
 pub(crate) const B_FALSE: u32 = 0;
 /// The constant-`true` wire: always id 1.
 pub(crate) const B_TRUE: u32 = 1;
@@ -279,56 +281,88 @@ fn remap_bgate(g: BGate, renum: &[u32]) -> BGate {
     }
 }
 
-/// Bit-gate construction rules with online constant folding and
-/// hash-consing, written once against an abstract store: XOR and AND
-/// fold against the constant wires and equal operands, NOT cancels NOT,
-/// and structurally repeated gates (operands sorted) return the existing
+/// The bit-gate store behind [`lower_with`] and [`optimize_bits_with`]:
+/// a gate vector plus the index-only cons table over it, with fold/CSE
+/// counters for [`BitOptStats`].
+///
+/// Its construction rules fold online and hash-cons: XOR and AND fold
+/// against the constant wires and equal operands, NOT cancels NOT, and
+/// structurally repeated gates (operands sorted) return the existing
 /// wire. All bit wires carry `0`/`1`, so unlike the word level every
 /// identity here is unconditionally sound.
-///
-/// Implementors provide the storage primitives: [`Lowerer`] (a gate
-/// vector + cons table, behind [`lower_with`] and [`optimize_bits_with`])
-/// and the streaming store behind
-/// [`lower_streamed`](crate::tape::lower_streamed), which spills its gates
-/// as it goes. One copy of the rule bodies is what keeps the two
-/// lowerings byte-identical.
-pub(crate) trait BitRewrite {
-    /// Appends an uncached gate (inputs, asserts).
-    fn push(&mut self, g: BGate) -> u32;
-    /// Interns an already-canonical gate key.
-    fn intern(&mut self, key: BGate) -> u32;
-    /// `Some(x)` when wire `w` is defined by `Not(x)` (the NOT-cancel
-    /// peephole). This is the *only* structural query the rewrite rules
-    /// make, and it is deliberately this narrow: a streaming store that
-    /// has already spilled `w`'s definition can still answer it from a
-    /// small side map, where a full `peek` would have to re-read the
-    /// spill.
-    fn not_operand(&self, w: u32) -> Option<u32>;
-    fn count_fold(&mut self);
+struct Lowerer {
+    gates: Vec<BGate>,
+    cons: ConsTable,
+    cse_hits: u64,
+    folds: u64,
+}
 
+impl Lowerer {
+    fn new() -> Lowerer {
+        Lowerer {
+            gates: vec![BGate::Const(false), BGate::Const(true)],
+            cons: ConsTable::new(),
+            cse_hits: 0,
+            folds: 0,
+        }
+    }
+
+    /// Appends an uncached gate (inputs, asserts).
+    fn push(&mut self, g: BGate) -> u32 {
+        let id = match checked_bit_id(self.gates.len() as u64) {
+            Ok(id) => id,
+            Err(e) => panic!("{e}"),
+        };
+        self.gates.push(g);
+        id
+    }
+
+    /// Returns the wire of an earlier gate equal to `g` (operands
+    /// sorted), or appends `g` and records it in the cons table.
     fn emit(&mut self, g: BGate) -> u32 {
         self.intern(canon_bit(g))
     }
 
+    /// The cons-table lookup behind [`Lowerer::emit`]. Kept out of line:
+    /// inlined, it bloats every folding rule that calls it, and the
+    /// lowering runs about 30% slower.
+    #[inline(never)]
+    fn intern(&mut self, key: BGate) -> u32 {
+        let h = bgate_hash(key);
+        let gates = &self.gates;
+        self.cons.reserve_one(|w| bgate_hash(gates[w as usize]));
+        match self.cons.find(h, |w| gates[w as usize] == key) {
+            Ok(w) => {
+                self.cse_hits += 1;
+                w
+            }
+            Err(at) => {
+                let w = self.push(key);
+                self.cons.insert(at, h, w);
+                w
+            }
+        }
+    }
+
     fn xor(&mut self, a: u32, b: u32) -> u32 {
         if a == b {
-            self.count_fold();
+            self.folds += 1;
             return B_FALSE;
         }
         if a == B_FALSE {
-            self.count_fold();
+            self.folds += 1;
             return b;
         }
         if b == B_FALSE {
-            self.count_fold();
+            self.folds += 1;
             return a;
         }
         if a == B_TRUE {
-            self.count_fold();
+            self.folds += 1;
             return self.not(b);
         }
         if b == B_TRUE {
-            self.count_fold();
+            self.folds += 1;
             return self.not(a);
         }
         self.emit(BGate::Xor(a, b))
@@ -336,19 +370,19 @@ pub(crate) trait BitRewrite {
 
     fn and(&mut self, a: u32, b: u32) -> u32 {
         if a == B_FALSE || b == B_FALSE {
-            self.count_fold();
+            self.folds += 1;
             return B_FALSE;
         }
         if a == B_TRUE {
-            self.count_fold();
+            self.folds += 1;
             return b;
         }
         if b == B_TRUE {
-            self.count_fold();
+            self.folds += 1;
             return a;
         }
         if a == b {
-            self.count_fold();
+            self.folds += 1;
             return a;
         }
         self.emit(BGate::And(a, b))
@@ -361,8 +395,8 @@ pub(crate) trait BitRewrite {
         if a == B_TRUE {
             return B_FALSE;
         }
-        if let Some(x) = self.not_operand(a) {
-            self.count_fold();
+        if let BGate::Not(x) = self.gates[a as usize] {
+            self.folds += 1;
             return x;
         }
         self.emit(BGate::Not(a))
@@ -451,65 +485,72 @@ pub(crate) trait BitRewrite {
         }
         acc
     }
-}
 
-/// The in-memory store behind [`BitRewrite`]: a gate vector plus the
-/// index-only cons table over it, with fold/CSE counters for
-/// [`BitOptStats`].
-struct Lowerer {
-    gates: Vec<BGate>,
-    cons: ConsTable,
-    cse_hits: u64,
-    folds: u64,
-}
-
-impl Lowerer {
-    fn new() -> Lowerer {
-        Lowerer {
-            gates: vec![BGate::Const(false), BGate::Const(true)],
-            cons: ConsTable::new(),
-            cse_hits: 0,
-            folds: 0,
-        }
-    }
-}
-
-impl BitRewrite for Lowerer {
-    fn push(&mut self, g: BGate) -> u32 {
-        let id = match checked_bit_id(self.gates.len() as u64) {
-            Ok(id) => id,
-            Err(e) => panic!("{e}"),
-        };
-        self.gates.push(g);
-        id
-    }
-
-    fn intern(&mut self, key: BGate) -> u32 {
-        let h = bgate_hash(key);
-        let gates = &self.gates;
-        self.cons.reserve_one(|w| bgate_hash(gates[w as usize]));
-        match self.cons.find(h, |w| gates[w as usize] == key) {
-            Ok(w) => {
-                self.cse_hits += 1;
-                w
+    /// Expands one word gate into its Boolean block. `word_bits[op]`
+    /// holds the bit wires of word wire `op`, already lowered — word gate
+    /// lists are topological, so operands always precede their consumers.
+    fn lower_gate(&mut self, g: Gate, word_bits: &[Vec<u32>], w: usize) -> Vec<u32> {
+        let wb = |x: WireId| &word_bits[x as usize];
+        match g {
+            Gate::Input(idx) => (0..w)
+                .map(|k| self.push(BGate::Input(idx * w + k)))
+                .collect(),
+            Gate::Const(v) => (0..w)
+                .map(|k| if (v >> k) & 1 == 1 { B_TRUE } else { B_FALSE })
+                .collect(),
+            Gate::Add(a, b) => self.add_words(wb(a), wb(b)),
+            Gate::Sub(a, b) => {
+                let nb = self.neg_words(wb(b));
+                self.add_words(wb(a), &nb)
             }
-            Err(at) => {
-                let w = self.push(key);
-                self.cons.insert(at, h, w);
-                w
+            Gate::Mul(a, b) => self.mul_words(wb(a), wb(b)),
+            Gate::Eq(a, b) => {
+                let e = self.eq_words(wb(a), wb(b));
+                bit_word(e, w)
+            }
+            Gate::Lt(a, b) => {
+                let l = self.lt_words(wb(a), wb(b));
+                bit_word(l, w)
+            }
+            Gate::And(a, b) => {
+                let (ta, tb) = (self.truthy(wb(a)), self.truthy(wb(b)));
+                let r = self.and(ta, tb);
+                bit_word(r, w)
+            }
+            Gate::Or(a, b) => {
+                let (ta, tb) = (self.truthy(wb(a)), self.truthy(wb(b)));
+                let r = self.or(ta, tb);
+                bit_word(r, w)
+            }
+            Gate::Xor(a, b) => {
+                let (ta, tb) = (self.truthy(wb(a)), self.truthy(wb(b)));
+                let r = self.xor(ta, tb);
+                bit_word(r, w)
+            }
+            Gate::Not(a) => {
+                let ta = self.truthy(wb(a));
+                let r = self.not(ta);
+                bit_word(r, w)
+            }
+            Gate::Mux(s, a, b) => {
+                let ts = self.truthy(wb(s));
+                wb(a)
+                    .iter()
+                    .zip(wb(b).iter())
+                    .map(|(&x, &y)| self.mux_bit(ts, x, y))
+                    .collect()
+            }
+            Gate::AssertZero(a) => {
+                let ta = self.truthy(wb(a));
+                // A truthiness that folded to constant 0 can never fire;
+                // anything else (including constant 1 = always-fail)
+                // keeps its assert so failure semantics survive.
+                if ta != B_FALSE {
+                    self.push(BGate::AssertFalse(ta));
+                }
+                vec![B_FALSE; w]
             }
         }
-    }
-
-    fn not_operand(&self, w: u32) -> Option<u32> {
-        match self.gates[w as usize] {
-            BGate::Not(x) => Some(x),
-            _ => None,
-        }
-    }
-
-    fn count_fold(&mut self) {
-        self.folds += 1;
     }
 }
 
@@ -518,79 +559,6 @@ fn bit_word(bit: u32, w: usize) -> Vec<u32> {
     let mut out = vec![B_FALSE; w];
     out[0] = bit;
     out
-}
-
-/// Expands one word gate into its Boolean block against any
-/// [`BitRewrite`] store. `word_bits[op]` holds the bit wires of word wire
-/// `op`, already lowered — word gate lists are topological, so operands
-/// always precede their consumers. Shared by [`lower_with`] and
-/// [`lower_streamed`](crate::tape::lower_streamed); tracking
-/// `num_input_bits` for `Input` gates stays with the caller.
-pub(crate) fn lower_gate<S: BitRewrite>(
-    lw: &mut S,
-    g: Gate,
-    word_bits: &[Vec<u32>],
-    w: usize,
-) -> Vec<u32> {
-    let wb = |x: WireId| &word_bits[x as usize];
-    match g {
-        Gate::Input(idx) => (0..w).map(|k| lw.push(BGate::Input(idx * w + k))).collect(),
-        Gate::Const(v) => (0..w)
-            .map(|k| if (v >> k) & 1 == 1 { B_TRUE } else { B_FALSE })
-            .collect(),
-        Gate::Add(a, b) => lw.add_words(wb(a), wb(b)),
-        Gate::Sub(a, b) => {
-            let nb = lw.neg_words(wb(b));
-            lw.add_words(wb(a), &nb)
-        }
-        Gate::Mul(a, b) => lw.mul_words(wb(a), wb(b)),
-        Gate::Eq(a, b) => {
-            let e = lw.eq_words(wb(a), wb(b));
-            bit_word(e, w)
-        }
-        Gate::Lt(a, b) => {
-            let l = lw.lt_words(wb(a), wb(b));
-            bit_word(l, w)
-        }
-        Gate::And(a, b) => {
-            let (ta, tb) = (lw.truthy(wb(a)), lw.truthy(wb(b)));
-            let r = lw.and(ta, tb);
-            bit_word(r, w)
-        }
-        Gate::Or(a, b) => {
-            let (ta, tb) = (lw.truthy(wb(a)), lw.truthy(wb(b)));
-            let r = lw.or(ta, tb);
-            bit_word(r, w)
-        }
-        Gate::Xor(a, b) => {
-            let (ta, tb) = (lw.truthy(wb(a)), lw.truthy(wb(b)));
-            let r = lw.xor(ta, tb);
-            bit_word(r, w)
-        }
-        Gate::Not(a) => {
-            let ta = lw.truthy(wb(a));
-            let r = lw.not(ta);
-            bit_word(r, w)
-        }
-        Gate::Mux(s, a, b) => {
-            let ts = lw.truthy(wb(s));
-            wb(a)
-                .iter()
-                .zip(wb(b).iter())
-                .map(|(&x, &y)| lw.mux_bit(ts, x, y))
-                .collect()
-        }
-        Gate::AssertZero(a) => {
-            let ta = lw.truthy(wb(a));
-            // A truthiness that folded to constant 0 can never fire;
-            // anything else (including constant 1 = always-fail)
-            // keeps its assert so failure semantics survive.
-            if ta != B_FALSE {
-                lw.push(BGate::AssertFalse(ta));
-            }
-            vec![B_FALSE; w]
-        }
-    }
 }
 
 /// Lowers a word circuit to bits under `opts`. Every word input becomes
@@ -627,16 +595,37 @@ pub fn lower_with(c: &Circuit, width: u32, opts: &CompileOptions) -> BitCircuit 
 fn lower_seq(c: &Circuit, width: u32) -> BitCircuit {
     assert!(c.is_evaluable(), "cannot lower a count-only circuit");
     let w = width as usize;
-    let mut lw = Lowerer::new();
-    let mut word_bits: Vec<Vec<u32>> = Vec::with_capacity(c.num_wires());
-    let mut num_input_bits = 0usize;
+    let src = c.gates();
 
-    for g in c.gates() {
+    // Last consumer of each word wire (0: none, since a consumer always
+    // comes after its operand); outputs stay pinned.
+    let mut last_use = vec![0u32; src.len()];
+    for (i, g) in src.iter().enumerate() {
+        for op in g.operands().into_iter().flatten() {
+            last_use[op as usize] = i as u32;
+        }
+    }
+    for &o in c.outputs() {
+        last_use[o as usize] = u32::MAX;
+    }
+
+    let mut lw = Lowerer::new();
+    // A word wire's bit vector is replaced by the (allocation-free) empty
+    // vector after its last consumer, or at once when it has none.
+    // Topological order means a freed slot is never read again.
+    let mut word_bits: Vec<Vec<u32>> = Vec::with_capacity(src.len());
+    let mut num_input_bits = 0usize;
+    for (i, g) in src.iter().enumerate() {
         if let Gate::Input(idx) = *g {
             num_input_bits = num_input_bits.max((idx + 1) * w);
         }
-        let bits = lower_gate(&mut lw, *g, &word_bits, w);
-        word_bits.push(bits);
+        let bits = lw.lower_gate(*g, &word_bits, w);
+        word_bits.push(if last_use[i] == 0 { Vec::new() } else { bits });
+        for op in g.operands().into_iter().flatten() {
+            if last_use[op as usize] == i as u32 {
+                word_bits[op as usize] = Vec::new();
+            }
+        }
     }
 
     let outputs = c
@@ -709,8 +698,8 @@ pub fn optimize_bits_with(bc: &BitCircuit, opts: &CompileOptions) -> (BitCircuit
 }
 
 /// Rewrite, mark and sweep: every source gate goes through the
-/// [`BitRewrite`] rules into a fresh [`Lowerer`], then the gates no root
-/// reaches are dropped.
+/// [`Lowerer`] rules into a fresh store, then the gates no root reaches
+/// are dropped.
 fn optimize_bits_seq(bc: &BitCircuit) -> (BitCircuit, BitOptStats) {
     let mut lw = Lowerer::new();
     // Source wire → rewritten wire.
@@ -773,7 +762,7 @@ fn optimize_bits_seq(bc: &BitCircuit) -> (BitCircuit, BitOptStats) {
     (opt, stats)
 }
 
-/// Applies the [`BitRewrite`] rules to one source gate against the
+/// Applies the [`Lowerer`] rules to one source gate against the
 /// committed `map`: the single definition of what "rewriting a bit gate"
 /// means.
 fn rewrite_bit_gate(lw: &mut Lowerer, map: &[u32], g: BGate) -> u32 {

@@ -5,8 +5,9 @@
 //! and the degree constraints. Our builders are streaming — gates are
 //! emitted in topological order with O(1) state beyond wire ids — and
 //! this module makes the description concrete: a line-oriented textual
-//! netlist that can be shipped (e.g. to the outsourced-query service
-//! provider of Sec. 1), parsed back, and evaluated. Generation is
+//! netlist for people and external tools (`qec --netlist`). It is a
+//! one-way printer; the binary [`WordTape`](crate::WordTape) is the
+//! format a circuit is shipped in and read back from. Generation is
 //! deterministic: the same query and constraints produce byte-identical
 //! netlists.
 //!
@@ -23,7 +24,7 @@
 
 use std::fmt::Write as _;
 
-use crate::ir::{Builder, Circuit, Gate, Mode};
+use crate::ir::{Circuit, Gate};
 
 /// Serializes a materialized circuit as a textual netlist.
 ///
@@ -66,274 +67,19 @@ pub fn write_netlist(c: &Circuit) -> String {
     out
 }
 
-/// Netlist parse failures, positioned at the offending token.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NetlistError {
-    /// 1-based line number.
-    pub line: usize,
-    /// 1-based column (byte offset within the line) of the offending
-    /// token; 1 when the whole line (or its absence) is the problem.
-    pub column: usize,
-    /// What went wrong, quoting the offending token when there is one.
-    pub message: String,
-}
-
-impl std::fmt::Display for NetlistError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "netlist line {}, column {}: {}",
-            self.line, self.column, self.message
-        )
-    }
-}
-
-impl std::error::Error for NetlistError {}
-
-/// A whitespace-separated token with its 1-based column.
-#[derive(Clone, Copy)]
-struct PosTok<'a> {
-    text: &'a str,
-    col: usize,
-}
-
-/// Splits a line into tokens, keeping each token's byte column.
-fn tokens(line: &str) -> Vec<PosTok<'_>> {
-    let bytes = line.as_bytes();
-    let mut toks = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i].is_ascii_whitespace() {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        while i < bytes.len() && !bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        toks.push(PosTok {
-            text: &line[start..i],
-            col: start + 1,
-        });
-    }
-    toks
-}
-
-/// Parses a netlist back into an evaluable circuit. The result evaluates
-/// identically to the serialized circuit (round-trip tested).
-///
-/// Malformed input — truncated bodies, out-of-order or duplicate wire
-/// ids, wrong gate arity, trailing garbage, duplicate `output` lines —
-/// is rejected with a [`NetlistError`] naming the line, column, and
-/// offending token; no input can make this function panic.
-pub fn read_netlist(src: &str) -> Result<Circuit, NetlistError> {
-    let err = |line: usize, column: usize, message: String| NetlistError {
-        line,
-        column,
-        message,
-    };
-    let mut lines = src.lines().enumerate();
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| err(1, 1, "empty netlist".into()))?;
-    let rest = header
-        .strip_prefix("qec-netlist v1 ")
-        .ok_or_else(|| err(1, 1, format!("bad header {header:?}")))?;
-    // `inputs=<k> wires=<w>` — the declared counts are validated against
-    // the body so truncated netlists are rejected, not silently accepted.
-    let header_count = |key: &str| -> Result<usize, NetlistError> {
-        let field = tokens(rest)
-            .into_iter()
-            .find_map(|t| {
-                t.text
-                    .strip_prefix(key)
-                    .and_then(|v| v.strip_prefix('='))
-                    .map(|v| (v.to_string(), t.col))
-            })
-            .ok_or_else(|| err(1, 1, format!("header missing {key}=<n>")))?;
-        let col = "qec-netlist v1 ".len() + field.1;
-        field
-            .0
-            .parse()
-            .map_err(|_| err(1, col, format!("bad {key} count {:?}", field.0)))
-    };
-    let declared_inputs = header_count("inputs")?;
-    let declared_wires = header_count("wires")?;
-
-    // No hash-consing: a netlist names wires by dense position, so every
-    // line must allocate exactly one builder wire even when the source
-    // text contains structurally duplicate gates.
-    let mut b = Builder::without_cse(Mode::Build);
-    let mut wires: Vec<crate::WireId> = Vec::new();
-    let mut num_inputs = 0usize;
-    let mut outputs: Option<Vec<crate::WireId>> = None;
-    let mut last_line = 1;
-    for (ln0, line) in lines {
-        let ln = ln0 + 1;
-        last_line = ln;
-        let toks = tokens(line);
-        let Some(first) = toks.first().copied() else {
-            continue;
-        };
-        if first.text == "output" {
-            if outputs.is_some() {
-                return Err(err(ln, first.col, "duplicate output line".into()));
-            }
-            let mut outs = Vec::new();
-            for t in &toks[1..] {
-                let idx: usize = t
-                    .text
-                    .parse()
-                    .map_err(|_| err(ln, t.col, format!("bad output wire {:?}", t.text)))?;
-                outs.push(
-                    *wires
-                        .get(idx)
-                        .ok_or_else(|| err(ln, t.col, format!("output wire {idx} out of range")))?,
-                );
-            }
-            outputs = Some(outs);
-            continue;
-        }
-        if outputs.is_some() {
-            return Err(err(
-                ln,
-                first.col,
-                format!("gate line {:?} after the output line", first.text),
-            ));
-        }
-        let declared: usize = first
-            .text
-            .parse()
-            .map_err(|_| err(ln, first.col, format!("bad wire id {:?}", first.text)))?;
-        if declared != wires.len() {
-            return Err(err(
-                ln,
-                first.col,
-                format!(
-                    "wire ids must be dense and in order: expected {}, found {declared}",
-                    wires.len()
-                ),
-            ));
-        }
-        let op = *toks
-            .get(1)
-            .ok_or_else(|| err(ln, first.col + first.text.len(), "missing opcode".into()))?;
-        // Operand accessors index past `<wire> <opcode>`.
-        let num = |k: usize, what: &str| -> Result<u64, NetlistError> {
-            let t = toks
-                .get(k + 2)
-                .ok_or_else(|| err(ln, op.col + op.text.len(), format!("missing {what}")))?;
-            t.text
-                .parse()
-                .map_err(|_| err(ln, t.col, format!("bad {what} {:?}", t.text)))
-        };
-        let wire = |k: usize, what: &str| -> Result<crate::WireId, NetlistError> {
-            let idx = num(k, what)? as usize;
-            wires.get(idx).copied().ok_or_else(|| {
-                let t = toks[k + 2];
-                err(ln, t.col, format!("{what} {idx} out of range"))
-            })
-        };
-        let (w, arity) = match op.text {
-            "input" => {
-                let _ = num(0, "input index")?;
-                num_inputs += 1;
-                (b.input(), 1)
-            }
-            // bypass the const cache to keep wire ids aligned with the
-            // source netlist
-            "const" => (b.raw_const(num(0, "constant")?), 1),
-            "add" | "sub" | "mul" | "eq" | "lt" | "and" | "or" | "xor" => {
-                let x = wire(0, "lhs")?;
-                let y = wire(1, "rhs")?;
-                let w = match op.text {
-                    "add" => b.add(x, y),
-                    "sub" => b.sub(x, y),
-                    "mul" => b.mul(x, y),
-                    "eq" => b.eq(x, y),
-                    "lt" => b.lt(x, y),
-                    "and" => b.and(x, y),
-                    "or" => b.or(x, y),
-                    _ => b.xor(x, y),
-                };
-                (w, 2)
-            }
-            "not" => (b.not(wire(0, "operand")?), 1),
-            "mux" => {
-                let s = wire(0, "selector")?;
-                let x = wire(1, "lhs")?;
-                let y = wire(2, "rhs")?;
-                (b.mux(s, x, y), 3)
-            }
-            "assertz" => (b.assert_zero(wire(0, "operand")?), 1),
-            other => return Err(err(ln, op.col, format!("unknown opcode {other:?}"))),
-        };
-        if let Some(extra) = toks.get(arity + 2) {
-            return Err(err(
-                ln,
-                extra.col,
-                format!(
-                    "{} takes {arity} operand{}, found trailing token {:?}",
-                    op.text,
-                    if arity == 1 { "" } else { "s" },
-                    extra.text
-                ),
-            ));
-        }
-        wires.push(w);
-    }
-    let outputs = outputs.ok_or_else(|| err(last_line, 1, "missing output line".into()))?;
-    if wires.len() != declared_wires {
-        return Err(err(
-            last_line,
-            1,
-            format!(
-                "truncated netlist: header declares {declared_wires} wires, body has {}",
-                wires.len()
-            ),
-        ));
-    }
-    if num_inputs != declared_inputs {
-        return Err(err(
-            last_line,
-            1,
-            format!("header declares {declared_inputs} inputs, body has {num_inputs}"),
-        ));
-    }
-    Ok(b.finish(outputs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rel::{decode_relation, encode_relation, relation_to_values};
+    use crate::ir::{Builder, Mode};
+    use crate::rel::encode_relation;
     use crate::sort::{sort_slots, SortKey};
-    use qec_relation::{Relation, Var};
+    use qec_relation::Var;
 
     fn sample_circuit() -> Circuit {
         let mut b = Builder::new(Mode::Build);
         let w = encode_relation(&mut b, vec![Var(0), Var(1)], 6);
         let s = sort_slots(&mut b, &w, &SortKey::Columns(vec![Var(0)]));
         b.finish(s.flatten())
-    }
-
-    #[test]
-    fn roundtrip_preserves_semantics() {
-        let c = sample_circuit();
-        let text = write_netlist(&c);
-        let back = read_netlist(&text).unwrap();
-        assert_eq!(back.num_inputs(), c.num_inputs());
-        let r = Relation::from_rows(
-            vec![Var(0), Var(1)],
-            vec![vec![5, 1], vec![2, 2], vec![9, 3]],
-        );
-        let inputs = relation_to_values(&r, 6).unwrap();
-        assert_eq!(
-            c.evaluate(&inputs).unwrap(),
-            back.evaluate(&inputs).unwrap()
-        );
-        let decoded = decode_relation(&[Var(0), Var(1)], &back.evaluate(&inputs).unwrap());
-        assert_eq!(decoded, r);
     }
 
     #[test]
@@ -345,92 +91,16 @@ mod tests {
     }
 
     #[test]
-    fn parse_errors_are_positioned() {
-        assert!(read_netlist("").is_err());
-        assert!(read_netlist("bogus header\n").is_err());
-        let bad = "qec-netlist v1 inputs=0 wires=1\n0 frobnicate 1\noutput 0\n";
-        let e = match read_netlist(bad) {
-            Err(e) => e,
-            Ok(_) => panic!("bad opcode accepted"),
-        };
-        assert_eq!(e.line, 2);
-        assert_eq!(e.column, 3); // the opcode token, after "0 "
-        assert!(e.message.contains("frobnicate"), "{e}");
-        // forward references are rejected
-        let fwd = "qec-netlist v1 inputs=0 wires=2\n0 not 1\n1 const 0\noutput 0\n";
-        assert!(read_netlist(fwd).is_err());
-    }
-
-    fn err_of(r: Result<Circuit, NetlistError>) -> NetlistError {
-        match r {
-            Err(e) => e,
-            Ok(_) => panic!("malformed netlist accepted"),
-        }
-    }
-
-    #[test]
-    fn truncated_netlists_are_rejected() {
-        // header promises 3 wires, body delivers 2
-        let t = "qec-netlist v1 inputs=1 wires=3\n0 input 0\n1 not 0\noutput 1\n";
-        let e = err_of(read_netlist(t));
-        assert!(e.message.contains("truncated"), "{e}");
-        // header promises 2 inputs, body delivers 1
-        let t = "qec-netlist v1 inputs=2 wires=2\n0 input 0\n1 not 0\noutput 1\n";
-        let e = err_of(read_netlist(t));
-        assert!(e.message.contains("declares 2 inputs"), "{e}");
-        // missing output line entirely
-        let t = "qec-netlist v1 inputs=1 wires=1\n0 input 0\n";
-        let e = err_of(read_netlist(t));
-        assert!(e.message.contains("missing output"), "{e}");
-        // header counts must parse
-        assert!(read_netlist("qec-netlist v1 inputs=x wires=1\noutput\n").is_err());
-        assert!(read_netlist("qec-netlist v1 inputs=1\noutput\n").is_err());
-    }
-
-    #[test]
-    fn duplicate_wires_are_rejected() {
-        // same wire id declared twice
-        let d = "qec-netlist v1 inputs=2 wires=2\n0 input 0\n0 input 1\noutput 0\n";
-        let e = err_of(read_netlist(d));
-        assert_eq!(e.line, 3);
-        assert!(e.message.contains("dense and in order"), "{e}");
-        // duplicate output line
-        let d = "qec-netlist v1 inputs=1 wires=1\n0 input 0\noutput 0\noutput 0\n";
-        let e = err_of(read_netlist(d));
-        assert_eq!(e.line, 4);
-        assert!(e.message.contains("duplicate output"), "{e}");
-        // gate lines after the output line
-        let d = "qec-netlist v1 inputs=2 wires=2\n0 input 0\noutput 0\n1 input 1\n";
-        let e = err_of(read_netlist(d));
-        assert!(e.message.contains("after the output line"), "{e}");
-    }
-
-    #[test]
-    fn bad_arity_netlists_are_rejected() {
-        // binary op with three operands
-        let b3 = "qec-netlist v1 inputs=2 wires=3\n0 input 0\n1 input 1\n2 add 0 1 1\noutput 2\n";
-        let e = err_of(read_netlist(b3));
-        assert_eq!((e.line, e.column), (4, 11));
-        assert!(e.message.contains("trailing token"), "{e}");
-        // unary op with two operands
-        let n2 = "qec-netlist v1 inputs=1 wires=2\n0 input 0\n1 not 0 0\noutput 1\n";
-        assert!(err_of(read_netlist(n2)).message.contains("trailing"));
-        // binary op with one operand
-        let b1 = "qec-netlist v1 inputs=1 wires=2\n0 input 0\n1 add 0\noutput 1\n";
-        assert!(err_of(read_netlist(b1)).message.contains("missing rhs"));
-        // mux with two operands
-        let m2 = "qec-netlist v1 inputs=2 wires=3\n0 input 0\n1 input 1\n2 mux 0 1\noutput 2\n";
-        assert!(err_of(read_netlist(m2)).message.contains("missing rhs"));
-    }
-
-    #[test]
-    fn assertions_survive_roundtrip() {
+    fn one_line_per_wire_between_header_and_outputs() {
         let mut b = Builder::new(Mode::Build);
         let x = b.input();
+        let k = b.constant(42);
+        let s = b.add(x, k);
         b.assert_zero(x);
-        let c = b.finish(vec![]);
-        let back = read_netlist(&write_netlist(&c)).unwrap();
-        assert!(back.evaluate(&[0]).is_ok());
-        assert!(back.evaluate(&[7]).is_err());
+        let c = b.finish(vec![s]);
+        assert_eq!(
+            write_netlist(&c),
+            "qec-netlist v1 inputs=1 wires=4\n0 input 0\n1 const 42\n2 add 0 1\n3 assertz 0\noutput 2\n"
+        );
     }
 }

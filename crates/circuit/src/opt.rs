@@ -477,7 +477,8 @@ fn optimize_seq(c: &Circuit) -> (Circuit, OptStats) {
         .iter()
         .filter(|g| !matches!(g, Gate::Input(_) | Gate::Const(_)))
         .count() as u64;
-    let opt = Circuit::from_raw(out_gates, outputs, c.num_inputs());
+    let opt = Circuit::from_raw(out_gates, outputs, c.num_inputs())
+        .expect("the sweep keeps the gate list topological");
     let stats = OptStats {
         gates_before: c.size(),
         gates_after: opt.size(),

@@ -1,10 +1,10 @@
-//! Flat instruction-tape circuit encoding, versioned binary
-//! serialization, and bounded-memory streaming lowering.
+//! Flat instruction-tape circuit encoding and versioned binary
+//! serialization.
 //!
 //! The paper's premise is that a circuit is a *compact reusable
 //! artifact* of query compilation: compile once, evaluate many, ship to
 //! an MPC counterparty (Sec. 4.1). This module makes that concrete in
-//! three steps:
+//! two steps:
 //!
 //! 1. **Flat tapes.** [`WordTape`] and [`BitTape`] are word-coded
 //!    instruction streams — one `Vec<u64>` of `(opcode, operand)` words —
@@ -18,46 +18,22 @@
 //!    [`BitTape::decode`] hand it back to the level's reference
 //!    interpreter, and
 //!    [`CompiledCircuit::compile_tape_with`](crate::CompiledCircuit::compile_tape_with)
-//!    compiles a word tape straight into the engine.
+//!    compiles a word tape straight into the engine. A bit tape comes
+//!    from [`lower_with`](crate::lower_with) followed by
+//!    [`BitTape::encode`].
 //! 2. **Serialization.** [`WordTape::to_bytes`]/[`BitTape::to_bytes`]
 //!    emit a magic-tagged, versioned container with an FNV-1a-64
 //!    checksum trailer; `from_bytes` rejects truncation, trailing bytes,
 //!    bad magic, unknown versions, wrong kinds, checksum mismatches, and
 //!    malformed instructions with typed [`TapeError`]s. This is what
-//!    lets a compiled circuit leave the process.
-//! 3. **Streaming lowering.** [`lower_streamed`] lowers a word circuit
-//!    to a [`BitTape`] level-by-level through fixed-size chunks with a
-//!    bounded resident window; full chunks past the window spill to a
-//!    temp file and are stitched back at the end. The produced tape
-//!    decodes to the byte-identical [`BitCircuit`] that
-//!    [`lower_with`](crate::lower_with) builds (the `qec-check` differ
-//!    verifies this on every fuzz case).
-//!
-//! # Streaming-window invariants
-//!
-//! The window bounds the *materialized gate payload*: at most
-//! `window_chunks × chunk_words × 8` bytes of encoded instructions are
-//! resident at any time, plus the current chunk. Per-word-wire bit
-//! vectors are freed at their last use (outputs stay pinned). Two side
-//! structures intentionally stay resident because byte-identity demands
-//! them: the structural CSE map (a late gate may cons against the very
-//! first one) and the NOT-operand map backing the NOT-cancel peephole.
-//! Both are proportional to *distinct* gates, not to the raw instruction
-//! stream, and both are dwarfed by the payload they replace for the
-//! deep, repetitive circuits this path targets.
+//!    lets a compiled circuit leave the process, and it is the only
+//!    format a circuit is read back from.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::fmt;
-use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 
 use crate::engine::kind_index;
-use crate::lower::{
-    checked_bit_id, lower_gate, BGate, BitCircuit, BitRewrite, B_FALSE, B_TRUE, MAX_BIT_WIRES,
-};
+use crate::lower::{BGate, BitCircuit, MAX_BIT_WIRES};
 use crate::{Circuit, EvalError, Gate, WireId};
 
 /// Serialization/encoding failure, one variant per rejection reason so
@@ -131,7 +107,7 @@ pub enum TapeError {
     /// The circuit was built in count-only mode and has no gates to
     /// encode.
     NotEvaluable,
-    /// An I/O failure while saving/loading/spilling.
+    /// An I/O failure while saving or loading.
     Io(String),
 }
 
@@ -448,8 +424,8 @@ impl WordTape {
     }
 
     /// Decodes back into the in-memory IR. The result is gate-for-gate
-    /// identical to the circuit that was encoded (`write_netlist` of the
-    /// two is equal — the differ checks this).
+    /// identical to the circuit that was encoded (same gates, outputs and
+    /// input count — the differ checks this).
     pub fn decode(&self) -> Result<Circuit, TapeError> {
         let mut gates = Vec::with_capacity(self.num_wires as usize);
         self.for_each_instruction(|_w, op, a, b, c| {
@@ -495,7 +471,8 @@ impl WordTape {
             }
             outputs.push(o as WireId);
         }
-        Ok(Circuit::from_raw(gates, outputs, self.num_inputs as usize))
+        Ok(Circuit::from_raw(gates, outputs, self.num_inputs as usize)
+            .expect("decode checked every operand"))
     }
 
     /// Walks the instruction stream, handing each decoded instruction
@@ -964,373 +941,6 @@ pub(crate) fn check_bit_tape(t: &BitTape) -> Result<(), TapeError> {
     Ok(())
 }
 
-// ---- streaming lowering ----
-
-/// Knobs for [`lower_streamed`]'s chunked window.
-#[derive(Clone, Debug)]
-pub struct StreamOptions {
-    /// Instruction words per chunk.
-    pub chunk_words: usize,
-    /// Full chunks kept resident before the oldest spills to disk.
-    pub window_chunks: usize,
-    /// Directory for the spill file (`std::env::temp_dir()` when
-    /// `None`).
-    pub spill_dir: Option<PathBuf>,
-}
-
-impl StreamOptions {
-    /// Defaults: 64Ki-word chunks (512 KiB), an 8-chunk window (4 MiB of
-    /// resident encoded payload).
-    pub fn new() -> StreamOptions {
-        StreamOptions {
-            chunk_words: 1 << 16,
-            window_chunks: 8,
-            spill_dir: None,
-        }
-    }
-
-    /// Reads `QEC_STREAM_CHUNK` (words per chunk), `QEC_STREAM_WINDOW`
-    /// (resident chunks), and `QEC_SPILL_DIR` on top of the defaults.
-    pub fn from_env() -> StreamOptions {
-        let mut o = StreamOptions::new();
-        let read = |k: &str| std::env::var(k).ok().and_then(|v| v.parse::<usize>().ok());
-        if let Some(v) = read("QEC_STREAM_CHUNK") {
-            o.chunk_words = v.max(16);
-        }
-        if let Some(v) = read("QEC_STREAM_WINDOW") {
-            o.window_chunks = v.max(1);
-        }
-        if let Ok(d) = std::env::var("QEC_SPILL_DIR") {
-            if !d.is_empty() {
-                o.spill_dir = Some(PathBuf::from(d));
-            }
-        }
-        o
-    }
-
-    /// A window so large nothing ever spills (for tests and small
-    /// circuits).
-    pub fn in_memory() -> StreamOptions {
-        StreamOptions {
-            chunk_words: 1 << 16,
-            window_chunks: usize::MAX,
-            spill_dir: None,
-        }
-    }
-}
-
-impl Default for StreamOptions {
-    fn default() -> StreamOptions {
-        StreamOptions::new()
-    }
-}
-
-/// Counters describing one [`lower_streamed`] run (also mirrored into
-/// the global recorder as `tape.stream.*`).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StreamStats {
-    /// Chunks spilled to disk.
-    pub spills: u64,
-    /// Code words that went through the spill file.
-    pub spilled_words: u64,
-    /// Peak resident encoded payload, in bytes (window + current chunk).
-    pub peak_window_bytes: u64,
-}
-
-/// Monotonic id for spill-file names (several streams may run in one
-/// process).
-static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// The chunked, spillable code-word sink behind [`lower_streamed`].
-struct ChunkSink {
-    chunk_words: usize,
-    window_chunks: usize,
-    spill_dir: PathBuf,
-    cur: Vec<u64>,
-    window: VecDeque<Vec<u64>>,
-    spill: Option<(File, PathBuf)>,
-    stats: StreamStats,
-}
-
-impl ChunkSink {
-    fn new(opts: &StreamOptions) -> ChunkSink {
-        ChunkSink {
-            chunk_words: opts.chunk_words.max(16),
-            window_chunks: opts.window_chunks.max(1),
-            spill_dir: opts.spill_dir.clone().unwrap_or_else(std::env::temp_dir),
-            cur: Vec::new(),
-            window: VecDeque::new(),
-            spill: None,
-            stats: StreamStats::default(),
-        }
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        8 * (self.cur.len() as u64 + self.window.iter().map(|c| c.len() as u64).sum::<u64>())
-    }
-
-    fn push_word(&mut self, w: u64) -> Result<(), TapeError> {
-        if self.cur.len() == self.chunk_words {
-            let full = std::mem::take(&mut self.cur);
-            self.window.push_back(full);
-            if self.window.len() > self.window_chunks {
-                self.spill_oldest()?;
-            }
-        }
-        self.cur.push(w);
-        self.stats.peak_window_bytes = self.stats.peak_window_bytes.max(self.resident_bytes());
-        Ok(())
-    }
-
-    fn spill_oldest(&mut self) -> Result<(), TapeError> {
-        let chunk = self.window.pop_front().expect("window is non-empty");
-        if self.spill.is_none() {
-            let name = format!(
-                "qec-spill-{}-{}.tmp",
-                std::process::id(),
-                SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
-            );
-            let path = self.spill_dir.join(name);
-            let file = File::options()
-                .create_new(true)
-                .read(true)
-                .write(true)
-                .open(&path)
-                .map_err(|e| TapeError::Io(format!("{}: {e}", path.display())))?;
-            self.spill = Some((file, path));
-        }
-        let (file, path) = self.spill.as_mut().expect("just created");
-        let mut bytes = Vec::with_capacity(chunk.len() * 8);
-        for w in &chunk {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
-        file.write_all(&bytes)
-            .map_err(|e| TapeError::Io(format!("{}: {e}", path.display())))?;
-        self.stats.spills += 1;
-        self.stats.spilled_words += chunk.len() as u64;
-        Ok(())
-    }
-
-    /// Stitches spilled chunks + resident window + current chunk back
-    /// into one code vector, and removes the spill file.
-    fn finish(mut self) -> Result<(Vec<u64>, StreamStats), TapeError> {
-        let resident: usize = self.cur.len() + self.window.iter().map(Vec::len).sum::<usize>();
-        let mut code = Vec::with_capacity(self.stats.spilled_words as usize + resident);
-        if let Some((mut file, path)) = self.spill.take() {
-            let err = |e: std::io::Error| TapeError::Io(format!("{}: {e}", path.display()));
-            file.seek(SeekFrom::Start(0)).map_err(err)?;
-            let mut bytes = Vec::new();
-            file.read_to_end(&mut bytes).map_err(err)?;
-            let _ = std::fs::remove_file(&path);
-            if bytes.len() != self.stats.spilled_words as usize * 8 {
-                return Err(TapeError::Io(format!(
-                    "{}: spill file holds {} bytes, expected {}",
-                    path.display(),
-                    bytes.len(),
-                    self.stats.spilled_words * 8
-                )));
-            }
-            for ch in bytes.chunks_exact(8) {
-                code.push(u64::from_le_bytes(ch.try_into().unwrap()));
-            }
-        }
-        for chunk in self.window.drain(..) {
-            code.extend_from_slice(&chunk);
-        }
-        code.extend_from_slice(&self.cur);
-        Ok((code, self.stats))
-    }
-}
-
-impl Drop for ChunkSink {
-    fn drop(&mut self) {
-        if let Some((_, path)) = self.spill.take() {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-/// The [`BitRewrite`] store behind [`lower_streamed`]: identical rewrite
-/// decisions to the sequential `Lowerer` (same CSE map, same NOT-cancel
-/// peephole, same allocation order — that is what makes the output
-/// byte-identical), but gates leave through the chunked sink as encoded
-/// narrow instructions instead of accumulating in a `Vec<BGate>`.
-///
-/// `BitRewrite` methods return bare wire ids, so failures (id-space
-/// exhaustion, spill I/O) poison the store via `err` and return a dummy
-/// wire; the driver loop checks `err` after every word gate.
-struct StreamLowerer {
-    sink: ChunkSink,
-    cse: HashMap<BGate, u32>,
-    /// `w -> x` for every wire defined by `Not(x)` — the resident side
-    /// map that replaces peeking at (possibly spilled) gate payloads.
-    not_of: HashMap<u32, u32>,
-    next: u64,
-    err: Option<EvalError>,
-}
-
-impl StreamLowerer {
-    fn new(opts: &StreamOptions) -> Result<StreamLowerer, TapeError> {
-        let mut lw = StreamLowerer {
-            sink: ChunkSink::new(opts),
-            cse: HashMap::new(),
-            not_of: HashMap::new(),
-            next: 0,
-            err: None,
-        };
-        // Same preseed as the sequential Lowerer: wires 0/1 are the
-        // constants.
-        let f = lw.append(BGate::Const(false));
-        let t = lw.append(BGate::Const(true));
-        debug_assert!(f == B_FALSE && t == B_TRUE);
-        Ok(lw)
-    }
-
-    /// Allocates the next wire and encodes `g` into the sink, poisoning
-    /// on overflow or I/O failure.
-    fn append(&mut self, g: BGate) -> u32 {
-        if self.err.is_some() {
-            return B_FALSE;
-        }
-        let id = match checked_bit_id(self.next) {
-            Ok(id) => id,
-            Err(e) => {
-                self.err = Some(e);
-                return B_FALSE;
-            }
-        };
-        let (op, a, b) = bgate_op(g);
-        if a >= NARROW_LIMIT || b >= NARROW_LIMIT {
-            self.err = Some(EvalError::Tape(TapeError::TooLargeForFormat {
-                wires: self.next + 1,
-                limit: NARROW_LIMIT,
-            }));
-            return B_FALSE;
-        }
-        if let Err(e) = self.sink.push_word(pack_narrow(op, a, b)) {
-            self.err = Some(EvalError::Tape(e));
-            return B_FALSE;
-        }
-        if let BGate::Not(x) = g {
-            self.not_of.insert(id, x);
-        }
-        self.next += 1;
-        id
-    }
-}
-
-impl BitRewrite for StreamLowerer {
-    fn push(&mut self, g: BGate) -> u32 {
-        self.append(g)
-    }
-
-    fn intern(&mut self, key: BGate) -> u32 {
-        if let Some(&w) = self.cse.get(&key) {
-            return w;
-        }
-        let w = self.append(key);
-        if self.err.is_none() {
-            self.cse.insert(key, w);
-        }
-        w
-    }
-
-    fn not_operand(&self, w: u32) -> Option<u32> {
-        self.not_of.get(&w).copied()
-    }
-
-    fn count_fold(&mut self) {}
-}
-
-/// Lowers a word circuit to a [`BitTape`] with bounded resident memory:
-/// encoded gates stream through [`StreamOptions::window_chunks`] chunks
-/// (spilling beyond that), and each word wire's bit vector is freed at
-/// its last use. The tape decodes to the byte-identical [`BitCircuit`]
-/// that [`lower_with`](crate::lower_with) produces.
-///
-/// Returns [`EvalError::CountOnly`] for count-mode circuits,
-/// [`EvalError::CircuitTooLarge`] when the bit-wire id space runs out,
-/// and [`EvalError::Tape`] for spill I/O failures.
-pub fn lower_streamed(
-    c: &Circuit,
-    width: u32,
-    opts: &StreamOptions,
-) -> Result<(BitTape, StreamStats), EvalError> {
-    if !c.is_evaluable() {
-        return Err(EvalError::CountOnly);
-    }
-    let rec = qec_obs::global();
-    let _span = rec.span("lower.stream");
-    let w = width as usize;
-    let src = c.gates();
-
-    // Last consumer of each word wire; outputs stay pinned.
-    let mut last_use: Vec<usize> = vec![0; src.len()];
-    for (i, g) in src.iter().enumerate() {
-        for op in g.operands().into_iter().flatten() {
-            last_use[op as usize] = i;
-        }
-    }
-    for &o in c.outputs() {
-        last_use[o as usize] = usize::MAX;
-    }
-
-    let mut lw = StreamLowerer::new(opts).map_err(EvalError::Tape)?;
-    if let Some(e) = lw.err.take() {
-        return Err(e);
-    }
-    // Dead slots are replaced with the (allocation-free) empty vector,
-    // so `lower_gate` keeps its dense `&[Vec<u32>]` view while freed
-    // wires release their bit vectors. Operands are alive by
-    // construction — topological order means an empty slot is never
-    // read.
-    let mut word_bits: Vec<Vec<u32>> = Vec::with_capacity(src.len());
-    let mut num_input_bits = 0usize;
-    for (i, g) in src.iter().enumerate() {
-        if let Gate::Input(idx) = *g {
-            num_input_bits = num_input_bits.max((idx + 1) * w);
-        }
-        let bits = lower_gate(&mut lw, *g, &word_bits, w);
-        if let Some(e) = lw.err.take() {
-            return Err(e);
-        }
-        word_bits.push(bits);
-        // Free operands whose last consumer was this gate.
-        for op in g.operands().into_iter().flatten() {
-            if last_use[op as usize] == i {
-                word_bits[op as usize] = Vec::new();
-            }
-        }
-    }
-
-    let outputs: Vec<u64> = c
-        .outputs()
-        .iter()
-        .flat_map(|&wid| word_bits[wid as usize].iter().map(|&b| b as u64))
-        .collect();
-    let num_wires = lw.next;
-    let (code, stats) = lw.sink.finish().map_err(EvalError::Tape)?;
-    if rec.is_enabled() {
-        rec.add("tape.stream.spills", stats.spills);
-        rec.add("tape.stream.spilled_words", stats.spilled_words);
-        rec.gauge_max("tape.stream.window_bytes", stats.peak_window_bytes);
-        if let Some(rss) = qec_obs::peak_rss_bytes() {
-            rec.gauge_max("tape.stream.peak_rss", rss);
-        }
-    }
-    Ok((
-        BitTape {
-            format: FORMAT_NARROW,
-            width,
-            num_inputs: num_input_bits as u64,
-            num_wires,
-            code,
-            outputs,
-        },
-        stats,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1497,48 +1107,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_lowering_is_byte_identical_to_lower_with() {
-        let c = sample_circuit();
-        let bc = crate::lower_with(&c, 32, &crate::CompileOptions::sequential());
-        // Tiny chunks + window of 1 so the spill path actually runs.
-        let opts = StreamOptions {
-            chunk_words: 16,
-            window_chunks: 1,
-            spill_dir: None,
-        };
-        let (tape, stats) = lower_streamed(&c, 32, &opts).unwrap();
-        assert!(stats.spills > 0, "test must exercise the spill path");
-        let back = tape.decode().unwrap();
-        assert_eq!(back.gates(), bc.gates());
-        assert_eq!(back.outputs(), bc.outputs());
-        assert_eq!(back.num_inputs(), bc.num_inputs());
-        // And without spilling, the exact same tape.
-        let (t2, s2) = lower_streamed(&c, 32, &StreamOptions::in_memory()).unwrap();
-        assert_eq!(s2.spills, 0);
-        assert_eq!(t2, tape);
-    }
-
-    #[test]
-    fn streamed_overflow_returns_circuit_too_large() {
-        // Cheap overflow regression: inject a next-id just under the cap
-        // and push a handful of gates — no 4-billion-gate circuit needed.
-        let mut lw = StreamLowerer::new(&StreamOptions::in_memory()).unwrap();
-        lw.next = MAX_BIT_WIRES - 1;
-        assert!(lw.err.is_none());
-        lw.append(BGate::Input(0)); // takes the last two ids
-        lw.append(BGate::Input(1));
-        assert!(lw.err.is_none());
-        lw.append(BGate::Input(2)); // one past the end
-        match lw.err {
-            Some(EvalError::CircuitTooLarge { wires, limit }) => {
-                assert_eq!(limit, MAX_BIT_WIRES + 1);
-                assert!(wires > limit);
-            }
-            ref other => panic!("expected CircuitTooLarge, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn checked_wire_helpers_reject_the_cap() {
         assert!(crate::ir::checked_wire_id(0).is_ok());
         assert!(crate::ir::checked_wire_id(u32::MAX as u64 - 1).is_ok());
@@ -1546,9 +1114,9 @@ mod tests {
             crate::ir::checked_wire_id(u32::MAX as u64),
             Err(EvalError::CircuitTooLarge { .. })
         ));
-        assert!(checked_bit_id(MAX_BIT_WIRES).is_ok());
+        assert!(crate::lower::checked_bit_id(MAX_BIT_WIRES).is_ok());
         assert!(matches!(
-            checked_bit_id(MAX_BIT_WIRES + 1),
+            crate::lower::checked_bit_id(MAX_BIT_WIRES + 1),
             Err(EvalError::CircuitTooLarge { .. })
         ));
     }

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use qec_circuit::{
     aggregate, decode_relation, join_degree_bounded, join_pk, project, select, semijoin,
-    sort_slots, truncate, union, AggOp, Builder, Mode, SortKey,
+    sort_slots, truncate, union, AggOp, Builder, Mode, SortKey, WordTape,
 };
 use qec_relation::{AggKind, Relation, Var, VarSet};
 
@@ -190,7 +190,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn netlist_roundtrips_random_operator_circuits(
+    fn word_tape_roundtrips_random_operator_circuits(
         r in rel_strategy(&[0, 1], 8),
         s in rel_strategy(&[1, 2], 8),
         which in 0usize..3,
@@ -208,13 +208,16 @@ proptest! {
             _ => union(&mut b, &rw, &rw.clone()),
         };
         let c = b.finish(out.flatten());
-        let text = qec_circuit::write_netlist(&c);
-        let back = qec_circuit::read_netlist(&text).unwrap();
+        let bytes = WordTape::encode(&c).unwrap().to_bytes();
+        let back = WordTape::from_bytes(&bytes).unwrap().decode().unwrap();
+        prop_assert_eq!(back.gates(), c.gates());
+        prop_assert_eq!(back.outputs(), c.outputs());
+        prop_assert_eq!(back.num_inputs(), c.num_inputs());
         let mut vals = relation_values(&r, 8);
         vals.extend(relation_values(&s, 8));
         prop_assert_eq!(c.evaluate(&vals).unwrap(), back.evaluate(&vals).unwrap());
-        // determinism: serializing the parsed circuit reproduces the text
-        prop_assert_eq!(qec_circuit::write_netlist(&back), text);
+        // determinism: re-encoding the decoded circuit reproduces the bytes
+        prop_assert_eq!(WordTape::encode(&back).unwrap().to_bytes(), bytes);
     }
 }
 

@@ -418,9 +418,9 @@ pub fn install(rec: Recorder) -> Recorder {
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`), or `None` off Linux / when procfs is
-/// unreadable. The streaming lowering and the X20 bench use this to
-/// report the bounded-memory window actually achieved; it is a
-/// high-water mark, so it only ever grows within a process.
+/// unreadable. The X20 bench and `tape_eval lower` use this to report
+/// the memory a run actually reached; it is a high-water mark, so it
+/// only ever grows within a process.
 pub fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     for line in status.lines() {

@@ -116,9 +116,35 @@ fn netlist_and_dot_outputs() {
     let dot_text = std::fs::read_to_string(&dot).unwrap();
     assert!(dot_text.starts_with("digraph rc {"));
     assert!(dot_text.contains("shape=box"));
-    // the netlist parses back into an evaluable circuit
+    // the netlist has one line per wire its header declares, and its
+    // logic lines add up to the word-circuit size the CLI printed
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let printed_gates: usize = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("word circuit: "))
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no word-circuit size in {stdout}"));
     let net_text = std::fs::read_to_string(&netlist).unwrap();
-    let circuit = query_circuits::circuit::read_netlist(&net_text).unwrap();
-    assert!(circuit.num_inputs() > 0);
+    let mut lines = net_text.lines();
+    let header = lines.next().unwrap();
+    let count = |key: &str| -> usize {
+        header
+            .split_whitespace()
+            .find_map(|t| t.strip_prefix(key))
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no {key} in {header:?}"))
+    };
+    assert!(header.starts_with("qec-netlist v1 "), "{header}");
+    assert!(count("inputs=") > 0);
+    let body: Vec<&str> = lines.collect();
+    let (output_line, gate_lines) = body.split_last().unwrap();
+    assert!(output_line.starts_with("output "), "{output_line}");
+    assert_eq!(gate_lines.len(), count("wires="));
+    let logic = gate_lines
+        .iter()
+        .filter(|l| !matches!(l.split_whitespace().nth(1), Some("input" | "const")))
+        .count();
+    assert_eq!(logic, printed_gates);
     std::fs::remove_dir_all(&dir).ok();
 }
