@@ -53,7 +53,7 @@ fn bench_bitengine(c: &mut Criterion) {
         bits.gates().len() >= 1_000_000,
         "bench bit circuit must stay ≥ 1e6 gates"
     );
-    let eng = CompiledBitCircuit::compile(&bits);
+    let eng = CompiledBitCircuit::compile_gmw(&bits);
     assert!(
         eng.stats().peak_registers < bits.gates().len(),
         "register allocation must beat the O(gates) value buffer"
@@ -84,23 +84,18 @@ fn bench_bitengine(c: &mut Criterion) {
                 .collect::<Vec<_>>()
         })
     });
+    let scalar = eng.clone().with_kernel(BitKernel::Scalar);
     g.bench_function(BenchmarkId::new("bitengine", "scalar-1"), |b| {
-        let mut sc = eng.scratch();
         b.iter(|| {
             batch[..BATCH]
                 .iter()
-                .map(|i| {
-                    eng.evaluate_batch_kernel(std::slice::from_ref(i), BitKernel::Scalar, &mut sc)
-                })
+                .map(|i| scalar.evaluate_batch(std::slice::from_ref(i)))
                 .collect::<Vec<_>>()
         })
     });
     g.bench_function(
         BenchmarkId::new("bitengine", format!("scalar-{BATCH}")),
-        |b| {
-            let mut sc = eng.scratch();
-            b.iter(|| eng.evaluate_batch_kernel(&batch[..BATCH], BitKernel::Scalar, &mut sc))
-        },
+        |b| b.iter(|| scalar.evaluate_batch(&batch[..BATCH])),
     );
     for kernel in BitKernel::available() {
         if kernel == BitKernel::Scalar {
@@ -108,15 +103,13 @@ fn bench_bitengine(c: &mut Criterion) {
         }
         // full lane count so no lanes idle
         let lanes = kernel.lanes();
+        let eng = eng.clone().with_kernel(kernel);
         g.throughput(Throughput::Elements(
             eng.stats().tape_len as u64 * lanes as u64,
         ));
         g.bench_function(
             BenchmarkId::new("bitengine", format!("{}-{lanes}", kernel.name())),
-            |b| {
-                let mut sc = eng.scratch();
-                b.iter(|| eng.evaluate_batch_kernel(&batch[..lanes], kernel, &mut sc))
-            },
+            |b| b.iter(|| eng.evaluate_batch(&batch[..lanes])),
         );
     }
     g.finish();
@@ -126,7 +119,7 @@ fn bench_bitengine(c: &mut Criterion) {
     g.measurement_time(std::time::Duration::from_secs(3));
     g.warm_up_time(std::time::Duration::from_millis(500));
     g.bench_function("compile", |b| {
-        b.iter(|| CompiledBitCircuit::compile(&bits).stats().tape_len)
+        b.iter(|| CompiledBitCircuit::compile_gmw(&bits).stats().tape_len)
     });
     g.finish();
 }

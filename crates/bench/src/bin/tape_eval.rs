@@ -103,7 +103,7 @@ fn main() {
                 })
                 .collect();
             let circuit = tape.decode().unwrap_or_else(|e| fail(e));
-            let out = CompiledBitCircuit::compile(&circuit)
+            let out = CompiledBitCircuit::compile_gmw(&circuit)
                 .evaluate_batch(&[inputs])
                 .remove(0)
                 .unwrap_or_else(|e| fail(e));

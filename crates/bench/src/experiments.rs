@@ -656,13 +656,13 @@ pub fn x12_primitive_scaling() -> Table {
 }
 
 /// X13 — Brent's theorem: levelized PRAM schedules of the PANDA-C
-/// triangle circuit achieve `O(W/P + D)` steps, and the level-parallel
-/// evaluator realizes the speedup in wall-clock on real threads.
+/// triangle circuit achieve `O(W/P + D)` steps, and the compiled engine,
+/// whose tape is ordered by the same levels, reproduces the interpreter.
 pub fn x13_brent() -> Table {
     use qec_circuit::CompiledCircuit;
     let mut t = Table::new(
-        "X13  Brent: PRAM steps (and wall-clock) of the PANDA-C triangle circuit",
-        &["P", "steps", "W/P + D", "ok", "wall_ms"],
+        "X13  Brent: PRAM steps of the PANDA-C triangle circuit",
+        &["P", "steps", "W/P + D", "ok"],
     );
     let q = triangle();
     let dc = uniform_dc(&q, 32);
@@ -672,41 +672,28 @@ pub fn x13_brent() -> Table {
     let (w, d) = (c.size(), u64::from(c.depth()));
     let db = uniform_db(&q, 28, 3);
     let inputs = lowered.layout.values(&db).expect("conforms");
-    // Compile once; the engine's level-parallel path realizes the PRAM
-    // schedule that `brent_steps` counts.
+    // Compile once; the engine's tape is level-major over the same
+    // levels `brent_steps` counts.
     let engine = CompiledCircuit::compile_with(c, &CompileOptions::from_env())
         .expect("build-mode circuit")
         .0;
-    let reference = c.evaluate(&inputs).expect("sequential");
-    let mut all_ok = true;
+    let mut all_ok = engine.evaluate(&inputs) == c.evaluate(&inputs);
     for procs in [1u64, 2, 4, 8, 64, 1024, 1 << 20] {
         let steps = brent_steps(c, procs);
         let bound = w / procs + d;
-        let mut ok = steps <= bound;
-        let wall = if procs <= 8 {
-            let (mut out, metrics) =
-                engine.evaluate_batch_metered(std::slice::from_ref(&&inputs[..]), procs as usize);
-            ok &= out.pop().expect("one lane") == Ok(reference.clone());
-            format!("{:.0}", metrics.eval_ns as f64 / 1e6)
-        } else {
-            "-".into()
-        };
+        let ok = steps <= bound;
         all_ok &= ok;
         t.row(vec![
             procs.to_string(),
             steps.to_string(),
             bound.to_string(),
             ok.to_string(),
-            wall,
         ]);
     }
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
     let regs = engine.stats().peak_registers;
     t.verdict(if all_ok {
         format!(
-            "W = {w}, D = {d}: every schedule meets Brent's W/P + D bound, and the compiled engine reproduces the interpreter at every P with a {regs}-register working set (vs {} wires; this host has {cores} core(s), so wall-clock gains appear only beyond that)",
+            "W = {w}, D = {d}: every schedule meets Brent's W/P + D bound, and the compiled engine reproduces the interpreter with a {regs}-register working set (vs {} wires)",
             c.num_wires()
         )
     } else {
@@ -723,14 +710,7 @@ pub fn x15_engine_throughput() -> Table {
     use qec_circuit::CompiledCircuit;
     let mut t = Table::new(
         "X15  Engine: batched, register-allocated evaluation of a degree-bounded join",
-        &[
-            "evaluator",
-            "batch",
-            "threads",
-            "us_per_inst",
-            "Mgev_per_s",
-            "speedup",
-        ],
+        &["evaluator", "batch", "us_per_inst", "Mgev_per_s", "speedup"],
     );
     const CAP: usize = 16;
     const BATCH: usize = 64;
@@ -772,33 +752,24 @@ pub fn x15_engine_throughput() -> Table {
     let eng = &engine;
     let insts = &instances;
     let reference: Vec<_> = insts.iter().map(|i| c.evaluate(i)).collect();
-    let mut evals: Vec<(&str, usize, usize, Pass<'_>)> = vec![(
-        "interpreter",
-        1,
-        1,
-        Box::new(|| insts.iter().map(|i| c.evaluate(i)).collect()),
-    )];
-    for (chunk, threads) in [(1usize, 1usize), (BATCH, 1), (BATCH, 4)] {
-        evals.push((
-            "engine",
-            chunk,
-            threads,
-            Box::new(move || {
-                insts
-                    .chunks(chunk)
-                    .flat_map(|g| eng.evaluate_batch_threaded(g, threads))
-                    .collect()
-            }),
-        ));
+    let mut evals: Vec<Pass<'_>> = vec![Box::new(|| insts.iter().map(|i| c.evaluate(i)).collect())];
+    const CHUNKS: [usize; 2] = [1, BATCH];
+    for chunk in CHUNKS {
+        evals.push(Box::new(move || {
+            insts
+                .chunks(chunk)
+                .flat_map(|g| eng.evaluate_batch(g))
+                .collect()
+        }));
     }
     let mut correct = true;
-    for (_, _, _, pass) in evals.iter_mut() {
+    for pass in evals.iter_mut() {
         correct &= pass() == reference;
     }
     const ROUNDS: usize = 5;
     let mut times = vec![Vec::with_capacity(ROUNDS); evals.len()];
     for _ in 0..ROUNDS {
-        for (i, (_, _, _, pass)) in evals.iter_mut().enumerate() {
+        for (i, pass) in evals.iter_mut().enumerate() {
             let t0 = std::time::Instant::now();
             let _ = pass();
             times[i].push(t0.elapsed().as_nanos() as f64);
@@ -813,30 +784,21 @@ pub fn x15_engine_throughput() -> Table {
     t.row(vec![
         "interpreter".into(),
         "1".into(),
-        "1".into(),
         f(interp_ns / 1e3 / BATCH as f64),
         f(gev(interp_ns)),
         f(1.0),
     ]);
 
     let mut batch64_speedup = 0.0;
-    for (i, (label, chunk, threads)) in [
-        ("engine", 1usize, 1usize),
-        ("engine", BATCH, 1),
-        ("engine", BATCH, 4),
-    ]
-    .into_iter()
-    .enumerate()
-    {
+    for (i, chunk) in CHUNKS.into_iter().enumerate() {
         let ns = median(&mut times[i + 1]);
         let speedup = interp_ns / ns;
-        if chunk == BATCH && threads == 1 {
+        if chunk == BATCH {
             batch64_speedup = speedup;
         }
         t.row(vec![
-            label.into(),
+            "engine".into(),
             chunk.to_string(),
-            threads.to_string(),
             f(ns / 1e3 / BATCH as f64),
             f(gev(ns)),
             f(speedup),
@@ -1595,7 +1557,7 @@ pub fn x21_bitengine() -> Table {
     let j = join_degree_bounded(&mut b, &r, &s, 4);
     let c = b.finish(j.flatten());
     let bits = lower_with(&c, 16, &CompileOptions::from_env());
-    let eng = CompiledBitCircuit::compile(&bits);
+    let eng = CompiledBitCircuit::compile_gmw(&bits);
     let gates = eng.stats().tape_len as f64;
 
     const MAX_BATCH: usize = 512;
@@ -1630,7 +1592,11 @@ pub fn x21_bitengine() -> Table {
     type Pass<'a> = Box<dyn FnMut() -> Vec<Result<Vec<bool>, EvalError>> + 'a>;
     let insts = &instances;
     let bits_ref = &bits;
-    let eng_ref = &eng;
+    // One engine per kernel: the kernel is a property of the engine.
+    let kernel_engs: Vec<(BitKernel, CompiledBitCircuit)> = BitKernel::available()
+        .into_iter()
+        .map(|k| (k, eng.clone().with_kernel(k)))
+        .collect();
     let mut evals: Vec<(&str, &str, usize, Pass<'_>)> = vec![(
         "bit-interp",
         "-",
@@ -1643,33 +1609,23 @@ pub fn x21_bitengine() -> Table {
                 .collect()
         }),
     )];
-    for batch in [1usize, 64, 256] {
-        evals.push((
-            "bitengine",
-            "scalar",
-            batch,
-            Box::new(move || {
-                let mut sc = eng_ref.scratch();
-                eng_ref.evaluate_batch_kernel(&insts[..batch], BitKernel::Scalar, &mut sc)
-            }),
-        ));
-    }
-    for kernel in BitKernel::available() {
-        if kernel == BitKernel::Scalar {
-            continue;
+    for (kernel, keng) in &kernel_engs {
+        // Scalar runs at batches 1, 64 and 256; wide kernels run at their
+        // full lane count so no lanes idle — AVX-512 at batch 256 would
+        // waste half its 512 lanes.
+        let batches = if *kernel == BitKernel::Scalar {
+            vec![1usize, 64, 256]
+        } else {
+            vec![kernel.lanes().min(MAX_BATCH)]
+        };
+        for batch in batches {
+            evals.push((
+                "bitengine",
+                kernel.name(),
+                batch,
+                Box::new(move || keng.evaluate_batch(&insts[..batch])),
+            ));
         }
-        // Wide kernels run at their full lane count so no lanes idle —
-        // AVX-512 at batch 256 would waste half its 512 lanes.
-        let batch = kernel.lanes().min(MAX_BATCH);
-        evals.push((
-            "bitengine",
-            kernel.name(),
-            batch,
-            Box::new(move || {
-                let mut sc = eng_ref.scratch();
-                eng_ref.evaluate_batch_kernel(&insts[..batch], kernel, &mut sc)
-            }),
-        ));
     }
 
     let mut correct = true;
@@ -1719,7 +1675,8 @@ pub fn x21_bitengine() -> Table {
     let (rc, _) = triangle_heavy_light(tri_n);
     let tri = rc.lower(Mode::Build).circuit;
     let tri_bits = lower_with(&tri, 8, &CompileOptions::from_env());
-    let tri_eng = CompiledBitCircuit::compile(&tri_bits);
+    let tri_eng = CompiledBitCircuit::compile_gmw(&tri_bits);
+    let and_depth = u64::from(tri_bits.and_depth());
     let zeros = vec![false; tri_bits.num_inputs()];
     let plain = tri_bits.evaluate(&zeros).expect("empty db evaluates");
     // (lanes, batch) pairs: batch scales at a fixed 64-lane width so the
@@ -1732,6 +1689,9 @@ pub fn x21_bitengine() -> Table {
     let mut gmw_times: Vec<Vec<f64>> = vec![Vec::new(); gmw_points.len()];
     let gmw_rounds = if smoke { 1 } else { 3 };
     let mut batched_stats = qec_mpc::ProtocolStats::default();
+    // AND-level exchanges per lane block; the GMW schedule makes this
+    // the circuit's AND depth on every run.
+    let mut rounds = 0u64;
     for _ in 0..gmw_rounds {
         for (i, &(lanes, batch)) in gmw_points.iter().enumerate() {
             let t0 = std::time::Instant::now();
@@ -1739,6 +1699,8 @@ pub fn x21_bitengine() -> Table {
                 .expect("batched gmw");
             gmw_times[i].push(t0.elapsed().as_nanos() as f64);
             batched_stats = st;
+            rounds = st.rounds / batch.div_ceil(lanes) as u64;
+            correct &= rounds == and_depth;
             correct &= outs
                 .iter()
                 .all(|o| o.as_ref().map(|v| v == &plain).unwrap_or(false));
@@ -1767,7 +1729,7 @@ pub fn x21_bitengine() -> Table {
     }
 
     t.verdict(format!(
-        "{} bit gates, peak {} registers, kernels [{}] — scalar batch-64 bitslicing is {}x the per-instance interpreter ({}; target ≥8x), and session GMW at batch 64 is {}x its own batch-1 run per instance ({} ANDs, {} triples/AND-step packed; correct: {correct})",
+        "{} bit gates, peak {} registers, kernels [{}] — scalar batch-64 bitslicing is {}x the per-instance interpreter ({}; target ≥8x), and session GMW at batch 64 is {}x its own batch-1 run per instance ({} ANDs, {} triples/AND-step packed, {rounds} rounds per block = AND depth {and_depth}; correct: {correct})",
         eng.stats().tape_len,
         eng.stats().peak_registers,
         BitKernel::available()

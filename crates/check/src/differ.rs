@@ -457,9 +457,8 @@ pub fn run_case(
                     stage: "bitengine-batch",
                     error: format!("compile ({opts:?}): {e}"),
                 })?;
-            let mut bscratch = eng.scratch();
             for kernel in BitKernel::available() {
-                let got = eng.evaluate_batch_kernel(&instances, kernel, &mut bscratch);
+                let got = eng.clone().with_kernel(kernel).evaluate_batch(&instances);
                 if got != reference {
                     let lane = got
                         .iter()

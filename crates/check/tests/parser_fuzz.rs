@@ -221,7 +221,7 @@ fn bit_tape_loader_survives_mutations() {
                 continue;
             };
             reached_compile += 1;
-            let eng = CompiledBitCircuit::compile(&circuit);
+            let eng = CompiledBitCircuit::compile_gmw(&circuit);
             if circuit.num_inputs() <= EVAL_INPUT_CAP {
                 let zeros = vec![false; circuit.num_inputs()];
                 assert_eq!(

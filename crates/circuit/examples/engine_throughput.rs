@@ -3,13 +3,12 @@
 //!
 //! ```text
 //! cargo run -p qec-circuit --release --example engine_throughput \
-//!     [cap] [batch] [--no-opt] [--threads <n>] [--trace-out <path>]
+//!     [cap] [batch] [--no-opt] [--trace-out <path>]
 //! ```
 //!
 //! `--no-opt` compiles the raw circuit (`optimize: false`), skipping the
-//! optimizer pass, so the cost of not optimizing is directly measurable;
-//! `--threads <n>` runs the batch on `n` worker threads, and `--threads 0`
-//! auto-detects the machine's parallelism. `--trace-out <path>` writes a
+//! optimizer pass, so the cost of not optimizing is directly measurable.
+//! `--trace-out <path>` writes a
 //! Chrome trace-event document for the compile (load it in
 //! `chrome://tracing` or Perfetto); combine with `QEC_TRACE=1` to also
 //! capture the builder counters from the process-global recorder.
@@ -28,7 +27,6 @@ fn main() {
     let mut batch: usize = 64;
     let mut no_opt = false;
     let mut trace_out: Option<String> = None;
-    let mut threads: usize = 1;
     let mut positional = 0;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -40,21 +38,9 @@ fn main() {
                     std::process::exit(2);
                 }));
             }
-            "--threads" => {
-                let n: usize = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--threads needs a non-negative integer argument");
-                    std::process::exit(2);
-                });
-                // 0 means "use every core the OS will give us".
-                threads = if n == 0 {
-                    std::thread::available_parallelism().map_or(1, |p| p.get())
-                } else {
-                    n
-                };
-            }
             other => {
                 let v: usize = other.parse().unwrap_or_else(|_| {
-                    eprintln!("unexpected argument {other:?}; usage: [cap] [batch] [--no-opt] [--threads <n>] [--trace-out <path>]");
+                    eprintln!("unexpected argument {other:?}; usage: [cap] [batch] [--no-opt] [--trace-out <path>]");
                     std::process::exit(2);
                 });
                 match positional {
@@ -154,18 +140,21 @@ fn main() {
     let interp_ns = t0.elapsed().as_nanos();
 
     // Engine: one tape pass for the whole batch.
-    let (got, metrics) = engine.evaluate_batch_metered(&instances, threads);
+    let t0 = std::time::Instant::now();
+    let got = engine.evaluate_batch(&instances);
+    let engine_ns = t0.elapsed().as_nanos().max(1);
     assert_eq!(got, reference, "engine must match the interpreter");
+    let gate_evals = (stats.tape_len * batch) as f64;
 
     println!(
         "interpreter: {:>9.1} µs/instance",
         interp_ns as f64 / 1e3 / batch as f64
     );
     println!(
-        "engine:      {:>9.1} µs/instance at batch {batch}, {threads} thread(s) — {:.2}x, {:.2e} gate-evals/s, ~{} MiB touched",
-        metrics.ns_per_instance() / 1e3,
-        interp_ns as f64 / metrics.eval_ns as f64,
-        metrics.gate_evals_per_sec(),
-        metrics.bytes_touched >> 20,
+        "engine:      {:>9.1} µs/instance at batch {batch} — {:.2}x, {:.2e} gate-evals/s, ~{} MiB touched",
+        engine_ns as f64 / 1e3 / batch as f64,
+        interp_ns as f64 / engine_ns as f64,
+        gate_evals / (engine_ns as f64 / 1e9),
+        (stats.bytes_per_instance * batch as u64) >> 20,
     );
 }

@@ -8,14 +8,17 @@
 //! scalar `&`/`^`/`!` evaluates the gate for 64 instances at once — 256
 //! or 512 with the AVX2/AVX-512 kernels.
 //!
-//! The compile step mirrors the word engine's
-//! ([`CompiledCircuit`](crate::CompiledCircuit)) exactly:
+//! The compile step ([`CompiledBitCircuit::compile_gmw`], the one
+//! schedule for plaintext and GMW alike) mirrors the word engine's
+//! ([`CompiledCircuit`](crate::CompiledCircuit)):
 //!
 //! 1. **Liveness.** The last level reading each wire is computed in one
 //!    pass; output wires are pinned.
-//! 2. **Level-major tape.** Gates are emitted level by level (the
-//!    scheduling levels of `lower::bit_levels`), so operands always
-//!    sit at strictly lower levels than their consumers.
+//! 2. **Level-major tape.** Gates are emitted level by level in the GMW
+//!    round schedule — pure-AND levels, one per multiplicative
+//!    generation, between local levels — so operands always sit at
+//!    strictly lower levels than their consumers and the AND-bearing
+//!    levels number exactly the circuit's AND depth.
 //! 3. **Register allocation.** Registers are freed only at level
 //!    boundaries — a level's destinations can never alias its sources —
 //!    shrinking the wire store from `O(gates)` words to `O(peak live
@@ -23,9 +26,10 @@
 //!
 //! Dispatch follows the word engine's idiom: a monomorphized
 //! `#[inline(always)]` body generic over the words-per-register count
-//! `W`, wrapped by `#[target_feature]`-gated entry points selected once
-//! per batch via `is_x86_feature_detected!`. `QEC_BITENGINE_KERNEL`
-//! (`scalar`/`avx2`/`avx512`) forces a kernel for A/B measurements.
+//! `W`, wrapped by `#[target_feature]`-gated entry points. The kernel is
+//! a property of the engine: [`BitKernel::detect`] picks the widest the
+//! CPU supports, and [`CompiledBitCircuit::with_kernel`] is the one
+//! override (kernel sweeps clone the engine).
 //!
 //! Assertion semantics match the interpreter: per lane, the *lowest*
 //! source gate index whose [`BGate::AssertFalse`] observed a set bit is
@@ -132,45 +136,6 @@ impl BitKernel {
         BitKernel::Scalar
     }
 
-    /// [`BitKernel::detect`], overridable via `QEC_BITENGINE_KERNEL`
-    /// (`scalar`, `avx2`, `avx512`). An override naming an unsupported
-    /// kernel falls back to detection with a one-line stderr warning
-    /// rather than crashing in an illegal instruction.
-    pub fn from_env_or_detect() -> BitKernel {
-        let detected = BitKernel::detect();
-        match std::env::var("QEC_BITENGINE_KERNEL") {
-            Ok(s) => {
-                let want = match s.trim().to_ascii_lowercase().as_str() {
-                    "scalar" => Some(BitKernel::Scalar),
-                    "avx2" => Some(BitKernel::Avx2),
-                    "avx512" => Some(BitKernel::Avx512),
-                    _ => None,
-                };
-                match want {
-                    Some(k) if k.is_available() => k,
-                    Some(k) => {
-                        eprintln!(
-                            "qec-circuit: QEC_BITENGINE_KERNEL={} unavailable on this CPU; \
-                             using {}",
-                            k.name(),
-                            detected.name()
-                        );
-                        detected
-                    }
-                    None => {
-                        eprintln!(
-                            "qec-circuit: unrecognized QEC_BITENGINE_KERNEL={s:?} \
-                             (expected scalar|avx2|avx512); using {}",
-                            detected.name()
-                        );
-                        detected
-                    }
-                }
-            }
-            Err(_) => detected,
-        }
-    }
-
     /// Whether this CPU can run the kernel.
     pub fn is_available(self) -> bool {
         match self {
@@ -209,7 +174,7 @@ impl BitKernel {
         }
     }
 
-    /// Stable lowercase name (matches the env-override spelling).
+    /// Stable lowercase name.
     pub fn name(self) -> &'static str {
         match self {
             BitKernel::Scalar => "scalar",
@@ -234,9 +199,8 @@ pub struct BitEngineStats {
     pub num_levels: usize,
     /// Levels containing at least one AND instruction — the number of
     /// communication rounds a level-batched GMW evaluation of this tape
-    /// needs. Under [`CompiledBitCircuit::compile_gmw`] this equals the
-    /// circuit's multiplicative (AND) depth; under the default schedule
-    /// it can be larger (XOR/NOT levels split AND generations).
+    /// needs. The schedule makes this equal the circuit's multiplicative
+    /// (AND) depth, [`BitCircuit::and_depth`].
     pub and_levels: usize,
     /// AND instructions (one packed Beaver triple each under GMW).
     pub and_ops: u64,
@@ -248,25 +212,10 @@ pub struct BitEngineStats {
     pub assert_ops: u64,
 }
 
-/// Reusable buffers for batch evaluation, so repeated calls (the
-/// fuzzer's per-case checks, the MPC inner loop, benches) stop
-/// thrashing the allocator. Obtain via [`CompiledBitCircuit::scratch`];
-/// a scratch may be shared across circuits — buffers regrow on demand.
-#[derive(Default)]
-pub struct BitScratch {
-    /// Transposed input matrix: `num_inputs × W` words.
-    packed: Vec<u64>,
-    /// Register file: `num_regs × W` words.
-    regs: Vec<u64>,
-    /// Per-lane lowest failing assert gate (`u32::MAX` = none).
-    fail: Vec<u32>,
-    /// Per-lane-word mask of lanes that hold a real instance.
-    valid: Vec<u64>,
-}
-
 /// A [`BitCircuit`] register-allocated onto a transposed level-major
 /// tape, ready for bitsliced batch evaluation. Build one with
-/// [`compile_bits_with`].
+/// [`compile_bits_with`] or [`CompiledBitCircuit::compile_gmw`].
+#[derive(Clone)]
 pub struct CompiledBitCircuit {
     tape: Vec<BitOp>,
     /// Tape offset where each level begins, plus a final sentinel:
@@ -302,7 +251,7 @@ pub fn compile_bits_with(
     let t_total = Instant::now();
 
     let t = Instant::now();
-    let eng = CompiledBitCircuit::compile(bc);
+    let eng = CompiledBitCircuit::compile_gmw(bc);
     let stages = vec![("bit-tape", t.elapsed().as_nanos() as u64)];
 
     if recorder.is_enabled() {
@@ -321,34 +270,22 @@ pub fn compile_bits_with(
 }
 
 impl CompiledBitCircuit {
-    /// Register-allocates `bc` onto the tape with the auto-detected
-    /// kernel (overridable per call or via `QEC_BITENGINE_KERNEL`).
-    /// Infallible: every [`BitCircuit`] is evaluable.
-    pub fn compile(bc: &BitCircuit) -> CompiledBitCircuit {
-        Self::compile_with_levels(bc, crate::lower::bit_levels(bc.gates()))
-    }
-
-    /// [`CompiledBitCircuit::compile`] under the GMW round schedule:
-    /// gates are grouped by *AND depth* rather than scheduling depth, so
-    /// every level either consists solely of AND gates of one
-    /// multiplicative generation or contains no ANDs at all. A
+    /// Register-allocates `bc` onto the tape under the GMW round
+    /// schedule, with the auto-detected kernel. Gates are grouped by
+    /// *AND depth*, so every level either consists solely of AND gates
+    /// of one multiplicative generation or contains no ANDs at all. A
     /// level-batched GMW evaluation of this tape exchanges exactly one
     /// message per AND-bearing level — [`BitEngineStats::and_levels`]
     /// equals [`BitCircuit::and_depth`], the protocol's round-optimal
-    /// count. Plaintext evaluation semantics are identical to
-    /// [`CompiledBitCircuit::compile`] (any topological level partition
-    /// evaluates the same circuit); only instruction order, register
-    /// assignment, and the level structure differ.
+    /// count — and plaintext evaluation walks the same tape.
+    /// Infallible: every [`BitCircuit`] is evaluable.
     pub fn compile_gmw(bc: &BitCircuit) -> CompiledBitCircuit {
-        Self::compile_with_levels(bc, gmw_levels(bc.gates()))
-    }
-
-    /// Shared compile body over an arbitrary level partition. `levels`
-    /// must be topological: every operand strictly below its consumer —
-    /// the register allocator frees only at level boundaries and relies
-    /// on a level's destinations never aliasing its sources.
-    fn compile_with_levels(bc: &BitCircuit, levels: Vec<Vec<u32>>) -> CompiledBitCircuit {
+        // `levels` is topological: every operand strictly below its
+        // consumer — the register allocator frees only at level
+        // boundaries and relies on a level's destinations never
+        // aliasing its sources.
         let gates = bc.gates();
+        let levels = gmw_levels(gates);
         let n = gates.len();
 
         // --- liveness: last level reading each wire (u32::MAX = pinned) ---
@@ -471,7 +408,7 @@ impl CompiledBitCircuit {
             num_inputs: bc.num_inputs(),
             width: bc.width(),
             stats,
-            kernel: BitKernel::from_env_or_detect(),
+            kernel: BitKernel::detect(),
         }
     }
 
@@ -480,13 +417,16 @@ impl CompiledBitCircuit {
         &self.stats
     }
 
-    /// The kernel batch entry points use unless overridden per call.
+    /// The kernel [`evaluate_batch`](CompiledBitCircuit::evaluate_batch)
+    /// runs on.
     pub fn kernel(&self) -> BitKernel {
         self.kernel
     }
 
-    /// Replaces the default kernel (no-op with a stderr warning if the
-    /// CPU lacks it). Returns `self` for builder-style chaining.
+    /// Replaces the detected kernel — the one kernel override; sweeps
+    /// use `eng.clone().with_kernel(k)`. A no-op with a stderr warning if
+    /// the CPU lacks the kernel. Returns `self` for builder-style
+    /// chaining.
     pub fn with_kernel(mut self, kernel: BitKernel) -> Self {
         if kernel.is_available() {
             self.kernel = kernel;
@@ -587,52 +527,26 @@ impl CompiledBitCircuit {
         self.width
     }
 
-    /// A fresh reusable scratch sized lazily on first use.
-    pub fn scratch(&self) -> BitScratch {
-        BitScratch::default()
-    }
-
-    /// Evaluates a batch of bit-vector instances, one `Result` per
-    /// instance in order — outputs on success, per-instance
-    /// [`EvalError::InputArity`] / [`EvalError::AssertionFailed`] (with
-    /// the interpreter's gate index) on failure. Allocates fresh
-    /// scratch; prefer [`evaluate_batch_with`] in loops.
-    ///
-    /// [`evaluate_batch_with`]: CompiledBitCircuit::evaluate_batch_with
+    /// Evaluates a batch of bit-vector instances on the engine's kernel,
+    /// one `Result` per instance in order — outputs on success,
+    /// per-instance [`EvalError::InputArity`] /
+    /// [`EvalError::AssertionFailed`] (with the interpreter's gate
+    /// index) on failure.
     pub fn evaluate_batch(&self, instances: &[Vec<bool>]) -> Vec<Result<Vec<bool>, EvalError>> {
-        self.evaluate_batch_with(instances, &mut self.scratch())
-    }
-
-    /// [`evaluate_batch`](CompiledBitCircuit::evaluate_batch) with
-    /// caller-owned scratch buffers.
-    pub fn evaluate_batch_with(
-        &self,
-        instances: &[Vec<bool>],
-        scratch: &mut BitScratch,
-    ) -> Vec<Result<Vec<bool>, EvalError>> {
-        self.evaluate_batch_kernel(instances, self.kernel, scratch)
-    }
-
-    /// [`evaluate_batch`](CompiledBitCircuit::evaluate_batch) with an
-    /// explicit kernel — the A/B hook for parity tests and the X21
-    /// speedup table. Falls back to the widest available kernel if the
-    /// CPU lacks the requested one.
-    pub fn evaluate_batch_kernel(
-        &self,
-        instances: &[Vec<bool>],
-        kernel: BitKernel,
-        scratch: &mut BitScratch,
-    ) -> Vec<Result<Vec<bool>, EvalError>> {
-        let kernel = if kernel.is_available() {
-            kernel
-        } else {
-            BitKernel::detect()
-        };
+        let kernel = self.kernel;
         let w = kernel.words();
-        let lanes = kernel.lanes();
         let mut results = Vec::with_capacity(instances.len());
-        for block in instances.chunks(lanes) {
-            self.run_block(block, kernel, scratch);
+        let (mut packed, mut regs, mut fail) = (Vec::new(), Vec::new(), Vec::new());
+        for block in instances.chunks(kernel.lanes()) {
+            pack_block(block, self.num_inputs, w, &mut packed);
+            let valid: Vec<u64> = (0..w)
+                .map(|word| valid_mask(block.len(), word * 64))
+                .collect();
+            regs.clear();
+            regs.resize(self.num_regs as usize * w, 0);
+            fail.clear();
+            fail.resize(kernel.lanes(), u32::MAX);
+            self.run_tape(&mut regs, &packed, &valid, &mut fail);
             for (l, inst) in block.iter().enumerate() {
                 if inst.len() != self.num_inputs {
                     results.push(Err(EvalError::InputArity {
@@ -641,7 +555,7 @@ impl CompiledBitCircuit {
                     }));
                     continue;
                 }
-                let gate = scratch.fail[l];
+                let gate = fail[l];
                 if gate != u32::MAX {
                     results.push(Err(EvalError::AssertionFailed {
                         gate: gate as usize,
@@ -652,7 +566,7 @@ impl CompiledBitCircuit {
                 let out = self
                     .output_regs
                     .iter()
-                    .map(|&r| scratch.regs[r as usize * w + l / 64] >> (l % 64) & 1 == 1)
+                    .map(|&r| regs[r as usize * w + l / 64] >> (l % 64) & 1 == 1)
                     .collect();
                 results.push(Ok(out));
             }
@@ -660,48 +574,17 @@ impl CompiledBitCircuit {
         results
     }
 
-    /// Packs one block (≤ `kernel.lanes()` instances) and runs the tape.
-    /// After return, `scratch.regs`/`scratch.fail` hold the block state.
-    fn run_block(&self, block: &[Vec<bool>], kernel: BitKernel, scratch: &mut BitScratch) {
-        let w = kernel.words();
-        pack_block(block, self.num_inputs, w, &mut scratch.packed);
-        scratch.valid.clear();
-        for word in 0..w {
-            let lo = word * 64;
-            scratch.valid.push(valid_mask(block.len(), lo));
-        }
-        scratch.regs.clear();
-        scratch.regs.resize(self.num_regs as usize * w, 0);
-        scratch.fail.clear();
-        scratch.fail.resize(kernel.lanes(), u32::MAX);
-        match kernel {
-            BitKernel::Scalar => run_tape_body::<1>(
-                &self.tape,
-                &mut scratch.regs,
-                &scratch.packed,
-                &scratch.valid,
-                &mut scratch.fail,
-            ),
+    /// Runs the tape over one packed block on the engine's kernel.
+    fn run_tape(&self, regs: &mut [u64], packed: &[u64], valid: &[u64], fail: &mut [u32]) {
+        match self.kernel {
+            BitKernel::Scalar => run_tape_body::<1>(&self.tape, regs, packed, valid, fail),
             #[cfg(target_arch = "x86_64")]
-            BitKernel::Avx2 => unsafe {
-                run_tape_avx2(
-                    &self.tape,
-                    &mut scratch.regs,
-                    &scratch.packed,
-                    &scratch.valid,
-                    &mut scratch.fail,
-                )
-            },
+            // SAFETY: the engine's kernel is always available — `detect`
+            // and `with_kernel` only ever select one the CPU supports.
+            BitKernel::Avx2 => unsafe { run_tape_avx2(&self.tape, regs, packed, valid, fail) },
             #[cfg(target_arch = "x86_64")]
-            BitKernel::Avx512 => unsafe {
-                run_tape_avx512(
-                    &self.tape,
-                    &mut scratch.regs,
-                    &scratch.packed,
-                    &scratch.valid,
-                    &mut scratch.fail,
-                )
-            },
+            // SAFETY: as for AVX2.
+            BitKernel::Avx512 => unsafe { run_tape_avx512(&self.tape, regs, packed, valid, fail) },
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("wide kernels are never available off x86_64"),
         }
@@ -975,7 +858,7 @@ mod tests {
     #[test]
     fn batch_matches_interpreter() {
         let bits = sample_bits();
-        let eng = CompiledBitCircuit::compile(&bits);
+        let eng = CompiledBitCircuit::compile_gmw(&bits);
         assert!(eng.stats().peak_registers <= bits.gates().len());
         let instances: Vec<Vec<bool>> = (0..130u64)
             .map(|i| bits.pack_inputs(&[i % 17, i * 3 % 23]))
@@ -989,7 +872,7 @@ mod tests {
     #[test]
     fn arity_errors_are_per_lane() {
         let bits = sample_bits();
-        let eng = CompiledBitCircuit::compile(&bits);
+        let eng = CompiledBitCircuit::compile_gmw(&bits);
         let good = bits.pack_inputs(&[3, 4]);
         let bad = vec![true; 3];
         let got = eng.evaluate_batch(&[good.clone(), bad, good]);
@@ -1006,37 +889,27 @@ mod tests {
     #[test]
     fn all_kernels_agree() {
         let bits = sample_bits();
-        let eng = CompiledBitCircuit::compile(&bits);
+        let eng = CompiledBitCircuit::compile_gmw(&bits);
         let instances: Vec<Vec<bool>> = (0..513u64)
             .map(|i| bits.pack_inputs(&[i % 29, i % 31]))
             .collect();
-        let mut scratch = eng.scratch();
-        let base = eng.evaluate_batch_kernel(&instances, BitKernel::Scalar, &mut scratch);
+        let base = eng
+            .clone()
+            .with_kernel(BitKernel::Scalar)
+            .evaluate_batch(&instances);
         for k in BitKernel::available() {
-            let got = eng.evaluate_batch_kernel(&instances, k, &mut scratch);
+            let got = eng.clone().with_kernel(k).evaluate_batch(&instances);
             assert_eq!(base, got, "kernel {} diverged", k.name());
         }
     }
 
     #[test]
-    fn gmw_schedule_matches_default_schedule_and_reaches_and_depth() {
+    fn schedule_reaches_and_depth_with_pure_and_levels() {
         let bits = sample_bits();
-        let eng = CompiledBitCircuit::compile(&bits);
         let gmw = CompiledBitCircuit::compile_gmw(&bits);
-        // Same circuit, same semantics — only the schedule differs.
-        assert_eq!(gmw.stats().tape_len, eng.stats().tape_len);
-        assert_eq!(gmw.num_inputs(), eng.num_inputs());
-        let instances: Vec<Vec<bool>> = (0..130u64)
-            .map(|i| bits.pack_inputs(&[i % 19, i * 5 % 23]))
-            .collect();
-        assert_eq!(
-            gmw.evaluate_batch(&instances),
-            eng.evaluate_batch(&instances)
-        );
-        // The round count: AND-bearing levels == multiplicative depth
-        // under the GMW schedule, ≥ it under the scheduling-depth one.
+        assert_eq!(gmw.stats().tape_len, bits.gates().len());
+        // The round count: AND-bearing levels == multiplicative depth.
         assert_eq!(gmw.stats().and_levels, bits.and_depth() as usize);
-        assert!(eng.stats().and_levels >= gmw.stats().and_levels);
         // Level structure is well-formed and AND levels are pure.
         let starts = gmw.level_starts();
         assert_eq!(starts.len(), gmw.stats().num_levels + 1);
@@ -1053,16 +926,11 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_distinguish_schedules_not_runs() {
+    fn fingerprints_are_stable_across_compiles() {
         let bits = sample_bits();
-        let a = CompiledBitCircuit::compile(&bits);
-        let b = CompiledBitCircuit::compile(&bits);
+        let a = CompiledBitCircuit::compile_gmw(&bits);
+        let b = CompiledBitCircuit::compile_gmw(&bits);
         assert_eq!(a.fingerprint(), b.fingerprint());
-        let gmw = CompiledBitCircuit::compile_gmw(&bits);
-        assert_eq!(
-            gmw.fingerprint(),
-            CompiledBitCircuit::compile_gmw(&bits).fingerprint()
-        );
         assert_ne!(a.fingerprint(), 0);
     }
 

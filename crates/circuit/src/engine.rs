@@ -14,26 +14,27 @@
 //!    `O(size)` slots to `O(peak live width)` registers — the hot data
 //!    fits in cache instead of streaming the whole value buffer per
 //!    instance.
-//! 2. **Batched evaluation** ([`CompiledCircuit::evaluate_batch`]):
-//!    registers hold `B` lanes (structure-of-arrays), so each
-//!    instruction dispatch is amortized over `B` input vectors and the
-//!    per-lane inner loops are straight-line word ops the compiler
-//!    autovectorizes.
-//! 3. **Level-parallel evaluation**
-//!    ([`CompiledCircuit::evaluate_batch_threaded`]): Brent's-theorem
-//!    scheduling across OS threads (each level's instructions are split
-//!    over workers, one barrier per level) *combined* with batching
-//!    within each worker.
-//! 4. **Observability** ([`EngineStats`], [`EvalMetrics`]): per-kind
-//!    gate counts, level widths, peak register count, nanoseconds and
-//!    bytes touched per evaluation — the numbers the bench harness
-//!    exports next to circuit size/depth.
+//! 2. **Batched evaluation** ([`CompiledCircuit::evaluate_batch`], the
+//!    one batch entry point; [`CompiledCircuit::evaluate`] is its
+//!    batch-of-one form): registers hold `B` lanes
+//!    (structure-of-arrays), so each instruction dispatch is amortized
+//!    over `B` input vectors and the per-lane inner loops are
+//!    straight-line word ops the compiler autovectorizes.
+//! 3. **Observability** ([`EngineStats`]): per-kind gate counts, level
+//!    widths, peak register count and bytes touched per instance — the
+//!    numbers the bench harness exports next to circuit size/depth.
+//!    Callers time their own calls; instruction executions are
+//!    `tape_len × instances`.
+//!
+//! Brent's PRAM schedule is counted, not run on OS threads:
+//! [`brent_steps`](crate::brent_steps) gives the step count over the
+//! same levels this tape is ordered by.
 //!
 //! Assertion semantics match [`Circuit::evaluate`] exactly and
 //! deterministically: every lane reports the **lowest-index** failing
-//! [`Gate::AssertZero`], independent of thread count or tape order,
-//! because gate values are pure functions of the inputs so the engine
-//! can keep evaluating past a failure and take the minimum.
+//! [`Gate::AssertZero`], independent of tape order, because gate values
+//! are pure functions of the inputs so the engine can keep evaluating
+//! past a failure and take the minimum.
 
 use crate::ir::{Circuit, EvalError, Gate, WireId};
 use crate::opt::OptStats;
@@ -45,7 +46,7 @@ type Reg = u32;
 /// register. Sources always refer to registers written in strictly
 /// earlier levels, destinations never alias a same-level source (the
 /// allocator frees registers only at level boundaries), which is what
-/// makes the threaded path race-free.
+/// lets `exec_op` read sources while it writes the destination.
 #[derive(Clone, Copy, Debug)]
 enum Op {
     /// `dst ← inputs[idx]` (per lane).
@@ -184,40 +185,10 @@ impl EngineStats {
     }
 }
 
-/// Wall-clock and memory-traffic numbers for one evaluation call.
-#[derive(Clone, Copy, Debug)]
-pub struct EvalMetrics {
-    /// Instances evaluated in the call.
-    pub instances: usize,
-    /// Worker threads used (1 = the sequential batched path).
-    pub threads: usize,
-    /// Wall-clock nanoseconds for the whole call.
-    pub eval_ns: u128,
-    /// Instruction executions: `tape_len × instances`.
-    pub gate_evals: u64,
-    /// Estimated register bytes touched: `bytes_per_instance × instances`.
-    pub bytes_touched: u64,
-}
-
-impl EvalMetrics {
-    /// Mean nanoseconds per instance.
-    pub fn ns_per_instance(&self) -> f64 {
-        self.eval_ns as f64 / (self.instances.max(1)) as f64
-    }
-
-    /// Instruction executions per second (the engine's throughput).
-    pub fn gate_evals_per_sec(&self) -> f64 {
-        self.gate_evals as f64 / (self.eval_ns.max(1) as f64 / 1e9)
-    }
-}
-
 /// A circuit compiled to a register-allocated, level-major instruction
 /// tape, reusable across any number of evaluations.
 pub struct CompiledCircuit {
     tape: Vec<Op>,
-    /// Half-open instruction ranges per level; `level_ranges[d] =
-    /// (start, end)` indexes into `tape`.
-    level_ranges: Vec<(u32, u32)>,
     /// Output registers in output order.
     output_regs: Vec<Reg>,
     num_inputs: usize,
@@ -273,7 +244,7 @@ impl CompiledCircuit {
         let mut expire_at: Vec<Vec<Reg>> = vec![Vec::new(); max_depth + 2];
         let mut num_regs = 0u32;
         let mut tape = Vec::with_capacity(n);
-        let mut level_ranges = Vec::with_capacity(max_depth + 1);
+        let mut level_widths = Vec::with_capacity(max_depth + 1);
         let mut gate_counts = [0u64; 13];
         let mut bytes_per_instance = 0u64;
 
@@ -281,7 +252,6 @@ impl CompiledCircuit {
             for &r in &expire_at[level] {
                 free.push(r);
             }
-            let start = tape.len() as u32;
             for &gi in members {
                 let g = &gates[gi as usize];
                 gate_counts[kind_index(g)] += 1;
@@ -409,11 +379,10 @@ impl CompiledCircuit {
                 bytes_per_instance += 8 * (reads + 1);
                 tape.push(op);
             }
-            level_ranges.push((start, tape.len() as u32));
+            level_widths.push(members.len() as u32);
         }
 
         let output_regs = c.outputs().iter().map(|&w| reg_of[w as usize]).collect();
-        let level_widths = level_ranges.iter().map(|&(s, e)| e - s).collect();
         let stats = EngineStats {
             circuit_size: c.size(),
             circuit_depth: c.depth(),
@@ -423,14 +392,13 @@ impl CompiledCircuit {
             opt: None,
             tape_len: tape.len(),
             peak_registers: num_regs as usize,
-            num_levels: level_ranges.len(),
+            num_levels: level_widths.len(),
             level_widths,
             gate_counts,
             bytes_per_instance,
         };
         Ok(CompiledCircuit {
             tape,
-            level_ranges,
             output_regs,
             num_inputs: c.num_inputs(),
             num_regs: num_regs as usize,
@@ -455,40 +423,15 @@ impl CompiledCircuit {
             .expect("one lane in, one out")
     }
 
-    /// Evaluates a batch of instances through one tape pass
-    /// (structure-of-arrays: every register holds one lane per
-    /// instance). Each instance gets exactly the result
+    /// Evaluates a batch of instances through one tape pass per tile of
+    /// 16 lanes (structure-of-arrays: every register holds
+    /// one lane per instance). Each instance gets exactly the result
     /// [`Circuit::evaluate`] would give it: outputs on success, or the
     /// lowest-index failing assertion.
     pub fn evaluate_batch<I: AsRef<[u64]>>(
         &self,
         instances: &[I],
     ) -> Vec<Result<Vec<u64>, EvalError>> {
-        self.evaluate_batch_metered(instances, 1).0
-    }
-
-    /// Level-parallel batched evaluation: each level's instructions are
-    /// split across `threads` workers (one barrier per level — Brent's
-    /// PRAM schedule), and every worker processes all lanes of its
-    /// instructions. Identical results to [`Self::evaluate_batch`] for
-    /// every thread count.
-    pub fn evaluate_batch_threaded<I: AsRef<[u64]> + Sync>(
-        &self,
-        instances: &[I],
-        threads: usize,
-    ) -> Vec<Result<Vec<u64>, EvalError>> {
-        self.evaluate_batch_metered(instances, threads).0
-    }
-
-    /// [`Self::evaluate_batch_threaded`] plus wall-clock/traffic
-    /// metrics for the call.
-    pub fn evaluate_batch_metered<I: AsRef<[u64]>>(
-        &self,
-        instances: &[I],
-        threads: usize,
-    ) -> (Vec<Result<Vec<u64>, EvalError>>, EvalMetrics) {
-        assert!(threads >= 1, "at least one worker");
-        let start = std::time::Instant::now();
         let tile = LANE_TILE.min(instances.len().max(1));
         let mut regs = vec![0u64; self.num_regs * tile];
         let mut results = Vec::with_capacity(instances.len());
@@ -506,22 +449,12 @@ impl CompiledCircuit {
 
             // Register values never leak between tiles: every register
             // is written by its defining instruction before first read.
-            if threads == 1 || self.tape.len() < 4096 {
-                self.run_tape_sequential(
-                    chunk,
-                    &arity_ok,
-                    &mut regs[..self.num_regs * b],
-                    &mut failures,
-                );
-            } else {
-                self.run_tape_threaded(
-                    chunk,
-                    &arity_ok,
-                    &mut regs[..self.num_regs * b],
-                    &mut failures,
-                    threads,
-                );
-            }
+            self.run_tape(
+                chunk,
+                &arity_ok,
+                &mut regs[..self.num_regs * b],
+                &mut failures,
+            );
 
             results.extend((0..b).map(|lane| {
                 if !arity_ok[lane] {
@@ -544,31 +477,26 @@ impl CompiledCircuit {
                     .collect())
             }));
         }
-
-        let metrics = EvalMetrics {
-            instances: instances.len(),
-            threads,
-            eval_ns: start.elapsed().as_nanos(),
-            gate_evals: (self.tape.len() * instances.len()) as u64,
-            bytes_touched: self.stats.bytes_per_instance * instances.len() as u64,
-        };
-        (results, metrics)
+        results
     }
 
-    fn run_tape_sequential<I: AsRef<[u64]>>(
+    // Kept out of line: inlined into `evaluate_batch`, the dynamic-width
+    // loop below ran batch-1 evaluation of the X15 join ~20% slower.
+    #[inline(never)]
+    fn run_tape<I: AsRef<[u64]>>(
         &self,
         instances: &[I],
         arity_ok: &[bool],
         regs: &mut [u64],
         failures: &mut [(u32, u64)],
     ) {
-        // Monomorphize the hot tile widths: with a compile-time lane
-        // count the per-lane loops in `exec_op` unroll and vectorize.
+        // Monomorphize the tile widths that occur: a full tile is
+        // `LANE_TILE` lanes, and 8 covers small batches. With a
+        // compile-time lane count the per-lane loops in `exec_op` unroll
+        // and vectorize.
         match instances.len() {
             8 => self.run_tape_mono::<I, 8>(instances, arity_ok, regs, failures),
-            16 => self.run_tape_mono::<I, 16>(instances, arity_ok, regs, failures),
-            32 => self.run_tape_mono::<I, 32>(instances, arity_ok, regs, failures),
-            64 => self.run_tape_mono::<I, 64>(instances, arity_ok, regs, failures),
+            LANE_TILE => self.run_tape_mono::<I, LANE_TILE>(instances, arity_ok, regs, failures),
             b => {
                 for op in &self.tape {
                     // SAFETY: `exec_op` only requires that the instruction's
@@ -651,81 +579,6 @@ impl CompiledCircuit {
             unsafe { exec_op(op, regs.as_mut_ptr(), B, instances, arity_ok, failures) };
         }
     }
-
-    fn run_tape_threaded<I: AsRef<[u64]>>(
-        &self,
-        instances: &[I],
-        arity_ok: &[bool],
-        regs: &mut [u64],
-        failures: &mut [(u32, u64)],
-        threads: usize,
-    ) {
-        let b = instances.len();
-        // Level 0 (input gathers and constant fills) runs inline: it is
-        // a cheap copy pass, and keeping it here means worker threads
-        // never see the caller's instance type (no `Sync` bound) and
-        // the levels they do run contain no `Op::Input`/`Op::Const`.
-        let (s0, e0) = self.level_ranges[0];
-        for op in &self.tape[s0 as usize..e0 as usize] {
-            // SAFETY: see `run_tape_sequential`.
-            unsafe { exec_op(op, regs.as_mut_ptr(), b, instances, arity_ok, failures) };
-        }
-
-        struct RegsPtr(*mut u64);
-        // SAFETY token: within one level every instruction writes only
-        // its own destination register (distinct per instruction, never
-        // aliasing same-level sources), so per-level worker chunks are
-        // disjoint writers over the register file.
-        unsafe impl Sync for RegsPtr {}
-        let ptr = RegsPtr(regs.as_mut_ptr());
-        let barrier = std::sync::Barrier::new(threads);
-        let merged = std::sync::Mutex::new(failures.to_vec());
-        let no_instances: &[&[u64]] = &[];
-        std::thread::scope(|scope| {
-            for worker in 0..threads {
-                let ptr = &ptr;
-                let barrier = &barrier;
-                let merged = &merged;
-                scope.spawn(move || {
-                    let mut local: Vec<(u32, u64)> = Vec::new();
-                    for &(start, end) in &self.level_ranges[1..] {
-                        let len = (end - start) as usize;
-                        let chunk = len.div_ceil(threads);
-                        let lo = start as usize + (worker * chunk).min(len);
-                        let hi = start as usize + ((worker + 1) * chunk).min(len);
-                        if local.is_empty()
-                            && self.tape[lo..hi]
-                                .iter()
-                                .any(|op| matches!(op, Op::AssertZero { .. }))
-                        {
-                            local = vec![(u32::MAX, 0); b];
-                        }
-                        for op in &self.tape[lo..hi] {
-                            // SAFETY: see RegsPtr — destination registers
-                            // are uniquely owned within a level and
-                            // sources were finalized by earlier levels
-                            // (enforced by the barrier below). Levels
-                            // ≥ 1 never contain `Op::Input`, so the
-                            // empty instance list is never read.
-                            unsafe {
-                                exec_op(op, ptr.0, b, no_instances, &[], &mut local);
-                            }
-                        }
-                        barrier.wait();
-                    }
-                    if !local.is_empty() {
-                        let mut m = merged.lock().expect("poison-free");
-                        for (lane, &(gate, value)) in local.iter().enumerate() {
-                            if gate < m[lane].0 {
-                                m[lane] = (gate, value);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        failures.copy_from_slice(&merged.into_inner().expect("poison-free"));
-    }
 }
 
 /// Executes one instruction over all `b` lanes.
@@ -734,8 +587,7 @@ impl CompiledCircuit {
 /// `regs` must point to a register file of at least `num_regs × b`
 /// words, and the instruction's destination register must be distinct
 /// from its source registers (guaranteed by the compiler's
-/// level-boundary register allocation). Under threading, no other
-/// worker may write this instruction's destination concurrently.
+/// level-boundary register allocation).
 #[inline(always)]
 unsafe fn exec_op<I: AsRef<[u64]>>(
     op: &Op,
@@ -972,54 +824,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_path_matches_sequential() {
-        // Wide circuit, big enough (> 4096 instructions) that
-        // `evaluate_batch_threaded` actually spawns workers; includes
-        // assertions so the failure-merge path runs under threads too.
-        let mut bld = Builder::new(Mode::Build);
-        let xs: Vec<_> = (0..64).map(|_| bld.input()).collect();
-        let mut layer = xs;
-        for _ in 0..80 {
-            layer = (0..layer.len())
-                .map(|i| bld.add(layer[i], layer[(i + 1) % layer.len()]))
-                .collect();
-        }
-        for &w in layer.iter().take(8) {
-            let z = bld.eq(w, w); // 1
-            let nz = bld.not(z); // 0
-            bld.assert_zero(nz); // never fires
-        }
-        for &x in &layer {
-            bld.assert_zero(x); // fires whenever the sum is nonzero
-        }
-        let c = bld.finish(layer.clone());
-        let eng = compile(&c).unwrap();
-        assert!(
-            eng.stats().tape_len >= 4096,
-            "test must exercise the threaded path"
-        );
-        assert!(eng.stats().peak_registers < c.num_wires());
-        let instances: Vec<Vec<u64>> = (0..9)
-            .map(|i| (0..64).map(|j| i * j % 5).collect())
-            .collect();
-        let seq = eng.evaluate_batch(&instances);
-        for (inst, got) in instances.iter().zip(&seq) {
-            assert_eq!(
-                *got,
-                c.evaluate(inst),
-                "sequential batch matches interpreter"
-            );
-        }
-        for threads in [2, 3, 8] {
-            assert_eq!(
-                eng.evaluate_batch_threaded(&instances, threads),
-                seq,
-                "{threads}"
-            );
-        }
-    }
-
-    #[test]
     fn stats_account_every_gate() {
         let c = adder_chain(10);
         let eng = compile(&c).unwrap();
@@ -1028,9 +832,6 @@ mod tests {
         assert_eq!(s.gate_counts.iter().sum::<u64>(), c.num_wires() as u64);
         assert_eq!(s.level_widths.iter().sum::<u32>() as usize, s.tape_len);
         assert_eq!(s.gate_count_pairs(), vec![("input", 2), ("add", 10)]);
-        let (_, m) = eng.evaluate_batch_metered(&[vec![1u64, 2]], 1);
-        assert_eq!(m.instances, 1);
-        assert_eq!(m.gate_evals, s.tape_len as u64);
-        assert!(m.eval_ns > 0);
+        assert_eq!(s.num_levels, s.level_widths.len());
     }
 }

@@ -54,11 +54,11 @@ pub mod validate;
 
 pub use bitengine::{
     compile_bits_with, pack_instances, unpack_outputs, BitEngineStats, BitKernel, BitOp, BitReg,
-    BitScratch, CompiledBitCircuit,
+    CompiledBitCircuit,
 };
 pub use decompose::{decompose, DecomposedPart};
 pub use driver::{CompileOptions, PipelineReport};
-pub use engine::{CompiledCircuit, EngineStats, EvalMetrics, GATE_KINDS};
+pub use engine::{CompiledCircuit, EngineStats, GATE_KINDS};
 pub use ir::{Builder, Circuit, EvalError, Gate, Mode, WireId};
 pub use join::{join_degree_bounded, join_pk, semijoin};
 pub use join_out::join_output_bounded;

@@ -802,29 +802,6 @@ fn bgate_hash(g: BGate) -> u64 {
     hash_fields(k, a, b, 0)
 }
 
-/// Groups source bit gates into dependency levels: sources at 0, every
-/// other kind strictly above all of its operands. (A scheduling depth —
-/// unrelated to AND depth, which treats XOR/NOT as free.) The BitEngine
-/// compiles its tape level by level from these.
-pub(crate) fn bit_levels(gates: &[BGate]) -> Vec<Vec<u32>> {
-    let mut depth = vec![0u32; gates.len()];
-    let mut max_d = 0u32;
-    for (i, g) in gates.iter().enumerate() {
-        let d = match *g {
-            BGate::Input(_) | BGate::Const(_) => 0,
-            BGate::Xor(a, b) | BGate::And(a, b) => depth[a as usize].max(depth[b as usize]) + 1,
-            BGate::Not(a) | BGate::AssertFalse(a) => depth[a as usize] + 1,
-        };
-        depth[i] = d;
-        max_d = max_d.max(d);
-    }
-    let mut levels: Vec<Vec<u32>> = vec![Vec::new(); max_d as usize + 1];
-    for (i, &d) in depth.iter().enumerate() {
-        levels[d as usize].push(i as u32);
-    }
-    levels
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,8 +1,8 @@
 //! Brent's theorem, operationally (Sec. 1): a circuit of size `W` and
 //! depth `D` runs on a `P`-processor PRAM in `O(W/P + D)` steps by
-//! executing it level by level. This module counts those steps;
-//! [`CompiledCircuit::evaluate_batch_threaded`](crate::CompiledCircuit::evaluate_batch_threaded)
-//! runs the schedule.
+//! executing it level by level. This module counts those steps. The
+//! compiled engine ([`CompiledCircuit`](crate::CompiledCircuit)) orders
+//! its tape by the same levels and runs them in one sequential pass.
 
 use crate::Circuit;
 
@@ -32,10 +32,10 @@ mod tests {
     use super::*;
     use crate::{Builder, CompileOptions, CompiledCircuit, EvalError, Mode};
 
-    /// One instance through the engine's level-parallel schedule.
-    fn levelized(c: &Circuit, inputs: &[u64], threads: usize) -> Result<Vec<u64>, EvalError> {
+    /// One instance through the engine's level-major tape.
+    fn levelized(c: &Circuit, inputs: &[u64]) -> Result<Vec<u64>, EvalError> {
         let (eng, _) = CompiledCircuit::compile_with(c, &CompileOptions::sequential())?;
-        eng.evaluate_batch_threaded(&[inputs], threads).remove(0)
+        eng.evaluate(inputs)
     }
 
     fn sample_circuit() -> Circuit {
@@ -73,89 +73,23 @@ mod tests {
     }
 
     #[test]
-    fn levelized_evaluation_matches_sequential() {
-        use crate::rel::{encode_relation, relation_to_values};
-        use crate::sort::{sort_slots, SortKey};
-        use qec_relation::{Relation, Var};
-        let mut b = Builder::new(Mode::Build);
-        let w = encode_relation(&mut b, vec![Var(0), Var(1)], 32);
-        let s = sort_slots(&mut b, &w, &SortKey::Columns(vec![Var(0)]));
-        let c = b.finish(s.flatten());
-        let r = Relation::from_rows(
-            vec![Var(0), Var(1)],
-            (0..30u64).map(|i| vec![97 - 3 * i, i]).collect(),
-        );
-        let inputs = relation_to_values(&r, 32).unwrap();
-        let seq = c.evaluate(&inputs).unwrap();
-        for threads in [1, 2, 4, 8] {
-            assert_eq!(levelized(&c, &inputs, threads).unwrap(), seq, "{threads}");
-        }
-    }
-
-    #[test]
     fn levelized_assertions_fire() {
         let mut b = Builder::new(Mode::Build);
         let xs: Vec<_> = (0..64).map(|_| b.input()).collect();
-        // wide level of asserts so the parallel path actually engages
+        // one wide level of asserts
         for &x in &xs {
             let y = b.not(x);
             b.assert_zero(y); // fires when x == 0
         }
         let c = b.finish(vec![]);
         let ones = vec![1u64; 64];
-        assert!(levelized(&c, &ones, 4).is_ok());
+        assert!(levelized(&c, &ones).is_ok());
         let mut bad = ones.clone();
         bad[17] = 0;
         assert!(matches!(
-            levelized(&c, &bad, 4),
+            levelized(&c, &bad),
             Err(EvalError::AssertionFailed { .. })
         ));
-    }
-
-    #[test]
-    fn levelized_assertion_failure_is_deterministic() {
-        // Two assertions in the same level, both violated: every thread
-        // count must report the lowest-index gate, like the sequential
-        // interpreter — not whichever worker lost the race. Regression
-        // test for the old shared failure slot that was overwritten by
-        // the last worker to fail.
-        let mut b = Builder::new(Mode::Build);
-        let xs: Vec<_> = (0..64).map(|_| b.input()).collect();
-        // enough padding that the engine's threaded path engages (it
-        // falls back to sequential below ~4k instructions); the padding
-        // gates must be unique and observable or hash-consing + DCE in
-        // `CompiledCircuit::compile` would strip them back out
-        let mut pad = Vec::new();
-        for i in 0..70u64 {
-            for (j, &x) in xs.iter().enumerate() {
-                let k = b.constant(1 + i * 64 + j as u64);
-                pad.push(b.add(x, k));
-            }
-        }
-        for &x in &xs {
-            // all asserts share one level; every one fires on input 1
-            b.assert_zero(x);
-        }
-        let c = b.finish(pad);
-        let ones = vec![1u64; 64];
-        let expected = c.evaluate(&ones);
-        let Err(EvalError::AssertionFailed {
-            gate: expect_gate, ..
-        }) = expected
-        else {
-            panic!("sequential evaluation must fail");
-        };
-        for threads in 1..=8 {
-            let got = levelized(&c, &ones, threads);
-            assert_eq!(
-                got,
-                Err(EvalError::AssertionFailed {
-                    gate: expect_gate,
-                    value: 1
-                }),
-                "threads = {threads}"
-            );
-        }
     }
 
     #[test]

@@ -1067,7 +1067,7 @@ mod tests {
         assert_eq!(back.num_inputs(), bc.num_inputs());
         assert_eq!(back.width(), bc.width());
         let inputs = bc.pack_inputs(&[7, 11]);
-        let eng = crate::CompiledBitCircuit::compile(&back);
+        let eng = crate::CompiledBitCircuit::compile_gmw(&back);
         assert_eq!(
             eng.evaluate_batch(std::slice::from_ref(&inputs)),
             vec![bc.evaluate(&inputs)]

@@ -111,19 +111,17 @@ proptest! {
         state in any::<u64>(),
     ) {
         let bits = build_random_bits(num_inputs, &seeds, width);
-        let eng = CompiledBitCircuit::compile(&bits);
+        let eng = CompiledBitCircuit::compile_gmw(&bits);
         prop_assert!(eng.stats().peak_registers <= bits.gates().len());
         prop_assert_eq!(eng.stats().tape_len, bits.gates().len());
 
         let all = random_instances(&bits, 512, state | 1);
         let want_all = reference(&bits, &all);
-        let mut scratch = eng.scratch();
-        for batch in [1usize, 63, 64, 65, 512] {
-            let instances = &all[..batch];
-            let want = &want_all[..batch];
-            for kernel in BitKernel::available() {
-                let got = eng.evaluate_batch_kernel(instances, kernel, &mut scratch);
-                prop_assert_eq!(&got, want, "kernel {} batch {}", kernel.name(), batch);
+        for kernel in BitKernel::available() {
+            let eng = eng.clone().with_kernel(kernel);
+            for batch in [1usize, 63, 64, 65, 512] {
+                let got = eng.evaluate_batch(&all[..batch]);
+                prop_assert_eq!(&got, &want_all[..batch], "kernel {} batch {}", kernel.name(), batch);
             }
         }
     }
@@ -137,12 +135,11 @@ proptest! {
         state in any::<u64>(),
     ) {
         let bits = build_random_bits(2, &seeds, 6);
-        let eng = CompiledBitCircuit::compile(&bits);
+        let eng = CompiledBitCircuit::compile_gmw(&bits);
         let all = random_instances(&bits, 513, state | 1);
         let want_all = reference(&bits, &all);
-        let mut scratch = eng.scratch();
         for batch in [63usize, 65, 127, 255, 257, 511, 513] {
-            let got = eng.evaluate_batch_with(&all[..batch], &mut scratch);
+            let got = eng.evaluate_batch(&all[..batch]);
             prop_assert_eq!(got.len(), batch);
             prop_assert_eq!(&got, &want_all[..batch], "batch {}", batch);
         }
@@ -157,7 +154,7 @@ proptest! {
         let consts: Vec<_> = vals.iter().map(|&v| b.constant(v)).collect();
         let c = b.finish(consts);
         let bits = lower_with(&c, 8, &CompileOptions::sequential());
-        let eng = CompiledBitCircuit::compile(&bits);
+        let eng = CompiledBitCircuit::compile_gmw(&bits);
         let instances = vec![Vec::new(); batch];
         let want = bits.evaluate(&[]).expect("constants never fail");
         for r in eng.evaluate_batch(&instances) {
@@ -168,7 +165,8 @@ proptest! {
     /// Scalar-vs-AVX parity on wide batches, driven through the driver
     /// entry point (`compile_bits_with`) so the obs/validate paths are
     /// exercised too. Vacuously scalar-vs-scalar where the CPU lacks
-    /// the wide kernels.
+    /// the wide kernels. The driver's tape is the GMW round schedule:
+    /// its AND-bearing levels number exactly the circuit's AND depth.
     #[test]
     fn scalar_vs_avx_kernel_parity(
         seeds in prop::collection::vec(any::<GateSeed>(), 1..60),
@@ -177,11 +175,11 @@ proptest! {
         let bits = build_random_bits(3, &seeds, 8);
         let opts = CompileOptions::from_env().with_validate(true);
         let (eng, _report) = compile_bits_with(&bits, &opts).expect("valid lowering");
+        prop_assert_eq!(eng.stats().and_levels, bits.and_depth() as usize);
         let instances = random_instances(&bits, 300, state | 1);
-        let mut scratch = eng.scratch();
-        let base = eng.evaluate_batch_kernel(&instances, BitKernel::Scalar, &mut scratch);
+        let base = eng.clone().with_kernel(BitKernel::Scalar).evaluate_batch(&instances);
         for kernel in BitKernel::available() {
-            let got = eng.evaluate_batch_kernel(&instances, kernel, &mut scratch);
+            let got = eng.clone().with_kernel(kernel).evaluate_batch(&instances);
             prop_assert_eq!(&got, &base, "kernel {} vs scalar", kernel.name());
         }
     }

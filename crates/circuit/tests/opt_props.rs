@@ -137,8 +137,7 @@ proptest! {
     }
 
     /// The engine compiles through the optimizer yet reports the same
-    /// lowest-gate-index assertion failure as the source interpreter,
-    /// for every thread count 1–8.
+    /// lowest-gate-index assertion failure as the source interpreter.
     #[test]
     fn compiled_optimized_engine_reports_source_failures(
         num_inputs in 1usize..6,
@@ -156,11 +155,8 @@ proptest! {
             .map(|vals| (0..num_inputs).map(|i| vals.get(i).copied().unwrap_or(3)).collect())
             .collect();
         let expected: Vec<_> = instances.iter().map(|i| c.evaluate(i)).collect();
-        for threads in 1..=8usize {
-            let got = eng.evaluate_batch_threaded(&instances, threads);
-            // exact equality: outputs AND source-level gate indices/values
-            prop_assert_eq!(&got, &expected, "threads = {}", threads);
-        }
+        // exact equality: outputs AND source-level gate indices/values
+        prop_assert_eq!(eng.evaluate_batch(&instances), expected);
     }
 
     /// Bit-level: `optimize_bits` over a lowered circuit is

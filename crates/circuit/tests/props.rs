@@ -171,25 +171,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn levelized_evaluator_matches_sequential(r in rel_strategy(&[0, 1], 12), s in rel_strategy(&[1, 2], 12), threads in 1usize..5) {
-        let mut b = Builder::new(Mode::Build);
-        let rw = qec_circuit::encode_relation(&mut b, r.schema().to_vec(), 12);
-        let sw = qec_circuit::encode_relation(&mut b, s.schema().to_vec(), 12);
-        let j = semijoin(&mut b, &rw, &sw);
-        let c = b.finish(j.flatten());
-        let mut vals = relation_values(&r, 12);
-        vals.extend(relation_values(&s, 12));
-        let seq = c.evaluate(&vals).unwrap();
-        let (eng, _) = qec_circuit::CompiledCircuit::compile_with(&c, &qec_circuit::CompileOptions::sequential()).unwrap();
-        let par = eng.evaluate_batch_threaded(&[&vals], threads).remove(0).unwrap();
-        prop_assert_eq!(seq, par);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
     fn word_tape_roundtrips_random_operator_circuits(
         r in rel_strategy(&[0, 1], 8),
         s in rel_strategy(&[1, 2], 8),
