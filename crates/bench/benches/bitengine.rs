@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use qec_circuit::lower::BitCircuit;
 use qec_circuit::{
     encode_relation, join_degree_bounded, lower_with, BitEvalScratch, BitKernel, Builder,
-    CompileOptions, CompiledBitCircuit, Mode,
+    CompileOptions, CompiledBitCircuit,
 };
 use qec_relation::Var;
 
@@ -20,7 +20,7 @@ const BATCH: usize = 64;
 
 /// R(a,b) ⋈ S(b,c), degree bound 4, lowered at width 16.
 fn join_bits() -> BitCircuit {
-    let mut b = Builder::new(Mode::Build);
+    let mut b = Builder::new();
     let r = encode_relation(&mut b, vec![Var(0), Var(1)], CAP);
     let s = encode_relation(&mut b, vec![Var(1), Var(2)], CAP);
     let j = join_degree_bounded(&mut b, &r, &s, 4);

@@ -1,11 +1,11 @@
-//! Circuit-construction benchmarks: the operator circuits of Sec. 5 and
-//! 6.3 in count mode (size/depth accounting without materialization) —
-//! the regime the scaling experiments X5–X8 and X12 sweep.
+//! Circuit-construction benchmarks: building the operator circuits of
+//! Sec. 5 and 6.3 — the regime the scaling experiments X5–X8 and X12
+//! sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qec_circuit::{
     aggregate, encode_relation, join_degree_bounded, join_output_bounded, join_pk, project,
-    sort_slots, AggOp, Builder, Mode, SortKey,
+    sort_slots, AggOp, Builder, SortKey,
 };
 use qec_relation::{Var, VarSet};
 
@@ -18,7 +18,7 @@ fn bench_sort(c: &mut Criterion) {
         let k = 1usize << e;
         g.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             b.iter(|| {
-                let mut bld = Builder::new(Mode::Count);
+                let mut bld = Builder::new();
                 let w = encode_relation(&mut bld, vec![Var(0), Var(1)], k);
                 let s = sort_slots(&mut bld, &w, &SortKey::Columns(vec![Var(0)]));
                 bld.finish(s.flatten()).size()
@@ -36,7 +36,7 @@ fn bench_unary_ops(c: &mut Criterion) {
     let k = 1usize << 10;
     g.bench_function("project/K=1024", |b| {
         b.iter(|| {
-            let mut bld = Builder::new(Mode::Count);
+            let mut bld = Builder::new();
             let w = encode_relation(&mut bld, vec![Var(0), Var(1)], k);
             let p = project(&mut bld, &w, VarSet::singleton(Var(0)));
             bld.finish(p.flatten()).size()
@@ -44,7 +44,7 @@ fn bench_unary_ops(c: &mut Criterion) {
     });
     g.bench_function("aggregate/K=1024", |b| {
         b.iter(|| {
-            let mut bld = Builder::new(Mode::Count);
+            let mut bld = Builder::new();
             let w = encode_relation(&mut bld, vec![Var(0), Var(1)], k);
             let a = aggregate(
                 &mut bld,
@@ -67,7 +67,7 @@ fn bench_joins(c: &mut Criterion) {
     let m = 1usize << 8;
     g.bench_function("pk_join/M=256", |b| {
         b.iter(|| {
-            let mut bld = Builder::new(Mode::Count);
+            let mut bld = Builder::new();
             let r = encode_relation(&mut bld, vec![Var(0), Var(1)], m);
             let s = encode_relation(&mut bld, vec![Var(1), Var(2)], 2 * m);
             let j = join_pk(&mut bld, &r, &s);
@@ -76,7 +76,7 @@ fn bench_joins(c: &mut Criterion) {
     });
     g.bench_function("degree_join/M=256,deg=8", |b| {
         b.iter(|| {
-            let mut bld = Builder::new(Mode::Count);
+            let mut bld = Builder::new();
             let r = encode_relation(&mut bld, vec![Var(0), Var(1)], m);
             let s = encode_relation(&mut bld, vec![Var(1), Var(2)], 2 * m);
             let j = join_degree_bounded(&mut bld, &r, &s, 8);
@@ -85,7 +85,7 @@ fn bench_joins(c: &mut Criterion) {
     });
     g.bench_function("output_join/M=256,OUT=64", |b| {
         b.iter(|| {
-            let mut bld = Builder::new(Mode::Count);
+            let mut bld = Builder::new();
             let r = encode_relation(&mut bld, vec![Var(0), Var(1)], m);
             let s = encode_relation(&mut bld, vec![Var(1), Var(2)], m);
             let j = join_output_bounded(&mut bld, &r, &s, 64);

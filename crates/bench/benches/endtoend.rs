@@ -2,7 +2,7 @@
 //! the secure two-party protocol, against the RAM baselines.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use qec_circuit::{encode_relation, join_pk, lower_with, Builder, CompileOptions, Mode};
+use qec_circuit::{encode_relation, join_pk, lower_with, Builder, CompileOptions};
 use qec_core::compile_fcq;
 use qec_query::baseline::{evaluate_pairwise, generic_join};
 use qec_query::triangle;
@@ -33,7 +33,7 @@ fn bench_triangle_eval(c: &mut Criterion) {
     g.bench_function("ram_interpreter/N=32", |b| {
         b.iter(|| p.rc.evaluate_ram(&db).unwrap())
     });
-    let lowered = p.rc.lower(Mode::Build);
+    let lowered = p.rc.lower();
     let inputs = lowered.layout.values(&db).unwrap();
     g.bench_function("word_circuit/N=32", |b| {
         b.iter(|| lowered.circuit.evaluate(&inputs).unwrap())
@@ -53,7 +53,7 @@ fn bench_mpc(c: &mut Criterion) {
     g.measurement_time(std::time::Duration::from_secs(3));
     g.warm_up_time(std::time::Duration::from_millis(500));
     let m = 8usize;
-    let mut b = Builder::new(Mode::Build);
+    let mut b = Builder::new();
     let r = encode_relation(&mut b, vec![Var(0), Var(1)], m);
     let s = encode_relation(&mut b, vec![Var(1), Var(2)], m);
     let j = join_pk(&mut b, &r, &s);

@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qec_circuit::{
-    encode_relation, join_degree_bounded, Builder, Circuit, CompileOptions, CompiledCircuit, Mode,
+    encode_relation, join_degree_bounded, Builder, Circuit, CompileOptions, CompiledCircuit,
 };
 use qec_relation::Var;
 
@@ -17,7 +17,7 @@ const BATCH: usize = 64;
 
 /// R(a,b) ⋈ S(b,c), degree bound 4 — ~2·10⁵ word gates.
 fn join_circuit() -> Circuit {
-    let mut b = Builder::new(Mode::Build);
+    let mut b = Builder::new();
     let r = encode_relation(&mut b, vec![Var(0), Var(1)], CAP);
     let s = encode_relation(&mut b, vec![Var(1), Var(2)], CAP);
     let j = join_degree_bounded(&mut b, &r, &s, 4);
@@ -50,8 +50,7 @@ fn bench_engine(c: &mut Criterion) {
         "bench circuit must stay ≥ 1e5 gates"
     );
     let engine = CompiledCircuit::compile_with(&circuit, &CompileOptions::from_env())
-        .expect("build-mode circuit")
-        .0;
+        .expect("circuit compiles");
     assert!(
         engine.stats().peak_registers < circuit.num_wires(),
         "register allocation must beat the O(size) value buffer"
@@ -95,8 +94,7 @@ fn bench_engine(c: &mut Criterion) {
     g.bench_function("compile", |b| {
         b.iter(|| {
             CompiledCircuit::compile_with(&circuit, &CompileOptions::from_env())
-                .expect("build-mode circuit")
-                .0
+                .expect("circuit compiles")
                 .stats()
                 .tape_len
         })

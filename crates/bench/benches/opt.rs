@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qec_circuit::{
     encode_relation, join_degree_bounded, optimize_with, Builder, Circuit, CompileOptions,
-    CompiledCircuit, Mode,
+    CompiledCircuit,
 };
 use qec_relation::Var;
 
@@ -18,7 +18,7 @@ const BATCH: usize = 64;
 /// R(a,b) ⋈ S(b,c), degree bound 4, built without online hash-consing so
 /// the offline pass sees the unpreprocessed builder output.
 fn raw_join_circuit() -> Circuit {
-    let mut b = Builder::without_cse(Mode::Build);
+    let mut b = Builder::without_cse();
     let r = encode_relation(&mut b, vec![Var(0), Var(1)], CAP);
     let s = encode_relation(&mut b, vec![Var(1), Var(2)], CAP);
     let j = join_degree_bounded(&mut b, &r, &s, 4);
@@ -66,11 +66,9 @@ fn bench_opt(c: &mut Criterion) {
 
     let eng_raw =
         CompiledCircuit::compile_with(&raw, &CompileOptions::from_env().with_optimize(false))
-            .expect("build-mode circuit")
-            .0;
-    let eng_opt = CompiledCircuit::compile_with(&raw, &CompileOptions::from_env())
-        .expect("build-mode circuit")
-        .0;
+            .expect("circuit compiles");
+    let eng_opt =
+        CompiledCircuit::compile_with(&raw, &CompileOptions::from_env()).expect("circuit compiles");
     assert!(eng_opt.stats().tape_len <= opt.num_wires());
     let batch = instances(&raw, BATCH);
     assert_eq!(

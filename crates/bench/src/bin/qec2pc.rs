@@ -23,7 +23,7 @@
 //! to plaintext evaluation, exiting nonzero otherwise.
 
 use qec_circuit::lower_with;
-use qec_circuit::{CompileOptions, CompiledBitCircuit, Mode};
+use qec_circuit::{CompileOptions, CompiledBitCircuit};
 use qec_core::triangle_heavy_light;
 use qec_mpc::{
     share_instances, write_triple_files, InsecureSeedTriples, Role, Session, TcpTransport,
@@ -58,7 +58,7 @@ struct Prepared {
 /// worst-case database, and lowers to the round-optimal GMW tape.
 fn prepare(n: u64) -> Prepared {
     let (rc, _) = triangle_heavy_light(n);
-    let lowered = rc.lower(Mode::Build);
+    let lowered = rc.lower();
     let (r, s, t) = agm_worst_case_triangle(Var(0), Var(1), Var(2), n as usize);
     let mut db = Database::new();
     db.insert("R", r);

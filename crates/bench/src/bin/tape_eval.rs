@@ -85,9 +85,9 @@ fn main() {
                         .unwrap_or_else(|_| fail(format!("bad input word {t:?}")))
                 })
                 .collect();
-            let (engine, _) =
-                CompiledCircuit::compile_tape_with(&tape, &CompileOptions::sequential())
-                    .unwrap_or_else(|e| fail(e));
+            let circuit = tape.decode().unwrap_or_else(|e| fail(e));
+            let engine = CompiledCircuit::compile_with(&circuit, &CompileOptions::sequential())
+                .unwrap_or_else(|e| fail(e));
             let out = engine.evaluate(&inputs).unwrap_or_else(|e| fail(e));
             let words: Vec<String> = out.iter().map(u64::to_string).collect();
             println!("{}", words.join(" "));

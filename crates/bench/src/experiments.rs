@@ -32,8 +32,8 @@ pub fn x1_heavy_light() -> Table {
         &["N", "paper_cost", "cost/N^1.5", "word_gates", "word_depth"],
     );
     let mut ratios = Vec::new();
-    // Count-mode lowering hash-conses, so it keeps every gate record for
-    // the cons table: the word columns materialize through N=256 by
+    // The word lowering keeps every gate record (the circuit and its
+    // cons table), so the word columns are filled through N=256 by
     // default. QEC_X1_LOWER_E=10 adds N=1024, which needs tens of GB.
     let lower_e: u32 = std::env::var("QEC_X1_LOWER_E")
         .ok()
@@ -46,7 +46,7 @@ pub fn x1_heavy_light() -> Table {
         let ratio = cost / (n as f64).powf(1.5);
         ratios.push(ratio);
         let (gates, depth) = if e <= lower_e {
-            let lowered = rc.lower_with(Mode::Count, &CompileOptions::sequential());
+            let lowered = rc.lower_with(Mode::Build, &CompileOptions::sequential());
             (
                 lowered.circuit.size().to_string(),
                 lowered.circuit.depth().to_string(),
@@ -259,12 +259,12 @@ pub fn x5_project_aggregate() -> Table {
     );
     for e in [4u32, 6, 8, 10, 12, 14] {
         let k = 1usize << e;
-        let mut b = Builder::new(Mode::Count);
+        let mut b = Builder::new();
         let w = encode_relation(&mut b, vec![Var(0), Var(1)], k);
         let p = c_project(&mut b, &w, VarSet::singleton(Var(0)));
         let c = b.finish(p.flatten());
         let (ps, pd) = (c.size(), c.depth());
-        let mut b = Builder::new(Mode::Count);
+        let mut b = Builder::new();
         let w = encode_relation(&mut b, vec![Var(0), Var(1)], k);
         let a = c_aggregate(
             &mut b,
@@ -301,7 +301,7 @@ pub fn x6_pk_join() -> Table {
     for e in [4u32, 6, 8, 10, 12] {
         let m = 1usize << e;
         let np = 2 * m;
-        let mut b = Builder::new(Mode::Count);
+        let mut b = Builder::new();
         let r = encode_relation(&mut b, vec![Var(0), Var(1)], m);
         let s = encode_relation(&mut b, vec![Var(1), Var(2)], np);
         let j = join_pk(&mut b, &r, &s);
@@ -339,7 +339,7 @@ pub fn x7_degree_join() -> Table {
     let mut crossover: Option<usize> = None;
     for e in [8u32, 9, 10, 11, 12, 13] {
         let m = 1usize << e;
-        let mut b = Builder::new(Mode::Count);
+        let mut b = Builder::new();
         let r = encode_relation(&mut b, vec![Var(0), Var(1)], m);
         let s = encode_relation(&mut b, vec![Var(1), Var(2)], m);
         let j = join_degree_bounded(&mut b, &r, &s, 2);
@@ -391,7 +391,7 @@ pub fn x8_output_join() -> Table {
         (512, 32),
         (512, 2048),
     ] {
-        let mut b = Builder::new(Mode::Count);
+        let mut b = Builder::new();
         let r = encode_relation(&mut b, vec![Var(0), Var(1)], m);
         let s = encode_relation(&mut b, vec![Var(1), Var(2)], m);
         let j = join_output_bounded(&mut b, &r, &s, out);
@@ -572,7 +572,7 @@ pub fn x11_mpc() -> Table {
         ],
     );
     for m in [4usize, 8, 16] {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let r = encode_relation(&mut b, vec![Var(0), Var(1)], m);
         let s = encode_relation(&mut b, vec![Var(1), Var(2)], m);
         let j = join_pk(&mut b, &r, &s);
@@ -628,7 +628,7 @@ pub fn x12_primitive_scaling() -> Table {
     for e in [4u32, 6, 8, 10, 12, 14] {
         let k = 1usize << e;
         let sort_metrics = |network: SortNetwork| -> (u64, u32) {
-            let mut b = Builder::new(Mode::Count);
+            let mut b = Builder::new();
             let w = encode_relation(&mut b, vec![Var(0)], k);
             let (s, _) =
                 sort_slots_network(&mut b, &w, &SortKey::Columns(vec![Var(0)]), &[], network);
@@ -637,7 +637,7 @@ pub fn x12_primitive_scaling() -> Table {
         };
         let (oe, oed) = sort_metrics(SortNetwork::OddEvenMerge);
         let (bi, _) = sort_metrics(SortNetwork::Bitonic);
-        let mut b = Builder::new(Mode::Count);
+        let mut b = Builder::new();
         let xs: Vec<Vec<WireId>> = (0..k).map(|_| vec![b.input()]).collect();
         let out = scan(&mut b, &xs, &mut |b, a, x| vec![b.add(a[0], x[0])]);
         let c = b.finish(out.into_iter().map(|v| v[0]).collect());
@@ -667,16 +667,15 @@ pub fn x13_brent() -> Table {
     let q = triangle();
     let dc = uniform_dc(&q, 32);
     let p = compile_fcq(&q, &dc).expect("compiles");
-    let lowered = p.rc.lower(Mode::Build);
+    let lowered = p.rc.lower();
     let c = &lowered.circuit;
     let (w, d) = (c.size(), u64::from(c.depth()));
     let db = uniform_db(&q, 28, 3);
     let inputs = lowered.layout.values(&db).expect("conforms");
     // Compile once; the engine's tape is level-major over the same
     // levels `brent_steps` counts.
-    let engine = CompiledCircuit::compile_with(c, &CompileOptions::from_env())
-        .expect("build-mode circuit")
-        .0;
+    let engine =
+        CompiledCircuit::compile_with(c, &CompileOptions::from_env()).expect("circuit compiles");
     let mut all_ok = engine.evaluate(&inputs) == c.evaluate(&inputs);
     for procs in [1u64, 2, 4, 8, 64, 1024, 1 << 20] {
         let steps = brent_steps(c, procs);
@@ -715,14 +714,13 @@ pub fn x15_engine_throughput() -> Table {
     const CAP: usize = 16;
     const BATCH: usize = 64;
     // R(a,b) ⋈ S(b,c) with degree bound 4 — ~2·10⁵ word gates.
-    let mut b = Builder::new(Mode::Build);
+    let mut b = Builder::new();
     let r = encode_relation(&mut b, vec![Var(0), Var(1)], CAP);
     let s = encode_relation(&mut b, vec![Var(1), Var(2)], CAP);
     let j = join_degree_bounded(&mut b, &r, &s, 4);
     let c = b.finish(j.flatten());
-    let engine = CompiledCircuit::compile_with(&c, &CompileOptions::from_env())
-        .expect("build-mode circuit")
-        .0;
+    let engine =
+        CompiledCircuit::compile_with(&c, &CompileOptions::from_env()).expect("circuit compiles");
     let stats = engine.stats().clone();
 
     let instances: Vec<Vec<u64>> = (0..BATCH)
@@ -852,7 +850,7 @@ pub fn x16_optimizer() -> Table {
     // inside a few seconds; the word-level ratios are stable across N. ---
     let t0 = std::time::Instant::now();
     let (rc, _) = triangle_heavy_light(16);
-    let tri = rc.lower(Mode::Build).circuit;
+    let tri = rc.lower().circuit;
     let tri_build_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t0 = std::time::Instant::now();
     let (tri_opt, _) = optimize_with(&tri, &CompileOptions::from_env());
@@ -887,7 +885,7 @@ pub fn x16_optimizer() -> Table {
     // measures the whole pipeline against the unpreprocessed builder
     // output. ---
     let t0 = std::time::Instant::now();
-    let mut b = Builder::without_cse(Mode::Build);
+    let mut b = Builder::without_cse();
     let r = encode_relation(&mut b, vec![Var(0), Var(1)], CAP);
     let s = encode_relation(&mut b, vec![Var(1), Var(2)], CAP);
     let j = join_degree_bounded(&mut b, &r, &s, 4);
@@ -896,13 +894,11 @@ pub fn x16_optimizer() -> Table {
     let t0 = std::time::Instant::now();
     let eng_raw =
         CompiledCircuit::compile_with(&raw, &CompileOptions::from_env().with_optimize(false))
-            .expect("build-mode circuit")
-            .0;
+            .expect("circuit compiles");
     let raw_compile_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t0 = std::time::Instant::now();
-    let eng_opt = CompiledCircuit::compile_with(&raw, &CompileOptions::from_env())
-        .expect("build-mode circuit")
-        .0;
+    let eng_opt =
+        CompiledCircuit::compile_with(&raw, &CompileOptions::from_env()).expect("circuit compiles");
     let opt_compile_ms = t0.elapsed().as_secs_f64() * 1e3;
     let st = eng_opt
         .stats()
@@ -1084,14 +1080,13 @@ pub fn x18_obs_overhead() -> Table {
     // The X15 join circuit and batch, for the eval-throughput half.
     const CAP: usize = 16;
     const BATCH: usize = 64;
-    let mut b = Builder::new(Mode::Build);
+    let mut b = Builder::new();
     let r = encode_relation(&mut b, vec![Var(0), Var(1)], CAP);
     let s = encode_relation(&mut b, vec![Var(1), Var(2)], CAP);
     let j = join_degree_bounded(&mut b, &r, &s, 4);
     let c = b.finish(j.flatten());
-    let engine = CompiledCircuit::compile_with(&c, &CompileOptions::from_env())
-        .expect("build-mode circuit")
-        .0;
+    let engine =
+        CompiledCircuit::compile_with(&c, &CompileOptions::from_env()).expect("circuit compiles");
     let instances: Vec<Vec<u64>> = (0..BATCH)
         .map(|lane| {
             let mut inp = Vec::with_capacity(c.num_inputs());
@@ -1150,8 +1145,8 @@ pub fn x18_obs_overhead() -> Table {
 
             let t0 = std::time::Instant::now();
             let lowered = p.rc.lower_with(Mode::Build, &opts);
-            let (eng2, _) =
-                CompiledCircuit::compile_with(&lowered.circuit, &opts).expect("build-mode circuit");
+            let eng2 =
+                CompiledCircuit::compile_with(&lowered.circuit, &opts).expect("circuit compiles");
             let bits = lower_with(&lowered.circuit, 16, &opts);
             let wall = t0.elapsed().as_nanos() as f64;
             std::hint::black_box((eng2.stats().tape_len, bits.gate_count()));
@@ -1322,7 +1317,7 @@ fn tape_eval_binary() -> Option<std::path::PathBuf> {
 /// process boundary.
 ///
 /// Sizing knobs: `QEC_X20_SMOKE=1` shrinks the case for CI;
-/// `QEC_X20_N1280=1` adds the count-mode word lowering at N=1280 — one
+/// `QEC_X20_N1280=1` adds the word lowering at N=1280 — one
 /// step beyond the N=1024 the X1 sweep reaches — with the process peak
 /// RSS (`VmHWM`) recorded.
 pub fn x20_tape_persistence() -> Table {
@@ -1368,7 +1363,7 @@ pub fn x20_tape_persistence() -> Table {
     ]);
 
     // --- Serialization round-trips with save+load throughput. ---
-    let word_tape = WordTape::encode(word_circuit).expect("word tape encodes");
+    let word_tape = WordTape::encode(word_circuit);
     let t0 = Instant::now();
     let word_bytes = word_tape.to_bytes();
     let word_back = WordTape::from_bytes(&word_bytes).expect("word tape reloads");
@@ -1492,21 +1487,20 @@ pub fn x20_tape_persistence() -> Table {
         }
     }
 
-    // --- Count-mode word lowering at N=1280, with the process
-    // high-water RSS recorded. Count mode sizes the circuit without
-    // returning its gate list. ---
+    // --- Word lowering at N=1280, with the process high-water RSS
+    // recorded. ---
     if heavy {
         let (rc_big, _) = triangle_heavy_light(1280);
         let t0 = Instant::now();
-        let counted = rc_big.lower_with(Mode::Count, &CompileOptions::sequential());
+        let big = rc_big.lower_with(Mode::Build, &CompileOptions::sequential());
         let secs = t0.elapsed().as_secs_f64();
         let rss = qec_obs::peak_rss_bytes()
             .map(|b| format!("peak RSS {:.1} GiB (VmHWM)", b as f64 / (1u64 << 30) as f64))
             .unwrap_or_else(|| "peak RSS unavailable".into());
         t.row(vec![
-            "lower(count)".into(),
+            "lower(word)".into(),
             "1280".into(),
-            counted.circuit.size().to_string(),
+            big.circuit.size().to_string(),
             format!("{secs:.2}"),
             rss,
             "first measurement at this size".into(),
@@ -1517,7 +1511,7 @@ pub fn x20_tape_persistence() -> Table {
         "both tape kinds round-trip losslessly and {} child-process evaluation(s) matched in-process outputs{}",
         child_checks,
         if heavy {
-            "; N=1280 count-mode lowering completed (see row)"
+            "; N=1280 word lowering completed (see row)"
         } else {
             " — set QEC_X20_N1280=1 for the N=1280 column"
         },
@@ -1551,7 +1545,7 @@ pub fn x21_bitengine() -> Table {
     // --- Part 1: gate-evals/s on the X15 join circuit, lowered to bits.
     // R(a,b) ⋈ S(b,c) with degree bound 4, width-16 lowering. ---
     let cap = if smoke { 8 } else { 16 };
-    let mut b = Builder::new(Mode::Build);
+    let mut b = Builder::new();
     let r = encode_relation(&mut b, vec![Var(0), Var(1)], cap);
     let s = encode_relation(&mut b, vec![Var(1), Var(2)], cap);
     let j = join_degree_bounded(&mut b, &r, &s, 4);
@@ -1673,7 +1667,7 @@ pub fn x21_bitengine() -> Table {
     // quiet; outputs are still cross-checked against plaintext. ---
     let tri_n = if smoke { 4 } else { 8 };
     let (rc, _) = triangle_heavy_light(tri_n);
-    let tri = rc.lower(Mode::Build).circuit;
+    let tri = rc.lower().circuit;
     let tri_bits = lower_with(&tri, 8, &CompileOptions::from_env());
     let tri_eng = CompiledBitCircuit::compile_gmw(&tri_bits);
     let and_depth = u64::from(tri_bits.and_depth());
@@ -1875,20 +1869,19 @@ pub fn x22_serve() -> Table {
 
     // --- Warm servers: one with coalescing, one at batch size 1. Both
     // compile their plan once during warmup. ---
-    let mk_server = |coalesce: bool| -> Arc<Server> {
+    let mk_server = |max_batch: usize| -> Arc<Server> {
         let server = Arc::new(Server::start(ServerConfig {
             queue_capacity: 16_384,
-            max_batch: 64,
+            max_batch,
             flush: Duration::from_micros(500),
-            coalesce,
             ..ServerConfig::default()
         }));
         let resp = server.query(request(0)).expect("warmup serves");
         assert!(!resp.cache_hit || resp.batch_size >= 1);
         server
     };
-    let coalesced = mk_server(true);
-    let batch1 = mk_server(false);
+    let coalesced = mk_server(64);
+    let batch1 = mk_server(1);
 
     // Closed loop: `clients` threads, each with one outstanding request
     // at a time; client-observed wall latency.
@@ -2096,7 +2089,7 @@ pub fn x23_networked_gmw() -> Table {
     let ns: Vec<u64> = if smoke { vec![4] } else { vec![4, 8, 16] };
     for &n in &ns {
         let (rc, _) = triangle_heavy_light(n);
-        let lowered = rc.lower(Mode::Build);
+        let lowered = rc.lower();
         // AGM worst-case data: a √N×√N bipartite grid per relation, so
         // the count being computed securely is a guaranteed-nonzero
         // N^1.5 triangles.
@@ -2167,7 +2160,7 @@ pub fn x23_networked_gmw() -> Table {
 /// far below the flat monomial expansion does the factorised provenance
 /// DAG sit? For transitive closure (Boolean) and all-pairs shortest
 /// path (min-tropical) at domain `d`, the unrolled circuit is lowered
-/// twice — with and without CSE — in `Mode::Count`, and the provenance
+/// twice — with and without CSE — and the provenance
 /// extraction over a seeded random graph reports DAG nodes vs the
 /// number of monomials a flat polynomial would carry (the
 /// factorised-vs-flat gap of Berkholz-style bounds).
@@ -2215,8 +2208,8 @@ pub fn x24_datalog_fixpoint() -> Table {
             // online hash-consing: the gap is exactly the structure the
             // unrolled rounds share.
             let fx = compile(&dp, &bounds).expect("workload compiles");
-            let consed = fx.rc.lower(Mode::Count).circuit.size();
-            let naive = fx.rc.lower_without_cse(Mode::Count).circuit.size();
+            let consed = fx.rc.lower().circuit.size();
+            let naive = fx.rc.lower_without_cse().circuit.size();
             assert!(
                 consed < naive,
                 "{name} d={d}: consing must collapse cross-iteration redundancy ({consed} vs {naive})"

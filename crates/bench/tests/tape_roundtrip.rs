@@ -56,9 +56,8 @@ fn corpus_cases_replay_through_save_load_evaluate_in_a_child_process() {
         let inputs = lowered.layout.values(&db).expect("layout inputs");
 
         // In-process reference: the compiled engine on the same circuit.
-        let (engine, _) =
-            CompiledCircuit::compile_with(&lowered.circuit, &CompileOptions::sequential())
-                .expect("circuit compiles");
+        let engine = CompiledCircuit::compile_with(&lowered.circuit, &CompileOptions::sequential())
+            .expect("circuit compiles");
         let expect: Vec<String> = engine
             .evaluate(&inputs)
             .expect("in-process evaluation")
@@ -67,7 +66,7 @@ fn corpus_cases_replay_through_save_load_evaluate_in_a_child_process() {
             .collect();
 
         // Word tape: save → child load + evaluate.
-        let tape = WordTape::encode(&lowered.circuit).expect("word tape encodes");
+        let tape = WordTape::encode(&lowered.circuit);
         let tape_path = dir.join(format!("qec-corpus-{pid}-{name}.wtape"));
         tape.save(&tape_path).expect("word tape saves");
         let line: Vec<String> = inputs.iter().map(u64::to_string).collect();
@@ -109,7 +108,7 @@ fn a_corrupted_tape_makes_the_child_fail_loudly() {
     let (rc, _) = naive_circuit(&cq, &dc).expect("naive circuit builds");
     let lowered = rc.lower_with(Mode::Build, &CompileOptions::sequential());
     let inputs = lowered.layout.values(&db).expect("layout inputs");
-    let tape = WordTape::encode(&lowered.circuit).expect("word tape encodes");
+    let tape = WordTape::encode(&lowered.circuit);
     let mut bytes = tape.to_bytes();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;

@@ -39,7 +39,7 @@ impl EngineOptions {
             .with_optimize(self.optimize)
             .with_validate(true);
         if self.traced {
-            opts = opts.with_recorder(Recorder::new(true)).with_metrics(true);
+            opts = opts.with_recorder(Recorder::new(true));
         }
         opts
     }

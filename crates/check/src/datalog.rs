@@ -182,14 +182,13 @@ pub fn run_datalog_case(
     };
     for opts in matrix {
         let co = opts.compile_options();
-        let (engine, _report) =
-            CompiledCircuit::compile_with(&lowered.circuit, &co).map_err(|e| {
-                Divergence::Engine {
-                    options: *opts,
-                    stage: "compile",
-                    error: e.to_string(),
-                }
-            })?;
+        let engine = CompiledCircuit::compile_with(&lowered.circuit, &co).map_err(|e| {
+            Divergence::Engine {
+                options: *opts,
+                stage: "compile",
+                error: e.to_string(),
+            }
+        })?;
         let raw = engine.evaluate(&inputs).map_err(|e| Divergence::Engine {
             options: *opts,
             stage: "evaluate",

@@ -13,8 +13,9 @@
 //!    sweep matrix; each decoded output must equal the RAM ground truth.
 //! 4. Optionally the bit-level lowering and bit optimizer run under the
 //!    structural validator as well, plus a bit-tape round-trip and the
-//!    bitsliced `BitEngine`: every available kernel, recompiled under
-//!    every matrix point, must reproduce per-instance
+//!    bitsliced `BitEngine`: the tape is compiled once (the bit compile
+//!    takes no options) and every available kernel must reproduce
+//!    per-instance
 //!    `BitCircuit::evaluate` lane for lane on a random batch, and the
 //!    case input's unpacked output must match the word interpreter.
 //!    Finally two networked GMW sessions must reproduce the same
@@ -25,8 +26,8 @@
 
 use crate::case::{Case, EngineOptions};
 use qec_circuit::{
-    compile_bits_with, decode_relation, lower_with, optimize_bits_with, validate, validate_bits,
-    BitEvalScratch, BitKernel, BitTape, Circuit, CompileOptions, CompiledCircuit, Gate, Mode,
+    decode_relation, lower_with, optimize_bits_with, validate, validate_bits, BitEvalScratch,
+    BitKernel, BitTape, Circuit, CompileOptions, CompiledBitCircuit, CompiledCircuit, Gate, Mode,
     WordTape,
 };
 use qec_core::{naive_circuit, OutputSensitive};
@@ -319,10 +320,7 @@ pub fn run_case(
     // persistence contract: a tape written today and decoded tomorrow is
     // the circuit, not a semantically-equivalent cousin.
     {
-        let tape = WordTape::encode(&lowered.circuit).map_err(|e| Divergence::Validator {
-            stage: "word-tape-roundtrip",
-            error: format!("encode: {e}"),
-        })?;
+        let tape = WordTape::encode(&lowered.circuit);
         let bytes = tape.to_bytes();
         let back = WordTape::from_bytes(&bytes)
             .and_then(|t| t.decode())
@@ -355,7 +353,7 @@ pub fn run_case(
     };
     for opts in matrix {
         let co = opts.compile_options();
-        let (engine, _report) =
+        let engine =
             CompiledCircuit::compile_with(&circuit, &co).map_err(|e| Divergence::Engine {
                 options: *opts,
                 stage: "compile",
@@ -424,14 +422,15 @@ pub fn run_case(
             });
         }
 
-        // Stage 5c: the bitsliced BitEngine, riding the options matrix.
-        // Reference once: the interpreter per instance (scratch-buffered)
-        // over the case's real input plus a word-boundary-straddling
-        // random batch; then every matrix point recompiles the tape under
-        // its CompileOptions and every available kernel must reproduce
-        // the reference lane for lane. The case input's output, unpacked
-        // to words, must also match the word interpreter (itself already
-        // cross-checked against the engine sweep above).
+        // Stage 5c: the bitsliced BitEngine. Reference once: the
+        // interpreter per instance (scratch-buffered) over the case's real
+        // input plus a word-boundary-straddling random batch. The bit
+        // compile takes no options, so the tape is compiled once, and
+        // every available kernel must reproduce the reference lane for
+        // lane. The case input's output, unpacked to words, must also
+        // match the word interpreter (itself already cross-checked
+        // against the engine sweep above).
+        let eng = CompiledBitCircuit::compile_gmw(&bits);
         let mut brng = crate::rng::Rng::new(case.seed ^ 0xb17_e461);
         let mut instances: Vec<Vec<bool>> = vec![bits.pack_inputs(&inputs)];
         instances.extend((0..67).map(|_| {
@@ -450,43 +449,35 @@ pub fn run_case(
                 stage: "bitengine-batch",
                 error: format!("word interpreter rejected the case input: {e}"),
             })?;
-        for opts in matrix {
-            let co = opts.compile_options();
-            let (eng, _report) =
-                compile_bits_with(&bits, &co).map_err(|e| Divergence::Validator {
-                    stage: "bitengine-batch",
-                    error: format!("compile ({opts:?}): {e}"),
-                })?;
-            for kernel in BitKernel::available() {
-                let got = eng.clone().with_kernel(kernel).evaluate_batch(&instances);
-                if got != reference {
-                    let lane = got
-                        .iter()
-                        .zip(&reference)
-                        .position(|(g, r)| g != r)
-                        .unwrap_or(0);
-                    return Err(Divergence::Validator {
-                        stage: "bitengine-batch",
-                        error: format!(
-                            "kernel {} ({opts:?}) diverged from BitCircuit::evaluate at lane {lane}",
-                            kernel.name()
-                        ),
-                    });
-                }
-            }
-            let words = eng
-                .evaluate_batch(&instances[..1])
-                .remove(0)
-                .map(|out| bits.unpack_outputs(&out));
-            if words.as_ref() != Ok(&word_want) {
+        for kernel in BitKernel::available() {
+            let got = eng.clone().with_kernel(kernel).evaluate_batch(&instances);
+            if got != reference {
+                let lane = got
+                    .iter()
+                    .zip(&reference)
+                    .position(|(g, r)| g != r)
+                    .unwrap_or(0);
                 return Err(Divergence::Validator {
-                    stage: "bitengine-words",
+                    stage: "bitengine-batch",
                     error: format!(
-                        "unpacked BitEngine output ({opts:?}) diverged from the word \
-                         interpreter: got {words:?}, want {word_want:?}"
+                        "kernel {} diverged from BitCircuit::evaluate at lane {lane}",
+                        kernel.name()
                     ),
                 });
             }
+        }
+        let words = eng
+            .evaluate_batch(&instances[..1])
+            .remove(0)
+            .map(|out| bits.unpack_outputs(&out));
+        if words.as_ref() != Ok(&word_want) {
+            return Err(Divergence::Validator {
+                stage: "bitengine-words",
+                error: format!(
+                    "unpacked BitEngine output diverged from the word interpreter: \
+                     got {words:?}, want {word_want:?}"
+                ),
+            });
         }
 
         // Stage 5d: the networked two-party GMW session. Two `Session`s
@@ -498,7 +489,6 @@ pub fn run_case(
         // message per AND-bearing level.
         {
             use qec_mpc::{run_sessions, share_instances, Duplex, MpcError, PackedDealer};
-            let eng = qec_circuit::CompiledBitCircuit::compile_gmw(&bits);
             let batch = &instances[..3];
             let mut want = Vec::with_capacity(batch.len());
             for r in &reference[..batch.len()] {
@@ -550,7 +540,6 @@ fn check_serve_stage(case: &Case, expect: &Relation) -> Result<(), Divergence> {
         workers: 2,
         max_batch: 8,
         flush: std::time::Duration::from_millis(2),
-        coalesce: true,
         ..qec_serve::ServerConfig::default()
     });
     let request = qec_serve::Request {

@@ -5,7 +5,7 @@
 use qec_check::Rng;
 use qec_circuit::{
     fnv1a64, lower_with, BitTape, Builder, CompileOptions, CompiledBitCircuit, CompiledCircuit,
-    Mode, WordTape,
+    WordTape,
 };
 use qec_query::{parse_cq, CqError};
 
@@ -99,7 +99,7 @@ const EVAL_INPUT_CAP: usize = 1 << 12;
 
 /// A small word circuit touching every gate kind, asserts included.
 fn every_kind_circuit() -> qec_circuit::Circuit {
-    let mut b = Builder::new(Mode::Build);
+    let mut b = Builder::new();
     let x = b.input();
     let y = b.input();
     let c5 = b.constant(5);
@@ -171,11 +171,11 @@ fn mutate_tape(base: &[u8], kind: u64, rng: &mut Rng) -> Vec<u8> {
 
 /// The tape is the one circuit format the stack reloads from bytes
 /// (serve warm starts, `tape_eval`). Every mutation of a word tape must
-/// come back from `from_bytes` → `decode` → `compile_tape_with` →
-/// evaluate as `Ok` or a typed error, never a panic.
+/// come back from `from_bytes` → `decode` → `compile_with` → evaluate
+/// as `Ok` or a typed error, never a panic.
 #[test]
 fn word_tape_loader_survives_mutations() {
-    let base = WordTape::encode(&every_kind_circuit()).unwrap().to_bytes();
+    let base = WordTape::encode(&every_kind_circuit()).to_bytes();
     let opts = CompileOptions::sequential();
     let mut rng = Rng::new(0x7A9E);
     let mut reached_compile = 0;
@@ -189,7 +189,7 @@ fn word_tape_loader_survives_mutations() {
                 continue;
             };
             reached_compile += 1;
-            if let Ok((eng, _)) = CompiledCircuit::compile_tape_with(&tape, &opts) {
+            if let Ok(eng) = CompiledCircuit::compile_with(&circuit, &opts) {
                 if circuit.num_inputs() <= EVAL_INPUT_CAP {
                     let zeros = vec![0u64; circuit.num_inputs()];
                     assert_eq!(eng.evaluate(&zeros), circuit.evaluate(&zeros));

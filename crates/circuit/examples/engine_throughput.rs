@@ -17,9 +17,8 @@
 //! widths, peak registers) and the measured throughput of the batched
 //! engine against the per-instance interpreter.
 
-use qec_circuit::{
-    encode_relation, join_degree_bounded, Builder, CompileOptions, CompiledCircuit, Mode,
-};
+use qec_circuit::{encode_relation, join_degree_bounded, Builder, CompileOptions, CompiledCircuit};
+use qec_obs::Recorder;
 use qec_relation::Var;
 
 fn main() {
@@ -57,7 +56,7 @@ fn main() {
     }
 
     // R(a, b) ⋈ S(b, c), each with `cap` slots, degree bound 4.
-    let mut b = Builder::new(Mode::Build);
+    let mut b = Builder::new();
     let r = encode_relation(&mut b, vec![Var(0), Var(1)], cap);
     let s = encode_relation(&mut b, vec![Var(1), Var(2)], cap);
     let j = join_degree_bounded(&mut b, &r, &s, 4);
@@ -67,12 +66,13 @@ fn main() {
     // QEC_TRACE=1 so the compile spans land somewhere exportable.
     let opts = CompileOptions::from_env().with_optimize(!no_opt);
     let opts = if trace_out.is_some() && !opts.recorder.is_enabled() {
-        opts.with_metrics(true)
+        opts.with_recorder(Recorder::new(true))
     } else {
         opts
     };
-    let (engine, report) =
-        CompiledCircuit::compile_with(&circuit, &opts).expect("build-mode circuit");
+    let t0 = std::time::Instant::now();
+    let engine = CompiledCircuit::compile_with(&circuit, &opts).expect("circuit compiles");
+    let compile_ns = t0.elapsed().as_nanos();
     let stats = engine.stats();
     println!(
         "circuit: {} gates, depth {}",
@@ -103,13 +103,20 @@ fn main() {
     for (kind, count) in stats.gate_count_pairs() {
         println!("         {kind:<12} {count}");
     }
-    println!(
-        "compile: {:.2} ms total ({:.0}% in measured stages)",
-        report.total_ns as f64 / 1e6,
-        100.0 * report.coverage()
-    );
+    let rec = &opts.recorder;
+    if rec.is_enabled() {
+        let stages = rec.span_total_ns("optimize") + rec.span_total_ns("tape");
+        let coverage = stages as f64 / rec.span_total_ns("compile").max(1) as f64;
+        println!(
+            "compile: {:.2} ms total ({:.0}% in measured stages)",
+            compile_ns as f64 / 1e6,
+            100.0 * coverage.min(1.0)
+        );
+    } else {
+        println!("compile: {:.2} ms total", compile_ns as f64 / 1e6);
+    }
     if let Some(path) = &trace_out {
-        std::fs::write(path, report.chrome_trace()).unwrap_or_else(|e| {
+        std::fs::write(path, rec.chrome_trace()).unwrap_or_else(|e| {
             eprintln!("cannot write trace to {path}: {e}");
             std::process::exit(1);
         });

@@ -8,9 +8,13 @@
 //! scalar `&`/`^`/`!` evaluates the gate for 64 instances at once — 256
 //! or 512 with the AVX2/AVX-512 kernels.
 //!
-//! The compile step ([`CompiledBitCircuit::compile_gmw`], the one
-//! schedule for plaintext and GMW alike) mirrors the word engine's
-//! ([`CompiledCircuit`](crate::CompiledCircuit)):
+//! The compile step ([`CompiledBitCircuit::compile_gmw`], the one bit
+//! compile and the one schedule for plaintext and GMW alike) takes no
+//! options: it compiles the circuit exactly as given, so a caller that
+//! wants validation runs [`validate_bits`](crate::validate_bits) first
+//! and one that wants the bit optimizer runs
+//! [`optimize_bits_with`](crate::optimize_bits_with) first. It mirrors
+//! the word engine's ([`CompiledCircuit`](crate::CompiledCircuit)):
 //!
 //! 1. **Liveness.** The last level reading each wire is computed in one
 //!    pass; output wires are pinned.
@@ -38,10 +42,8 @@
 //! out of assertion checks, so an all-ones constant can never fire an
 //! assert for an instance that does not exist.
 
-use crate::driver::{CompileOptions, PipelineReport};
 use crate::lower::{BGate, BitCircuit};
 use crate::EvalError;
-use std::time::Instant;
 
 /// Register index on the bit tape (one transposed word — or W words —
 /// per register).
@@ -214,7 +216,7 @@ pub struct BitEngineStats {
 
 /// A [`BitCircuit`] register-allocated onto a transposed level-major
 /// tape, ready for bitsliced batch evaluation. Build one with
-/// [`compile_bits_with`] or [`CompiledBitCircuit::compile_gmw`].
+/// [`CompiledBitCircuit::compile_gmw`].
 #[derive(Clone)]
 pub struct CompiledBitCircuit {
     tape: Vec<BitOp>,
@@ -227,46 +229,6 @@ pub struct CompiledBitCircuit {
     width: u32,
     stats: BitEngineStats,
     kernel: BitKernel,
-}
-
-/// Compiles `bc` onto the transposed tape under `opts`: validates when
-/// `opts.validate` is set, records a `bitengine.compile` span plus
-/// `bitengine.peak_registers` / `bitengine.tape_words` /
-/// `bitengine.lanes` gauges on the effective recorder, and returns the
-/// engine with a per-stage [`PipelineReport`].
-///
-/// The tape covers `bc` **exactly as given** — run
-/// [`optimize_bits_with`](crate::optimize_bits_with) first if you want
-/// the optimized circuit; compiling does not re-optimize, so failing
-/// asserts keep reporting gate indices of the circuit you passed in.
-pub fn compile_bits_with(
-    bc: &BitCircuit,
-    opts: &CompileOptions,
-) -> Result<(CompiledBitCircuit, PipelineReport), EvalError> {
-    if opts.validate {
-        crate::validate::validate_bits(bc).map_err(EvalError::Invalid)?;
-    }
-    let recorder = opts.effective_recorder();
-    let root = recorder.span("bitengine.compile");
-    let t_total = Instant::now();
-
-    let t = Instant::now();
-    let eng = CompiledBitCircuit::compile_gmw(bc);
-    let stages = vec![("bit-tape", t.elapsed().as_nanos() as u64)];
-
-    if recorder.is_enabled() {
-        recorder.gauge_max("bitengine.peak_registers", eng.stats.peak_registers as u64);
-        recorder.gauge_max("bitengine.tape_words", eng.stats.tape_len as u64);
-        recorder.gauge_max("bitengine.lanes", eng.kernel.lanes() as u64);
-    }
-    drop(root);
-    let report = PipelineReport {
-        stages,
-        total_ns: t_total.elapsed().as_nanos() as u64,
-        opt: None,
-        recorder,
-    };
-    Ok((eng, report))
 }
 
 impl CompiledBitCircuit {
@@ -842,10 +804,10 @@ unsafe fn run_tape_avx512(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{lower_with, Builder, Mode};
+    use crate::{lower_with, Builder, CompileOptions};
 
     fn sample_bits() -> BitCircuit {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let x = b.input();
         let y = b.input();
         let s = b.add(x, y);

@@ -104,11 +104,10 @@ pub fn decompose(b: &mut Builder, rel: &RelWires, on: VarSet) -> Vec<DecomposedP
 mod tests {
     use super::*;
     use crate::rel::{decode_relation, encode_relation, relation_to_values};
-    use crate::Mode;
     use qec_relation::{zipf_relation, Relation};
 
     fn decompose_eval(r: &Relation, capacity: usize) -> Vec<(Relation, u64, u64)> {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let w = encode_relation(&mut b, r.schema().to_vec(), capacity);
         let parts = decompose(&mut b, &w, VarSet::singleton(Var(0)));
         let metas: Vec<(usize, u64, u64, Vec<Var>)> = parts

@@ -6,7 +6,7 @@
 //! compiled once and then streamed over arbitrarily many inputs. This
 //! module adds that missing layer:
 //!
-//! 1. **Compilation** ([`CompiledCircuit::compile`]): the gate DAG is
+//! 1. **Compilation** ([`CompiledCircuit::compile_with`]): the gate DAG is
 //!    reordered into a level-major instruction tape (all gates of equal
 //!    depth are adjacent) and run through a **wire-liveness register
 //!    allocator**. A wire's register is recycled once the last level
@@ -197,16 +197,11 @@ pub struct CompiledCircuit {
 }
 
 impl CompiledCircuit {
-    /// The tape/register-allocation stage, shared by every compile entry
-    /// point. `origin` carries the optimizer's assert-origin map when the
-    /// input circuit is an optimized image of some source circuit.
-    pub(crate) fn compile_inner(
-        c: &Circuit,
-        origin: Option<&OptStats>,
-    ) -> Result<CompiledCircuit, EvalError> {
-        if !c.is_evaluable() {
-            return Err(EvalError::CountOnly);
-        }
+    /// The tape/register-allocation stage of
+    /// [`CompiledCircuit::compile_with`]. `origin` carries the optimizer's
+    /// assert-origin map when the input circuit is an optimized image of
+    /// some source circuit.
+    pub(crate) fn compile_inner(c: &Circuit, origin: Option<&OptStats>) -> CompiledCircuit {
         let gates = c.gates();
         let depths = c.wire_depths();
         let n = gates.len();
@@ -397,13 +392,13 @@ impl CompiledCircuit {
             gate_counts,
             bytes_per_instance,
         };
-        Ok(CompiledCircuit {
+        CompiledCircuit {
             tape,
             output_regs,
             num_inputs: c.num_inputs(),
             num_regs: num_regs as usize,
             stats,
-        })
+        }
     }
 
     /// Static tape statistics.
@@ -694,14 +689,14 @@ unsafe fn exec_op<I: AsRef<[u64]>>(
 mod tests {
     use super::*;
     use crate::driver::CompileOptions;
-    use crate::ir::{Builder, Mode};
+    use crate::ir::Builder;
 
     fn compile(c: &Circuit) -> Result<CompiledCircuit, EvalError> {
-        CompiledCircuit::compile_with(c, &CompileOptions::sequential()).map(|(eng, _)| eng)
+        CompiledCircuit::compile_with(c, &CompileOptions::sequential())
     }
 
     fn adder_chain(n: usize) -> Circuit {
-        let mut bld = Builder::new(Mode::Build);
+        let mut bld = Builder::new();
         let x = bld.input();
         let y = bld.input();
         let mut acc = bld.add(x, y);
@@ -735,7 +730,7 @@ mod tests {
 
     #[test]
     fn batch_matches_per_instance_evaluation() {
-        let mut bld = Builder::new(Mode::Build);
+        let mut bld = Builder::new();
         let x = bld.input();
         let y = bld.input();
         let s = bld.add(x, y);
@@ -756,7 +751,7 @@ mod tests {
 
     #[test]
     fn assertions_report_lowest_gate_per_lane() {
-        let mut bld = Builder::new(Mode::Build);
+        let mut bld = Builder::new();
         let x = bld.input();
         let y = bld.input();
         bld.assert_zero(x); // gate 2
@@ -807,17 +802,8 @@ mod tests {
     }
 
     #[test]
-    fn count_only_circuits_do_not_compile() {
-        let mut bld = Builder::new(Mode::Count);
-        let x = bld.input();
-        let y = bld.not(x);
-        let c = bld.finish(vec![y]);
-        assert!(matches!(compile(&c), Err(EvalError::CountOnly)));
-    }
-
-    #[test]
     fn empty_circuit_evaluates_to_nothing() {
-        let bld = Builder::new(Mode::Build);
+        let bld = Builder::new();
         let c = bld.finish(vec![]);
         let eng = compile(&c).unwrap();
         assert_eq!(eng.evaluate(&[]), Ok(vec![]));

@@ -60,14 +60,14 @@ impl Gate {
     }
 }
 
-/// Builder mode.
+/// The first parameter of `RelationalCircuit::lower_with` in `qec-core`.
+/// Every builder materializes its gates, so this has one variant; it
+/// stays only so that existing `lower_with(Mode::Build, ..)` calls keep
+/// compiling.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
     /// Materialize gates (evaluable).
     Build,
-    /// Track only size and depth (for large scaling sweeps). Gate and
-    /// depth accounting is identical to [`Mode::Build`].
-    Count,
 }
 
 /// Evaluation failure.
@@ -87,25 +87,19 @@ pub enum EvalError {
         /// The non-zero value observed.
         value: u64,
     },
-    /// The circuit was built in [`Mode::Count`] and has no gates.
-    CountOnly,
     /// A structural invariant violation found by the validator
     /// ([`crate::validate()`]) when compiling with
     /// [`CompileOptions::with_validate`](crate::CompileOptions::with_validate).
     Invalid(crate::validate::ValidateError),
     /// Wire-id allocation ran past the 32-bit id space of the in-memory
-    /// IR. Construction used to wrap silently here; the wide (64-bit id)
-    /// tape format in [`crate::tape`] is the supported path beyond this
-    /// size.
+    /// IR. Construction used to wrap silently here. No builder, decoder
+    /// or engine handles a circuit past this limit.
     CircuitTooLarge {
         /// Wires the construction attempted to allocate.
         wires: u64,
         /// The id-space limit that was exceeded.
         limit: u64,
     },
-    /// A tape encode/decode/serialization failure surfaced through an
-    /// evaluation entry point.
-    Tape(crate::tape::TapeError),
 }
 
 impl fmt::Display for EvalError {
@@ -117,14 +111,12 @@ impl fmt::Display for EvalError {
             EvalError::AssertionFailed { gate, value } => {
                 write!(f, "assertion gate {gate} observed non-zero value {value}")
             }
-            EvalError::CountOnly => write!(f, "circuit was built in count-only mode"),
             EvalError::Invalid(e) => write!(f, "circuit failed structural validation: {e}"),
             EvalError::CircuitTooLarge { wires, limit } => write!(
                 f,
-                "circuit too large: {wires} wires exceed the {limit}-wire id space \
-                 (use the wide tape encoding for larger circuits)"
+                "circuit too large: {wires} wires exceed the {limit}-wire limit \
+                 of the 32-bit wire ids"
             ),
-            EvalError::Tape(e) => write!(f, "tape error: {e}"),
         }
     }
 }
@@ -150,25 +142,18 @@ pub(crate) fn checked_wire_id(n: u64) -> Result<WireId, EvalError> {
 
 impl std::error::Error for EvalError {}
 
-/// Incremental circuit builder.
-///
-/// In [`Mode::Count`] the builder performs the exact same bookkeeping
-/// (including constant deduplication and hash-consing) without
-/// materializing gates, so size/depth numbers from the two modes are
-/// identical — a property the test suite checks.
+/// Incremental circuit builder. It materializes every gate, so the
+/// finished [`Circuit`] is both measured (size, depth) and evaluated.
 ///
 /// By default the builder hash-conses logic gates: pushing a gate that is
 /// structurally identical to an earlier one (after sorting the operands
 /// of commutative gates) returns the existing wire instead of a new one.
 /// The cons table is index-only: it stores wire ids and compares keys
-/// against the builder's own gate records, which both modes keep while
-/// building, so consing never breaks Build/Count parity. Constants go
-/// through the same table. Use [`Builder::without_cse`] when logic
-/// wire ids must track pushes one-for-one.
+/// against the builder's own gate records. Constants go through the same
+/// table. Use [`Builder::without_cse`] when logic wire ids must track
+/// pushes one-for-one.
 pub struct Builder {
-    mode: Mode,
-    /// Every wire's gate, in both modes: the key arena of `cons`. Count
-    /// mode drops it at `finish`.
+    /// Every wire's gate: the key arena of `cons`.
     gates: Vec<Gate>,
     depths: Vec<u32>,
     num_inputs: usize,
@@ -220,11 +205,16 @@ pub(crate) fn gate_hash(g: Gate) -> u64 {
     hash_fields(kind, a, b, c)
 }
 
+impl Default for Builder {
+    fn default() -> Builder {
+        Builder::new()
+    }
+}
+
 impl Builder {
     /// Creates an empty builder with hash-consing enabled.
-    pub fn new(mode: Mode) -> Builder {
+    pub fn new() -> Builder {
         Builder {
-            mode,
             gates: Vec::new(),
             depths: Vec::new(),
             num_inputs: 0,
@@ -239,10 +229,10 @@ impl Builder {
     /// Creates a builder that never hash-conses logic gates: every logic
     /// push allocates a fresh wire, so structurally duplicate gates stay
     /// distinct (constants are still deduplicated).
-    pub fn without_cse(mode: Mode) -> Builder {
+    pub fn without_cse() -> Builder {
         Builder {
             cse: false,
-            ..Builder::new(mode)
+            ..Builder::new()
         }
     }
 
@@ -451,13 +441,8 @@ impl Builder {
             rec.gauge_max("build.cons_bytes", self.cons.bytes() as u64);
         }
         let depth = self.depth();
-        let gates = match self.mode {
-            Mode::Build => self.gates,
-            Mode::Count => Vec::new(),
-        };
         Circuit {
-            mode: self.mode,
-            gates,
+            gates: self.gates,
             depths: self.depths,
             outputs,
             num_inputs: self.num_inputs,
@@ -470,7 +455,6 @@ impl Builder {
 /// A finalized circuit.
 #[derive(Clone)]
 pub struct Circuit {
-    mode: Mode,
     gates: Vec<Gate>,
     depths: Vec<u32>,
     outputs: Vec<WireId>,
@@ -518,7 +502,6 @@ impl Circuit {
         }
         let depth = depths.iter().copied().max().unwrap_or(0);
         Ok(Circuit {
-            mode: Mode::Build,
             gates,
             depths,
             outputs,
@@ -553,7 +536,7 @@ impl Circuit {
         self.depths.len()
     }
 
-    /// The gates (empty in count-only mode).
+    /// The gates, one per wire.
     pub fn gates(&self) -> &[Gate] {
         &self.gates
     }
@@ -563,19 +546,11 @@ impl Circuit {
         &self.depths
     }
 
-    /// Was this circuit materialized?
-    pub fn is_evaluable(&self) -> bool {
-        self.mode == Mode::Build
-    }
-
     /// Evaluates the circuit on `inputs`, returning output values.
     ///
     /// The evaluation order is the construction order (topological by
     /// construction); assertion gates abort with [`EvalError`].
     pub fn evaluate(&self, inputs: &[u64]) -> Result<Vec<u64>, EvalError> {
-        if self.mode == Mode::Count {
-            return Err(EvalError::CountOnly);
-        }
         if inputs.len() != self.num_inputs {
             return Err(EvalError::InputArity {
                 expected: self.num_inputs,
@@ -628,7 +603,7 @@ mod tests {
 
     #[test]
     fn basic_gates_evaluate() {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let x = b.input();
         let y = b.input();
         let s = b.add(x, y);
@@ -647,7 +622,7 @@ mod tests {
 
     #[test]
     fn logic_gates_are_logical() {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let x = b.input();
         let y = b.input();
         let a = b.and(x, y);
@@ -663,7 +638,7 @@ mod tests {
 
     #[test]
     fn mux_and_vectors() {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let s = b.input();
         let xs: Vec<WireId> = (0..3).map(|_| b.input()).collect();
         let ys: Vec<WireId> = (0..3).map(|_| b.input()).collect();
@@ -675,7 +650,7 @@ mod tests {
 
     #[test]
     fn lex_lt_orders_vectors() {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let a: Vec<WireId> = (0..2).map(|_| b.input()).collect();
         let c: Vec<WireId> = (0..2).map(|_| b.input()).collect();
         let lt = b.lex_lt(&a, &c);
@@ -688,7 +663,7 @@ mod tests {
 
     #[test]
     fn assertion_gates_fire() {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let x = b.input();
         b.assert_zero(x);
         let c = b.finish(vec![]);
@@ -701,7 +676,7 @@ mod tests {
 
     #[test]
     fn const_dedup_and_size_accounting() {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let c1 = b.constant(42);
         let c2 = b.constant(42);
         assert_eq!(c1, c2);
@@ -713,35 +688,23 @@ mod tests {
     }
 
     #[test]
-    fn count_mode_matches_build_mode() {
-        fn build(mode: Mode) -> (u64, u32) {
-            let mut b = Builder::new(mode);
-            let xs: Vec<WireId> = (0..8).map(|_| b.input()).collect();
-            let mut acc = b.constant(0);
-            for &x in &xs {
-                acc = b.add(acc, x);
-            }
-            let k = b.constant(100);
-            let flag = b.lt(acc, k);
-            let c = b.finish(vec![flag]);
-            (c.size(), c.depth())
+    fn add_chain_size_and_depth() {
+        let mut b = Builder::new();
+        let xs: Vec<WireId> = (0..8).map(|_| b.input()).collect();
+        let mut acc = b.constant(0);
+        for &x in &xs {
+            acc = b.add(acc, x);
         }
-        assert_eq!(build(Mode::Build), build(Mode::Count));
-    }
-
-    #[test]
-    fn count_mode_rejects_evaluation() {
-        let mut b = Builder::new(Mode::Count);
-        let x = b.input();
-        let y = b.not(x);
-        let c = b.finish(vec![y]);
-        assert_eq!(c.evaluate(&[1]), Err(EvalError::CountOnly));
-        assert_eq!(c.size(), 1);
+        let k = b.constant(100);
+        let flag = b.lt(acc, k);
+        let c = b.finish(vec![flag]);
+        assert_eq!((c.size(), c.depth()), (9, 9));
+        assert_eq!(c.evaluate(&[1, 2, 3, 4, 5, 6, 7, 8]).unwrap(), vec![1]);
     }
 
     #[test]
     fn input_arity_checked() {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let x = b.input();
         let c = b.finish(vec![x]);
         assert_eq!(
@@ -755,7 +718,7 @@ mod tests {
 
     #[test]
     fn depth_tracks_longest_path() {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let x = b.input();
         let y = b.input();
         let a = b.add(x, y); // depth 1
@@ -770,7 +733,7 @@ mod tests {
 
     #[test]
     fn hash_consing_dedups_and_canonicalizes() {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let x = b.input();
         let y = b.input();
         let a1 = b.add(x, y);
@@ -789,7 +752,7 @@ mod tests {
 
     #[test]
     fn without_cse_keeps_duplicate_gates() {
-        let mut b = Builder::without_cse(Mode::Build);
+        let mut b = Builder::without_cse();
         let x = b.input();
         let y = b.input();
         let a1 = b.add(x, y);
@@ -800,7 +763,7 @@ mod tests {
 
     #[test]
     fn asserts_are_never_consed() {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let x = b.input();
         let g1 = b.assert_zero(x);
         let g2 = b.assert_zero(x);
@@ -810,7 +773,7 @@ mod tests {
 
     #[test]
     fn from_raw_rebuilds_and_rejects_bad_wiring() {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let x = b.input();
         let y = b.input();
         let s = b.add(x, y);
@@ -849,18 +812,16 @@ mod tests {
     }
 
     #[test]
-    fn cse_preserves_count_mode_parity() {
-        fn build(mode: Mode) -> (u64, u32) {
-            let mut b = Builder::new(mode);
-            let x = b.input();
-            let y = b.input();
-            let a = b.add(x, y);
-            let _dup = b.add(y, x);
-            let m = b.mul(a, a);
-            let e = b.eq(m, a);
-            let c = b.finish(vec![e]);
-            (c.size(), c.depth())
-        }
-        assert_eq!(build(Mode::Build), build(Mode::Count));
+    fn cse_size_and_depth() {
+        let mut b = Builder::new();
+        let x = b.input();
+        let y = b.input();
+        let a = b.add(x, y);
+        let _dup = b.add(y, x);
+        let m = b.mul(a, a);
+        let e = b.eq(m, a);
+        let c = b.finish(vec![e]);
+        assert_eq!((c.size(), c.depth()), (3, 3));
+        assert_eq!(c.evaluate(&[1, 0]).unwrap(), vec![1]);
     }
 }

@@ -479,7 +479,6 @@ fn qec_ceil_log2(n: u64) -> u32 {
 mod tests {
     use super::*;
     use crate::rel::{decode_relation, encode_relation, relation_to_values};
-    use crate::Mode;
     use qec_relation::{random_degree_bounded, random_relation, Relation};
 
     fn rel(schema: &[u32], rows: &[&[u64]]) -> Relation {
@@ -493,7 +492,7 @@ mod tests {
     where
         F: FnOnce(&mut Builder, &RelWires, &RelWires) -> RelWires,
     {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let rw = encode_relation(&mut b, r.schema().to_vec(), caps.0);
         let sw = encode_relation(&mut b, s.schema().to_vec(), caps.1);
         let out = f(&mut b, &rw, &sw);
@@ -625,7 +624,7 @@ mod tests {
         // size Õ(MN + N') vs naive O(M·N'): with N' = M and N = 4 the
         // degree-bounded circuit should grow ~linearly in M.
         fn cost(m: usize) -> u64 {
-            let mut b = Builder::new(Mode::Count);
+            let mut b = Builder::new();
             let rw = encode_relation(&mut b, vec![Var(0), Var(1)], m);
             let sw = encode_relation(&mut b, vec![Var(1), Var(2)], m);
             let j = join_degree_bounded(&mut b, &rw, &sw, 4);
@@ -642,7 +641,7 @@ mod tests {
         // assertions must catch it rather than silently dropping tuples
         let r = rel(&[0, 1], &[&[1, 11]]);
         let s = rel(&[1, 2], &[&[11, 1], &[11, 2], &[11, 3]]);
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let rw = encode_relation(&mut b, r.schema().to_vec(), 1);
         let sw = encode_relation(&mut b, s.schema().to_vec(), 3);
         let j = join_degree_bounded(&mut b, &rw, &sw, 2);

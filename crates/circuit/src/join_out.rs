@@ -60,11 +60,11 @@ pub fn join_output_bounded(
 mod tests {
     use super::*;
     use crate::rel::{decode_relation, encode_relation, relation_to_values};
-    use crate::{Mode, WireId};
+    use crate::WireId;
     use qec_relation::{zipf_relation, Relation, Var, VarSet};
 
     fn run(r: &Relation, s: &Relation, caps: (usize, usize), out_bound: usize) -> Relation {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let rw = encode_relation(&mut b, r.schema().to_vec(), caps.0);
         let sw = encode_relation(&mut b, s.schema().to_vec(), caps.1);
         let j = join_output_bounded(&mut b, &rw, &sw, out_bound);
@@ -104,7 +104,7 @@ mod tests {
         // true join size is 4, promise 2 → assertion must fire
         let r = Relation::from_rows(vec![Var(0), Var(1)], vec![vec![1, 1], vec![2, 1]]);
         let s = Relation::from_rows(vec![Var(1), Var(2)], vec![vec![1, 5], vec![1, 6]]);
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let rw = encode_relation(&mut b, r.schema().to_vec(), 2);
         let sw = encode_relation(&mut b, s.schema().to_vec(), 2);
         let j = join_output_bounded(&mut b, &rw, &sw, 2);
@@ -120,7 +120,7 @@ mod tests {
     #[test]
     fn size_scales_with_out_not_capacity_product() {
         fn cost(m: usize, out: usize) -> u64 {
-            let mut b = Builder::new(Mode::Count);
+            let mut b = Builder::new();
             let rw = encode_relation(&mut b, vec![Var(0), Var(1)], m);
             let sw = encode_relation(&mut b, vec![Var(1), Var(2)], m);
             let j = join_output_bounded(&mut b, &rw, &sw, out);

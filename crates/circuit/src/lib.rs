@@ -53,11 +53,10 @@ pub mod tape;
 pub mod validate;
 
 pub use bitengine::{
-    compile_bits_with, pack_instances, unpack_outputs, BitEngineStats, BitKernel, BitOp, BitReg,
-    CompiledBitCircuit,
+    pack_instances, unpack_outputs, BitEngineStats, BitKernel, BitOp, BitReg, CompiledBitCircuit,
 };
 pub use decompose::{decompose, DecomposedPart};
-pub use driver::{CompileOptions, PipelineReport};
+pub use driver::CompileOptions;
 pub use engine::{CompiledCircuit, EngineStats, GATE_KINDS};
 pub use ir::{Builder, Circuit, EvalError, Gate, Mode, WireId};
 pub use join::{join_degree_bounded, join_pk, semijoin};

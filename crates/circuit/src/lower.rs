@@ -576,9 +576,6 @@ fn bit_word(bit: u32, w: usize) -> Vec<u32> {
 /// thread. When `opts.recorder` is enabled it records a `lower` span and
 /// the headline bit-level gate counts; the produced circuit never
 /// depends on whether tracing was on.
-///
-/// # Panics
-/// Panics if the circuit was built in count-only mode.
 pub fn lower_with(c: &Circuit, width: u32, opts: &CompileOptions) -> BitCircuit {
     let rec = &opts.recorder;
     let _span = rec.span("lower");
@@ -593,7 +590,6 @@ pub fn lower_with(c: &Circuit, width: u32, opts: &CompileOptions) -> BitCircuit 
 }
 
 fn lower_seq(c: &Circuit, width: u32) -> BitCircuit {
-    assert!(c.is_evaluable(), "cannot lower a count-only circuit");
     let w = width as usize;
     let src = c.gates();
 
@@ -805,14 +801,14 @@ fn bgate_hash(g: BGate) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Builder, Mode};
+    use crate::Builder;
 
     fn check_against_words(
         build: impl Fn(&mut Builder) -> Vec<WireId>,
         inputs: &[u64],
         width: u32,
     ) {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let outs = build(&mut b);
         let c = b.finish(outs);
         let word_result = c.evaluate(inputs).unwrap();
@@ -872,7 +868,7 @@ mod tests {
 
     #[test]
     fn assertion_lowering_fires() {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let x = b.input();
         b.assert_zero(x);
         let c = b.finish(vec![]);
@@ -883,7 +879,7 @@ mod tests {
 
     #[test]
     fn and_metrics() {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let x = b.input();
         let y = b.input();
         let s = b.add(x, y);
@@ -974,7 +970,7 @@ mod tests {
     /// (commutative and literal), constant folds, asserts (passing and
     /// redundant), and a deep dependency chain.
     fn gnarly_word_circuit() -> Circuit {
-        let mut b = Builder::without_cse(Mode::Build);
+        let mut b = Builder::without_cse();
         let x = b.input();
         let y = b.input();
         let z = b.input();
@@ -1079,7 +1075,7 @@ mod tests {
 
     #[test]
     fn sealed_metrics_stay_consistent_with_gate_list() {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let x = b.input();
         let y = b.input();
         let s = b.add(x, y);

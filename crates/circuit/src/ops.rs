@@ -230,7 +230,6 @@ pub fn aggregate(b: &mut Builder, rel: &RelWires, group: VarSet, op: AggOp, out:
 mod tests {
     use super::*;
     use crate::rel::{decode_relation, encode_relation, relation_to_values};
-    use crate::Mode;
     use qec_relation::{AggKind, Relation};
 
     fn rel2(rows: &[&[u64]]) -> Relation {
@@ -244,7 +243,7 @@ mod tests {
     where
         F: FnOnce(&mut Builder, &RelWires) -> RelWires,
     {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let w = encode_relation(&mut b, r.schema().to_vec(), capacity);
         let out = f(&mut b, &w);
         let schema = out.schema.clone();
@@ -294,7 +293,7 @@ mod tests {
     #[test]
     fn truncate_assertion_fires_on_overflow() {
         let r = rel2(&[&[1, 1], &[2, 2], &[3, 3]]);
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let w = encode_relation(&mut b, r.schema().to_vec(), 4);
         let t = truncate(&mut b, &w, 2);
         let c = b.finish(t.flatten());
@@ -306,7 +305,7 @@ mod tests {
     fn union_dedups_across_sides() {
         let r = rel2(&[&[1, 1], &[2, 2]]);
         let s = rel2(&[&[2, 2], &[3, 3]]);
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let rw = encode_relation(&mut b, r.schema().to_vec(), 3);
         let sw = encode_relation(&mut b, s.schema().to_vec(), 3);
         let u = union(&mut b, &rw, &sw);
@@ -356,7 +355,7 @@ mod tests {
     #[test]
     fn project_cost_linear_up_to_polylog() {
         fn cost(n: usize) -> u64 {
-            let mut b = Builder::new(Mode::Count);
+            let mut b = Builder::new();
             let w = encode_relation(&mut b, vec![Var(0), Var(1)], n);
             let p = project(&mut b, &w, VarSet::singleton(Var(0)));
             b.finish(p.flatten()).size()

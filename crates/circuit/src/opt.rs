@@ -346,8 +346,7 @@ impl Rewriter {
 /// identity rewrites, structural CSE, and assertion-safe mark-and-sweep
 /// DCE, in one rewrite walk over the gate list and one sweep.
 ///
-/// Count-only circuits, and any circuit when `opts.optimize` is off,
-/// pass through unchanged. Output order and input arity are always
+/// When `opts.optimize` is off the circuit passes through unchanged. Output order and input arity are always
 /// preserved; every declared input wire survives even if unused, so
 /// optimized circuits accept the exact same input vectors.
 ///
@@ -375,9 +374,6 @@ pub fn optimize_with(c: &Circuit, opts: &CompileOptions) -> (Circuit, OptStats) 
 /// The rewrite walk, the liveness mark and the sweep (see
 /// [`optimize_with`] for the semantics contract).
 fn optimize_seq(c: &Circuit) -> (Circuit, OptStats) {
-    if !c.is_evaluable() {
-        return (c.clone(), OptStats::passthrough(c));
-    }
     let src = c.gates();
     let mut rw = Rewriter::new(src.len());
     // Source wire → rewritten wire.
@@ -525,13 +521,13 @@ fn remap_gate(g: Gate, renum: &[WireId]) -> Gate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{Builder, EvalError, Mode};
+    use crate::ir::{Builder, EvalError};
 
     #[test]
     fn folds_constants_and_identities() {
         // Build without CSE so the source actually contains the
         // redundancy the optimizer is supposed to remove.
-        let mut b = Builder::without_cse(Mode::Build);
+        let mut b = Builder::without_cse();
         let x = b.input();
         let zero = b.constant(0);
         let one = b.constant(1);
@@ -553,7 +549,7 @@ mod tests {
     #[test]
     fn boolean_guard_blocks_unsound_rewrites() {
         // And(x, x) must NOT become x for a non-boolean word.
-        let mut b = Builder::without_cse(Mode::Build);
+        let mut b = Builder::without_cse();
         let x = b.input();
         let a = b.and(x, x);
         let c = b.finish(vec![a]);
@@ -561,7 +557,7 @@ mod tests {
         assert_eq!(opt.evaluate(&[5]).unwrap(), vec![1]);
         assert_eq!(opt.evaluate(&[0]).unwrap(), vec![0]);
         // But And(e, e) for boolean e is e itself.
-        let mut b = Builder::without_cse(Mode::Build);
+        let mut b = Builder::without_cse();
         let x = b.input();
         let y = b.input();
         let e = b.eq(x, y);
@@ -574,7 +570,7 @@ mod tests {
 
     #[test]
     fn double_not_coerces() {
-        let mut b = Builder::without_cse(Mode::Build);
+        let mut b = Builder::without_cse();
         let x = b.input();
         let n1 = b.not(x);
         let n2 = b.not(n1); // bool(x), x not provably boolean
@@ -590,7 +586,7 @@ mod tests {
 
     #[test]
     fn mux_rewrites() {
-        let mut b = Builder::without_cse(Mode::Build);
+        let mut b = Builder::without_cse();
         let s = b.input();
         let x = b.input();
         let y = b.input();
@@ -609,7 +605,7 @@ mod tests {
 
     #[test]
     fn dce_keeps_outputs_and_inputs() {
-        let mut b = Builder::without_cse(Mode::Build);
+        let mut b = Builder::without_cse();
         let x = b.input();
         let y = b.input();
         let _dead = b.mul(x, y); // unused
@@ -624,7 +620,7 @@ mod tests {
 
     #[test]
     fn passing_asserts_on_const_zero_are_dropped() {
-        let mut b = Builder::without_cse(Mode::Build);
+        let mut b = Builder::without_cse();
         let x = b.input();
         let z = b.sub(x, x); // folds to 0
         b.assert_zero(z);
@@ -638,7 +634,7 @@ mod tests {
 
     #[test]
     fn failing_asserts_never_optimize_away() {
-        let mut b = Builder::without_cse(Mode::Build);
+        let mut b = Builder::without_cse();
         let x = b.input();
         let one = b.constant(1);
         let k = b.mul(one, one); // folds to const 1
@@ -655,7 +651,7 @@ mod tests {
 
     #[test]
     fn duplicate_asserts_dedup_to_the_first() {
-        let mut b = Builder::without_cse(Mode::Build);
+        let mut b = Builder::without_cse();
         let x = b.input();
         let y = b.input();
         let d1 = b.sub(x, y);
@@ -685,7 +681,7 @@ mod tests {
 
     #[test]
     fn assert_origin_maps_reported_gate_to_source_gate() {
-        let mut b = Builder::without_cse(Mode::Build);
+        let mut b = Builder::without_cse();
         let x = b.input();
         let y = b.input();
         let _pad = b.mul(x, x); // dead gate before the assert
@@ -720,23 +716,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn count_mode_passes_through() {
-        let mut b = Builder::new(Mode::Count);
-        let x = b.input();
-        let y = b.not(x);
-        let c = b.finish(vec![y]);
-        let (opt, st) = optimize_with(&c, &CompileOptions::sequential());
-        assert!(!opt.is_evaluable());
-        assert_eq!(opt.size(), c.size());
-        assert_eq!(st.gates_before, st.gates_after);
-    }
-
     /// A circuit exercising every rewrite family at once: folds,
     /// identities, coercions, CSE duplicates, passing / failing /
     /// duplicated asserts, dead gates.
     fn gnarly_circuit() -> Circuit {
-        let mut b = Builder::without_cse(Mode::Build);
+        let mut b = Builder::without_cse();
         let x = b.input();
         let y = b.input();
         let z = b.input();
@@ -807,7 +791,7 @@ mod tests {
 
     #[test]
     fn output_order_and_arity_survive() {
-        let mut b = Builder::without_cse(Mode::Build);
+        let mut b = Builder::without_cse();
         let x = b.input();
         let y = b.input();
         let _unused_input_is_fine = b.input();

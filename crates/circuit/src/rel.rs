@@ -237,7 +237,6 @@ pub fn encode_database(b: &mut Builder, layout: &InputLayout) -> Vec<RelWires> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Mode;
 
     fn rel(schema: &[u32], rows: &[&[u64]]) -> Relation {
         Relation::from_rows(
@@ -249,7 +248,7 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let r = rel(&[0, 1], &[&[1, 2], &[3, 4]]);
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let wires = encode_relation(&mut b, r.schema().to_vec(), 5);
         let out = wires.flatten();
         let c = b.finish(out);
@@ -275,7 +274,7 @@ mod tests {
         db.insert("R", rel(&[0, 1], &[&[1, 2]]));
         db.insert("S", rel(&[1, 2], &[&[2, 3], &[2, 4]]));
 
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let ws = layout.wires(&mut b);
         assert_eq!(ws.len(), 2);
         let outs: Vec<WireId> = ws.iter().flat_map(|w| w.flatten()).collect();
@@ -308,7 +307,7 @@ mod tests {
 
     #[test]
     fn dummies_relation() {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let d = RelWires::dummies(&mut b, vec![Var(0), Var(1)], 3);
         let c = b.finish(d.flatten());
         let out = c.evaluate(&[]).unwrap();

@@ -77,11 +77,10 @@ pub fn segmented_scan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Mode;
 
     #[test]
     fn sum_scan_matches_prefix_sums() {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let xs: Vec<Vec<WireId>> = (0..7).map(|_| vec![b.input()]).collect();
         let out = scan(&mut b, &xs, &mut |b, a, x| vec![b.add(a[0], x[0])]);
         let c = b.finish(out.into_iter().map(|v| v[0]).collect());
@@ -91,7 +90,7 @@ mod tests {
 
     #[test]
     fn max_scan() {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let xs: Vec<Vec<WireId>> = (0..5).map(|_| vec![b.input()]).collect();
         let out = scan(&mut b, &xs, &mut |b, a, x| {
             let gt = b.lt(x[0], a[0]);
@@ -103,7 +102,7 @@ mod tests {
 
     #[test]
     fn scan_of_single_element_is_identity() {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let x = b.input();
         let out = scan(&mut b, &[vec![x]], &mut |b, a, v| vec![b.add(a[0], v[0])]);
         let c = b.finish(vec![out[0][0]]);
@@ -112,7 +111,7 @@ mod tests {
 
     #[test]
     fn segmented_sum_restarts_at_key_change() {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let keys: Vec<Vec<WireId>> = (0..6).map(|_| vec![b.input()]).collect();
         let vals: Vec<Vec<WireId>> = (0..6).map(|_| vec![b.input()]).collect();
         let out = segmented_scan(&mut b, &keys, &vals, &mut |b, a, x| vec![b.add(a[0], x[0])]);
@@ -125,7 +124,7 @@ mod tests {
 
     #[test]
     fn segmented_scan_with_composite_keys() {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let keys: Vec<Vec<WireId>> = (0..4).map(|_| vec![b.input(), b.input()]).collect();
         let vals: Vec<Vec<WireId>> = (0..4).map(|_| vec![b.input()]).collect();
         let out = segmented_scan(&mut b, &keys, &vals, &mut |b, a, x| vec![b.add(a[0], x[0])]);
@@ -138,7 +137,7 @@ mod tests {
     #[test]
     fn repetition_operator_copies_segment_head() {
         // ⊕ = "keep first" (the primary-key join's copy operator)
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let keys: Vec<Vec<WireId>> = (0..5).map(|_| vec![b.input()]).collect();
         let vals: Vec<Vec<WireId>> = (0..5).map(|_| vec![b.input()]).collect();
         let out = segmented_scan(&mut b, &keys, &vals, &mut |_b, a, _x| vec![a[0]]);
@@ -152,7 +151,7 @@ mod tests {
     #[test]
     fn scan_size_is_n_log_n() {
         fn cost(n: usize) -> u64 {
-            let mut b = Builder::new(Mode::Count);
+            let mut b = Builder::new();
             let xs: Vec<Vec<WireId>> = (0..n).map(|_| vec![b.input()]).collect();
             let out = scan(&mut b, &xs, &mut |b, a, x| vec![b.add(a[0], x[0])]);
             b.finish(out.into_iter().map(|v| v[0]).collect()).size()

@@ -30,16 +30,16 @@ pub fn brent_steps(c: &Circuit, p: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Builder, CompileOptions, CompiledCircuit, EvalError, Mode};
+    use crate::{Builder, CompileOptions, CompiledCircuit, EvalError};
 
     /// One instance through the engine's level-major tape.
     fn levelized(c: &Circuit, inputs: &[u64]) -> Result<Vec<u64>, EvalError> {
-        let (eng, _) = CompiledCircuit::compile_with(c, &CompileOptions::sequential())?;
+        let eng = CompiledCircuit::compile_with(c, &CompileOptions::sequential())?;
         eng.evaluate(inputs)
     }
 
     fn sample_circuit() -> Circuit {
-        let mut b = Builder::new(Mode::Count);
+        let mut b = Builder::new();
         let xs: Vec<_> = (0..64).map(|_| b.input()).collect();
         // balanced reduction tree: 63 gates, depth 6
         let mut layer = xs;
@@ -74,7 +74,7 @@ mod tests {
 
     #[test]
     fn levelized_assertions_fire() {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let xs: Vec<_> = (0..64).map(|_| b.input()).collect();
         // one wide level of asserts
         for &x in &xs {

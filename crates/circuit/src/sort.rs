@@ -266,13 +266,12 @@ pub fn sort_slots(b: &mut Builder, rel: &RelWires, key: &SortKey) -> RelWires {
 mod tests {
     use super::*;
     use crate::rel::{decode_relation, encode_relation, relation_to_values};
-    use crate::Mode;
     use qec_relation::Relation;
 
     fn run_sort(rows: &[&[u64]], capacity: usize, cols: &[u32]) -> Vec<Vec<u64>> {
         let schema = vec![Var(0), Var(1)];
         let r = Relation::from_rows(schema.clone(), rows.iter().map(|r| r.to_vec()).collect());
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let w = encode_relation(&mut b, schema.clone(), capacity);
         let key = SortKey::Columns(cols.iter().map(|&i| Var(i)).collect());
         let sorted = sort_slots(&mut b, &w, &key);
@@ -317,7 +316,7 @@ mod tests {
             schema.clone(),
             vec![vec![5, 5], vec![1, 1], vec![3, 3], vec![2, 2]],
         );
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let w = encode_relation(&mut b, schema.clone(), 6);
         let sorted = sort_slots(&mut b, &w, &SortKey::Columns(vec![Var(0)]));
         let c = b.finish(sorted.flatten());
@@ -329,7 +328,7 @@ mod tests {
     fn tie_break_extra_column_orders_within_group() {
         // two tuples with equal sort column; tie wire orders them
         let schema = vec![Var(0)];
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let w = encode_relation(&mut b, schema.clone(), 2);
         let tie0 = b.input();
         let tie1 = b.input();
@@ -356,7 +355,7 @@ mod tests {
                     .map(|(i, &v)| vec![v * 100 + i as u64])
                     .collect(),
             );
-            let mut b = Builder::new(Mode::Build);
+            let mut b = Builder::new();
             let w = encode_relation(&mut b, schema.clone(), 8);
             let (sorted, _) = sort_slots_network(
                 &mut b,
@@ -390,7 +389,7 @@ mod tests {
     #[test]
     fn size_scales_as_n_log2_n() {
         fn cost(n: usize) -> u64 {
-            let mut b = Builder::new(Mode::Count);
+            let mut b = Builder::new();
             let w = encode_relation(&mut b, vec![Var(0)], n);
             let s = sort_slots(&mut b, &w, &SortKey::Columns(vec![Var(0)]));
             let c = b.finish(s.flatten());
@@ -405,7 +404,7 @@ mod tests {
     #[test]
     fn depth_scales_as_log2_n() {
         fn depth(n: usize) -> u32 {
-            let mut b = Builder::new(Mode::Count);
+            let mut b = Builder::new();
             let w = encode_relation(&mut b, vec![Var(0)], n);
             let s = sort_slots(&mut b, &w, &SortKey::Columns(vec![Var(0)]));
             b.finish(s.flatten()).depth()

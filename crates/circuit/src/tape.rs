@@ -12,15 +12,16 @@
 //!    *narrow* format packs a whole instruction into one word
 //!    (`[opcode:4][a:30][b:30]`, extra words for `Const`/`Mux`); the
 //!    *wide* format spends one word per operand and therefore carries
-//!    full 64-bit ids — the escape hatch past the 32-bit in-memory id
-//!    space (see [`EvalError::CircuitTooLarge`]). A tape is a storage
-//!    and transfer format, not an evaluator: [`WordTape::decode`] /
-//!    [`BitTape::decode`] hand it back to the level's reference
-//!    interpreter, and
-//!    [`CompiledCircuit::compile_tape_with`](crate::CompiledCircuit::compile_tape_with)
-//!    compiles a word tape straight into the engine. A bit tape comes
-//!    from [`lower_with`](crate::lower_with) followed by
-//!    [`BitTape::encode`].
+//!    64-bit ids on disk, though decoding still goes through the 32-bit
+//!    in-memory IR (see
+//!    [`EvalError::CircuitTooLarge`](crate::EvalError::CircuitTooLarge)).
+//!    A tape is a storage and transfer format, not an evaluator:
+//!    [`WordTape::decode`] / [`BitTape::decode`] hand it back to the
+//!    level's circuit, which its one compile call
+//!    ([`CompiledCircuit::compile_with`](crate::CompiledCircuit::compile_with),
+//!    [`CompiledBitCircuit::compile_gmw`](crate::CompiledBitCircuit::compile_gmw))
+//!    turns into an engine. A bit tape comes from
+//!    [`lower_with`](crate::lower_with) followed by [`BitTape::encode`].
 //! 2. **Serialization.** [`WordTape::to_bytes`]/[`BitTape::to_bytes`]
 //!    emit a magic-tagged, versioned container with an FNV-1a-64
 //!    checksum trailer; `from_bytes` rejects truncation, trailing bytes,
@@ -34,7 +35,7 @@ use std::path::Path;
 
 use crate::engine::kind_index;
 use crate::lower::{BGate, BitCircuit, MAX_BIT_WIRES};
-use crate::{Circuit, EvalError, Gate, WireId};
+use crate::{Circuit, Gate, WireId};
 
 /// Serialization/encoding failure, one variant per rejection reason so
 /// callers (and tests) can tell corruption from version skew from size
@@ -104,9 +105,6 @@ pub enum TapeError {
         /// The format's id capacity.
         limit: u64,
     },
-    /// The circuit was built in count-only mode and has no gates to
-    /// encode.
-    NotEvaluable,
     /// An I/O failure while saving or loading.
     Io(String),
 }
@@ -153,24 +151,12 @@ impl fmt::Display for TapeError {
                 f,
                 "circuit too large for this tape format: {wires} wires, format limit {limit}"
             ),
-            TapeError::NotEvaluable => {
-                write!(
-                    f,
-                    "count-only circuits carry no gates and cannot be encoded"
-                )
-            }
             TapeError::Io(e) => write!(f, "tape i/o error: {e}"),
         }
     }
 }
 
 impl std::error::Error for TapeError {}
-
-impl From<TapeError> for EvalError {
-    fn from(e: TapeError) -> EvalError {
-        EvalError::Tape(e)
-    }
-}
 
 // ---- container format ----
 
@@ -371,12 +357,9 @@ pub struct WordTape {
 }
 
 impl WordTape {
-    /// Encodes an evaluable circuit, picking the narrow format when every
-    /// id and input index fits its 30-bit operand field.
-    pub fn encode(c: &Circuit) -> Result<WordTape, TapeError> {
-        if !c.is_evaluable() {
-            return Err(TapeError::NotEvaluable);
-        }
+    /// Encodes a circuit, picking the narrow format when every id and
+    /// input index fits its 30-bit operand field.
+    pub fn encode(c: &Circuit) -> WordTape {
         let narrow =
             (c.num_wires() as u64) < NARROW_LIMIT && (c.num_inputs() as u64) < NARROW_LIMIT;
         let format = if narrow { FORMAT_NARROW } else { FORMAT_WIDE };
@@ -414,13 +397,13 @@ impl WordTape {
                 }
             }
         }
-        Ok(WordTape {
+        WordTape {
             format,
             num_inputs: c.num_inputs() as u64,
             num_wires: c.num_wires() as u64,
             code,
             outputs: c.outputs().iter().map(|&w| w as u64).collect(),
-        })
+        }
     }
 
     /// Decodes back into the in-memory IR. The result is gate-for-gate
@@ -944,10 +927,10 @@ pub(crate) fn check_bit_tape(t: &BitTape) -> Result<(), TapeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Builder, Mode};
+    use crate::{Builder, EvalError};
 
     fn sample_circuit() -> Circuit {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let x = b.input();
         let y = b.input();
         let c5 = b.constant(5);
@@ -968,15 +951,14 @@ mod tests {
     #[test]
     fn word_tape_roundtrips_and_evaluates() {
         let c = sample_circuit();
-        let t = WordTape::encode(&c).unwrap();
+        let t = WordTape::encode(&c);
         assert_eq!(t.format(), FORMAT_NARROW);
         let back = t.decode().unwrap();
         assert_eq!(back.gates(), c.gates());
         assert_eq!(back.outputs(), c.outputs());
         assert_eq!(back.num_inputs(), c.num_inputs());
-        let (eng, _) =
-            crate::CompiledCircuit::compile_tape_with(&t, &crate::CompileOptions::sequential())
-                .unwrap();
+        let eng = crate::CompiledCircuit::compile_with(&back, &crate::CompileOptions::sequential())
+            .unwrap();
         for (x, y) in [(3u64, 9u64), (9, 3), (0, 0), (u64::MAX, 1)] {
             assert_eq!(eng.evaluate(&[x, y]), c.evaluate(&[x, y]));
         }
@@ -989,7 +971,7 @@ mod tests {
 
     #[test]
     fn corrupted_containers_are_rejected_with_typed_errors() {
-        let t = WordTape::encode(&sample_circuit()).unwrap();
+        let t = WordTape::encode(&sample_circuit());
         let bytes = t.to_bytes();
 
         // bad magic
@@ -1044,7 +1026,7 @@ mod tests {
     fn header_counts_at_the_size_limit_are_truncation_not_overflow() {
         // Declared payloads whose byte length overflows `usize` once the
         // header and trailer are added must be rejected, not wrap.
-        let bytes = WordTape::encode(&sample_circuit()).unwrap().to_bytes();
+        let bytes = WordTape::encode(&sample_circuit()).to_bytes();
         for words in [usize::MAX as u64 / 8 - 1, u64::MAX / 8, u64::MAX] {
             let mut b = bytes.clone();
             b[40..48].copy_from_slice(&words.to_le_bytes()); // code_words

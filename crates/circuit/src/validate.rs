@@ -138,8 +138,7 @@ impl std::error::Error for ValidateError {}
 /// Checks the structural invariants of a word-level [`Circuit`]:
 /// topologically ordered (acyclic) wiring, dense input indices, in-range
 /// outputs, and cached depth/size metadata consistent with the gate
-/// list. Count-mode circuits have no gate list to check; only their
-/// outputs are bounds-checked.
+/// list.
 pub fn validate(c: &Circuit) -> Result<(), ValidateError> {
     let gates = c.gates();
     let depths = c.wire_depths();
@@ -179,27 +178,25 @@ pub fn validate(c: &Circuit) -> Result<(), ValidateError> {
         }
         depth = depth.max(d);
     }
-    if c.is_evaluable() {
-        if num_inputs != c.num_inputs() {
-            return Err(ValidateError::InputCountMismatch {
-                declared: c.num_inputs(),
-                found: num_inputs,
-            });
-        }
-        if size != c.size() {
-            return Err(ValidateError::MetadataMismatch {
-                what: "size",
-                expected: size,
-                cached: c.size(),
-            });
-        }
-        if depth != c.depth() {
-            return Err(ValidateError::MetadataMismatch {
-                what: "depth",
-                expected: u64::from(depth),
-                cached: u64::from(c.depth()),
-            });
-        }
+    if num_inputs != c.num_inputs() {
+        return Err(ValidateError::InputCountMismatch {
+            declared: c.num_inputs(),
+            found: num_inputs,
+        });
+    }
+    if size != c.size() {
+        return Err(ValidateError::MetadataMismatch {
+            what: "size",
+            expected: size,
+            cached: c.size(),
+        });
+    }
+    if depth != c.depth() {
+        return Err(ValidateError::MetadataMismatch {
+            what: "depth",
+            expected: u64::from(depth),
+            cached: u64::from(c.depth()),
+        });
     }
     for (position, &wire) in c.outputs().iter().enumerate() {
         if wire as usize >= c.num_wires() {
@@ -343,11 +340,11 @@ pub fn validate_opt(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{Builder, Mode};
+    use crate::ir::Builder;
     use crate::{lower_with, optimize_with, CompileOptions};
 
     fn sample_simple() -> Circuit {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let x = b.input();
         let y = b.input();
         let s = b.add(x, y);

@@ -9,8 +9,8 @@
 use proptest::prelude::*;
 use qec_circuit::lower::BitCircuit;
 use qec_circuit::{
-    compile_bits_with, lower_with, BitEvalScratch, BitKernel, Builder, CompileOptions,
-    CompiledBitCircuit, Mode,
+    lower_with, validate_bits, BitEvalScratch, BitKernel, Builder, CompileOptions,
+    CompiledBitCircuit,
 };
 
 /// Raw material for one random word gate (same recipe as
@@ -22,7 +22,7 @@ type GateSeed = (u8, u32, u32, u32, u64);
 /// in its arguments, so the interpreter and the engine see the
 /// identical bit circuit.
 fn build_random_bits(num_inputs: usize, seeds: &[GateSeed], width: u32) -> BitCircuit {
-    let mut b = Builder::new(Mode::Build);
+    let mut b = Builder::new();
     let mut wires: Vec<_> = (0..num_inputs).map(|_| b.input()).collect();
     for &(kind, a, bb, s, v) in seeds {
         let pick = |x: u32| wires[x as usize % wires.len()];
@@ -150,7 +150,7 @@ proptest! {
     /// padding lanes into results or assertions.
     #[test]
     fn all_constant_circuits(vals in prop::collection::vec(any::<u64>(), 1..6), batch in 1usize..130) {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let consts: Vec<_> = vals.iter().map(|&v| b.constant(v)).collect();
         let c = b.finish(consts);
         let bits = lower_with(&c, 8, &CompileOptions::sequential());
@@ -162,19 +162,18 @@ proptest! {
         }
     }
 
-    /// Scalar-vs-AVX parity on wide batches, driven through the driver
-    /// entry point (`compile_bits_with`) so the obs/validate paths are
-    /// exercised too. Vacuously scalar-vs-scalar where the CPU lacks
-    /// the wide kernels. The driver's tape is the GMW round schedule:
-    /// its AND-bearing levels number exactly the circuit's AND depth.
+    /// Scalar-vs-AVX parity on wide batches of validated lowerings.
+    /// Vacuously scalar-vs-scalar where the CPU lacks the wide kernels.
+    /// The tape is the GMW round schedule: its AND-bearing levels
+    /// number exactly the circuit's AND depth.
     #[test]
     fn scalar_vs_avx_kernel_parity(
         seeds in prop::collection::vec(any::<GateSeed>(), 1..60),
         state in any::<u64>(),
     ) {
         let bits = build_random_bits(3, &seeds, 8);
-        let opts = CompileOptions::from_env().with_validate(true);
-        let (eng, _report) = compile_bits_with(&bits, &opts).expect("valid lowering");
+        prop_assert_eq!(validate_bits(&bits), Ok(()));
+        let eng = CompiledBitCircuit::compile_gmw(&bits);
         prop_assert_eq!(eng.stats().and_levels, bits.and_depth() as usize);
         let instances = random_instances(&bits, 300, state | 1);
         let base = eng.clone().with_kernel(BitKernel::Scalar).evaluate_batch(&instances);

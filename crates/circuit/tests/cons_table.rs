@@ -1,12 +1,11 @@
-//! The word builder's hash-cons, seen from outside: build and count mode
-//! intern through the same index-only cons table, so the same program
-//! reports the same cons counters in either, and the table's footprint
-//! stays within its 5-bytes-per-slot budget.
+//! The word builder's hash-cons, seen from outside: the counters it
+//! flushes match the circuit it built, and the index-only table's
+//! footprint stays within its 5-bytes-per-slot budget.
 //!
 //! One test per file: it installs the process-global recorder, which the
 //! builder flushes its counters to.
 
-use qec_circuit::{Builder, Mode, WireId};
+use qec_circuit::{Builder, WireId};
 use qec_obs::Recorder;
 
 /// Eight mux chains over shared inputs. Commutative duplicates
@@ -41,26 +40,10 @@ fn run(mut b: Builder) -> (qec_circuit::Circuit, Recorder) {
 }
 
 #[test]
-fn build_and_count_share_cons_counters_and_stay_within_the_slot_budget() {
-    const COUNTERS: [&str; 4] = [
-        "build.gates",
-        "build.wires",
-        "build.cons_hits",
-        "build.cons_misses",
-    ];
-    let (seq_c, seq) = run(Builder::new(Mode::Build));
-    let (count_c, count) = run(Builder::new(Mode::Count));
-    assert_eq!(
-        (count_c.size(), count_c.depth()),
-        (seq_c.size(), seq_c.depth())
-    );
-    for name in COUNTERS {
-        assert_eq!(
-            count.counter(name),
-            seq.counter(name),
-            "{name} in count mode"
-        );
-    }
+fn cons_counters_match_the_circuit_and_stay_within_the_slot_budget() {
+    let (c, seq) = run(Builder::new());
+    assert_eq!(seq.counter("build.gates"), c.size());
+    assert_eq!(seq.counter("build.wires"), c.num_wires() as u64);
     let entries = seq.counter("build.cons_misses");
     assert!(entries > 8_000, "{entries} interned gates");
     assert!(

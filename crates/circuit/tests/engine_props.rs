@@ -5,7 +5,7 @@
 //! the first failing assertion — on every lane.
 
 use proptest::prelude::*;
-use qec_circuit::{Builder, Circuit, CompileOptions, CompiledCircuit, EvalError, Mode};
+use qec_circuit::{Builder, Circuit, CompileOptions, CompiledCircuit, EvalError};
 
 /// Raw material for one random gate: kind selector plus operand seeds,
 /// reduced modulo the live wire count at build time.
@@ -13,8 +13,8 @@ type GateSeed = (u8, u32, u32, u32, u64);
 
 /// Builds a random circuit from seeds. Deterministic in its arguments,
 /// so the interpreter and the engine see the identical circuit.
-fn build_random(mode: Mode, num_inputs: usize, seeds: &[GateSeed]) -> Circuit {
-    let mut b = Builder::new(mode);
+fn build_random(num_inputs: usize, seeds: &[GateSeed]) -> Circuit {
+    let mut b = Builder::new();
     let mut wires: Vec<_> = (0..num_inputs).map(|_| b.input()).collect();
     for &(kind, a, bb, s, v) in seeds {
         let pick = |x: u32| wires[x as usize % wires.len()];
@@ -66,10 +66,9 @@ proptest! {
         raw_instances in prop::collection::vec(
             (prop::collection::vec(0u64..16, 0..8), any::<bool>()), 1..12),
     ) {
-        let c = build_random(Mode::Build, num_inputs, &seeds);
+        let c = build_random(num_inputs, &seeds);
         let eng = CompiledCircuit::compile_with(&c, &CompileOptions::from_env())
-            .expect("build-mode circuits compile")
-            .0;
+            .expect("circuit compiles");
 
         // register allocation must beat the interpreter's O(wires) buffer
         // whenever there is anything to reuse; never exceed it. The tape
@@ -100,19 +99,23 @@ proptest! {
         prop_assert_eq!(eng.evaluate(&instances[0]), c.evaluate(&instances[0]));
     }
 
-    /// Count-mode circuits (gate lists elided) refuse to compile with
-    /// the same error the interpreter raises.
+    /// The engine reports the size, depth and wire count of the source
+    /// circuit, not of the optimized image it runs.
     #[test]
-    fn count_only_circuits_refuse_compilation(
+    fn engine_reports_source_size_and_depth(
         num_inputs in 1usize..6,
         seeds in prop::collection::vec(any::<GateSeed>(), 1..40),
     ) {
-        let c = build_random(Mode::Count, num_inputs, &seeds);
-        prop_assert_eq!(
-            CompiledCircuit::compile_with(&c, &CompileOptions::from_env()).err(),
-            Some(EvalError::CountOnly)
-        );
-        prop_assert_eq!(c.evaluate(&vec![0; num_inputs]).err(), Some(EvalError::CountOnly));
+        let c = build_random(num_inputs, &seeds);
+        let eng = CompiledCircuit::compile_with(&c, &CompileOptions::sequential())
+            .expect("circuit compiles");
+        let st = eng.stats();
+        prop_assert_eq!(st.circuit_size, c.size());
+        prop_assert_eq!(st.circuit_depth, c.depth());
+        prop_assert_eq!(st.circuit_wires, c.num_wires());
+        let opt = st.opt.as_ref().expect("the optimizer ran");
+        prop_assert_eq!((opt.gates_before, opt.depth_before), (c.size(), c.depth()));
+        prop_assert_eq!((opt.gates_after, opt.depth_after), (st.optimized_size, st.optimized_depth));
     }
 }
 
@@ -120,14 +123,14 @@ proptest! {
 /// its neighbours succeed, and two assertions race in one level.
 #[test]
 fn mid_batch_assertion_failure_is_isolated() {
-    let mut b = Builder::new(Mode::Build);
+    let mut b = Builder::new();
     let x = b.input();
     let y = b.input();
     b.assert_zero(x); // gate 2
     b.assert_zero(y); // gate 3
     let s = b.add(x, y);
     let c = b.finish(vec![s]);
-    let (eng, _) = CompiledCircuit::compile_with(&c, &CompileOptions::from_env()).unwrap();
+    let eng = CompiledCircuit::compile_with(&c, &CompileOptions::from_env()).unwrap();
     let instances: Vec<Vec<u64>> = vec![vec![0, 0], vec![9, 9], vec![0, 4]];
     let got = eng.evaluate_batch(&instances);
     assert_eq!(got[0], Ok(vec![0]));
@@ -148,9 +151,9 @@ fn mid_batch_assertion_failure_is_isolated() {
 /// yields an empty output row.
 #[test]
 fn empty_circuit_batches() {
-    let b = Builder::new(Mode::Build);
+    let b = Builder::new();
     let c = b.finish(vec![]);
-    let (eng, _) = CompiledCircuit::compile_with(&c, &CompileOptions::from_env()).unwrap();
+    let eng = CompiledCircuit::compile_with(&c, &CompileOptions::from_env()).unwrap();
     let instances: Vec<Vec<u64>> = vec![vec![], vec![1], vec![]];
     let got = eng.evaluate_batch(&instances);
     assert_eq!(got[0], Ok(vec![]));

@@ -1,6 +1,6 @@
 //! Property tests pinning the observability layer to zero behavioral
-//! footprint: compiling with tracing enabled (an enabled `Recorder`, or
-//! `collect_metrics`) must produce **byte-identical** results — gate
+//! footprint: compiling with tracing enabled (an enabled `Recorder`)
+//! must produce **byte-identical** results — gate
 //! lists, outputs, `OptStats` (including `assert_origin` and the
 //! per-pass `phase_gates` breakdown), and per-instance evaluation
 //! outcomes — to the untraced compile. The exporter round-trip tests validate that both output
@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use qec_circuit::{
     lower_with, optimize_bits_with, optimize_with, Builder, Circuit, CompileOptions,
-    CompiledCircuit, Mode,
+    CompiledCircuit,
 };
 use qec_obs::Recorder;
 
@@ -52,7 +52,7 @@ fn emit_seed(
 /// Sequentially builds a random DAG without hash-consing (maximally raw
 /// material for the optimizer passes).
 fn build_random(num_inputs: usize, seeds: &[GateSeed]) -> Circuit {
-    let mut b = Builder::without_cse(Mode::Build);
+    let mut b = Builder::without_cse();
     let mut wires: Vec<_> = (0..num_inputs).map(|_| b.input()).collect();
     for &seed in seeds {
         if let Some(w) = emit_seed(&mut b, &wires, seed) {
@@ -81,21 +81,11 @@ fn assert_same_circuit(plain: &Circuit, traced: &Circuit, tag: &str) -> Result<(
     Ok(())
 }
 
-/// The traced variants under test: a caller-supplied enabled recorder,
-/// and the `collect_metrics` substitute recorder.
-fn traced_variants(base: &CompileOptions) -> Vec<(&'static str, CompileOptions)> {
-    vec![
-        ("recorder", base.clone().with_recorder(Recorder::new(true))),
-        ("collect_metrics", base.clone().with_metrics(true)),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Tracing changes nothing observable: every pipeline stage yields
-    /// byte-identical artifacts with and without an enabled recorder,
-    /// at 1–8 workers.
+    /// byte-identical artifacts with and without an enabled recorder.
     #[test]
     fn tracing_is_behaviorally_invisible(
         num_inputs in 1usize..6,
@@ -119,44 +109,37 @@ proptest! {
         let (opt_c, opt_st) = optimize_with(&raw, &plain);
         let bc = lower_with(&raw, 8, &plain);
         let (bopt, bst) = optimize_bits_with(&bc, &plain);
-        let (eng, _) = CompiledCircuit::compile_with(&raw, &plain).expect("evaluable");
+        let eng = CompiledCircuit::compile_with(&raw, &plain).expect("evaluable");
         let outs: Vec<_> = instances.iter().map(|i| eng.evaluate(i)).collect();
 
-        for (tag, topts) in traced_variants(&plain) {
-            let (opt_c2, opt_st2) = optimize_with(&raw, &topts);
-            assert_same_circuit(&opt_c, &opt_c2, tag)?;
-            prop_assert_eq!(
-                format!("{opt_st:?}"),
-                format!("{opt_st2:?}"),
-                "OptStats (incl. assert_origin, phase_gates) diverge under {}",
-                tag
-            );
+        let rec = Recorder::new(true);
+        let topts = plain.clone().with_recorder(rec.clone());
+        let (opt_c2, opt_st2) = optimize_with(&raw, &topts);
+        assert_same_circuit(&opt_c, &opt_c2, "optimize")?;
+        prop_assert_eq!(
+            format!("{opt_st:?}"),
+            format!("{opt_st2:?}"),
+            "OptStats (incl. assert_origin, phase_gates) diverge"
+        );
 
-            let bc2 = lower_with(&raw, 8, &topts);
-            prop_assert_eq!(bc.gates(), bc2.gates(), "{}: lowered gates diverge", tag);
-            prop_assert_eq!(bc.outputs(), bc2.outputs());
+        let bc2 = lower_with(&raw, 8, &topts);
+        prop_assert_eq!(bc.gates(), bc2.gates(), "lowered gates diverge");
+        prop_assert_eq!(bc.outputs(), bc2.outputs());
 
-            let (bopt2, bst2) = optimize_bits_with(&bc, &topts);
-            prop_assert_eq!(bopt.gates(), bopt2.gates(), "{}: bit-opt gates diverge", tag);
-            prop_assert_eq!(format!("{bst:?}"), format!("{bst2:?}"));
+        let (bopt2, bst2) = optimize_bits_with(&bc, &topts);
+        prop_assert_eq!(bopt.gates(), bopt2.gates(), "bit-opt gates diverge");
+        prop_assert_eq!(format!("{bst:?}"), format!("{bst2:?}"));
 
-            let (eng2, report) =
-                CompiledCircuit::compile_with(&raw, &topts).expect("evaluable");
-            prop_assert_eq!(eng.stats().tape_len, eng2.stats().tape_len, "{}", tag);
-            prop_assert_eq!(
-                eng.stats().peak_registers,
-                eng2.stats().peak_registers,
-                "{}", tag
-            );
-            for (inst, want) in instances.iter().zip(&outs) {
-                // Err equality covers the reported source assert gate.
-                prop_assert_eq!(&eng2.evaluate(inst), want, "{}", tag);
-            }
-
-            // The traced run must actually have traced something.
-            prop_assert!(report.recorder.is_enabled(), "{}", tag);
-            prop_assert!(report.recorder.span_total_ns("compile") > 0, "{}", tag);
+        let eng2 = CompiledCircuit::compile_with(&raw, &topts).expect("evaluable");
+        prop_assert_eq!(eng.stats().tape_len, eng2.stats().tape_len);
+        prop_assert_eq!(eng.stats().peak_registers, eng2.stats().peak_registers);
+        for (inst, want) in instances.iter().zip(&outs) {
+            // Err equality covers the reported source assert gate.
+            prop_assert_eq!(&eng2.evaluate(inst), want);
         }
+
+        // The traced run must actually have traced something.
+        prop_assert!(rec.span_total_ns("compile") > 0);
     }
 }
 
@@ -168,11 +151,12 @@ fn exporters_round_trip() {
         .map(|i| (i as u8, i * 7 + 1, i * 13 + 2, i * 3, u64::from(i) * 11))
         .collect();
     let raw = build_random(3, &seeds);
-    let opts = CompileOptions::sequential().with_recorder(Recorder::new(true));
-    let (_, report) = CompiledCircuit::compile_with(&raw, &opts).expect("evaluable");
+    let rec = Recorder::new(true);
+    let opts = CompileOptions::sequential().with_recorder(rec.clone());
+    CompiledCircuit::compile_with(&raw, &opts).expect("evaluable");
 
     // Metrics document: versioned, with span + counter sections.
-    let doc = qec_obs::json::parse(&report.metrics_json()).expect("metrics_json parses");
+    let doc = qec_obs::json::parse(&rec.metrics_json()).expect("metrics_json parses");
     assert_eq!(
         doc.get("schema_version").and_then(|v| v.as_f64()),
         Some(f64::from(qec_obs::METRICS_SCHEMA_VERSION))
@@ -202,7 +186,7 @@ fn exporters_round_trip() {
 
     // Chrome trace document: an object with traceEvents, each event a
     // complete ("X") or counter ("C") record with the required fields.
-    let trace = qec_obs::json::parse(&report.chrome_trace()).expect("chrome_trace parses");
+    let trace = qec_obs::json::parse(&rec.chrome_trace()).expect("chrome_trace parses");
     let events = trace
         .get("traceEvents")
         .expect("traceEvents array")

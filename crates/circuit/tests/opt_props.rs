@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use qec_circuit::{
     lower_with, optimize_bits_with, optimize_with, Builder, Circuit, CompileOptions,
-    CompiledCircuit, EvalError, Mode,
+    CompiledCircuit, EvalError,
 };
 
 /// Raw material for one random gate: kind selector plus operand seeds,
@@ -20,8 +20,8 @@ type GateSeed = (u8, u32, u32, u32, u64);
 /// source keeps every structural duplicate — the offline pass gets raw
 /// material to chew on, and the equivalence claim is tested against the
 /// least-preprocessed circuit we can build.
-fn build_random(mode: Mode, num_inputs: usize, seeds: &[GateSeed]) -> Circuit {
-    let mut b = Builder::without_cse(mode);
+fn build_random(num_inputs: usize, seeds: &[GateSeed]) -> Circuit {
+    let mut b = Builder::without_cse();
     let mut wires: Vec<_> = (0..num_inputs).map(|_| b.input()).collect();
     for &(kind, a, bb, s, v) in seeds {
         let pick = |x: u32| wires[x as usize % wires.len()];
@@ -104,7 +104,7 @@ proptest! {
         raw_instances in prop::collection::vec(
             prop::collection::vec(0u64..16, 0..8), 1..10),
     ) {
-        let c = build_random(Mode::Build, num_inputs, &seeds);
+        let c = build_random(num_inputs, &seeds);
         let (opt, st) = optimize_with(&c, &CompileOptions::sequential());
         prop_assert!(opt.size() <= c.size(), "optimization never grows the circuit");
         prop_assert!(opt.depth() <= c.depth(), "optimization never deepens the circuit");
@@ -120,20 +120,21 @@ proptest! {
         prop_assert_eq!(c.evaluate(&short).err(), opt.evaluate(&short).err());
     }
 
-    /// Count-only circuits pass through with identical size/depth
-    /// accounting and still refuse evaluation.
+    /// With the optimizer switched off a circuit passes through with
+    /// identical size/depth accounting and identical results.
     #[test]
-    fn count_circuits_pass_through(
+    fn unoptimized_circuits_pass_through(
         num_inputs in 1usize..6,
         seeds in prop::collection::vec(any::<GateSeed>(), 1..60),
     ) {
-        let c = build_random(Mode::Count, num_inputs, &seeds);
-        let (opt, st) = optimize_with(&c, &CompileOptions::sequential());
-        prop_assert!(!opt.is_evaluable());
-        prop_assert_eq!(opt.size(), c.size());
-        prop_assert_eq!(opt.depth(), c.depth());
-        prop_assert_eq!(st.gates_before, st.gates_after);
-        prop_assert_eq!(opt.evaluate(&vec![0; num_inputs]).err(), Some(EvalError::CountOnly));
+        let c = build_random(num_inputs, &seeds);
+        let off = CompileOptions::sequential().with_optimize(false);
+        let (opt, st) = optimize_with(&c, &off);
+        prop_assert_eq!((opt.size(), opt.depth()), (c.size(), c.depth()));
+        prop_assert_eq!((st.gates_before, st.depth_before), (c.size(), c.depth()));
+        prop_assert_eq!((st.gates_after, st.depth_after), (c.size(), c.depth()));
+        let zeros = vec![0; num_inputs];
+        prop_assert_eq!(opt.evaluate(&zeros), c.evaluate(&zeros));
     }
 
     /// The engine compiles through the optimizer yet reports the same
@@ -145,9 +146,9 @@ proptest! {
         raw_instances in prop::collection::vec(
             prop::collection::vec(0u64..16, 0..8), 1..10),
     ) {
-        let c = build_random(Mode::Build, num_inputs, &seeds);
-        let (eng, _) = CompiledCircuit::compile_with(&c, &CompileOptions::from_env())
-            .expect("build-mode circuits compile");
+        let c = build_random(num_inputs, &seeds);
+        let eng = CompiledCircuit::compile_with(&c, &CompileOptions::from_env())
+            .expect("circuit compiles");
         prop_assert!(eng.stats().tape_len <= c.num_wires());
         prop_assert!(eng.stats().opt.is_some(), "compile runs the optimizer");
         let instances: Vec<Vec<u64>> = raw_instances
@@ -168,7 +169,7 @@ proptest! {
         raw_instances in prop::collection::vec(
             prop::collection::vec(0u64..16, 0..6), 1..6),
     ) {
-        let c = build_random(Mode::Build, num_inputs, &seeds);
+        let c = build_random(num_inputs, &seeds);
         let bc = lower_with(&c, 8, &CompileOptions::sequential());
         let (opt, st) = optimize_bits_with(&bc, &CompileOptions::sequential());
         prop_assert!(st.and_after <= st.and_before);

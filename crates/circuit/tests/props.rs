@@ -1,11 +1,11 @@
 //! Property tests: every operator circuit must agree with the RAM
-//! reference operator on random instances, and count-mode totals must
-//! match build-mode totals.
+//! reference operator on random instances, and the builder's running
+//! size and depth must match a recount from the gate list.
 
 use proptest::prelude::*;
 use qec_circuit::{
     aggregate, decode_relation, join_degree_bounded, join_pk, project, select, semijoin,
-    sort_slots, truncate, union, AggOp, Builder, Mode, SortKey, WordTape,
+    sort_slots, truncate, union, AggOp, Builder, Circuit, SortKey, WordTape,
 };
 use qec_relation::{AggKind, Relation, Var, VarSet};
 
@@ -24,7 +24,7 @@ fn eval_unary(
     capacity: usize,
     f: impl FnOnce(&mut Builder, &qec_circuit::RelWires) -> qec_circuit::RelWires,
 ) -> Relation {
-    let mut b = Builder::new(Mode::Build);
+    let mut b = Builder::new();
     let w = qec_circuit::encode_relation(&mut b, r.schema().to_vec(), capacity);
     let out = f(&mut b, &w);
     let schema = out.schema.clone();
@@ -43,7 +43,7 @@ fn eval_binary(
         &qec_circuit::RelWires,
     ) -> qec_circuit::RelWires,
 ) -> Relation {
-    let mut b = Builder::new(Mode::Build);
+    let mut b = Builder::new();
     let rw = qec_circuit::encode_relation(&mut b, r.schema().to_vec(), caps.0);
     let sw = qec_circuit::encode_relation(&mut b, s.schema().to_vec(), caps.1);
     let out = f(&mut b, &rw, &sw);
@@ -154,16 +154,17 @@ proptest! {
     }
 
     #[test]
-    fn count_mode_always_matches_build_mode(r in rel_strategy(&[0, 1], 10), s in rel_strategy(&[1, 2], 10)) {
-        fn metrics(mode: Mode, r: &Relation, s: &Relation) -> (u64, u32) {
-            let mut b = Builder::new(mode);
-            let rw = qec_circuit::encode_relation(&mut b, r.schema().to_vec(), 10);
-            let sw = qec_circuit::encode_relation(&mut b, s.schema().to_vec(), 10);
-            let j = join_degree_bounded(&mut b, &rw, &sw, 3);
-            let c = b.finish(j.flatten());
-            (c.size(), c.depth())
-        }
-        prop_assert_eq!(metrics(Mode::Build, &r, &s), metrics(Mode::Count, &r, &s));
+    fn builder_size_and_depth_match_a_recount(cap_r in 1usize..12, cap_s in 1usize..12, deg in 1usize..4) {
+        let mut b = Builder::new();
+        let rw = qec_circuit::encode_relation(&mut b, vec![Var(0), Var(1)], cap_r);
+        let sw = qec_circuit::encode_relation(&mut b, vec![Var(1), Var(2)], cap_s);
+        let j = join_degree_bounded(&mut b, &rw, &sw, deg);
+        let c = b.finish(j.flatten());
+        let recount =
+            Circuit::from_raw(c.gates().to_vec(), c.outputs().to_vec(), c.num_inputs()).unwrap();
+        prop_assert_eq!((c.size(), c.depth()), (recount.size(), recount.depth()));
+        prop_assert_eq!(c.wire_depths(), recount.wire_depths());
+        prop_assert!(c.size() > 0 && c.depth() > 0);
     }
 }
 
@@ -176,7 +177,7 @@ proptest! {
         s in rel_strategy(&[1, 2], 8),
         which in 0usize..3,
     ) {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let rw = qec_circuit::encode_relation(&mut b, r.schema().to_vec(), 8);
         let sw = qec_circuit::encode_relation(&mut b, s.schema().to_vec(), 8);
         let out = match which {
@@ -189,7 +190,7 @@ proptest! {
             _ => union(&mut b, &rw, &rw.clone()),
         };
         let c = b.finish(out.flatten());
-        let bytes = WordTape::encode(&c).unwrap().to_bytes();
+        let bytes = WordTape::encode(&c).to_bytes();
         let back = WordTape::from_bytes(&bytes).unwrap().decode().unwrap();
         prop_assert_eq!(back.gates(), c.gates());
         prop_assert_eq!(back.outputs(), c.outputs());
@@ -198,7 +199,7 @@ proptest! {
         vals.extend(relation_values(&s, 8));
         prop_assert_eq!(c.evaluate(&vals).unwrap(), back.evaluate(&vals).unwrap());
         // determinism: re-encoding the decoded circuit reproduces the bytes
-        prop_assert_eq!(WordTape::encode(&back).unwrap().to_bytes(), bytes);
+        prop_assert_eq!(WordTape::encode(&back).to_bytes(), bytes);
     }
 }
 
@@ -211,7 +212,7 @@ proptest! {
         s in rel_strategy(&[1, 2], 6),
     ) {
         use qec_circuit::{lower_with, CompileOptions};
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let rw = qec_circuit::encode_relation(&mut b, r.schema().to_vec(), 6);
         let sw = qec_circuit::encode_relation(&mut b, s.schema().to_vec(), 6);
         let j = semijoin(&mut b, &rw, &sw);

@@ -100,7 +100,6 @@ mod tests {
     use super::*;
     use crate::paper_cost;
     use qec_bignum::Int;
-    use qec_circuit::Mode;
     use qec_query::{baseline::evaluate_pairwise, triangle};
     use qec_relation::{
         agm_worst_case_triangle, random_relation, zipf_relation, Database, DegreeConstraint,
@@ -188,7 +187,7 @@ mod tests {
     #[test]
     fn heavy_light_lowered_matches() {
         let (rc, _) = triangle_heavy_light(8);
-        let lowered = rc.lower(Mode::Build);
+        let lowered = rc.lower();
         let db = triangle_db(7, 3);
         assert_eq!(
             lowered.run(&db).unwrap()[0],

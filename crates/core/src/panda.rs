@@ -531,7 +531,6 @@ pub fn compile_fcq(cq: &Cq, dc: &DcSet) -> Result<PandaCircuit, CompileError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qec_circuit::Mode;
     use qec_query::{baseline::evaluate_pairwise, k_cycle, parse_cq, triangle};
     use qec_relation::{
         agm_worst_case_triangle, random_relation, Database, DegreeConstraint, Relation, Var,
@@ -577,7 +576,7 @@ mod tests {
     fn triangle_lowered_circuit_matches_baseline() {
         let q = triangle();
         let p = compile_fcq(&q, &triangle_dc(16)).unwrap();
-        let lowered = p.rc.lower(Mode::Build);
+        let lowered = p.rc.lower();
         for seed in 0..3 {
             let db = triangle_db(14, seed * 7);
             let got = lowered.run(&db).unwrap();

@@ -619,16 +619,18 @@ impl RelationalCircuit {
     /// (Sec. 5) under environment defaults (`QEC_TRACE`):
     /// each gate becomes the corresponding `qec-circuit` construction
     /// sized by this circuit's wire bounds.
-    pub fn lower(&self, mode: Mode) -> LoweredCircuit {
-        self.lower_with(mode, &CompileOptions::from_env())
+    pub fn lower(&self) -> LoweredCircuit {
+        self.lower_with(Mode::Build, &CompileOptions::from_env())
     }
 
     /// [`RelationalCircuit::lower`] under explicit [`CompileOptions`].
     /// When `opts.recorder` is enabled the whole word-circuit
-    /// construction is recorded as a `build` span.
-    pub fn lower_with(&self, mode: Mode, opts: &CompileOptions) -> LoweredCircuit {
+    /// construction is recorded as a `build` span. [`Mode`] has the one
+    /// variant `Mode::Build`; the parameter stays so existing callers
+    /// keep compiling.
+    pub fn lower_with(&self, _mode: Mode, opts: &CompileOptions) -> LoweredCircuit {
         let _span = opts.recorder.span("build");
-        self.lower_into(Builder::new(mode))
+        self.lower_into(Builder::new())
     }
 
     /// Measurement baseline: the same lowering with the builder's online
@@ -636,8 +638,8 @@ impl RelationalCircuit {
     /// this to quantify how much cross-iteration redundancy the online
     /// CSE collapses in unrolled fixpoint circuits — do not evaluate
     /// production circuits through it.
-    pub fn lower_without_cse(&self, mode: Mode) -> LoweredCircuit {
-        self.lower_into(Builder::without_cse(mode))
+    pub fn lower_without_cse(&self) -> LoweredCircuit {
+        self.lower_into(Builder::without_cse())
     }
 
     fn lower_into(&self, mut b: Builder) -> LoweredCircuit {
@@ -1156,7 +1158,7 @@ mod tests {
     #[test]
     fn ram_and_lowered_agree() {
         let rc = sample_circuit();
-        let lowered = rc.lower(Mode::Build);
+        let lowered = rc.lower();
         for seed in 0..4 {
             let mut db = Database::new();
             db.insert("R", random_relation(vec![Var(0), Var(1)], 14, seed));
@@ -1188,7 +1190,7 @@ mod tests {
         let err = rc.evaluate_ram(&db).unwrap_err();
         assert!(matches!(err, RcError::CapacityExceeded { .. }), "{err:?}");
         // and the lowered circuit fires an assertion on the same input
-        let lowered = rc.lower(Mode::Build);
+        let lowered = rc.lower();
         assert!(lowered.run(&db).is_err());
     }
 
@@ -1201,7 +1203,7 @@ mod tests {
         for &(id, _, _) in &parts {
             rc.mark_output(id);
         }
-        let lowered = rc.lower(Mode::Build);
+        let lowered = rc.lower();
         let mut db = Database::new();
         let rel = qec_relation::zipf_relation(Var(0), Var(1), 14, 1.1, 2);
         db.insert("R", rel.clone());
@@ -1239,7 +1241,7 @@ mod tests {
         let ram = rc.evaluate_ram(&db).unwrap();
         let expect = Relation::from_rows(vec![Var(0), Var(7)], vec![vec![1, 21], vec![2, 21]]);
         assert_eq!(ram[0], expect);
-        let lowered = rc.lower(Mode::Build);
+        let lowered = rc.lower();
         assert_eq!(lowered.run(&db).unwrap()[0], expect);
     }
 
@@ -1262,7 +1264,7 @@ mod tests {
                 .rename(Var(1), Var(0))
                 .rename(Var(9), Var(1))
         );
-        let lowered = rc.lower(Mode::Build);
+        let lowered = rc.lower();
         let circ = lowered.run(&db).unwrap();
         assert_eq!(circ, ram);
         // an identity rename adds no node
@@ -1291,7 +1293,7 @@ mod tests {
         let ram = rc.evaluate_ram(&db).unwrap();
         let expect = Relation::from_rows(vec![Var(2)], vec![vec![u64::MAX], vec![7]]);
         assert_eq!(ram[0], expect);
-        let lowered = rc.lower(Mode::Build);
+        let lowered = rc.lower();
         assert_eq!(lowered.run(&db).unwrap()[0], expect);
     }
 
@@ -1324,7 +1326,7 @@ mod tests {
         let ram = rc.evaluate_ram(&db).unwrap();
         assert_eq!(ram[0], rel.select(|row| row[1] == 7));
         assert_eq!(ram[1], rel.select(|row| row[0] == row[1]));
-        let lowered = rc.lower(Mode::Build);
+        let lowered = rc.lower();
         let circ = lowered.run(&db).unwrap();
         assert_eq!(circ, ram);
     }
@@ -1344,7 +1346,7 @@ mod tests {
             ),
         );
         let ram = rc.evaluate_ram(&db).unwrap();
-        let lowered = rc.lower(Mode::Build);
+        let lowered = rc.lower();
         let circ = lowered.run(&db).unwrap();
         assert_eq!(ram[0], circ[0]);
         // ranks follow B order with A tie-break: (2,3)→1? no: (2,3) vs (5,3)

@@ -621,7 +621,6 @@ mod tests {
 
     #[test]
     fn lowered_semiring_circuit_matches_reference() {
-        use qec_circuit::Mode;
         let q0 = parse_cq("Q(a) :- R(a, b), S(b, c)").unwrap();
         let dc = dc_for(&q0, 12);
         let aq = AggregateQuery::new(&q0, &dc, Semiring::Natural, vec![Some(Var(40)), None], 4000)
@@ -632,7 +631,7 @@ mod tests {
         db.insert("S", random_relation(vec![Var(1), Var(2)], 10, 4));
         let expect = aq.reference(&db).unwrap();
         let rc = aq.circuit(expect.len().max(1) as u64).unwrap();
-        let lowered = rc.lower(Mode::Build);
+        let lowered = rc.lower();
         let got = lowered.run(&db).unwrap();
         assert_eq!(got[0], expect);
     }

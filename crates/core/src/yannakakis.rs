@@ -359,7 +359,6 @@ impl OutputSensitive {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qec_circuit::Mode;
     use qec_query::baseline::evaluate_pairwise;
     use qec_query::{k_path, parse_cq, snowflake, triangle};
     use qec_relation::{random_relation, DegreeConstraint};
@@ -492,13 +491,13 @@ mod tests {
         let expect = evaluate_pairwise(&q, &db).unwrap();
         // family 1 lowered
         let count_rc = os.count_circuit().unwrap();
-        let lowered = count_rc.lower(Mode::Build);
+        let lowered = count_rc.lower();
         let out_rel = &lowered.run(&db).unwrap()[0];
         let out = out_rel.iter().next().map_or(0, |r| r[0]);
         assert_eq!(out, expect.len() as u64);
         // family 2 lowered with OUT as parameter
         let query_rc = os.query_circuit(out).unwrap();
-        let lowered2 = query_rc.lower(Mode::Build);
+        let lowered2 = query_rc.lower();
         assert_eq!(lowered2.run(&db).unwrap()[0], expect);
     }
 

@@ -3,7 +3,6 @@
 //! semi-naive reference (and the provenance evaluation) on seeded
 //! random graphs.
 
-use qec_circuit::Mode;
 use qec_datalog::workloads;
 use qec_datalog::{
     compile, database, eval_provenance, provenance, result_relation, seminaive, DatalogProgram,
@@ -21,7 +20,7 @@ fn lowered_transitive_closure_is_bit_identical_to_the_reference() {
         let want = result_relation(&dp, &seminaive(&dp, &db, bounds.rounds).unwrap());
         let ram = fx.rc.evaluate_ram(&db).unwrap().pop().unwrap();
         assert_eq!(ram, want, "RAM interpretation of the circuit (seed {seed})");
-        let lowered = fx.rc.lower(Mode::Build);
+        let lowered = fx.rc.lower();
         let got = lowered.run(&db).unwrap().pop().unwrap();
         assert_eq!(got, want, "word-level circuit (seed {seed})");
     }
@@ -36,7 +35,7 @@ fn lowered_shortest_path_is_bit_identical_to_the_reference() {
     let fx = compile(&dp, &bounds).unwrap();
     let reference = seminaive(&dp, &db, bounds.rounds).unwrap();
     let want = result_relation(&dp, &reference);
-    let got = fx.rc.lower(Mode::Build).run(&db).unwrap().pop().unwrap();
+    let got = fx.rc.lower().run(&db).unwrap().pop().unwrap();
     assert_eq!(got, want);
     // and the provenance DAG evaluates back to the same annotations
     let pr = provenance(&dp, &db, bounds.rounds).unwrap();
@@ -58,13 +57,24 @@ fn reachability_works_with_a_second_edb() {
 #[test]
 fn cross_iteration_consing_collapses_gates() {
     // The same circuit, lowered with and without online hash-consing:
-    // the unrolled rounds must share structure (measured, not assumed).
+    // the unrolled rounds must share structure (measured, not assumed),
+    // and both lowerings must still compute the fixpoint.
     let dp = DatalogProgram::parse(workloads::TRANSITIVE_CLOSURE).unwrap();
-    let fx = compile(&dp, &FixpointBounds::for_domain(4, 8)).unwrap();
-    let consed = fx.rc.lower(Mode::Count).circuit.size();
-    let naive = fx.rc.lower_without_cse(Mode::Count).circuit.size();
+    let bounds = FixpointBounds::for_domain(4, 8);
+    let fx = compile(&dp, &bounds).unwrap();
+    let consed = fx.rc.lower();
+    let naive = fx.rc.lower_without_cse();
     assert!(
-        consed < naive,
-        "consing must collapse cross-iteration redundancy ({consed} vs {naive})"
+        consed.circuit.size() < naive.circuit.size(),
+        "consing must collapse cross-iteration redundancy ({} vs {})",
+        consed.circuit.size(),
+        naive.circuit.size()
     );
+    let db = database(&dp, &[("edge", workloads::random_edges(4, 6, 0x24))]).unwrap();
+    let want = result_relation(&dp, &seminaive(&dp, &db, bounds.rounds).unwrap());
+    assert!(!want.is_empty(), "the seeded graph has reachable pairs");
+    for (label, lowered) in [("hash-consed", &consed), ("no-CSE", &naive)] {
+        let got = lowered.run(&db).unwrap().pop().unwrap();
+        assert_eq!(got, want, "{label} lowering against seminaive");
+    }
 }

@@ -318,10 +318,10 @@ pub fn garbling_cost(circuit: &BitCircuit) -> GarblingCost {
 mod tests {
     use super::*;
     use qec_circuit::lower::lower_with;
-    use qec_circuit::{Builder, CompileOptions, EvalError, Mode};
+    use qec_circuit::{Builder, CompileOptions, EvalError};
 
     fn adder_circuit() -> BitCircuit {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let x = b.input();
         let y = b.input();
         let s = b.add(x, y);
@@ -332,7 +332,7 @@ mod tests {
 
     /// `x + y` under an `x == 0` assertion, so odd `x` fails it.
     fn asserting_circuit() -> BitCircuit {
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let x = b.input();
         let y = b.input();
         b.assert_zero(x);
@@ -542,7 +542,7 @@ mod tests {
         // Each party runs a different tape, so this drives the two
         // sessions by hand rather than through `run_sessions`.
         let bc = adder_circuit();
-        let mut b = Builder::new(Mode::Build);
+        let mut b = Builder::new();
         let x = b.input();
         let y = b.input();
         let s = b.mul(x, y);

@@ -8,7 +8,7 @@
 //! through a [`FaultTransport`].
 
 use qec_circuit::lower::{lower_with, BitCircuit};
-use qec_circuit::{Builder, CompileOptions, CompiledBitCircuit, Mode};
+use qec_circuit::{Builder, CompileOptions, CompiledBitCircuit};
 use qec_mpc::{
     run_sessions, share_instances, Duplex, Fault, FaultTransport, MpcError, Outcome, PackedDealer,
     TcpTransport, Transport,
@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 const TIMEOUT: Duration = Duration::from_millis(300);
 
 fn adder() -> BitCircuit {
-    let mut b = Builder::new(Mode::Build);
+    let mut b = Builder::new();
     let x = b.input();
     let y = b.input();
     let s = b.add(x, y);

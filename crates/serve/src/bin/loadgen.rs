@@ -12,7 +12,8 @@
 //!   sending the next request (concurrency = clients).
 //! * `--mode open` — every client submits its whole schedule up front
 //!   and then collects tickets (tests queue backpressure).
-//! * `--no-coalesce` — batch-size-1 serving, the A/B baseline.
+//! * `--no-coalesce` — batch-size-1 serving (`max_batch = 1`), the A/B
+//!   baseline.
 //! * `--cold` — zero cache budget on a per-request key-salted query
 //!   stream is not simulatable here; instead `--cold` restarts with an
 //!   empty cache (first request pays the compile).
@@ -26,7 +27,7 @@ struct Args {
     clients: usize,
     requests: usize,
     open_loop: bool,
-    coalesce: bool,
+    max_batch: usize,
     n: u64,
     flush_us: u64,
     queue_capacity: usize,
@@ -38,7 +39,7 @@ impl Args {
             clients: 64,
             requests: 32,
             open_loop: false,
-            coalesce: true,
+            max_batch: ServerConfig::default().max_batch,
             n: 32,
             flush_us: 500,
             queue_capacity: 65_536,
@@ -52,7 +53,7 @@ impl Args {
                 "--clients" => args.clients = val(&mut it).parse().expect("usize"),
                 "--requests" => args.requests = val(&mut it).parse().expect("usize"),
                 "--mode" => args.open_loop = val(&mut it) == "open",
-                "--no-coalesce" => args.coalesce = false,
+                "--no-coalesce" => args.max_batch = 1,
                 "--n" => args.n = val(&mut it).parse().expect("u64"),
                 "--flush-us" => args.flush_us = val(&mut it).parse().expect("u64"),
                 "--queue" => args.queue_capacity = val(&mut it).parse().expect("usize"),
@@ -102,7 +103,7 @@ fn main() {
     let server = Arc::new(Server::start(ServerConfig {
         queue_capacity: args.queue_capacity,
         flush: Duration::from_micros(args.flush_us),
-        coalesce: args.coalesce,
+        max_batch: args.max_batch,
         ..ServerConfig::default()
     }));
 
@@ -161,7 +162,7 @@ fn main() {
     println!(
         "mode={} coalesce={} clients={} requests={} n={}",
         if args.open_loop { "open" } else { "closed" },
-        args.coalesce,
+        args.max_batch > 1,
         args.clients,
         args.requests,
         args.n

@@ -389,7 +389,10 @@ impl PlanCache {
             let Ok(tape) = WordTape::load(&tape_path) else {
                 continue;
             };
-            let Ok((engine, _report)) = CompiledCircuit::compile_tape_with(&tape, opts) else {
+            let Ok(circuit) = tape.decode() else {
+                continue;
+            };
+            let Ok(engine) = CompiledCircuit::compile_with(&circuit, opts) else {
                 continue;
             };
             let plan_bytes = tape.byte_len();

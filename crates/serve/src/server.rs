@@ -10,7 +10,7 @@
 //!    over-capacity request fails with a typed error immediately
 //!    instead of occupying queue space.
 //! 2. **Batching** (worker thread): a worker pops the oldest job, then
-//!    — in coalescing mode — drains every queued job with the *same
+//!    — when `max_batch` > 1 — drains every queued job with the *same
 //!    key* and keeps the batch open until either `max_batch` jobs have
 //!    joined or the flush deadline (first job's enqueue time +
 //!    `flush`) passes, picking up newcomers as they arrive. This is
@@ -48,7 +48,8 @@ pub struct ServerConfig {
     /// Admission queue capacity; a full queue rejects with
     /// [`ServeError::Overloaded`].
     pub queue_capacity: usize,
-    /// Maximum jobs coalesced into one engine batch.
+    /// Maximum jobs coalesced into one engine batch; 1 evaluates every
+    /// request alone (the batch-size-1 A/B baseline).
     pub max_batch: usize,
     /// How long a batch stays open for latecomers, measured from its
     /// first job's enqueue time.
@@ -57,13 +58,10 @@ pub struct ServerConfig {
     pub tenant_quota: usize,
     /// Plan-cache byte budget; 0 = unlimited.
     pub cache_budget_bytes: usize,
-    /// Directory for plan persistence (write-through + warm start).
+    /// Directory for plan persistence: compiled plans are written
+    /// through to it, and the server warm-starts from the plans it
+    /// already holds (none when it is missing or empty).
     pub persist_dir: Option<std::path::PathBuf>,
-    /// Load persisted plans at startup.
-    pub warm_start: bool,
-    /// Coalesce same-plan requests into batches; `false` evaluates
-    /// every request alone (the batch-size-1 A/B baseline).
-    pub coalesce: bool,
     /// Options for plan compilation (optimizer, validator, recorder).
     pub compile: CompileOptions,
     /// Observability sink for serve-layer counters/gauges/spans.
@@ -80,8 +78,6 @@ impl Default for ServerConfig {
             tenant_quota: 0,
             cache_budget_bytes: 0,
             persist_dir: None,
-            warm_start: false,
-            coalesce: true,
             compile: CompileOptions::sequential(),
             recorder: Recorder::disabled(),
         }
@@ -199,17 +195,15 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts the server: builds the plan cache (warm-starting it if
-    /// configured) and spawns the worker threads.
+    /// Starts the server: builds the plan cache (warm-starting it from
+    /// `persist_dir`, if set) and spawns the worker threads.
     pub fn start(cfg: ServerConfig) -> Server {
         let cache = PlanCache::new(
             cfg.cache_budget_bytes,
             cfg.persist_dir.clone(),
             cfg.recorder.clone(),
         );
-        if cfg.warm_start {
-            cache.warm_start(&cfg.compile);
-        }
+        cache.warm_start(&cfg.compile);
         let workers = if cfg.workers == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -447,7 +441,7 @@ fn worker_loop(shared: &Shared) {
         let first = queue.pop_front().expect("non-empty");
         let key = first.key.clone();
         let mut batch = vec![first];
-        if cfg.coalesce && cfg.max_batch > 1 {
+        if cfg.max_batch > 1 {
             drain_same_key(&mut queue, &key, &mut batch, cfg.max_batch);
             // Keep the batch open until the flush deadline, picking up
             // newcomers. The deadline is anchored to the first job's
@@ -502,12 +496,11 @@ fn process_batch(shared: &Shared, mut batch: Vec<Job>) {
                 fx.rc.lower_with(Mode::Build, &cfg.compile)
             }
         };
-        let (engine, _report) = CompiledCircuit::compile_with(&lowered.circuit, &cfg.compile)
+        let engine = CompiledCircuit::compile_with(&lowered.circuit, &cfg.compile)
             .map_err(|e| ServeError::Compile(format!("{e:?}")))?;
         // Encoded after the engine compile, so the tape does not sit in
         // memory through the optimizer's peak.
-        let tape =
-            WordTape::encode(&lowered.circuit).map_err(|e| ServeError::Compile(e.to_string()))?;
+        let tape = WordTape::encode(&lowered.circuit);
         let plan = CompiledPlan {
             key: key.clone(),
             engine,
@@ -775,7 +768,6 @@ mod tests {
             let mut server = Server::start(ServerConfig {
                 workers: 1,
                 persist_dir: Some(dir.clone()),
-                warm_start: true,
                 ..ServerConfig::default()
             });
             let resp = server.query(req).unwrap();

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use qec_circuit::{Builder, CompileOptions, CompiledCircuit, InputLayout, Mode};
+use qec_circuit::{Builder, CompileOptions, CompiledCircuit, InputLayout};
 use qec_obs::Recorder;
 use qec_serve::{CompiledPlan, PlanCache, PlanKey, ServeError};
 
@@ -25,12 +25,12 @@ fn key(i: usize) -> PlanKey {
 }
 
 fn dummy_plan(k: &PlanKey, bytes: usize) -> CompiledPlan {
-    let mut b = Builder::without_cse(Mode::Build);
+    let mut b = Builder::without_cse();
     let x = b.input();
     let y = b.input();
     let s = b.add(x, y);
     let c = b.finish(vec![s]);
-    let (engine, _) = CompiledCircuit::compile_with(&c, &CompileOptions::sequential()).unwrap();
+    let engine = CompiledCircuit::compile_with(&c, &CompileOptions::sequential()).unwrap();
     CompiledPlan {
         key: k.clone(),
         engine,

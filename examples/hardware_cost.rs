@@ -10,7 +10,7 @@
 //! cargo run --release --example hardware_cost
 //! ```
 
-use query_circuits::circuit::{brent_steps, Mode};
+use query_circuits::circuit::brent_steps;
 use query_circuits::core::{compile_fcq, naive_circuit, paper_cost};
 use query_circuits::query::triangle;
 use query_circuits::relation::{DcSet, DegreeConstraint};
@@ -38,7 +38,7 @@ fn main() {
         let pc = paper_cost(&p.rc).to_f64();
         let (naive, _) = naive_circuit(&q, &dc).expect("naive");
         let nc = paper_cost(&naive).to_f64();
-        let lowered = p.rc.lower(Mode::Count);
+        let lowered = p.rc.lower();
         println!(
             "{:>6} {:>12} {:>14} {:>8.1}x {:>13} {:>9}",
             n,
@@ -59,7 +59,7 @@ fn main() {
             .collect(),
     );
     let p = compile_fcq(&q, &dc).expect("compiles");
-    let lowered = p.rc.lower(Mode::Count);
+    let lowered = p.rc.lower();
     let c = &lowered.circuit;
     println!(
         "\nlatency at N={n}: W = {} gates, D = {} levels",

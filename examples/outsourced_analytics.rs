@@ -13,7 +13,6 @@
 //! cargo run --release --example outsourced_analytics
 //! ```
 
-use query_circuits::circuit::Mode;
 use query_circuits::core::{naive_circuit, paper_cost, AggregateQuery, OutputSensitive, Semiring};
 use query_circuits::query::{baseline::evaluate_pairwise, parse_cq};
 use query_circuits::relation::{random_relation, Database, DcSet, DegreeConstraint, Relation, Var};
@@ -59,7 +58,7 @@ fn main() {
 
     // The server would evaluate the lowered oblivious circuit; we do both
     // and check.
-    let lowered = query_rc.lower(Mode::Build);
+    let lowered = query_rc.lower();
     let result = &lowered.run(&db).expect("conforming")[0];
     let expected = evaluate_pairwise(&q, &db).expect("baseline");
     assert_eq!(*result, expected);

@@ -5,7 +5,6 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use query_circuits::circuit::Mode;
 use query_circuits::core::{compile_fcq, paper_cost};
 use query_circuits::query::{baseline::evaluate_pairwise, parse_cq};
 use query_circuits::relation::{
@@ -53,7 +52,7 @@ fn main() {
     // 4. Lower to a word-level oblivious circuit. Its topology depends
     //    only on `dc` — the same circuit evaluates *any* conforming
     //    database.
-    let lowered = compiled.rc.lower(Mode::Build);
+    let lowered = compiled.rc.lower();
     println!(
         "word circ : {} gates, depth {}",
         lowered.circuit.size(),

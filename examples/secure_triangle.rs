@@ -14,7 +14,6 @@
 //! cargo run --release --example secure_triangle
 //! ```
 
-use query_circuits::circuit::Mode;
 use query_circuits::circuit::{lower_with, CompileOptions, CompiledBitCircuit};
 use query_circuits::core::compile_fcq;
 use query_circuits::mpc::run_two_party;
@@ -35,7 +34,7 @@ fn main() {
 
     // The public circuit: PANDA-C, lowered all the way to AND/XOR/NOT.
     let compiled = compile_fcq(&q, &dc).expect("compiles");
-    let lowered = compiled.rc.lower(Mode::Build);
+    let lowered = compiled.rc.lower();
     let boolean = lower_with(&lowered.circuit, 16, &CompileOptions::from_env());
     println!(
         "public circuit: {} word gates → {} boolean gates ({} AND, AND-depth {})",

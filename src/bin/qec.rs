@@ -26,7 +26,6 @@
 
 use std::process::ExitCode;
 
-use query_circuits::circuit::Mode;
 use query_circuits::core::{compile_fcq, naive_circuit, paper_cost, OutputSensitive};
 use query_circuits::query::{baseline::evaluate_pairwise, parse_cq, Cq};
 use query_circuits::relation::{random_relation, Database, DcSet, DegreeConstraint, Var, VarSet};
@@ -191,12 +190,7 @@ fn run() -> Result<(), String> {
             paper_cost(&naive).to_f64() / paper_cost(&compiled.rc).to_f64()
         );
         if opts.lower || opts.netlist.is_some() {
-            let mode = if opts.netlist.is_some() {
-                Mode::Build
-            } else {
-                Mode::Count
-            };
-            let lowered = compiled.rc.lower(mode);
+            let lowered = compiled.rc.lower();
             println!(
                 "word circuit: {} gates, depth {}",
                 lowered.circuit.size(),

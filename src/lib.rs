@@ -9,7 +9,6 @@
 //! [`entropy`].
 //!
 //! ```
-//! use query_circuits::circuit::Mode;
 //! use query_circuits::core::compile_fcq;
 //! use query_circuits::query::parse_cq;
 //! use query_circuits::relation::{random_relation, Database, DcSet, DegreeConstraint, Var};
@@ -25,7 +24,7 @@
 //!
 //! // 3. lower to an oblivious word-level circuit and evaluate any
 //! //    conforming database with it
-//! let lowered = compiled.rc.lower(Mode::Build);
+//! let lowered = compiled.rc.lower();
 //! let mut db = Database::new();
 //! db.insert("R", random_relation(vec![Var(0), Var(1)], 14, 1));
 //! db.insert("S", random_relation(vec![Var(1), Var(2)], 14, 2));

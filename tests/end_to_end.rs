@@ -2,7 +2,7 @@
 //! sequences → PANDA-C → word-circuit lowering → evaluation → MPC, all
 //! cross-checked against the RAM baselines.
 
-use query_circuits::circuit::{lower_with, CompileOptions, Mode};
+use query_circuits::circuit::{lower_with, CompileOptions};
 use query_circuits::core::{compile_fcq, paper_cost, OutputSensitive};
 use query_circuits::entropy::{polymatroid_bound, prove_bound, validate};
 use query_circuits::query::baseline::{evaluate_pairwise, generic_join, yannakakis};
@@ -38,7 +38,7 @@ fn full_pipeline_triangle_word_circuit() {
     let q = parse_cq("Q(a, b, c) :- R(a, b), S(b, c), T(a, c)").unwrap();
     let dc = uniform_dc(&q, 24);
     let compiled = compile_fcq(&q, &dc).unwrap();
-    let lowered = compiled.rc.lower(Mode::Build);
+    let lowered = compiled.rc.lower();
     for seed in 0..3 {
         let db = uniform_db(&q, 20, seed);
         let circuit = &lowered.run(&db).unwrap()[0];
@@ -54,7 +54,7 @@ fn oblivious_topology_is_data_independent() {
     let q = triangle();
     let dc = uniform_dc(&q, 16);
     let compiled = compile_fcq(&q, &dc).unwrap();
-    let lowered = compiled.rc.lower(Mode::Build);
+    let lowered = compiled.rc.lower();
     let empty = {
         let mut db = Database::new();
         for a in &q.atoms {
@@ -139,7 +139,7 @@ fn panda_cost_beats_naive_asymptotically() {
 fn secure_two_party_join_end_to_end() {
     use query_circuits::circuit::{encode_relation, join_pk, relation_to_values, Builder};
     let m = 6usize;
-    let mut b = Builder::new(Mode::Build);
+    let mut b = Builder::new();
     let rw = encode_relation(&mut b, vec![Var(0), Var(1)], m);
     let sw = encode_relation(&mut b, vec![Var(1), Var(2)], m);
     let j = join_pk(&mut b, &rw, &sw);
@@ -188,7 +188,7 @@ fn nonconforming_instances_are_rejected_not_miscomputed() {
     let q = triangle();
     let dc = uniform_dc(&q, 8);
     let compiled = compile_fcq(&q, &dc).unwrap();
-    let lowered = compiled.rc.lower(Mode::Build);
+    let lowered = compiled.rc.lower();
     let db = uniform_db(&q, 20, 1); // 20 > 8
     assert!(lowered.run(&db).is_err());
     assert!(compiled.rc.evaluate_ram(&db).is_err());
@@ -217,7 +217,7 @@ fn single_bit_secure_triangle_existence() {
     let dc = uniform_dc(&q, 9);
     let os = OutputSensitive::build(&q, &dc, 5_000).unwrap();
     let rc = os.boolean_circuit().unwrap();
-    let lowered = rc.lower(Mode::Build);
+    let lowered = rc.lower();
     // the circuit's entire output is one word: arity-0 slot = validity bit
     assert_eq!(lowered.circuit.outputs().len(), 1);
     let bc = lower_with(&lowered.circuit, 16, &CompileOptions::from_env());
