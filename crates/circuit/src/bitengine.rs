@@ -16,17 +16,23 @@
 //! [`optimize_bits_with`](crate::optimize_bits_with) first. It mirrors
 //! the word engine's ([`CompiledCircuit`](crate::CompiledCircuit)):
 //!
-//! 1. **Liveness.** The last level reading each wire is computed in one
-//!    pass; output wires are pinned.
-//! 2. **Level-major tape.** Gates are emitted level by level in the GMW
-//!    round schedule — pure-AND levels, one per multiplicative
+//! 1. **Level-major schedule.** Gates are grouped level by level in the
+//!    GMW round schedule — pure-AND levels, one per multiplicative
 //!    generation, between local levels — so operands always sit at
 //!    strictly lower levels than their consumers and the AND-bearing
-//!    levels number exactly the circuit's AND depth.
-//! 3. **Register allocation.** Registers are freed only at level
-//!    boundaries — a level's destinations can never alias its sources —
-//!    shrinking the wire store from `O(gates)` words to `O(peak live
-//!    width)` registers per lane-word.
+//!    levels number exactly the circuit's AND depth. The schedule is
+//!    flat: one gate-order array plus level offsets (CSR), and each
+//!    gate's level is written over its AND-depth scratch.
+//! 2. **Liveness.** One pass turns each gate's level, in place, into
+//!    the last level reading its wire; output wires are pinned.
+//! 3. **Register allocation.** Gates are emitted in schedule order.
+//!    Registers are freed only at level boundaries — a level's
+//!    destinations can never alias its sources — from one flat expiry
+//!    array filled in allocation order, shrinking the wire store from
+//!    `O(gates)` words to `O(peak live width)` registers per lane-word.
+//!    Once a wire has its register, the register overwrites the wire's
+//!    liveness entry, so one gate-sized array serves level, last use and
+//!    register in turn.
 //!
 //! Dispatch follows the word engine's idiom: a monomorphized
 //! `#[inline(always)]` body generic over the words-per-register count
@@ -242,85 +248,87 @@ impl CompiledBitCircuit {
     /// count — and plaintext evaluation walks the same tape.
     /// Infallible: every [`BitCircuit`] is evaluable.
     pub fn compile_gmw(bc: &BitCircuit) -> CompiledBitCircuit {
-        // `levels` is topological: every operand strictly below its
+        // The schedule is topological: every operand strictly below its
         // consumer — the register allocator frees only at level
         // boundaries and relies on a level's destinations never
         // aliasing its sources.
         let gates = bc.gates();
-        let levels = gmw_levels(gates);
         let n = gates.len();
+        let Schedule {
+            order,
+            starts,
+            level,
+        } = gmw_schedule(gates);
+        let num_levels = starts.len() - 1;
 
-        // --- liveness: last level reading each wire (u32::MAX = pinned) ---
+        // --- liveness, in place: `slot[i]` goes from wire i's level to
+        //     the last level reading it (u32::MAX = pinned). Consumers
+        //     come after their operands, so `slot[i]` still holds i's own
+        //     level when the walk reaches i; a wire nobody reads dies at
+        //     its own definition level. ---
         const PINNED: u32 = u32::MAX;
-        let mut level_of = vec![0u32; n];
-        for (d, members) in levels.iter().enumerate() {
-            for &gi in members {
-                level_of[gi as usize] = d as u32;
-            }
-        }
-        let mut last_use = vec![0u32; n];
+        let mut slot = level;
         for (i, g) in gates.iter().enumerate() {
-            // a wire nobody reads dies at its own definition level
-            let d = level_of[i];
-            last_use[i] = last_use[i].max(d);
+            let d = slot[i];
             match *g {
                 BGate::Xor(a, b) | BGate::And(a, b) => {
-                    last_use[a as usize] = last_use[a as usize].max(d);
-                    last_use[b as usize] = last_use[b as usize].max(d);
+                    slot[a as usize] = slot[a as usize].max(d);
+                    slot[b as usize] = slot[b as usize].max(d);
                 }
                 BGate::Not(a) | BGate::AssertFalse(a) => {
-                    last_use[a as usize] = last_use[a as usize].max(d);
+                    slot[a as usize] = slot[a as usize].max(d);
                 }
                 BGate::Input(_) | BGate::Const(_) => {}
             }
         }
         for &w in bc.outputs() {
-            last_use[w as usize] = PINNED;
+            slot[w as usize] = PINNED;
         }
 
+        // --- expiries: the registers freed at the start of level l are
+        //     `expiries[exp_start[l]..exp_start[l + 1]]`, in allocation
+        //     order; `fill[l]` is the next free entry of level l ---
+        let exp_start = csr_offsets(
+            num_levels + 1,
+            slot.iter()
+                .filter(|&&last| last != PINNED)
+                .map(|&last| last as usize + 1),
+        );
+        let mut fill = exp_start.clone();
+        let mut expiries: Vec<BitReg> = vec![0; exp_start[num_levels + 1] as usize];
+
         // --- register allocation, freeing only at level boundaries so a
-        //     level's destinations can never alias its sources ---
-        let mut reg_of = vec![u32::MAX; n];
+        //     level's destinations can never alias its sources. Once
+        //     wire i has a register, `slot[i]` holds it. ---
         let mut free: Vec<BitReg> = Vec::new();
-        let mut expire_at: Vec<Vec<BitReg>> = vec![Vec::new(); levels.len() + 1];
         let mut num_regs = 0u32;
         let mut tape = Vec::with_capacity(n);
-        let mut level_starts = Vec::with_capacity(levels.len() + 1);
         let mut stats = BitEngineStats {
             circuit_gates: n,
-            num_levels: levels.len(),
+            num_levels,
             ..BitEngineStats::default()
         };
 
-        for (level, members) in levels.iter().enumerate() {
-            level_starts.push(tape.len() as u32);
+        for level in 0..num_levels {
             let ands_before = stats.and_ops;
-            for &r in &expire_at[level] {
-                free.push(r);
-            }
-            for &gi in members {
-                let g = gates[gi as usize];
-                let dst = match free.pop() {
-                    Some(r) => r,
-                    None => {
-                        num_regs += 1;
-                        num_regs - 1
-                    }
-                };
-                reg_of[gi as usize] = dst;
-                let last = last_use[gi as usize];
+            free.extend_from_slice(
+                &expiries[exp_start[level] as usize..exp_start[level + 1] as usize],
+            );
+            for &gi in &order[starts[level] as usize..starts[level + 1] as usize] {
+                let dst = free.pop().unwrap_or_else(|| {
+                    num_regs += 1;
+                    num_regs - 1
+                });
+                let last = slot[gi as usize];
                 if last != PINNED {
-                    expire_at[last as usize + 1].push(dst);
+                    let at = &mut fill[last as usize + 1];
+                    expiries[*at as usize] = dst;
+                    *at += 1;
                 }
-                let src = |w: u32| -> BitReg {
-                    debug_assert_ne!(reg_of[w as usize], u32::MAX, "operand compiled first");
-                    reg_of[w as usize]
-                };
-                let op = match g {
-                    BGate::Input(idx) => BitOp::Input {
-                        dst,
-                        idx: idx as u32,
-                    },
+                slot[gi as usize] = dst;
+                let src = |w: u32| -> BitReg { slot[w as usize] };
+                let op = match gates[gi as usize] {
+                    BGate::Input(idx) => BitOp::Input { dst, idx },
                     BGate::Const(v) => BitOp::Const { dst, v },
                     BGate::Xor(a, b) => {
                         stats.xor_ops += 1;
@@ -357,14 +365,15 @@ impl CompiledBitCircuit {
                 stats.and_levels += 1;
             }
         }
-        level_starts.push(tape.len() as u32);
         stats.tape_len = tape.len();
         stats.peak_registers = num_regs as usize;
 
-        let output_regs = bc.outputs().iter().map(|&w| reg_of[w as usize]).collect();
+        let output_regs = bc.outputs().iter().map(|&w| slot[w as usize]).collect();
         CompiledBitCircuit {
             tape,
-            level_starts,
+            // A level's gates are emitted contiguously, so the schedule's
+            // offsets are the tape's.
+            level_starts: starts,
             output_regs,
             num_regs,
             num_inputs: bc.num_inputs(),
@@ -553,6 +562,17 @@ impl CompiledBitCircuit {
     }
 }
 
+/// The GMW round schedule of a gate list in CSR form.
+struct Schedule {
+    /// Gate ids level by level, in gate order within a level: level `l`
+    /// is `order[starts[l] as usize..starts[l + 1] as usize]`.
+    order: Vec<u32>,
+    /// Offset in `order` where each level begins, plus a final sentinel.
+    starts: Vec<u32>,
+    /// Each gate's level.
+    level: Vec<u32>,
+}
+
 /// Groups bit gates into the GMW round schedule: pure-AND levels, one
 /// per multiplicative generation, interleaved with local (XOR/NOT/
 /// assert/input/const) levels.
@@ -571,7 +591,7 @@ impl CompiledBitCircuit {
 /// an AND of generation `r` reads only wires of generation `< r`, so
 /// every generation's openings fit in one message — the textbook
 /// GMW round complexity.
-fn gmw_levels(gates: &[BGate]) -> Vec<Vec<u32>> {
+fn gmw_schedule(gates: &[BGate]) -> Schedule {
     let n = gates.len();
     // AND depth per gate, and dependency sub-depth within the gate's
     // own generation (non-AND gates only; an operand from an earlier
@@ -626,21 +646,59 @@ fn gmw_levels(gates: &[BGate]) -> Vec<Vec<u32>> {
         }
     }
 
-    let mut levels: Vec<Vec<u32>> = vec![Vec::new(); next as usize];
-    for i in 0..n {
-        let l = if matches!(gates[i], BGate::And(_, _)) {
-            and_level[ad[i] as usize]
+    // Each gate's level, written over its AND depth.
+    let mut level = ad;
+    for (i, g) in gates.iter().enumerate() {
+        let r = level[i] as usize;
+        level[i] = if matches!(g, BGate::And(_, _)) {
+            and_level[r]
         } else {
-            local_base[ad[i] as usize] + sd[i]
+            local_base[r] + sd[i]
         };
-        levels[l as usize].push(i as u32);
+    }
+    drop(sd);
+    debug_assert!(
+        gates.iter().zip(&level).all(|(g, &l)| match *g {
+            BGate::Xor(a, b) | BGate::And(a, b) => level[a as usize] < l && level[b as usize] < l,
+            BGate::Not(a) | BGate::AssertFalse(a) => level[a as usize] < l,
+            BGate::Input(_) | BGate::Const(_) => true,
+        }),
+        "every operand sits at a strictly lower level than its consumer"
+    );
+
+    // Counting sort by level; the walk in gate order keeps each level's
+    // gates in gate order.
+    let starts = csr_offsets(next as usize, level.iter().map(|&l| l as usize));
+    let mut fill = starts.clone();
+    let mut order = vec![0u32; n];
+    for (i, &l) in level.iter().enumerate() {
+        order[fill[l as usize] as usize] = i as u32;
+        fill[l as usize] += 1;
     }
     // A generation with no local gates leaves no slot behind (its
     // sub_count is 0), so every emitted level is non-empty — but an
     // empty circuit yields no levels at all, which the allocator
     // handles.
-    debug_assert!(levels.iter().all(|l| !l.is_empty()));
-    levels
+    debug_assert!(starts.windows(2).all(|w| w[0] < w[1]));
+    Schedule {
+        order,
+        starts,
+        level,
+    }
+}
+
+/// Offsets of a CSR array with `buckets` buckets whose entries fall
+/// into the buckets `keys` yields: bucket `b` spans `out[b]..out[b +
+/// 1]`, and the last offset is the entry count.
+fn csr_offsets(buckets: usize, keys: impl Iterator<Item = usize>) -> Vec<u32> {
+    let mut starts = vec![0u32; buckets + 1];
+    for b in keys {
+        starts[b + 1] += 1;
+    }
+    for b in 1..starts.len() {
+        starts[b] += starts[b - 1];
+    }
+    starts
 }
 
 /// Mask of lanes `[lane_base, lane_base + 64)` that index a real

@@ -24,8 +24,10 @@ use crate::{Circuit, Gate, WireId};
 /// A bit-level gate over GF(2) with NOT.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BGate {
-    /// The `i`-th input bit.
-    Input(usize),
+    /// The `i`-th input bit. Each input bit is its own gate, so its
+    /// index lives in the bit-wire id space and fits `u32`, which keeps
+    /// a bit gate at 12 bytes.
+    Input(u32),
     /// A constant bit.
     Const(bool),
     /// XOR (free in GMW/garbling).
@@ -178,7 +180,7 @@ impl BitCircuit {
         vals.resize(self.gates.len(), false);
         for (i, g) in self.gates.iter().enumerate() {
             vals[i] = match *g {
-                BGate::Input(idx) => inputs[idx],
+                BGate::Input(idx) => inputs[idx as usize],
                 BGate::Const(v) => v,
                 BGate::Xor(a, b) => vals[a as usize] ^ vals[b as usize],
                 BGate::And(a, b) => vals[a as usize] & vals[b as usize],
@@ -493,7 +495,10 @@ impl Lowerer {
         let wb = |x: WireId| &word_bits[x as usize];
         match g {
             Gate::Input(idx) => (0..w)
-                .map(|k| self.push(BGate::Input(idx * w + k)))
+                .map(|k| match checked_bit_id((idx * w + k) as u64) {
+                    Ok(bit) => self.push(BGate::Input(bit)),
+                    Err(e) => panic!("{e}"),
+                })
                 .collect(),
             Gate::Const(v) => (0..w)
                 .map(|k| if (v >> k) & 1 == 1 { B_TRUE } else { B_FALSE })
@@ -789,7 +794,7 @@ fn rewrite_bit_gate(lw: &mut Lowerer, map: &[u32], g: BGate) -> u32 {
 fn bgate_hash(g: BGate) -> u64 {
     let (k, a, b) = match g {
         BGate::Const(v) => (1, u32::from(v), 0),
-        BGate::Input(i) => (2, u32::try_from(i).expect("input bit index exceeds u32"), 0),
+        BGate::Input(i) => (2, i, 0),
         BGate::Xor(a, b) => (3, a, b),
         BGate::And(a, b) => (4, a, b),
         BGate::Not(a) => (5, a, 0),
@@ -1109,6 +1114,100 @@ mod tests {
         // repeated reads keep returning the cached values
         assert_eq!(bc.and_count(), and_cached);
         assert_eq!(bc.gate_count(), gates_cached);
+    }
+
+    #[test]
+    fn a_bit_gate_is_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<BGate>(), 12);
+    }
+
+    /// Lowers the one-gate circuit `build` makes over `arity` inputs at
+    /// width `w`, runs every case through the BitEngine in one batch, and
+    /// checks each against the word evaluator masked to `w` bits: equal
+    /// outputs, or a failed assertion on both sides.
+    fn check_template(
+        name: &str,
+        w: u32,
+        arity: usize,
+        build: fn(&mut Builder, &[WireId]) -> WireId,
+        cases: &[Vec<u64>],
+    ) {
+        assert!(
+            cases.len() <= 1 << 16,
+            "{name} w={w}: {} cases",
+            cases.len()
+        );
+        let mut b = Builder::new();
+        let xs: Vec<WireId> = (0..arity).map(|_| b.input()).collect();
+        let out = build(&mut b, &xs);
+        let c = b.finish(vec![out]);
+        let bits = lower_with(&c, w, &CompileOptions::sequential());
+        let instances: Vec<Vec<bool>> = cases.iter().map(|x| bits.pack_inputs(x)).collect();
+        let got = crate::CompiledBitCircuit::compile_gmw(&bits).evaluate_batch(&instances);
+        let mask = (1u64 << w) - 1;
+        for (x, got) in cases.iter().zip(got) {
+            let want = c.evaluate(x).map(|o| o[0] & mask);
+            match (want, got) {
+                (Ok(want), Ok(got)) => {
+                    assert_eq!(bits.unpack_outputs(&got), [want], "{name} w={w} {x:?}")
+                }
+                (want, got) => assert!(
+                    want.is_err() && got.is_err(),
+                    "{name} w={w} {x:?}: {want:?} vs {got:?}"
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn every_template_matches_word_semantics_exhaustively() {
+        type Build = fn(&mut Builder, &[WireId]) -> WireId;
+        let binary: [(&str, Build); 8] = [
+            ("add", |b, x| b.add(x[0], x[1])),
+            ("sub", |b, x| b.sub(x[0], x[1])),
+            ("mul", |b, x| b.mul(x[0], x[1])),
+            ("eq", |b, x| b.eq(x[0], x[1])),
+            ("lt", |b, x| b.lt(x[0], x[1])),
+            ("and", |b, x| b.and(x[0], x[1])),
+            ("or", |b, x| b.or(x[0], x[1])),
+            ("xor", |b, x| b.xor(x[0], x[1])),
+        ];
+        for w in 1..=8u32 {
+            let values = 0..1u64 << w;
+            let singles: Vec<Vec<u64>> = values.clone().map(|x| vec![x]).collect();
+            let pairs: Vec<Vec<u64>> = values
+                .clone()
+                .flat_map(|x| values.clone().map(move |y| vec![x, y]))
+                .collect();
+            for (name, build) in binary {
+                check_template(name, w, 2, build, &pairs);
+            }
+            check_template("not", w, 1, |b, x| b.not(x[0]), &singles);
+            check_template(
+                "assert",
+                w,
+                1,
+                |b, x| {
+                    b.assert_zero(x[0]);
+                    x[0]
+                },
+                &singles,
+            );
+            // Every selector; every (a, b) pair up to w=5, and past it an
+            // odd-stride walk over the pairs that keeps 2^16 cases.
+            let mux_pairs: Vec<&Vec<u64>> = if w <= 5 {
+                pairs.iter().collect()
+            } else {
+                (0..1usize << (16 - w))
+                    .map(|j| &pairs[j * 0x9E37 % pairs.len()])
+                    .collect()
+            };
+            let mux: Vec<Vec<u64>> = values
+                .clone()
+                .flat_map(|s| mux_pairs.iter().map(move |ab| vec![s, ab[0], ab[1]]))
+                .collect();
+            check_template("mux", w, 3, |b, x| b.mux(x[0], x[1], x[2]), &mux);
+        }
     }
 
     #[test]

@@ -625,7 +625,7 @@ fn bit_op_arity(op: u64) -> usize {
 fn bgate_op(g: BGate) -> (u64, u64, u64) {
     match g {
         BGate::Const(v) => (BOP_CONST, u64::from(v), 0),
-        BGate::Input(i) => (BOP_INPUT, i as u64, 0),
+        BGate::Input(i) => (BOP_INPUT, u64::from(i), 0),
         BGate::Xor(a, b) => (BOP_XOR, a as u64, b as u64),
         BGate::And(a, b) => (BOP_AND, a as u64, b as u64),
         BGate::Not(a) => (BOP_NOT, a as u64, 0),
@@ -690,7 +690,7 @@ impl BitTape {
             });
         }
         let mut gates = Vec::with_capacity(self.num_wires as usize);
-        self.for_each_instruction(|_w, op, a, b| {
+        self.for_each_instruction(|w, op, a, b| {
             let limit = gates.len() as u64;
             let chk = |o: u64| -> Result<u32, TapeError> {
                 if o >= limit {
@@ -704,7 +704,13 @@ impl BitTape {
             };
             let g = match op {
                 BOP_CONST => BGate::Const(a != 0),
-                BOP_INPUT => BGate::Input(a as usize),
+                BOP_INPUT => {
+                    BGate::Input(u32::try_from(a).map_err(|_| TapeError::OperandOutOfRange {
+                        word: w,
+                        operand: a,
+                        limit: 1 << 32,
+                    })?)
+                }
                 BOP_XOR => BGate::Xor(chk(a)?, chk(b)?),
                 BOP_AND => BGate::And(chk(a)?, chk(b)?),
                 BOP_NOT => BGate::Not(chk(a)?),
@@ -1086,6 +1092,31 @@ mod tests {
         let back = BitTape::from_bytes(&wide.to_bytes()).unwrap();
         assert_eq!(back, wide);
         assert_eq!(back.decode().unwrap().gates(), bc.gates());
+    }
+
+    #[test]
+    fn input_bit_indices_past_u32_are_rejected_not_truncated() {
+        // Only the wide format can carry such an index. The header
+        // declares enough inputs for the loader's range check to pass,
+        // so `decode` is the one that must refuse to narrow it.
+        let index = 1u64 << 32;
+        let t = BitTape {
+            format: FORMAT_WIDE,
+            width: 1,
+            num_inputs: index + 1,
+            num_wires: 1,
+            code: vec![BOP_INPUT, index],
+            outputs: vec![0],
+        };
+        let t = BitTape::from_bytes(&t.to_bytes()).unwrap();
+        assert_eq!(
+            t.decode().err(),
+            Some(TapeError::OperandOutOfRange {
+                word: 0,
+                operand: index,
+                limit: 1 << 32
+            })
+        );
     }
 
     #[test]

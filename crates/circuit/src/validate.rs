@@ -216,6 +216,7 @@ pub fn validate_bits(bc: &BitCircuit) -> Result<(), ValidateError> {
     for (i, g) in gates.iter().enumerate() {
         let ops: [Option<u32>; 2] = match *g {
             BGate::Input(declared) => {
+                let declared = declared as usize;
                 if declared != num_inputs {
                     return Err(ValidateError::InputIndexOutOfOrder {
                         gate: i,

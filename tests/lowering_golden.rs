@@ -8,7 +8,9 @@
 //! one sequential pass, so its size, depth (AND count and AND depth at
 //! the bit level) and a fingerprint of every gate are pinned here. A
 //! change that reorders gate creation, drops a fold or misses a CSE hit
-//! moves at least one of them.
+//! moves at least one of them. The GMW tape `compile_gmw` builds from
+//! the width-8 lowering is pinned the same way: its schedule shape and
+//! the fingerprint of every instruction and register.
 //!
 //! The figures were recorded while parallel versions of these passes
 //! still existed and were checked byte-identical to the sequential
@@ -18,7 +20,7 @@
 use qec_circuit::lower::BGate;
 use qec_circuit::{
     fnv1a64, lower_with, optimize_bits_with, optimize_with, BitCircuit, Circuit, CompileOptions,
-    Gate, Mode,
+    CompiledBitCircuit, Gate, Mode,
 };
 use qec_core::triangle_heavy_light;
 
@@ -137,7 +139,7 @@ fn fingerprint(bc: &BitCircuit) -> u64 {
     let mut bytes = Vec::with_capacity(bc.gates().len() * 9 + bc.outputs().len() * 4 + 8);
     for &g in bc.gates() {
         let (k, a, b) = match g {
-            BGate::Input(i) => (0u8, i as u32, 0),
+            BGate::Input(i) => (0u8, i, 0),
             BGate::Const(v) => (1, u32::from(v), 0),
             BGate::Xor(a, b) => (2, a, b),
             BGate::And(a, b) => (3, a, b),
@@ -200,4 +202,30 @@ fn triangle_lowering_at_width_8_matches_its_golden_figures() {
             "optimized gate list"
         );
     }
+}
+
+/// The GMW schedule of the width-8 lowering: `compile_gmw` is a pure
+/// function of the gate list, so its tape fingerprint (every
+/// instruction, the output registers, the input arity and the register
+/// count) and its schedule shape are pinned here.
+#[test]
+fn triangle_gmw_tape_at_width_8_matches_its_golden_figures() {
+    let (rc, _) = triangle_heavy_light(4);
+    let opts = CompileOptions::sequential();
+    let word = rc.lower_with(Mode::Build, &opts).circuit;
+    let bc = lower_with(&word, 8, &opts);
+    let eng = CompiledBitCircuit::compile_gmw(&bc);
+    let st = eng.stats();
+    assert_eq!(
+        (
+            st.tape_len,
+            st.peak_registers,
+            st.num_levels,
+            st.and_levels,
+            eng.level_starts().len()
+        ),
+        (278_050, 4857, 4069, 1599, 4070),
+        "schedule shape"
+    );
+    assert_eq!(eng.fingerprint(), 18_178_047_808_494_733_995, "GMW tape");
 }
