@@ -21,18 +21,28 @@
 //!    generation, between local levels — so operands always sit at
 //!    strictly lower levels than their consumers and the AND-bearing
 //!    levels number exactly the circuit's AND depth. The schedule is
-//!    flat: one gate-order array plus level offsets (CSR), and each
-//!    gate's level is written over its AND-depth scratch.
+//!    flat: level offsets (CSR), each gate's level written over its
+//!    AND-depth scratch, and no separate gate order — the counting sort
+//!    writes each gate id into the operand slot its instruction will
+//!    occupy on the tape.
 //! 2. **Liveness.** One pass turns each gate's level, in place, into
 //!    the last level reading its wire; output wires are pinned.
-//! 3. **Register allocation.** Gates are emitted in schedule order.
-//!    Registers are freed only at level boundaries — a level's
-//!    destinations can never alias its sources — from one flat expiry
-//!    array filled in allocation order, shrinking the wire store from
-//!    `O(gates)` words to `O(peak live width)` registers per lane-word.
-//!    Once a wire has its register, the register overwrites the wire's
-//!    liveness entry, so one gate-sized array serves level, last use and
-//!    register in turn.
+//! 3. **Register allocation.** Gates are emitted in schedule order: each
+//!    tape slot's gate id is read back and overwritten with the
+//!    instruction's register operands. Registers are freed only at level
+//!    boundaries — a level's destinations can never alias its sources —
+//!    from per-level FIFO expiry lists linked through the registers
+//!    (`head`/`tail` per level, `next` per register; a register is on at
+//!    most one pending list), shrinking the wire store from `O(gates)`
+//!    words to `O(peak live width)` registers per lane-word. Once a wire
+//!    has its register, the register overwrites the wire's liveness
+//!    entry, so one gate-sized array serves level, last use and register
+//!    in turn.
+//!
+//! The tape is stored packed: one opcode byte and three `u32` operands
+//! (`dst, a, b`) per instruction, 13 bytes. [`BitOp`] is its decoded
+//! view, which [`CompiledBitCircuit::ops`] yields and the kernels decode
+//! inline.
 //!
 //! Dispatch follows the word engine's idiom: a monomorphized
 //! `#[inline(always)]` body generic over the words-per-register count
@@ -48,14 +58,19 @@
 //! out of assertion checks, so an all-ones constant can never fire an
 //! assert for an instance that does not exist.
 
+use std::ops::Range;
+use std::sync::OnceLock;
+
 use crate::lower::{BGate, BitCircuit};
+use crate::tape::Fnv1a64;
 use crate::EvalError;
 
 /// Register index on the bit tape (one transposed word — or W words —
 /// per register).
 pub type BitReg = u32;
 
-/// One instruction of the register-allocated transposed tape. Public so
+/// One instruction of the register-allocated transposed tape, decoded
+/// from its packed form (see [`CompiledBitCircuit::ops`]). Public so
 /// `qec-mpc` can drive the same tape with secret-shared register files
 /// (the GMW local-computation inner loop walks these ops verbatim).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -111,6 +126,45 @@ pub enum BitOp {
         /// Source gate index (for [`EvalError::AssertionFailed`]).
         gate: u32,
     },
+}
+
+// Opcodes of the packed tape. The values are the tags the fingerprint
+// hashes, so they are fixed.
+const OP_INPUT: u8 = 0;
+const OP_CONST: u8 = 1;
+const OP_XOR: u8 = 2;
+const OP_AND: u8 = 3;
+const OP_NOT: u8 = 4;
+const OP_ASSERT: u8 = 5;
+
+impl BitOp {
+    /// The packed form: opcode and `[dst, a, b]`, with `idx`, `v` and
+    /// `gate` riding in the `a`/`b` slots and unused slots 0.
+    fn encode(self) -> (u8, [u32; 3]) {
+        match self {
+            BitOp::Input { dst, idx } => (OP_INPUT, [dst, idx, 0]),
+            BitOp::Const { dst, v } => (OP_CONST, [dst, v as u32, 0]),
+            BitOp::Xor { dst, a, b } => (OP_XOR, [dst, a, b]),
+            BitOp::And { dst, a, b } => (OP_AND, [dst, a, b]),
+            BitOp::Not { dst, a } => (OP_NOT, [dst, a, 0]),
+            BitOp::AssertFalse { dst, a, gate } => (OP_ASSERT, [dst, a, gate]),
+        }
+    }
+
+    /// Inverse of [`encode`](BitOp::encode). Inlined into the kernels,
+    /// where the two matches fold into one dispatch.
+    #[inline(always)]
+    fn decode(kind: u8, [dst, a, b]: [u32; 3]) -> BitOp {
+        match kind {
+            OP_INPUT => BitOp::Input { dst, idx: a },
+            OP_CONST => BitOp::Const { dst, v: a != 0 },
+            OP_XOR => BitOp::Xor { dst, a, b },
+            OP_AND => BitOp::And { dst, a, b },
+            OP_NOT => BitOp::Not { dst, a },
+            OP_ASSERT => BitOp::AssertFalse { dst, a, gate: b },
+            _ => unreachable!("compile_gmw writes only the six opcodes"),
+        }
+    }
 }
 
 /// Which packed kernel evaluates the tape. Wider kernels process more
@@ -225,9 +279,13 @@ pub struct BitEngineStats {
 /// [`CompiledBitCircuit::compile_gmw`].
 #[derive(Clone)]
 pub struct CompiledBitCircuit {
-    tape: Vec<BitOp>,
+    /// Opcode of each instruction, in execution order.
+    kinds: Vec<u8>,
+    /// Operands of each instruction, parallel to `kinds` (see
+    /// [`BitOp::encode`]).
+    args: Vec<[u32; 3]>,
     /// Tape offset where each level begins, plus a final sentinel:
-    /// level `l` spans `tape[level_starts[l] .. level_starts[l + 1]]`.
+    /// level `l` spans `level_starts[l] .. level_starts[l + 1]`.
     level_starts: Vec<u32>,
     output_regs: Vec<BitReg>,
     num_regs: u32,
@@ -235,6 +293,9 @@ pub struct CompiledBitCircuit {
     width: u32,
     stats: BitEngineStats,
     kernel: BitKernel,
+    /// [`fingerprint`](CompiledBitCircuit::fingerprint), hashed on first
+    /// use: the tape never changes after compilation.
+    fingerprint: OnceLock<u64>,
 }
 
 impl CompiledBitCircuit {
@@ -254,11 +315,11 @@ impl CompiledBitCircuit {
         // aliasing its sources.
         let gates = bc.gates();
         let n = gates.len();
-        let Schedule {
-            order,
-            starts,
-            level,
-        } = gmw_schedule(gates);
+        // The operand buffer doubles as the schedule's gate order: slot
+        // `p` holds the id of the gate at tape position `p` until the
+        // allocation pass overwrites it with that gate's operands.
+        let mut args = vec![[0u32; 3]; n];
+        let Schedule { starts, level } = gmw_schedule(gates, &mut args);
         let num_levels = starts.len() - 1;
 
         // --- liveness, in place: `slot[i]` goes from wire i's level to
@@ -285,24 +346,22 @@ impl CompiledBitCircuit {
             slot[w as usize] = PINNED;
         }
 
-        // --- expiries: the registers freed at the start of level l are
-        //     `expiries[exp_start[l]..exp_start[l + 1]]`, in allocation
-        //     order; `fill[l]` is the next free entry of level l ---
-        let exp_start = csr_offsets(
-            num_levels + 1,
-            slot.iter()
-                .filter(|&&last| last != PINNED)
-                .map(|&last| last as usize + 1),
-        );
-        let mut fill = exp_start.clone();
-        let mut expiries: Vec<BitReg> = vec![0; exp_start[num_levels + 1] as usize];
+        // --- expiries: the registers freed at the start of level l form
+        //     a FIFO list from `head[l]` to `tail[l]` through `next`, in
+        //     allocation order. A register joins a list when it is
+        //     allocated and leaves it when the list is freed, so it is on
+        //     at most one list at a time. ---
+        const NIL: u32 = u32::MAX;
+        let mut head: Vec<BitReg> = vec![NIL; num_levels + 1];
+        let mut tail: Vec<BitReg> = vec![NIL; num_levels + 1];
+        let mut next: Vec<BitReg> = Vec::new();
 
         // --- register allocation, freeing only at level boundaries so a
         //     level's destinations can never alias its sources. Once
         //     wire i has a register, `slot[i]` holds it. ---
         let mut free: Vec<BitReg> = Vec::new();
         let mut num_regs = 0u32;
-        let mut tape = Vec::with_capacity(n);
+        let mut kinds = Vec::with_capacity(n);
         let mut stats = BitEngineStats {
             circuit_gates: n,
             num_levels,
@@ -311,19 +370,27 @@ impl CompiledBitCircuit {
 
         for level in 0..num_levels {
             let ands_before = stats.and_ops;
-            free.extend_from_slice(
-                &expiries[exp_start[level] as usize..exp_start[level + 1] as usize],
-            );
-            for &gi in &order[starts[level] as usize..starts[level + 1] as usize] {
+            let mut r = head[level];
+            while r != NIL {
+                free.push(r);
+                r = next[r as usize];
+            }
+            for operands in &mut args[starts[level] as usize..starts[level + 1] as usize] {
+                let gi = operands[0];
                 let dst = free.pop().unwrap_or_else(|| {
+                    next.push(NIL);
                     num_regs += 1;
                     num_regs - 1
                 });
                 let last = slot[gi as usize];
                 if last != PINNED {
-                    let at = &mut fill[last as usize + 1];
-                    expiries[*at as usize] = dst;
-                    *at += 1;
+                    let l = last as usize + 1;
+                    next[dst as usize] = NIL;
+                    match tail[l] {
+                        NIL => head[l] = dst,
+                        t => next[t as usize] = dst,
+                    }
+                    tail[l] = dst;
                 }
                 slot[gi as usize] = dst;
                 let src = |w: u32| -> BitReg { slot[w as usize] };
@@ -359,18 +426,21 @@ impl CompiledBitCircuit {
                         }
                     }
                 };
-                tape.push(op);
+                let (kind, encoded) = op.encode();
+                kinds.push(kind);
+                *operands = encoded;
             }
             if stats.and_ops > ands_before {
                 stats.and_levels += 1;
             }
         }
-        stats.tape_len = tape.len();
+        stats.tape_len = kinds.len();
         stats.peak_registers = num_regs as usize;
 
         let output_regs = bc.outputs().iter().map(|&w| slot[w as usize]).collect();
         CompiledBitCircuit {
-            tape,
+            kinds,
+            args,
             // A level's gates are emitted contiguously, so the schedule's
             // offsets are the tape's.
             level_starts: starts,
@@ -380,6 +450,7 @@ impl CompiledBitCircuit {
             width: bc.width(),
             stats,
             kernel: BitKernel::detect(),
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -410,16 +481,21 @@ impl CompiledBitCircuit {
         self
     }
 
-    /// The register-allocated instruction tape, in execution order.
-    /// `qec-mpc` walks this to evaluate the same schedule over
-    /// secret-shared register files.
-    pub fn ops(&self) -> &[BitOp] {
-        &self.tape
+    /// The register-allocated instructions at tape positions `range`,
+    /// decoded, in execution order. `qec-mpc` walks these level by level
+    /// (`range` from [`level_starts`](CompiledBitCircuit::level_starts))
+    /// to evaluate the same schedule over secret-shared register files.
+    /// The whole tape is `0..stats().tape_len`.
+    pub fn ops(&self, range: Range<usize>) -> impl ExactSizeIterator<Item = BitOp> + '_ {
+        self.kinds[range.clone()]
+            .iter()
+            .zip(&self.args[range])
+            .map(|(&kind, &args)| BitOp::decode(kind, args))
     }
 
     /// Tape offsets of the scheduling levels plus a final sentinel:
-    /// level `l` spans `ops()[level_starts()[l] as usize ..
-    /// level_starts()[l + 1] as usize]`. Operands of every instruction
+    /// level `l` spans `ops(level_starts()[l] as usize ..
+    /// level_starts()[l + 1] as usize)`. Operands of every instruction
     /// sit at strictly lower levels, which is what lets a GMW session
     /// batch all AND openings of one level into a single message.
     pub fn level_starts(&self) -> &[u32] {
@@ -430,52 +506,31 @@ impl CompiledBitCircuit {
     /// instruction stream, output registers, and input arity). Two
     /// parties that compiled the same [`BitCircuit`] with the same
     /// schedule get the same fingerprint — the networked GMW handshake
-    /// compares these before spending any triples.
+    /// compares these before spending any triples. Hashed on the first
+    /// call and cached (a clone made after that keeps the value), and
+    /// streamed, so no byte image of the tape is ever built.
     pub fn fingerprint(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(self.tape.len() * 13 + 16);
-        for op in &self.tape {
-            match *op {
-                BitOp::Input { dst, idx } => {
-                    bytes.push(0);
-                    bytes.extend_from_slice(&dst.to_le_bytes());
-                    bytes.extend_from_slice(&idx.to_le_bytes());
-                }
-                BitOp::Const { dst, v } => {
-                    bytes.push(1);
-                    bytes.extend_from_slice(&dst.to_le_bytes());
-                    bytes.push(v as u8);
-                }
-                BitOp::Xor { dst, a, b } => {
-                    bytes.push(2);
-                    bytes.extend_from_slice(&dst.to_le_bytes());
-                    bytes.extend_from_slice(&a.to_le_bytes());
-                    bytes.extend_from_slice(&b.to_le_bytes());
-                }
-                BitOp::And { dst, a, b } => {
-                    bytes.push(3);
-                    bytes.extend_from_slice(&dst.to_le_bytes());
-                    bytes.extend_from_slice(&a.to_le_bytes());
-                    bytes.extend_from_slice(&b.to_le_bytes());
-                }
-                BitOp::Not { dst, a } => {
-                    bytes.push(4);
-                    bytes.extend_from_slice(&dst.to_le_bytes());
-                    bytes.extend_from_slice(&a.to_le_bytes());
-                }
-                BitOp::AssertFalse { dst, a, gate } => {
-                    bytes.push(5);
-                    bytes.extend_from_slice(&dst.to_le_bytes());
-                    bytes.extend_from_slice(&a.to_le_bytes());
-                    bytes.extend_from_slice(&gate.to_le_bytes());
+        *self.fingerprint.get_or_init(|| {
+            let mut h = Fnv1a64::new();
+            for (&kind, &[dst, a, b]) in self.kinds.iter().zip(&self.args) {
+                h.write(&[kind]);
+                h.write(&dst.to_le_bytes());
+                match kind {
+                    OP_CONST => h.write(&[a as u8]),
+                    OP_INPUT | OP_NOT => h.write(&a.to_le_bytes()),
+                    _ => {
+                        h.write(&a.to_le_bytes());
+                        h.write(&b.to_le_bytes());
+                    }
                 }
             }
-        }
-        for &r in &self.output_regs {
-            bytes.extend_from_slice(&r.to_le_bytes());
-        }
-        bytes.extend_from_slice(&(self.num_inputs as u64).to_le_bytes());
-        bytes.extend_from_slice(&self.num_regs.to_le_bytes());
-        crate::tape::fnv1a64(&bytes)
+            for &r in &self.output_regs {
+                h.write(&r.to_le_bytes());
+            }
+            h.write(&(self.num_inputs as u64).to_le_bytes());
+            h.write(&self.num_regs.to_le_bytes());
+            h.finish()
+        })
     }
 
     /// Registers the kernel needs (`num_regs × words` scratch words).
@@ -548,26 +603,30 @@ impl CompiledBitCircuit {
     /// Runs the tape over one packed block on the engine's kernel.
     fn run_tape(&self, regs: &mut [u64], packed: &[u64], valid: &[u64], fail: &mut [u32]) {
         match self.kernel {
-            BitKernel::Scalar => run_tape_body::<1>(&self.tape, regs, packed, valid, fail),
+            BitKernel::Scalar => {
+                run_tape_body::<1>(&self.kinds, &self.args, regs, packed, valid, fail)
+            }
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the engine's kernel is always available — `detect`
             // and `with_kernel` only ever select one the CPU supports.
-            BitKernel::Avx2 => unsafe { run_tape_avx2(&self.tape, regs, packed, valid, fail) },
+            BitKernel::Avx2 => unsafe {
+                run_tape_avx2(&self.kinds, &self.args, regs, packed, valid, fail)
+            },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: as for AVX2.
-            BitKernel::Avx512 => unsafe { run_tape_avx512(&self.tape, regs, packed, valid, fail) },
+            BitKernel::Avx512 => unsafe {
+                run_tape_avx512(&self.kinds, &self.args, regs, packed, valid, fail)
+            },
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("wide kernels are never available off x86_64"),
         }
     }
 }
 
-/// The GMW round schedule of a gate list in CSR form.
+/// The GMW round schedule of a gate list in CSR form; the gate ids
+/// themselves sit in the operand buffer [`gmw_schedule`] filled.
 struct Schedule {
-    /// Gate ids level by level, in gate order within a level: level `l`
-    /// is `order[starts[l] as usize..starts[l + 1] as usize]`.
-    order: Vec<u32>,
-    /// Offset in `order` where each level begins, plus a final sentinel.
+    /// Tape offset where each level begins, plus a final sentinel.
     starts: Vec<u32>,
     /// Each gate's level.
     level: Vec<u32>,
@@ -591,7 +650,10 @@ struct Schedule {
 /// an AND of generation `r` reads only wires of generation `< r`, so
 /// every generation's openings fit in one message — the textbook
 /// GMW round complexity.
-fn gmw_schedule(gates: &[BGate]) -> Schedule {
+///
+/// Level `l`'s gate ids, in gate order, go to `args[p][0]` for `p` in
+/// `starts[l]..starts[l + 1]`; `args` holds one entry per gate.
+fn gmw_schedule(gates: &[BGate], args: &mut [[u32; 3]]) -> Schedule {
     let n = gates.len();
     // AND depth per gate, and dependency sub-depth within the gate's
     // own generation (non-AND gates only; an operand from an earlier
@@ -668,11 +730,16 @@ fn gmw_schedule(gates: &[BGate]) -> Schedule {
 
     // Counting sort by level; the walk in gate order keeps each level's
     // gates in gate order.
-    let starts = csr_offsets(next as usize, level.iter().map(|&l| l as usize));
+    let mut starts = vec![0u32; next as usize + 1];
+    for &l in &level {
+        starts[l as usize + 1] += 1;
+    }
+    for l in 1..starts.len() {
+        starts[l] += starts[l - 1];
+    }
     let mut fill = starts.clone();
-    let mut order = vec![0u32; n];
     for (i, &l) in level.iter().enumerate() {
-        order[fill[l as usize] as usize] = i as u32;
+        args[fill[l as usize] as usize][0] = i as u32;
         fill[l as usize] += 1;
     }
     // A generation with no local gates leaves no slot behind (its
@@ -680,25 +747,7 @@ fn gmw_schedule(gates: &[BGate]) -> Schedule {
     // empty circuit yields no levels at all, which the allocator
     // handles.
     debug_assert!(starts.windows(2).all(|w| w[0] < w[1]));
-    Schedule {
-        order,
-        starts,
-        level,
-    }
-}
-
-/// Offsets of a CSR array with `buckets` buckets whose entries fall
-/// into the buckets `keys` yields: bucket `b` spans `out[b]..out[b +
-/// 1]`, and the last offset is the entry count.
-fn csr_offsets(buckets: usize, keys: impl Iterator<Item = usize>) -> Vec<u32> {
-    let mut starts = vec![0u32; buckets + 1];
-    for b in keys {
-        starts[b + 1] += 1;
-    }
-    for b in 1..starts.len() {
-        starts[b] += starts[b - 1];
-    }
-    starts
+    Schedule { starts, level }
 }
 
 /// Mask of lanes `[lane_base, lane_base + 64)` that index a real
@@ -775,14 +824,15 @@ pub fn unpack_outputs(
 /// so the fixed-trip-count `W` loops compile to single vector ops.
 #[inline(always)]
 fn run_tape_body<const W: usize>(
-    tape: &[BitOp],
+    kinds: &[u8],
+    args: &[[u32; 3]],
     regs: &mut [u64],
     packed: &[u64],
     valid: &[u64],
     fail: &mut [u32],
 ) {
-    for op in tape {
-        match *op {
+    for (&kind, &operands) in kinds.iter().zip(args) {
+        match BitOp::decode(kind, operands) {
             BitOp::Input { dst, idx } => {
                 let (d, s) = (dst as usize * W, idx as usize * W);
                 regs[d..d + W].copy_from_slice(&packed[s..s + W]);
@@ -835,13 +885,14 @@ fn run_tape_body<const W: usize>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn run_tape_avx2(
-    tape: &[BitOp],
+    kinds: &[u8],
+    args: &[[u32; 3]],
     regs: &mut [u64],
     packed: &[u64],
     valid: &[u64],
     fail: &mut [u32],
 ) {
-    run_tape_body::<4>(tape, regs, packed, valid, fail)
+    run_tape_body::<4>(kinds, args, regs, packed, valid, fail)
 }
 
 /// # Safety
@@ -850,13 +901,14 @@ unsafe fn run_tape_avx2(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw")]
 unsafe fn run_tape_avx512(
-    tape: &[BitOp],
+    kinds: &[u8],
+    args: &[[u32; 3]],
     regs: &mut [u64],
     packed: &[u64],
     valid: &[u64],
     fail: &mut [u32],
 ) {
-    run_tape_body::<8>(tape, regs, packed, valid, fail)
+    run_tape_body::<8>(kinds, args, regs, packed, valid, fail)
 }
 
 #[cfg(test)]
@@ -933,9 +985,11 @@ mod tests {
         // Level structure is well-formed and AND levels are pure.
         let starts = gmw.level_starts();
         assert_eq!(starts.len(), gmw.stats().num_levels + 1);
-        assert_eq!(*starts.last().unwrap() as usize, gmw.ops().len());
+        assert_eq!(*starts.last().unwrap() as usize, gmw.stats().tape_len);
         for l in 0..gmw.stats().num_levels {
-            let ops = &gmw.ops()[starts[l] as usize..starts[l + 1] as usize];
+            let ops: Vec<BitOp> = gmw
+                .ops(starts[l] as usize..starts[l + 1] as usize)
+                .collect();
             assert!(!ops.is_empty());
             let ands = ops
                 .iter()

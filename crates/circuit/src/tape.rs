@@ -185,12 +185,30 @@ const HEADER_BYTES: usize = 8 + 4 * 4 + 4 * 8;
 /// FNV-1a-64 over a byte slice — the checksum of the tape container and
 /// of `qec-mpc`'s wire frames (which reuse this container's style).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a64::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// [`fnv1a64`] fed in pieces: hashing a sequence of slices equals
+/// hashing their concatenation.
+pub(crate) struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    pub(crate) fn new() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    pub(crate) fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 struct Header {

@@ -9,9 +9,10 @@
 use proptest::prelude::*;
 use qec_circuit::lower::BitCircuit;
 use qec_circuit::{
-    lower_with, validate_bits, BitEvalScratch, BitKernel, Builder, CompileOptions,
+    lower_with, validate_bits, BitEvalScratch, BitKernel, BitOp, Builder, CompileOptions,
     CompiledBitCircuit,
 };
+use std::collections::HashSet;
 
 /// Raw material for one random word gate (same recipe as
 /// `engine_props.rs`): kind selector plus operand seeds, reduced modulo
@@ -180,6 +181,44 @@ proptest! {
         for kernel in BitKernel::available() {
             let got = eng.clone().with_kernel(kernel).evaluate_batch(&instances);
             prop_assert_eq!(&got, &base, "kernel {} vs scalar", kernel.name());
+        }
+    }
+
+    /// The register allocator's invariants, level by level, on the
+    /// decoded tape: a level's destinations are distinct, none of them
+    /// is read as a source in the same level (registers are freed only
+    /// at level boundaries), and a level holding an AND holds only ANDs.
+    #[test]
+    fn tape_levels_keep_allocator_invariants(
+        num_inputs in 1usize..5,
+        seeds in prop::collection::vec(any::<GateSeed>(), 1..80),
+        width in 1u32..9,
+    ) {
+        let bits = build_random_bits(num_inputs, &seeds, width);
+        let eng = CompiledBitCircuit::compile_gmw(&bits);
+        let starts = eng.level_starts();
+        prop_assert_eq!(*starts.last().unwrap() as usize, eng.stats().tape_len);
+        for (l, span) in starts.windows(2).enumerate() {
+            let ops: Vec<BitOp> = eng.ops(span[0] as usize..span[1] as usize).collect();
+            let mut dsts = HashSet::new();
+            let mut srcs = HashSet::new();
+            for op in &ops {
+                let dst = match *op {
+                    BitOp::Input { dst, .. } | BitOp::Const { dst, .. } => dst,
+                    BitOp::Xor { dst, a, b } | BitOp::And { dst, a, b } => {
+                        srcs.extend([a, b]);
+                        dst
+                    }
+                    BitOp::Not { dst, a } | BitOp::AssertFalse { dst, a, .. } => {
+                        srcs.insert(a);
+                        dst
+                    }
+                };
+                prop_assert!(dsts.insert(dst), "level {} writes register {} twice", l, dst);
+            }
+            prop_assert!(dsts.is_disjoint(&srcs), "level {} reads a register it writes", l);
+            let ands = ops.iter().filter(|o| matches!(o, BitOp::And { .. })).count();
+            prop_assert!(ands == 0 || ands == ops.len(), "level {} mixes ANDs", l);
         }
     }
 }

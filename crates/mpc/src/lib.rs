@@ -318,7 +318,7 @@ pub fn garbling_cost(circuit: &BitCircuit) -> GarblingCost {
 mod tests {
     use super::*;
     use qec_circuit::lower::lower_with;
-    use qec_circuit::{Builder, CompileOptions, EvalError};
+    use qec_circuit::{BitKernel, Builder, CompileOptions, EvalError};
 
     fn adder_circuit() -> BitCircuit {
         let mut b = Builder::new();
@@ -537,10 +537,27 @@ mod tests {
         assert!(stats.free_gates > 0);
     }
 
+    /// Runs one instance per party, each party on its own tape, and
+    /// returns both parties' results. `run_sessions` takes one tape for
+    /// both, so this drives the two sessions by hand.
+    fn mismatched_sessions(
+        (eng_a, bits_a): (&CompiledBitCircuit, Vec<bool>),
+        (eng_b, bits_b): (&CompiledBitCircuit, Vec<bool>),
+    ) -> (Result<Outcome, MpcError>, Result<Outcome, MpcError>) {
+        let (ta, _) = PackedDealer::new(eng_a.stats().and_ops as usize, 1, 1).split();
+        let (tb, _) = PackedDealer::new(eng_b.stats().and_ops as usize, 1, 2).split();
+        let (sa, _) = share_instances(&[bits_a], 5);
+        let (sb, _) = share_instances(&[bits_b], 6);
+        let (d0, d1) = Duplex::pair();
+        std::thread::scope(|scope| {
+            let h = scope.spawn(|| Session::new(eng_b, Role::P1, d1, tb).with_words(1).run(&sb));
+            let ra = Session::new(eng_a, Role::P0, d0, ta).with_words(1).run(&sa);
+            (ra, h.join().unwrap())
+        })
+    }
+
     #[test]
     fn handshake_rejects_mismatched_tapes() {
-        // Each party runs a different tape, so this drives the two
-        // sessions by hand rather than through `run_sessions`.
         let bc = adder_circuit();
         let mut b = Builder::new();
         let x = b.input();
@@ -549,25 +566,54 @@ mod tests {
         let other = lower_with(&b.finish(vec![s]), 16, &CompileOptions::sequential());
         let eng_a = CompiledBitCircuit::compile_gmw(&bc);
         let eng_b = CompiledBitCircuit::compile_gmw(&other);
-        let (ta, _) = PackedDealer::new(eng_a.stats().and_ops as usize, 1, 1).split();
-        let (tb, _) = PackedDealer::new(eng_b.stats().and_ops as usize, 1, 2).split();
-        let bits_a = bc.pack_inputs(&[1, 2]);
-        let bits_b = other.pack_inputs(&[3, 4]);
-        let (sa, _) = share_instances(&[bits_a], 5);
-        let (sb, _) = share_instances(&[bits_b], 6);
-        let (d0, d1) = Duplex::pair();
-        let (ra, rb) = std::thread::scope(|scope| {
-            let h = scope.spawn(|| {
-                Session::new(&eng_b, Role::P1, d1, tb)
-                    .with_words(1)
-                    .run(&sb)
-            });
-            let ra = Session::new(&eng_a, Role::P0, d0, ta)
-                .with_words(1)
-                .run(&sa);
-            (ra, h.join().unwrap())
-        });
+        let (ra, rb) = mismatched_sessions(
+            (&eng_a, bc.pack_inputs(&[1, 2])),
+            (&eng_b, other.pack_inputs(&[3, 4])),
+        );
         assert!(matches!(ra.unwrap_err(), MpcError::TapeMismatch(_)));
         assert!(matches!(rb.unwrap_err(), MpcError::TapeMismatch(_)));
+    }
+
+    /// Two tapes with the same inputs, AND count and level count differ
+    /// only in which input the final XOR reads, so the fingerprint is
+    /// the one handshake check that can tell them apart.
+    #[test]
+    fn handshake_fingerprint_alone_rejects_a_different_tape() {
+        let xor_with = |pick_y: bool| {
+            let mut b = Builder::new();
+            let x = b.input();
+            let y = b.input();
+            let p = b.and(x, y);
+            let o = b.xor(p, if pick_y { y } else { x });
+            lower_with(&b.finish(vec![o]), 4, &CompileOptions::sequential())
+        };
+        let (bx, by) = (xor_with(false), xor_with(true));
+        let (ex, ey) = (
+            CompiledBitCircuit::compile_gmw(&bx),
+            CompiledBitCircuit::compile_gmw(&by),
+        );
+        assert_eq!(bx.num_inputs(), by.num_inputs());
+        assert_eq!(ex.stats().and_ops, ey.stats().and_ops);
+        assert_eq!(ex.level_starts().len(), ey.level_starts().len());
+        // The fingerprint is a property of the tape, not of the kernel,
+        // and a clone keeps it whether or not it was hashed yet.
+        let scalar = ex.clone().with_kernel(BitKernel::Scalar).fingerprint();
+        assert_eq!(scalar, ex.fingerprint());
+        assert_eq!(
+            ex.clone().with_kernel(BitKernel::Scalar).fingerprint(),
+            ex.fingerprint()
+        );
+        assert_ne!(ex.fingerprint(), ey.fingerprint());
+
+        let (rx, ry) = mismatched_sessions(
+            (&ex, bx.pack_inputs(&[1, 2])),
+            (&ey, by.pack_inputs(&[1, 2])),
+        );
+        for err in [rx.unwrap_err(), ry.unwrap_err()] {
+            assert!(
+                matches!(&err, MpcError::TapeMismatch(why) if why.starts_with("tape fingerprint")),
+                "{err}"
+            );
+        }
     }
 }

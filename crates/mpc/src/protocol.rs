@@ -194,9 +194,8 @@ impl<'a, T: Transport, S: TripleSource> Session<'a, T, S> {
                 and_dst.clear();
                 and_tr.clear();
                 my_de.clear();
-                let ops = &eng.ops()[starts[li] as usize..starts[li + 1] as usize];
-                for op in ops {
-                    match *op {
+                for op in eng.ops(starts[li] as usize..starts[li + 1] as usize) {
+                    match op {
                         BitOp::Input { dst, idx } => {
                             let (d, s) = (dst as usize * words, idx as usize * words);
                             regs[d..d + words].copy_from_slice(&packed[s..s + words]);
