@@ -1235,8 +1235,7 @@ pub fn all_experiments() -> Vec<(&'static str, fn() -> Table)> {
 /// X19 — Differential fuzzing throughput: seeded random conjunctive
 /// queries with random instances, each compiled through the full
 /// engine-option matrix (optimizer on/off × tracing on/off)
-/// and checked against the RAM baselines with the structural
-/// validators armed. Reports cases/sec and the divergence count —
+/// and checked against the RAM baselines. Reports cases/sec and the divergence count —
 /// which must be zero for the reproduction's equivalence claim to
 /// stand.
 pub fn x19_differential() -> Table {

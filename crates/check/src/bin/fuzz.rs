@@ -5,9 +5,9 @@
 //! ```
 //!
 //! Runs `N` seeded cases through the full engine-option matrix and
-//! exits non-zero on the first divergence or validator failure, after
-//! shrinking it and (when `--corpus-dir` is given) writing the minimal
-//! replayable case there as `shrunk-<seed>.case`.
+//! exits non-zero on the first divergence, after shrinking it and (when
+//! `--corpus-dir` is given) writing the minimal replayable case there as
+//! `shrunk-<seed>.case`.
 
 use qec_check::{fuzz_many, run_case, shrink_case, Case, Divergence};
 use std::time::Instant;

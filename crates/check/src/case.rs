@@ -31,13 +31,9 @@ impl EngineOptions {
         }
     }
 
-    /// Translates to driver [`CompileOptions`]. Structural validation is
-    /// always on — the differ wants the validator running after every
-    /// pipeline stage regardless of the sampled configuration.
+    /// Translates to driver [`CompileOptions`].
     pub fn compile_options(&self) -> CompileOptions {
-        let mut opts = CompileOptions::sequential()
-            .with_optimize(self.optimize)
-            .with_validate(true);
+        let mut opts = CompileOptions::sequential().with_optimize(self.optimize);
         if self.traced {
             opts = opts.with_recorder(Recorder::new(true));
         }

@@ -13,7 +13,7 @@
 
 use crate::case::EngineOptions;
 use crate::differ::{digest, harness, Divergence};
-use qec_circuit::{decode_relation, validate, CompileOptions, CompiledCircuit, Mode};
+use qec_circuit::{decode_relation, CompileOptions, CompiledCircuit, Mode};
 use qec_datalog::{
     compile, database, eval_provenance, provenance, result_relation, seminaive, workloads,
     DatalogProgram, FixpointBounds,
@@ -167,10 +167,6 @@ pub fn run_datalog_case(
 
     // Stage 4: the lowered word circuit under the options matrix.
     let lowered = fx.rc.lower_with(Mode::Build, &CompileOptions::sequential());
-    validate(&lowered.circuit).map_err(|e| Divergence::Validator {
-        stage: "datalog-lower",
-        error: e.to_string(),
-    })?;
     let inputs = lowered
         .layout
         .values(&db)

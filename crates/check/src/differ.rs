@@ -7,28 +7,31 @@
 //!    the flat `yannakakis` baseline (acyclic queries), and
 //!    `OutputSensitive::evaluate_ram` must all agree.
 //! 2. The naive relational circuit's RAM interpreter must match.
-//! 3. The lowered word circuit is structurally validated, checked for a
-//!    flat-tape serialize/decode round-trip (gate-for-gate equality), then
-//!    compiled and evaluated under every [`EngineOptions`] point in the
-//!    sweep matrix; each decoded output must equal the RAM ground truth.
-//! 4. Optionally the bit-level lowering and bit optimizer run under the
-//!    structural validator as well, plus a bit-tape round-trip and the
-//!    bitsliced `BitEngine`: the tape is compiled once (the bit compile
-//!    takes no options) and every available kernel must reproduce
-//!    per-instance
+//! 3. The lowered word circuit is checked for a flat-tape
+//!    serialize/decode round-trip (gate-for-gate equality), then compiled
+//!    and evaluated under every [`EngineOptions`] point in the sweep
+//!    matrix; each decoded output must equal the RAM ground truth.
+//! 4. Optionally the bit-level lowering and bit optimizer run as well,
+//!    plus a bit-tape round-trip and the bitsliced `BitEngine`: the tape
+//!    is compiled once (the bit compile takes no options) and every
+//!    available kernel must reproduce per-instance
 //!    `BitCircuit::evaluate` lane for lane on a random batch, and the
 //!    case input's unpacked output must match the word interpreter.
 //!    Finally two networked GMW sessions must reproduce the same
 //!    reference on a small batch, failing assertion gate included.
+//!
+//! Structural validity needs no stage of its own: every circuit is
+//! checked where it is made ([`Circuit::from_raw`],
+//! [`BitCircuit::from_raw`](qec_circuit::BitCircuit::from_raw)), and an
+//! optimizing compile checks the optimizer's assertion-provenance map.
 //!
 //! Any disagreement comes back as a [`Divergence`] naming the stage and
 //! configuration, ready for the shrinker.
 
 use crate::case::{Case, EngineOptions};
 use qec_circuit::{
-    decode_relation, lower_with, optimize_bits_with, validate, validate_bits, BitEvalScratch,
-    BitKernel, BitTape, Circuit, CompileOptions, CompiledBitCircuit, CompiledCircuit, Gate, Mode,
-    WordTape,
+    decode_relation, lower_with, optimize_bits_with, BitEvalScratch, BitKernel, BitTape, Circuit,
+    CompileOptions, CompiledBitCircuit, CompiledCircuit, Gate, Mode, WordTape,
 };
 use qec_core::{naive_circuit, OutputSensitive};
 use qec_query::baseline::{evaluate_pairwise, generic_join, yannakakis};
@@ -49,11 +52,13 @@ pub enum Divergence {
         /// Human-readable got/want detail.
         detail: String,
     },
-    /// A structural validator rejected a circuit.
-    Validator {
-        /// Pipeline stage that produced the rejected circuit.
+    /// A stage's own cross-check failed: a tape round trip did not give
+    /// back the circuit it encoded, or the `BitEngine` disagreed with the
+    /// bit interpreter.
+    Check {
+        /// The stage whose check failed.
         stage: &'static str,
-        /// The validator's error.
+        /// What the check found.
         error: String,
     },
     /// Compilation or evaluation errored under one configuration.
@@ -124,9 +129,7 @@ impl fmt::Display for Divergence {
             Divergence::Baseline { family, detail } => {
                 write!(f, "RAM baseline {family} disagrees: {detail}")
             }
-            Divergence::Validator { stage, error } => {
-                write!(f, "validator rejected {stage} circuit: {error}")
-            }
+            Divergence::Check { stage, error } => write!(f, "{stage} check failed: {error}"),
             Divergence::Engine {
                 options,
                 stage,
@@ -241,14 +244,14 @@ pub(crate) fn harness(msg: impl fmt::Display) -> Divergence {
 ///
 /// `matrix` is the engine-option sweep; `mutation` optionally injects a
 /// miscompile into the word circuit before the sweep; `check_bits` also
-/// pushes the circuit through the bit-level lowering and optimizer under
-/// the structural validator (markedly slower, so the fuzz loop samples
-/// it); `check_serve` replays the case through the `qec-serve` batching
-/// server (also sampled — it pays one extra canonical-plan compile) and
-/// demands results identical to direct evaluation. `check_serve` is
-/// skipped under a mutation: the server compiles from query source, so
-/// an injected miscompile of the direct circuit is invisible to it by
-/// construction.
+/// pushes the circuit through the bit-level lowering and optimizer, the
+/// bit tape, the `BitEngine` and GMW (markedly slower, so the fuzz loop
+/// samples it); `check_serve` replays the case through the `qec-serve`
+/// batching server (also sampled — it pays one extra canonical-plan
+/// compile) and demands results identical to direct evaluation.
+/// `check_serve` is skipped under a mutation: the server compiles from
+/// query source, so an injected miscompile of the direct circuit is
+/// invisible to it by construction.
 pub fn run_case(
     case: &Case,
     matrix: &[EngineOptions],
@@ -307,12 +310,8 @@ pub fn run_case(
         });
     }
 
-    // Stage 3: lower to the word IR and validate.
+    // Stage 3: lower to the word IR.
     let lowered = rc.lower_with(Mode::Build, &CompileOptions::sequential());
-    validate(&lowered.circuit).map_err(|e| Divergence::Validator {
-        stage: "lower",
-        error: e.to_string(),
-    })?;
 
     // Stage 3b: flat-tape round-trip — encode the lowered word circuit
     // to an instruction tape, serialize, reload, decode, and demand the
@@ -324,7 +323,7 @@ pub fn run_case(
         let bytes = tape.to_bytes();
         let back = WordTape::from_bytes(&bytes)
             .and_then(|t| t.decode())
-            .map_err(|e| Divergence::Validator {
+            .map_err(|e| Divergence::Check {
                 stage: "word-tape-roundtrip",
                 error: format!("reload: {e}"),
             })?;
@@ -332,7 +331,7 @@ pub fn run_case(
             || back.outputs() != lowered.circuit.outputs()
             || back.num_inputs() != lowered.circuit.num_inputs()
         {
-            return Err(Divergence::Validator {
+            return Err(Divergence::Check {
                 stage: "word-tape-roundtrip",
                 error: "decoded tape produced a different circuit".into(),
             });
@@ -389,26 +388,17 @@ pub fn run_case(
         check_serve_stage(case, &expect)?;
     }
 
-    // Stage 5 (sampled): bit-level lowering + optimizer under the
-    // structural validator.
+    // Stage 5 (sampled): bit-level lowering + optimizer.
     if check_bits {
         let bits = lower_with(&circuit, 64, &CompileOptions::sequential());
-        validate_bits(&bits).map_err(|e| Divergence::Validator {
-            stage: "bit-lower",
-            error: e.to_string(),
-        })?;
         let (opt_bits, _) = optimize_bits_with(&bits, &CompileOptions::sequential());
-        validate_bits(&opt_bits).map_err(|e| Divergence::Validator {
-            stage: "bit-optimize",
-            error: e.to_string(),
-        })?;
         outcome.bit_gates = opt_bits.gates().len();
 
         // Stage 5b: bit-tape round-trip, same contract as the word tape.
         let tape = BitTape::encode(&bits);
         let back = BitTape::from_bytes(&tape.to_bytes())
             .and_then(|t| t.decode())
-            .map_err(|e| Divergence::Validator {
+            .map_err(|e| Divergence::Check {
                 stage: "bit-tape-roundtrip",
                 error: format!("reload: {e}"),
             })?;
@@ -416,7 +406,7 @@ pub fn run_case(
             || back.outputs() != bits.outputs()
             || back.num_inputs() != bits.num_inputs()
         {
-            return Err(Divergence::Validator {
+            return Err(Divergence::Check {
                 stage: "bit-tape-roundtrip",
                 error: "decoded tape produced a different bit circuit".into(),
             });
@@ -443,12 +433,10 @@ pub fn run_case(
             .iter()
             .map(|inst| bits.evaluate_with(inst, &mut scratch).map(<[bool]>::to_vec))
             .collect();
-        let word_want = circuit
-            .evaluate(&inputs)
-            .map_err(|e| Divergence::Validator {
-                stage: "bitengine-batch",
-                error: format!("word interpreter rejected the case input: {e}"),
-            })?;
+        let word_want = circuit.evaluate(&inputs).map_err(|e| Divergence::Check {
+            stage: "bitengine-batch",
+            error: format!("word interpreter rejected the case input: {e}"),
+        })?;
         for kernel in BitKernel::available() {
             let got = eng.clone().with_kernel(kernel).evaluate_batch(&instances);
             if got != reference {
@@ -457,7 +445,7 @@ pub fn run_case(
                     .zip(&reference)
                     .position(|(g, r)| g != r)
                     .unwrap_or(0);
-                return Err(Divergence::Validator {
+                return Err(Divergence::Check {
                     stage: "bitengine-batch",
                     error: format!(
                         "kernel {} diverged from BitCircuit::evaluate at lane {lane}",
@@ -471,7 +459,7 @@ pub fn run_case(
             .remove(0)
             .map(|out| bits.unpack_outputs(&out));
         if words.as_ref() != Ok(&word_want) {
-            return Err(Divergence::Validator {
+            return Err(Divergence::Check {
                 stage: "bitengine-words",
                 error: format!(
                     "unpacked BitEngine output diverged from the word interpreter: \
@@ -673,8 +661,8 @@ mod tests {
         let (cq, _db, dc) = case.materialize().unwrap();
         let (rc, _) = naive_circuit(&cq, &dc).unwrap();
         let lowered = rc.lower_with(Mode::Build, &CompileOptions::sequential());
+        // `mutate_circuit` rebuilds through the checked `Circuit::from_raw`.
         let mutated = mutate_circuit(&lowered.circuit, &Mutation { index: 0 }).unwrap();
-        assert!(validate(&mutated).is_ok());
         assert_ne!(
             mutated.gates(),
             lowered.circuit.gates(),

@@ -11,9 +11,10 @@
 //! * [`differ`] compiles each query through the full pipeline under a
 //!   matrix of [`CompileOptions`](qec_circuit::CompileOptions) points
 //!   (optimizer on/off × tracing on/off) and insists every
-//!   decoded circuit output equals the RAM references, with the
-//!   structural validators ([`qec_circuit::validate()`],
-//!   [`qec_circuit::validate_bits`]) armed after every stage;
+//!   decoded circuit output equals the RAM references (structural
+//!   validity is checked where each circuit is made, by
+//!   [`qec_circuit::Circuit::from_raw`] and
+//!   [`qec_circuit::BitCircuit::from_raw`]);
 //! * [`shrink`] delta-debugs a divergent case down to a minimal
 //!   replayable fragment;
 //! * [`corpus`] serializes cases as small text files under

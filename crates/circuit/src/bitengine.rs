@@ -10,9 +10,9 @@
 //!
 //! The compile step ([`CompiledBitCircuit::compile_gmw`], the one bit
 //! compile and the one schedule for plaintext and GMW alike) takes no
-//! options: it compiles the circuit exactly as given, so a caller that
-//! wants validation runs [`validate_bits`](crate::validate_bits) first
-//! and one that wants the bit optimizer runs
+//! options: it compiles the circuit exactly as given, which
+//! [`BitCircuit::from_raw`](crate::BitCircuit::from_raw) has already
+//! checked, so a caller that wants the bit optimizer runs
 //! [`optimize_bits_with`](crate::optimize_bits_with) first. It mirrors
 //! the word engine's ([`CompiledCircuit`](crate::CompiledCircuit)):
 //!
@@ -751,8 +751,9 @@ fn gmw_schedule(gates: &[BGate], args: &mut [[u32; 3]]) -> Schedule {
 }
 
 /// Mask of lanes `[lane_base, lane_base + 64)` that index a real
-/// instance in a block of `n`.
-fn valid_mask(n: usize, lane_base: usize) -> u64 {
+/// instance in a block of `n`. The GMW session masks its lanes with it
+/// too.
+pub fn valid_mask(n: usize, lane_base: usize) -> u64 {
     if n >= lane_base + 64 {
         !0
     } else if n <= lane_base {
@@ -765,8 +766,9 @@ fn valid_mask(n: usize, lane_base: usize) -> u64 {
 /// Transposes a block of instances into input-major lane words:
 /// `out[idx * words + w]` bit `l` is instance `w*64 + l`'s input `idx`.
 /// Instances with the wrong arity contribute zeros (the caller reports
-/// their [`EvalError::InputArity`] and never reads their lanes).
-fn pack_block(block: &[Vec<bool>], num_inputs: usize, words: usize, out: &mut Vec<u64>) {
+/// their [`EvalError::InputArity`] and never reads their lanes). The GMW
+/// session packs its input shares with it too.
+pub fn pack_block(block: &[Vec<bool>], num_inputs: usize, words: usize, out: &mut Vec<u64>) {
     out.clear();
     out.resize(num_inputs * words, 0);
     for (l, inst) in block.iter().enumerate() {
@@ -780,43 +782,6 @@ fn pack_block(block: &[Vec<bool>], num_inputs: usize, words: usize, out: &mut Ve
             }
         }
     }
-}
-
-/// Transposes a full batch of equal-arity instances into input-major
-/// lane words (`words = batch.len().div_ceil(64)` per input row) — the
-/// public bit-matrix transpose, used by `qec-mpc` to pack share
-/// vectors. Returns the matrix and its row stride in words.
-pub fn pack_instances(instances: &[Vec<bool>], num_inputs: usize) -> (Vec<u64>, usize) {
-    let words = instances.len().div_ceil(64).max(1);
-    let mut out = vec![0u64; num_inputs * words];
-    for (l, inst) in instances.iter().enumerate() {
-        debug_assert_eq!(inst.len(), num_inputs, "pack_instances wants equal arity");
-        let (word, bit) = (l / 64, l % 64);
-        for (idx, &b) in inst.iter().enumerate() {
-            if b && idx < num_inputs {
-                out[idx * words + word] |= 1u64 << bit;
-            }
-        }
-    }
-    (out, words)
-}
-
-/// Inverse transpose of [`pack_instances`] for an output matrix laid
-/// out `outputs × words`: recovers per-instance bit vectors for the
-/// first `lanes` lanes.
-pub fn unpack_outputs(
-    matrix: &[u64],
-    num_outputs: usize,
-    words: usize,
-    lanes: usize,
-) -> Vec<Vec<bool>> {
-    (0..lanes)
-        .map(|l| {
-            (0..num_outputs)
-                .map(|o| matrix[o * words + l / 64] >> (l % 64) & 1 == 1)
-                .collect()
-        })
-        .collect()
 }
 
 /// The shared kernel body: `W` transposed words per register. The
@@ -1006,15 +971,5 @@ mod tests {
         let b = CompiledBitCircuit::compile_gmw(&bits);
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_ne!(a.fingerprint(), 0);
-    }
-
-    #[test]
-    fn pack_unpack_transpose_round_trip() {
-        let instances: Vec<Vec<bool>> = (0..67)
-            .map(|i| (0..5).map(|j| (i + j) % 3 == 0).collect())
-            .collect();
-        let (m, words) = pack_instances(&instances, 5);
-        assert_eq!(words, 2);
-        assert_eq!(unpack_outputs(&m, 5, words, 67), instances);
     }
 }

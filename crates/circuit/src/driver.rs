@@ -1,13 +1,16 @@
 //! The unified compile driver: one options struct and one entry point.
 //!
 //! [`CompileOptions`] is the single value that travels the whole
-//! pipeline — whether the optimizer runs, whether the validator checks
-//! every stage, and where observability data goes — and
-//! [`CompiledCircuit::compile_with`] is the one driver that consumes it,
-//! returning just the engine. Where the compile time went is on the
-//! recorder, as `compile`, `optimize` and `tape` spans. Every pass it
-//! drives (word build, optimize, bit lowering, bit optimize) is one
-//! sequential walk over its gate list.
+//! pipeline — whether the optimizer runs and where observability data
+//! goes — and [`CompiledCircuit::compile_with`] is the one driver that
+//! consumes it, returning just the engine. There is no validation knob:
+//! circuits are valid by construction (see [`crate::validate`]), and
+//! the one invariant no type carries, the optimizer's
+//! assertion-provenance map, is checked on every optimizing compile.
+//! Where the compile time went is on the recorder, as `compile`,
+//! `optimize` and `tape` spans. Every pass it drives (word build,
+//! optimize, bit lowering, bit optimize) is one sequential walk over its
+//! gate list.
 //!
 //! Observability has two sinks by design:
 //!
@@ -28,9 +31,9 @@ use qec_obs::Recorder;
 use crate::engine::CompiledCircuit;
 use crate::ir::{Circuit, EvalError};
 
-/// Options consumed by every pipeline entry point: the optimizer switch,
-/// the validator switch, and the observability sink. Construct with
-/// [`CompileOptions::from_env`] (honours `QEC_TRACE` / `QEC_VALIDATE`) or
+/// Options consumed by every pipeline entry point: the optimizer switch
+/// and the observability sink. Construct with
+/// [`CompileOptions::from_env`] (honours `QEC_TRACE`) or
 /// [`CompileOptions::sequential`], then refine with the `with_*`
 /// builders.
 #[derive(Clone, Debug)]
@@ -38,13 +41,6 @@ pub struct CompileOptions {
     /// Run the word-level optimizer before taping (`true` everywhere
     /// except raw A/B measurements).
     pub optimize: bool,
-    /// Run the structural validator ([`crate::validate()`]) on the circuit
-    /// after every driver stage (on the source before anything runs, and
-    /// on the optimizer's output together with its assertion-provenance
-    /// map). A violation aborts the compile with
-    /// [`EvalError::Invalid`]. Off by default — it is a harness/debug
-    /// knob, also reachable via `QEC_VALIDATE=1` in the environment.
-    pub validate: bool,
     /// Span/counter sink for the driver stages. Disabled by default —
     /// the fast path costs one boolean check per stage.
     pub recorder: Recorder,
@@ -54,22 +50,19 @@ impl CompileOptions {
     /// Environment-driven options: `QEC_TRACE` selects the process-global
     /// recorder (enabled iff the variable is set to a non-empty value
     /// other than `0`), so driver spans and low-level builder counters
-    /// share one document, and `QEC_VALIDATE` switches the validator on
-    /// the same way.
+    /// share one document.
     pub fn from_env() -> CompileOptions {
         CompileOptions {
             optimize: true,
-            validate: std::env::var("QEC_VALIDATE").is_ok_and(|v| !v.is_empty() && v != "0"),
             recorder: qec_obs::global(),
         }
     }
 
-    /// Optimizing, unvalidated, untraced: the environment-independent
-    /// options tests and embedders start from.
+    /// Optimizing and untraced: the environment-independent options
+    /// tests and embedders start from.
     pub fn sequential() -> CompileOptions {
         CompileOptions {
             optimize: true,
-            validate: false,
             recorder: Recorder::disabled(),
         }
     }
@@ -77,12 +70,6 @@ impl CompileOptions {
     /// Switches the word-level optimizer on or off.
     pub fn with_optimize(mut self, optimize: bool) -> CompileOptions {
         self.optimize = optimize;
-        self
-    }
-
-    /// Switches the after-every-stage structural validator on or off.
-    pub fn with_validate(mut self, validate: bool) -> CompileOptions {
-        self.validate = validate;
         self
     }
 
@@ -104,22 +91,18 @@ impl CompiledCircuit {
     /// `opts` — the single compile entry point. When `opts.optimize` is
     /// set the word-level optimizer runs first and assertion failures
     /// keep reporting **source** gate indices via
-    /// [`OptStats::assert_origin`](crate::OptStats::assert_origin). The
+    /// [`OptStats::assert_origin`](crate::OptStats::assert_origin), a map
+    /// [`validate_opt`](crate::validate_opt) checks on every optimizing
+    /// compile ([`EvalError::Invalid`] if it is unsound). The
     /// `compile`, `optimize` and `tape` spans and the
     /// `engine.peak_registers` / `engine.tape_len` gauges go to
     /// `opts.recorder`.
     pub fn compile_with(c: &Circuit, opts: &CompileOptions) -> Result<CompiledCircuit, EvalError> {
-        if opts.validate {
-            crate::validate::validate(c).map_err(EvalError::Invalid)?;
-        }
         let recorder = &opts.recorder;
         let _root = recorder.span("compile");
         let eng = if opts.optimize {
             let (opt_c, st) = crate::opt::optimize_with(c, opts);
-            if opts.validate {
-                crate::validate::validate(&opt_c).map_err(EvalError::Invalid)?;
-                crate::validate::validate_opt(c, &opt_c, &st).map_err(EvalError::Invalid)?;
-            }
+            crate::validate::validate_opt(c, &opt_c, &st).map_err(EvalError::Invalid)?;
             let mut eng = {
                 let _tape = recorder.span("tape");
                 Self::compile_inner(&opt_c, Some(&st))

@@ -87,9 +87,10 @@ pub enum EvalError {
         /// The non-zero value observed.
         value: u64,
     },
-    /// A structural invariant violation found by the validator
-    /// ([`crate::validate()`]) when compiling with
-    /// [`CompileOptions::with_validate`](crate::CompileOptions::with_validate).
+    /// The optimizer's assertion-provenance map failed
+    /// [`validate_opt`](crate::validate_opt), which
+    /// [`CompiledCircuit::compile_with`](crate::CompiledCircuit::compile_with)
+    /// runs whenever it optimizes.
     Invalid(crate::validate::ValidateError),
     /// Wire-id allocation ran past the 32-bit id space of the in-memory
     /// IR. Construction used to wrap silently here. No builder, decoder
@@ -431,7 +432,17 @@ impl Builder {
     }
 
     /// Finalizes the circuit with the given output wires.
+    ///
+    /// # Panics
+    /// Panics if an output is not a wire of this builder, as every other
+    /// method does on a foreign [`WireId`].
     pub fn finish(self, outputs: Vec<WireId>) -> Circuit {
+        if let Some(&w) = outputs.iter().find(|&&w| w as usize >= self.gates.len()) {
+            panic!(
+                "output wire {w} is not one of the builder's {} wires",
+                self.gates.len()
+            );
+        }
         let rec = qec_obs::global();
         if rec.is_enabled() {
             rec.add("build.gates", self.size);
@@ -467,10 +478,10 @@ impl Circuit {
     /// Builds a materialized circuit from a raw gate list, recomputing
     /// depths and size: the one constructor for gate lists made outside a
     /// [`Builder`] (the offline optimizer, tape decoding, hand-edited
-    /// circuits). Every operand must name an earlier wire and every output
-    /// a wire of the list; otherwise the typed
-    /// [`ValidateError::ForwardReference`] or
-    /// [`ValidateError::OutputOutOfRange`] comes back.
+    /// circuits). Every operand must name an earlier wire, the `Input`
+    /// gates must carry `0, 1, 2, …` in wire order and number
+    /// `num_inputs`, and every output must name a wire of the list;
+    /// otherwise the typed [`ValidateError`] comes back.
     pub fn from_raw(
         gates: Vec<Gate>,
         outputs: Vec<WireId>,
@@ -478,9 +489,19 @@ impl Circuit {
     ) -> Result<Circuit, ValidateError> {
         let mut depths: Vec<u32> = Vec::with_capacity(gates.len());
         let mut size = 0u64;
+        let mut found = 0usize;
         for (i, g) in gates.iter().enumerate() {
-            if !matches!(g, Gate::Input(_) | Gate::Const(_)) {
-                size += 1;
+            match *g {
+                Gate::Input(declared) if declared != found => {
+                    return Err(ValidateError::InputIndexOutOfOrder {
+                        gate: i,
+                        declared,
+                        expected: found,
+                    })
+                }
+                Gate::Input(_) => found += 1,
+                Gate::Const(_) => {}
+                _ => size += 1,
             }
             let mut d = 0;
             for &w in g.operands().iter().flatten() {
@@ -493,6 +514,12 @@ impl Circuit {
                 d = d.max(dw + 1);
             }
             depths.push(d);
+        }
+        if found != num_inputs {
+            return Err(ValidateError::InputCountMismatch {
+                declared: num_inputs,
+                found,
+            });
         }
         if let Some(position) = outputs.iter().position(|&w| w as usize >= gates.len()) {
             return Err(ValidateError::OutputOutOfRange {
@@ -809,6 +836,35 @@ mod tests {
                 wire: 2
             })
         );
+    }
+
+    #[test]
+    fn from_raw_rejects_sparse_or_miscounted_inputs() {
+        // Accepted unchecked, this circuit made the interpreter and the
+        // word engine index past their one-element input slice.
+        assert_eq!(
+            Circuit::from_raw(vec![Gate::Input(5)], vec![0], 1).err(),
+            Some(ValidateError::InputIndexOutOfOrder {
+                gate: 0,
+                declared: 5,
+                expected: 0
+            })
+        );
+        assert_eq!(
+            Circuit::from_raw(vec![Gate::Input(0)], vec![0], 2).err(),
+            Some(ValidateError::InputCountMismatch {
+                declared: 2,
+                found: 1
+            })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "is not one of the builder's")]
+    fn finish_rejects_a_foreign_output() {
+        let mut b = Builder::new();
+        b.input();
+        b.finish(vec![1]);
     }
 
     #[test]

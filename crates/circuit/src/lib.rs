@@ -52,9 +52,7 @@ mod sort;
 pub mod tape;
 pub mod validate;
 
-pub use bitengine::{
-    pack_instances, unpack_outputs, BitEngineStats, BitKernel, BitOp, BitReg, CompiledBitCircuit,
-};
+pub use bitengine::{BitEngineStats, BitKernel, BitOp, BitReg, CompiledBitCircuit};
 pub use decompose::{decompose, DecomposedPart};
 pub use driver::CompileOptions;
 pub use engine::{CompiledCircuit, EngineStats, GATE_KINDS};
@@ -74,6 +72,4 @@ pub use scan::{scan, segmented_scan};
 pub use schedule::{brent_steps, level_widths};
 pub use sort::{sort_slots, sort_slots_network, SortKey, SortNetwork};
 pub use tape::{fnv1a64, BitTape, TapeError, WordTape};
-pub use validate::{
-    validate, validate_bit_tape, validate_bits, validate_opt, validate_word_tape, ValidateError,
-};
+pub use validate::{validate_opt, ValidateError};

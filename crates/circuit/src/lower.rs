@@ -19,6 +19,7 @@ use std::sync::OnceLock;
 
 use crate::cons::{hash_fields, ConsTable};
 use crate::driver::CompileOptions;
+use crate::validate::ValidateError;
 use crate::{Circuit, Gate, WireId};
 
 /// A bit-level gate over GF(2) with NOT.
@@ -49,7 +50,8 @@ pub enum BGate {
 /// cached in a `OnceLock`; sealing is what makes that cache sound — a
 /// circuit mutated after the first metrics read would silently keep
 /// reporting the stale numbers. To change a circuit, build a new one
-/// with [`BitCircuit::new`].
+/// with [`BitCircuit::from_raw`], which also makes sure the gate list is
+/// a valid circuit.
 pub struct BitCircuit {
     /// Gates in topological order.
     gates: Vec<BGate>,
@@ -74,15 +76,66 @@ struct BitMetrics {
 }
 
 impl BitCircuit {
-    /// Assembles a bit circuit. Gates must be topologically ordered.
-    pub fn new(gates: Vec<BGate>, outputs: Vec<u32>, num_inputs: usize, width: u32) -> BitCircuit {
-        BitCircuit {
+    /// Assembles a bit circuit from a raw gate list: the one
+    /// constructor, used by [`lower_with`], [`optimize_bits_with`] and
+    /// [`BitTape::decode`](crate::BitTape::decode). Every operand must
+    /// name an earlier wire, the `Input` gates must carry `0, 1, 2, …` in
+    /// wire order and number `num_inputs`, every output must name a wire
+    /// of the list, and the outputs must be whole `width`-bit words;
+    /// otherwise the typed [`ValidateError`] comes back.
+    pub fn from_raw(
+        gates: Vec<BGate>,
+        outputs: Vec<u32>,
+        num_inputs: usize,
+        width: u32,
+    ) -> Result<BitCircuit, ValidateError> {
+        let mut found = 0usize;
+        for (i, g) in gates.iter().enumerate() {
+            let ops = match *g {
+                BGate::Input(declared) if declared as usize != found => {
+                    return Err(ValidateError::InputIndexOutOfOrder {
+                        gate: i,
+                        declared: declared as usize,
+                        expected: found,
+                    })
+                }
+                BGate::Input(_) => {
+                    found += 1;
+                    [None, None]
+                }
+                BGate::Const(_) => [None, None],
+                BGate::Xor(a, b) | BGate::And(a, b) => [Some(a), Some(b)],
+                BGate::Not(a) | BGate::AssertFalse(a) => [Some(a), None],
+            };
+            if let Some(operand) = ops.into_iter().flatten().find(|&w| w as usize >= i) {
+                return Err(ValidateError::ForwardReference { gate: i, operand });
+            }
+        }
+        if found != num_inputs {
+            return Err(ValidateError::InputCountMismatch {
+                declared: num_inputs,
+                found,
+            });
+        }
+        if let Some(position) = outputs.iter().position(|&w| w as usize >= gates.len()) {
+            return Err(ValidateError::OutputOutOfRange {
+                position,
+                wire: outputs[position],
+            });
+        }
+        if width != 0 && !outputs.len().is_multiple_of(width as usize) {
+            return Err(ValidateError::OutputWidthMismatch {
+                outputs: outputs.len(),
+                width,
+            });
+        }
+        Ok(BitCircuit {
             gates,
             outputs,
             num_inputs,
             width,
             metrics: OnceLock::new(),
-        }
+        })
     }
 
     /// The gates, in topological order.
@@ -615,11 +668,7 @@ fn lower_seq(c: &Circuit, width: u32) -> BitCircuit {
     // vector after its last consumer, or at once when it has none.
     // Topological order means a freed slot is never read again.
     let mut word_bits: Vec<Vec<u32>> = Vec::with_capacity(src.len());
-    let mut num_input_bits = 0usize;
     for (i, g) in src.iter().enumerate() {
-        if let Gate::Input(idx) = *g {
-            num_input_bits = num_input_bits.max((idx + 1) * w);
-        }
         let bits = lw.lower_gate(*g, &word_bits, w);
         word_bits.push(if last_use[i] == 0 { Vec::new() } else { bits });
         for op in g.operands().into_iter().flatten() {
@@ -634,7 +683,8 @@ fn lower_seq(c: &Circuit, width: u32) -> BitCircuit {
         .iter()
         .flat_map(|&w_id: &WireId| word_bits[w_id as usize].clone())
         .collect();
-    BitCircuit::new(lw.gates, outputs, num_input_bits, width)
+    BitCircuit::from_raw(lw.gates, outputs, c.num_inputs() * w, width)
+        .expect("lowering a valid word circuit yields a valid bit circuit")
 }
 
 /// Counters describing one [`optimize_bits_with`] run.
@@ -748,7 +798,8 @@ fn optimize_bits_seq(bc: &BitCircuit) -> (BitCircuit, BitOptStats) {
         .iter()
         .map(|&o| remap[map[o as usize] as usize])
         .collect();
-    let opt = BitCircuit::new(gates, outputs, bc.num_inputs, bc.width);
+    let opt = BitCircuit::from_raw(gates, outputs, bc.num_inputs, bc.width)
+        .expect("the rewrite keeps inputs in order and operands earlier");
     let stats = BitOptStats {
         gates_before: bc.gate_count(),
         gates_after: opt.gate_count(),
@@ -930,7 +981,7 @@ mod tests {
             BGate::Not(4),    // 5: = 1
             BGate::And(2, 5), // 6: (x & y) & 1 = x & y
         ];
-        let bc = BitCircuit::new(gates, vec![6], 2, 1);
+        let bc = BitCircuit::from_raw(gates, vec![6], 2, 1).unwrap();
         let (opt, st) = optimize_bits_with(&bc, &CompileOptions::sequential());
         assert_eq!(st.and_before, 3);
         assert_eq!(st.and_after, 1, "only one real AND remains");
@@ -953,7 +1004,7 @@ mod tests {
             BGate::Const(true),
             BGate::AssertFalse(1),
         ];
-        let bc = BitCircuit::new(gates, vec![], 0, 1);
+        let bc = BitCircuit::from_raw(gates, vec![], 0, 1).unwrap();
         let (opt, _) = optimize_bits_with(&bc, &CompileOptions::sequential());
         assert!(
             opt.evaluate(&[]).is_err(),
@@ -965,7 +1016,7 @@ mod tests {
             BGate::Const(true),
             BGate::AssertFalse(0),
         ];
-        let bc = BitCircuit::new(gates, vec![], 0, 1);
+        let bc = BitCircuit::from_raw(gates, vec![], 0, 1).unwrap();
         let (opt, _) = optimize_bits_with(&bc, &CompileOptions::sequential());
         assert!(opt.evaluate(&[]).is_ok());
         assert_eq!(opt.gate_count(), 0);
@@ -1037,7 +1088,7 @@ mod tests {
         gates.push(BGate::AssertFalse(n)); // folds away
         gates.push(BGate::AssertFalse(0)); // folds away
         gates.push(BGate::AssertFalse(5)); // survives (input wire)
-        BitCircuit::new(gates, vec![n - 1, n - 3, 7], 4, 1)
+        BitCircuit::from_raw(gates, vec![n - 1, n - 3, 7], 4, 1).unwrap()
     }
 
     /// The optimized circuit answers like its source on every input: the

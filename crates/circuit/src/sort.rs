@@ -373,6 +373,55 @@ mod tests {
         }
     }
 
+    /// Knuth's 0-1 principle: a comparator network sorts every input iff
+    /// it sorts every 0/1 input. Bit-sliced, so one pass covers all 2^n
+    /// inputs: lane `x` of wire `i` is bit `i` of `x`, and a comparator
+    /// is `(a & b, a | b)`. Padding wires hold 1s, as the padding slots
+    /// of [`sort_slots_network`] sort last.
+    #[test]
+    fn both_networks_sort_every_zero_one_input_up_to_twenty_wires() {
+        // Lane pattern of wire i < 6 inside one 64-lane word.
+        let low = |i: usize| {
+            (0..64)
+                .filter(|l| l >> i & 1 == 1)
+                .fold(0u64, |m, l| m | 1 << l)
+        };
+        for network in [SortNetwork::OddEvenMerge, SortNetwork::Bitonic] {
+            for n in 2..=20usize {
+                let words = (1usize << n).div_ceil(64);
+                let m = n.next_power_of_two();
+                let mut wires: Vec<Vec<u64>> = (0..m)
+                    .map(|i| match i {
+                        _ if i >= n => vec![!0; words],
+                        0..=5 => vec![low(i); words],
+                        // All ones in the words whose index has bit i - 6.
+                        _ => (0..words)
+                            .map(|w| 0u64.wrapping_sub((w >> (i - 6) & 1) as u64))
+                            .collect(),
+                    })
+                    .collect();
+                for (i, j, ascending) in comparators(network, m) {
+                    let (head, tail) = wires.split_at_mut(j); // i < j
+                    let (min, max) = if ascending {
+                        (&mut head[i], &mut tail[0])
+                    } else {
+                        (&mut tail[0], &mut head[i])
+                    };
+                    for (a, b) in min.iter_mut().zip(max.iter_mut()) {
+                        (*a, *b) = (*a & *b, *a | *b);
+                    }
+                }
+                for p in 0..m - 1 {
+                    let above = wires[p]
+                        .iter()
+                        .zip(&wires[p + 1])
+                        .any(|(&a, &b)| a & !b != 0);
+                    assert!(!above, "{network:?} n={n}: a 1 above a 0 at output {p}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn odd_even_uses_fewer_comparators_than_bitonic() {
         for e in [4u32, 6, 8] {

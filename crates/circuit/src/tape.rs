@@ -35,6 +35,7 @@ use std::path::Path;
 
 use crate::engine::kind_index;
 use crate::lower::{BGate, BitCircuit, MAX_BIT_WIRES};
+use crate::validate::ValidateError;
 use crate::{Circuit, Gate, WireId};
 
 /// Serialization/encoding failure, one variant per rejection reason so
@@ -105,6 +106,10 @@ pub enum TapeError {
         /// The format's id capacity.
         limit: u64,
     },
+    /// The instruction stream does not describe a valid circuit: its
+    /// input indices are not dense, or its bit outputs are not whole
+    /// words.
+    Invalid(ValidateError),
     /// An I/O failure while saving or loading.
     Io(String),
 }
@@ -151,6 +156,7 @@ impl fmt::Display for TapeError {
                 f,
                 "circuit too large for this tape format: {wires} wires, format limit {limit}"
             ),
+            TapeError::Invalid(e) => write!(f, "tape is not a valid circuit: {e}"),
             TapeError::Io(e) => write!(f, "tape i/o error: {e}"),
         }
     }
@@ -426,54 +432,34 @@ impl WordTape {
 
     /// Decodes back into the in-memory IR. The result is gate-for-gate
     /// identical to the circuit that was encoded (same gates, outputs and
-    /// input count — the differ checks this).
+    /// input count — the differ checks this). A tape is only ever made by
+    /// [`WordTape::encode`] or the checked [`WordTape::from_bytes`], so
+    /// the decoded gate list is a valid circuit.
     pub fn decode(&self) -> Result<Circuit, TapeError> {
         let mut gates = Vec::with_capacity(self.num_wires as usize);
         self.for_each_instruction(|_w, op, a, b, c| {
-            let limit = gates.len() as u64;
-            let chk = |o: u64| -> Result<WireId, TapeError> {
-                if o >= limit {
-                    return Err(TapeError::OperandOutOfRange {
-                        word: gates.len(),
-                        operand: o,
-                        limit,
-                    });
-                }
-                Ok(o as WireId)
-            };
-            let g = match op {
+            let w = |o: u64| o as WireId;
+            gates.push(match op {
                 OP_INPUT => Gate::Input(a as usize),
                 OP_CONST => Gate::Const(a),
-                3 => Gate::Add(chk(a)?, chk(b)?),
-                4 => Gate::Sub(chk(a)?, chk(b)?),
-                5 => Gate::Mul(chk(a)?, chk(b)?),
-                6 => Gate::Eq(chk(a)?, chk(b)?),
-                7 => Gate::Lt(chk(a)?, chk(b)?),
-                8 => Gate::And(chk(a)?, chk(b)?),
-                9 => Gate::Or(chk(a)?, chk(b)?),
-                10 => Gate::Xor(chk(a)?, chk(b)?),
-                11 => Gate::Not(chk(a)?),
-                OP_MUX => Gate::Mux(chk(a)?, chk(b)?, chk(c)?),
-                OP_ASSERT => Gate::AssertZero(chk(a)?),
+                3 => Gate::Add(w(a), w(b)),
+                4 => Gate::Sub(w(a), w(b)),
+                5 => Gate::Mul(w(a), w(b)),
+                6 => Gate::Eq(w(a), w(b)),
+                7 => Gate::Lt(w(a), w(b)),
+                8 => Gate::And(w(a), w(b)),
+                9 => Gate::Or(w(a), w(b)),
+                10 => Gate::Xor(w(a), w(b)),
+                11 => Gate::Not(w(a)),
+                OP_MUX => Gate::Mux(w(a), w(b), w(c)),
+                OP_ASSERT => Gate::AssertZero(w(a)),
                 _ => unreachable!("for_each_instruction rejects bad opcodes"),
-            };
-            gates.push(g);
+            });
             Ok(())
         })?;
-        let limit = gates.len() as u64;
-        let mut outputs = Vec::with_capacity(self.outputs.len());
-        for (i, &o) in self.outputs.iter().enumerate() {
-            if o >= limit {
-                return Err(TapeError::OperandOutOfRange {
-                    word: self.code.len() + i,
-                    operand: o,
-                    limit,
-                });
-            }
-            outputs.push(o as WireId);
-        }
+        let outputs = self.outputs.iter().map(|&o| o as WireId).collect();
         Ok(Circuit::from_raw(gates, outputs, self.num_inputs as usize)
-            .expect("decode checked every operand"))
+            .expect("the tape was checked when it was made"))
     }
 
     /// Walks the instruction stream, handing each decoded instruction
@@ -586,7 +572,7 @@ impl WordTape {
             code,
             outputs,
         };
-        crate::validate::validate_word_tape(&t)?;
+        check_word_tape(&t)?;
         Ok(t)
     }
 
@@ -699,7 +685,10 @@ impl BitTape {
     }
 
     /// Decodes back into a [`BitCircuit`], gate-for-gate identical to
-    /// the encoded one.
+    /// the encoded one. A tape is only ever made by [`BitTape::encode`]
+    /// or the checked [`BitTape::from_bytes`], so the decoded gate list
+    /// is a valid circuit; the one refusal left is a tape past the
+    /// in-memory IR's 32-bit wire ids.
     pub fn decode(&self) -> Result<BitCircuit, TapeError> {
         if self.num_wires > MAX_BIT_WIRES + 1 {
             return Err(TapeError::TooLargeForFormat {
@@ -708,54 +697,24 @@ impl BitTape {
             });
         }
         let mut gates = Vec::with_capacity(self.num_wires as usize);
-        self.for_each_instruction(|w, op, a, b| {
-            let limit = gates.len() as u64;
-            let chk = |o: u64| -> Result<u32, TapeError> {
-                if o >= limit {
-                    return Err(TapeError::OperandOutOfRange {
-                        word: gates.len(),
-                        operand: o,
-                        limit,
-                    });
-                }
-                Ok(o as u32)
-            };
-            let g = match op {
+        self.for_each_instruction(|_w, op, a, b| {
+            let w = |o: u64| o as u32;
+            gates.push(match op {
                 BOP_CONST => BGate::Const(a != 0),
-                BOP_INPUT => {
-                    BGate::Input(u32::try_from(a).map_err(|_| TapeError::OperandOutOfRange {
-                        word: w,
-                        operand: a,
-                        limit: 1 << 32,
-                    })?)
-                }
-                BOP_XOR => BGate::Xor(chk(a)?, chk(b)?),
-                BOP_AND => BGate::And(chk(a)?, chk(b)?),
-                BOP_NOT => BGate::Not(chk(a)?),
-                BOP_ASSERT => BGate::AssertFalse(chk(a)?),
+                BOP_INPUT => BGate::Input(w(a)),
+                BOP_XOR => BGate::Xor(w(a), w(b)),
+                BOP_AND => BGate::And(w(a), w(b)),
+                BOP_NOT => BGate::Not(w(a)),
+                BOP_ASSERT => BGate::AssertFalse(w(a)),
                 _ => unreachable!("for_each_instruction rejects bad opcodes"),
-            };
-            gates.push(g);
+            });
             Ok(())
         })?;
-        let limit = gates.len() as u64;
-        let mut outputs = Vec::with_capacity(self.outputs.len());
-        for (i, &o) in self.outputs.iter().enumerate() {
-            if o >= limit {
-                return Err(TapeError::OperandOutOfRange {
-                    word: self.code.len() + i,
-                    operand: o,
-                    limit,
-                });
-            }
-            outputs.push(o as u32);
-        }
-        Ok(BitCircuit::new(
-            gates,
-            outputs,
-            self.num_inputs as usize,
-            self.width,
-        ))
+        let outputs = self.outputs.iter().map(|&o| o as u32).collect();
+        Ok(
+            BitCircuit::from_raw(gates, outputs, self.num_inputs as usize, self.width)
+                .expect("the tape was checked when it was made"),
+        )
     }
 
     fn for_each_instruction<F>(&self, mut f: F) -> Result<(), TapeError>
@@ -849,7 +808,7 @@ impl BitTape {
             code,
             outputs,
         };
-        crate::validate::validate_bit_tape(&t)?;
+        check_bit_tape(&t)?;
         Ok(t)
     }
 
@@ -871,7 +830,7 @@ fn check_bop(word: usize, op: u64) -> Result<(), TapeError> {
     Ok(())
 }
 
-// ---- structural validation (driven by `crate::validate`) ----
+// ---- structural checks, run by `from_bytes` on every load ----
 
 fn check_operand(word: usize, o: u64, wires: u64) -> Result<(), TapeError> {
     if o >= wires {
@@ -884,14 +843,45 @@ fn check_operand(word: usize, o: u64, wires: u64) -> Result<(), TapeError> {
     Ok(())
 }
 
+/// Counts `Input` instructions, demanding the dense indices `0, 1, 2, …`
+/// in wire order that [`Circuit::from_raw`] and
+/// [`BitCircuit::from_raw`] demand of the decoded gate list.
+#[derive(Default)]
+struct InputCount(u64);
+
+impl InputCount {
+    fn next(&mut self, wire: u64, declared: u64) -> Result<(), TapeError> {
+        if declared != self.0 {
+            return Err(TapeError::Invalid(ValidateError::InputIndexOutOfOrder {
+                gate: wire as usize,
+                declared: declared as usize,
+                expected: self.0 as usize,
+            }));
+        }
+        self.0 += 1;
+        Ok(())
+    }
+
+    fn finish(self, header: u64) -> Result<(), TapeError> {
+        if self.0 != header {
+            return Err(TapeError::Invalid(ValidateError::InputCountMismatch {
+                declared: header as usize,
+                found: self.0 as usize,
+            }));
+        }
+        Ok(())
+    }
+}
+
 /// One pass over a word tape without materializing gates: opcode
-/// validity, topological operands, input indices inside the declared
-/// arity, header wire count, and output range.
+/// validity, topological operands, dense input indices matching the
+/// declared arity, header wire count, and output range.
 pub(crate) fn check_word_tape(t: &WordTape) -> Result<(), TapeError> {
     let mut wires = 0u64;
+    let mut inputs = InputCount::default();
     t.for_each_instruction(|word, op, a, b, c| {
         match op {
-            OP_INPUT => check_operand(word, a, t.num_inputs)?,
+            OP_INPUT => inputs.next(wires, a)?,
             OP_CONST => {}
             OP_MUX => {
                 for o in [a, b, c] {
@@ -907,6 +897,7 @@ pub(crate) fn check_word_tape(t: &WordTape) -> Result<(), TapeError> {
         wires += 1;
         Ok(())
     })?;
+    inputs.finish(t.num_inputs)?;
     if wires != t.num_wires {
         return Err(TapeError::WireCountMismatch {
             header: t.num_wires,
@@ -920,13 +911,14 @@ pub(crate) fn check_word_tape(t: &WordTape) -> Result<(), TapeError> {
 }
 
 /// One pass over a bit tape: same checks as [`check_word_tape`] at the
-/// bit level.
+/// bit level, plus outputs that are whole `width`-bit words.
 pub(crate) fn check_bit_tape(t: &BitTape) -> Result<(), TapeError> {
     let mut wires = 0u64;
+    let mut inputs = InputCount::default();
     t.for_each_instruction(|word, op, a, b| {
         match op {
             BOP_CONST => {}
-            BOP_INPUT => check_operand(word, a, t.num_inputs)?,
+            BOP_INPUT => inputs.next(wires, a)?,
             BOP_XOR | BOP_AND => {
                 check_operand(word, a, wires)?;
                 check_operand(word, b, wires)?;
@@ -936,6 +928,7 @@ pub(crate) fn check_bit_tape(t: &BitTape) -> Result<(), TapeError> {
         wires += 1;
         Ok(())
     })?;
+    inputs.finish(t.num_inputs)?;
     if wires != t.num_wires {
         return Err(TapeError::WireCountMismatch {
             header: t.num_wires,
@@ -944,6 +937,12 @@ pub(crate) fn check_bit_tape(t: &BitTape) -> Result<(), TapeError> {
     }
     for (i, &o) in t.outputs.iter().enumerate() {
         check_operand(t.code.len() + i, o, wires)?;
+    }
+    if t.width != 0 && !t.outputs.len().is_multiple_of(t.width as usize) {
+        return Err(TapeError::Invalid(ValidateError::OutputWidthMismatch {
+            outputs: t.outputs.len(),
+            width: t.width,
+        }));
     }
     Ok(())
 }
@@ -1114,9 +1113,9 @@ mod tests {
 
     #[test]
     fn input_bit_indices_past_u32_are_rejected_not_truncated() {
-        // Only the wide format can carry such an index. The header
-        // declares enough inputs for the loader's range check to pass,
-        // so `decode` is the one that must refuse to narrow it.
+        // Only the wide format can carry such an index. Input indices
+        // must be dense, so the loader refuses it before `decode` could
+        // narrow it.
         let index = 1u64 << 32;
         let t = BitTape {
             format: FORMAT_WIDE,
@@ -1126,14 +1125,63 @@ mod tests {
             code: vec![BOP_INPUT, index],
             outputs: vec![0],
         };
-        let t = BitTape::from_bytes(&t.to_bytes()).unwrap();
         assert_eq!(
-            t.decode().err(),
-            Some(TapeError::OperandOutOfRange {
-                word: 0,
-                operand: index,
-                limit: 1 << 32
-            })
+            BitTape::from_bytes(&t.to_bytes()),
+            Err(TapeError::Invalid(ValidateError::InputIndexOutOfOrder {
+                gate: 0,
+                declared: index as usize,
+                expected: 0
+            }))
+        );
+    }
+
+    #[test]
+    fn repeated_input_indices_are_rejected_on_load() {
+        // Each index is below the declared arity, so a range check alone
+        // lets both tapes through.
+        let word = WordTape {
+            format: FORMAT_NARROW,
+            num_inputs: 2,
+            num_wires: 2,
+            code: vec![pack_narrow(OP_INPUT, 0, 0), pack_narrow(OP_INPUT, 0, 0)],
+            outputs: vec![1],
+        };
+        let bit = BitTape {
+            format: FORMAT_NARROW,
+            width: 1,
+            num_inputs: 2,
+            num_wires: 2,
+            code: vec![pack_narrow(BOP_INPUT, 0, 0), pack_narrow(BOP_INPUT, 0, 0)],
+            outputs: vec![1],
+        };
+        let repeated = TapeError::Invalid(ValidateError::InputIndexOutOfOrder {
+            gate: 1,
+            declared: 0,
+            expected: 1,
+        });
+        assert_eq!(
+            WordTape::from_bytes(&word.to_bytes()),
+            Err(repeated.clone())
+        );
+        assert_eq!(BitTape::from_bytes(&bit.to_bytes()), Err(repeated));
+    }
+
+    #[test]
+    fn bit_outputs_that_split_a_word_are_rejected_on_load() {
+        let t = BitTape {
+            format: FORMAT_NARROW,
+            width: 2,
+            num_inputs: 1,
+            num_wires: 1,
+            code: vec![pack_narrow(BOP_INPUT, 0, 0)],
+            outputs: vec![0, 0, 0],
+        };
+        assert_eq!(
+            BitTape::from_bytes(&t.to_bytes()),
+            Err(TapeError::Invalid(ValidateError::OutputWidthMismatch {
+                outputs: 3,
+                width: 2
+            }))
         );
     }
 

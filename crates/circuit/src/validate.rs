@@ -1,27 +1,28 @@
-//! Structural validation of word- and bit-level circuits.
+//! Structural invariants of word- and bit-level circuits.
 //!
-//! Every pipeline stage (build, optimize, tape, bit lowering, bit
-//! optimization) must preserve a small set of structural invariants:
-//! gates reference only earlier wires (the DAG is topologically ordered
-//! by construction, so acyclicity is a per-gate index check), input
-//! indices are dense, outputs name real wires, the cached size/depth
-//! metadata matches the gate list, and the optimizer's
-//! [`OptStats::assert_origin`] map points every surviving assertion at a
-//! real assertion gate of the source circuit. The differential fuzzing
-//! harness (`qec-check`) runs these checkers after every stage; the
-//! compile driver runs them on demand via
-//! [`CompileOptions::with_validate`](crate::CompileOptions::with_validate).
+//! A circuit is valid by construction. The word
+//! [`Builder`](crate::Builder) only makes valid circuits, and every gate
+//! list made outside it goes through [`Circuit::from_raw`] or
+//! [`BitCircuit::from_raw`](crate::BitCircuit::from_raw): the optimizer,
+//! the bit lowering, the bit optimizer and tape decoding all do. Both
+//! check that gates read only earlier wires (so the DAG is topologically
+//! ordered and acyclicity is a per-gate index check), that input indices
+//! are dense, and that outputs name real wires; the bit constructor also
+//! checks that the outputs are whole `width`-bit words. A violation is a
+//! typed [`ValidateError`].
 //!
-//! Validation is `O(gates)` and allocation-light — cheap enough to leave
-//! on in any test or fuzz configuration, while the default (off) keeps
-//! the production compile path free of redundant passes.
+//! The one invariant no type carries is the optimizer's
+//! [`OptStats::assert_origin`] map, which [`validate_opt`] checks in
+//! `O(assert gates)`.
+//! [`CompiledCircuit::compile_with`](crate::CompiledCircuit::compile_with)
+//! runs it whenever it optimizes.
 
 use crate::ir::{Circuit, Gate, WireId};
-use crate::lower::{BGate, BitCircuit};
 use crate::opt::OptStats;
 
-/// A structural invariant violation found by [`validate`],
-/// [`validate_bits`], or [`validate_opt`].
+/// A structural invariant violation found by [`Circuit::from_raw`],
+/// [`BitCircuit::from_raw`](crate::BitCircuit::from_raw), or
+/// [`validate_opt`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ValidateError {
     /// Gate `gate` reads wire `operand` that is not strictly earlier —
@@ -43,7 +44,7 @@ pub enum ValidateError {
     },
     /// The circuit declares a different input count than its gate list.
     InputCountMismatch {
-        /// `Circuit::num_inputs()`.
+        /// The input count the constructor (or the tape header) was given.
         declared: usize,
         /// `Input` gates actually present.
         found: usize,
@@ -55,26 +56,12 @@ pub enum ValidateError {
         /// The out-of-range wire.
         wire: WireId,
     },
-    /// Cached per-wire depth disagrees with the recomputed value — the
-    /// level structure (and any levelized schedule built from it) is
-    /// inconsistent.
-    DepthMismatch {
-        /// Index of the offending wire.
-        gate: usize,
-        /// Depth recomputed from the operands.
-        expected: u32,
-        /// Depth the circuit caches.
-        cached: u32,
-    },
-    /// Cached aggregate metadata (logic-gate count or circuit depth)
-    /// disagrees with the gate list.
-    MetadataMismatch {
-        /// Which aggregate disagrees (`"size"` or `"depth"`).
-        what: &'static str,
-        /// Value recomputed from the gate list.
-        expected: u64,
-        /// Value the circuit caches.
-        cached: u64,
+    /// The output list is not a whole number of `width`-bit words.
+    OutputWidthMismatch {
+        /// Output bits the circuit lists.
+        outputs: usize,
+        /// The word width the bits are grouped by.
+        width: u32,
     },
     /// An `assert_origin` entry points outside a circuit or at a gate
     /// that is not an assertion.
@@ -108,19 +95,10 @@ impl std::fmt::Display for ValidateError {
             ValidateError::OutputOutOfRange { position, wire } => {
                 write!(f, "output {position} names out-of-range wire {wire}")
             }
-            ValidateError::DepthMismatch {
-                gate,
-                expected,
-                cached,
-            } => write!(
+            ValidateError::OutputWidthMismatch { outputs, width } => write!(
                 f,
-                "wire {gate} depth is {expected} by recomputation but cached as {cached}"
+                "{outputs} output bits are not a whole number of {width}-bit words"
             ),
-            ValidateError::MetadataMismatch {
-                what,
-                expected,
-                cached,
-            } => write!(f, "circuit {what} is {expected} but cached as {cached}"),
             ValidateError::AssertOriginInvalid {
                 optimized,
                 source,
@@ -134,150 +112,6 @@ impl std::fmt::Display for ValidateError {
 }
 
 impl std::error::Error for ValidateError {}
-
-/// Checks the structural invariants of a word-level [`Circuit`]:
-/// topologically ordered (acyclic) wiring, dense input indices, in-range
-/// outputs, and cached depth/size metadata consistent with the gate
-/// list.
-pub fn validate(c: &Circuit) -> Result<(), ValidateError> {
-    let gates = c.gates();
-    let depths = c.wire_depths();
-    let mut num_inputs = 0usize;
-    let mut size = 0u64;
-    let mut depth = 0u32;
-    for (i, g) in gates.iter().enumerate() {
-        if let Gate::Input(declared) = *g {
-            if declared != num_inputs {
-                return Err(ValidateError::InputIndexOutOfOrder {
-                    gate: i,
-                    declared,
-                    expected: num_inputs,
-                });
-            }
-            num_inputs += 1;
-        }
-        let mut d = 0u32;
-        for &w in c.gate_operands(i).iter().flatten() {
-            if w as usize >= i {
-                return Err(ValidateError::ForwardReference {
-                    gate: i,
-                    operand: w,
-                });
-            }
-            d = d.max(depths[w as usize] + 1);
-        }
-        if !matches!(g, Gate::Input(_) | Gate::Const(_)) {
-            size += 1;
-        }
-        if depths[i] != d {
-            return Err(ValidateError::DepthMismatch {
-                gate: i,
-                expected: d,
-                cached: depths[i],
-            });
-        }
-        depth = depth.max(d);
-    }
-    if num_inputs != c.num_inputs() {
-        return Err(ValidateError::InputCountMismatch {
-            declared: c.num_inputs(),
-            found: num_inputs,
-        });
-    }
-    if size != c.size() {
-        return Err(ValidateError::MetadataMismatch {
-            what: "size",
-            expected: size,
-            cached: c.size(),
-        });
-    }
-    if depth != c.depth() {
-        return Err(ValidateError::MetadataMismatch {
-            what: "depth",
-            expected: u64::from(depth),
-            cached: u64::from(c.depth()),
-        });
-    }
-    for (position, &wire) in c.outputs().iter().enumerate() {
-        if wire as usize >= c.num_wires() {
-            return Err(ValidateError::OutputOutOfRange { position, wire });
-        }
-    }
-    Ok(())
-}
-
-/// Checks the structural invariants of a bit-level [`BitCircuit`]:
-/// topologically ordered wiring, dense input-bit indices, in-range
-/// outputs, and an output count that is a whole number of `width`-bit
-/// words.
-pub fn validate_bits(bc: &BitCircuit) -> Result<(), ValidateError> {
-    let gates = bc.gates();
-    let mut num_inputs = 0usize;
-    for (i, g) in gates.iter().enumerate() {
-        let ops: [Option<u32>; 2] = match *g {
-            BGate::Input(declared) => {
-                let declared = declared as usize;
-                if declared != num_inputs {
-                    return Err(ValidateError::InputIndexOutOfOrder {
-                        gate: i,
-                        declared,
-                        expected: num_inputs,
-                    });
-                }
-                num_inputs += 1;
-                [None, None]
-            }
-            BGate::Const(_) => [None, None],
-            BGate::Xor(a, b) | BGate::And(a, b) => [Some(a), Some(b)],
-            BGate::Not(a) | BGate::AssertFalse(a) => [Some(a), None],
-        };
-        for w in ops.into_iter().flatten() {
-            if w as usize >= i {
-                return Err(ValidateError::ForwardReference {
-                    gate: i,
-                    operand: w,
-                });
-            }
-        }
-    }
-    if num_inputs != bc.num_inputs() {
-        return Err(ValidateError::InputCountMismatch {
-            declared: bc.num_inputs(),
-            found: num_inputs,
-        });
-    }
-    if bc.width() != 0 && !bc.outputs().len().is_multiple_of(bc.width() as usize) {
-        return Err(ValidateError::MetadataMismatch {
-            what: "size",
-            expected: (bc.outputs().len() - bc.outputs().len() % bc.width() as usize) as u64,
-            cached: bc.outputs().len() as u64,
-        });
-    }
-    for (position, &wire) in bc.outputs().iter().enumerate() {
-        if wire as usize >= gates.len() {
-            return Err(ValidateError::OutputOutOfRange { position, wire });
-        }
-    }
-    Ok(())
-}
-
-/// Validates a flat word tape without materializing its gates: opcode
-/// table membership, topological operand order, input indices within
-/// the declared arity, header/stream wire-count agreement, and output
-/// range. [`WordTape::from_bytes`](crate::tape::WordTape::from_bytes)
-/// runs this on every load, so a tape that parses is structurally
-/// sound.
-pub fn validate_word_tape(t: &crate::tape::WordTape) -> Result<(), crate::tape::TapeError> {
-    crate::tape::check_word_tape(t)
-}
-
-/// Validates a flat bit tape; same checks as [`validate_word_tape`] at
-/// the bit level, run by
-/// [`BitTape::from_bytes`](crate::tape::BitTape::from_bytes) on every
-/// load.
-pub fn validate_bit_tape(t: &crate::tape::BitTape) -> Result<(), crate::tape::TapeError> {
-    crate::tape::check_bit_tape(t)
-}
 
 /// Checks that the optimizer's assertion provenance map is sound: every
 /// `(optimized, source)` entry of [`OptStats::assert_origin`] names an
@@ -342,7 +176,8 @@ pub fn validate_opt(
 mod tests {
     use super::*;
     use crate::ir::Builder;
-    use crate::{lower_with, optimize_with, CompileOptions};
+    use crate::lower::{BGate, BitCircuit};
+    use crate::{optimize_with, CompileOptions};
 
     fn sample_simple() -> Circuit {
         let mut b = Builder::new();
@@ -356,55 +191,72 @@ mod tests {
     }
 
     #[test]
-    fn builder_circuits_validate() {
-        let c = sample_simple();
-        validate(&c).unwrap();
-    }
-
-    #[test]
     fn optimized_circuits_and_origins_validate() {
         let c = sample_simple();
         let (opt, stats) = optimize_with(&c, &CompileOptions::sequential());
-        validate(&opt).unwrap();
         validate_opt(&c, &opt, &stats).unwrap();
     }
 
     #[test]
-    fn lowered_circuits_validate() {
-        let c = sample_simple();
-        let bc = lower_with(&c, 8, &CompileOptions::sequential());
-        validate_bits(&bc).unwrap();
-        let (obc, _) = crate::optimize_bits_with(&bc, &CompileOptions::sequential());
-        validate_bits(&obc).unwrap();
-    }
-
-    #[test]
     fn forward_reference_is_caught() {
-        let bc = BitCircuit::new(
-            vec![BGate::Input(0), BGate::And(0, 2), BGate::Const(false)],
-            vec![1],
-            1,
-            1,
-        );
-        assert!(matches!(
-            validate_bits(&bc),
-            Err(ValidateError::ForwardReference {
-                gate: 1,
-                operand: 2
-            })
-        ));
+        // With `Const(true)` at wire 2 the interpreter read a default
+        // `false` there while the BitEngine read `true`: the two
+        // evaluators disagreed on a circuit nothing rejected.
+        for v in [false, true] {
+            let bc = BitCircuit::from_raw(
+                vec![BGate::Input(0), BGate::And(0, 2), BGate::Const(v)],
+                vec![1],
+                1,
+                1,
+            );
+            assert_eq!(
+                bc.err(),
+                Some(ValidateError::ForwardReference {
+                    gate: 1,
+                    operand: 2
+                })
+            );
+        }
     }
 
     #[test]
     fn bad_bit_output_is_caught() {
-        let bc = BitCircuit::new(vec![BGate::Input(0)], vec![9], 1, 1);
-        assert!(matches!(
-            validate_bits(&bc),
-            Err(ValidateError::OutputOutOfRange {
+        let bc = BitCircuit::from_raw(vec![BGate::Input(0)], vec![9], 1, 1);
+        assert_eq!(
+            bc.err(),
+            Some(ValidateError::OutputOutOfRange {
                 position: 0,
                 wire: 9
             })
-        ));
+        );
+    }
+
+    #[test]
+    fn bad_bit_inputs_and_widths_are_caught() {
+        let repeated = vec![BGate::Input(0), BGate::Input(0)];
+        assert_eq!(
+            BitCircuit::from_raw(repeated, vec![], 2, 1).err(),
+            Some(ValidateError::InputIndexOutOfOrder {
+                gate: 1,
+                declared: 0,
+                expected: 1
+            })
+        );
+        assert_eq!(
+            BitCircuit::from_raw(vec![BGate::Input(0)], vec![], 2, 1).err(),
+            Some(ValidateError::InputCountMismatch {
+                declared: 2,
+                found: 1
+            })
+        );
+        let gates = vec![BGate::Input(0), BGate::Input(1), BGate::Xor(0, 1)];
+        assert_eq!(
+            BitCircuit::from_raw(gates, vec![2, 2, 2], 2, 2).err(),
+            Some(ValidateError::OutputWidthMismatch {
+                outputs: 3,
+                width: 2
+            })
+        );
     }
 
     #[test]

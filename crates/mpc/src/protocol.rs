@@ -5,29 +5,15 @@
 //! pair.
 
 use crate::dealer::TripleSource;
-use crate::share::pack_share_block;
 use crate::transport::{Frame, FrameKind, Role, Transport};
 use crate::{MpcError, ProtocolStats};
-use qec_circuit::bitengine::{BitOp, CompiledBitCircuit};
+use qec_circuit::bitengine::{pack_block, valid_mask, BitOp, CompiledBitCircuit};
 use std::time::Instant;
 
 /// What [`run_two_party`](crate::run_two_party) returns: one `Result`
 /// per instance, in input order, plus the aggregate protocol stats for
 /// the whole batch.
 pub type BatchedOutcome = (Vec<Result<Vec<bool>, MpcError>>, ProtocolStats);
-
-/// Lanes of word `w` that hold real instances when the block carries
-/// `block_n` of them.
-fn valid_mask(block_n: usize, w: usize) -> u64 {
-    let lane_base = w * 64;
-    if block_n >= lane_base + 64 {
-        !0
-    } else if block_n <= lane_base {
-        0
-    } else {
-        (1u64 << (block_n - lane_base)) - 1
-    }
-}
 
 /// What one party's [`Session::run`] produces. Both parties compute the
 /// **same** `results` (outputs are publicly reconstructed in the final
@@ -170,7 +156,7 @@ impl<'a, T: Transport, S: TripleSource> Session<'a, T, S> {
 
         let p1 = self.role == Role::P1;
         let nr = eng.num_regs() as usize;
-        let mut packed = vec![0u64; num_inputs * words];
+        let mut packed = Vec::new();
         let mut regs = vec![0u64; nr * words];
         let mut fail = vec![u32::MAX; lanes];
         let mut results = Vec::with_capacity(shares.len());
@@ -184,7 +170,7 @@ impl<'a, T: Transport, S: TripleSource> Session<'a, T, S> {
         for block_start in (0..shares.len()).step_by(lanes) {
             let block_n = (shares.len() - block_start).min(lanes);
             let block = &shares[block_start..block_start + block_n];
-            pack_share_block(block, words, &mut packed);
+            pack_block(block, num_inputs, words, &mut packed);
             fail.fill(u32::MAX);
             assert_gates.clear();
             assert_words.clear();
@@ -312,7 +298,7 @@ impl<'a, T: Transport, S: TripleSource> Session<'a, T, S> {
                 }
                 off += 1;
                 for w in 0..words {
-                    let valid = valid_mask(block_n, w);
+                    let valid = valid_mask(block_n, w * 64);
                     let mut m = (assert_words[i * words + w] ^ peer.words[off + w]) & valid;
                     while m != 0 {
                         let lane = w * 64 + m.trailing_zeros() as usize;

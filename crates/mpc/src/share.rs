@@ -1,5 +1,4 @@
-//! XOR secret sharing of inputs and the transposed share packing the
-//! protocol runs on.
+//! XOR secret sharing of inputs.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,21 +17,6 @@ pub fn share_instances(instances: &[Vec<bool>], seed: u64) -> (Vec<Vec<bool>>, V
         shares1.push(s1);
     }
     (shares0, shares1)
-}
-
-/// Transposes one block of share vectors (each `num_inputs` long —
-/// [`Session::run`](crate::Session::run) checks arity first) into
-/// input-major lane words.
-pub(crate) fn pack_share_block(block: &[Vec<bool>], words: usize, out: &mut [u64]) {
-    out.fill(0);
-    for (l, inst) in block.iter().enumerate() {
-        let (word, bit) = (l / 64, l % 64);
-        for (idx, &b) in inst.iter().enumerate() {
-            if b {
-                out[idx * words + word] |= 1u64 << bit;
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -62,7 +62,7 @@ pub struct ServerConfig {
     /// through to it, and the server warm-starts from the plans it
     /// already holds (none when it is missing or empty).
     pub persist_dir: Option<std::path::PathBuf>,
-    /// Options for plan compilation (optimizer, validator, recorder).
+    /// Options for plan compilation (optimizer, recorder).
     pub compile: CompileOptions,
     /// Observability sink for serve-layer counters/gauges/spans.
     pub recorder: Recorder,
