@@ -1,21 +1,31 @@
-//! The hash-cons table behind every circuit construction pass: the word
-//! builder, the word optimizer's CSE, the bit lowering and bit
-//! optimizer, and the provenance DAG.
+//! The hash-cons behind every gate store: the word builder, the word
+//! optimizer's CSE, and the bit lowering and bit optimizer all intern
+//! through one [`ConsIndex`]. The provenance DAG, whose nodes have no
+//! fixed arity, keeps a plain [`ConsTable`].
 //!
-//! The table is *index-only*: a slot holds a wire id and a 7-bit hash
-//! tag, never the gate itself. The gate already lives in the caller's
-//! arena (a `Vec<Gate>` or `Vec<BGate>`), so a lookup compares the
-//! probe key against the arena record of each candidate whose tag
-//! matches, and a resize recomputes each id's hash from its record, visiting the ids in
-//! ascending order so the arena is read front to back. A slot costs 5
-//! bytes, where holding the key would cost 20 (a packed `u128` key
-//! beside the id) or about 25 (a `HashMap<Gate, WireId>` bucket).
+//! Both structures are *index-only*: they hold wire ids, never gates. The
+//! gate already lives in the caller's arena (a `Vec<Gate>` or
+//! `Vec<BGate>`, indexed by wire id), so a lookup compares the probe key
+//! against the arena records of its candidates.
+//!
+//! [`ConsIndex`] files each interned gate under its *youngest operand*,
+//! the largest of its operand ids. A gate can only equal an earlier gate
+//! with the same youngest operand, so per wire `y` a singly linked list
+//! (`head[y]`, then `next[..]`, newest first) holds every candidate. A
+//! lookup walks one list and compares arena records. Circuit builds
+//! consume what they just made, so the walked wires and records are
+//! recent and cache-hot, and the lists never rehash. A list stops
+//! growing at [`HUB_USERS`] entries: later users of such a *hub* wire,
+//! and the operand-free keys (constants), go to the *rest* table, a
+//! [`ConsTable`]. So no lookup walks more than [`HUB_USERS`] entries.
 //!
 //! [`ConsTable`] is an insert-only open-addressing table with linear
-//! probing, doubled at 3/4 load. Gate hashes come from [`hash_fields`]
-//! (provenance nodes, whose child lists have no fixed width, use
-//! SipHash): the slot index uses the low bits and the tag the top 7
-//! bits, so the two stay independent.
+//! probing, doubled at 3/4 load. A slot holds a wire id and a 7-bit hash
+//! tag (5 bytes), and a resize recomputes each id's hash from its arena
+//! record, visiting the ids in ascending order so the arena is read
+//! front to back. Gate hashes come from [`hash_fields`] (provenance
+//! nodes use SipHash): the slot index uses the low bits and the tag the
+//! top 7 bits, so the two stay independent.
 
 /// Splitmix64 finalizer.
 #[inline]
@@ -49,7 +59,7 @@ const MIN_SLOTS: usize = 16;
 /// goes if the caller inserts it. Valid until the table next changes.
 pub(crate) struct Vacant(usize);
 
-/// The index-only hash-cons (see the module docs).
+/// The index-only open-addressing hash-cons (see the module docs).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ConsTable {
     /// Per slot: `0` when empty, else [`tag`] of the entry's hash.
@@ -60,10 +70,6 @@ pub(crate) struct ConsTable {
 }
 
 impl ConsTable {
-    pub(crate) fn new() -> ConsTable {
-        ConsTable::default()
-    }
-
     /// Makes room for one more entry. When the insert would pass 3/4
     /// load the slot arrays double, and every stored id is re-placed
     /// under `hash_of(id)` — the hash of its arena record, which must
@@ -139,6 +145,234 @@ impl ConsTable {
     }
 }
 
+/// The longest a [`ConsIndex`] use list grows: a wire's first
+/// `HUB_USERS` interned users are listed under it, and later ones go to
+/// the rest table. It bounds every lookup's walk, so a wire thousands of
+/// gates use (a select bit, a shared key column) costs each lookup at
+/// most this many record compares and one table probe.
+pub const HUB_USERS: usize = 32;
+
+/// The end of a use list.
+const NIL: u32 = u32::MAX;
+
+/// A gate record a [`ConsIndex`] interns. The caller's arena holds the
+/// records, indexed by wire id; every operand of a record is an earlier
+/// wire.
+pub trait ConsKey: Copy + Eq {
+    /// The largest operand id, or `None` for an operand-free record.
+    fn youngest(&self) -> Option<u32>;
+    /// The record's hash. Equal records hash equally.
+    fn cons_hash(&self) -> u64;
+}
+
+/// Where a missed key goes, returned by [`ConsIndex::find`] and consumed
+/// by [`ConsIndex::insert`]. Valid until the index next changes.
+#[must_use = "a miss is only recorded by `ConsIndex::insert`"]
+pub struct Miss(Place);
+
+enum Place {
+    /// The head of the use list of this youngest operand.
+    List(u32),
+    /// The rest table's vacant slot, the key's hash, and whether the key
+    /// spills from a full use list (rather than having no operands).
+    Rest(Vacant, u64, bool),
+}
+
+/// Wires per chunk of [`ConsIndex`] links (32 KiB of links).
+const CHUNK: usize = 1 << 12;
+
+/// One wire's use-list words (see [`ConsIndex`]'s `links`).
+#[derive(Clone, Copy, Debug)]
+struct Link {
+    head: u32,
+    next: u32,
+}
+
+const UNLINKED: Link = Link {
+    head: NIL,
+    next: NIL,
+};
+
+/// The outcome of one use-list walk.
+enum Walk {
+    Hit(u32),
+    /// Not listed, and the list of this youngest operand has room.
+    Open(u32),
+    /// Not listed, and the list is full: look in the rest table.
+    Full,
+}
+
+/// The hash-cons over a gate arena: per-wire use lists keyed by
+/// youngest operand, plus a rest table for operand-free keys and the
+/// users of hub wires (see the module docs).
+///
+/// Interning is two calls around the caller's push:
+///
+/// ```text
+/// match index.find(&arena, key) {
+///     Ok(w) => w,
+///     Err(miss) => { let w = push(key); index.insert(miss, w); w }
+/// }
+/// ```
+///
+/// `find` returns the one earlier interned record equal to `key`, so the
+/// wire ids a store hands out do not depend on how the index is laid out.
+#[derive(Clone, Debug, Default)]
+pub struct ConsIndex {
+    /// Per wire `w`, in chunks of [`CHUNK`] wires: the `head` of the use
+    /// list of `w` (the newest interned gate whose youngest operand is
+    /// `w`), and the `next` gate after `w` in the list `w` is filed in.
+    /// Chunks are allocated once and never moved, so a growing index
+    /// neither copies its links nor leaves freed blocks behind.
+    links: Vec<Box<[Link; CHUNK]>>,
+    /// Operand-free keys and hub spills.
+    rest: ConsTable,
+    hits: u64,
+    misses: u64,
+    spills: u64,
+    longest_walk: usize,
+}
+
+impl ConsIndex {
+    /// An empty index.
+    pub fn new() -> ConsIndex {
+        ConsIndex::default()
+    }
+
+    /// Looks `key` up among the records of `arena` interned so far:
+    /// `Ok(id)` for the equal one, else where `key` goes once the
+    /// caller has pushed it.
+    #[inline]
+    pub fn find<K: ConsKey>(&mut self, arena: &[K], key: K) -> Result<u32, Miss> {
+        let walk = match key.youngest() {
+            Some(y) => self.walk(arena, key, y),
+            None => Walk::Full,
+        };
+        let found = match walk {
+            Walk::Hit(w) => Ok(w),
+            Walk::Open(y) => Err(Place::List(y)),
+            Walk::Full => {
+                let h = key.cons_hash();
+                self.rest.reserve_one(|w| arena[w as usize].cons_hash());
+                self.rest
+                    .find(h, |w| arena[w as usize] == key)
+                    .map_err(|at| Place::Rest(at, h, key.youngest().is_some()))
+            }
+        };
+        match found {
+            Ok(w) => {
+                self.hits += 1;
+                Ok(w)
+            }
+            Err(place) => {
+                self.misses += 1;
+                Err(Miss(place))
+            }
+        }
+    }
+
+    /// Walks the use list of `y` for `key`, newest first.
+    #[inline]
+    fn walk<K: ConsKey>(&mut self, arena: &[K], key: K, y: u32) -> Walk {
+        let mut w = self
+            .links
+            .get(y as usize / CHUNK)
+            .map_or(NIL, |c| c[y as usize % CHUNK].head);
+        let mut steps = 0;
+        while w != NIL {
+            steps += 1;
+            if arena[w as usize] == key {
+                self.longest_walk = self.longest_walk.max(steps);
+                return Walk::Hit(w);
+            }
+            w = self.link(w).next;
+        }
+        debug_assert!(
+            steps <= HUB_USERS,
+            "use list of wire {y} holds {steps} > {HUB_USERS} gates"
+        );
+        self.longest_walk = self.longest_walk.max(steps);
+        if steps < HUB_USERS {
+            Walk::Open(y)
+        } else {
+            Walk::Full
+        }
+    }
+
+    /// Records the wire `id` the caller pushed for the key `find` missed.
+    /// `id` must be newer than every wire interned before.
+    pub fn insert(&mut self, miss: Miss, id: u32) {
+        match miss.0 {
+            Place::List(y) => {
+                debug_assert!(id > y, "gate {id} does not follow its operand {y}");
+                while self.links.len() <= id as usize / CHUNK {
+                    let chunk = vec![UNLINKED; CHUNK].into_boxed_slice();
+                    self.links.push(chunk.try_into().expect("one chunk"));
+                }
+                let newest = self.link(y).head;
+                let l = self.link_mut(id);
+                debug_assert_eq!(l.next, NIL, "wire {id} interned twice");
+                l.next = newest;
+                self.link_mut(y).head = id;
+            }
+            Place::Rest(at, h, spill) => {
+                self.rest.insert(at, h, id);
+                self.spills += u64::from(spill);
+            }
+        }
+    }
+
+    #[inline]
+    fn link(&self, w: u32) -> &Link {
+        &self.links[w as usize / CHUNK][w as usize % CHUNK]
+    }
+
+    #[inline]
+    fn link_mut(&mut self, w: u32) -> &mut Link {
+        &mut self.links[w as usize / CHUNK][w as usize % CHUNK]
+    }
+
+    /// Lookups answered by an interned record.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Lookups that missed (each followed by an insert).
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
+
+    /// Interned keys filed in the rest table because their youngest
+    /// operand's use list was full.
+    pub fn spills(&self) -> u64 {
+        self.spills
+    }
+
+    /// The most use-list entries one lookup has compared.
+    pub fn longest_walk(&self) -> usize {
+        self.longest_walk
+    }
+
+    /// Heap bytes held by the use lists and the rest table, by capacity.
+    pub fn bytes(&self) -> usize {
+        self.links.len() * CHUNK * std::mem::size_of::<Link>()
+            + self.links.capacity() * std::mem::size_of::<Box<[Link; CHUNK]>>()
+            + self.rest.bytes()
+    }
+
+    /// Adds this index's counters to `rec` as `{pass}.cons_hits`,
+    /// `.cons_misses`, `.cons_spills` and the `.cons_bytes` gauge.
+    pub(crate) fn flush(&self, rec: &qec_obs::Recorder, pass: &str) {
+        if !rec.is_enabled() {
+            return;
+        }
+        rec.add(&format!("{pass}.cons_hits"), self.hits);
+        rec.add(&format!("{pass}.cons_misses"), self.misses);
+        rec.add(&format!("{pass}.cons_spills"), self.spills);
+        rec.gauge_max(&format!("{pass}.cons_bytes"), self.bytes() as u64);
+    }
+}
+
 /// Sorts distinct `ids` ascending with at most `budget` bytes of
 /// scratch. Ids that fill enough of their range are marked in a bitmap
 /// over it and read back in order, in linear time; sparser ones are
@@ -190,7 +424,7 @@ mod tests {
     #[test]
     fn colliding_hashes_still_tell_keys_apart() {
         // Hash = key % 7: heavy collisions, resolved by the arena compare.
-        let mut t = ConsTable::new();
+        let mut t = ConsTable::default();
         let mut keys = Vec::new();
         for k in 0..1000u64 {
             let (id, created) = intern(&mut t, &mut keys, k, k % 7);
@@ -207,7 +441,7 @@ mod tests {
     #[test]
     fn growth_keeps_every_entry_and_the_load_bound() {
         let h = |k: u64| hash_fields(3, k as u32, (k >> 32) as u32, 0);
-        let mut t = ConsTable::new();
+        let mut t = ConsTable::default();
         // An empty table answers every lookup with a miss.
         assert!(t.find(h(1), |_| true).is_err());
         let mut keys = Vec::new();
@@ -237,7 +471,7 @@ mod tests {
         // the bitmap's budget; stride 4099 is sparse enough to be sorted.
         let h = |id: u32| hash_fields(2, id, 0, 0);
         for stride in [7u32, 4099] {
-            let mut t = ConsTable::new();
+            let mut t = ConsTable::default();
             let rehashed = RefCell::new(Vec::new());
             let mut resizes = 0;
             for k in 0..20_000u32 {

@@ -1,6 +1,6 @@
 //! Word-level circuit IR: gates, builder, evaluator.
 
-use crate::cons::{hash_fields, ConsTable};
+use crate::cons::{hash_fields, ConsIndex, ConsKey};
 use crate::validate::ValidateError;
 use std::fmt;
 
@@ -149,10 +149,10 @@ impl std::error::Error for EvalError {}
 /// By default the builder hash-conses logic gates: pushing a gate that is
 /// structurally identical to an earlier one (after sorting the operands
 /// of commutative gates) returns the existing wire instead of a new one.
-/// The cons table is index-only: it stores wire ids and compares keys
-/// against the builder's own gate records. Constants go through the same
-/// table. Use [`Builder::without_cse`] when logic wire ids must track
-/// pushes one-for-one.
+/// The cons index stores wire ids and compares keys against the
+/// builder's own gate records. Constants go through the same index. Use
+/// [`Builder::without_cse`] when logic wire ids must track pushes
+/// one-for-one.
 pub struct Builder {
     /// Every wire's gate: the key arena of `cons`.
     gates: Vec<Gate>,
@@ -160,13 +160,9 @@ pub struct Builder {
     num_inputs: usize,
     size: u64,
     cse: bool,
-    /// Index-only hash-cons over `gates`: constants always, logic gates
-    /// when `cse` is on.
-    cons: ConsTable,
-    /// Interning lookups answered by an existing wire.
-    cons_hits: u64,
-    /// Interning lookups that created a wire.
-    cons_misses: u64,
+    /// Hash-cons over `gates`: constants always, logic gates when `cse`
+    /// is on.
+    cons: ConsIndex,
 }
 
 /// Sorts the operands of commutative gates so `add(a, b)` and
@@ -184,26 +180,45 @@ pub(crate) fn canon(gate: Gate) -> Gate {
     }
 }
 
-/// The cons-table hash of a gate: its kind tag and up to three operand
-/// words. The encoding is exact (`Const` values span two words, `Input`
-/// stores its index), so equal gates hash equally.
-pub(crate) fn gate_hash(g: Gate) -> u64 {
-    let (kind, a, b, c) = match g {
-        Gate::Input(i) => (1, u32::try_from(i).expect("input index fits u32"), 0, 0),
-        Gate::Const(v) => (2, v as u32, (v >> 32) as u32, 0),
-        Gate::Add(a, b) => (3, a, b, 0),
-        Gate::Sub(a, b) => (4, a, b, 0),
-        Gate::Mul(a, b) => (5, a, b, 0),
-        Gate::Eq(a, b) => (6, a, b, 0),
-        Gate::Lt(a, b) => (7, a, b, 0),
-        Gate::And(a, b) => (8, a, b, 0),
-        Gate::Or(a, b) => (9, a, b, 0),
-        Gate::Xor(a, b) => (10, a, b, 0),
-        Gate::Not(a) => (11, a, 0, 0),
-        Gate::Mux(s, a, b) => (12, s, a, b),
-        Gate::AssertZero(a) => (13, a, 0, 0),
-    };
-    hash_fields(kind, a, b, c)
+impl ConsKey for Gate {
+    #[inline]
+    fn youngest(&self) -> Option<u32> {
+        match *self {
+            Gate::Input(_) | Gate::Const(_) => None,
+            Gate::Not(a) | Gate::AssertZero(a) => Some(a),
+            Gate::Add(a, b)
+            | Gate::Sub(a, b)
+            | Gate::Mul(a, b)
+            | Gate::Eq(a, b)
+            | Gate::Lt(a, b)
+            | Gate::And(a, b)
+            | Gate::Or(a, b)
+            | Gate::Xor(a, b) => Some(a.max(b)),
+            Gate::Mux(s, a, b) => Some(s.max(a).max(b)),
+        }
+    }
+
+    /// The kind tag and up to three operand words. The encoding is exact
+    /// (`Const` values span two words, `Input` stores its index), so
+    /// equal gates hash equally.
+    fn cons_hash(&self) -> u64 {
+        let (kind, a, b, c) = match *self {
+            Gate::Input(i) => (1, u32::try_from(i).expect("input index fits u32"), 0, 0),
+            Gate::Const(v) => (2, v as u32, (v >> 32) as u32, 0),
+            Gate::Add(a, b) => (3, a, b, 0),
+            Gate::Sub(a, b) => (4, a, b, 0),
+            Gate::Mul(a, b) => (5, a, b, 0),
+            Gate::Eq(a, b) => (6, a, b, 0),
+            Gate::Lt(a, b) => (7, a, b, 0),
+            Gate::And(a, b) => (8, a, b, 0),
+            Gate::Or(a, b) => (9, a, b, 0),
+            Gate::Xor(a, b) => (10, a, b, 0),
+            Gate::Not(a) => (11, a, 0, 0),
+            Gate::Mux(s, a, b) => (12, s, a, b),
+            Gate::AssertZero(a) => (13, a, 0, 0),
+        };
+        hash_fields(kind, a, b, c)
+    }
 }
 
 impl Default for Builder {
@@ -221,9 +236,7 @@ impl Builder {
             num_inputs: 0,
             size: 0,
             cse: true,
-            cons: ConsTable::new(),
-            cons_hits: 0,
-            cons_misses: 0,
+            cons: ConsIndex::new(),
         }
     }
 
@@ -268,20 +281,13 @@ impl Builder {
     }
 
     /// Returns the wire of an earlier gate equal to `key`, or pushes
-    /// `key` and records it in the cons table.
+    /// `key` and records it in the cons index.
     fn intern(&mut self, key: Gate, depth: u32, is_logic: bool) -> WireId {
-        let h = gate_hash(key);
-        let gates = &self.gates;
-        self.cons.reserve_one(|w| gate_hash(gates[w as usize]));
-        match self.cons.find(h, |w| gates[w as usize] == key) {
-            Ok(w) => {
-                self.cons_hits += 1;
-                w
-            }
-            Err(at) => {
-                self.cons_misses += 1;
+        match self.cons.find(&self.gates, key) {
+            Ok(w) => w,
+            Err(miss) => {
                 let w = self.push(key, depth, is_logic);
-                self.cons.insert(at, h, w);
+                self.cons.insert(miss, w);
                 w
             }
         }
@@ -447,10 +453,8 @@ impl Builder {
         if rec.is_enabled() {
             rec.add("build.gates", self.size);
             rec.add("build.wires", self.depths.len() as u64);
-            rec.add("build.cons_hits", self.cons_hits);
-            rec.add("build.cons_misses", self.cons_misses);
-            rec.gauge_max("build.cons_bytes", self.cons.bytes() as u64);
         }
+        self.cons.flush(&rec, "build");
         let depth = self.depth();
         Circuit {
             gates: self.gates,

@@ -10,14 +10,15 @@
 //!
 //! Both passes here, [`lower_with`] and the bit optimizer
 //! [`optimize_bits_with`], are one sequential walk over a topologically
-//! ordered gate list into one store (`Lowerer`: a gate vector plus an
-//! index-only cons table), so a wire's id is its creation order. This is
+//! ordered gate list into one store (`Lowerer`: a gate vector plus a
+//! cons index that files each gate under its youngest operand), so a
+//! wire's id is its creation order. This is
 //! the only bit lowering; [`BitTape::encode`](crate::BitTape::encode)
 //! turns its result into the storage and transfer format.
 
 use std::sync::OnceLock;
 
-use crate::cons::{hash_fields, ConsTable};
+use crate::cons::{hash_fields, ConsIndex, ConsKey};
 use crate::driver::CompileOptions;
 use crate::validate::ValidateError;
 use crate::{Circuit, Gate, WireId};
@@ -337,8 +338,8 @@ fn remap_bgate(g: BGate, renum: &[u32]) -> BGate {
 }
 
 /// The bit-gate store behind [`lower_with`] and [`optimize_bits_with`]:
-/// a gate vector plus the index-only cons table over it, with fold/CSE
-/// counters for [`BitOptStats`].
+/// a gate vector plus the cons index over it, with a fold counter for
+/// [`BitOptStats`] (its CSE hits are the index's hits).
 ///
 /// Its construction rules fold online and hash-cons: XOR and AND fold
 /// against the constant wires and equal operands, NOT cancels NOT, and
@@ -347,8 +348,7 @@ fn remap_bgate(g: BGate, renum: &[u32]) -> BGate {
 /// identity here is unconditionally sound.
 struct Lowerer {
     gates: Vec<BGate>,
-    cons: ConsTable,
-    cse_hits: u64,
+    cons: ConsIndex,
     folds: u64,
 }
 
@@ -356,8 +356,7 @@ impl Lowerer {
     fn new() -> Lowerer {
         Lowerer {
             gates: vec![BGate::Const(false), BGate::Const(true)],
-            cons: ConsTable::new(),
-            cse_hits: 0,
+            cons: ConsIndex::new(),
             folds: 0,
         }
     }
@@ -373,27 +372,21 @@ impl Lowerer {
     }
 
     /// Returns the wire of an earlier gate equal to `g` (operands
-    /// sorted), or appends `g` and records it in the cons table.
+    /// sorted), or appends `g` and records it in the cons index.
     fn emit(&mut self, g: BGate) -> u32 {
         self.intern(canon_bit(g))
     }
 
-    /// The cons-table lookup behind [`Lowerer::emit`]. Kept out of line:
+    /// The cons-index lookup behind [`Lowerer::emit`]. Kept out of line:
     /// inlined, it bloats every folding rule that calls it, and the
     /// lowering runs about 30% slower.
     #[inline(never)]
     fn intern(&mut self, key: BGate) -> u32 {
-        let h = bgate_hash(key);
-        let gates = &self.gates;
-        self.cons.reserve_one(|w| bgate_hash(gates[w as usize]));
-        match self.cons.find(h, |w| gates[w as usize] == key) {
-            Ok(w) => {
-                self.cse_hits += 1;
-                w
-            }
-            Err(at) => {
+        match self.cons.find(&self.gates, key) {
+            Ok(w) => w,
+            Err(miss) => {
                 let w = self.push(key);
-                self.cons.insert(at, h, w);
+                self.cons.insert(miss, w);
                 w
             }
         }
@@ -631,13 +624,14 @@ fn bit_word(bit: u32, w: usize) -> Vec<u32> {
 /// level, but a domain value equal to `2^width − 1` would collide with it.
 ///
 /// The pass is one sequential walk over the word gates on the calling
-/// thread. When `opts.recorder` is enabled it records a `lower` span and
-/// the headline bit-level gate counts; the produced circuit never
-/// depends on whether tracing was on.
+/// thread. When `opts.recorder` is enabled it records a `lower` span,
+/// the headline bit-level gate counts and the hash-cons counters
+/// (`lower.cons_*`); the produced circuit never depends on whether
+/// tracing was on.
 pub fn lower_with(c: &Circuit, width: u32, opts: &CompileOptions) -> BitCircuit {
     let rec = &opts.recorder;
     let _span = rec.span("lower");
-    let bc = lower_seq(c, width);
+    let bc = lower_seq(c, width, rec);
     if rec.is_enabled() {
         rec.add("lower.bit_gates", bc.gate_count());
         rec.add("lower.and_gates", bc.and_count());
@@ -647,7 +641,7 @@ pub fn lower_with(c: &Circuit, width: u32, opts: &CompileOptions) -> BitCircuit 
     bc
 }
 
-fn lower_seq(c: &Circuit, width: u32) -> BitCircuit {
+fn lower_seq(c: &Circuit, width: u32, rec: &qec_obs::Recorder) -> BitCircuit {
     let w = width as usize;
     let src = c.gates();
 
@@ -677,6 +671,9 @@ fn lower_seq(c: &Circuit, width: u32) -> BitCircuit {
             }
         }
     }
+    // The walk is done: its counters go out and the cons index is freed
+    // before the bit circuit is sealed.
+    std::mem::take(&mut lw.cons).flush(rec, "lower");
 
     let outputs = c
         .outputs()
@@ -807,7 +804,7 @@ fn optimize_bits_seq(bc: &BitCircuit) -> (BitCircuit, BitOptStats) {
         and_after: opt.and_count(),
         and_depth_before: bc.and_depth(),
         and_depth_after: opt.and_depth(),
-        cse_hits: lw.cse_hits,
+        cse_hits: lw.cons.hits(),
         folds: lw.folds,
         dead,
     };
@@ -842,16 +839,27 @@ fn rewrite_bit_gate(lw: &mut Lowerer, map: &[u32], g: BGate) -> u32 {
 }
 
 /// The cons-table hash of a bit gate: its kind tag and operands.
-fn bgate_hash(g: BGate) -> u64 {
-    let (k, a, b) = match g {
-        BGate::Const(v) => (1, u32::from(v), 0),
-        BGate::Input(i) => (2, i, 0),
-        BGate::Xor(a, b) => (3, a, b),
-        BGate::And(a, b) => (4, a, b),
-        BGate::Not(a) => (5, a, 0),
-        BGate::AssertFalse(a) => (6, a, 0),
-    };
-    hash_fields(k, a, b, 0)
+impl ConsKey for BGate {
+    #[inline]
+    fn youngest(&self) -> Option<u32> {
+        match *self {
+            BGate::Input(_) | BGate::Const(_) => None,
+            BGate::Xor(a, b) | BGate::And(a, b) => Some(a.max(b)),
+            BGate::Not(a) | BGate::AssertFalse(a) => Some(a),
+        }
+    }
+
+    fn cons_hash(&self) -> u64 {
+        let (k, a, b) = match *self {
+            BGate::Const(v) => (1, u32::from(v), 0),
+            BGate::Input(i) => (2, i, 0),
+            BGate::Xor(a, b) => (3, a, b),
+            BGate::And(a, b) => (4, a, b),
+            BGate::Not(a) => (5, a, 0),
+            BGate::AssertFalse(a) => (6, a, 0),
+        };
+        hash_fields(k, a, b, 0)
+    }
 }
 
 #[cfg(test)]

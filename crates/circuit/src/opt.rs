@@ -25,9 +25,9 @@
 
 use std::collections::HashSet;
 
-use crate::cons::ConsTable;
+use crate::cons::ConsIndex;
 use crate::driver::CompileOptions;
-use crate::ir::{canon, gate_hash, Circuit, Gate, WireId};
+use crate::ir::{canon, Circuit, Gate, WireId};
 
 /// Counters describing one [`optimize_with`] run.
 #[derive(Clone, Debug, Default)]
@@ -109,8 +109,8 @@ struct Rewriter {
     gates: Vec<Gate>,
     /// Is the wire provably `0`/`1`?
     boolish: Vec<bool>,
-    /// Index-only hash-cons over `gates`: constants and logic gates.
-    cons: ConsTable,
+    /// Hash-cons over `gates`: constants and logic gates.
+    cons: ConsIndex,
     folded: u64,
     identities: u64,
     cse_hits: u64,
@@ -121,7 +121,7 @@ impl Rewriter {
         Rewriter {
             gates: Vec::with_capacity(cap),
             boolish: Vec::with_capacity(cap),
-            cons: ConsTable::new(),
+            cons: ConsIndex::new(),
             folded: 0,
             identities: 0,
             cse_hits: 0,
@@ -143,14 +143,11 @@ impl Rewriter {
     /// Returns the wire interned for `key` and whether it already
     /// existed, pushing and recording `key` when it did not.
     fn intern(&mut self, key: Gate) -> (WireId, bool) {
-        let h = gate_hash(key);
-        let gates = &self.gates;
-        self.cons.reserve_one(|w| gate_hash(gates[w as usize]));
-        match self.cons.find(h, |w| gates[w as usize] == key) {
+        match self.cons.find(&self.gates, key) {
             Ok(w) => (w, true),
-            Err(at) => {
+            Err(miss) => {
                 let w = self.raw_push(key);
-                self.cons.insert(at, h, w);
+                self.cons.insert(miss, w);
                 (w, false)
             }
         }
@@ -350,16 +347,16 @@ impl Rewriter {
 /// preserved; every declared input wire survives even if unused, so
 /// optimized circuits accept the exact same input vectors.
 ///
-/// When `opts.recorder` is enabled the pass records an `optimize` span
-/// and its headline counters; the produced [`OptStats`] never depends on
-/// whether tracing was on.
+/// When `opts.recorder` is enabled the pass records an `optimize` span,
+/// its headline counters and its hash-cons counters (`opt.cons_*`); the
+/// produced [`OptStats`] never depends on whether tracing was on.
 pub fn optimize_with(c: &Circuit, opts: &CompileOptions) -> (Circuit, OptStats) {
     if !opts.optimize {
         return (c.clone(), OptStats::passthrough(c));
     }
     let rec = &opts.recorder;
     let _span = rec.span("optimize");
-    let (opt, st) = optimize_seq(c);
+    let (opt, st) = optimize_seq(c, rec);
     if rec.is_enabled() {
         rec.add("opt.gates_before", st.gates_before);
         rec.add("opt.gates_after", st.gates_after);
@@ -373,7 +370,7 @@ pub fn optimize_with(c: &Circuit, opts: &CompileOptions) -> (Circuit, OptStats) 
 
 /// The rewrite walk, the liveness mark and the sweep (see
 /// [`optimize_with`] for the semantics contract).
-fn optimize_seq(c: &Circuit) -> (Circuit, OptStats) {
+fn optimize_seq(c: &Circuit, rec: &qec_obs::Recorder) -> (Circuit, OptStats) {
     let src = c.gates();
     let mut rw = Rewriter::new(src.len());
     // Source wire → rewritten wire.
@@ -425,6 +422,9 @@ fn optimize_seq(c: &Circuit) -> (Circuit, OptStats) {
         };
         map.push(new);
     }
+    // The rewrite is done: its counters go out and the cons index is
+    // freed before the sweep allocates.
+    std::mem::take(&mut rw.cons).flush(rec, "opt");
 
     // Mark: outputs, surviving asserts and inputs (arity must be
     // preserved) are roots; one reverse pass suffices because the gate

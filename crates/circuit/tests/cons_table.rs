@@ -1,6 +1,6 @@
 //! The word builder's hash-cons, seen from outside: the counters it
-//! flushes match the circuit it built, and the index-only table's
-//! footprint stays within its 5-bytes-per-slot budget.
+//! flushes match the circuit it built, and the cons index's footprint
+//! stays within its budget of 8 bytes of links per wire.
 //!
 //! One test per file: it installs the process-global recorder, which the
 //! builder flushes its counters to.
@@ -50,9 +50,11 @@ fn cons_counters_match_the_circuit_and_stay_within_the_slot_budget() {
         seq.counter("build.cons_hits") > entries,
         "the program repeats itself"
     );
-    // A slot is a tag byte and a 4-byte id, and the table stays above 3/8
-    // load (it doubles at 3/4): at most 5 × 8/3 ≈ 13.4 bytes per entry. A
-    // table that stored the key would need at least twice that.
+    // Each wire holds two 4-byte links (its use list's head and its own
+    // next), allocated 4096 wires at a time, and the constants sit in a
+    // small rest table of 5-byte slots: about 8 bytes per entry here,
+    // plus under one chunk of slack. A table that stored the key would
+    // need at least twice that.
     assert!(
         seq.counter("build.cons_bytes") <= 14 * entries,
         "{} bytes for {entries} entries",

@@ -495,6 +495,38 @@ mod tests {
     }
 
     #[test]
+    fn level_time_splits_into_and_levels_and_local_levels() {
+        // Two blocks, so each level's time is a sum over blocks.
+        let bc = adder_circuit();
+        let eng = CompiledBitCircuit::compile_gmw(&bc);
+        let instances: Vec<Vec<bool>> = (0..100u64)
+            .map(|i| bc.pack_inputs(&[i * 13 % 501, i * 7 % 303]))
+            .collect();
+        let steps = eng.stats().and_ops as usize * instances.len().div_ceil(64);
+        let (s0, s1) = share_instances(&instances, 4);
+        let (t0, t1) = Duplex::pair();
+        let (a, b) = PackedDealer::new(steps, 1, 3).split();
+        let rec = qec_obs::Recorder::new(true);
+        let o0 = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                Session::new(&eng, Role::P1, t1, b)
+                    .with_words(1)
+                    .run(&s1)
+                    .unwrap()
+            });
+            Session::new(&eng, Role::P0, t0, a)
+                .with_words(1)
+                .with_recorder(&rec)
+                .run(&s0)
+                .unwrap()
+        });
+        let and = rec.counter("mpc.and_level_ns");
+        let local = rec.counter("mpc.local_level_ns");
+        assert!(and > 0, "AND levels wait on the peer");
+        assert_eq!(and + local, o0.level_ns.iter().sum::<u64>());
+    }
+
+    #[test]
     fn batched_asserts_report_source_gate() {
         let bc = asserting_circuit();
         let eng = CompiledBitCircuit::compile_gmw(&bc);

@@ -116,6 +116,9 @@ impl<'a, T: Transport, S: TripleSource> Session<'a, T, S> {
 
         let mut stats = ProtocolStats::default();
         let mut level_ns = vec![0u64; num_levels];
+        // Wall time of the levels that exchanged an AND frame; the rest
+        // of `level_ns` is local (XOR / NOT / input / assert) work.
+        let mut and_level_ns = 0u64;
         let mut round: u32 = 0;
 
         // Handshake: both ends must run the identical tape with the
@@ -257,7 +260,11 @@ impl<'a, T: Transport, S: TripleSource> Session<'a, T, S> {
                     stats.and_gates += (lanes * and_dst.len()) as u64;
                     stats.messages_bits += (4 * lanes * and_dst.len()) as u64;
                 }
-                level_ns[li] += t0.elapsed().as_nanos() as u64;
+                let ns = t0.elapsed().as_nanos() as u64;
+                level_ns[li] += ns;
+                if !and_dst.is_empty() {
+                    and_level_ns += ns;
+                }
             }
 
             // Open round: output shares plus the deferred assert
@@ -333,6 +340,11 @@ impl<'a, T: Transport, S: TripleSource> Session<'a, T, S> {
             rec.gauge_max(
                 "mpc.level_ns_max",
                 level_ns.iter().copied().max().unwrap_or(0),
+            );
+            rec.add("mpc.and_level_ns", and_level_ns);
+            rec.add(
+                "mpc.local_level_ns",
+                level_ns.iter().sum::<u64>() - and_level_ns,
             );
         }
         drop(span);
