@@ -212,7 +212,7 @@ fn swapped(g: Gate) -> Option<Gate> {
 
 /// Applies `m` to `c`; `None` when the circuit has no swappable gate.
 pub fn mutate_circuit(c: &Circuit, m: &Mutation) -> Option<Circuit> {
-    let mut gates = c.gates().to_vec();
+    let mut gates: Vec<Gate> = c.gates().collect();
     let sites: Vec<usize> = (0..gates.len())
         .filter(|&i| swapped(gates[i]).is_some())
         .collect();
@@ -327,7 +327,7 @@ pub fn run_case(
                 stage: "word-tape-roundtrip",
                 error: format!("reload: {e}"),
             })?;
-        if back.gates() != lowered.circuit.gates()
+        if !back.gates().eq(lowered.circuit.gates())
             || back.outputs() != lowered.circuit.outputs()
             || back.num_inputs() != lowered.circuit.num_inputs()
         {
@@ -663,9 +663,8 @@ mod tests {
         let lowered = rc.lower_with(Mode::Build, &CompileOptions::sequential());
         // `mutate_circuit` rebuilds through the checked `Circuit::from_raw`.
         let mutated = mutate_circuit(&lowered.circuit, &Mutation { index: 0 }).unwrap();
-        assert_ne!(
-            mutated.gates(),
-            lowered.circuit.gates(),
+        assert!(
+            !mutated.gates().eq(lowered.circuit.gates()),
             "mutation must change a gate"
         );
         assert_eq!(mutated.num_wires(), lowered.circuit.num_wires());

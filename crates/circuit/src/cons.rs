@@ -4,9 +4,10 @@
 //! fixed arity, keeps a plain [`ConsTable`].
 //!
 //! Both structures are *index-only*: they hold wire ids, never gates. The
-//! gate already lives in the caller's arena (a `Vec<Gate>` or
-//! `Vec<BGate>`, indexed by wire id), so a lookup compares the probe key
-//! against the arena records of its candidates.
+//! gate already lives in the caller's arena (the word level's packed
+//! records or a `Vec<BGate>`, indexed by wire id, seen through
+//! [`ConsArena`]), so a lookup compares the probe key against the arena
+//! records of its candidates.
 //!
 //! [`ConsIndex`] files each interned gate under its *youngest operand*,
 //! the largest of its operand ids. A gate can only equal an earlier gate
@@ -165,6 +166,31 @@ pub trait ConsKey: Copy + Eq {
     fn cons_hash(&self) -> u64;
 }
 
+/// The records a [`ConsIndex`] compares keys against, by wire id: a slice
+/// of keys, or a packed store that reads a key out of its arrays.
+pub trait ConsArena {
+    /// The record type, which is also the probe key.
+    type Key: ConsKey;
+    /// The record of wire `w`.
+    fn record(&self, w: u32) -> Self::Key;
+}
+
+impl<K: ConsKey> ConsArena for [K] {
+    type Key = K;
+    #[inline]
+    fn record(&self, w: u32) -> K {
+        self[w as usize]
+    }
+}
+
+impl<K: ConsKey> ConsArena for Vec<K> {
+    type Key = K;
+    #[inline]
+    fn record(&self, w: u32) -> K {
+        self[w as usize]
+    }
+}
+
 /// Where a missed key goes, returned by [`ConsIndex::find`] and consumed
 /// by [`ConsIndex::insert`]. Valid until the index next changes.
 #[must_use = "a miss is only recorded by `ConsIndex::insert`"]
@@ -243,7 +269,7 @@ impl ConsIndex {
     /// `Ok(id)` for the equal one, else where `key` goes once the
     /// caller has pushed it.
     #[inline]
-    pub fn find<K: ConsKey>(&mut self, arena: &[K], key: K) -> Result<u32, Miss> {
+    pub fn find<A: ConsArena + ?Sized>(&mut self, arena: &A, key: A::Key) -> Result<u32, Miss> {
         let walk = match key.youngest() {
             Some(y) => self.walk(arena, key, y),
             None => Walk::Full,
@@ -253,9 +279,9 @@ impl ConsIndex {
             Walk::Open(y) => Err(Place::List(y)),
             Walk::Full => {
                 let h = key.cons_hash();
-                self.rest.reserve_one(|w| arena[w as usize].cons_hash());
+                self.rest.reserve_one(|w| arena.record(w).cons_hash());
                 self.rest
-                    .find(h, |w| arena[w as usize] == key)
+                    .find(h, |w| arena.record(w) == key)
                     .map_err(|at| Place::Rest(at, h, key.youngest().is_some()))
             }
         };
@@ -273,7 +299,7 @@ impl ConsIndex {
 
     /// Walks the use list of `y` for `key`, newest first.
     #[inline]
-    fn walk<K: ConsKey>(&mut self, arena: &[K], key: K, y: u32) -> Walk {
+    fn walk<A: ConsArena + ?Sized>(&mut self, arena: &A, key: A::Key, y: u32) -> Walk {
         let mut w = self
             .links
             .get(y as usize / CHUNK)
@@ -281,7 +307,7 @@ impl ConsIndex {
         let mut steps = 0;
         while w != NIL {
             steps += 1;
-            if arena[w as usize] == key {
+            if arena.record(w) == key {
                 self.longest_walk = self.longest_walk.max(steps);
                 return Walk::Hit(w);
             }

@@ -95,8 +95,8 @@ impl CompiledCircuit {
     /// [`validate_opt`](crate::validate_opt) checks on every optimizing
     /// compile ([`EvalError::Invalid`] if it is unsound). The
     /// `compile`, `optimize` and `tape` spans and the
-    /// `engine.peak_registers` / `engine.tape_len` gauges go to
-    /// `opts.recorder`.
+    /// `engine.peak_registers`, `engine.tape_len` and `engine.tape_bytes`
+    /// gauges go to `opts.recorder`.
     pub fn compile_with(c: &Circuit, opts: &CompileOptions) -> Result<CompiledCircuit, EvalError> {
         let recorder = &opts.recorder;
         let _root = recorder.span("compile");
@@ -121,6 +121,7 @@ impl CompiledCircuit {
         if recorder.is_enabled() {
             recorder.gauge_max("engine.peak_registers", eng.stats.peak_registers as u64);
             recorder.gauge_max("engine.tape_len", eng.stats.tape_len as u64);
+            recorder.gauge_max("engine.tape_bytes", eng.tape_bytes() as u64);
         }
         Ok(eng)
     }

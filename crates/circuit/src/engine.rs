@@ -13,7 +13,16 @@
 //!    reading it has executed, so the working set shrinks from
 //!    `O(size)` slots to `O(peak live width)` registers — the hot data
 //!    fits in cache instead of streaming the whole value buffer per
-//!    instance.
+//!    instance. The schedule is flat, in the GMW tape's idiom
+//!    ([`crate::bitengine`]): the circuit stores no per-wire depths, so
+//!    one gate-sized array holds each wire's level, then its last use,
+//!    then its register; a counting sort (level offsets, CSR) writes
+//!    each gate id into the tape slot its instruction will fill; and
+//!    the registers freed at a level boundary wait on per-level FIFO
+//!    lists linked through the registers. The tape is packed: one
+//!    opcode byte and four `u32` words per instruction, 17 bytes, with
+//!    a constant's value in two of the words; the kernels decode it
+//!    inline.
 //! 2. **Batched evaluation** ([`CompiledCircuit::evaluate_batch`], the
 //!    one batch entry point; [`CompiledCircuit::evaluate`] is its
 //!    batch-of-one form): registers hold `B` lanes
@@ -32,54 +41,17 @@
 //!
 //! Assertion semantics match [`Circuit::evaluate`] exactly and
 //! deterministically: every lane reports the **lowest-index** failing
-//! [`Gate::AssertZero`], independent of tape order, because gate values
+//! [`Gate::AssertZero`](crate::Gate::AssertZero), independent of tape
+//! order, because gate values
 //! are pure functions of the inputs so the engine can keep evaluating
 //! past a failure and take the minimum.
 
-use crate::ir::{Circuit, EvalError, Gate, WireId};
+use crate::ir::{op, Circuit, EvalError};
 use crate::opt::OptStats;
+use crate::tape::Fnv1a64;
 
 /// Register index in the compiled tape.
 type Reg = u32;
-
-/// One compiled instruction: operation + source registers + destination
-/// register. Sources always refer to registers written in strictly
-/// earlier levels, destinations never alias a same-level source (the
-/// allocator frees registers only at level boundaries), which is what
-/// lets `exec_op` read sources while it writes the destination.
-#[derive(Clone, Copy, Debug)]
-enum Op {
-    /// `dst ← inputs[idx]` (per lane).
-    Input { dst: Reg, idx: u32 },
-    /// `dst ← v` (all lanes).
-    Const { dst: Reg, v: u64 },
-    /// Binary word op; `kind` indexes [`BinKind`].
-    Bin {
-        dst: Reg,
-        kind: BinKind,
-        a: Reg,
-        b: Reg,
-    },
-    /// `dst ← (a == 0)`.
-    Not { dst: Reg, a: Reg },
-    /// `dst ← s ≠ 0 ? a : b`.
-    Mux { dst: Reg, s: Reg, a: Reg, b: Reg },
-    /// Checks `a == 0`; records `(gate, value)` per failing lane and
-    /// writes `0` to `dst` (matching the interpreter).
-    AssertZero { dst: Reg, a: Reg, gate: u32 },
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum BinKind {
-    Add,
-    Sub,
-    Mul,
-    Eq,
-    Lt,
-    And,
-    Or,
-    Xor,
-}
 
 /// Lanes per tape pass: the batch is processed in tiles sized so the
 /// register file (`peak_registers × tile × 8` bytes) stays
@@ -92,6 +64,10 @@ enum BinKind {
 const LANE_TILE: usize = 16;
 
 /// Gate-kind slots for [`EngineStats::gate_counts`], in a fixed order.
+/// A gate's slot is also its opcode in the packed circuit and on the
+/// engine's tape, and the word tape format's opcode is the slot plus
+/// one, so the stats, the stored forms and the netlist mnemonics share
+/// one table.
 pub const GATE_KINDS: [&str; 13] = [
     "input",
     "const",
@@ -107,28 +83,6 @@ pub const GATE_KINDS: [&str; 13] = [
     "mux",
     "assert_zero",
 ];
-
-/// The [`GATE_KINDS`] slot of `g`. Shared with the flat tape encoding
-/// ([`crate::tape`]), whose opcodes are `kind_index + 1` — one table, so
-/// the engine's stats, the tape format, and the netlist mnemonics can
-/// never drift apart.
-pub(crate) fn kind_index(g: &Gate) -> usize {
-    match g {
-        Gate::Input(_) => 0,
-        Gate::Const(_) => 1,
-        Gate::Add(..) => 2,
-        Gate::Sub(..) => 3,
-        Gate::Mul(..) => 4,
-        Gate::Eq(..) => 5,
-        Gate::Lt(..) => 6,
-        Gate::And(..) => 7,
-        Gate::Or(..) => 8,
-        Gate::Xor(..) => 9,
-        Gate::Not(..) => 10,
-        Gate::Mux(..) => 11,
-        Gate::AssertZero(..) => 12,
-    }
-}
 
 /// Static facts about a compiled tape — everything known before the
 /// first input arrives.
@@ -187,8 +141,16 @@ impl EngineStats {
 
 /// A circuit compiled to a register-allocated, level-major instruction
 /// tape, reusable across any number of evaluations.
+///
+/// The tape is stored packed: per instruction its opcode (the gate
+/// kind's [`GATE_KINDS`] slot) and four `u32` words `[dst, x, y, z]`,
+/// 17 bytes. Sources are registers: `x, y` for binary gates, `x` for
+/// `Not`, `x, y, z` = select, then, else for `Mux`. An `Input` holds its
+/// index in `x`, a `Const` its value in `x` (low) and `y` (high), and an
+/// `AssertZero` reads `x` and reports gate `y`. Unused words are zero.
 pub struct CompiledCircuit {
-    tape: Vec<Op>,
+    kinds: Vec<u8>,
+    args: Vec<[u32; 4]>,
     /// Output registers in output order.
     output_regs: Vec<Reg>,
     num_inputs: usize,
@@ -201,183 +163,150 @@ impl CompiledCircuit {
     /// [`CompiledCircuit::compile_with`]. `origin` carries the optimizer's
     /// assert-origin map when the input circuit is an optimized image of
     /// some source circuit.
+    ///
+    /// The schedule is flat, as the GMW tape's is: one gate-sized array
+    /// holds each wire's level, then the last level reading it, then its
+    /// register; a counting sort writes each gate id into the operand
+    /// slot its instruction will occupy on the tape; and the registers
+    /// freed at each level boundary wait on per-level FIFO lists linked
+    /// through the registers.
     pub(crate) fn compile_inner(c: &Circuit, origin: Option<&OptStats>) -> CompiledCircuit {
-        let gates = c.gates();
-        let depths = c.wire_depths();
+        let gates = c.arena();
         let n = gates.len();
-        debug_assert_eq!(
-            n,
-            depths.len(),
-            "build-mode circuits have one gate per wire"
-        );
-        let max_depth = depths.iter().copied().max().unwrap_or(0) as usize;
+        let num_levels = c.depth() as usize + 1;
 
-        // --- liveness: last level reading each wire (u32::MAX = pinned) ---
+        // --- levels: a wire's level is its depth. `slot[i]` holds it,
+        //     and `starts[l + 1]` counts level l's gates. ---
+        let mut slot = c.wire_depths();
+        let mut starts = vec![0u32; num_levels + 1];
+        for &l in &slot {
+            starts[l as usize + 1] += 1;
+        }
+        debug_assert!(
+            (0..n).all(|i| gates
+                .get(i)
+                .operands()
+                .iter()
+                .all(|&w| slot[w as usize] < slot[i])),
+            "every operand sits at a strictly lower level than its consumer"
+        );
+
+        // --- level-major order: a counting sort writes each gate id into
+        //     the first word of its tape slot; the walk in gate order
+        //     keeps each level's gates in gate order. ---
+        for l in 0..num_levels {
+            starts[l + 1] += starts[l];
+        }
+        let mut args = vec![[0u32; 4]; n];
+        let mut fill = starts.clone();
+        for (i, &l) in slot.iter().enumerate() {
+            args[fill[l as usize] as usize][0] = i as u32;
+            fill[l as usize] += 1;
+        }
+        drop(fill);
+
+        // --- liveness, in place: `slot[i]` goes from wire i's level to
+        //     the last level reading it (u32::MAX = pinned). Consumers
+        //     come after their operands, so `slot[i]` still holds i's own
+        //     level when the walk reaches i; a wire nobody reads dies at
+        //     its own definition level. ---
         const PINNED: u32 = u32::MAX;
-        let mut last_use = vec![0u32; n];
-        for (i, (g, &d)) in gates.iter().zip(depths).enumerate() {
-            // a wire nobody reads dies at its own definition level
-            last_use[i] = last_use[i].max(d);
-            for w in g.operands().into_iter().flatten() {
-                last_use[w as usize] = last_use[w as usize].max(d);
+        for i in 0..n {
+            let d = slot[i];
+            for &w in gates.get(i).operands() {
+                slot[w as usize] = slot[w as usize].max(d);
             }
         }
         for &w in c.outputs() {
-            last_use[w as usize] = PINNED;
+            slot[w as usize] = PINNED;
         }
 
-        // --- level-major gate order ---
-        let mut by_level: Vec<Vec<u32>> = vec![Vec::new(); max_depth + 1];
-        for (i, &d) in depths.iter().enumerate() {
-            by_level[d as usize].push(i as u32);
-        }
+        // --- expiries: the registers freed at the start of level l form
+        //     a FIFO list from `head[l]` to `tail[l]` through `next`, in
+        //     allocation order. A register joins a list when it is
+        //     allocated and leaves it when the list is freed, so it is on
+        //     at most one list at a time. ---
+        const NIL: u32 = u32::MAX;
+        let mut head: Vec<Reg> = vec![NIL; num_levels + 1];
+        let mut tail: Vec<Reg> = vec![NIL; num_levels + 1];
+        let mut next: Vec<Reg> = Vec::new();
+        // Per register, in debug builds: the level (plus one) it was last
+        // written at and last read at.
+        #[cfg(debug_assertions)]
+        let mut touched: Vec<(u32, u32)> = Vec::new();
 
         // --- register allocation, freeing only at level boundaries so
-        //     a level's destinations can never alias its sources ---
-        let mut reg_of = vec![u32::MAX; n];
+        //     a level's destinations can never alias its sources. Once
+        //     wire i has a register, `slot[i]` holds it. ---
         let mut free: Vec<Reg> = Vec::new();
-        let mut expire_at: Vec<Vec<Reg>> = vec![Vec::new(); max_depth + 2];
         let mut num_regs = 0u32;
-        let mut tape = Vec::with_capacity(n);
-        let mut level_widths = Vec::with_capacity(max_depth + 1);
+        let mut kinds = Vec::with_capacity(n);
+        let mut level_widths = Vec::with_capacity(num_levels);
         let mut gate_counts = [0u64; 13];
         let mut bytes_per_instance = 0u64;
 
-        for (level, members) in by_level.iter().enumerate() {
-            for &r in &expire_at[level] {
+        for level in 0..num_levels {
+            let mut r = head[level];
+            while r != NIL {
                 free.push(r);
+                r = next[r as usize];
             }
-            for &gi in members {
-                let g = &gates[gi as usize];
-                gate_counts[kind_index(g)] += 1;
-                let dst = match free.pop() {
-                    Some(r) => r,
-                    None => {
-                        num_regs += 1;
-                        num_regs - 1
-                    }
-                };
-                reg_of[gi as usize] = dst;
-                let last = last_use[gi as usize];
+            let (lo, hi) = (starts[level] as usize, starts[level + 1] as usize);
+            for ins in &mut args[lo..hi] {
+                let gi = ins[0];
+                let rec = gates.get(gi as usize);
+                gate_counts[rec.op as usize] += 1;
+                let dst = free.pop().unwrap_or_else(|| {
+                    next.push(NIL);
+                    num_regs += 1;
+                    num_regs - 1
+                });
+                let last = slot[gi as usize];
                 if last != PINNED {
-                    expire_at[last as usize + 1].push(dst);
-                }
-                let src = |w: WireId| -> Reg {
-                    debug_assert_ne!(reg_of[w as usize], u32::MAX, "operand compiled first");
-                    reg_of[w as usize]
-                };
-                let (op, reads) = match *g {
-                    Gate::Input(idx) => (
-                        Op::Input {
-                            dst,
-                            idx: idx as u32,
-                        },
-                        0,
-                    ),
-                    Gate::Const(v) => (Op::Const { dst, v }, 0),
-                    Gate::Add(a, b) => (
-                        Op::Bin {
-                            dst,
-                            kind: BinKind::Add,
-                            a: src(a),
-                            b: src(b),
-                        },
-                        2,
-                    ),
-                    Gate::Sub(a, b) => (
-                        Op::Bin {
-                            dst,
-                            kind: BinKind::Sub,
-                            a: src(a),
-                            b: src(b),
-                        },
-                        2,
-                    ),
-                    Gate::Mul(a, b) => (
-                        Op::Bin {
-                            dst,
-                            kind: BinKind::Mul,
-                            a: src(a),
-                            b: src(b),
-                        },
-                        2,
-                    ),
-                    Gate::Eq(a, b) => (
-                        Op::Bin {
-                            dst,
-                            kind: BinKind::Eq,
-                            a: src(a),
-                            b: src(b),
-                        },
-                        2,
-                    ),
-                    Gate::Lt(a, b) => (
-                        Op::Bin {
-                            dst,
-                            kind: BinKind::Lt,
-                            a: src(a),
-                            b: src(b),
-                        },
-                        2,
-                    ),
-                    Gate::And(a, b) => (
-                        Op::Bin {
-                            dst,
-                            kind: BinKind::And,
-                            a: src(a),
-                            b: src(b),
-                        },
-                        2,
-                    ),
-                    Gate::Or(a, b) => (
-                        Op::Bin {
-                            dst,
-                            kind: BinKind::Or,
-                            a: src(a),
-                            b: src(b),
-                        },
-                        2,
-                    ),
-                    Gate::Xor(a, b) => (
-                        Op::Bin {
-                            dst,
-                            kind: BinKind::Xor,
-                            a: src(a),
-                            b: src(b),
-                        },
-                        2,
-                    ),
-                    Gate::Not(a) => (Op::Not { dst, a: src(a) }, 1),
-                    Gate::Mux(s, a, b) => (
-                        Op::Mux {
-                            dst,
-                            s: src(s),
-                            a: src(a),
-                            b: src(b),
-                        },
-                        3,
-                    ),
-                    Gate::AssertZero(a) => {
-                        // Report failures against the SOURCE circuit's
-                        // gate numbering when an optimizer mapping exists.
-                        let src_gate = origin.and_then(|st| st.origin_of(gi)).unwrap_or(gi);
-                        (
-                            Op::AssertZero {
-                                dst,
-                                a: src(a),
-                                gate: src_gate,
-                            },
-                            1,
-                        )
+                    let l = last as usize + 1;
+                    next[dst as usize] = NIL;
+                    match tail[l] {
+                        NIL => head[l] = dst,
+                        t => next[t as usize] = dst,
                     }
-                };
-                bytes_per_instance += 8 * (reads + 1);
-                tape.push(op);
+                    tail[l] = dst;
+                }
+                slot[gi as usize] = dst;
+                let arity = rec.arity();
+                let mut out = [dst, rec.args[0], rec.args[1], rec.args[2]];
+                for (o, &w) in out[1..].iter_mut().zip(rec.operands()) {
+                    *o = slot[w as usize];
+                }
+                if rec.op == op::ASSERT {
+                    // Report failures against the SOURCE circuit's gate
+                    // numbering when an optimizer mapping exists.
+                    out[2] = origin.and_then(|st| st.origin_of(gi)).unwrap_or(gi);
+                }
+                #[cfg(debug_assertions)]
+                {
+                    let now = level as u32 + 1;
+                    touched.resize(num_regs as usize, (0, 0));
+                    for &src in &out[1..1 + arity] {
+                        debug_assert!(
+                            touched[src as usize].0 < now,
+                            "source register {src} was written in its reader's level {level}"
+                        );
+                        touched[src as usize].1 = now;
+                    }
+                    debug_assert!(
+                        touched[dst as usize].1 != now,
+                        "destination register {dst} aliases a source of level {level}"
+                    );
+                    touched[dst as usize].0 = now;
+                }
+                bytes_per_instance += 8 * (arity as u64 + 1);
+                kinds.push(rec.op);
+                *ins = out;
             }
-            level_widths.push(members.len() as u32);
+            level_widths.push((hi - lo) as u32);
         }
 
-        let output_regs = c.outputs().iter().map(|&w| reg_of[w as usize]).collect();
+        let output_regs = c.outputs().iter().map(|&w| slot[w as usize]).collect();
         let stats = EngineStats {
             circuit_size: c.size(),
             circuit_depth: c.depth(),
@@ -385,7 +314,7 @@ impl CompiledCircuit {
             optimized_size: c.size(),
             optimized_depth: c.depth(),
             opt: None,
-            tape_len: tape.len(),
+            tape_len: kinds.len(),
             peak_registers: num_regs as usize,
             num_levels: level_widths.len(),
             level_widths,
@@ -393,12 +322,39 @@ impl CompiledCircuit {
             bytes_per_instance,
         };
         CompiledCircuit {
-            tape,
+            kinds,
+            args,
             output_regs,
             num_inputs: c.num_inputs(),
             num_regs: num_regs as usize,
             stats,
         }
+    }
+
+    /// Heap bytes held by the packed tape, by capacity.
+    pub(crate) fn tape_bytes(&self) -> usize {
+        self.kinds.capacity() + self.args.capacity() * std::mem::size_of::<[u32; 4]>()
+    }
+
+    /// Structural fingerprint of the compiled tape: FNV-1a-64 over every
+    /// instruction (opcode byte, then its four words), the output
+    /// registers, the input arity and the register count. It is a pure
+    /// function of the circuit and the compile options, so it pins the
+    /// instruction order and the register assignment.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = Fnv1a64::new();
+        for (&kind, words) in self.kinds.iter().zip(&self.args) {
+            h.write(&[kind]);
+            for w in words {
+                h.write(&w.to_le_bytes());
+            }
+        }
+        for &r in &self.output_regs {
+            h.write(&r.to_le_bytes());
+        }
+        h.write(&(self.num_inputs as u64).to_le_bytes());
+        h.write(&(self.num_regs as u32).to_le_bytes());
+        h.finish()
     }
 
     /// Static tape statistics.
@@ -493,12 +449,22 @@ impl CompiledCircuit {
             8 => self.run_tape_mono::<I, 8>(instances, arity_ok, regs, failures),
             LANE_TILE => self.run_tape_mono::<I, LANE_TILE>(instances, arity_ok, regs, failures),
             b => {
-                for op in &self.tape {
+                for (&kind, &words) in self.kinds.iter().zip(&self.args) {
                     // SAFETY: `exec_op` only requires that the instruction's
                     // destination register differ from its source registers,
                     // which the allocator guarantees (frees happen strictly at
                     // level boundaries).
-                    unsafe { exec_op(op, regs.as_mut_ptr(), b, instances, arity_ok, failures) };
+                    unsafe {
+                        exec_op(
+                            kind,
+                            words,
+                            regs.as_mut_ptr(),
+                            b,
+                            instances,
+                            arity_ok,
+                            failures,
+                        )
+                    };
                 }
             }
         }
@@ -567,16 +533,27 @@ impl CompiledCircuit {
         failures: &mut [(u32, u64)],
     ) {
         debug_assert_eq!(instances.len(), B);
-        for op in &self.tape {
+        for (&kind, &words) in self.kinds.iter().zip(&self.args) {
             // SAFETY: as in the dynamic-width loop above; `exec_op` is
             // `inline(always)`, so `B` reaches its lane loops as a
             // constant.
-            unsafe { exec_op(op, regs.as_mut_ptr(), B, instances, arity_ok, failures) };
+            unsafe {
+                exec_op(
+                    kind,
+                    words,
+                    regs.as_mut_ptr(),
+                    B,
+                    instances,
+                    arity_ok,
+                    failures,
+                )
+            };
         }
     }
 }
 
-/// Executes one instruction over all `b` lanes.
+/// Executes one instruction, given as its opcode and `[dst, x, y, z]`
+/// words (see [`CompiledCircuit`]), over all `b` lanes.
 ///
 /// # Safety
 /// `regs` must point to a register file of at least `num_regs × b`
@@ -585,7 +562,8 @@ impl CompiledCircuit {
 /// level-boundary register allocation).
 #[inline(always)]
 unsafe fn exec_op<I: AsRef<[u64]>>(
-    op: &Op,
+    kind: u8,
+    [dst, x, y, z]: [u32; 4],
     regs: *mut u64,
     b: usize,
     instances: &[I],
@@ -595,93 +573,77 @@ unsafe fn exec_op<I: AsRef<[u64]>>(
     let lanes = |r: Reg| -> &[u64] { std::slice::from_raw_parts(regs.add(r as usize * b), b) };
     let lanes_mut =
         |r: Reg| -> &mut [u64] { std::slice::from_raw_parts_mut(regs.add(r as usize * b), b) };
-    match *op {
-        Op::Input { dst, idx } => {
+    match kind {
+        op::INPUT => {
             let d = lanes_mut(dst);
             for (lane, inst) in instances.iter().enumerate() {
                 d[lane] = if arity_ok[lane] {
-                    inst.as_ref()[idx as usize]
+                    inst.as_ref()[x as usize]
                 } else {
                     0
                 };
             }
         }
-        Op::Const { dst, v } => lanes_mut(dst).fill(v),
-        Op::Bin {
-            dst,
-            kind,
-            a,
-            b: rb,
-        } => {
-            debug_assert!(dst != a && dst != rb);
-            let (d, x, y) = (lanes_mut(dst), lanes(a), lanes(rb));
-            match kind {
-                BinKind::Add => {
-                    for i in 0..b {
-                        d[i] = x[i].wrapping_add(y[i]);
-                    }
-                }
-                BinKind::Sub => {
-                    for i in 0..b {
-                        d[i] = x[i].wrapping_sub(y[i]);
-                    }
-                }
-                BinKind::Mul => {
-                    for i in 0..b {
-                        d[i] = x[i].wrapping_mul(y[i]);
-                    }
-                }
-                BinKind::Eq => {
-                    for i in 0..b {
-                        d[i] = u64::from(x[i] == y[i]);
-                    }
-                }
-                BinKind::Lt => {
-                    for i in 0..b {
-                        d[i] = u64::from(x[i] < y[i]);
-                    }
-                }
-                BinKind::And => {
-                    for i in 0..b {
-                        d[i] = u64::from(x[i] != 0) & u64::from(y[i] != 0);
-                    }
-                }
-                BinKind::Or => {
-                    for i in 0..b {
-                        d[i] = u64::from(x[i] != 0) | u64::from(y[i] != 0);
-                    }
-                }
-                BinKind::Xor => {
-                    for i in 0..b {
-                        d[i] = u64::from(x[i] != 0) ^ u64::from(y[i] != 0);
-                    }
-                }
-            }
-        }
-        Op::Not { dst, a } => {
-            debug_assert!(dst != a);
-            let (d, x) = (lanes_mut(dst), lanes(a));
+        op::CONST => lanes_mut(dst).fill(u64::from(x) | u64::from(y) << 32),
+        op::ADD => binary_lanes(regs, b, dst, x, y, u64::wrapping_add),
+        op::SUB => binary_lanes(regs, b, dst, x, y, u64::wrapping_sub),
+        op::MUL => binary_lanes(regs, b, dst, x, y, u64::wrapping_mul),
+        op::EQ => binary_lanes(regs, b, dst, x, y, |p, q| u64::from(p == q)),
+        op::LT => binary_lanes(regs, b, dst, x, y, |p, q| u64::from(p < q)),
+        op::AND => binary_lanes(regs, b, dst, x, y, |p, q| {
+            u64::from(p != 0) & u64::from(q != 0)
+        }),
+        op::OR => binary_lanes(regs, b, dst, x, y, |p, q| {
+            u64::from(p != 0) | u64::from(q != 0)
+        }),
+        op::XOR => binary_lanes(regs, b, dst, x, y, |p, q| {
+            u64::from(p != 0) ^ u64::from(q != 0)
+        }),
+        op::NOT => {
+            debug_assert!(dst != x);
+            let (d, p) = (lanes_mut(dst), lanes(x));
             for i in 0..b {
-                d[i] = u64::from(x[i] == 0);
+                d[i] = u64::from(p[i] == 0);
             }
         }
-        Op::Mux { dst, s, a, b: rb } => {
-            debug_assert!(dst != s && dst != a && dst != rb);
-            let (d, sv, x, y) = (lanes_mut(dst), lanes(s), lanes(a), lanes(rb));
+        op::MUX => {
+            debug_assert!(dst != x && dst != y && dst != z);
+            let (d, sv, p, q) = (lanes_mut(dst), lanes(x), lanes(y), lanes(z));
             for i in 0..b {
-                d[i] = if sv[i] != 0 { x[i] } else { y[i] };
+                d[i] = if sv[i] != 0 { p[i] } else { q[i] };
             }
         }
-        Op::AssertZero { dst, a, gate } => {
-            debug_assert!(dst != a);
-            let (d, x) = (lanes_mut(dst), lanes(a));
+        op::ASSERT => {
+            debug_assert!(dst != x);
+            let (d, p) = (lanes_mut(dst), lanes(x));
             for i in 0..b {
                 d[i] = 0;
-                if x[i] != 0 && gate < failures[i].0 {
-                    failures[i] = (gate, x[i]);
+                if p[i] != 0 && y < failures[i].0 {
+                    failures[i] = (y, p[i]);
                 }
             }
         }
+        _ => unreachable!("the compiler writes only the 13 opcodes"),
+    }
+}
+
+/// A binary gate's lane loop, `d[i] = f(x[i], y[i])`, under the safety
+/// contract of [`exec_op`].
+#[inline(always)]
+unsafe fn binary_lanes(
+    regs: *mut u64,
+    b: usize,
+    dst: Reg,
+    x: Reg,
+    y: Reg,
+    f: impl Fn(u64, u64) -> u64,
+) {
+    debug_assert!(dst != x && dst != y);
+    let d = std::slice::from_raw_parts_mut(regs.add(dst as usize * b), b);
+    let p = std::slice::from_raw_parts(regs.add(x as usize * b), b);
+    let q = std::slice::from_raw_parts(regs.add(y as usize * b), b);
+    for i in 0..b {
+        d[i] = f(p[i], q[i]);
     }
 }
 
@@ -807,6 +769,25 @@ mod tests {
         let c = bld.finish(vec![]);
         let eng = compile(&c).unwrap();
         assert_eq!(eng.evaluate(&[]), Ok(vec![]));
+    }
+
+    #[test]
+    fn a_word_instruction_is_17_bytes() {
+        // One opcode byte and `[dst, x, y, z]` per instruction, with the
+        // constants in the words: nothing else grows with the tape.
+        let mut bld = Builder::new();
+        let x = bld.input();
+        let k = bld.constant(u64::MAX);
+        let e = bld.eq(x, k);
+        let m = bld.mux(e, x, k);
+        bld.assert_zero(m);
+        let c = bld.finish(vec![m]);
+        let eng =
+            CompiledCircuit::compile_with(&c, &CompileOptions::sequential().with_optimize(false))
+                .unwrap();
+        assert_eq!(eng.stats().tape_len, 5);
+        assert_eq!(eng.tape_bytes(), 5 * 17);
+        assert_eq!(eng.evaluate(&[3]), c.evaluate(&[3]));
     }
 
     #[test]

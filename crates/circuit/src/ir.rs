@@ -1,6 +1,22 @@
 //! Word-level circuit IR: gates, builder, evaluator.
+//!
+//! A circuit stores its gates packed, as the bit level does: per wire one
+//! opcode byte (the gate kind's [`GATE_KINDS`](crate::GATE_KINDS) slot)
+//! and three `u32` operand words, 13 bytes a gate, in two parallel
+//! arrays. A constant keeps its 64-bit value in its first two operand
+//! words and an input its index in the first, so a stored record is the
+//! gate itself: the hash-cons compares records as they are stored, and
+//! the engine and the tape encoder read them without a lookup. Unused
+//! operand words are zero. [`Gate`] is the decoded view
+//! ([`Circuit::gate`], [`Circuit::gates`]), and [`Circuit::from_raw`]
+//! packs a gate list made outside a [`Builder`] through the same check
+//! every packed circuit passes.
+//!
+//! A circuit keeps its depth, not one per wire: the [`Builder`] and the
+//! constructors compute per-wire depths while they run and drop them, and
+//! [`Circuit::wire_depths`] recomputes them on demand.
 
-use crate::cons::{hash_fields, ConsIndex, ConsKey};
+use crate::cons::{hash_fields, ConsArena, ConsIndex, ConsKey};
 use crate::validate::ValidateError;
 use std::fmt;
 
@@ -57,6 +73,195 @@ impl Gate {
             | Gate::Xor(a, b) => [Some(a), Some(b), None],
             Gate::Mux(s, a, b) => [Some(s), Some(a), Some(b)],
         }
+    }
+
+    /// The packed record of this gate. An input index past `u32` packs
+    /// as `u32::MAX`, which no dense input numbering reaches, so the
+    /// circuit check still rejects it.
+    #[inline]
+    pub(crate) fn pack(self) -> Rec {
+        let (op, args) = match self {
+            Gate::Input(i) => (op::INPUT, [u32::try_from(i).unwrap_or(u32::MAX), 0, 0]),
+            Gate::Const(v) => (op::CONST, [v as u32, (v >> 32) as u32, 0]),
+            Gate::Add(a, b) => (op::ADD, [a, b, 0]),
+            Gate::Sub(a, b) => (op::SUB, [a, b, 0]),
+            Gate::Mul(a, b) => (op::MUL, [a, b, 0]),
+            Gate::Eq(a, b) => (op::EQ, [a, b, 0]),
+            Gate::Lt(a, b) => (op::LT, [a, b, 0]),
+            Gate::And(a, b) => (op::AND, [a, b, 0]),
+            Gate::Or(a, b) => (op::OR, [a, b, 0]),
+            Gate::Xor(a, b) => (op::XOR, [a, b, 0]),
+            Gate::Not(a) => (op::NOT, [a, 0, 0]),
+            Gate::Mux(s, a, b) => (op::MUX, [s, a, b]),
+            Gate::AssertZero(a) => (op::ASSERT, [a, 0, 0]),
+        };
+        Rec { op, args }
+    }
+}
+
+/// Opcodes of the packed records: each is its gate kind's slot in
+/// [`GATE_KINDS`](crate::GATE_KINDS), which the engine's stats and
+/// instructions share.
+pub(crate) mod op {
+    pub(crate) const INPUT: u8 = 0;
+    pub(crate) const CONST: u8 = 1;
+    pub(crate) const ADD: u8 = 2;
+    pub(crate) const SUB: u8 = 3;
+    pub(crate) const MUL: u8 = 4;
+    pub(crate) const EQ: u8 = 5;
+    pub(crate) const LT: u8 = 6;
+    pub(crate) const AND: u8 = 7;
+    pub(crate) const OR: u8 = 8;
+    pub(crate) const XOR: u8 = 9;
+    pub(crate) const NOT: u8 = 10;
+    pub(crate) const MUX: u8 = 11;
+    pub(crate) const ASSERT: u8 = 12;
+}
+
+/// One packed gate: its opcode and three operand words (see the module
+/// docs). It is also the hash-cons key of the word level.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Rec {
+    pub(crate) op: u8,
+    pub(crate) args: [u32; 3],
+}
+
+impl Rec {
+    /// Wire operands: 0 for inputs and constants, whose words are data.
+    #[inline]
+    pub(crate) fn arity(self) -> usize {
+        match self.op {
+            op::INPUT | op::CONST => 0,
+            op::NOT | op::ASSERT => 1,
+            op::MUX => 3,
+            _ => 2,
+        }
+    }
+
+    /// The wire operands, in order.
+    #[inline]
+    pub(crate) fn operands(&self) -> &[WireId] {
+        &self.args[..self.arity()]
+    }
+
+    /// The value of a constant record.
+    #[inline]
+    pub(crate) fn value(self) -> u64 {
+        u64::from(self.args[0]) | u64::from(self.args[1]) << 32
+    }
+
+    /// The decoded gate.
+    #[inline]
+    pub(crate) fn gate(self) -> Gate {
+        let [a, b, c] = self.args;
+        match self.op {
+            op::INPUT => Gate::Input(a as usize),
+            op::CONST => Gate::Const(self.value()),
+            op::ADD => Gate::Add(a, b),
+            op::SUB => Gate::Sub(a, b),
+            op::MUL => Gate::Mul(a, b),
+            op::EQ => Gate::Eq(a, b),
+            op::LT => Gate::Lt(a, b),
+            op::AND => Gate::And(a, b),
+            op::OR => Gate::Or(a, b),
+            op::XOR => Gate::Xor(a, b),
+            op::NOT => Gate::Not(a),
+            op::MUX => Gate::Mux(a, b, c),
+            op::ASSERT => Gate::AssertZero(a),
+            _ => unreachable!("a packed record holds one of the 13 opcodes"),
+        }
+    }
+}
+
+impl ConsKey for Rec {
+    /// The largest operand word: unused words are zero.
+    #[inline]
+    fn youngest(&self) -> Option<u32> {
+        let [a, b, c] = self.args;
+        match self.op {
+            op::INPUT | op::CONST => None,
+            _ => Some(a.max(b).max(c)),
+        }
+    }
+
+    fn cons_hash(&self) -> u64 {
+        let [a, b, c] = self.args;
+        hash_fields(self.op, a, b, c)
+    }
+}
+
+/// The packed gate arena: per wire an opcode byte and three operand
+/// words, in two arrays.
+#[derive(Clone, Default)]
+pub(crate) struct Gates {
+    ops: Vec<u8>,
+    args: Vec<[u32; 3]>,
+}
+
+impl Gates {
+    pub(crate) fn with_capacity(n: usize) -> Gates {
+        Gates {
+            ops: Vec::with_capacity(n),
+            args: Vec::with_capacity(n),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// The record of wire `w`.
+    #[inline]
+    pub(crate) fn get(&self, w: usize) -> Rec {
+        Rec {
+            op: self.ops[w],
+            args: self.args[w],
+        }
+    }
+
+    #[inline]
+    pub(crate) fn push(&mut self, r: Rec) {
+        self.ops.push(r.op);
+        self.args.push(r.args);
+    }
+
+    /// Overwrites wire `w`'s record (the optimizer's in-place sweep).
+    pub(crate) fn set(&mut self, w: usize, r: Rec) {
+        self.ops[w] = r.op;
+        self.args[w] = r.args;
+    }
+
+    /// Keeps the first `n` records and returns the spare capacity.
+    pub(crate) fn truncate(&mut self, n: usize) {
+        self.ops.truncate(n);
+        self.args.truncate(n);
+        self.shrink_to_fit();
+    }
+
+    /// Returns the spare capacity growth left behind.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.ops.shrink_to_fit();
+        self.args.shrink_to_fit();
+    }
+
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = Rec> + '_ {
+        self.ops
+            .iter()
+            .zip(&self.args)
+            .map(|(&op, &args)| Rec { op, args })
+    }
+
+    /// Heap bytes held, by capacity.
+    pub(crate) fn bytes(&self) -> usize {
+        self.ops.capacity() + self.args.capacity() * std::mem::size_of::<[u32; 3]>()
+    }
+}
+
+impl ConsArena for Gates {
+    type Key = Rec;
+    #[inline]
+    fn record(&self, w: u32) -> Rec {
+        self.get(w as usize)
     }
 }
 
@@ -150,13 +355,16 @@ impl std::error::Error for EvalError {}
 /// structurally identical to an earlier one (after sorting the operands
 /// of commutative gates) returns the existing wire instead of a new one.
 /// The cons index stores wire ids and compares keys against the
-/// builder's own gate records. Constants go through the same index. Use
+/// builder's own packed records. Constants go through the same index. Use
 /// [`Builder::without_cse`] when logic wire ids must track pushes
 /// one-for-one.
 pub struct Builder {
-    /// Every wire's gate: the key arena of `cons`.
-    gates: Vec<Gate>,
+    /// Every wire's packed gate: the key arena of `cons`.
+    gates: Gates,
+    /// Every wire's depth, kept while building: the finished circuit
+    /// keeps only the largest.
     depths: Vec<u32>,
+    depth: u32,
     num_inputs: usize,
     size: u64,
     cse: bool,
@@ -168,56 +376,14 @@ pub struct Builder {
 /// Sorts the operands of commutative gates so `add(a, b)` and
 /// `add(b, a)` share one cache entry. `Sub`, `Lt`, and `Mux` are order
 /// sensitive and pass through unchanged.
-pub(crate) fn canon(gate: Gate) -> Gate {
-    match gate {
-        Gate::Add(a, b) if a > b => Gate::Add(b, a),
-        Gate::Mul(a, b) if a > b => Gate::Mul(b, a),
-        Gate::Eq(a, b) if a > b => Gate::Eq(b, a),
-        Gate::And(a, b) if a > b => Gate::And(b, a),
-        Gate::Or(a, b) if a > b => Gate::Or(b, a),
-        Gate::Xor(a, b) if a > b => Gate::Xor(b, a),
-        g => g,
-    }
-}
-
-impl ConsKey for Gate {
-    #[inline]
-    fn youngest(&self) -> Option<u32> {
-        match *self {
-            Gate::Input(_) | Gate::Const(_) => None,
-            Gate::Not(a) | Gate::AssertZero(a) => Some(a),
-            Gate::Add(a, b)
-            | Gate::Sub(a, b)
-            | Gate::Mul(a, b)
-            | Gate::Eq(a, b)
-            | Gate::Lt(a, b)
-            | Gate::And(a, b)
-            | Gate::Or(a, b)
-            | Gate::Xor(a, b) => Some(a.max(b)),
-            Gate::Mux(s, a, b) => Some(s.max(a).max(b)),
-        }
-    }
-
-    /// The kind tag and up to three operand words. The encoding is exact
-    /// (`Const` values span two words, `Input` stores its index), so
-    /// equal gates hash equally.
-    fn cons_hash(&self) -> u64 {
-        let (kind, a, b, c) = match *self {
-            Gate::Input(i) => (1, u32::try_from(i).expect("input index fits u32"), 0, 0),
-            Gate::Const(v) => (2, v as u32, (v >> 32) as u32, 0),
-            Gate::Add(a, b) => (3, a, b, 0),
-            Gate::Sub(a, b) => (4, a, b, 0),
-            Gate::Mul(a, b) => (5, a, b, 0),
-            Gate::Eq(a, b) => (6, a, b, 0),
-            Gate::Lt(a, b) => (7, a, b, 0),
-            Gate::And(a, b) => (8, a, b, 0),
-            Gate::Or(a, b) => (9, a, b, 0),
-            Gate::Xor(a, b) => (10, a, b, 0),
-            Gate::Not(a) => (11, a, 0, 0),
-            Gate::Mux(s, a, b) => (12, s, a, b),
-            Gate::AssertZero(a) => (13, a, 0, 0),
-        };
-        hash_fields(kind, a, b, c)
+#[inline]
+pub(crate) fn canon(r: Rec) -> Rec {
+    match r.op {
+        op::ADD | op::MUL | op::EQ | op::AND | op::OR | op::XOR if r.args[0] > r.args[1] => Rec {
+            op: r.op,
+            args: [r.args[1], r.args[0], 0],
+        },
+        _ => r,
     }
 }
 
@@ -231,8 +397,9 @@ impl Builder {
     /// Creates an empty builder with hash-consing enabled.
     pub fn new() -> Builder {
         Builder {
-            gates: Vec::new(),
+            gates: Gates::default(),
             depths: Vec::new(),
+            depth: 0,
             num_inputs: 0,
             size: 0,
             cse: true,
@@ -259,7 +426,7 @@ impl Builder {
 
     /// Current depth (longest input→wire path, counting logic gates).
     pub fn depth(&self) -> u32 {
-        self.depths.iter().copied().max().unwrap_or(0)
+        self.depth
     }
 
     /// Number of inputs declared so far.
@@ -267,22 +434,23 @@ impl Builder {
         self.num_inputs
     }
 
-    fn push(&mut self, gate: Gate, depth: u32, is_logic: bool) -> WireId {
-        let id = match checked_wire_id(self.depths.len() as u64) {
+    fn push(&mut self, r: Rec, depth: u32, is_logic: bool) -> WireId {
+        let id = match checked_wire_id(self.gates.len() as u64) {
             Ok(id) => id,
             Err(e) => panic!("{e}"),
         };
         self.depths.push(depth);
+        self.depth = self.depth.max(depth);
         if is_logic {
             self.size += 1;
         }
-        self.gates.push(gate);
+        self.gates.push(r);
         id
     }
 
     /// Returns the wire of an earlier gate equal to `key`, or pushes
     /// `key` and records it in the cons index.
-    fn intern(&mut self, key: Gate, depth: u32, is_logic: bool) -> WireId {
+    fn intern(&mut self, key: Rec, depth: u32, is_logic: bool) -> WireId {
         match self.cons.find(&self.gates, key) {
             Ok(w) => w,
             Err(miss) => {
@@ -294,85 +462,79 @@ impl Builder {
     }
 
     /// Pushes a logic gate through the hash-cons.
-    fn logic(&mut self, gate: Gate, depth: u32) -> WireId {
+    fn logic(&mut self, op: u8, args: [WireId; 3], depth: u32) -> WireId {
+        let r = Rec { op, args };
         if !self.cse {
-            return self.push(gate, depth, true);
+            return self.push(r, depth, true);
         }
-        self.intern(canon(gate), depth, true)
+        self.intern(canon(r), depth, true)
     }
 
     fn depth_of(&self, w: WireId) -> u32 {
         self.depths[w as usize]
     }
 
-    fn binary_depth(&self, a: WireId, b: WireId) -> u32 {
-        self.depth_of(a).max(self.depth_of(b)) + 1
+    fn binary(&mut self, op: u8, a: WireId, b: WireId) -> WireId {
+        let d = self.depth_of(a).max(self.depth_of(b)) + 1;
+        self.logic(op, [a, b, 0], d)
     }
 
     /// Declares the next circuit input.
     pub fn input(&mut self) -> WireId {
         let idx = self.num_inputs;
         self.num_inputs += 1;
-        self.push(Gate::Input(idx), 0, false)
+        self.push(Gate::Input(idx).pack(), 0, false)
     }
 
     /// A constant wire (deduplicated).
     pub fn constant(&mut self, v: u64) -> WireId {
-        self.intern(Gate::Const(v), 0, false)
+        self.intern(Gate::Const(v).pack(), 0, false)
     }
 
     /// Wrapping addition.
     pub fn add(&mut self, a: WireId, b: WireId) -> WireId {
-        let d = self.binary_depth(a, b);
-        self.logic(Gate::Add(a, b), d)
+        self.binary(op::ADD, a, b)
     }
 
     /// Wrapping subtraction.
     pub fn sub(&mut self, a: WireId, b: WireId) -> WireId {
-        let d = self.binary_depth(a, b);
-        self.logic(Gate::Sub(a, b), d)
+        self.binary(op::SUB, a, b)
     }
 
     /// Wrapping multiplication.
     pub fn mul(&mut self, a: WireId, b: WireId) -> WireId {
-        let d = self.binary_depth(a, b);
-        self.logic(Gate::Mul(a, b), d)
+        self.binary(op::MUL, a, b)
     }
 
     /// Equality test.
     pub fn eq(&mut self, a: WireId, b: WireId) -> WireId {
-        let d = self.binary_depth(a, b);
-        self.logic(Gate::Eq(a, b), d)
+        self.binary(op::EQ, a, b)
     }
 
     /// Unsigned less-than.
     pub fn lt(&mut self, a: WireId, b: WireId) -> WireId {
-        let d = self.binary_depth(a, b);
-        self.logic(Gate::Lt(a, b), d)
+        self.binary(op::LT, a, b)
     }
 
     /// Logical AND.
     pub fn and(&mut self, a: WireId, b: WireId) -> WireId {
-        let d = self.binary_depth(a, b);
-        self.logic(Gate::And(a, b), d)
+        self.binary(op::AND, a, b)
     }
 
     /// Logical OR.
     pub fn or(&mut self, a: WireId, b: WireId) -> WireId {
-        let d = self.binary_depth(a, b);
-        self.logic(Gate::Or(a, b), d)
+        self.binary(op::OR, a, b)
     }
 
     /// Logical XOR.
     pub fn xor(&mut self, a: WireId, b: WireId) -> WireId {
-        let d = self.binary_depth(a, b);
-        self.logic(Gate::Xor(a, b), d)
+        self.binary(op::XOR, a, b)
     }
 
     /// Logical NOT.
     pub fn not(&mut self, a: WireId) -> WireId {
         let d = self.depth_of(a) + 1;
-        self.logic(Gate::Not(a), d)
+        self.logic(op::NOT, [a, 0, 0], d)
     }
 
     /// Multiplexer `sel ≠ 0 ? a : b`.
@@ -382,7 +544,7 @@ impl Builder {
             .max(self.depth_of(a))
             .max(self.depth_of(b))
             + 1;
-        self.logic(Gate::Mux(sel, a, b), d)
+        self.logic(op::MUX, [sel, a, b], d)
     }
 
     /// Asserts a wire is zero at evaluation time, returning the assert
@@ -390,7 +552,7 @@ impl Builder {
     /// Asserts are effects, not expressions: they are never hash-consed.
     pub fn assert_zero(&mut self, a: WireId) -> WireId {
         let d = self.depth_of(a) + 1;
-        self.push(Gate::AssertZero(a), d, true)
+        self.push(Gate::AssertZero(a).pack(), d, true)
     }
 
     // ---- small derived helpers used by every operator circuit ----
@@ -437,7 +599,8 @@ impl Builder {
             .collect()
     }
 
-    /// Finalizes the circuit with the given output wires.
+    /// Finalizes the circuit with the given output wires. The per-wire
+    /// depths are dropped here.
     ///
     /// # Panics
     /// Panics if an output is not a wire of this builder, as every other
@@ -452,26 +615,29 @@ impl Builder {
         let rec = qec_obs::global();
         if rec.is_enabled() {
             rec.add("build.gates", self.size);
-            rec.add("build.wires", self.depths.len() as u64);
+            rec.add("build.wires", self.gates.len() as u64);
         }
         self.cons.flush(&rec, "build");
-        let depth = self.depth();
+        let mut gates = self.gates;
+        gates.shrink_to_fit();
+        if rec.is_enabled() {
+            rec.gauge_max("build.arena_bytes", gates.bytes() as u64);
+        }
         Circuit {
-            gates: self.gates,
-            depths: self.depths,
+            gates,
             outputs,
             num_inputs: self.num_inputs,
             size: self.size,
-            depth,
+            depth: self.depth,
         }
     }
 }
 
-/// A finalized circuit.
+/// A finalized circuit: its packed gates, outputs, input arity, size and
+/// depth.
 #[derive(Clone)]
 pub struct Circuit {
-    gates: Vec<Gate>,
-    depths: Vec<u32>,
+    gates: Gates,
     outputs: Vec<WireId>,
     num_inputs: usize,
     size: u64,
@@ -479,36 +645,52 @@ pub struct Circuit {
 }
 
 impl Circuit {
-    /// Builds a materialized circuit from a raw gate list, recomputing
-    /// depths and size: the one constructor for gate lists made outside a
-    /// [`Builder`] (the offline optimizer, tape decoding, hand-edited
-    /// circuits). Every operand must name an earlier wire, the `Input`
-    /// gates must carry `0, 1, 2, …` in wire order and number
-    /// `num_inputs`, and every output must name a wire of the list;
-    /// otherwise the typed [`ValidateError`] comes back.
+    /// Builds a materialized circuit from a raw gate list, computing
+    /// depth and size: the checked constructor for gate lists made
+    /// outside a [`Builder`] (hand-built or mutated circuits). The list
+    /// is packed and then checked as every packed circuit is: every
+    /// operand must name an earlier wire, the `Input` gates must carry
+    /// `0, 1, 2, …` in wire order and number `num_inputs`, and every
+    /// output must name a wire of the list; otherwise the typed
+    /// [`ValidateError`] comes back (an input index past `u32` is
+    /// reported as `u32::MAX`).
     pub fn from_raw(
         gates: Vec<Gate>,
+        outputs: Vec<WireId>,
+        num_inputs: usize,
+    ) -> Result<Circuit, ValidateError> {
+        let mut arena = Gates::with_capacity(gates.len());
+        for g in gates {
+            arena.push(g.pack());
+        }
+        Circuit::from_gates(arena, outputs, num_inputs)
+    }
+
+    /// The check behind every constructor of packed gates (see
+    /// [`Circuit::from_raw`]), which computes size and depth on the way.
+    pub(crate) fn from_gates(
+        gates: Gates,
         outputs: Vec<WireId>,
         num_inputs: usize,
     ) -> Result<Circuit, ValidateError> {
         let mut depths: Vec<u32> = Vec::with_capacity(gates.len());
         let mut size = 0u64;
         let mut found = 0usize;
-        for (i, g) in gates.iter().enumerate() {
-            match *g {
-                Gate::Input(declared) if declared != found => {
+        for (i, r) in gates.iter().enumerate() {
+            match r.op {
+                op::INPUT if r.args[0] as usize != found => {
                     return Err(ValidateError::InputIndexOutOfOrder {
                         gate: i,
-                        declared,
+                        declared: r.args[0] as usize,
                         expected: found,
                     })
                 }
-                Gate::Input(_) => found += 1,
-                Gate::Const(_) => {}
+                op::INPUT => found += 1,
+                op::CONST => {}
                 _ => size += 1,
             }
             let mut d = 0;
-            for &w in g.operands().iter().flatten() {
+            for &w in r.operands() {
                 let Some(&dw) = depths.get(w as usize) else {
                     return Err(ValidateError::ForwardReference {
                         gate: i,
@@ -534,7 +716,6 @@ impl Circuit {
         let depth = depths.iter().copied().max().unwrap_or(0);
         Ok(Circuit {
             gates,
-            depths,
             outputs,
             num_inputs,
             size,
@@ -564,17 +745,37 @@ impl Circuit {
 
     /// Total wires (inputs + constants + gates).
     pub fn num_wires(&self) -> usize {
-        self.depths.len()
+        self.gates.len()
     }
 
-    /// The gates, one per wire.
-    pub fn gates(&self) -> &[Gate] {
+    /// The gate of wire `i`, decoded.
+    ///
+    /// # Panics
+    /// Panics if `i` is not below [`Circuit::num_wires`].
+    pub fn gate(&self, i: usize) -> Gate {
+        self.gates.get(i).gate()
+    }
+
+    /// The gates, one per wire, decoded.
+    pub fn gates(&self) -> impl ExactSizeIterator<Item = Gate> + '_ {
+        self.gates.iter().map(Rec::gate)
+    }
+
+    /// The packed records.
+    pub(crate) fn arena(&self) -> &Gates {
         &self.gates
     }
 
-    /// Per-wire depths (used by the Brent scheduler).
-    pub fn wire_depths(&self) -> &[u32] {
-        &self.depths
+    /// Per-wire depths (the Brent step count and the engine's
+    /// level-major schedule use them), computed on each call: a circuit
+    /// stores only its [`depth`](Circuit::depth).
+    pub fn wire_depths(&self) -> Vec<u32> {
+        let mut depths: Vec<u32> = Vec::with_capacity(self.gates.len());
+        for r in self.gates.iter() {
+            let d = r.operands().iter().map(|&w| depths[w as usize] + 1).max();
+            depths.push(d.unwrap_or(0));
+        }
+        depths
     }
 
     /// Evaluates the circuit on `inputs`, returning output values.
@@ -590,8 +791,8 @@ impl Circuit {
         }
         let mut values = vec![0u64; self.gates.len()];
         let as_bool = |v: u64| -> u64 { u64::from(v != 0) };
-        for (i, g) in self.gates.iter().enumerate() {
-            values[i] = match *g {
+        for (i, g) in self.gates().enumerate() {
+            values[i] = match g {
                 Gate::Input(idx) => inputs[idx],
                 Gate::Const(v) => v,
                 Gate::Add(a, b) => values[a as usize].wrapping_add(values[b as usize]),
@@ -624,7 +825,7 @@ impl Circuit {
 
     /// Fan-in lists per gate (for the bit-level lowering).
     pub fn gate_operands(&self, i: usize) -> [Option<WireId>; 3] {
-        self.gates[i].operands()
+        self.gate(i).operands()
     }
 }
 
@@ -810,7 +1011,9 @@ mod tests {
         let s = b.add(x, y);
         let n = b.not(s);
         let c = b.finish(vec![s, n]);
-        let back = Circuit::from_raw(c.gates().to_vec(), c.outputs().to_vec(), 2).unwrap();
+        let back = Circuit::from_raw(c.gates().collect(), c.outputs().to_vec(), 2).unwrap();
+        assert!(back.gates().eq(c.gates()));
+        assert_eq!(back.wire_depths(), vec![0, 0, 1, 2]);
         assert_eq!(back.wire_depths(), c.wire_depths());
         assert_eq!((back.size(), back.depth()), (c.size(), c.depth()));
 
@@ -869,6 +1072,22 @@ mod tests {
         let mut b = Builder::new();
         b.input();
         b.finish(vec![1]);
+    }
+
+    #[test]
+    fn a_word_gate_record_is_13_bytes() {
+        // One opcode byte and three operand words per wire, in two
+        // arrays: constants and input indices live in the operand words.
+        let mut gates = Gates::with_capacity(4);
+        for g in [
+            Gate::Input(0),
+            Gate::Const(u64::MAX),
+            Gate::Mux(0, 1, 0),
+            Gate::AssertZero(2),
+        ] {
+            gates.push(g.pack());
+        }
+        assert_eq!(gates.bytes(), 4 * 13);
     }
 
     #[test]

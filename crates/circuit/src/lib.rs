@@ -53,7 +53,7 @@ pub mod tape;
 pub mod validate;
 
 pub use bitengine::{BitEngineStats, BitKernel, BitOp, BitReg, CompiledBitCircuit};
-pub use cons::{ConsIndex, ConsKey, Miss, HUB_USERS};
+pub use cons::{ConsArena, ConsIndex, ConsKey, Miss, HUB_USERS};
 pub use decompose::{decompose, DecomposedPart};
 pub use driver::CompileOptions;
 pub use engine::{CompiledCircuit, EngineStats, GATE_KINDS};

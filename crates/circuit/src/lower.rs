@@ -643,12 +643,10 @@ pub fn lower_with(c: &Circuit, width: u32, opts: &CompileOptions) -> BitCircuit 
 
 fn lower_seq(c: &Circuit, width: u32, rec: &qec_obs::Recorder) -> BitCircuit {
     let w = width as usize;
-    let src = c.gates();
-
     // Last consumer of each word wire (0: none, since a consumer always
     // comes after its operand); outputs stay pinned.
-    let mut last_use = vec![0u32; src.len()];
-    for (i, g) in src.iter().enumerate() {
+    let mut last_use = vec![0u32; c.num_wires()];
+    for (i, g) in c.gates().enumerate() {
         for op in g.operands().into_iter().flatten() {
             last_use[op as usize] = i as u32;
         }
@@ -661,9 +659,9 @@ fn lower_seq(c: &Circuit, width: u32, rec: &qec_obs::Recorder) -> BitCircuit {
     // A word wire's bit vector is replaced by the (allocation-free) empty
     // vector after its last consumer, or at once when it has none.
     // Topological order means a freed slot is never read again.
-    let mut word_bits: Vec<Vec<u32>> = Vec::with_capacity(src.len());
-    for (i, g) in src.iter().enumerate() {
-        let bits = lw.lower_gate(*g, &word_bits, w);
+    let mut word_bits: Vec<Vec<u32>> = Vec::with_capacity(c.num_wires());
+    for (i, g) in c.gates().enumerate() {
+        let bits = lw.lower_gate(g, &word_bits, w);
         word_bits.push(if last_use[i] == 0 { Vec::new() } else { bits });
         for op in g.operands().into_iter().flatten() {
             if last_use[op as usize] == i as u32 {

@@ -35,8 +35,8 @@ pub fn write_netlist(c: &Circuit) -> String {
         c.num_inputs(),
         c.num_wires()
     );
-    for (i, g) in c.gates().iter().enumerate() {
-        let line = match *g {
+    for (i, g) in c.gates().enumerate() {
+        let line = match g {
             Gate::Input(idx) => format!("{i} input {idx}"),
             Gate::Const(v) => format!("{i} const {v}"),
             Gate::Add(a, b) => format!("{i} add {a} {b}"),

@@ -27,7 +27,7 @@ use std::collections::HashSet;
 
 use crate::cons::ConsIndex;
 use crate::driver::CompileOptions;
-use crate::ir::{canon, Circuit, Gate, WireId};
+use crate::ir::{canon, op, Circuit, Gate, Gates, Rec, WireId};
 
 /// Counters describing one [`optimize_with`] run.
 #[derive(Clone, Debug, Default)]
@@ -104,9 +104,10 @@ impl OptStats {
 
 /// Gate-list rewriter with value/boolean-ness dataflow and CSE. Its
 /// methods are the rewrite rules: each takes already-rewritten operands
-/// and returns the wire standing for the gate.
+/// and returns the wire standing for the gate. It writes the packed
+/// arena the optimized circuit keeps.
 struct Rewriter {
-    gates: Vec<Gate>,
+    gates: Gates,
     /// Is the wire provably `0`/`1`?
     boolish: Vec<bool>,
     /// Hash-cons over `gates`: constants and logic gates.
@@ -119,7 +120,7 @@ struct Rewriter {
 impl Rewriter {
     fn new(cap: usize) -> Rewriter {
         Rewriter {
-            gates: Vec::with_capacity(cap),
+            gates: Gates::with_capacity(cap),
             boolish: Vec::with_capacity(cap),
             cons: ConsIndex::new(),
             folded: 0,
@@ -133,16 +134,17 @@ impl Rewriter {
     /// evaluation proceeds past it (on failure nothing downstream is
     /// observable).
     fn value(&self, w: WireId) -> Option<u64> {
-        match self.gates[w as usize] {
-            Gate::Const(v) => Some(v),
-            Gate::AssertZero(_) => Some(0),
+        let r = self.gates.get(w as usize);
+        match r.op {
+            op::CONST => Some(r.value()),
+            op::ASSERT => Some(0),
             _ => None,
         }
     }
 
     /// Returns the wire interned for `key` and whether it already
     /// existed, pushing and recording `key` when it did not.
-    fn intern(&mut self, key: Gate) -> (WireId, bool) {
+    fn intern(&mut self, key: Rec) -> (WireId, bool) {
         match self.cons.find(&self.gates, key) {
             Ok(w) => (w, true),
             Err(miss) => {
@@ -153,31 +155,25 @@ impl Rewriter {
         }
     }
 
-    fn raw_push(&mut self, g: Gate) -> WireId {
-        let b = match g {
-            Gate::Const(v) => v <= 1,
-            Gate::Eq(..)
-            | Gate::Lt(..)
-            | Gate::And(..)
-            | Gate::Or(..)
-            | Gate::Xor(..)
-            | Gate::Not(_)
-            | Gate::AssertZero(_) => true,
-            Gate::Mux(_, a, b) => self.boolish[a as usize] && self.boolish[b as usize],
+    fn raw_push(&mut self, r: Rec) -> WireId {
+        let b = match r.op {
+            op::CONST => r.value() <= 1,
+            op::EQ | op::LT | op::AND | op::OR | op::XOR | op::NOT | op::ASSERT => true,
+            op::MUX => self.boolish[r.args[1] as usize] && self.boolish[r.args[2] as usize],
             _ => false,
         };
         let id = self.gates.len() as WireId;
-        self.gates.push(g);
+        self.gates.push(r);
         self.boolish.push(b);
         id
     }
 
     fn konst(&mut self, v: u64) -> WireId {
-        self.intern(Gate::Const(v)).0
+        self.intern(Gate::Const(v).pack()).0
     }
 
     fn emit(&mut self, g: Gate) -> WireId {
-        let (w, hit) = self.intern(canon(g));
+        let (w, hit) = self.intern(canon(g.pack()));
         if hit {
             self.cse_hits += 1;
         }
@@ -313,8 +309,9 @@ impl Rewriter {
             return self.fold(u64::from(x == 0));
         }
         // Double negation is boolean coercion of the inner wire.
-        if let Gate::Not(y) = self.gates[a as usize] {
-            return self.coerce_bool(y);
+        let r = self.gates.get(a as usize);
+        if r.op == op::NOT {
+            return self.coerce_bool(r.args[0]);
         }
         self.emit(Gate::Not(a))
     }
@@ -371,19 +368,18 @@ pub fn optimize_with(c: &Circuit, opts: &CompileOptions) -> (Circuit, OptStats) 
 /// The rewrite walk, the liveness mark and the sweep (see
 /// [`optimize_with`] for the semantics contract).
 fn optimize_seq(c: &Circuit, rec: &qec_obs::Recorder) -> (Circuit, OptStats) {
-    let src = c.gates();
-    let mut rw = Rewriter::new(src.len());
+    let mut rw = Rewriter::new(c.num_wires());
     // Source wire → rewritten wire.
-    let mut map: Vec<WireId> = Vec::with_capacity(src.len());
+    let mut map: Vec<WireId> = Vec::with_capacity(c.num_wires());
     let mut seen_asserts: HashSet<WireId> = HashSet::new();
     // (pre-DCE new index, source index) per surviving assert.
     let mut assert_origin: Vec<(u32, u32)> = Vec::new();
     let mut asserts_before = 0u64;
     let mut always_fail = 0u64;
 
-    for (i, g) in src.iter().enumerate() {
-        let new = match *g {
-            Gate::Input(idx) => rw.raw_push(Gate::Input(idx)),
+    for (i, g) in c.gates().enumerate() {
+        let new = match g {
+            Gate::Input(idx) => rw.raw_push(Gate::Input(idx).pack()),
             Gate::Const(v) => rw.konst(v),
             Gate::Add(a, b) => rw.add(map[a as usize], map[b as usize]),
             Gate::Sub(a, b) => rw.sub(map[a as usize], map[b as usize]),
@@ -407,7 +403,7 @@ fn optimize_seq(c: &Circuit, rec: &qec_obs::Recorder) -> (Circuit, OptStats) {
                             if opt_v.is_some() {
                                 always_fail += 1;
                             }
-                            let w = rw.raw_push(Gate::AssertZero(a));
+                            let w = rw.raw_push(Gate::AssertZero(a).pack());
                             assert_origin.push((w, i as u32));
                             w
                         } else {
@@ -422,58 +418,72 @@ fn optimize_seq(c: &Circuit, rec: &qec_obs::Recorder) -> (Circuit, OptStats) {
         };
         map.push(new);
     }
-    // The rewrite is done: its counters go out and the cons index is
-    // freed before the sweep allocates.
+    // The rewrite is done: its counters go out, and the cons index, the
+    // boolean facts and the wire map are freed before the sweep
+    // allocates.
     std::mem::take(&mut rw.cons).flush(rec, "opt");
+    drop(std::mem::take(&mut rw.boolish));
+    let roots: Vec<WireId> = c.outputs().iter().map(|&o| map[o as usize]).collect();
+    drop(map);
+    let mut gates = std::mem::take(&mut rw.gates);
 
     // Mark: outputs, surviving asserts and inputs (arity must be
     // preserved) are roots; one reverse pass suffices because the gate
     // list is topologically ordered.
-    let n = rw.gates.len();
+    let n = gates.len();
     let mut live = vec![false; n];
-    for &o in c.outputs() {
-        live[map[o as usize] as usize] = true;
+    for &o in &roots {
+        live[o as usize] = true;
     }
+    // Logic-gate count of the rewritten-but-unswept list: the boundary
+    // between the rewrite and DCE phases.
+    let mut pre_dce_gates = 0u64;
     for w in (0..n).rev() {
-        let g = rw.gates[w];
-        if !live[w] && !matches!(g, Gate::AssertZero(_) | Gate::Input(_)) {
+        let r = gates.get(w);
+        if !matches!(r.op, op::INPUT | op::CONST) {
+            pre_dce_gates += 1;
+        }
+        if !live[w] && !matches!(r.op, op::ASSERT | op::INPUT) {
             continue;
         }
         live[w] = true;
-        for op in g.operands().iter().flatten() {
-            live[*op as usize] = true;
+        for &o in r.operands() {
+            live[o as usize] = true;
         }
     }
 
-    // Sweep: compact the live gates in id order.
+    // Sweep: compact the live records in id order, in place. A record
+    // moves to an index at or below its own, and every record below it
+    // has been read by then.
     let mut remap = vec![WireId::MAX; n];
-    let mut out_gates: Vec<Gate> = Vec::with_capacity(n);
+    let mut kept = 0usize;
     for w in 0..n {
         if live[w] {
-            remap[w] = out_gates.len() as WireId;
-            out_gates.push(remap_gate(rw.gates[w], &remap));
+            let mut r = gates.get(w);
+            let arity = r.arity();
+            for o in &mut r.args[..arity] {
+                *o = remap[*o as usize];
+            }
+            gates.set(kept, r);
+            remap[w] = kept as WireId;
+            kept += 1;
         }
     }
-    let dead = (n - out_gates.len()) as u64;
-    let outputs: Vec<WireId> = c
-        .outputs()
-        .iter()
-        .map(|&o| remap[map[o as usize] as usize])
-        .collect();
+    drop(live);
+    gates.truncate(kept);
+    let dead = (n - kept) as u64;
+    let outputs: Vec<WireId> = roots.iter().map(|&o| remap[o as usize]).collect();
     let assert_origin: Vec<(u32, u32)> = assert_origin
         .into_iter()
         .map(|(nw, oi)| (remap[nw as usize], oi))
         .collect();
+    drop(remap);
     let asserts_after = assert_origin.len() as u64;
+    if rec.is_enabled() {
+        rec.gauge_max("opt.arena_bytes", gates.bytes() as u64);
+    }
 
-    // Logic-gate count of the rewritten-but-unswept list: the boundary
-    // between the rewrite and DCE phases.
-    let pre_dce_gates = rw
-        .gates
-        .iter()
-        .filter(|g| !matches!(g, Gate::Input(_) | Gate::Const(_)))
-        .count() as u64;
-    let opt = Circuit::from_raw(out_gates, outputs, c.num_inputs())
+    let opt = Circuit::from_gates(gates, outputs, c.num_inputs())
         .expect("the sweep keeps the gate list topological");
     let stats = OptStats {
         gates_before: c.size(),
@@ -496,26 +506,6 @@ fn optimize_seq(c: &Circuit, rec: &qec_obs::Recorder) -> (Circuit, OptStats) {
         ],
     };
     (opt, stats)
-}
-
-/// Rewrites every operand of `g` through `renum`.
-fn remap_gate(g: Gate, renum: &[WireId]) -> Gate {
-    let r = |w: WireId| renum[w as usize];
-    match g {
-        Gate::Input(idx) => Gate::Input(idx),
-        Gate::Const(v) => Gate::Const(v),
-        Gate::Add(a, b) => Gate::Add(r(a), r(b)),
-        Gate::Sub(a, b) => Gate::Sub(r(a), r(b)),
-        Gate::Mul(a, b) => Gate::Mul(r(a), r(b)),
-        Gate::Eq(a, b) => Gate::Eq(r(a), r(b)),
-        Gate::Lt(a, b) => Gate::Lt(r(a), r(b)),
-        Gate::And(a, b) => Gate::And(r(a), r(b)),
-        Gate::Or(a, b) => Gate::Or(r(a), r(b)),
-        Gate::Xor(a, b) => Gate::Xor(r(a), r(b)),
-        Gate::Not(a) => Gate::Not(r(a)),
-        Gate::Mux(s, a, b) => Gate::Mux(r(s), r(a), r(b)),
-        Gate::AssertZero(a) => Gate::AssertZero(r(a)),
-    }
 }
 
 #[cfg(test)]
@@ -664,11 +654,10 @@ mod tests {
         assert_eq!(st.asserts_after, 1);
         // The surviving assert maps to the FIRST source assert.
         let (ng, orig) = st.assert_origin[0];
-        assert!(matches!(opt.gates()[ng as usize], Gate::AssertZero(_)));
-        assert!(matches!(c.gates()[orig as usize], Gate::AssertZero(_)));
+        assert!(matches!(opt.gate(ng as usize), Gate::AssertZero(_)));
+        assert!(matches!(c.gate(orig as usize), Gate::AssertZero(_)));
         let first_src_assert = c
             .gates()
-            .iter()
             .position(|g| matches!(g, Gate::AssertZero(_)))
             .unwrap();
         assert_eq!(orig as usize, first_src_assert);

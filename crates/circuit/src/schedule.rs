@@ -11,7 +11,7 @@ use crate::Circuit;
 pub fn level_widths(c: &Circuit) -> Vec<u64> {
     let depth = c.depth() as usize;
     let mut widths = vec![0u64; depth];
-    for &d in c.wire_depths() {
+    for d in c.wire_depths() {
         if d >= 1 {
             widths[d as usize - 1] += 1;
         }

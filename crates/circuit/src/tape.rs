@@ -8,7 +8,9 @@
 //!
 //! 1. **Flat tapes.** [`WordTape`] and [`BitTape`] are word-coded
 //!    instruction streams — one `Vec<u64>` of `(opcode, operand)` words —
-//!    in place of the struct-per-gate `Vec<Gate>`/`Vec<BGate>` IRs. The
+//!    that carry a circuit out of the process; in memory a circuit is
+//!    the word level's packed arena (an opcode byte and three `u32`
+//!    words per gate) or the bit level's `Vec<BGate>`. The
 //!    *narrow* format packs a whole instruction into one word
 //!    (`[opcode:4][a:30][b:30]`, extra words for `Const`/`Mux`); the
 //!    *wide* format spends one word per operand and therefore carries
@@ -22,6 +24,9 @@
 //!    [`CompiledBitCircuit::compile_gmw`](crate::CompiledBitCircuit::compile_gmw))
 //!    turns into an engine. A bit tape comes from
 //!    [`lower_with`](crate::lower_with) followed by [`BitTape::encode`].
+//!    [`WordTape::encoded_byte_len`] gives a word tape's serialized
+//!    length without encoding it, for callers that charge a plan by its
+//!    tape but keep no tape.
 //! 2. **Serialization.** [`WordTape::to_bytes`]/[`BitTape::to_bytes`]
 //!    emit a magic-tagged, versioned container with an FNV-1a-64
 //!    checksum trailer; `from_bytes` rejects truncation, trailing bytes,
@@ -33,7 +38,7 @@
 use std::fmt;
 use std::path::Path;
 
-use crate::engine::kind_index;
+use crate::ir::{op, Gates};
 use crate::lower::{BGate, BitCircuit, MAX_BIT_WIRES};
 use crate::validate::ValidateError;
 use crate::{Circuit, Gate, WireId};
@@ -344,8 +349,9 @@ fn load_bytes(path: &Path) -> Result<Vec<u8>, TapeError> {
 
 // ---- word tapes ----
 
-/// Word-gate opcodes are `engine::kind_index + 1` (1-based so an
-/// all-zero word can never be a valid instruction).
+/// Word-gate opcodes are the packed record's opcode (the gate kind's
+/// [`GATE_KINDS`](crate::GATE_KINDS) slot) plus one, so an all-zero word
+/// can never be a valid instruction.
 const OP_INPUT: u64 = 1;
 const OP_CONST: u64 = 2;
 const OP_MUX: u64 = 12;
@@ -384,40 +390,24 @@ impl WordTape {
     /// Encodes a circuit, picking the narrow format when every id and
     /// input index fits its 30-bit operand field.
     pub fn encode(c: &Circuit) -> WordTape {
-        let narrow =
-            (c.num_wires() as u64) < NARROW_LIMIT && (c.num_inputs() as u64) < NARROW_LIMIT;
+        WordTape::encode_as(c, is_narrow(c))
+    }
+
+    /// Encodes `c` in the narrow or the wide format.
+    fn encode_as(c: &Circuit, narrow: bool) -> WordTape {
         let format = if narrow { FORMAT_NARROW } else { FORMAT_WIDE };
-        let mut code = Vec::with_capacity(c.gates().len() + c.gates().len() / 8);
-        for g in c.gates() {
-            let op = (kind_index(g) + 1) as u64;
-            match (*g, narrow) {
-                (Gate::Const(v), true) => {
-                    code.push(pack_narrow(op, 0, 0));
-                    code.push(v);
-                }
-                (Gate::Const(v), false) => {
-                    code.push(op);
-                    code.push(v);
-                }
-                (Gate::Input(i), true) => code.push(pack_narrow(op, i as u64, 0)),
-                (Gate::Input(i), false) => {
-                    code.push(op);
-                    code.push(i as u64);
-                }
-                (g, true) => {
-                    let [a, b, cc] = three(g);
-                    code.push(pack_narrow(op, a, b));
-                    if op == OP_MUX {
-                        code.push(cc);
-                    }
-                }
-                (g, false) => {
-                    code.push(op);
-                    let ar = word_op_arity(op);
-                    let ops = three(g);
-                    for &o in ops.iter().take(ar) {
-                        code.push(o);
-                    }
+        let mut code = Vec::with_capacity(code_words(c, narrow));
+        for r in c.arena().iter() {
+            let opcode = u64::from(r.op) + 1;
+            let [a, b, cc] = r.args.map(u64::from);
+            match (r.op, narrow) {
+                (op::CONST, true) => code.extend([pack_narrow(opcode, 0, 0), r.value()]),
+                (op::CONST, false) => code.extend([opcode, r.value()]),
+                (op::MUX, true) => code.extend([pack_narrow(opcode, a, b), cc]),
+                (_, true) => code.push(pack_narrow(opcode, a, b)),
+                (_, false) => {
+                    code.push(opcode);
+                    code.extend_from_slice(&[a, b, cc][..word_op_arity(opcode)]);
                 }
             }
         }
@@ -430,16 +420,22 @@ impl WordTape {
         }
     }
 
+    /// The [`byte_len`](WordTape::byte_len) of `encode(c)`, counted from
+    /// the circuit without encoding it.
+    pub fn encoded_byte_len(c: &Circuit) -> usize {
+        container_len(code_words(c, is_narrow(c)) + c.outputs().len())
+    }
+
     /// Decodes back into the in-memory IR. The result is gate-for-gate
     /// identical to the circuit that was encoded (same gates, outputs and
     /// input count — the differ checks this). A tape is only ever made by
     /// [`WordTape::encode`] or the checked [`WordTape::from_bytes`], so
     /// the decoded gate list is a valid circuit.
     pub fn decode(&self) -> Result<Circuit, TapeError> {
-        let mut gates = Vec::with_capacity(self.num_wires as usize);
+        let mut gates = Gates::with_capacity(self.num_wires as usize);
         self.for_each_instruction(|_w, op, a, b, c| {
             let w = |o: u64| o as WireId;
-            gates.push(match op {
+            let g = match op {
                 OP_INPUT => Gate::Input(a as usize),
                 OP_CONST => Gate::Const(a),
                 3 => Gate::Add(w(a), w(b)),
@@ -454,12 +450,15 @@ impl WordTape {
                 OP_MUX => Gate::Mux(w(a), w(b), w(c)),
                 OP_ASSERT => Gate::AssertZero(w(a)),
                 _ => unreachable!("for_each_instruction rejects bad opcodes"),
-            });
+            };
+            gates.push(g.pack());
             Ok(())
         })?;
         let outputs = self.outputs.iter().map(|&o| o as WireId).collect();
-        Ok(Circuit::from_raw(gates, outputs, self.num_inputs as usize)
-            .expect("the tape was checked when it was made"))
+        Ok(
+            Circuit::from_gates(gates, outputs, self.num_inputs as usize)
+                .expect("the tape was checked when it was made"),
+        )
     }
 
     /// Walks the instruction stream, handing each decoded instruction
@@ -599,13 +598,23 @@ fn check_op(word: usize, op: u64) -> Result<(), TapeError> {
     Ok(())
 }
 
-fn three(g: Gate) -> [u64; 3] {
-    let ops = g.operands();
-    [
-        ops[0].unwrap_or(0) as u64,
-        ops[1].unwrap_or(0) as u64,
-        ops[2].unwrap_or(0) as u64,
-    ]
+/// Whether every wire id and input index of `c` fits the narrow format.
+fn is_narrow(c: &Circuit) -> bool {
+    (c.num_wires() as u64) < NARROW_LIMIT && (c.num_inputs() as u64) < NARROW_LIMIT
+}
+
+/// Code words [`WordTape::encode`] writes for `c`: per instruction one
+/// word, plus the narrow format's second word for `Const` and `Mux`, or
+/// the wide format's operand words.
+fn code_words(c: &Circuit, narrow: bool) -> usize {
+    c.arena()
+        .iter()
+        .map(|r| match (r.op, narrow) {
+            (op::CONST | op::MUX, true) => 2,
+            (_, true) => 1,
+            (o, false) => 1 + word_op_arity(u64::from(o) + 1),
+        })
+        .sum()
 }
 
 // ---- bit tapes ----
@@ -977,7 +986,7 @@ mod tests {
         let t = WordTape::encode(&c);
         assert_eq!(t.format(), FORMAT_NARROW);
         let back = t.decode().unwrap();
-        assert_eq!(back.gates(), c.gates());
+        assert!(back.gates().eq(c.gates()));
         assert_eq!(back.outputs(), c.outputs());
         assert_eq!(back.num_inputs(), c.num_inputs());
         let eng = crate::CompiledCircuit::compile_with(&back, &crate::CompileOptions::sequential())
@@ -987,9 +996,26 @@ mod tests {
         }
         let bytes = t.to_bytes();
         assert_eq!(t.byte_len(), bytes.len());
+        assert_eq!(WordTape::encoded_byte_len(&c), bytes.len());
         let t2 = WordTape::from_bytes(&bytes).unwrap();
         assert_eq!(t2, t);
         assert_eq!(t2.to_bytes(), bytes);
+    }
+
+    #[test]
+    fn wide_word_tapes_roundtrip_and_count_their_bytes() {
+        // The wide format only engages past 2^30 wires; encode the
+        // sample in it directly.
+        let c = sample_circuit();
+        let wide = WordTape::encode_as(&c, false);
+        assert_eq!(wide.format(), FORMAT_WIDE);
+        assert_eq!(wide.code().len(), code_words(&c, false));
+        let back = WordTape::from_bytes(&wide.to_bytes()).unwrap();
+        assert_eq!(back, wide);
+        assert!(back.decode().unwrap().gates().eq(c.gates()));
+        let narrow = WordTape::encode(&c);
+        assert_eq!(narrow.code().len(), code_words(&c, true));
+        assert!(wide.code().len() > narrow.code().len());
     }
 
     #[test]

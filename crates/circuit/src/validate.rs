@@ -134,7 +134,7 @@ pub fn validate_opt(
             }
         }
         prev = Some(opt_idx);
-        match optimized.gates().get(opt_idx as usize) {
+        match (opt_idx < optimized.num_wires() as u32).then(|| optimized.gate(opt_idx as usize)) {
             Some(Gate::AssertZero(_)) => {}
             Some(_) => {
                 return Err(ValidateError::AssertOriginInvalid {
@@ -151,7 +151,7 @@ pub fn validate_opt(
                 })
             }
         }
-        match source.gates().get(src_idx as usize) {
+        match (src_idx < source.num_wires() as u32).then(|| source.gate(src_idx as usize)) {
             Some(Gate::AssertZero(_)) => {}
             Some(_) => {
                 return Err(ValidateError::AssertOriginInvalid {

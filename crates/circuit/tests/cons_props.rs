@@ -7,7 +7,7 @@
 //! fill up and later users spill to the rest table.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 
 use proptest::prelude::*;
 use qec_circuit::lower::BGate;
@@ -79,6 +79,36 @@ impl<K: ConsKey + Hash> Store<K> {
     }
 }
 
+/// A word gate as a cons key. The word level interns packed records;
+/// this key holds the decoded [`Gate`], so the index is checked against
+/// the same gate streams without reaching into the crate.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct W(Gate);
+
+impl ConsKey for W {
+    fn youngest(&self) -> Option<u32> {
+        match self.0 {
+            Gate::Input(_) | Gate::Const(_) => None,
+            Gate::Not(a) | Gate::AssertZero(a) => Some(a),
+            Gate::Add(a, b)
+            | Gate::Sub(a, b)
+            | Gate::Mul(a, b)
+            | Gate::Eq(a, b)
+            | Gate::Lt(a, b)
+            | Gate::And(a, b)
+            | Gate::Or(a, b)
+            | Gate::Xor(a, b) => Some(a.max(b)),
+            Gate::Mux(s, a, b) => Some(s.max(a).max(b)),
+        }
+    }
+
+    fn cons_hash(&self) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        self.0.hash(&mut h);
+        h.finish()
+    }
+}
+
 /// Sorts the operands of commutative word gates, as the word builder
 /// and optimizer do before interning.
 fn canon(g: Gate) -> Gate {
@@ -116,8 +146,8 @@ fn hub_users<K: ConsKey>(reference: &HashMap<K, u32>) -> usize {
 }
 
 fn run_word(steps: &[Step]) -> Result<(), TestCaseError> {
-    let mut st = Store::new((0..INPUTS as usize).map(Gate::Input));
-    let hub = st.intern(Gate::Not(0))?;
+    let mut st = Store::new((0..INPUTS as usize).map(|i| W(Gate::Input(i))));
+    let hub = st.intern(W(Gate::Not(0)))?;
     prop_assert_eq!(hub, HUB);
     let mut issued: Vec<Gate> = Vec::new();
     for &(kind, x, y, z) in steps {
@@ -146,14 +176,14 @@ fn run_word(steps: &[Step]) -> Result<(), TestCaseError> {
                 g => g,
             },
             14 => {
-                st.push_raw(Gate::AssertZero(a));
+                st.push_raw(W(Gate::AssertZero(a)));
                 continue;
             }
             _ => Gate::Add(a, a),
         };
         let key = canon(key);
         issued.push(key);
-        st.intern(key)?;
+        st.intern(W(key))?;
     }
     st.check_counters(hub_users(&st.reference))
 }
@@ -210,13 +240,13 @@ proptest! {
 #[test]
 fn a_hub_wire_never_walks_past_the_cap() {
     const USERS: u32 = 100_000;
-    let mut arena: Vec<Gate> = (0..USERS as usize).map(Gate::Input).collect();
-    arena.push(Gate::Not(0));
+    let mut arena: Vec<W> = (0..USERS as usize).map(|i| W(Gate::Input(i))).collect();
+    arena.push(W(Gate::Not(0)));
     let hub = USERS;
     let mut index = ConsIndex::new();
     for pass in 0..2 {
         for x in 0..USERS {
-            let key = Gate::Add(x, hub);
+            let key = W(Gate::Add(x, hub));
             match index.find(&arena, key) {
                 Ok(w) => {
                     assert_eq!(pass, 1, "{key:?} found before it was interned");

@@ -5,7 +5,8 @@
 use proptest::prelude::*;
 use qec_circuit::{
     aggregate, decode_relation, join_degree_bounded, join_pk, project, select, semijoin,
-    sort_slots, truncate, union, AggOp, Builder, Circuit, SortKey, WordTape,
+    sort_slots, truncate, union, AggOp, Builder, Circuit, CompileOptions, CompiledCircuit, Gate,
+    SortKey, WordTape,
 };
 use qec_relation::{AggKind, Relation, Var, VarSet};
 
@@ -161,7 +162,7 @@ proptest! {
         let j = join_degree_bounded(&mut b, &rw, &sw, deg);
         let c = b.finish(j.flatten());
         let recount =
-            Circuit::from_raw(c.gates().to_vec(), c.outputs().to_vec(), c.num_inputs()).unwrap();
+            Circuit::from_raw(c.gates().collect(), c.outputs().to_vec(), c.num_inputs()).unwrap();
         prop_assert_eq!((c.size(), c.depth()), (recount.size(), recount.depth()));
         prop_assert_eq!(c.wire_depths(), recount.wire_depths());
         prop_assert!(c.size() > 0 && c.depth() > 0);
@@ -192,7 +193,7 @@ proptest! {
         let c = b.finish(out.flatten());
         let bytes = WordTape::encode(&c).to_bytes();
         let back = WordTape::from_bytes(&bytes).unwrap().decode().unwrap();
-        prop_assert_eq!(back.gates(), c.gates());
+        prop_assert!(back.gates().eq(c.gates()));
         prop_assert_eq!(back.outputs(), c.outputs());
         prop_assert_eq!(back.num_inputs(), c.num_inputs());
         let mut vals = relation_values(&r, 8);
@@ -228,5 +229,86 @@ proptest! {
         let bits = bc.pack_inputs(&vals);
         let bit_words = bc.unpack_outputs(&bc.evaluate(&bits).unwrap());
         prop_assert_eq!(decode_relation(&schema, &bit_words), word);
+    }
+}
+
+/// The constant a round-trip step packs: zero, the `?` sentinel
+/// `u64::MAX`, a few small values that repeat, values that need the
+/// high operand word, or any word.
+fn constant(sel: u8, v: u64) -> u64 {
+    match sel % 5 {
+        0 => 0,
+        1 => u64::MAX,
+        2 => v % 4,
+        3 => (v % 4) << 32 | 1,
+        _ => v,
+    }
+}
+
+/// A valid gate list from random steps: `inputs` inputs, then one gate of
+/// every kind in turn (the kind is `step % 13`), operands drawn from the
+/// wires so far. An assert checks a fresh constant 0, so evaluation gets
+/// past it.
+fn gate_list(inputs: usize, steps: &[(u8, u64, u32, u32, u32)]) -> Vec<Gate> {
+    let mut gates: Vec<Gate> = (0..inputs).map(Gate::Input).collect();
+    for (k, &(sel, v, x, y, z)) in steps.iter().enumerate() {
+        let n = gates.len() as u32;
+        let (a, b, c) = (x % n, y % n, z % n);
+        let g = match k % 13 {
+            0 => Gate::Const(constant(sel, v)),
+            1 => Gate::Add(a, b),
+            2 => Gate::Sub(a, b),
+            3 => Gate::Mul(a, b),
+            4 => Gate::Eq(a, b),
+            5 => Gate::Lt(a, b),
+            6 => Gate::And(a, b),
+            7 => Gate::Or(a, b),
+            8 => Gate::Xor(a, b),
+            9 => Gate::Not(a),
+            10 => Gate::Mux(a, b, c),
+            11 => {
+                gates.push(Gate::Const(0));
+                Gate::AssertZero(n)
+            }
+            _ => Gate::Const(constant(sel.wrapping_add(1), v)),
+        };
+        gates.push(g);
+    }
+    gates
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every gate comes back out of the packed arena as it went in, and
+    /// the engine's tape, which copies constants out of the records,
+    /// computes what the interpreter computes on every wire.
+    #[test]
+    fn every_gate_round_trips_through_the_arena(
+        inputs in 1usize..4,
+        steps in prop::collection::vec(any::<(u8, u64, u32, u32, u32)>(), 13..60),
+        seed in any::<u64>(),
+    ) {
+        let gates = gate_list(inputs, &steps);
+        let outputs: Vec<u32> = (0..gates.len() as u32).collect();
+        let c = Circuit::from_raw(gates.clone(), outputs, inputs).unwrap();
+        prop_assert_eq!(c.num_wires(), gates.len());
+        prop_assert_eq!(c.gates().collect::<Vec<_>>(), gates.clone());
+        for (i, &g) in gates.iter().enumerate() {
+            prop_assert_eq!(c.gate(i), g);
+        }
+        let back = WordTape::from_bytes(&WordTape::encode(&c).to_bytes())
+            .unwrap()
+            .decode()
+            .unwrap();
+        prop_assert!(back.gates().eq(gates.iter().copied()));
+        let vals: Vec<u64> = (0..inputs as u64)
+            .map(|i| constant(i as u8, seed.rotate_left(i as u32 * 17)))
+            .collect();
+        let raw = CompileOptions::sequential().with_optimize(false);
+        let eng = CompiledCircuit::compile_with(&c, &raw).unwrap();
+        let want = c.evaluate(&vals);
+        prop_assert!(want.is_ok());
+        prop_assert_eq!(eng.evaluate(&vals), want);
     }
 }

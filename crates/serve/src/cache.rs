@@ -28,14 +28,17 @@
 //! `WordTape` container) plus a `<fnv64>.plan` meta file carrying the
 //! key, layout, and output metadata. [`PlanCache::warm_start`] reloads
 //! them, paying tape-decode + register allocation but skipping
-//! parse/plan/lower — the compile-once, load-many path.
+//! parse/plan/lower — the compile-once, load-many path. Without a
+//! persist directory no tape is encoded at all: a plan's `plan_bytes`
+//! is counted from the circuit by `WordTape::encoded_byte_len`, which
+//! equals the encoded container's length.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use qec_circuit::{CompileOptions, CompiledCircuit, InputLayout, WordTape};
+use qec_circuit::{Circuit, CompileOptions, CompiledCircuit, InputLayout, WordTape};
 use qec_obs::Recorder;
 use qec_relation::Var;
 
@@ -325,17 +328,19 @@ impl PlanCache {
     // Persistence
     // ------------------------------------------------------------------
 
-    /// Writes a plan's tape + meta to the persist directory (no-op
-    /// without one). Called by the server on every fresh compile;
+    /// Writes the tape of `circuit`, the plan's source circuit, and the
+    /// plan's meta to the persist directory. Without one it does nothing
+    /// and encodes no tape. Called by the server on every fresh compile;
     /// eviction does *not* delete persisted files — disk is the warm
     /// tier the next process starts from.
-    pub fn persist(&self, plan: &CompiledPlan, tape: &WordTape) -> Result<(), ServeError> {
+    pub fn persist(&self, plan: &CompiledPlan, circuit: &Circuit) -> Result<(), ServeError> {
         let Some(dir) = &self.persist_dir else {
             return Ok(());
         };
         std::fs::create_dir_all(dir).map_err(|e| ServeError::Persist(e.to_string()))?;
         let stem = format!("{:016x}", plan.key.fnv64());
-        tape.save(dir.join(format!("{stem}.wtape")))
+        WordTape::encode(circuit)
+            .save(dir.join(format!("{stem}.wtape")))
             .map_err(|e| ServeError::Persist(e.to_string()))?;
         let mut meta = String::new();
         meta.push_str("qec-plan v1\n");

@@ -498,18 +498,17 @@ fn process_batch(shared: &Shared, mut batch: Vec<Job>) {
         };
         let engine = CompiledCircuit::compile_with(&lowered.circuit, &cfg.compile)
             .map_err(|e| ServeError::Compile(format!("{e:?}")))?;
-        // Encoded after the engine compile, so the tape does not sit in
-        // memory through the optimizer's peak.
-        let tape = WordTape::encode(&lowered.circuit);
+        // The budget charge is the tape's length, counted without
+        // encoding it: a tape is encoded only when `persist` writes one.
         let plan = CompiledPlan {
             key: key.clone(),
             engine,
             layout: lowered.layout,
             outputs: lowered.outputs,
-            plan_bytes: tape.byte_len(),
+            plan_bytes: WordTape::encoded_byte_len(&lowered.circuit),
             compile_ns: t.elapsed().as_nanos() as u64,
         };
-        shared.cache.persist(&plan, &tape)?;
+        shared.cache.persist(&plan, &lowered.circuit)?;
         Ok(plan)
     });
     let (plan, cache_hit) = match built {
@@ -777,6 +776,54 @@ mod tests {
             server.shutdown();
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The budget charge of a plan is its tape's length whether or not
+    /// the tape is written: a fresh compile without a persist directory
+    /// (which encodes nothing), one with it, and a warm start all charge
+    /// `WordTape::encode(&circuit).byte_len()`, which is also the length
+    /// of the persisted `.wtape` file.
+    #[test]
+    fn plan_bytes_is_the_tape_length_with_or_without_persistence() {
+        let dir = std::env::temp_dir().join(format!("qec-serve-bytes-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let req = triangle_request("t0", 4, 3);
+        let start = |persist_dir: Option<std::path::PathBuf>| {
+            Server::start(ServerConfig {
+                workers: 1,
+                persist_dir,
+                ..ServerConfig::default()
+            })
+        };
+
+        let mut server = start(None);
+        server.query(req.clone()).unwrap();
+        let unpersisted = server.cache_stats().used_bytes;
+        server.shutdown();
+
+        let mut server = start(Some(dir.clone()));
+        server.query(req.clone()).unwrap();
+        let persisted = server.cache_stats().used_bytes;
+        server.shutdown();
+        let tapes: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "wtape"))
+            .collect();
+        assert_eq!(tapes.len(), 1);
+        let file_len = std::fs::metadata(&tapes[0]).unwrap().len();
+        let circuit = WordTape::load(&tapes[0]).unwrap().decode().unwrap();
+        let encoded = WordTape::encode(&circuit).byte_len() as u64;
+
+        let mut server = start(Some(dir.clone()));
+        let warm = server.cache_stats().used_bytes;
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        assert_eq!(encoded, file_len);
+        assert_eq!(unpersisted, encoded, "fresh compile, no persist directory");
+        assert_eq!(persisted, encoded, "fresh compile, persisted");
+        assert_eq!(warm, encoded, "warm start");
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! change that reorders gate creation, drops a fold or misses a CSE hit
 //! moves at least one of them. The GMW tape `compile_gmw` builds from
 //! the width-8 lowering is pinned the same way: its schedule shape and
-//! the fingerprint of every instruction and register.
+//! the fingerprint of every instruction and register. So are the word
+//! engine's compile of the word circuit (its register allocation's
+//! shape) and the bytes of the word circuit's tape container.
 //!
 //! The figures were recorded while parallel versions of these passes
 //! still existed and were checked byte-identical to the sequential
@@ -20,7 +22,7 @@
 use qec_circuit::lower::BGate;
 use qec_circuit::{
     fnv1a64, lower_with, optimize_bits_with, optimize_with, BitCircuit, Circuit, CompileOptions,
-    CompiledBitCircuit, Gate, Mode,
+    CompiledBitCircuit, CompiledCircuit, Gate, Mode, WordTape,
 };
 use qec_core::triangle_heavy_light;
 
@@ -28,8 +30,8 @@ use qec_core::triangle_heavy_light;
 /// kind byte and three 64-bit operand words, zero-padded), then the
 /// outputs and the input arity.
 fn word_fingerprint(c: &Circuit) -> u64 {
-    let mut bytes = Vec::with_capacity(c.gates().len() * 25 + c.outputs().len() * 4 + 8);
-    for &g in c.gates() {
+    let mut bytes = Vec::with_capacity(c.num_wires() * 25 + c.outputs().len() * 4 + 8);
+    for g in c.gates() {
         let (k, ops): (u8, [u64; 3]) = match g {
             Gate::Input(i) => (0, [i as u64, 0, 0]),
             Gate::Const(v) => (1, [v, 0, 0]),
@@ -228,4 +230,60 @@ fn triangle_gmw_tape_at_width_8_matches_its_golden_figures() {
         "schedule shape"
     );
     assert_eq!(eng.fingerprint(), 18_178_047_808_494_733_995, "GMW tape");
+}
+
+/// The word engine's compile of the N=4 word circuit (optimizer on) and
+/// the word tape container of that circuit. The engine figures pin the
+/// level-major schedule's shape, and its fingerprint pins every
+/// instruction and register; the tape bytes pin the on-disk format a
+/// persisted plan is read back from.
+#[test]
+fn triangle_word_engine_and_tape_match_their_golden_figures() {
+    let (rc, _) = triangle_heavy_light(4);
+    let opts = CompileOptions::sequential();
+    let word = rc.lower_with(Mode::Build, &opts).circuit;
+    let eng = CompiledCircuit::compile_with(&word, &opts).unwrap();
+    let st = eng.stats();
+    let widths: Vec<u8> = st
+        .level_widths
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .collect();
+    let counts: Vec<u8> = st
+        .gate_counts
+        .iter()
+        .flat_map(|c| c.to_le_bytes())
+        .collect();
+    let got = (
+        st.tape_len,
+        st.peak_registers,
+        st.num_levels,
+        fnv1a64(&widths),
+        fnv1a64(&counts),
+        st.bytes_per_instance,
+    );
+    let tape = WordTape::encode(&word).to_bytes();
+    let got_tape = (tape.len(), fnv1a64(&tape));
+    assert_eq!(
+        got,
+        (
+            24_892,
+            1013,
+            594,
+            16_983_956_828_374_211_489,
+            3_569_573_965_597_128_180,
+            714_672
+        ),
+        "word engine schedule"
+    );
+    assert_eq!(
+        eng.fingerprint(),
+        12_410_777_380_844_984_844,
+        "word engine tape"
+    );
+    assert_eq!(
+        got_tape,
+        (427_544, 11_960_629_841_009_027_391),
+        "word tape bytes"
+    );
 }
