@@ -1,7 +1,9 @@
-//! Optimizer benchmarks: the cost of `optimize` itself on the ≥ 10⁵-gate
-//! degree-bounded join circuit, and the evaluation payoff — the batched
-//! engine over the raw tape (optimizer off) against the optimized tape.
-//! The headline comparison is `eval_batch/raw` vs
+//! Optimizer benchmarks on the ≥ 10⁵-gate degree-bounded join circuit:
+//! the cost of building it raw (`Builder::without_cse`) and with the
+//! builder's rewrite rules and hash-consing (`Builder::new`), the cost of
+//! the optimizer's sweep over the rule-built circuit, and the evaluation
+//! payoff — the batched engine over the raw tape against the rule-built,
+//! swept tape. The headline comparison is `eval_batch/raw` vs
 //! `eval_batch/optimized`; the acceptance bar for the optimizer is a
 //! ≥ 15% throughput gain there.
 
@@ -15,10 +17,8 @@ use qec_relation::Var;
 const CAP: usize = 16;
 const BATCH: usize = 64;
 
-/// R(a,b) ⋈ S(b,c), degree bound 4, built without online hash-consing so
-/// the offline pass sees the unpreprocessed builder output.
-fn raw_join_circuit() -> Circuit {
-    let mut b = Builder::without_cse();
+/// R(a,b) ⋈ S(b,c), degree bound 4, built by `b`.
+fn join_circuit(mut b: Builder) -> Circuit {
     let r = encode_relation(&mut b, vec![Var(0), Var(1)], CAP);
     let s = encode_relation(&mut b, vec![Var(1), Var(2)], CAP);
     let j = join_degree_bounded(&mut b, &r, &s, 4);
@@ -45,30 +45,38 @@ fn instances(c: &Circuit, batch: usize) -> Vec<Vec<u64>> {
 }
 
 fn bench_opt(c: &mut Criterion) {
-    let raw = raw_join_circuit();
+    let raw = join_circuit(Builder::without_cse());
+    let ruled = join_circuit(Builder::new());
     assert!(raw.size() >= 100_000, "bench circuit must stay ≥ 1e5 gates");
-    let (opt, st) = optimize_with(&raw, &CompileOptions::from_env());
+    let (opt, _) = optimize_with(&ruled, &CompileOptions::from_env());
     assert!(
-        st.gate_reduction() >= 0.25,
-        "optimizer must keep cutting ≥ 25% of the join circuit's gates"
+        opt.size() as f64 <= 0.75 * raw.size() as f64,
+        "the rules and the sweep must keep cutting ≥ 25% of the join circuit's gates"
     );
 
     let mut g = c.benchmark_group("optimize");
     g.sample_size(10);
     g.measurement_time(std::time::Duration::from_secs(3));
     g.warm_up_time(std::time::Duration::from_millis(500));
-    // one iteration = one full optimization of the raw circuit
+    // one iteration = one build of the join, or one sweep of the
+    // rule-built circuit; all per raw-circuit gate
     g.throughput(Throughput::Elements(raw.size()));
+    g.bench_function("build_raw", |b| {
+        b.iter(|| join_circuit(Builder::without_cse()).size())
+    });
+    g.bench_function("build_rules", |b| {
+        b.iter(|| join_circuit(Builder::new()).size())
+    });
     g.bench_function("word_pass", |b| {
-        b.iter(|| optimize_with(&raw, &CompileOptions::from_env()).0.size())
+        b.iter(|| optimize_with(&ruled, &CompileOptions::from_env()).0.size())
     });
     g.finish();
 
     let eng_raw =
         CompiledCircuit::compile_with(&raw, &CompileOptions::from_env().with_optimize(false))
             .expect("circuit compiles");
-    let eng_opt =
-        CompiledCircuit::compile_with(&raw, &CompileOptions::from_env()).expect("circuit compiles");
+    let eng_opt = CompiledCircuit::compile_with(&ruled, &CompileOptions::from_env())
+        .expect("circuit compiles");
     assert!(eng_opt.stats().tape_len <= opt.num_wires());
     let batch = instances(&raw, BATCH);
     assert_eq!(

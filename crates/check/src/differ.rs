@@ -8,7 +8,11 @@
 //!    `OutputSensitive::evaluate_ram` must all agree.
 //! 2. The naive relational circuit's RAM interpreter must match.
 //! 3. The lowered word circuit is checked for a flat-tape
-//!    serialize/decode round-trip (gate-for-gate equality), then compiled
+//!    serialize/decode round-trip (gate-for-gate equality). The builder's
+//!    rewrite rules are checked next: the same relational circuit built
+//!    by the oracle builder (`lower_without_cse`: no rule, no hash-cons)
+//!    must give the rule-built circuit's outcome, in `Circuit::evaluate`
+//!    and in the word engine. Then the rule-built circuit is compiled
 //!    and evaluated under every [`EngineOptions`] point in the sweep
 //!    matrix; each decoded output must equal the RAM ground truth.
 //! 4. Optionally the bit-level lowering and bit optimizer run as well,
@@ -31,7 +35,7 @@
 use crate::case::{Case, EngineOptions};
 use qec_circuit::{
     decode_relation, lower_with, optimize_bits_with, BitEvalScratch, BitKernel, BitTape, Circuit,
-    CompileOptions, CompiledBitCircuit, CompiledCircuit, Gate, Mode, WordTape,
+    CompileOptions, CompiledBitCircuit, CompiledCircuit, EvalError, Gate, Mode, WordTape,
 };
 use qec_core::{naive_circuit, OutputSensitive};
 use qec_query::baseline::{evaluate_pairwise, generic_join, yannakakis};
@@ -240,6 +244,33 @@ pub(crate) fn harness(msg: impl fmt::Display) -> Divergence {
     Divergence::Harness(msg.to_string())
 }
 
+/// Whether two builds of one program had the same outcome: equal
+/// outputs, or a failing assert that observed the same value, or the
+/// same other error.
+fn same_outcome(a: &Result<Vec<u64>, EvalError>, b: &Result<Vec<u64>, EvalError>) -> bool {
+    match (a, b) {
+        (
+            Err(EvalError::AssertionFailed { value: x, .. }),
+            Err(EvalError::AssertionFailed { value: y, .. }),
+        ) => x == y,
+        _ => a == b,
+    }
+}
+
+fn outcome_digest(r: &Result<Vec<u64>, EvalError>) -> String {
+    match r {
+        Ok(v) => {
+            let bytes: Vec<u8> = v.iter().flat_map(|w| w.to_le_bytes()).collect();
+            format!(
+                "{} outputs (fnv {:016x})",
+                v.len(),
+                qec_circuit::fnv1a64(&bytes)
+            )
+        }
+        Err(e) => e.to_string(),
+    }
+}
+
 /// Runs one case through the full differential stack.
 ///
 /// `matrix` is the engine-option sweep; `mutation` optionally injects a
@@ -344,6 +375,30 @@ pub fn run_case(
         None => lowered.circuit.clone(),
     };
     let inputs = lowered.layout.values(&db).map_err(harness)?;
+
+    // Stage 3c: the builder's rewrite rules, against the oracle build.
+    // Assert gates are numbered differently in the two builds, so a
+    // failing assert is compared by the value it observed.
+    {
+        let raw = rc.lower_without_cse();
+        let raw_inputs = raw.layout.values(&db).map_err(harness)?;
+        let ruled = lowered.circuit.evaluate(&inputs);
+        let interpreted = raw.circuit.evaluate(&raw_inputs);
+        let compiled = CompiledCircuit::compile_with(&raw.circuit, &CompileOptions::sequential())
+            .and_then(|eng| eng.evaluate(&raw_inputs));
+        for (evaluator, got) in [("interpreter", interpreted), ("engine", compiled)] {
+            if !same_outcome(&got, &ruled) {
+                return Err(Divergence::Check {
+                    stage: "rules",
+                    error: format!(
+                        "the oracle build's {evaluator} gave {}, the rule-built circuit {}",
+                        outcome_digest(&got),
+                        outcome_digest(&ruled)
+                    ),
+                });
+            }
+        }
+    }
 
     // Stage 4: the engine-option sweep.
     let mut outcome = CaseOutcome {

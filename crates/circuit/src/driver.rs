@@ -1,23 +1,27 @@
 //! The unified compile driver: one options struct and one entry point.
 //!
 //! [`CompileOptions`] is the single value that travels the whole
-//! pipeline — whether the optimizer runs and where observability data
-//! goes — and [`CompiledCircuit::compile_with`] is the one driver that
-//! consumes it, returning just the engine. There is no validation knob:
-//! circuits are valid by construction (see [`crate::validate`]), and
-//! the one invariant no type carries, the optimizer's
-//! assertion-provenance map, is checked on every optimizing compile.
-//! Where the compile time went is on the recorder, as `compile`,
-//! `optimize` and `tape` spans. Every pass it drives (word build,
-//! optimize, bit lowering, bit optimize) is one sequential walk over its
-//! gate list.
+//! pipeline — whether the optimizer's dead-gate sweep runs and where
+//! observability data goes — and [`CompiledCircuit::compile_with`] is
+//! the one driver that consumes it, returning just the engine. The
+//! rewrite rules and hash-consing are not a stage here: the word
+//! [`Builder`](crate::Builder) applies them to each gate as it builds
+//! it, so every caller of `Builder::new()` gets them, the secure path
+//! included. There is no validation knob: circuits are valid by
+//! construction (see [`crate::validate`]), and the one invariant no type
+//! carries, the optimizer's assertion-provenance map, is checked on
+//! every optimizing compile. Where the compile time went is on the
+//! recorder, as `compile`, `optimize` and `tape` spans. Every pass it
+//! drives (word build, sweep, bit lowering, bit optimize) is one
+//! sequential walk over its gate list.
 //!
 //! Observability has two sinks by design:
 //!
 //! * **Driver stages** (optimize, tape, and the word-circuit build when
 //!   entered through `RelCircuit::lower_with`) record spans and counters
 //!   on `CompileOptions::recorder`.
-//! * **Low-level layers** (the builder hash-cons) flush to the
+//! * **Low-level layers** (the builder's rule and hash-cons counters,
+//!   `build.folded`, `build.identities`, `build.cons_*`) flush to the
 //!   process-global recorder ([`qec_obs::global`]), because threading a
 //!   handle through every builder would tax the untraced path.
 //!
@@ -38,8 +42,9 @@ use crate::ir::{Circuit, EvalError};
 /// builders.
 #[derive(Clone, Debug)]
 pub struct CompileOptions {
-    /// Run the word-level optimizer before taping (`true` everywhere
-    /// except raw A/B measurements).
+    /// Run the word-level optimizer, the dead-gate sweep, before taping
+    /// (`true` everywhere except raw A/B measurements). The builder's
+    /// rewrite rules do not depend on it.
     pub optimize: bool,
     /// Span/counter sink for the driver stages. Disabled by default —
     /// the fast path costs one boolean check per stage.
@@ -67,7 +72,7 @@ impl CompileOptions {
         }
     }
 
-    /// Switches the word-level optimizer on or off.
+    /// Switches the word-level optimizer (the sweep) on or off.
     pub fn with_optimize(mut self, optimize: bool) -> CompileOptions {
         self.optimize = optimize;
         self
@@ -89,7 +94,7 @@ impl Default for CompileOptions {
 impl CompiledCircuit {
     /// Compiles `c` into a register-allocated instruction tape under
     /// `opts` — the single compile entry point. When `opts.optimize` is
-    /// set the word-level optimizer runs first and assertion failures
+    /// set the dead-gate sweep runs first and assertion failures
     /// keep reporting **source** gate indices via
     /// [`OptStats::assert_origin`](crate::OptStats::assert_origin), a map
     /// [`validate_opt`](crate::validate_opt) checks on every optimizing
@@ -137,9 +142,8 @@ mod tests {
         let x = b.input();
         let y = b.input();
         let s = b.add(x, y);
-        let z = b.constant(0);
-        let s2 = b.add(s, z); // folds away
-        let p = b.mul(s2, s2);
+        let _dead = b.sub(x, y); // swept
+        let p = b.mul(s, s);
         b.finish(vec![p])
     }
 
@@ -147,7 +151,7 @@ mod tests {
     fn compile_with_optimizes_and_evaluates() {
         let c = sample();
         let eng = CompiledCircuit::compile_with(&c, &CompileOptions::sequential()).unwrap();
-        assert!(eng.stats().opt.is_some());
+        assert_eq!(eng.stats().opt.as_ref().map(|st| st.dead), Some(1));
         assert_eq!(eng.evaluate(&[3, 4]).unwrap(), vec![49]);
     }
 

@@ -10,7 +10,9 @@ use qec_obs::Recorder;
 
 /// Eight mux chains over shared inputs. Commutative duplicates
 /// (`x_i + x_j` against `x_j + x_i`), repeated constants and gates every
-/// chain rebuilds all hit the table; each chain's muxes are its own.
+/// chain rebuilds all hit the table; each chain's muxes are its own. The
+/// bounds are offset by `t + 1`, so no compare is against 0 (which the
+/// builder folds) and every chain depends on its `t`.
 fn program(b: &mut Builder) -> Vec<WireId> {
     let xs: Vec<WireId> = (0..32).map(|_| b.input()).collect();
     (0..8)
@@ -19,7 +21,7 @@ fn program(b: &mut Builder) -> Vec<WireId> {
             for i in 0..32 {
                 for j in 0..32 {
                     let s = b.add(xs[i], xs[j]);
-                    let k = b.constant((i * j) as u64);
+                    let k = b.constant((i * j + t + 1) as u64);
                     let e = b.lt(s, k);
                     acc = b.mux(e, acc, s);
                 }

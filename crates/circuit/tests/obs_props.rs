@@ -1,8 +1,8 @@
 //! Property tests pinning the observability layer to zero behavioral
 //! footprint: compiling with tracing enabled (an enabled `Recorder`)
 //! must produce **byte-identical** results — gate
-//! lists, outputs, `OptStats` (including `assert_origin` and the
-//! per-pass `phase_gates` breakdown), and per-instance evaluation
+//! lists, outputs, `OptStats` (including `assert_origin`), and
+//! per-instance evaluation
 //! outcomes — to the untraced compile. The exporter round-trip tests validate that both output
 //! formats (the versioned metrics document and the Chrome trace-event
 //! document) are well-formed JSON carrying the recorded spans.
@@ -123,7 +123,7 @@ proptest! {
         prop_assert_eq!(
             format!("{opt_st:?}"),
             format!("{opt_st2:?}"),
-            "OptStats (incl. assert_origin, phase_gates) diverge"
+            "OptStats (incl. assert_origin) diverge"
         );
 
         let bc2 = lower_with(&raw, 8, &topts);

@@ -4,12 +4,18 @@
 //! failing circuit never optimizes into a passing one, and the reported
 //! first-failing assert corresponds through `OptStats::assert_origin`).
 //! The compiled engine, which optimizes internally, must report the
-//! exact source-level lowest-gate-index failure for 1–8 threads.
+//! exact source-level lowest-gate-index failure.
+//!
+//! The rewrite rules live in the builder, so they are pinned here too:
+//! a random program built by `Builder::new()` evaluates as the same
+//! program built by the oracle `Builder::without_cse()`, and replaying a
+//! rule-built circuit through a fresh `Builder::new()` gives back its
+//! gate list unchanged.
 
 use proptest::prelude::*;
 use qec_circuit::{
     lower_with, optimize_bits_with, optimize_with, Builder, Circuit, CompileOptions,
-    CompiledCircuit, EvalError,
+    CompiledCircuit, EvalError, Gate, WireId,
 };
 
 /// Raw material for one random gate: kind selector plus operand seeds,
@@ -21,7 +27,11 @@ type GateSeed = (u8, u32, u32, u32, u64);
 /// material to chew on, and the equivalence claim is tested against the
 /// least-preprocessed circuit we can build.
 fn build_random(num_inputs: usize, seeds: &[GateSeed]) -> Circuit {
-    let mut b = Builder::without_cse();
+    build_random_with(Builder::without_cse(), num_inputs, seeds)
+}
+
+/// The program of [`build_random`], built by `b`.
+fn build_random_with(mut b: Builder, num_inputs: usize, seeds: &[GateSeed]) -> Circuit {
     let mut wires: Vec<_> = (0..num_inputs).map(|_| b.input()).collect();
     for &(kind, a, bb, s, v) in seeds {
         let pick = |x: u32| wires[x as usize % wires.len()];
@@ -59,6 +69,33 @@ fn build_random(num_inputs: usize, seeds: &[GateSeed]) -> Circuit {
     b.finish(outputs)
 }
 
+/// Builds `c` again, gate by gate, through a fresh `Builder::new()`.
+fn replay(c: &Circuit) -> Circuit {
+    let mut b = Builder::new();
+    let mut map: Vec<WireId> = Vec::with_capacity(c.num_wires());
+    for g in c.gates() {
+        let m = |w: WireId| map[w as usize];
+        let w = match g {
+            Gate::Input(_) => b.input(),
+            Gate::Const(v) => b.constant(v),
+            Gate::Add(x, y) => b.add(m(x), m(y)),
+            Gate::Sub(x, y) => b.sub(m(x), m(y)),
+            Gate::Mul(x, y) => b.mul(m(x), m(y)),
+            Gate::Eq(x, y) => b.eq(m(x), m(y)),
+            Gate::Lt(x, y) => b.lt(m(x), m(y)),
+            Gate::And(x, y) => b.and(m(x), m(y)),
+            Gate::Or(x, y) => b.or(m(x), m(y)),
+            Gate::Xor(x, y) => b.xor(m(x), m(y)),
+            Gate::Not(x) => b.not(m(x)),
+            Gate::Mux(s, x, y) => b.mux(m(s), m(x), m(y)),
+            Gate::AssertZero(x) => b.assert_zero(m(x)),
+        };
+        map.push(w);
+    }
+    let outputs = c.outputs().iter().map(|&o| map[o as usize]).collect();
+    b.finish(outputs)
+}
+
 /// Asserts the optimized circuit's outcome matches the source outcome,
 /// mapping reported assert gates through `assert_origin`.
 fn assert_same_outcome(
@@ -89,6 +126,57 @@ fn assert_same_outcome(
         (a, b) => prop_assert!(false, "outcome diverged: source {a:?} vs optimized {b:?}"),
     }
     Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The builder's rules keep the program's meaning: built raw and
+    /// built with rules, a random program gives the same outputs, the
+    /// same first failing assert value and the same arity errors.
+    #[test]
+    fn rule_built_circuits_match_the_raw_build(
+        num_inputs in 1usize..6,
+        seeds in prop::collection::vec(any::<GateSeed>(), 1..120),
+        raw_instances in prop::collection::vec(
+            prop::collection::vec(0u64..16, 0..8), 1..10),
+    ) {
+        let raw = build_random(num_inputs, &seeds);
+        let ruled = build_random_with(Builder::new(), num_inputs, &seeds);
+        prop_assert!(ruled.size() <= raw.size(), "the rules never grow a circuit");
+        prop_assert_eq!(ruled.num_inputs(), raw.num_inputs());
+        for vals in &raw_instances {
+            let inst: Vec<u64> =
+                (0..num_inputs).map(|i| vals.get(i).copied().unwrap_or(3)).collect();
+            match (raw.evaluate(&inst), ruled.evaluate(&inst)) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "inputs {:?}", inst),
+                (
+                    Err(EvalError::AssertionFailed { value: rv, .. }),
+                    Err(EvalError::AssertionFailed { gate, value }),
+                ) => {
+                    prop_assert_eq!(rv, value, "first failing assert value");
+                    prop_assert!(matches!(ruled.gate(gate), Gate::AssertZero(_)));
+                }
+                (a, b) => prop_assert!(false, "outcome diverged: raw {a:?} vs ruled {b:?}"),
+            }
+        }
+        let short = vec![0u64; num_inputs - 1];
+        prop_assert_eq!(raw.evaluate(&short).err(), ruled.evaluate(&short).err());
+    }
+
+    /// A rule-built circuit is a fixpoint of the rules: replayed through
+    /// a fresh `Builder::new()` it comes back gate for gate.
+    #[test]
+    fn rule_built_circuits_replay_to_themselves(
+        num_inputs in 1usize..6,
+        seeds in prop::collection::vec(any::<GateSeed>(), 1..120),
+    ) {
+        let c = build_random_with(Builder::new(), num_inputs, &seeds);
+        let again = replay(&c);
+        prop_assert!(again.gates().eq(c.gates()), "the replay rewrote a gate");
+        prop_assert_eq!(again.outputs(), c.outputs());
+        prop_assert_eq!((again.size(), again.depth()), (c.size(), c.depth()));
+    }
 }
 
 proptest! {

@@ -624,20 +624,23 @@ impl RelationalCircuit {
     }
 
     /// [`RelationalCircuit::lower`] under explicit [`CompileOptions`].
-    /// When `opts.recorder` is enabled the whole word-circuit
-    /// construction is recorded as a `build` span. [`Mode`] has the one
-    /// variant `Mode::Build`; the parameter stays so existing callers
-    /// keep compiling.
+    /// The builder applies its rewrite rules and hash-consing to each
+    /// gate (see [`Builder`]). When `opts.recorder` is enabled the whole
+    /// word-circuit construction is recorded as a `build` span. [`Mode`]
+    /// has the one variant `Mode::Build`; the parameter stays so
+    /// existing callers keep compiling.
     pub fn lower_with(&self, _mode: Mode, opts: &CompileOptions) -> LoweredCircuit {
         let _span = opts.recorder.span("build");
         self.lower_into(Builder::new())
     }
 
-    /// Measurement baseline: the same lowering with the builder's online
-    /// hash-consing disabled, so every gate is emitted verbatim. X24 uses
-    /// this to quantify how much cross-iteration redundancy the online
-    /// CSE collapses in unrolled fixpoint circuits — do not evaluate
-    /// production circuits through it.
+    /// The oracle build: the same lowering through
+    /// [`Builder::without_cse`], with neither the builder's rewrite rules
+    /// nor its hash-consing, so every gate is emitted as the operator
+    /// circuits wrote it. The differential checker evaluates it against
+    /// the rule-built circuit, and X24 uses it to measure how much
+    /// cross-iteration redundancy the builder collapses in unrolled
+    /// fixpoint circuits. Do not serve production circuits through it.
     pub fn lower_without_cse(&self) -> LoweredCircuit {
         self.lower_into(Builder::without_cse())
     }
