@@ -760,7 +760,9 @@ impl Builder {
             let lt = self.lt(x, y);
             let eq = self.eq(x, y);
             let tail = self.and(eq, acc);
-            acc = self.or(lt, tail);
+            // `lt` and `eq` are never both 1, so XOR joins them as OR
+            // would, and costs no AND once lowered to bits.
+            acc = self.xor(lt, tail);
         }
         acc
     }
@@ -1076,6 +1078,29 @@ mod tests {
         assert_eq!(circ.evaluate(&[2, 0, 1, 9]).unwrap(), vec![0]);
         assert_eq!(circ.evaluate(&[1, 2, 1, 3]).unwrap(), vec![1]);
         assert_eq!(circ.evaluate(&[1, 3, 1, 3]).unwrap(), vec![0]);
+    }
+
+    /// `lex_lt` joins its terms with `Xor`, which is only right because
+    /// they are exclusive: check it against lexicographic order on every
+    /// pair of keys over a domain of 3, equal keys included.
+    #[test]
+    fn lex_lt_matches_lexicographic_order_on_every_small_key_pair() {
+        for len in 1..=3usize {
+            for mut b in [Builder::new(), Builder::without_cse()] {
+                let a: Vec<WireId> = (0..len).map(|_| b.input()).collect();
+                let c: Vec<WireId> = (0..len).map(|_| b.input()).collect();
+                let lt = b.lex_lt(&a, &c);
+                let circ = b.finish(vec![lt]);
+                for code in 0..3u64.pow(2 * len as u32) {
+                    let vals: Vec<u64> = (0..2 * len as u32)
+                        .map(|d| code / 3u64.pow(d) % 3)
+                        .collect();
+                    let (x, y) = vals.split_at(len);
+                    let got = circ.evaluate(&vals).unwrap();
+                    assert_eq!(got, vec![u64::from(x < y)], "{x:?} < {y:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -105,16 +105,9 @@ fn join_pk_payload(
 
     // Segmented "repetition" scan (Alg. 6 line 5): within each key group
     // the S row (if any) is first; copy its payload and marker down the
-    // group. Dummy rows get a QMARK key so they form their own segment.
-    let keys: Vec<Vec<WireId>> = (0..n)
-        .map(|i| {
-            sorted.slots[i]
-                .fields
-                .iter()
-                .map(|&f| b.mux(sorted.slots[i].valid, f, qm))
-                .collect()
-        })
-        .collect();
+    // group. Dummy rows leave the sort with a QMARK key, so they form
+    // their own segment.
+    let keys: Vec<Vec<WireId>> = sorted.slots.iter().map(|s| s.fields.clone()).collect();
 
     // Key-uniqueness check: Alg. 6 requires the shared attributes to be a
     // primary key of S. Two valid S rows with equal keys are adjacent

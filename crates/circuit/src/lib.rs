@@ -21,7 +21,7 @@
 //! | circuit | paper | size | depth |
 //! |---|---|---|---|
 //! | `⊕`-scan / segmented scan | Alg. 4, Sec. 5.1 | `Õ(K)` | `Õ(1)` |
-//! | bitonic sort ([`sort_slots`]) | Sec. 5 (sorting networks) | `O(K log² K)` | `O(log² K)` |
+//! | odd–even merge sort ([`sort_slots`]) | Sec. 5 (sorting networks) | `O(K log² K)` | `O(log² K)` |
 //! | selection ([`select`]) | Sec. 5 | `Õ(K)` | `Õ(1)` |
 //! | projection ([`project`]) | Alg. 3 | `Õ(K)` | `Õ(1)` |
 //! | aggregation ([`aggregate`]) | Alg. 5 | `Õ(K)` | `Õ(1)` |

@@ -507,7 +507,9 @@ impl Lowerer {
     }
 
     fn lt_words(&mut self, a: &[u32], b: &[u32]) -> u32 {
-        // ripple from LSB: lt = (!a & b) | (!(a^b) & lt_prev)
+        // ripple from LSB: lt = (!a & b) ^ (!(a^b) & lt_prev). The two
+        // terms are never both 1, so XOR joins them as OR would, with
+        // one AND level per bit instead of two.
         let mut lt = B_FALSE;
         for (&x, &y) in a.iter().zip(b.iter()) {
             let nx = self.not(x);
@@ -515,7 +517,7 @@ impl Lowerer {
             let d = self.xor(x, y);
             let same = self.not(d);
             let keep = self.and(same, lt);
-            lt = self.or(here, keep);
+            lt = self.xor(here, keep);
         }
         lt
     }

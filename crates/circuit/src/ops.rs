@@ -160,24 +160,22 @@ pub fn aggregate(b: &mut Builder, rel: &RelWires, group: VarSet, op: AggOp, out:
             vec![v]
         })
         .collect();
-    // segment keys: group fields with dummies forced to QMARK (so dummy
-    // slots form a trailing segment of their own)
+    // segment keys: the group fields, which the sort left at QMARK in
+    // dummy slots, so dummies form a trailing segment of their own
+    let qm = b.constant(crate::rel::QMARK);
     let keys: Vec<Vec<WireId>> = sorted
         .slots
         .iter()
         .map(|s| {
-            let qm = b.constant(crate::rel::QMARK);
-            let mut k: Vec<WireId> = Vec::with_capacity(gcols.len().max(1));
-            for v in &gcols {
-                let c = sorted.col(*v).expect("subset");
-                k.push(b.mux(s.valid, s.fields[c], qm));
-            }
-            if k.is_empty() {
+            if gcols.is_empty() {
                 // global aggregate: one segment for real tuples, one for
                 // dummies
-                k.push(b.mux(s.valid, zero, qm));
+                return vec![b.mux(s.valid, zero, qm)];
             }
-            k
+            gcols
+                .iter()
+                .map(|v| s.fields[sorted.col(*v).expect("subset")])
+                .collect()
         })
         .collect();
 

@@ -5,9 +5,21 @@
 //! mergesort (default; fewer comparators) and the bitonic sorter — both
 //! `O(K log² K)` compare-exchange units and `O(log² K)` depth. The
 //! `O(N log N)` AKS network has galactic constants (see `DESIGN.md`).
-//! Non-power-of-two capacities are padded with dummy slots that sort to
-//! the end and are discarded afterwards, so the visible capacity is
-//! unchanged.
+//!
+//! A non-power-of-two capacity `n` runs the network of the next power
+//! of two `m`, with lanes `n..m` holding padding that sorts last. Every
+//! odd–even comparator is ascending, so a padding element never leaves
+//! its lane and each comparator that touches one is a no-op: the
+//! odd–even schedule drops them and builds only the `n` real lanes.
+//! The bitonic sorter has descending comparators, so it keeps its
+//! padding slots and discards them afterwards. Either way the visible
+//! capacity is unchanged.
+//!
+//! The sort key is read from the wires every slot carries anyway. When
+//! the sort starts, each key column's field of a dummy slot is set to
+//! `QMARK` and `valid` is made `0`/`1`; a comparator then compares
+//! `(valid, fields…, tie)` straight off the two elements, so a sorted
+//! dummy slot leaves with `?` in every key column.
 
 use qec_relation::Var;
 
@@ -28,42 +40,6 @@ pub enum SortKey {
     /// Only move dummies last, otherwise preserve nothing in particular
     /// (used by truncation).
     ValidFirst,
-}
-
-fn key_wires(
-    b: &mut Builder,
-    rel: &RelWires,
-    slot: usize,
-    key: &SortKey,
-    extra: &[Vec<WireId>],
-) -> Vec<WireId> {
-    let s = &rel.slots[slot];
-    // leading component: !valid, so dummies (0-valid ⇒ 1) sort last
-    let invalid = b.not(s.valid);
-    let mut k = vec![invalid];
-    match key {
-        SortKey::ValidFirst => {}
-        SortKey::Columns(cols) => {
-            for &v in cols {
-                let c = rel.col(v).expect("sort column in schema");
-                // dummies carry arbitrary fields; force them to QMARK so
-                // equal keys cannot straddle the valid/dummy boundary
-                let qm = b.constant(QMARK);
-                let f = b.mux(s.valid, s.fields[c], qm);
-                k.push(f);
-            }
-        }
-        SortKey::ColumnsThen(cols, tie_idx) => {
-            for &v in cols {
-                let c = rel.col(v).expect("sort column in schema");
-                let qm = b.constant(QMARK);
-                let f = b.mux(s.valid, s.fields[c], qm);
-                k.push(f);
-            }
-            k.push(extra[*tie_idx][slot]);
-        }
-    }
-    k
 }
 
 /// Which comparator network to instantiate. Both are Batcher networks
@@ -122,6 +98,38 @@ fn comparators(network: SortNetwork, m: usize) -> Vec<(usize, usize, bool)> {
     out
 }
 
+/// The wires one slot carries through the network. The sort key is read
+/// from them: `(!valid, key fields…, tie)`, smallest first, so dummies
+/// sort last. With `valid` 0/1 and a dummy's key fields at `QMARK`,
+/// equal keys cannot straddle the valid/dummy boundary.
+struct Elem {
+    fields: Vec<WireId>,
+    valid: WireId,
+    extra: Vec<WireId>,
+}
+
+/// Reassembles sorted elements into slots over `rel`'s schema and the
+/// permuted `extra` columns.
+fn finish(rel: &RelWires, elems: Vec<Elem>, num_extra: usize) -> (RelWires, Vec<Vec<WireId>>) {
+    let out_extra = (0..num_extra)
+        .map(|c| elems.iter().map(|e| e.extra[c]).collect())
+        .collect();
+    let slots = elems
+        .into_iter()
+        .map(|e| SlotWires {
+            fields: e.fields,
+            valid: e.valid,
+        })
+        .collect();
+    (
+        RelWires {
+            schema: rel.schema.clone(),
+            slots,
+        },
+        out_extra,
+    )
+}
+
 /// Sorts the slots of `rel` with a Batcher comparator network (see
 /// [`SortNetwork`]), returning a new relation wire bundle of the same
 /// capacity. `extra` supplies auxiliary per-slot wire columns referenced
@@ -138,7 +146,9 @@ pub fn sort_slots_with(
 
 /// Sorts the slots of `rel` by `key` with an explicit network choice,
 /// permuting the auxiliary per-slot `extra` columns (referenced by
-/// [`SortKey::ColumnsThen`]) alongside and returning them.
+/// [`SortKey::ColumnsThen`]) alongside and returning them. A dummy slot
+/// leaves with `QMARK` in every key column and a real one with its
+/// fields unchanged; `valid` leaves as `0`/`1`.
 pub fn sort_slots_network(
     b: &mut Builder,
     rel: &RelWires,
@@ -150,40 +160,50 @@ pub fn sort_slots_network(
     for col in extra {
         assert_eq!(col.len(), n, "extra column capacity mismatch");
     }
-    if n <= 1 {
-        return (rel.clone(), extra.to_vec());
+    let (cols, tie): (&[Var], Option<usize>) = match key {
+        SortKey::ValidFirst => (&[], None),
+        SortKey::Columns(cols) => (cols, None),
+        SortKey::ColumnsThen(cols, tie) => (cols, Some(*tie)),
+    };
+    let key_cols: Vec<usize> = cols
+        .iter()
+        .map(|&v| rel.col(v).expect("sort column in schema"))
+        .collect();
+    let mut is_key = vec![false; rel.arity()];
+    for &c in &key_cols {
+        is_key[c] = true;
     }
-    let padded = n.next_power_of_two();
 
-    // Element = (slot wires, extra wires, key wires). Padding elements are
-    // dummy slots whose key (leading !valid = 1, fields = QMARK) sorts
-    // after every real slot's key.
-    struct Elem {
-        fields: Vec<WireId>,
-        valid: WireId,
-        extra: Vec<WireId>,
-        key: Vec<WireId>,
-    }
+    let qm = b.constant(QMARK);
     let mut elems: Vec<Elem> = (0..n)
-        .map(|i| Elem {
-            fields: rel.slots[i].fields.clone(),
-            valid: rel.slots[i].valid,
-            extra: extra.iter().map(|col| col[i]).collect(),
-            key: key_wires(b, rel, i, key, extra),
+        .map(|i| {
+            let s = &rel.slots[i];
+            // `valid` as 0/1: the key compares it as a word. A wire the
+            // builder already knows to be 0/1 is kept as it is.
+            let valid = b.and(s.valid, s.valid);
+            let fields = s
+                .fields
+                .iter()
+                .zip(&is_key)
+                .map(|(&f, &k)| if k { b.mux(valid, f, qm) } else { f })
+                .collect();
+            Elem {
+                fields,
+                valid,
+                extra: extra.iter().map(|col| col[i]).collect(),
+            }
         })
         .collect();
-    let key_len = elems[0].key.len();
+
+    let (lanes, schedule) = emitted_schedule(network, n);
+    // Padding elements (bitonic only) are dummies, so their key sorts
+    // after every real slot's key.
     let zero = b.constant(0);
-    let qm = b.constant(QMARK);
-    let one = b.constant(1);
-    for _ in n..padded {
-        let mut k = vec![one];
-        k.extend(std::iter::repeat_n(qm, key_len - 1));
+    for _ in n..lanes {
         elems.push(Elem {
-            fields: vec![zero; rel.arity()],
+            fields: is_key.iter().map(|&k| if k { qm } else { zero }).collect(),
             valid: zero,
             extra: vec![zero; extra.len()],
-            key: k,
         });
     }
 
@@ -194,9 +214,8 @@ pub fn sort_slots_network(
     // layers, and the comparators are emitted layer by layer. The
     // data-flow DAG is the schedule's; the layer order fixes the gate
     // (and so wire) numbering.
-    let schedule = comparators(network, padded);
     let mut layer_of = vec![0usize; schedule.len()];
-    let mut last_on_lane = vec![usize::MAX; padded];
+    let mut last_on_lane = vec![usize::MAX; lanes];
     let mut num_layers = 0usize;
     for (k, &(i, j, _)) in schedule.iter().enumerate() {
         let after = |lane: usize| match last_on_lane[lane] {
@@ -214,22 +233,33 @@ pub fn sort_slots_network(
         layers[l].push(k);
     }
 
+    // The key of `x` against that of `y`, laid out so that `lex_lt` is
+    // `key(y) < key(x)`: the valid wires go in swapped, since for 0/1
+    // wires `Lt(!a, !b) = Lt(b, a)` and `Eq(!a, !b) = Eq(a, b)`.
+    let key_pair = |x: &Elem, y: &Elem| -> (Vec<WireId>, Vec<WireId>) {
+        let side = |valid: WireId, other: &Elem| {
+            std::iter::once(valid)
+                .chain(key_cols.iter().map(|&c| other.fields[c]))
+                .chain(tie.map(|t| other.extra[t]))
+                .collect()
+        };
+        (side(x.valid, y), side(y.valid, x))
+    };
     for &k in layers.iter().flatten() {
         let (i, j, ascending) = schedule[k];
         let (ei, ej) = (&elems[i], &elems[j]);
-        let swap_raw = b.lex_lt(&ej.key, &ei.key);
+        let (lhs, rhs) = key_pair(ei, ej);
+        let swap_raw = b.lex_lt(&lhs, &rhs);
         let swap = if ascending { swap_raw } else { b.not(swap_raw) };
         let new_i = Elem {
             fields: b.vec_mux(swap, &ej.fields, &ei.fields),
             valid: b.mux(swap, ej.valid, ei.valid),
             extra: b.vec_mux(swap, &ej.extra, &ei.extra),
-            key: b.vec_mux(swap, &ej.key, &ei.key),
         };
         let new_j = Elem {
             fields: b.vec_mux(swap, &ei.fields, &ej.fields),
             valid: b.mux(swap, ei.valid, ej.valid),
             extra: b.vec_mux(swap, &ei.extra, &ej.extra),
-            key: b.vec_mux(swap, &ei.key, &ej.key),
         };
         elems[i] = new_i;
         elems[j] = new_j;
@@ -237,23 +267,24 @@ pub fn sort_slots_network(
 
     // Real slots all sort before padding (padding keys are maximal), so
     // truncating back to n keeps every real tuple.
-    let slots: Vec<SlotWires> = elems[..n]
-        .iter()
-        .map(|e| SlotWires {
-            fields: e.fields.clone(),
-            valid: e.valid,
-        })
-        .collect();
-    let out_extra: Vec<Vec<WireId>> = (0..extra.len())
-        .map(|c| elems[..n].iter().map(|e| e.extra[c]).collect())
-        .collect();
-    (
-        RelWires {
-            schema: rel.schema.clone(),
-            slots,
-        },
-        out_extra,
-    )
+    elems.truncate(n);
+    finish(rel, elems, extra.len())
+}
+
+/// The comparators [`sort_slots_network`] emits for `n` slots, in
+/// schedule order, and the number of lanes they span: the network for
+/// the next power of two, less every odd–even comparator that touches
+/// a padding lane (see the module doc). Bitonic keeps them all.
+fn emitted_schedule(network: SortNetwork, n: usize) -> (usize, Vec<(usize, usize, bool)>) {
+    let m = n.next_power_of_two();
+    let mut schedule = comparators(network, m);
+    match network {
+        SortNetwork::OddEvenMerge => {
+            schedule.retain(|&(_, j, _)| j < n);
+            (n, schedule)
+        }
+        SortNetwork::Bitonic => (m, schedule),
+    }
 }
 
 /// Sorts the slots of `rel` by `key` with the default network and no
@@ -266,6 +297,7 @@ pub fn sort_slots(b: &mut Builder, rel: &RelWires, key: &SortKey) -> RelWires {
 mod tests {
     use super::*;
     use crate::rel::{decode_relation, encode_relation, relation_to_values};
+    use crate::Gate;
     use qec_relation::Relation;
 
     fn run_sort(rows: &[&[u64]], capacity: usize, cols: &[u32]) -> Vec<Vec<u64>> {
@@ -324,6 +356,33 @@ mod tests {
         assert_eq!(decode_relation(&schema, &out), r);
     }
 
+    /// The aggregate and the primary-key join read segment keys straight
+    /// off a sort: a dummy must leave with `?` in each key column, with
+    /// any `valid ≠ 0` counting as real and leaving as `1`.
+    #[test]
+    fn dummies_leave_with_qmark_keys_and_valid_leaves_as_zero_one() {
+        for network in [SortNetwork::OddEvenMerge, SortNetwork::Bitonic] {
+            for n in 1..=3usize {
+                let schema = vec![Var(0), Var(1)];
+                let mut b = Builder::new();
+                let w = encode_relation(&mut b, schema, n);
+                let key = SortKey::Columns(vec![Var(1)]);
+                let (s, _) = sort_slots_network(&mut b, &w, &key, &[], network);
+                let c = b.finish(s.flatten());
+                // slot i: fields (10 + i, 20 + i), valid 2 on slot 0, else 0
+                let inputs: Vec<u64> = (0..n as u64)
+                    .flat_map(|i| [10 + i, 20 + i, if i == 0 { 2 } else { 0 }])
+                    .collect();
+                let out = c.evaluate(&inputs).unwrap();
+                let slots: Vec<&[u64]> = out.chunks(3).collect();
+                assert_eq!(slots[0], [10, 20, 1], "{network:?} n={n}");
+                for s in &slots[1..] {
+                    assert_eq!((s[1], s[2]), (QMARK, 0), "{network:?} n={n}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn tie_break_extra_column_orders_within_group() {
         // two tuples with equal sort column; tie wire orders them
@@ -376,8 +435,9 @@ mod tests {
     /// Knuth's 0-1 principle: a comparator network sorts every input iff
     /// it sorts every 0/1 input. Bit-sliced, so one pass covers all 2^n
     /// inputs: lane `x` of wire `i` is bit `i` of `x`, and a comparator
-    /// is `(a & b, a | b)`. Padding wires hold 1s, as the padding slots
-    /// of [`sort_slots_network`] sort last.
+    /// is `(a & b, a | b)`. The schedule is the one
+    /// [`sort_slots_network`] emits, pruned as it is, and padding wires
+    /// hold 1s, as its padding slots sort last.
     #[test]
     fn both_networks_sort_every_zero_one_input_up_to_twenty_wires() {
         // Lane pattern of wire i < 6 inside one 64-lane word.
@@ -389,8 +449,8 @@ mod tests {
         for network in [SortNetwork::OddEvenMerge, SortNetwork::Bitonic] {
             for n in 2..=20usize {
                 let words = (1usize << n).div_ceil(64);
-                let m = n.next_power_of_two();
-                let mut wires: Vec<Vec<u64>> = (0..m)
+                let (lanes, schedule) = emitted_schedule(network, n);
+                let mut wires: Vec<Vec<u64>> = (0..lanes)
                     .map(|i| match i {
                         _ if i >= n => vec![!0; words],
                         0..=5 => vec![low(i); words],
@@ -400,7 +460,7 @@ mod tests {
                             .collect(),
                     })
                     .collect();
-                for (i, j, ascending) in comparators(network, m) {
+                for (i, j, ascending) in schedule {
                     let (head, tail) = wires.split_at_mut(j); // i < j
                     let (min, max) = if ascending {
                         (&mut head[i], &mut tail[0])
@@ -411,7 +471,7 @@ mod tests {
                         (*a, *b) = (*a & *b, *a | *b);
                     }
                 }
-                for p in 0..m - 1 {
+                for p in 0..lanes - 1 {
                     let above = wires[p]
                         .iter()
                         .zip(&wires[p + 1])
@@ -419,6 +479,32 @@ mod tests {
                     assert!(!above, "{network:?} n={n}: a 1 above a 0 at output {p}");
                 }
             }
+        }
+    }
+
+    /// Pins what one sort costs: the pruned odd–even schedule against
+    /// the power-of-two network it comes from, and exactly one `Mux` per
+    /// carried wire per comparator plus one per key field to mask a
+    /// dummy's, with no separate key to carry.
+    #[test]
+    fn sort_emits_the_pruned_schedule_and_one_mux_per_carried_wire() {
+        for (n, pruned, full) in [(5usize, 9usize, 19usize), (12, 42, 63), (24, 132, 191)] {
+            let (lanes, schedule) = emitted_schedule(SortNetwork::OddEvenMerge, n);
+            let unpruned = comparators(SortNetwork::OddEvenMerge, n.next_power_of_two());
+            assert_eq!(
+                (lanes, schedule.len(), unpruned.len()),
+                (n, pruned, full),
+                "n={n}"
+            );
+
+            let schema = vec![Var(0), Var(1)];
+            let mut b = Builder::new();
+            let w = encode_relation(&mut b, schema.clone(), n);
+            let s = sort_slots(&mut b, &w, &SortKey::Columns(vec![Var(1)]));
+            let c = b.finish(s.flatten());
+            let muxes = c.gates().filter(|g| matches!(g, Gate::Mux(..))).count();
+            let carried = schema.len() + 1;
+            assert_eq!(muxes, n + pruned * 2 * carried, "n={n}");
         }
     }
 

@@ -81,12 +81,12 @@ fn triangle_word_circuit_matches_its_golden_figures() {
             word.num_inputs(),
             word.outputs().len()
         ),
-        (28_388, 593, 28_429, 36, 64),
+        (19_199, 566, 19_240, 36, 64),
         "word sizes"
     );
     assert_eq!(
         word_fingerprint(&word),
-        14_730_346_516_777_170_086,
+        1_714_435_261_459_461_483,
         "word gate list"
     );
 
@@ -94,12 +94,12 @@ fn triangle_word_circuit_matches_its_golden_figures() {
     let (opt, st) = optimize_with(&word, &opts);
     assert_eq!(
         (opt.size(), opt.depth(), opt.num_wires()),
-        (24_851, 593, 24_892),
+        (17_477, 566, 17_518),
         "optimized word sizes"
     );
     assert_eq!(
         word_fingerprint(&opt),
-        6_537_638_602_661_442_145,
+        2_556_277_498_956_235_998,
         "optimized word gate list"
     );
     assert_eq!(
@@ -112,7 +112,7 @@ fn triangle_word_circuit_matches_its_golden_figures() {
             st.depth_after,
             st.dead
         ),
-        (28_388, 24_851, 28_429, 24_892, 593, 593, 3537),
+        (19_199, 17_477, 19_240, 17_518, 566, 566, 1722),
         "OptStats sizes"
     );
     let origin: Vec<u8> = st
@@ -123,7 +123,7 @@ fn triangle_word_circuit_matches_its_golden_figures() {
     assert_eq!(st.assert_origin.len(), 130);
     assert_eq!(
         fnv1a64(&origin),
-        15_915_933_155_074_376_380,
+        11_242_739_717_815_864_181,
         "OptStats assert_origin"
     );
 }
@@ -169,12 +169,12 @@ fn triangle_lowering_at_width_8_matches_its_golden_figures() {
                 bc.num_inputs(),
                 bc.outputs().len(),
             ),
-            (275_566, 275_276, 93_573, 1590, 288, 512),
+            (199_931, 199_641, 68_019, 938, 288, 512),
             "lowered sizes"
         );
         assert_eq!(
             fingerprint(&bc),
-            10_291_097_980_063_945_822,
+            12_307_608_938_139_605_917,
             "lowered gate list"
         );
 
@@ -188,12 +188,12 @@ fn triangle_lowering_at_width_8_matches_its_golden_figures() {
                 st.folds,
                 st.dead
             ),
-            (255_959, 86_044, 1590, 0, 0, 19_318),
+            (186_413, 62_666, 938, 0, 0, 13_229),
             "optimized sizes and counters"
         );
         assert_eq!(
             fingerprint(&opt),
-            16_696_582_058_120_139_353,
+            6_456_103_806_504_801_848,
             "optimized gate list"
         );
     }
@@ -219,10 +219,10 @@ fn triangle_gmw_tape_at_width_8_matches_its_golden_figures() {
             st.and_levels,
             eng.level_starts().len()
         ),
-        (275_566, 4857, 3984, 1590, 3985),
+        (199_931, 3236, 2450, 938, 2451),
         "schedule shape"
     );
-    assert_eq!(eng.fingerprint(), 7_207_855_997_127_554_485, "GMW tape");
+    assert_eq!(eng.fingerprint(), 11_300_951_184_566_932_371, "GMW tape");
 }
 
 /// The word engine's compile of the N=4 word circuit (optimizer on) and
@@ -263,23 +263,23 @@ fn triangle_word_engine_and_tape_match_their_golden_figures() {
     assert_eq!(
         got,
         (
-            24_892,
-            1013,
-            594,
-            16_983_956_828_374_211_489,
-            3_569_573_965_597_128_180,
-            714_672
+            17_518,
+            453,
+            567,
+            15_116_581_570_050_784_929,
+            13_308_018_435_825_662_610,
+            490_792
         ),
         "word engine schedule"
     );
     assert_eq!(
         eng.fingerprint(),
-        15_551_848_697_679_349_803,
+        10_166_462_704_890_952_506,
         "word engine tape"
     );
     assert_eq!(
         got_tape,
-        (366_904, 9_548_216_004_428_423_530),
+        (232_704, 7_574_160_363_910_707_389),
         "word tape bytes"
     );
 }
