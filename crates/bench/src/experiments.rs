@@ -286,7 +286,7 @@ pub fn x5_project_aggregate() -> Table {
         ]);
     }
     t.verdict(
-        "size grows as K·log²K (bitonic-dominated), depth as log²K — Õ(K) size, Õ(1) depth"
+        "size grows as K·log²K (sort-dominated), depth as log²K — Õ(K) size, Õ(1) depth"
             .to_string(),
     );
     t

@@ -108,28 +108,6 @@ struct Elem {
     extra: Vec<WireId>,
 }
 
-/// Reassembles sorted elements into slots over `rel`'s schema and the
-/// permuted `extra` columns.
-fn finish(rel: &RelWires, elems: Vec<Elem>, num_extra: usize) -> (RelWires, Vec<Vec<WireId>>) {
-    let out_extra = (0..num_extra)
-        .map(|c| elems.iter().map(|e| e.extra[c]).collect())
-        .collect();
-    let slots = elems
-        .into_iter()
-        .map(|e| SlotWires {
-            fields: e.fields,
-            valid: e.valid,
-        })
-        .collect();
-    (
-        RelWires {
-            schema: rel.schema.clone(),
-            slots,
-        },
-        out_extra,
-    )
-}
-
 /// Sorts the slots of `rel` with a Batcher comparator network (see
 /// [`SortNetwork`]), returning a new relation wire bundle of the same
 /// capacity. `extra` supplies auxiliary per-slot wire columns referenced
@@ -268,7 +246,23 @@ pub fn sort_slots_network(
     // Real slots all sort before padding (padding keys are maximal), so
     // truncating back to n keeps every real tuple.
     elems.truncate(n);
-    finish(rel, elems, extra.len())
+    let out_extra = (0..extra.len())
+        .map(|c| elems.iter().map(|e| e.extra[c]).collect())
+        .collect();
+    let slots = elems
+        .into_iter()
+        .map(|e| SlotWires {
+            fields: e.fields,
+            valid: e.valid,
+        })
+        .collect();
+    (
+        RelWires {
+            schema: rel.schema.clone(),
+            slots,
+        },
+        out_extra,
+    )
 }
 
 /// The comparators [`sort_slots_network`] emits for `n` slots, in

@@ -934,7 +934,7 @@ impl RelationalCircuit {
 }
 
 /// RAM mirror of one decomposition part (Alg. 2 semantics; tie-breaking
-/// may differ from the bitonic network's, which is fine — all certified
+/// may differ from the sorting network's, which is fine — all certified
 /// bounds and the part union are identical).
 fn ram_decompose_part(rel: &Relation, on: VarSet, part: usize) -> Relation {
     let bucket = part / 2;
