@@ -6,8 +6,8 @@ use qec_circuit::{
     CompileOptions, Mode, SortKey, WireId,
 };
 use qec_core::{
-    compile_fcq, naive_circuit, paper_cost, triangle_heavy_light, AggregateQuery, OutputSensitive,
-    Semiring,
+    compile_fcq, naive_circuit, paper_cost, plan, triangle_heavy_light, AggregateQuery,
+    OutputSensitive, Semiring,
 };
 use qec_entropy::{prove_bound, ProofStep};
 use qec_query::baseline::evaluate_pairwise;
@@ -78,6 +78,7 @@ pub fn x2_panda_triangle() -> Table {
             "naive_cost",
             "speedup",
             "cost/N^1.5",
+            "planned",
         ],
     );
     let q = triangle();
@@ -98,6 +99,11 @@ pub fn x2_panda_triangle() -> Table {
             f(ncost),
             f(ncost / cost),
             f(cost / (n as f64).powf(1.5)),
+            plan(&q, &dc)
+                .expect("triangle plans")
+                .construction
+                .name()
+                .to_string(),
         ]);
     }
     t.verdict(format!(

@@ -74,9 +74,12 @@ fn main() {
     let elapsed = start.elapsed();
     let rate = summary.cases_passed as f64 / elapsed.as_secs_f64().max(1e-9);
     println!(
-        "fuzz: seed={:#x} cases={} datalog={} configs={} word-gates={} elapsed={:.2}s rate={:.1} cases/s",
+        "fuzz: seed={:#x} cases={} classical={} panda-c={} datalog={} configs={} word-gates={} \
+         elapsed={:.2}s rate={:.1} cases/s",
         args.seed,
         summary.cases_passed,
+        summary.classical_cases,
+        summary.panda_c_cases,
         summary.datalog_passed,
         summary.configs,
         summary.word_gates,

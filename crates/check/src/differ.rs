@@ -6,7 +6,10 @@
 //! 1. RAM references: `evaluate_pairwise` (ground truth), `generic_join`,
 //!    the flat `yannakakis` baseline (acyclic queries), and
 //!    `OutputSensitive::evaluate_ram` must all agree.
-//! 2. The naive relational circuit's RAM interpreter must match.
+//! 2. The relational circuits' RAM interpreter must match, on the
+//!    classical circuit and on the one the planner ([`qec_core::plan`])
+//!    keeps, which is what `qec-serve` compiles. Every later stage runs
+//!    the planned circuit.
 //! 3. The lowered word circuit is checked for a flat-tape
 //!    serialize/decode round-trip (gate-for-gate equality). The builder's
 //!    rewrite rules are checked next: the same relational circuit built
@@ -37,7 +40,7 @@ use qec_circuit::{
     decode_relation, lower_with, optimize_bits_with, BitEvalScratch, BitKernel, BitTape, Circuit,
     CompileOptions, CompiledBitCircuit, CompiledCircuit, EvalError, Gate, Mode, WordTape,
 };
-use qec_core::{naive_circuit, OutputSensitive};
+use qec_core::{naive_circuit, plan, Construction, OutputSensitive};
 use qec_query::baseline::{evaluate_pairwise, generic_join, yannakakis};
 use qec_relation::Relation;
 use std::fmt;
@@ -56,7 +59,8 @@ pub enum Divergence {
         /// Human-readable got/want detail.
         detail: String,
     },
-    /// A stage's own cross-check failed: a tape round trip did not give
+    /// A stage's own cross-check failed: the planner failed on a case
+    /// whose classical circuit was built, a tape round trip did not give
     /// back the circuit it encoded, or the `BitEngine` disagreed with the
     /// bit interpreter.
     Check {
@@ -161,11 +165,13 @@ impl fmt::Display for Divergence {
 impl std::error::Error for Divergence {}
 
 /// Statistics from one passed case.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 pub struct CaseOutcome {
+    /// The construction the planner kept for the case.
+    pub construction: Construction,
     /// Engine configurations compiled and evaluated.
     pub configs: usize,
-    /// Word-level gate count of the lowered circuit.
+    /// Word-level gate count of the lowered (planned) circuit.
     pub word_gates: usize,
     /// Bit-level gate count, when the bit pipeline was checked.
     pub bit_gates: usize,
@@ -327,21 +333,34 @@ pub fn run_case(
         }
     }
 
-    // Stage 2: the naive relational circuit, RAM-interpreted.
-    let (rc, _) = naive_circuit(&cq, &dc).map_err(harness)?;
-    let ram = rc.evaluate_ram(&db).map_err(|e| Divergence::Baseline {
-        family: "naive-ram",
-        detail: format!("evaluation error: {e}"),
+    // Stage 2: the classical relational circuit and the planned one,
+    // RAM-interpreted. A planner error is a real divergence: the
+    // classical circuit of the same case was built.
+    let (classical, _) = naive_circuit(&cq, &dc).map_err(harness)?;
+    let planned = plan(&cq, &dc).map_err(|e| Divergence::Check {
+        stage: "plan",
+        error: e.to_string(),
     })?;
-    if ram.len() != 1 || ram[0] != expect {
-        let got = ram.first().map(digest).unwrap_or_else(|| "<none>".into());
-        return Err(Divergence::Baseline {
-            family: "naive-ram",
-            detail: format!("got {got}, want {}", digest(&expect)),
-        });
+    let mut ram_stages = vec![("naive-ram", &classical)];
+    if planned.construction == Construction::PandaC {
+        ram_stages.push(("planned-ram", &planned.rc));
     }
+    for (family, rc) in ram_stages {
+        let ram = rc.evaluate_ram(&db).map_err(|e| Divergence::Baseline {
+            family,
+            detail: format!("evaluation error: {e}"),
+        })?;
+        if ram.len() != 1 || ram[0] != expect {
+            let got = ram.first().map(digest).unwrap_or_else(|| "<none>".into());
+            return Err(Divergence::Baseline {
+                family,
+                detail: format!("got {got}, want {}", digest(&expect)),
+            });
+        }
+    }
+    let rc = &planned.rc;
 
-    // Stage 3: lower to the word IR.
+    // Stage 3: lower the planned circuit to the word IR.
     let lowered = rc.lower_with(Mode::Build, &CompileOptions::sequential());
 
     // Stage 3b: flat-tape round-trip — encode the lowered word circuit
@@ -402,8 +421,10 @@ pub fn run_case(
 
     // Stage 4: the engine-option sweep.
     let mut outcome = CaseOutcome {
+        construction: planned.construction,
+        configs: 0,
         word_gates: circuit.size() as usize,
-        ..CaseOutcome::default()
+        bit_gates: 0,
     };
     for opts in matrix {
         let co = opts.compile_options();
@@ -630,6 +651,10 @@ pub struct FuzzSummary {
     pub configs: usize,
     /// Total word gates across lowered circuits (a work proxy).
     pub word_gates: usize,
+    /// Passed cases whose planned circuit is the classical one.
+    pub classical_cases: usize,
+    /// Passed cases whose planned circuit is PANDA-C's.
+    pub panda_c_cases: usize,
     /// Datalog fixpoint cases that passed (interleaved sampling).
     pub datalog_passed: usize,
     /// The first failing case, if any, with its divergence.
@@ -672,6 +697,10 @@ pub fn fuzz_many(seed: u64, cases: usize, bits_every: usize, datalog_every: usiz
                 summary.cases_passed += 1;
                 summary.configs += o.configs;
                 summary.word_gates += o.word_gates;
+                match o.construction {
+                    Construction::Classical => summary.classical_cases += 1,
+                    Construction::PandaC => summary.panda_c_cases += 1,
+                }
             }
             Err(d) => {
                 summary.failure = Some((case, d));

@@ -1417,6 +1417,172 @@ mod tests {
         }
     }
 
+    /// An operand shape for [`rules_match_the_oracle_on_every_operand_shape`].
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Shape {
+        Const(u64),
+        /// `Lt(x, 2)`: provably boolean.
+        Bool,
+        /// The input `x` itself.
+        Wide,
+        /// `Not(x)`.
+        Not,
+        /// `x`, with an assert over it built first.
+        Asserted,
+        /// The wire of `AssertZero(x)`.
+        Assert,
+    }
+
+    const SHAPES: [Shape; 9] = [
+        Shape::Const(0),
+        Shape::Const(1),
+        Shape::Const(2),
+        Shape::Const(u64::MAX),
+        Shape::Bool,
+        Shape::Wide,
+        Shape::Not,
+        Shape::Asserted,
+        Shape::Assert,
+    ];
+
+    /// Every way `arity` operands can share input slots: slot `i` is at
+    /// most one above the largest slot before it.
+    fn slot_patterns(arity: usize) -> Vec<Vec<usize>> {
+        let mut out = vec![vec![0]];
+        for _ in 1..arity {
+            out = out
+                .into_iter()
+                .flat_map(|p| {
+                    let top = p.iter().max().copied().unwrap_or(0);
+                    (0..=top + 1).map(move |s| {
+                        let mut q = p.clone();
+                        q.push(s);
+                        q
+                    })
+                })
+                .collect();
+        }
+        out
+    }
+
+    /// Builds `kind` over operands of the given shapes and slots: the
+    /// gate's wire is the one output. Operands with the same shape and
+    /// slot are one wire.
+    fn shaped_gate(b: &mut Builder, kind: &str, shapes: &[Shape], slots: &[usize]) -> WireId {
+        let inputs: Vec<WireId> = (0..3).map(|_| b.input()).collect();
+        let mut made: Vec<((Shape, usize), WireId)> = Vec::new();
+        let mut ops = Vec::new();
+        for (&shape, &slot) in shapes.iter().zip(slots) {
+            if let Some(&(_, w)) = made.iter().find(|(k, _)| *k == (shape, slot)) {
+                ops.push(w);
+                continue;
+            }
+            let x = inputs[slot];
+            let w = match shape {
+                Shape::Const(v) => b.constant(v),
+                Shape::Bool => {
+                    let two = b.constant(2);
+                    b.lt(x, two)
+                }
+                Shape::Wide => x,
+                Shape::Not => b.not(x),
+                Shape::Asserted => {
+                    b.assert_zero(x);
+                    x
+                }
+                Shape::Assert => b.assert_zero(x),
+            };
+            made.push(((shape, slot), w));
+            ops.push(w);
+        }
+        match (kind, ops.as_slice()) {
+            ("add", &[x, y]) => b.add(x, y),
+            ("sub", &[x, y]) => b.sub(x, y),
+            ("mul", &[x, y]) => b.mul(x, y),
+            ("eq", &[x, y]) => b.eq(x, y),
+            ("lt", &[x, y]) => b.lt(x, y),
+            ("and", &[x, y]) => b.and(x, y),
+            ("or", &[x, y]) => b.or(x, y),
+            ("xor", &[x, y]) => b.xor(x, y),
+            ("not", &[x]) => b.not(x),
+            ("assert", &[x]) => b.assert_zero(x),
+            ("mux", &[s, x, y]) => b.mux(s, x, y),
+            _ => unreachable!("{kind} over {} operands", ops.len()),
+        }
+    }
+
+    /// The builder's rewrite rules against the oracle build, for every
+    /// gate kind over every combination of operand shapes (constants 0,
+    /// 1, 2 and `u64::MAX`, a boolean wire, a wide wire, a `Not`, an
+    /// asserted wire and an assert's own wire), with operands on one
+    /// input or on distinct ones, at every input value in a small domain
+    /// that straddles the boolean range and the word's top. A failing
+    /// assert is compared by the value it observed, since the two builds
+    /// number their gates differently.
+    #[test]
+    fn rules_match_the_oracle_on_every_operand_shape() {
+        const DOMAIN: [u64; 5] = [0, 1, 2, 3, u64::MAX];
+        let kinds = [
+            ("add", 2),
+            ("sub", 2),
+            ("mul", 2),
+            ("eq", 2),
+            ("lt", 2),
+            ("and", 2),
+            ("or", 2),
+            ("xor", 2),
+            ("not", 1),
+            ("assert", 1),
+            ("mux", 3),
+        ];
+        let outcome = |r: Result<Vec<u64>, EvalError>| match r {
+            Ok(v) => Ok(v),
+            Err(EvalError::AssertionFailed { value, .. }) => Err(value),
+            Err(e) => panic!("unexpected evaluation error {e}"),
+        };
+        let mut checked = 0usize;
+        for (kind, arity) in kinds {
+            let mut shapes = vec![vec![]];
+            for _ in 0..arity {
+                shapes = shapes
+                    .into_iter()
+                    .flat_map(|p: Vec<Shape>| {
+                        SHAPES.iter().map(move |&s| {
+                            let mut q = p.clone();
+                            q.push(s);
+                            q
+                        })
+                    })
+                    .collect();
+            }
+            for shape in &shapes {
+                for slots in slot_patterns(arity) {
+                    let build = |mut b: Builder| {
+                        let out = shaped_gate(&mut b, kind, shape, &slots);
+                        b.finish(vec![out])
+                    };
+                    let raw = build(Builder::without_cse());
+                    let ruled = build(Builder::new());
+                    for x in DOMAIN {
+                        for y in DOMAIN {
+                            for z in DOMAIN {
+                                let input = [x, y, z];
+                                assert_eq!(
+                                    outcome(ruled.evaluate(&input)),
+                                    outcome(raw.evaluate(&input)),
+                                    "{kind} over {shape:?} on slots {slots:?} at {input:?}"
+                                );
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // 8·81·2 + 2·9 + 729·5 shaped gates, each at 125 inputs.
+        assert_eq!(checked, (8 * 81 * 2 + 2 * 9 + 729 * 5) * 125);
+    }
+
     #[test]
     fn from_raw_rebuilds_and_rejects_bad_wiring() {
         let mut b = Builder::new();

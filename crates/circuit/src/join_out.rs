@@ -127,12 +127,12 @@ mod tests {
             let outs: Vec<WireId> = j.flatten();
             b.finish(outs).size()
         }
-        let base = cost(64, 64) as f64;
+        let base = cost(32, 32) as f64;
         // fixed OUT, growing M: size should grow ~linearly in M (not M²)
-        let ratio = cost(256, 64) as f64 / base;
+        let ratio = cost(128, 32) as f64 / base;
         assert!(ratio < 10.0, "ratio {ratio}");
         // fixed M, growing OUT: grows, but sublinearly in the naive M·N'
-        let grow = cost(64, 512) as f64 / base;
+        let grow = cost(32, 256) as f64 / base;
         assert!(grow < 8.0, "grow {grow}");
     }
 

@@ -19,6 +19,10 @@
 //! bit lowering (qec-circuit)      — AND/XOR/NOT gates for MPC/garbling
 //! ```
 //!
+//! [`plan`] is the one planner: it keeps PANDA-C for a query when its
+//! output bound is strictly below the classical circuit's cross product
+//! ([`naive_circuit`]), and the classical circuit otherwise.
+//!
 //! For non-full queries, [`OutputSensitive`] implements the two-family
 //! construction of Sec. 6: one circuit computing `OUT = |Q(D)|`
 //! (Alg. 11), and, parameterized by `OUT`, a Yannakakis-C circuit
@@ -27,6 +31,7 @@
 mod cost;
 mod naive;
 mod panda;
+mod plan;
 mod rc;
 mod semiring;
 mod yannakakis;
@@ -34,6 +39,7 @@ mod yannakakis;
 pub use cost::paper_cost;
 pub use naive::{naive_circuit, triangle_heavy_light};
 pub use panda::{compile_fcq, CompileError, PandaCircuit};
+pub use plan::{plan, Construction, Plan};
 pub use rc::{LoweredCircuit, MapBinOp, NodeId, RcError, RcNode, RcOp, RcPred, RelationalCircuit};
 pub use semiring::{AggregateQuery, Semiring};
 pub use yannakakis::{da_fhtw, OutputSensitive, YannakakisError};

@@ -12,6 +12,20 @@ use crate::rc::{NodeId, RcPred, RelationalCircuit};
 /// the full cross product. Cost `O(N^m)` — the baseline every experiment
 /// compares PANDA-C against.
 pub fn naive_circuit(cq: &Cq, dc: &DcSet) -> Result<(RelationalCircuit, NodeId), CompileError> {
+    let (mut rc, mut out) = classical_join(cq, dc)?;
+    if !cq.is_full() {
+        out = rc.project(out, cq.free);
+    }
+    rc.mark_output(out);
+    Ok((rc, out))
+}
+
+/// The classical circuit's join of every atom, before any projection
+/// and with no output marked.
+pub(crate) fn classical_join(
+    cq: &Cq,
+    dc: &DcSet,
+) -> Result<(RelationalCircuit, NodeId), CompileError> {
     let mut rc = RelationalCircuit::new();
     let mut acc: Option<NodeId> = None;
     for atom in &cq.atoms {
@@ -26,12 +40,7 @@ pub fn naive_circuit(cq: &Cq, dc: &DcSet) -> Result<(RelationalCircuit, NodeId),
             Some(prev) => rc.join_degree(prev, node, cap),
         });
     }
-    let mut out = acc.expect("query has at least one atom");
-    if !cq.is_full() {
-        out = rc.project(out, cq.free);
-    }
-    rc.mark_output(out);
-    Ok((rc, out))
+    Ok((rc, acc.expect("query has at least one atom")))
 }
 
 /// The hand-built triangle circuit of Figure 1 (Example 1): split the

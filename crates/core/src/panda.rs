@@ -507,6 +507,15 @@ pub fn compile_fcq(cq: &Cq, dc: &DcSet) -> Result<PandaCircuit, CompileError> {
         cq.is_full(),
         "compile_fcq expects a full CQ; use OutputSensitive otherwise"
     );
+    let mut compiled = compile_body(cq, dc)?;
+    compiled.rc.mark_output(compiled.output);
+    Ok(compiled)
+}
+
+/// PANDA-C over the query's full body (every variable, whatever the
+/// head), with no output marked: the planner's candidate, which it
+/// projects onto the head itself.
+pub(crate) fn compile_body(cq: &Cq, dc: &DcSet) -> Result<PandaCircuit, CompileError> {
     let mut rc = RelationalCircuit::new();
     let mut inputs = Vec::new();
     for atom in &cq.atoms {
@@ -518,7 +527,6 @@ pub fn compile_fcq(cq: &Cq, dc: &DcSet) -> Result<PandaCircuit, CompileError> {
     }
     let (output, bound, proof, branches) =
         compile_target(&mut rc, &inputs, dc, cq.all_vars(), cq.num_vars())?;
-    rc.mark_output(output);
     Ok(PandaCircuit {
         rc,
         output,

@@ -17,7 +17,8 @@
 //!    continuous batching: a lone request waits at most `flush`, a
 //!    busy key fills whole batches.
 //! 3. **Evaluation**: one [`PlanCache::get_or_compile`] (single-flight
-//!    compile on cold keys), one `evaluate_batch` over the batch's
+//!    compile on cold keys; [`qec_core::plan`] picks a CQ's circuit,
+//!    classical or PANDA-C), one `evaluate_batch` over the batch's
 //!    instances, per-job decode back to the request's variable space.
 //!
 //! Worker count defaults to `std::thread::available_parallelism()`.
@@ -29,7 +30,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use qec_circuit::{decode_relation, CompileOptions, CompiledCircuit, Mode, WordTape};
-use qec_core::naive_circuit;
+use qec_core::plan;
 use qec_datalog::{DatalogProgram, FixpointBounds};
 use qec_obs::Recorder;
 use qec_query::{canonicalize, parse_cq, CanonicalCq};
@@ -485,9 +486,13 @@ fn process_batch(shared: &Shared, mut batch: Vec<Job>) {
         let t = Instant::now();
         let lowered = match &spec {
             JobPlan::Cq { canon, dcs } => {
-                let (rc, _root) = naive_circuit(&canon.cq, dcs)
-                    .map_err(|e| ServeError::Compile(e.to_string()))?;
-                rc.lower_with(Mode::Build, &cfg.compile)
+                let planned = {
+                    let _span = cfg.recorder.span("plan");
+                    plan(&canon.cq, dcs).map_err(|e| ServeError::Compile(e.to_string()))?
+                };
+                cfg.recorder
+                    .add(&format!("plan.{}", planned.construction.name()), 1);
+                planned.rc.lower_with(Mode::Build, &cfg.compile)
             }
             JobPlan::Datalog { program, depth } => {
                 let bounds = FixpointBounds::for_domain(*depth, *depth);
