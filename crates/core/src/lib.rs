@@ -39,7 +39,7 @@ mod yannakakis;
 pub use cost::paper_cost;
 pub use naive::{naive_circuit, triangle_heavy_light};
 pub use panda::{compile_fcq, CompileError, PandaCircuit};
-pub use plan::{plan, Construction, Plan};
+pub use plan::{plan, Construction, Plan, MAX_PANDA_C_VARS};
 pub use rc::{LoweredCircuit, MapBinOp, NodeId, RcError, RcNode, RcOp, RcPred, RelationalCircuit};
 pub use semiring::{AggregateQuery, Semiring};
 pub use yannakakis::{da_fhtw, OutputSensitive, YannakakisError};

@@ -18,6 +18,10 @@
 //! The paper's asymptotic cost ([`paper_cost`](crate::paper_cost)) does
 //! not: its log factors misrank the two at small `N`. A non-full query
 //! is then projected onto its head, as the classical circuit does.
+//!
+//! PANDA-C is a candidate only for queries of at most
+//! [`MAX_PANDA_C_VARS`] variables; wider queries keep the classical
+//! circuit without building PANDA-C.
 
 use qec_query::Cq;
 use qec_relation::DcSet;
@@ -25,6 +29,15 @@ use qec_relation::DcSet;
 use crate::naive::classical_join;
 use crate::panda::{compile_body, CompileError};
 use crate::rc::{NodeId, RelationalCircuit};
+
+/// The most variables a query may have for PANDA-C to be a candidate.
+///
+/// PANDA-C's bound is an exact-rational LP over all `2^n - 1` variable
+/// subsets. On the path, cycle and star at `N = 8` it solves in
+/// 3–4 ms at 5 variables and 21–91 ms at 6, and had not finished after
+/// 200 s at 7 (2-vCPU host). Past 16 variables the LP refuses to run at
+/// all. A wider query is planned classically from its variable count.
+pub const MAX_PANDA_C_VARS: u32 = 6;
 
 /// The construction a [`Plan`]'s circuit comes from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -61,9 +74,10 @@ pub struct Plan {
 
 /// Plans `cq` under `dc`: builds both candidates and keeps PANDA-C only
 /// when its output capacity is strictly below the classical join's (see
-/// the module docs). Every atom must carry a cardinality constraint in
-/// `dc`. A PANDA-C failure is returned as it is, never replaced by the
-/// classical circuit.
+/// the module docs). A query over more than [`MAX_PANDA_C_VARS`]
+/// variables has the classical circuit as its one candidate. Every atom
+/// must carry a cardinality constraint in `dc`. A PANDA-C failure is
+/// returned as it is, never replaced by the classical circuit.
 ///
 /// ```
 /// use qec_core::{plan, Construction};
@@ -82,13 +96,17 @@ pub struct Plan {
 /// ```
 pub fn plan(cq: &Cq, dc: &DcSet) -> Result<Plan, CompileError> {
     let (classical, join) = classical_join(cq, dc)?;
-    let panda = compile_body(cq, dc)?;
-    let (mut rc, body, construction) =
-        if panda.rc.nodes[panda.output].capacity < classical.nodes[join].capacity {
-            (panda.rc, panda.output, Construction::PandaC)
-        } else {
-            (classical, join, Construction::Classical)
-        };
+    let panda = if cq.num_vars() <= MAX_PANDA_C_VARS {
+        Some(compile_body(cq, dc)?)
+    } else {
+        None
+    };
+    let (mut rc, body, construction) = match panda {
+        Some(p) if p.rc.nodes[p.output].capacity < classical.nodes[join].capacity => {
+            (p.rc, p.output, Construction::PandaC)
+        }
+        _ => (classical, join, Construction::Classical),
+    };
     let output = if cq.is_full() {
         body
     } else {
@@ -107,7 +125,7 @@ mod tests {
     use super::*;
     use crate::{compile_fcq, naive_circuit};
     use qec_query::{baseline::evaluate_pairwise, parse_cq};
-    use qec_relation::{random_relation, Database, DegreeConstraint};
+    use qec_relation::{random_relation, random_relation_with_domain, Database, DegreeConstraint};
 
     /// The corpus the rule is pinned on: cyclic, acyclic, full and
     /// projected, a Cartesian product, atoms that nest, and a Boolean
@@ -135,14 +153,6 @@ mod tests {
         )
     }
 
-    /// The same body with every variable in the head.
-    fn full_body(q: &Cq) -> Cq {
-        Cq {
-            free: q.all_vars(),
-            ..q.clone()
-        }
-    }
-
     #[test]
     fn panda_c_is_kept_exactly_where_its_output_capacity_is_smaller_and_never_costs_gates() {
         let mut kept = [0usize; 2];
@@ -153,7 +163,7 @@ mod tests {
                 let planned = plan(&q, &dc).unwrap();
                 // Both capacities, read off the two candidates as their
                 // own entry points build them.
-                let full = full_body(&q);
+                let full = q.to_full();
                 let panda = compile_fcq(&full, &dc).unwrap();
                 let (classical_full, join) = naive_circuit(&full, &dc).unwrap();
                 let smaller =
@@ -210,6 +220,36 @@ mod tests {
                     "{text}, seed {seed} (lowered)"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn queries_past_the_variable_cap_are_planned_classically_and_answer() {
+        // Seven variables (one past the cap) and seventeen (past what the
+        // bound's LP accepts), at N = 2 so the classical joins stay small.
+        let seven =
+            "Q(a, b, c, d, e, f, g) :- R(a, b), S(b, c), T(c, d), U(d, e), V(e, f), W(f, g)";
+        let seventeen = "Q(a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p, q) \
+                         :- R(a, b, c, d, e, f, g, h, i), S(i, j, k, l, m, n, o, p, q)";
+        for text in [seven, seventeen] {
+            let q = parse_cq(text).unwrap();
+            assert!(q.num_vars() > MAX_PANDA_C_VARS);
+            let planned = plan(&q, &cardinalities(&q, 2)).unwrap();
+            assert_eq!(planned.construction, Construction::Classical, "{text}");
+            let lowered = planned.rc.lower();
+            let mut answered = 0;
+            for seed in 0..8 {
+                let mut db = Database::new();
+                for (i, a) in q.atoms.iter().enumerate() {
+                    let rows =
+                        random_relation_with_domain(a.vars.to_vec(), 2, 2, seed * 17 + i as u64);
+                    db.insert(a.name.clone(), rows);
+                }
+                let want = evaluate_pairwise(&q, &db).unwrap();
+                answered += !want.is_empty() as usize;
+                assert_eq!(lowered.run(&db).unwrap(), vec![want], "{text}, seed {seed}");
+            }
+            assert!(answered > 0, "{text}: every seed's answer is empty");
         }
     }
 }

@@ -75,9 +75,11 @@ fn classical_gates(query: &str, n: u64) -> u64 {
 }
 
 #[test]
-fn serve_compiles_the_triangle_through_panda_c_and_the_two_path_classically() {
+fn serve_compiles_the_triangle_through_panda_c_and_the_two_path_and_a_wide_query_classically() {
     let triangle = "Q(a, b, c) :- R(a, b), S(b, c), T(a, c)";
     let two_path = "Q(a, c) :- R(a, b), S(b, c)";
+    let wide = "Q(a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p, q) \
+                :- R(a, b, c, d, e, f, g, h, i), S(i, j, k, l, m, n, o, p, q)";
     // Measured before the recorder is installed, so these builds stay
     // out of its counters.
     let triangle_classical = classical_gates(triangle, 8);
@@ -113,13 +115,23 @@ fn serve_compiles_the_triangle_through_panda_c_and_the_two_path_classically() {
     assert_eq!(rec.counter("plan.panda_c"), 1);
     assert_eq!(rec.counter("plan.classical"), 1);
 
+    // Seventeen variables: past PANDA-C's variable cap, so the planner
+    // keeps the classical circuit without building PANDA-C.
+    let req = request(wide, 2);
+    let want = expected(&req);
+    assert!(!want.is_empty(), "the 17-variable request has answers");
+    let resp = server.query_timeout(req, timeout).unwrap();
+    assert_eq!(resp.relations, vec![want]);
+    assert_eq!(rec.counter("plan.panda_c"), 1);
+    assert_eq!(rec.counter("plan.classical"), 2);
+
     server.shutdown();
     qec_obs::install(previous);
     // One `plan` span per compile, each inside its `serve.compile`.
     let snap = rec.snapshot();
     let named = |name: &str| -> Vec<_> { snap.spans.iter().filter(|s| s.name == name).collect() };
     let (plans, compiles) = (named("plan"), named("serve.compile"));
-    assert_eq!((plans.len(), compiles.len()), (2, 2));
+    assert_eq!((plans.len(), compiles.len()), (3, 3));
     for plan in plans {
         assert!(
             compiles.iter().any(|c| c.start_ns <= plan.start_ns
