@@ -831,13 +831,13 @@ pub fn x15_engine_throughput() -> Table {
 }
 
 /// X16 — the optimizer pipeline (the builder's rewrite rules and
-/// hash-consing, then the optimizer's dead-gate sweep) against the
+/// hash-consing, then the optimizer's liveness mark) against the
 /// oracle build (`Builder::without_cse`: no rule, no hash-cons): on the
 /// X15 join circuit it must remove ≥ 25% of the word gates and buy ≥ 15%
 /// batched-engine throughput; the X1 triangle circuit and the bit-level
 /// lowering shrink alongside.
 pub fn x16_optimizer() -> Table {
-    use qec_circuit::{optimize_bits_with, optimize_with, Circuit, CompiledCircuit};
+    use qec_circuit::{optimize_bits_with, Circuit, CompiledCircuit};
     use qec_obs::Recorder;
     let mut t = Table::new(
         "X16  Optimizer: rewrite rules, hash-consing, and DCE across the word/bit IRs",
@@ -856,14 +856,13 @@ pub fn x16_optimizer() -> Table {
     const BATCH: usize = 64;
     const BIT_WIDTH: u32 = 16;
     let opts = CompileOptions::from_env();
-    // A raw row lowers to bits as it stands; an optimized row also runs
-    // the bit optimizer.
+    // A raw row lowers every gate to bits; an optimized row lowers the
+    // live gates only and also runs the bit optimizer.
     let lower_bits = |c: &Circuit, optimized: bool| {
-        let lowered = lower_with(c, BIT_WIDTH, &opts);
         if optimized {
-            optimize_bits_with(&lowered, &opts).0
+            optimize_bits_with(&lower_with(c, BIT_WIDTH, &opts), &opts).0
         } else {
-            lowered
+            lower_with(c, BIT_WIDTH, &opts.clone().with_optimize(false))
         }
     };
 
@@ -876,28 +875,35 @@ pub fn x16_optimizer() -> Table {
     let tri_raw_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t0 = std::time::Instant::now();
     let tri = rc.lower().circuit;
-    let (tri_opt, _) = optimize_with(&tri, &opts);
+    let tri_eng = CompiledCircuit::compile_with(&tri, &opts).expect("circuit compiles");
     let tri_opt_ms = t0.elapsed().as_secs_f64() * 1e3;
-    for (stage, c, ms) in [
-        ("raw", &tri_raw, tri_raw_ms),
-        ("optimized", &tri_opt, tri_opt_ms),
+    let tri_st = tri_eng.stats();
+    for (stage, c, size, depth, ms) in [
+        ("raw", &tri_raw, tri_raw.size(), tri_raw.depth(), tri_raw_ms),
+        (
+            "optimized",
+            &tri,
+            tri_st.optimized_size,
+            tri_st.optimized_depth,
+            tri_opt_ms,
+        ),
     ] {
         let bits = lower_bits(c, stage == "optimized");
         t.row(vec![
             "triangle N=16".into(),
             stage.into(),
-            c.size().to_string(),
-            c.depth().to_string(),
+            size.to_string(),
+            depth.to_string(),
             bits.and_count().to_string(),
             bits.and_depth().to_string(),
             f(ms),
             "-".into(),
         ]);
     }
-    drop((tri_raw, tri, tri_opt));
+    drop((tri_raw, tri, tri_eng));
 
     // --- X15 join circuit: the oracle build compiled as it stands,
-    // against the rewriting build compiled through the sweep. The
+    // against the rewriting build compiled through the mark. The
     // rewriting build flushes its rule and hash-cons counters to a
     // recorder of its own. ---
     let build_join = |mut b: Builder| {
@@ -924,8 +930,11 @@ pub fn x16_optimizer() -> Table {
         .clone()
         .expect("compile runs the optimizer");
     let raw_bits = lower_bits(&raw, false);
-    let (opt_word, _) = optimize_with(&ruled, &opts);
-    let opt_bits = lower_bits(&opt_word, true);
+    let opt_bits = lower_bits(&ruled, true);
+    let (opt_size, opt_depth) = (
+        eng_opt.stats().optimized_size,
+        eng_opt.stats().optimized_depth,
+    );
 
     let instances: Vec<Vec<u64>> = (0..BATCH)
         .map(|lane| {
@@ -978,15 +987,15 @@ pub fn x16_optimizer() -> Table {
     t.row(vec![
         "join cap=16".into(),
         "optimized".into(),
-        opt_word.size().to_string(),
-        opt_word.depth().to_string(),
+        opt_size.to_string(),
+        opt_depth.to_string(),
         opt_bits.and_count().to_string(),
         opt_bits.and_depth().to_string(),
         f(opt_ms),
         f(opt_med / 1e3 / BATCH as f64),
     ]);
 
-    let gate_cut = 100.0 * (1.0 - opt_word.size() as f64 / raw.size() as f64);
+    let gate_cut = 100.0 * (1.0 - opt_size as f64 / raw.size() as f64);
     let and_cut = 100.0 * (1.0 - opt_bits.and_count() as f64 / raw_bits.and_count() as f64);
     let gain = 100.0 * (raw_med / opt_med - 1.0);
     t.verdict(format!(

@@ -1,19 +1,20 @@
 //! The unified compile driver: one options struct and one entry point.
 //!
 //! [`CompileOptions`] is the single value that travels the whole
-//! pipeline — whether the optimizer's dead-gate sweep runs and where
+//! pipeline — whether the optimizer's liveness mark runs and where
 //! observability data goes — and [`CompiledCircuit::compile_with`] is
 //! the one driver that consumes it, returning just the engine. The
 //! rewrite rules and hash-consing are not a stage here: the word
 //! [`Builder`](crate::Builder) applies them to each gate as it builds
 //! it, so every caller of `Builder::new()` gets them, the secure path
 //! included. There is no validation knob: circuits are valid by
-//! construction (see [`crate::validate`]), and the one invariant no type
-//! carries, the optimizer's assertion-provenance map, is checked on
-//! every optimizing compile. Where the compile time went is on the
-//! recorder, as `compile`, `optimize` and `tape` spans. Every pass it
-//! drives (word build, sweep, bit lowering, bit optimize) is one
-//! sequential walk over its gate list.
+//! construction (see [`crate::validate`]). The mark makes no second
+//! circuit: the compile schedules the live gates of the source arena in
+//! place, so the gate an assertion failure reports is the source's by
+//! construction. Where the compile time went is on the recorder, as
+//! `compile`, `optimize` and `tape` spans. Every pass it drives (word
+//! build, mark, tape, bit lowering, bit optimize) is one sequential walk
+//! over its gate list.
 //!
 //! Observability has two sinks by design:
 //!
@@ -42,9 +43,9 @@ use crate::ir::{Circuit, EvalError};
 /// builders.
 #[derive(Clone, Debug)]
 pub struct CompileOptions {
-    /// Run the word-level optimizer, the dead-gate sweep, before taping
-    /// (`true` everywhere except raw A/B measurements). The builder's
-    /// rewrite rules do not depend on it.
+    /// Run the word-level optimizer, the liveness mark, so the tape and
+    /// the bit lowering skip dead gates (`true` everywhere except raw A/B
+    /// measurements). The builder's rewrite rules do not depend on it.
     pub optimize: bool,
     /// Span/counter sink for the driver stages. Disabled by default —
     /// the fast path costs one boolean check per stage.
@@ -72,7 +73,7 @@ impl CompileOptions {
         }
     }
 
-    /// Switches the word-level optimizer (the sweep) on or off.
+    /// Switches the word-level optimizer (the liveness mark) on or off.
     pub fn with_optimize(mut self, optimize: bool) -> CompileOptions {
         self.optimize = optimize;
         self
@@ -94,39 +95,45 @@ impl Default for CompileOptions {
 impl CompiledCircuit {
     /// Compiles `c` into a register-allocated instruction tape under
     /// `opts` — the single compile entry point. When `opts.optimize` is
-    /// set the dead-gate sweep runs first and assertion failures
-    /// keep reporting **source** gate indices via
-    /// [`OptStats::assert_origin`](crate::OptStats::assert_origin), a map
-    /// [`validate_opt`](crate::validate_opt) checks on every optimizing
-    /// compile ([`EvalError::Invalid`] if it is unsound). The
-    /// `compile`, `optimize` and `tape` spans and the
-    /// `engine.peak_registers`, `engine.tape_len` and `engine.tape_bytes`
-    /// gauges go to `opts.recorder`.
+    /// set the liveness mark runs first and the tape holds only the live
+    /// gates of `c`, read in place from its arena; with it off every
+    /// gate is compiled. Either way an assertion failure reports the
+    /// source gate index, which each `Assert` instruction carries. The
+    /// `compile`, `optimize` (the mark) and `tape` spans, the mark's
+    /// `opt.*` counters, and the `engine.peak_registers`,
+    /// `engine.tape_len`, `engine.tape_bytes` and `compile.peak_bytes`
+    /// gauges go to `opts.recorder`. `compile.peak_bytes` is what the
+    /// compile holds at once: the source arena, the mark and the tape.
+    ///
+    /// The optimizer makes no second circuit to check, so no circuit
+    /// fails to compile today; the `Result` stays for the callers that
+    /// propagate it.
     pub fn compile_with(c: &Circuit, opts: &CompileOptions) -> Result<CompiledCircuit, EvalError> {
         let recorder = &opts.recorder;
         let _root = recorder.span("compile");
-        let eng = if opts.optimize {
-            let (opt_c, st) = crate::opt::optimize_with(c, opts);
-            crate::validate::validate_opt(c, &opt_c, &st).map_err(EvalError::Invalid)?;
-            let mut eng = {
-                let _tape = recorder.span("tape");
-                Self::compile_inner(&opt_c, Some(&st))
-            };
-            // Report size/depth/wires of the *source* circuit: the
-            // engine's observable behavior is defined against it.
-            eng.stats.circuit_size = c.size();
-            eng.stats.circuit_depth = c.depth();
-            eng.stats.circuit_wires = c.num_wires();
-            eng.stats.opt = Some(st);
-            eng
-        } else {
-            let _tape = recorder.span("tape");
-            Self::compile_inner(c, None)
+        let (mark, opt) = {
+            let _span = opts.optimize.then(|| recorder.span("optimize"));
+            crate::opt::mark_live(c, opts.optimize)
         };
+        if let (true, Some(st)) = (recorder.is_enabled(), &opt) {
+            recorder.add("opt.gates_before", st.gates_before);
+            recorder.add("opt.gates_after", st.gates_after);
+            recorder.add("opt.dead", st.dead);
+        }
+        let mark_bytes = mark.capacity() * std::mem::size_of::<u32>();
+        let mut eng = {
+            let _tape = recorder.span("tape");
+            Self::compile_inner(c, mark)
+        };
+        eng.stats.opt = opt;
         if recorder.is_enabled() {
             recorder.gauge_max("engine.peak_registers", eng.stats.peak_registers as u64);
             recorder.gauge_max("engine.tape_len", eng.stats.tape_len as u64);
             recorder.gauge_max("engine.tape_bytes", eng.tape_bytes() as u64);
+            recorder.gauge_max(
+                "compile.peak_bytes",
+                (c.arena().bytes() + mark_bytes + eng.tape_bytes()) as u64,
+            );
         }
         Ok(eng)
     }
@@ -142,7 +149,7 @@ mod tests {
         let x = b.input();
         let y = b.input();
         let s = b.add(x, y);
-        let _dead = b.sub(x, y); // swept
+        let _dead = b.sub(x, y); // not compiled
         let p = b.mul(s, s);
         b.finish(vec![p])
     }
@@ -184,5 +191,10 @@ mod tests {
             Some(f64::from(qec_obs::METRICS_SCHEMA_VERSION))
         );
         assert_eq!(rec.counter("engine.tape_len"), eng.stats().tape_len as u64);
+        assert_eq!(rec.counter("opt.dead"), 1);
+        assert_eq!(
+            rec.counter("compile.peak_bytes"),
+            (c.arena().bytes() + 4 * c.num_wires() + eng.tape_bytes()) as u64
+        );
     }
 }

@@ -6,20 +6,23 @@
 //! compiled once and then streamed over arbitrarily many inputs. This
 //! module adds that missing layer:
 //!
-//! 1. **Compilation** ([`CompiledCircuit::compile_with`]): the gate DAG is
-//!    reordered into a level-major instruction tape (all gates of equal
-//!    depth are adjacent) and run through a **wire-liveness register
-//!    allocator**. A wire's register is recycled once the last level
-//!    reading it has executed, so the working set shrinks from
-//!    `O(size)` slots to `O(peak live width)` registers — the hot data
-//!    fits in cache instead of streaming the whole value buffer per
-//!    instance. The schedule is flat, in the GMW tape's idiom
-//!    ([`crate::bitengine`]): the circuit stores no per-wire depths, so
-//!    one gate-sized array holds each wire's level, then its last use,
-//!    then its register; a counting sort (level offsets, CSR) writes
-//!    each gate id into the tape slot its instruction will fill; and
-//!    the registers freed at a level boundary wait on per-level FIFO
-//!    lists linked through the registers. The tape is packed: one
+//! 1. **Compilation** ([`CompiledCircuit::compile_with`]): the live
+//!    gates of the DAG (the optimizer's liveness mark, [`crate::opt`];
+//!    every gate with the optimizer off) are reordered into a
+//!    level-major instruction tape (all gates of equal depth are
+//!    adjacent) and run through a **wire-liveness register allocator**.
+//!    A wire's register is recycled once the last level reading it has
+//!    executed, so the working set shrinks from `O(size)` slots to
+//!    `O(peak live width)` registers — the hot data fits in cache
+//!    instead of streaming the whole value buffer per instance. The
+//!    schedule is flat, in the GMW tape's idiom ([`crate::bitengine`]),
+//!    and reads the source arena in place: the circuit stores no
+//!    per-wire depths, so the mark's gate-sized array goes on to hold
+//!    each live wire's level, then its last use, then its register; a
+//!    counting sort (level offsets, CSR) writes each live gate id into
+//!    the tape slot its instruction will fill; and the registers freed
+//!    at a level boundary wait on per-level FIFO lists linked through
+//!    the registers. The tape is packed: one
 //!    opcode byte and four `u32` words per instruction, 17 bytes, with
 //!    a constant's value in two of the words; the kernels decode it
 //!    inline.
@@ -41,13 +44,14 @@
 //!
 //! Assertion semantics match [`Circuit::evaluate`] exactly and
 //! deterministically: every lane reports the **lowest-index** failing
-//! [`Gate::AssertZero`](crate::Gate::AssertZero), independent of tape
-//! order, because gate values
+//! [`Gate::AssertZero`](crate::Gate::AssertZero) of the source circuit
+//! (an `Assert` instruction carries its source gate id), independent of
+//! tape order, because gate values
 //! are pure functions of the inputs so the engine can keep evaluating
 //! past a failure and take the minimum.
 
 use crate::ir::{op, Circuit, EvalError};
-use crate::opt::OptStats;
+use crate::opt::{OptStats, DEAD};
 use crate::tape::Fnv1a64;
 
 /// Register index in the compiled tape.
@@ -95,16 +99,17 @@ pub struct EngineStats {
     /// Total wires (inputs + constants + gates) in the source circuit.
     pub circuit_wires: usize,
     /// Logic-gate count actually compiled. With the optimizer on (the
-    /// [`CompiledCircuit::compile_with`] default) this is the optimized
-    /// circuit's size; with it off it equals `circuit_size`.
+    /// [`CompiledCircuit::compile_with`] default) this counts the live
+    /// gates; with it off it equals `circuit_size`.
     pub optimized_size: u64,
-    /// Depth of the compiled circuit (optimized or raw).
+    /// Depth of the compiled gates: the deepest live gate's depth with
+    /// the optimizer on, `circuit_depth` with it off.
     pub optimized_depth: u32,
-    /// Optimizer counters, when [`CompiledCircuit::compile_with`] ran
-    /// the offline pass; `None` with the optimizer off.
+    /// The liveness mark's counters, when [`CompiledCircuit::compile_with`]
+    /// ran the optimizer; `None` with it off.
     pub opt: Option<OptStats>,
-    /// Instructions on the tape (one per wire of the compiled circuit —
-    /// at most `circuit_wires`, less whenever the optimizer shrank it).
+    /// Instructions on the tape (one per compiled wire — at most
+    /// `circuit_wires`, less whenever the optimizer found dead wires).
     pub tape_len: usize,
     /// Registers allocated — the peak number of simultaneously live
     /// wires. Strictly below `circuit_wires` whenever liveness-based
@@ -159,60 +164,82 @@ pub struct CompiledCircuit {
 }
 
 impl CompiledCircuit {
-    /// The tape/register-allocation stage of
-    /// [`CompiledCircuit::compile_with`]. `origin` carries the optimizer's
-    /// assert-origin map when the input circuit is an optimized image of
-    /// some source circuit.
+    /// The leveling, sorting and register-allocation stage of
+    /// [`CompiledCircuit::compile_with`], over the live gates of `c`:
+    /// `mark` is the liveness mark ([`crate::opt`]), one word per wire,
+    /// [`DEAD`] for a wire the tape skips and 0 for one it holds.
     ///
-    /// The schedule is flat, as the GMW tape's is: one gate-sized array
-    /// holds each wire's level, then the last level reading it, then its
-    /// register; a counting sort writes each gate id into the operand
-    /// slot its instruction will occupy on the tape; and the registers
-    /// freed at each level boundary wait on per-level FIFO lists linked
-    /// through the registers.
-    pub(crate) fn compile_inner(c: &Circuit, origin: Option<&OptStats>) -> CompiledCircuit {
+    /// The schedule is flat, as the GMW tape's is: the mark's array goes
+    /// on to hold each live wire's level, then the last level reading it,
+    /// then its register; a counting sort writes each live gate id into
+    /// the operand slot its instruction will occupy on the tape; and the
+    /// registers freed at each level boundary wait on per-level FIFO
+    /// lists linked through the registers. Nothing reads a dead wire's
+    /// slot again once the levels are known, and an `Assert` instruction
+    /// reports its own gate id, which is the source's.
+    pub(crate) fn compile_inner(c: &Circuit, mark: Vec<u32>) -> CompiledCircuit {
         let gates = c.arena();
         let n = gates.len();
-        let num_levels = c.depth() as usize + 1;
 
-        // --- levels: a wire's level is its depth. `slot[i]` holds it,
-        //     and `starts[l + 1]` counts level l's gates. ---
-        let mut slot = c.wire_depths();
+        // --- levels: a live wire's level is its depth among the live
+        //     gates, which is its depth in `c` (a live gate's operands are
+        //     live). `slot[i]` holds it, and `starts[l + 1]` counts level
+        //     l's gates. ---
+        let mut slot = mark;
+        let mut depth = 0u32;
+        for i in 0..n {
+            if slot[i] == DEAD {
+                continue;
+            }
+            let mut d = 0;
+            for &w in gates.get(i).operands() {
+                debug_assert!(
+                    slot[w as usize] != DEAD,
+                    "live gate {i} reads dead wire {w}"
+                );
+                d = d.max(slot[w as usize] + 1);
+            }
+            slot[i] = d;
+            depth = depth.max(d);
+        }
+        let num_levels = depth as usize + 1;
         let mut starts = vec![0u32; num_levels + 1];
-        for &l in &slot {
+        for &l in slot.iter().filter(|&&l| l != DEAD) {
             starts[l as usize + 1] += 1;
         }
-        debug_assert!(
-            (0..n).all(|i| gates
-                .get(i)
-                .operands()
-                .iter()
-                .all(|&w| slot[w as usize] < slot[i])),
-            "every operand sits at a strictly lower level than its consumer"
-        );
 
-        // --- level-major order: a counting sort writes each gate id into
-        //     the first word of its tape slot; the walk in gate order
+        // --- level-major order: a counting sort writes each live gate id
+        //     into the first word of its tape slot; the walk in gate order
         //     keeps each level's gates in gate order. ---
         for l in 0..num_levels {
             starts[l + 1] += starts[l];
         }
-        let mut args = vec![[0u32; 4]; n];
+        let live = starts[num_levels] as usize;
+        debug_assert!(
+            live == 0 || starts.windows(2).all(|w| w[0] < w[1]),
+            "every level holds a gate"
+        );
+        let mut args = vec![[0u32; 4]; live];
         let mut fill = starts.clone();
         for (i, &l) in slot.iter().enumerate() {
-            args[fill[l as usize] as usize][0] = i as u32;
-            fill[l as usize] += 1;
+            if l != DEAD {
+                args[fill[l as usize] as usize][0] = i as u32;
+                fill[l as usize] += 1;
+            }
         }
         drop(fill);
 
-        // --- liveness, in place: `slot[i]` goes from wire i's level to
-        //     the last level reading it (u32::MAX = pinned). Consumers
-        //     come after their operands, so `slot[i]` still holds i's own
-        //     level when the walk reaches i; a wire nobody reads dies at
-        //     its own definition level. ---
+        // --- liveness, in place: `slot[i]` goes from live wire i's level
+        //     to the last level a live gate reads it at (u32::MAX =
+        //     pinned). Consumers come after their operands, so `slot[i]`
+        //     still holds i's own level when the walk reaches i; a wire no
+        //     live gate reads dies at its own definition level. ---
         const PINNED: u32 = u32::MAX;
         for i in 0..n {
             let d = slot[i];
+            if d == DEAD {
+                continue;
+            }
             for &w in gates.get(i).operands() {
                 slot[w as usize] = slot[w as usize].max(d);
             }
@@ -240,7 +267,7 @@ impl CompiledCircuit {
         //     wire i has a register, `slot[i]` holds it. ---
         let mut free: Vec<Reg> = Vec::new();
         let mut num_regs = 0u32;
-        let mut kinds = Vec::with_capacity(n);
+        let mut kinds = Vec::with_capacity(live);
         let mut level_widths = Vec::with_capacity(num_levels);
         let mut gate_counts = [0u64; 13];
         let mut bytes_per_instance = 0u64;
@@ -278,9 +305,7 @@ impl CompiledCircuit {
                     *o = slot[w as usize];
                 }
                 if rec.op == op::ASSERT {
-                    // Report failures against the SOURCE circuit's gate
-                    // numbering when an optimizer mapping exists.
-                    out[2] = origin.and_then(|st| st.origin_of(gi)).unwrap_or(gi);
+                    out[2] = gi;
                 }
                 #[cfg(debug_assertions)]
                 {
@@ -311,8 +336,10 @@ impl CompiledCircuit {
             circuit_size: c.size(),
             circuit_depth: c.depth(),
             circuit_wires: n,
-            optimized_size: c.size(),
-            optimized_depth: c.depth(),
+            optimized_size: live as u64
+                - gate_counts[op::INPUT as usize]
+                - gate_counts[op::CONST as usize],
+            optimized_depth: depth,
             opt: None,
             tape_len: kinds.len(),
             peak_registers: num_regs as usize,

@@ -285,11 +285,6 @@ pub enum EvalError {
         /// The non-zero value observed.
         value: u64,
     },
-    /// The optimizer's assertion-provenance map failed
-    /// [`validate_opt`](crate::validate_opt), which
-    /// [`CompiledCircuit::compile_with`](crate::CompiledCircuit::compile_with)
-    /// runs whenever it optimizes.
-    Invalid(crate::validate::ValidateError),
     /// Wire-id allocation ran past the 32-bit id space of the in-memory
     /// IR. Construction used to wrap silently here. No builder, decoder
     /// or engine handles a circuit past this limit.
@@ -310,7 +305,6 @@ impl fmt::Display for EvalError {
             EvalError::AssertionFailed { gate, value } => {
                 write!(f, "assertion gate {gate} observed non-zero value {value}")
             }
-            EvalError::Invalid(e) => write!(f, "circuit failed structural validation: {e}"),
             EvalError::CircuitTooLarge { wires, limit } => write!(
                 f,
                 "circuit too large: {wires} wires exceed the {limit}-wire limit \

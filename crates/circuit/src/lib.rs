@@ -63,7 +63,7 @@ pub use join_out::join_output_bounded;
 pub use lower::{lower_with, optimize_bits_with, BitCircuit, BitEvalScratch, BitOptStats};
 pub use netlist::write_netlist;
 pub use ops::{aggregate, project, select, truncate, union, AggOp};
-pub use opt::{optimize_with, OptStats};
+pub use opt::OptStats;
 pub use prov::{ProvCircuit, ProvId, ProvNode};
 pub use rel::{
     decode_relation, encode_database, encode_relation, relation_to_values, InputLayout, RelWires,
@@ -73,4 +73,4 @@ pub use scan::{scan, segmented_scan};
 pub use schedule::{brent_steps, level_widths};
 pub use sort::{sort_slots, sort_slots_network, SortKey, SortNetwork};
 pub use tape::{fnv1a64, BitTape, TapeError, WordTape};
-pub use validate::{validate_opt, ValidateError};
+pub use validate::ValidateError;

@@ -2,7 +2,9 @@
 //!
 //! The paper treats Boolean and arithmetic circuits interchangeably up to
 //! `poly(log u)` factors (Sec. 4.1). This module makes the translation
-//! concrete: every word wire becomes `width` bit wires; word gates expand
+//! concrete: every live word wire becomes `width` bit wires (the word
+//! optimizer's liveness mark, [`crate::opt`], read in place: a gate no
+//! output or assert reads is not lowered); word gates expand
 //! to textbook Boolean blocks (ripple-carry adders, comparators,
 //! multiplexers). The result is exactly what garbled-circuit or GMW-style
 //! protocols consume — XOR gates are "free" in both, so [`BitCircuit`]
@@ -20,6 +22,7 @@ use std::sync::OnceLock;
 
 use crate::cons::{hash_fields, ConsIndex, ConsKey};
 use crate::driver::CompileOptions;
+use crate::opt::{mark_live, DEAD};
 use crate::validate::ValidateError;
 use crate::{Circuit, Gate, WireId};
 
@@ -625,6 +628,11 @@ fn bit_word(bit: u32, w: usize) -> Vec<u32> {
 /// order and equality comparisons against domain values behave as at word
 /// level, but a domain value equal to `2^width − 1` would collide with it.
 ///
+/// With `opts.optimize` set (the default) only the live word gates are
+/// lowered: the liveness mark ([`crate::opt`]) the word engine compiles
+/// from is read in place, so a gate no output or assert reads gets no
+/// bits, and the inputs keep theirs. With it off every gate is lowered.
+///
 /// The pass is one sequential walk over the word gates on the calling
 /// thread. When `opts.recorder` is enabled it records a `lower` span,
 /// the headline bit-level gate counts and the hash-cons counters
@@ -633,7 +641,7 @@ fn bit_word(bit: u32, w: usize) -> Vec<u32> {
 pub fn lower_with(c: &Circuit, width: u32, opts: &CompileOptions) -> BitCircuit {
     let rec = &opts.recorder;
     let _span = rec.span("lower");
-    let bc = lower_seq(c, width, rec);
+    let bc = lower_seq(c, width, opts.optimize, rec);
     if rec.is_enabled() {
         rec.add("lower.bit_gates", bc.gate_count());
         rec.add("lower.and_gates", bc.and_count());
@@ -643,26 +651,37 @@ pub fn lower_with(c: &Circuit, width: u32, opts: &CompileOptions) -> BitCircuit 
     bc
 }
 
-fn lower_seq(c: &Circuit, width: u32, rec: &qec_obs::Recorder) -> BitCircuit {
+fn lower_seq(c: &Circuit, width: u32, optimize: bool, rec: &qec_obs::Recorder) -> BitCircuit {
     let w = width as usize;
-    // Last consumer of each word wire (0: none, since a consumer always
-    // comes after its operand); outputs stay pinned.
-    let mut last_use = vec![0u32; c.num_wires()];
+    let n = c.num_wires();
+    // The mark becomes the last live consumer of each live word wire (0:
+    // none, since a consumer always comes after its operand); a dead
+    // wire keeps `DEAD`, and outputs are pinned to `n`, which no
+    // consumer's index reaches.
+    let (mut last_use, _) = mark_live(c, optimize);
     for (i, g) in c.gates().enumerate() {
+        if last_use[i] == DEAD {
+            continue;
+        }
         for op in g.operands().into_iter().flatten() {
             last_use[op as usize] = i as u32;
         }
     }
     for &o in c.outputs() {
-        last_use[o as usize] = u32::MAX;
+        last_use[o as usize] = n as u32;
     }
 
     let mut lw = Lowerer::new();
     // A word wire's bit vector is replaced by the (allocation-free) empty
-    // vector after its last consumer, or at once when it has none.
-    // Topological order means a freed slot is never read again.
-    let mut word_bits: Vec<Vec<u32>> = Vec::with_capacity(c.num_wires());
+    // vector after its last consumer, or at once when it has none; a dead
+    // wire never gets one. Topological order means a freed slot is never
+    // read again.
+    let mut word_bits: Vec<Vec<u32>> = Vec::with_capacity(n);
     for (i, g) in c.gates().enumerate() {
+        if last_use[i] == DEAD {
+            word_bits.push(Vec::new());
+            continue;
+        }
         let bits = lw.lower_gate(g, &word_bits, w);
         word_bits.push(if last_use[i] == 0 { Vec::new() } else { bits });
         for op in g.operands().into_iter().flatten() {
@@ -671,6 +690,7 @@ fn lower_seq(c: &Circuit, width: u32, rec: &qec_obs::Recorder) -> BitCircuit {
             }
         }
     }
+    drop(last_use);
     // The walk is done: its counters go out and the cons index is freed
     // before the bit circuit is sealed.
     std::mem::take(&mut lw.cons).flush(rec, "lower");

@@ -1,5 +1,4 @@
-//! Offline circuit optimizer: assertion-safe mark-and-sweep dead-gate
-//! elimination.
+//! Offline circuit optimizer: the assertion-safe liveness mark.
 //!
 //! The rewrites (constant folding, algebraic identities, boolean
 //! coercion, assert deduplication) and structural CSE happen when a gate
@@ -7,43 +6,41 @@
 //! interns each gate, so its circuits are a fixpoint of the rules and a
 //! second rewrite walk over them would be an identity map. What a built
 //! circuit still carries is dead code: gates whose every user folded
-//! away, and helpers an operator circuit built and did not use. The sweep
-//! removes it. A circuit from [`Circuit::from_raw`] or a decoded tape gets
-//! the same sweep and keeps its semantics.
+//! away, and helpers an operator circuit built and did not use. The mark
+//! finds it in one reverse pass over the gate list, with the outputs, the
+//! asserts and the inputs as roots. Nothing is copied: the consumers read
+//! the mark in place.
+//! [`CompiledCircuit::compile_with`](crate::CompiledCircuit::compile_with)
+//! levels, sorts and register-allocates only the live gates of the source
+//! arena, and [`lower_with`](crate::lower_with) lowers only them. A
+//! circuit from [`Circuit::from_raw`] or a decoded tape is marked the
+//! same way.
 //!
-//! The pass is semantics-preserving in a strict sense:
+//! Skipping the dead gates preserves semantics in a strict sense:
 //!
-//! * every surviving wire is a source wire with its gate unchanged, so it
+//! * every compiled wire is a source wire with its gate unchanged, so it
 //!   evaluates to the same value on every input vector;
-//! * every input and every assert survives, so optimized circuits accept
-//!   the exact same input vectors and fail an assertion iff the source
-//!   does, at the assert [`OptStats::assert_origin`] maps back to the
-//!   source's first failing gate (which is how
-//!   [`crate::engine::CompiledCircuit`] reports source-level errors).
+//! * every input and every assert is live, so a compiled circuit accepts
+//!   the exact same input vectors and fails an assertion iff the source
+//!   does. An `Assert` instruction carries its source gate id, so the
+//!   engine reports the source's lowest failing gate by construction.
 
-use crate::driver::CompileOptions;
-use crate::ir::{op, Circuit, Gates, WireId};
+use crate::ir::{op, Circuit};
 
-/// Counters describing one [`optimize_with`] run.
+/// Counters describing one liveness mark, as
+/// [`EngineStats::opt`](crate::EngineStats::opt) reports them.
 #[derive(Clone, Debug, Default)]
 pub struct OptStats {
     /// Logic gates in the source circuit.
     pub gates_before: u64,
-    /// Logic gates after optimization.
+    /// Live logic gates: those the engine compiles.
     pub gates_after: u64,
-    /// Total wires (inputs + constants + gates) before.
+    /// Total wires (inputs + constants + gates) in the source circuit.
     pub wires_before: usize,
-    /// Total wires after.
+    /// Live wires.
     pub wires_after: usize,
-    /// Depth before.
-    pub depth_before: u32,
-    /// Depth after.
-    pub depth_after: u32,
-    /// Wires removed by the sweep.
+    /// Wires no root reads.
     pub dead: u64,
-    /// `(optimized gate index, source gate index)` for every assert,
-    /// sorted by optimized index.
-    pub assert_origin: Vec<(u32, u32)>,
 }
 
 impl OptStats {
@@ -55,129 +52,81 @@ impl OptStats {
             1.0 - self.gates_after as f64 / self.gates_before as f64
         }
     }
-
-    /// Source gate index of the assert at `opt_gate` in the optimized
-    /// circuit, if `opt_gate` is a surviving assert.
-    pub fn origin_of(&self, opt_gate: u32) -> Option<u32> {
-        self.assert_origin
-            .binary_search_by_key(&opt_gate, |&(ng, _)| ng)
-            .ok()
-            .map(|i| self.assert_origin[i].1)
-    }
-
-    fn passthrough(c: &Circuit) -> OptStats {
-        OptStats {
-            gates_before: c.size(),
-            gates_after: c.size(),
-            wires_before: c.num_wires(),
-            wires_after: c.num_wires(),
-            depth_before: c.depth(),
-            depth_after: c.depth(),
-            ..OptStats::default()
-        }
-    }
 }
 
-/// Optimizes a circuit under `opts`: one mark-and-sweep over the gate
-/// list that keeps the outputs, the asserts and the inputs and whatever
-/// they read.
-///
-/// When `opts.optimize` is off the circuit passes through unchanged.
-/// Output order and input arity are always preserved; every declared
-/// input wire survives even if unused, so optimized circuits accept the
-/// exact same input vectors.
-///
-/// When `opts.recorder` is enabled the pass records an `optimize` span
-/// and its counters; the produced [`OptStats`] never depends on whether
-/// tracing was on.
-pub fn optimize_with(c: &Circuit, opts: &CompileOptions) -> (Circuit, OptStats) {
-    if !opts.optimize {
-        return (c.clone(), OptStats::passthrough(c));
-    }
-    let rec = &opts.recorder;
-    let _span = rec.span("optimize");
-    let (opt, st) = sweep(c);
-    if rec.is_enabled() {
-        rec.add("opt.gates_before", st.gates_before);
-        rec.add("opt.gates_after", st.gates_after);
-        rec.add("opt.dead", st.dead);
-        rec.gauge_max("opt.arena_bytes", opt.arena().bytes() as u64);
-    }
-    (opt, st)
-}
+/// The mark of a wire no root reads; a live wire's mark is 0.
+pub(crate) const DEAD: u32 = u32::MAX;
 
-/// The liveness mark and the sweep (see [`optimize_with`] for the
-/// semantics contract).
-fn sweep(c: &Circuit) -> (Circuit, OptStats) {
-    const DEAD: WireId = WireId::MAX;
+/// The liveness mark of `c`, one word per wire: 0 for a wire the
+/// outputs, an assert or an input reads (roots included), [`DEAD`] for
+/// the rest. One reverse pass suffices because the gate list is
+/// topologically ordered. With `optimize` off every wire is live and no
+/// [`OptStats`] comes back.
+pub(crate) fn mark_live(c: &Circuit, optimize: bool) -> (Vec<u32>, Option<OptStats>) {
     let src = c.arena();
     let n = src.len();
-    // Mark: outputs, asserts and inputs (arity must be preserved) are
-    // roots; one reverse pass suffices because the gate list is
-    // topologically ordered. A live wire's slot holds 0 until the
-    // sweep numbers it.
-    let mut remap = vec![DEAD; n];
+    if !optimize {
+        return (vec![0; n], None);
+    }
+    let mut mark = vec![DEAD; n];
     for &o in c.outputs() {
-        remap[o as usize] = 0;
+        mark[o as usize] = 0;
     }
+    let (mut wires, mut gates) = (0usize, 0u64);
     for w in (0..n).rev() {
-        let r = src.get(w);
-        if remap[w] == DEAD && !matches!(r.op, op::ASSERT | op::INPUT) {
+        let kind = src.op(w);
+        if mark[w] == DEAD && !matches!(kind, op::ASSERT | op::INPUT) {
             continue;
         }
-        remap[w] = 0;
-        for &o in r.operands() {
-            remap[o as usize] = 0;
+        mark[w] = 0;
+        wires += 1;
+        if !matches!(kind, op::INPUT | op::CONST) {
+            gates += 1;
+        }
+        for &o in src.get(w).operands() {
+            mark[o as usize] = 0;
         }
     }
-
-    // Sweep: copy the live records in id order, renumbered.
-    let kept = remap.iter().filter(|&&m| m != DEAD).count();
-    let mut gates = Gates::with_capacity(kept);
-    let mut assert_origin: Vec<(u32, u32)> = Vec::new();
-    for w in 0..n {
-        if remap[w] == DEAD {
-            continue;
-        }
-        let mut r = src.get(w);
-        let arity = r.arity();
-        for o in &mut r.args[..arity] {
-            *o = remap[*o as usize];
-        }
-        let nw = gates.len() as WireId;
-        if r.op == op::ASSERT {
-            assert_origin.push((nw, w as u32));
-        }
-        gates.push(r);
-        remap[w] = nw;
-    }
-    let outputs: Vec<WireId> = c.outputs().iter().map(|&o| remap[o as usize]).collect();
-    drop(remap);
-
-    let opt = Circuit::from_gates(gates, outputs, c.num_inputs())
-        .expect("the sweep keeps the gate list topological");
     let stats = OptStats {
         gates_before: c.size(),
-        gates_after: opt.size(),
+        gates_after: gates,
         wires_before: n,
-        wires_after: kept,
-        depth_before: c.depth(),
-        depth_after: opt.depth(),
-        dead: (n - kept) as u64,
-        assert_origin,
+        wires_after: wires,
+        dead: (n - wires) as u64,
     };
-    (opt, stats)
+    (mark, Some(stats))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::ir::{Builder, EvalError, Gate};
+    use crate::driver::CompileOptions;
+    use crate::engine::CompiledCircuit;
+    use crate::ir::{Builder, Circuit, EvalError, Gate, WireId};
+
+    /// Compiles `c` with the optimizer on and off and checks both engines
+    /// against [`Circuit::evaluate`] on every instance: the same outputs,
+    /// and the same lowest failing source assert gate and value. Returns
+    /// the optimizing engine.
+    fn compiles_like_the_interpreter(c: &Circuit, instances: &[Vec<u64>]) -> CompiledCircuit {
+        let on = CompileOptions::sequential();
+        let off = on.clone().with_optimize(false);
+        let raw = CompiledCircuit::compile_with(c, &off).unwrap();
+        let eng = CompiledCircuit::compile_with(c, &on).unwrap();
+        let want: Vec<_> = instances.iter().map(|i| c.evaluate(i)).collect();
+        assert_eq!(raw.evaluate_batch(instances), want, "optimizer off");
+        assert_eq!(eng.evaluate_batch(instances), want, "optimizer on");
+        assert_eq!(raw.stats().tape_len, c.num_wires());
+        assert!(raw.stats().opt.is_none());
+        let st = eng.stats().opt.as_ref().expect("the optimizer ran");
+        assert_eq!(st.wires_after, eng.stats().tape_len);
+        assert_eq!(st.wires_before - st.wires_after, st.dead as usize);
+        eng
+    }
 
     #[test]
-    fn the_sweep_removes_dead_gates_and_rewrites_nothing() {
+    fn the_mark_skips_dead_gates_and_rewrites_nothing() {
         // `x + 0` from a raw gate list is no rule's business here: the
-        // sweep keeps it, and drops only what no root reads.
+        // compile keeps it, and skips only what no root reads.
         let gates = vec![
             Gate::Input(0),
             Gate::Const(0),
@@ -186,16 +135,11 @@ mod tests {
             Gate::AssertZero(1),
         ];
         let c = Circuit::from_raw(gates, vec![2], 1).unwrap();
-        let (opt, st) = optimize_with(&c, &CompileOptions::sequential());
-        assert!(opt.gates().eq([
-            Gate::Input(0),
-            Gate::Const(0),
-            Gate::Add(0, 1),
-            Gate::AssertZero(1),
-        ]));
+        let eng = compiles_like_the_interpreter(&c, &[vec![7]]);
+        let st = eng.stats().opt.as_ref().unwrap();
         assert_eq!((st.dead, st.gates_before, st.gates_after), (1, 3, 2));
-        assert_eq!(st.assert_origin, vec![(3, 4)]);
-        assert_eq!(opt.evaluate(&[7]).unwrap(), vec![7]);
+        assert_eq!(eng.stats().gate_count_pairs().len(), 4);
+        assert_eq!(eng.stats().optimized_size, 2);
     }
 
     #[test]
@@ -206,48 +150,47 @@ mod tests {
         let _dead = b.mul(x, y); // unused
         let live = b.add(x, y);
         let c = b.finish(vec![live]);
-        let (opt, st) = optimize_with(&c, &CompileOptions::sequential());
-        assert_eq!(opt.size(), 1);
-        assert_eq!(opt.num_inputs(), 2);
-        assert_eq!(st.dead, 1);
-        assert_eq!(opt.evaluate(&[2, 3]).unwrap(), vec![5]);
+        let eng = compiles_like_the_interpreter(&c, &[vec![2, 3], vec![2]]);
+        assert_eq!(eng.stats().optimized_size, 1);
+        assert_eq!(eng.num_inputs(), 2);
+        assert_eq!(eng.stats().opt.as_ref().unwrap().dead, 1);
     }
 
     #[test]
-    fn assert_origin_maps_reported_gate_to_source_gate() {
+    fn failing_asserts_report_their_source_gates() {
         let mut b = Builder::without_cse();
         let x = b.input();
         let y = b.input();
-        let _pad = b.mul(x, x); // dead gate before the assert
+        let _pad = b.mul(x, x); // dead gate before the asserts
         let d = b.sub(x, y);
         b.assert_zero(d);
+        b.assert_zero(d); // duplicate: the first one is reported
         let e = b.eq(x, y);
         let n = b.not(e);
         b.assert_zero(n);
         let c = b.finish(vec![]);
-        let (opt, st) = optimize_with(&c, &CompileOptions::sequential());
-        // Fail the first assert: both circuits must report corresponding
-        // gates and identical values.
-        let (src_err, opt_err) = (
-            c.evaluate(&[9, 2]).unwrap_err(),
-            opt.evaluate(&[9, 2]).unwrap_err(),
+        let instances = [vec![9, 2], vec![4, 4], vec![0, 1]];
+        let eng = compiles_like_the_interpreter(&c, &instances);
+        assert_eq!(
+            eng.evaluate(&[9, 2]),
+            Err(EvalError::AssertionFailed { gate: 4, value: 7 })
         );
-        match (src_err, opt_err) {
-            (
-                EvalError::AssertionFailed {
-                    gate: sg,
-                    value: sv,
-                },
-                EvalError::AssertionFailed {
-                    gate: og,
-                    value: ov,
-                },
-            ) => {
-                assert_eq!(sv, ov);
-                assert_eq!(st.origin_of(og as u32), Some(sg as u32));
-            }
-            other => panic!("expected assertion failures, got {other:?}"),
-        }
+    }
+
+    #[test]
+    fn a_mux_reads_all_three_operands() {
+        // The else operand is read by the mux alone, and the select picks
+        // it whenever `x >= y`.
+        let mut b = Builder::without_cse();
+        let x = b.input();
+        let y = b.input();
+        let s = b.add(x, y);
+        let p = b.mul(x, y);
+        let lt = b.lt(x, y);
+        let m = b.mux(lt, s, p);
+        let c = b.finish(vec![m]);
+        let eng = compiles_like_the_interpreter(&c, &[vec![2, 3], vec![5, 3], vec![4, 4]]);
+        assert_eq!(eng.stats().opt.as_ref().unwrap().dead, 0);
     }
 
     /// A program exercising every rewrite family at once: folds,
@@ -299,35 +242,27 @@ mod tests {
         };
         let raw = build(Builder::without_cse());
         let c = build(Builder::new());
-        let (opt, st) = optimize_with(&c, &CompileOptions::sequential());
         let asserts = |c: &Circuit| {
             c.gates()
                 .filter(|g| matches!(g, Gate::AssertZero(_)))
                 .count()
         };
         // The rules drop the duplicate and the passing assert and keep
-        // the always-failing one; the sweep keeps both survivors.
-        assert_eq!((asserts(&raw), asserts(&c), asserts(&opt)), (4, 2, 2));
-        assert!(c.size() < raw.size() && opt.size() < c.size() && st.dead > 0);
-        // The always-failing assert fires on every input; every build
-        // reports it with the same value, and the sweep maps its gate
-        // back to the rule-built circuit's.
-        for inp in [[0u64, 0, 0], [3, 3, 1], [5, 2, 9]] {
-            match (raw.evaluate(&inp), c.evaluate(&inp), opt.evaluate(&inp)) {
+        // the always-failing one.
+        assert_eq!((asserts(&raw), asserts(&c)), (4, 2));
+        assert!(c.size() < raw.size());
+        // The always-failing assert fires on every input; both builds,
+        // compiled either way, report their own first failing gate.
+        let instances = [vec![0u64, 0, 0], vec![3, 3, 1], vec![5, 2, 9]];
+        let eng = compiles_like_the_interpreter(&c, &instances);
+        assert!(eng.stats().optimized_size < c.size());
+        compiles_like_the_interpreter(&raw, &instances);
+        for inst in &instances {
+            match (raw.evaluate(inst), c.evaluate(inst)) {
                 (
                     Err(EvalError::AssertionFailed { value: rv, .. }),
-                    Err(EvalError::AssertionFailed {
-                        gate: sg,
-                        value: sv,
-                    }),
-                    Err(EvalError::AssertionFailed {
-                        gate: og,
-                        value: ov,
-                    }),
-                ) => {
-                    assert_eq!((rv, sv), (ov, ov));
-                    assert_eq!(st.origin_of(og as u32), Some(sg as u32));
-                }
+                    Err(EvalError::AssertionFailed { value: sv, .. }),
+                ) => assert_eq!(rv, sv),
                 other => panic!("expected assertion failures, got {other:?}"),
             }
         }
@@ -342,8 +277,8 @@ mod tests {
         let a = b.add(x, y);
         let m = b.mul(x, y);
         let c = b.finish(vec![m, a, x]);
-        let (opt, _) = optimize_with(&c, &CompileOptions::sequential());
-        assert_eq!(opt.num_inputs(), 3);
-        assert_eq!(opt.evaluate(&[2, 3, 99]).unwrap(), vec![6, 5, 2]);
+        let eng = compiles_like_the_interpreter(&c, &[vec![2, 3, 99]]);
+        assert_eq!(eng.num_inputs(), 3);
+        assert_eq!(eng.evaluate(&[2, 3, 99]).unwrap(), vec![6, 5, 2]);
     }
 }

@@ -2,27 +2,23 @@
 //!
 //! A circuit is valid by construction. The word
 //! [`Builder`](crate::Builder) only makes valid circuits, and every gate
-//! list made outside it goes through [`Circuit::from_raw`] or
-//! [`BitCircuit::from_raw`](crate::BitCircuit::from_raw): the optimizer,
-//! the bit lowering, the bit optimizer and tape decoding all do. Both
+//! list made outside it goes through [`Circuit::from_raw`](crate::Circuit::from_raw) or
+//! [`BitCircuit::from_raw`](crate::BitCircuit::from_raw): the bit
+//! lowering, the bit optimizer and tape decoding all do. Both
 //! check that gates read only earlier wires (so the DAG is topologically
 //! ordered and acyclicity is a per-gate index check), that input indices
 //! are dense, and that outputs name real wires; the bit constructor also
 //! checks that the outputs are whole `width`-bit words. A violation is a
 //! typed [`ValidateError`].
 //!
-//! The one invariant no type carries is the optimizer's
-//! [`OptStats::assert_origin`] map, which [`validate_opt`] checks in
-//! `O(assert gates)`.
-//! [`CompiledCircuit::compile_with`](crate::CompiledCircuit::compile_with)
-//! runs it whenever it optimizes.
+//! The optimizer makes no circuit: it marks the live gates of its source,
+//! and the engine and the bit lowering read the mark in place (see
+//! [`crate::opt`]), so there is no renumbering and no gate map to check.
 
-use crate::ir::{Circuit, Gate, WireId};
-use crate::opt::OptStats;
+use crate::ir::WireId;
 
-/// A structural invariant violation found by [`Circuit::from_raw`],
-/// [`BitCircuit::from_raw`](crate::BitCircuit::from_raw), or
-/// [`validate_opt`].
+/// A structural invariant violation found by [`Circuit::from_raw`](crate::Circuit::from_raw) or
+/// [`BitCircuit::from_raw`](crate::BitCircuit::from_raw).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ValidateError {
     /// Gate `gate` reads wire `operand` that is not strictly earlier —
@@ -63,16 +59,6 @@ pub enum ValidateError {
         /// The word width the bits are grouped by.
         width: u32,
     },
-    /// An `assert_origin` entry points outside a circuit or at a gate
-    /// that is not an assertion.
-    AssertOriginInvalid {
-        /// Optimized-circuit gate index of the entry.
-        optimized: u32,
-        /// Source-circuit gate index of the entry.
-        source: u32,
-        /// What is wrong with the entry.
-        reason: &'static str,
-    },
 }
 
 impl std::fmt::Display for ValidateError {
@@ -99,102 +85,45 @@ impl std::fmt::Display for ValidateError {
                 f,
                 "{outputs} output bits are not a whole number of {width}-bit words"
             ),
-            ValidateError::AssertOriginInvalid {
-                optimized,
-                source,
-                reason,
-            } => write!(
-                f,
-                "assert_origin entry ({optimized} -> {source}) invalid: {reason}"
-            ),
         }
     }
 }
 
 impl std::error::Error for ValidateError {}
 
-/// Checks that the optimizer's assertion provenance map is sound: every
-/// `(optimized, source)` entry of [`OptStats::assert_origin`] names an
-/// `AssertZero` gate on both sides and the optimized indices are sorted
-/// (binary-searchable by the engine's error reporting).
-pub fn validate_opt(
-    source: &Circuit,
-    optimized: &Circuit,
-    stats: &OptStats,
-) -> Result<(), ValidateError> {
-    let mut prev: Option<u32> = None;
-    for &(opt_idx, src_idx) in &stats.assert_origin {
-        if let Some(p) = prev {
-            if opt_idx <= p {
-                return Err(ValidateError::AssertOriginInvalid {
-                    optimized: opt_idx,
-                    source: src_idx,
-                    reason: "optimized indices not strictly sorted",
-                });
-            }
-        }
-        prev = Some(opt_idx);
-        match (opt_idx < optimized.num_wires() as u32).then(|| optimized.gate(opt_idx as usize)) {
-            Some(Gate::AssertZero(_)) => {}
-            Some(_) => {
-                return Err(ValidateError::AssertOriginInvalid {
-                    optimized: opt_idx,
-                    source: src_idx,
-                    reason: "optimized gate is not an assertion",
-                })
-            }
-            None => {
-                return Err(ValidateError::AssertOriginInvalid {
-                    optimized: opt_idx,
-                    source: src_idx,
-                    reason: "optimized index out of range",
-                })
-            }
-        }
-        match (src_idx < source.num_wires() as u32).then(|| source.gate(src_idx as usize)) {
-            Some(Gate::AssertZero(_)) => {}
-            Some(_) => {
-                return Err(ValidateError::AssertOriginInvalid {
-                    optimized: opt_idx,
-                    source: src_idx,
-                    reason: "source gate is not an assertion",
-                })
-            }
-            None => {
-                return Err(ValidateError::AssertOriginInvalid {
-                    optimized: opt_idx,
-                    source: src_idx,
-                    reason: "source index out of range",
-                })
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::Builder;
+    use crate::ir::{Circuit, Gate};
     use crate::lower::{BGate, BitCircuit};
-    use crate::{optimize_with, CompileOptions};
-
-    fn sample_simple() -> Circuit {
-        let mut b = Builder::new();
-        let x = b.input();
-        let y = b.input();
-        let s = b.add(x, y);
-        let p = b.mul(s, s);
-        let d = b.sub(x, y);
-        b.assert_zero(d);
-        b.finish(vec![p])
-    }
+    use crate::{CompileOptions, CompiledCircuit};
 
     #[test]
-    fn optimized_circuits_and_origins_validate() {
-        let c = sample_simple();
-        let (opt, stats) = optimize_with(&c, &CompileOptions::sequential());
-        validate_opt(&c, &opt, &stats).unwrap();
+    fn compiled_raw_circuits_match_the_interpreter() {
+        // A checked raw list with a dead gate, a duplicate assert and an
+        // always-failing one compiles, with the optimizer on or off, to
+        // an engine that reports the interpreter's outputs and its lowest
+        // failing source gate.
+        let gates = vec![
+            Gate::Input(0),
+            Gate::Input(1),
+            Gate::Const(1),
+            Gate::Sub(0, 1),
+            Gate::Mul(0, 0),
+            Gate::AssertZero(3),
+            Gate::AssertZero(3),
+            Gate::Add(0, 1),
+            Gate::AssertZero(2),
+        ];
+        let c = Circuit::from_raw(gates, vec![7], 2).unwrap();
+        for optimize in [true, false] {
+            let opts = CompileOptions::sequential().with_optimize(optimize);
+            let eng = CompiledCircuit::compile_with(&c, &opts).unwrap();
+            for inst in [[3u64, 3], [5, 1]] {
+                assert_eq!(eng.evaluate(&inst), c.evaluate(&inst));
+            }
+            assert_eq!(eng.stats().tape_len, 9 - usize::from(optimize));
+        }
     }
 
     #[test]
@@ -257,16 +186,5 @@ mod tests {
                 width: 2
             })
         );
-    }
-
-    #[test]
-    fn bad_origin_is_caught() {
-        let c = sample_simple();
-        let (opt, mut stats) = optimize_with(&c, &CompileOptions::sequential());
-        stats.assert_origin = vec![(0, 0)]; // gate 0 is an input, not an assert
-        assert!(matches!(
-            validate_opt(&c, &opt, &stats),
-            Err(ValidateError::AssertOriginInvalid { .. })
-        ));
     }
 }

@@ -100,7 +100,7 @@ proptest! {
     }
 
     /// The engine reports the size, depth and wire count of the source
-    /// circuit, not of the optimized image it runs.
+    /// circuit, not of the live gates it runs.
     #[test]
     fn engine_reports_source_size_and_depth(
         num_inputs in 1usize..6,
@@ -114,8 +114,8 @@ proptest! {
         prop_assert_eq!(st.circuit_depth, c.depth());
         prop_assert_eq!(st.circuit_wires, c.num_wires());
         let opt = st.opt.as_ref().expect("the optimizer ran");
-        prop_assert_eq!((opt.gates_before, opt.depth_before), (c.size(), c.depth()));
-        prop_assert_eq!((opt.gates_after, opt.depth_after), (st.optimized_size, st.optimized_depth));
+        prop_assert_eq!((opt.gates_before, opt.wires_before), (c.size(), c.num_wires()));
+        prop_assert_eq!((opt.gates_after, opt.wires_after), (st.optimized_size, st.tape_len));
     }
 }
 

@@ -1,10 +1,9 @@
 //! Property tests pinning the optimizer to the reference interpreter:
-//! `optimize(c)` must be observationally identical to `c` on random gate
-//! DAGs — outputs, arity errors, and assertion-failure semantics (a
-//! failing circuit never optimizes into a passing one, and the reported
-//! first-failing assert corresponds through `OptStats::assert_origin`).
-//! The compiled engine, which optimizes internally, must report the
-//! exact source-level lowest-gate-index failure.
+//! compiled with the liveness mark on or off, a random gate DAG must be
+//! observationally identical to `c` — outputs, arity errors, and the
+//! exact source-level lowest failing assert gate and its value. The bit
+//! lowering reads the same mark: lowering only the live gates answers
+//! like lowering all of them.
 //!
 //! The rewrite rules live in the builder, so they are pinned here too:
 //! a random program built by `Builder::new()` evaluates as the same
@@ -14,8 +13,8 @@
 
 use proptest::prelude::*;
 use qec_circuit::{
-    lower_with, optimize_bits_with, optimize_with, Builder, Circuit, CompileOptions,
-    CompiledCircuit, EvalError, Gate, WireId,
+    lower_with, optimize_bits_with, Builder, Circuit, CompileOptions, CompiledCircuit, EvalError,
+    Gate, WireId,
 };
 
 /// Raw material for one random gate: kind selector plus operand seeds,
@@ -96,38 +95,6 @@ fn replay(c: &Circuit) -> Circuit {
     b.finish(outputs)
 }
 
-/// Asserts the optimized circuit's outcome matches the source outcome,
-/// mapping reported assert gates through `assert_origin`.
-fn assert_same_outcome(
-    src: &Result<Vec<u64>, EvalError>,
-    opt: &Result<Vec<u64>, EvalError>,
-    origin_of: impl Fn(u32) -> Option<u32>,
-) -> Result<(), TestCaseError> {
-    match (src, opt) {
-        (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-        (
-            Err(EvalError::AssertionFailed {
-                gate: sg,
-                value: sv,
-            }),
-            Err(EvalError::AssertionFailed {
-                gate: og,
-                value: ov,
-            }),
-        ) => {
-            prop_assert_eq!(sv, ov, "failing assert must observe the same value");
-            prop_assert_eq!(
-                origin_of(*og as u32),
-                Some(*sg as u32),
-                "optimized assert must map back to the source's first failing gate"
-            );
-        }
-        (Err(a), Err(b)) => prop_assert_eq!(a, b),
-        (a, b) => prop_assert!(false, "outcome diverged: source {a:?} vs optimized {b:?}"),
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -182,70 +149,71 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `optimize(c)` is gate-for-gate equivalent to `c`: same outputs,
-    /// same assertion outcomes (index-correspondent, value-identical),
-    /// never larger.
+    /// The engine compiled with the optimizer on and off reports exactly
+    /// what the interpreter does: outputs, arity errors, and the
+    /// source-level lowest failing assert gate and its value. The
+    /// optimizing compile never holds more instructions or levels.
     #[test]
-    fn optimize_matches_interpreter(
+    fn compiled_engines_match_the_interpreter(
         num_inputs in 1usize..6,
         seeds in prop::collection::vec(any::<GateSeed>(), 1..120),
         raw_instances in prop::collection::vec(
             prop::collection::vec(0u64..16, 0..8), 1..10),
     ) {
         let c = build_random(num_inputs, &seeds);
-        let (opt, st) = optimize_with(&c, &CompileOptions::sequential());
-        prop_assert!(opt.size() <= c.size(), "optimization never grows the circuit");
-        prop_assert!(opt.depth() <= c.depth(), "optimization never deepens the circuit");
-        prop_assert_eq!(opt.num_inputs(), c.num_inputs());
-        prop_assert_eq!(st.gates_after, opt.size());
-        for vals in &raw_instances {
-            let inst: Vec<u64> =
-                (0..num_inputs).map(|i| vals.get(i).copied().unwrap_or(3)).collect();
-            assert_same_outcome(&c.evaluate(&inst), &opt.evaluate(&inst), |g| st.origin_of(g))?;
-        }
-        // arity errors are preserved verbatim
-        let short = vec![0u64; num_inputs - 1];
-        prop_assert_eq!(c.evaluate(&short).err(), opt.evaluate(&short).err());
-    }
-
-    /// With the optimizer switched off a circuit passes through with
-    /// identical size/depth accounting and identical results.
-    #[test]
-    fn unoptimized_circuits_pass_through(
-        num_inputs in 1usize..6,
-        seeds in prop::collection::vec(any::<GateSeed>(), 1..60),
-    ) {
-        let c = build_random(num_inputs, &seeds);
-        let off = CompileOptions::sequential().with_optimize(false);
-        let (opt, st) = optimize_with(&c, &off);
-        prop_assert_eq!((opt.size(), opt.depth()), (c.size(), c.depth()));
-        prop_assert_eq!((st.gates_before, st.depth_before), (c.size(), c.depth()));
-        prop_assert_eq!((st.gates_after, st.depth_after), (c.size(), c.depth()));
-        let zeros = vec![0; num_inputs];
-        prop_assert_eq!(opt.evaluate(&zeros), c.evaluate(&zeros));
-    }
-
-    /// The engine compiles through the optimizer yet reports the same
-    /// lowest-gate-index assertion failure as the source interpreter.
-    #[test]
-    fn compiled_optimized_engine_reports_source_failures(
-        num_inputs in 1usize..6,
-        seeds in prop::collection::vec(any::<GateSeed>(), 1..100),
-        raw_instances in prop::collection::vec(
-            prop::collection::vec(0u64..16, 0..8), 1..10),
-    ) {
-        let c = build_random(num_inputs, &seeds);
-        let eng = CompiledCircuit::compile_with(&c, &CompileOptions::from_env())
-            .expect("circuit compiles");
-        prop_assert!(eng.stats().tape_len <= c.num_wires());
-        prop_assert!(eng.stats().opt.is_some(), "compile runs the optimizer");
-        let instances: Vec<Vec<u64>> = raw_instances
+        let mut instances: Vec<Vec<u64>> = raw_instances
             .iter()
             .map(|vals| (0..num_inputs).map(|i| vals.get(i).copied().unwrap_or(3)).collect())
             .collect();
+        instances.push(vec![0u64; num_inputs - 1]);
         let expected: Vec<_> = instances.iter().map(|i| c.evaluate(i)).collect();
-        // exact equality: outputs AND source-level gate indices/values
-        prop_assert_eq!(eng.evaluate_batch(&instances), expected);
+        let on = CompiledCircuit::compile_with(&c, &CompileOptions::from_env())
+            .expect("circuit compiles");
+        let off = CompiledCircuit::compile_with(
+            &c,
+            &CompileOptions::sequential().with_optimize(false),
+        )
+        .expect("circuit compiles");
+        prop_assert_eq!(on.evaluate_batch(&instances), expected.clone());
+        prop_assert_eq!(off.evaluate_batch(&instances), expected);
+
+        let (st, raw) = (on.stats(), off.stats());
+        let opt = st.opt.as_ref().expect("compile runs the optimizer");
+        prop_assert!(raw.opt.is_none());
+        prop_assert_eq!(raw.tape_len, c.num_wires());
+        prop_assert_eq!((raw.optimized_size, raw.optimized_depth), (c.size(), c.depth()));
+        prop_assert_eq!(st.tape_len, opt.wires_after);
+        prop_assert_eq!(opt.gates_after, st.optimized_size);
+        prop_assert!(st.optimized_size <= c.size() && st.optimized_depth <= c.depth());
+        prop_assert_eq!(st.num_levels as u32, st.optimized_depth + 1);
+        prop_assert!(st.level_widths.iter().all(|&w| w > 0), "every level holds a gate");
+    }
+
+    /// The bit lowering reads the mark: lowering only the live word
+    /// gates gives no more bit gates, and the same outputs and the same
+    /// pass/fail outcome, as lowering every gate.
+    #[test]
+    fn marked_lowering_matches_the_full_lowering(
+        num_inputs in 1usize..5,
+        seeds in prop::collection::vec(any::<GateSeed>(), 1..40),
+        raw_instances in prop::collection::vec(
+            prop::collection::vec(0u64..16, 0..6), 1..6),
+    ) {
+        let c = build_random(num_inputs, &seeds);
+        let live = lower_with(&c, 8, &CompileOptions::sequential());
+        let all = lower_with(&c, 8, &CompileOptions::sequential().with_optimize(false));
+        prop_assert!(live.gate_count() <= all.gate_count());
+        prop_assert!(live.and_count() <= all.and_count());
+        prop_assert_eq!(live.num_inputs(), all.num_inputs());
+        for vals in &raw_instances {
+            let inst: Vec<u64> =
+                (0..num_inputs).map(|i| vals.get(i).copied().unwrap_or(3)).collect();
+            match (live.evaluate(&live.pack_inputs(&inst)), all.evaluate(&all.pack_inputs(&inst))) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "inputs {:?}", inst),
+                (Err(_), Err(_)) => {}
+                (a, b) => prop_assert!(false, "bit outcome diverged: {a:?} vs {b:?}"),
+            }
+        }
     }
 
     /// Bit-level: `optimize_bits` over a lowered circuit is

@@ -697,6 +697,30 @@ mod tests {
     }
 
     #[test]
+    fn a_query_too_wide_for_the_bound_lp_is_an_error() {
+        // A 17-variable path: one variable past what the LP accepts.
+        let head: Vec<String> = (0..17).map(|i| format!("x{i}")).collect();
+        let body: Vec<String> = (0..16).map(|i| format!("R{i}(x{i}, x{})", i + 1)).collect();
+        let q = parse_cq(&format!("Q({}) :- {}", head.join(", "), body.join(", "))).unwrap();
+        assert_eq!(q.num_vars(), 17);
+        let dc = DcSet::from_vec(
+            q.atoms
+                .iter()
+                .map(|a| DegreeConstraint::cardinality(a.vars, 8))
+                .collect(),
+        );
+        assert!(matches!(
+            compile_fcq(&q, &dc),
+            Err(CompileError::Chain(ChainProofError::Bound(
+                qec_entropy::BoundError::TooManyVariables {
+                    num_vars: 17,
+                    max: 16
+                }
+            )))
+        ));
+    }
+
+    #[test]
     fn missing_cardinality_is_an_error() {
         let q = triangle();
         let dc = DcSet::from_vec(vec![

@@ -35,8 +35,10 @@ use crate::rc::{NodeId, RelationalCircuit};
 /// PANDA-C's bound is an exact-rational LP over all `2^n - 1` variable
 /// subsets. On the path, cycle and star at `N = 8` it solves in
 /// 3–4 ms at 5 variables and 21–91 ms at 6, and had not finished after
-/// 200 s at 7 (2-vCPU host). Past 16 variables the LP refuses to run at
-/// all. A wider query is planned classically from its variable count.
+/// 200 s at 7 (2-vCPU host). Past
+/// [`MAX_BOUND_VARS`](qec_entropy::MAX_BOUND_VARS) variables the LP does
+/// not run at all and returns a typed error. A wider query is planned
+/// classically from its variable count.
 pub const MAX_PANDA_C_VARS: u32 = 6;
 
 /// The construction a [`Plan`]'s circuit comes from.

@@ -29,6 +29,14 @@ pub enum BoundError {
     Unbounded,
     /// A degree constraint mentions variables outside `[n]`.
     VariableOutOfRange,
+    /// The query has more variables than the LP is built for: it has a
+    /// column per variable subset, `2^n - 1` of them.
+    TooManyVariables {
+        /// Variables the query has.
+        num_vars: u32,
+        /// The most the LP accepts, [`MAX_BOUND_VARS`].
+        max: u32,
+    },
     /// The underlying LP solver failed (iteration limit, or an outcome
     /// that contradicts the dual LP's structure).
     Solver(qec_lp::LpError),
@@ -46,6 +54,10 @@ impl std::fmt::Display for BoundError {
             BoundError::VariableOutOfRange => {
                 write!(f, "degree constraint mentions a variable outside the query")
             }
+            BoundError::TooManyVariables { num_vars, max } => write!(
+                f,
+                "polymatroid LP over {num_vars} variables: it is exponential in n, at most {max} are accepted"
+            ),
             BoundError::Solver(e) => write!(f, "polymatroid LP failed: {e}"),
         }
     }
@@ -99,18 +111,25 @@ impl Bound {
     }
 }
 
+/// The most variables [`polymatroid_bound`] accepts: its LP has a
+/// column per non-empty variable subset.
+pub const MAX_BOUND_VARS: u32 = 16;
+
 /// Solves `max { h(B) : h ∈ Γ_n ∩ HDC }` exactly (Sec. 3.2).
 ///
 /// `Γ_n` is encoded by its elemental description: submodularity
 /// `h(S∪i) + h(S∪j) ≥ h(S∪ij) + h(S)` for all `i < j`, `S ⊆ [n]∖{i,j}`,
 /// plus monotonicity at the top `h([n]) ≥ h([n]∖i)`; `h(∅) = 0` is
 /// implicit (the empty set has no LP variable). Degree constraints
-/// contribute `h(Y) - h(X) ≤ ⌈log₂ N_{Y|X}⌉`.
+/// contribute `h(Y) - h(X) ≤ ⌈log₂ N_{Y|X}⌉`. More than
+/// [`MAX_BOUND_VARS`] variables is [`BoundError::TooManyVariables`].
 pub fn polymatroid_bound(num_vars: u32, dc: &DcSet, target: VarSet) -> Result<Bound, BoundError> {
-    assert!(
-        num_vars <= 16,
-        "polymatroid LP is exponential in n; n ≤ 16 enforced"
-    );
+    if num_vars > MAX_BOUND_VARS {
+        return Err(BoundError::TooManyVariables {
+            num_vars,
+            max: MAX_BOUND_VARS,
+        });
+    }
     let n = num_vars;
     let all = VarSet::full(n);
     if !dc.vars().is_subset(all) {

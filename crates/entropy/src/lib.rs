@@ -29,6 +29,6 @@ mod bound;
 mod chain;
 mod proof;
 
-pub use bound::{ceil_log2, polymatroid_bound, Bound, BoundError};
+pub use bound::{ceil_log2, polymatroid_bound, Bound, BoundError, MAX_BOUND_VARS};
 pub use chain::{prove_bound, prove_bound_opts, with_implied_degrees, ChainProofError, ProveOpts};
 pub use proof::{validate, ProofError, ProofStep, ShannonFlowProof, Term, WeightedStep};

@@ -2,8 +2,9 @@
 //! both circuit levels of the secure path's call chain.
 //!
 //! Word level: the relational circuit's word lowering (`rc.lower_with`
-//! in build mode) and the word optimizer's output. Bit level: that word
-//! circuit lowered at width 8, and the bit optimizer's output. Each
+//! in build mode) and the word optimizer's liveness mark. Bit level: the
+//! live gates of that word circuit lowered at width 8, and the bit
+//! optimizer's output. Each
 //! gate list is a pure function of its input and the creation order of
 //! one sequential pass, so its size, depth (AND count and AND depth at
 //! the bit level) and a fingerprint of every gate are pinned here. A
@@ -14,14 +15,13 @@
 //! engine's compile of the word circuit (its register allocation's
 //! shape) and the bytes of the word circuit's tape container.
 //!
-//! Two kinds of figure are pinned. The optimized word circuit and the
-//! word engine's schedule shape are what the word pipeline produces:
-//! they do not depend on how its work is split between the builder's
-//! rewrite rules and the optimizer's sweep. Everything else depends on
-//! the built circuit itself and moves with the builder: the build's
-//! figures, the assert-origin map (it names source gates), the word
-//! engine's fingerprint (an `Assert` instruction carries its source gate
-//! index), the word tape bytes, the bit lowering and the GMW tape.
+//! Two kinds of figure are pinned. The mark's live counts and the word
+//! engine's schedule shape are what the word pipeline produces: they do
+//! not depend on how its work is split between the builder's rewrite
+//! rules and the optimizer's mark. Everything else depends on the built
+//! circuit itself and moves with the builder: the build's figures, the
+//! word engine's fingerprint (an `Assert` instruction carries its source
+//! gate index), the word tape bytes, the bit lowering and the GMW tape.
 //!
 //! The figures were recorded while parallel versions of these passes
 //! still existed and were checked byte-identical to the sequential
@@ -30,7 +30,7 @@
 
 use qec_circuit::lower::BGate;
 use qec_circuit::{
-    fnv1a64, lower_with, optimize_bits_with, optimize_with, BitCircuit, Circuit, CompileOptions,
+    fnv1a64, lower_with, optimize_bits_with, BitCircuit, Circuit, CompileOptions,
     CompiledBitCircuit, CompiledCircuit, Gate, Mode, WordTape,
 };
 use qec_core::triangle_heavy_light;
@@ -90,41 +90,22 @@ fn triangle_word_circuit_matches_its_golden_figures() {
         "word gate list"
     );
 
-    // The pipeline's output: independent of where the rules run.
-    let (opt, st) = optimize_with(&word, &opts);
-    assert_eq!(
-        (opt.size(), opt.depth(), opt.num_wires()),
-        (17_477, 566, 17_518),
-        "optimized word sizes"
-    );
-    assert_eq!(
-        word_fingerprint(&opt),
-        2_556_277_498_956_235_998,
-        "optimized word gate list"
-    );
+    // The optimizer's mark: independent of where the rules run.
+    let eng = CompiledCircuit::compile_with(&word, &opts).unwrap();
+    let st = eng.stats();
+    let opt = st.opt.as_ref().expect("the optimizer ran");
     assert_eq!(
         (
-            st.gates_before,
-            st.gates_after,
-            st.wires_before,
-            st.wires_after,
-            st.depth_before,
-            st.depth_after,
-            st.dead
+            opt.gates_before,
+            opt.gates_after,
+            opt.wires_before,
+            opt.wires_after,
+            st.circuit_depth,
+            st.optimized_depth,
+            opt.dead
         ),
         (19_199, 17_477, 19_240, 17_518, 566, 566, 1722),
         "OptStats sizes"
-    );
-    let origin: Vec<u8> = st
-        .assert_origin
-        .iter()
-        .flat_map(|&(o, s)| o.to_le_bytes().into_iter().chain(s.to_le_bytes()))
-        .collect();
-    assert_eq!(st.assert_origin.len(), 130);
-    assert_eq!(
-        fnv1a64(&origin),
-        11_242_739_717_815_864_181,
-        "OptStats assert_origin"
     );
 }
 
@@ -169,12 +150,12 @@ fn triangle_lowering_at_width_8_matches_its_golden_figures() {
                 bc.num_inputs(),
                 bc.outputs().len(),
             ),
-            (199_931, 199_641, 68_019, 938, 288, 512),
+            (187_830, 187_540, 62_666, 938, 288, 512),
             "lowered sizes"
         );
         assert_eq!(
             fingerprint(&bc),
-            12_307_608_938_139_605_917,
+            7_657_080_204_342_093_649,
             "lowered gate list"
         );
 
@@ -188,7 +169,7 @@ fn triangle_lowering_at_width_8_matches_its_golden_figures() {
                 st.folds,
                 st.dead
             ),
-            (186_413, 62_666, 938, 0, 0, 13_229),
+            (186_413, 62_666, 938, 0, 0, 1128),
             "optimized sizes and counters"
         );
         assert_eq!(
@@ -219,10 +200,10 @@ fn triangle_gmw_tape_at_width_8_matches_its_golden_figures() {
             st.and_levels,
             eng.level_starts().len()
         ),
-        (199_931, 3236, 2450, 938, 2451),
+        (187_830, 3208, 2450, 938, 2451),
         "schedule shape"
     );
-    assert_eq!(eng.fingerprint(), 11_300_951_184_566_932_371, "GMW tape");
+    assert_eq!(eng.fingerprint(), 14_387_740_654_189_568_452, "GMW tape");
 }
 
 /// The word engine's compile of the N=4 word circuit (optimizer on) and
@@ -230,7 +211,8 @@ fn triangle_gmw_tape_at_width_8_matches_its_golden_figures() {
 /// level-major schedule's shape, and its fingerprint pins every
 /// instruction and register; the tape bytes pin the on-disk format a
 /// persisted plan is read back from. The schedule is compiled from the
-/// optimized circuit and holds whatever the builder leaves to the sweep;
+/// live gates of the built circuit and skips whatever the builder leaves
+/// to the mark;
 /// the fingerprint also covers the source gate index each `Assert`
 /// instruction reports, so it moves with the built circuit.
 #[test]
