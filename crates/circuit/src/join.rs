@@ -1,4 +1,12 @@
 //! Primary-key join (Alg. 6), semijoin, and degree-bounded join (Alg. 7).
+//!
+//! A degree bound of at least the right side's capacity carries no
+//! degree information: `deg_B(S) ≤ |S|` holds on every instance. Such a
+//! join is lowered as the key-filtered cross product, one slot per pair
+//! of slots and no sort, instead of Alg. 7. The classical circuit's
+//! joins, the heavy/light triangle's heavy product, the disconnected
+//! products of Yannakakis-C and the semiring circuit, and the Datalog
+//! unrolling's joins all pass such a bound.
 
 use qec_relation::{Var, VarSet};
 
@@ -235,10 +243,13 @@ pub fn semijoin(b: &mut Builder, r: &RelWires, s: &RelWires) -> RelWires {
 }
 
 /// Degree-bounded join `R ⋈ S` (Alg. 7, Fig. 4) under
-/// `deg_{common}(S) ≤ deg_bound`. Output capacity `M · deg_bound`; size
-/// `Õ(M·deg + N')`, depth `Õ(1)`.
+/// `deg_{common}(S) ≤ deg_bound`. Output capacity
+/// `M · min(deg_bound, N')`; size `Õ(M·deg + N')`, depth `Õ(1)`.
 ///
-/// The construction follows the paper exactly: semijoin `S` with
+/// When `deg_bound ≥ N'` (the capacity of `S`) the bound says nothing,
+/// and the join is the key-filtered cross product:
+/// `M·N'` slots, `O(M·N'·|key|)` gates, no sort. Otherwise the
+/// construction follows the paper exactly: semijoin `S` with
 /// `Π_B(R)`, then `n = ⌈log₂ deg⌉` halving rounds that pair up adjacent
 /// same-key tuples — concatenating their (replicated) value sequences and
 /// truncating freed capacity — a final adjacent merge that makes the key a
@@ -251,6 +262,9 @@ pub fn join_degree_bounded(
     deg_bound: usize,
 ) -> RelWires {
     assert!(deg_bound >= 1, "degree bound must be positive");
+    if deg_bound >= s.capacity() {
+        return join_cross(b, r, s);
+    }
     if deg_bound == 1 {
         return join_pk(b, r, s);
     }
@@ -459,6 +473,64 @@ pub fn join_degree_bounded(
     crate::ops::truncate(b, &deduped, cap)
 }
 
+/// The key-filtered cross product `R ⋈ S`: slot `(i, j)` (row-major,
+/// `i` over `R`) carries `R`'s fields and `S`'s fields outside the
+/// shared variables, and is valid iff both slots are and they agree on
+/// every shared variable. Output capacity `M·N'`, `O(M·N'·|key|)` gates,
+/// depth `O(|key|)`.
+///
+/// No deduplication is needed: relations on wires are sets (see
+/// [`RelWires`]), and two valid output slots with equal fields would
+/// come from equal `R` tuples and equal `S` tuples. Dummy slots may
+/// carry any fields, real-looking ones included; their `valid` is `0`.
+fn join_cross(b: &mut Builder, r: &RelWires, s: &RelWires) -> RelWires {
+    let common = r.vars().intersect(s.vars());
+    let keys: Vec<(usize, usize)> = common
+        .iter()
+        .map(|v| {
+            (
+                r.col(v).expect("common in r"),
+                s.col(v).expect("common in s"),
+            )
+        })
+        .collect();
+    let schema: Vec<Var> = r.vars().union(s.vars()).to_vec();
+    // Each output column reads `R`'s field where `R` has the variable.
+    let from: Vec<Result<usize, usize>> = schema
+        .iter()
+        .map(|&v| match r.col(v) {
+            Some(c) => Ok(c),
+            None => Err(s.col(v).expect("output var in r or s")),
+        })
+        .collect();
+    let cap = r.capacity().checked_mul(s.capacity()).unwrap_or_else(|| {
+        panic!(
+            "join_cross: output capacity overflows usize ({} × {})",
+            r.capacity(),
+            s.capacity()
+        )
+    });
+    let mut slots = Vec::with_capacity(cap);
+    for rs in &r.slots {
+        for ss in &s.slots {
+            let mut valid = b.and(rs.valid, ss.valid);
+            for &(cr, cs) in &keys {
+                let eq = b.eq(rs.fields[cr], ss.fields[cs]);
+                valid = b.and(valid, eq);
+            }
+            let fields = from
+                .iter()
+                .map(|c| match *c {
+                    Ok(c) => rs.fields[c],
+                    Err(c) => ss.fields[c],
+                })
+                .collect();
+            slots.push(SlotWires { fields, valid });
+        }
+    }
+    RelWires { schema, slots }
+}
+
 /// `⌈log₂ n⌉` for `n ≥ 1` (local copy to avoid a dependency edge).
 fn qec_ceil_log2(n: u64) -> u32 {
     if n <= 1 {
@@ -626,6 +698,136 @@ mod tests {
         let ratio = cost(256) as f64 / cost(64) as f64;
         // linear-up-to-polylog: 4× data → well under 16×; naive would be 16×+
         assert!(ratio < 10.0, "ratio {ratio}");
+    }
+
+    /// Every subset of at most 3 tuples of `vars`' arity over the domain
+    /// `{0, 1, 2}`.
+    fn small_relations(vars: &[Var]) -> Vec<Relation> {
+        let tuples: Vec<Vec<u64>> = (0..3u64.pow(vars.len() as u32))
+            .map(|t| {
+                (0..vars.len() as u32)
+                    .map(|c| t / 3u64.pow(c) % 3)
+                    .collect()
+            })
+            .collect();
+        let mut out = vec![Vec::new()];
+        for t in &tuples {
+            let grown: Vec<Vec<Vec<u64>>> = out
+                .iter()
+                .filter(|rows| rows.len() < 3)
+                .map(|rows| {
+                    let mut rows = rows.clone();
+                    rows.push(t.clone());
+                    rows
+                })
+                .collect();
+            out.extend(grown);
+        }
+        out.into_iter()
+            .map(|rows| Relation::from_rows(vars.to_vec(), rows))
+            .collect()
+    }
+
+    /// `rel` in `capacity` slots, with each dummy slot's fields copied
+    /// from tuple `salt + slot` of `pool`: dummies that look like real
+    /// tuples, of this relation or not.
+    fn slots_with_lookalike_dummies(
+        rel: &Relation,
+        capacity: usize,
+        pool: &[Vec<u64>],
+        salt: usize,
+    ) -> Vec<u64> {
+        let mut out = Vec::new();
+        for row in rel.iter() {
+            out.extend_from_slice(row);
+            out.push(1);
+        }
+        for slot in rel.len()..capacity {
+            out.extend_from_slice(&pool[(salt + slot) % pool.len()]);
+            out.push(0);
+        }
+        out
+    }
+
+    #[test]
+    fn cross_product_join_matches_ram_on_every_small_pair() {
+        let (a, b_, c, d) = (Var(0), Var(1), Var(2), Var(3));
+        // (R's schema, S's schema): arities 1–2, sharing 0, 1 or 2
+        // variables
+        let shapes: [(&[Var], &[Var]); 9] = [
+            (&[a], &[c]),
+            (&[a], &[a]),
+            (&[a], &[c, d]),
+            (&[a], &[a, c]),
+            (&[a, b_], &[c]),
+            (&[a, b_], &[b_]),
+            (&[a, b_], &[c, d]),
+            (&[a, b_], &[b_, c]),
+            (&[a, b_], &[a, b_]),
+        ];
+        const CAP: usize = 4; // at least one dummy slot on each side
+        let mut pairs = 0usize;
+        for (rs, ss) in shapes {
+            let (r_rels, s_rels) = (small_relations(rs), small_relations(ss));
+            let pool: Vec<Vec<u64>> = r_rels
+                .iter()
+                .chain(&s_rels)
+                .flat_map(|rel| rel.iter().cloned())
+                .collect();
+            let (r_pool, s_pool): (Vec<_>, Vec<_>) = (
+                pool.iter()
+                    .filter(|t| t.len() == rs.len())
+                    .cloned()
+                    .collect(),
+                pool.iter()
+                    .filter(|t| t.len() == ss.len())
+                    .cloned()
+                    .collect(),
+            );
+            for deg in [CAP, CAP + 3] {
+                let mut bld = Builder::new();
+                let rw = encode_relation(&mut bld, rs.to_vec(), CAP);
+                let sw = encode_relation(&mut bld, ss.to_vec(), CAP);
+                let out = join_degree_bounded(&mut bld, &rw, &sw, deg);
+                assert_eq!(out.capacity(), CAP * CAP, "one slot per pair");
+                let schema = out.schema.clone();
+                let circuit = bld.finish(out.flatten());
+                let engine = crate::CompiledCircuit::compile_with(
+                    &circuit,
+                    &crate::CompileOptions::sequential(),
+                )
+                .unwrap();
+                let mut inputs = Vec::new();
+                let mut want = Vec::new();
+                for (i, r) in r_rels.iter().enumerate() {
+                    for (j, s) in s_rels.iter().enumerate() {
+                        let mut vals = slots_with_lookalike_dummies(r, CAP, &r_pool, i + j);
+                        vals.extend(slots_with_lookalike_dummies(s, CAP, &s_pool, i * 7 + j));
+                        inputs.push(vals);
+                        want.push(r.natural_join(s));
+                    }
+                }
+                for (k, (got, want)) in engine
+                    .evaluate_batch(&inputs)
+                    .into_iter()
+                    .zip(want)
+                    .enumerate()
+                {
+                    let got = got.unwrap();
+                    let valid = got
+                        .chunks(schema.len() + 1)
+                        .filter(|slot| slot[schema.len()] != 0)
+                        .count();
+                    let (i, j) = (k / s_rels.len(), k % s_rels.len());
+                    let ctx = format!("{:?} ⋈ {:?} (deg {deg})", r_rels[i], s_rels[j]);
+                    assert_eq!(valid, want.len(), "{ctx}: a duplicate or missing slot");
+                    assert_eq!(decode_relation(&schema, &got), want, "{ctx}");
+                }
+                pairs += inputs.len();
+            }
+        }
+        // 8 unary and 130 binary relations per side
+        assert_eq!(pairs, 2 * (2 * 64 + 4 * 8 * 130 + 3 * 130 * 130));
     }
 
     #[test]

@@ -24,11 +24,13 @@
 //! | odd–even merge sort ([`sort_slots`]) | Sec. 5 (sorting networks) | `O(K log² K)` | `O(log² K)` |
 //! | selection ([`select`]) | Sec. 5 | `Õ(K)` | `Õ(1)` |
 //! | projection ([`project`]) | Alg. 3 | `Õ(K)` | `Õ(1)` |
+//! | … onto `∅`: an OR tree | Sec. 5 | `O(K)` | `O(log K)` |
 //! | aggregation ([`aggregate`]) | Alg. 5 | `Õ(K)` | `Õ(1)` |
 //! | union ([`union`]) | Sec. 5 | `Õ(K+L)` | `Õ(1)` |
 //! | truncation ([`truncate`]) | Sec. 5.3 | `Õ(K)` | `Õ(1)` |
 //! | primary-key join ([`join_pk`]) | Alg. 6, Fig. 3 | `Õ(M+N')` | `Õ(1)` |
 //! | degree-bounded join ([`join_degree_bounded`]) | Alg. 7, Fig. 4 | `Õ(MN+N')` | `Õ(1)` |
+//! | … with `N ≥ N'`: the key-filtered cross product | Sec. 1 | `O(MN')` | `O(1)` |
 //! | decomposition ([`decompose`]) | Alg. 2 | `Õ(N)` | `Õ(1)` |
 //! | output-bounded join ([`join_output_bounded`]) | Alg. 10 | `Õ(M+N+OUT)` | `Õ(1)` |
 
@@ -71,6 +73,6 @@ pub use rel::{
 };
 pub use scan::{scan, segmented_scan};
 pub use schedule::{brent_steps, level_widths};
-pub use sort::{sort_slots, sort_slots_network, SortKey, SortNetwork};
+pub use sort::{sort_comparators, sort_slots, sort_slots_network, SortKey, SortNetwork};
 pub use tape::{fnv1a64, BitTape, TapeError, WordTape};
 pub use validate::ValidateError;

@@ -53,8 +53,16 @@ pub fn truncate(b: &mut Builder, rel: &RelWires, new_capacity: usize) -> RelWire
 /// Projection `Π_F(R)` with duplicate elimination (Alg. 3): drop columns,
 /// sort by the remaining ones, mark each tuple equal to its predecessor
 /// dummy. `Õ(K)` size (dominated by the sort), `Õ(1)` depth.
+///
+/// The projection onto `∅` needs no sort: its one possible tuple `()` is
+/// real iff some slot is, so it is a balanced OR tree over the `valid`
+/// wires (`K - 1` gates, depth `⌈log₂ K⌉`) in slot 0, and the other
+/// slots are constant dummies.
 pub fn project(b: &mut Builder, rel: &RelWires, onto: VarSet) -> RelWires {
     assert!(onto.is_subset(rel.vars()), "projection onto non-attributes");
+    if onto.is_empty() {
+        return project_onto_nothing(b, rel);
+    }
     let cols: Vec<usize> = onto.iter().map(|v| rel.col(v).expect("subset")).collect();
     let schema: Vec<Var> = onto.to_vec();
     let slots: Vec<SlotWires> = rel
@@ -71,6 +79,36 @@ pub fn project(b: &mut Builder, rel: &RelWires, onto: VarSet) -> RelWires {
     };
     let sorted = sort_slots(b, &narrowed, &SortKey::Columns(schema.clone()));
     dedup_sorted(b, &sorted)
+}
+
+/// `Π_∅(R)` as an OR tree (see [`project`]); same capacity as `rel`.
+fn project_onto_nothing(b: &mut Builder, rel: &RelWires) -> RelWires {
+    let zero = b.constant(0);
+    let mut level: Vec<WireId> = rel.slots.iter().map(|s| s.valid).collect();
+    while level.len() > 1 {
+        level = level
+            .chunks(2)
+            .map(|pair| match *pair {
+                [x, y] => b.or(x, y),
+                [x] => x,
+                _ => unreachable!("chunks of two"),
+            })
+            .collect();
+    }
+    // a lone slot's `valid` may be any truthy word: make it 0/1
+    let any = match level.first() {
+        Some(&v) => b.and(v, v),
+        None => zero,
+    };
+    RelWires {
+        schema: Vec::new(),
+        slots: (0..rel.capacity())
+            .map(|i| SlotWires {
+                fields: Vec::new(),
+                valid: if i == 0 { any } else { zero },
+            })
+            .collect(),
+    }
 }
 
 /// Marks tuples equal to their (valid) predecessor dummy; input must be
@@ -273,12 +311,15 @@ mod tests {
 
     #[test]
     fn project_to_empty_schema_is_boolean() {
-        let r = rel2(&[&[1, 10], &[2, 20]]);
-        let got = run_unary(&r, 4, |b, w| project(b, w, VarSet::EMPTY));
-        assert_eq!(got.len(), 1); // the unit tuple: "non-empty"
-        let empty = rel2(&[]);
-        let got = run_unary(&empty, 4, |b, w| project(b, w, VarSet::EMPTY));
-        assert_eq!(got.len(), 0);
+        // capacities 2, 3, 4, 5: the OR tree's even and odd levels
+        for capacity in 2..=5 {
+            let r = rel2(&[&[1, 10], &[2, 20]]);
+            let got = run_unary(&r, capacity, |b, w| project(b, w, VarSet::EMPTY));
+            assert_eq!(got.len(), 1); // the unit tuple: "non-empty"
+            let empty = rel2(&[]);
+            let got = run_unary(&empty, capacity, |b, w| project(b, w, VarSet::EMPTY));
+            assert_eq!(got.len(), 0);
+        }
     }
 
     #[test]

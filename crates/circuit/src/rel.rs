@@ -22,6 +22,12 @@ pub struct SlotWires {
 /// A relation travelling through the circuit: a fixed number of slots over
 /// a fixed schema. The capacity is the *bounded wire* parameter of
 /// Sec. 4.3 — it depends only on the degree constraints, never on data.
+///
+/// The valid slots hold a set: no two carry equal fields. Inputs come
+/// from [`Relation`], and each operator circuit keeps the property
+/// (projection and union deduplicate, joins pair distinct tuples), so
+/// the cross-product join in [`crate::join_degree_bounded`] need not
+/// deduplicate. Dummy slots may carry any fields.
 #[derive(Clone, Debug)]
 pub struct RelWires {
     /// Schema (sorted variable order, matching `qec_relation::Relation`).

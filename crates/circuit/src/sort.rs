@@ -281,6 +281,49 @@ fn emitted_schedule(network: SortNetwork, n: usize) -> (usize, Vec<(usize, usize
     }
 }
 
+/// The number of comparators [`sort_slots`] emits for `n` slots (the
+/// pruned odd–even network), counted without building the schedule:
+/// the network on `2^k` lanes sorts both halves and merges them, a half
+/// wholly inside the `n` real lanes has the closed-form count
+/// `(k² − k + 4)·2^{k−2} − 1`, and only the half that straddles `n` is
+/// counted recursively. `O(log³ n)` time.
+pub fn sort_comparators(n: u64) -> u64 {
+    /// Comparators of the merge of a `2p`-lane block whose upper lane
+    /// lies below `n`.
+    fn merge(n: u64, m: u64) -> u64 {
+        let p = m / 2;
+        // k = p: lanes (i, i + p)
+        let mut total = n.saturating_sub(p).min(p);
+        // k < p: lanes (j + i, j + i + k) for j = k, 3k, … < m − k and
+        // i < k, that is Σ_t clamp(n − 2k(t+1), 0, k) over t < m/2k − 1
+        let mut k = p / 2;
+        while k >= 1 {
+            let rounds = m / (2 * k) - 1;
+            if n > 2 * k {
+                let full = rounds.min((n - k) / (2 * k));
+                total += full * k;
+                if full < rounds {
+                    total += n.saturating_sub(2 * k * (full + 1)).min(k);
+                }
+            }
+            k /= 2;
+        }
+        total
+    }
+    fn count(n: u64, m: u64) -> u64 {
+        if m < 2 || n < 2 {
+            return 0;
+        }
+        if n >= m {
+            let k = u64::from(m.trailing_zeros());
+            return ((k * k - k + 4) << k) / 4 - 1;
+        }
+        let half = m / 2;
+        count(n.min(half), half) + count(n.saturating_sub(half), half) + merge(n, m)
+    }
+    count(n, n.max(1).next_power_of_two())
+}
+
 /// Sorts the slots of `rel` by `key` with the default network and no
 /// auxiliary columns.
 pub fn sort_slots(b: &mut Builder, rel: &RelWires, key: &SortKey) -> RelWires {
@@ -500,6 +543,16 @@ mod tests {
             let carried = schema.len() + 1;
             assert_eq!(muxes, n + pruned * 2 * carried, "n={n}");
         }
+    }
+
+    #[test]
+    fn the_comparator_count_matches_the_emitted_schedule() {
+        for n in 0..=600usize {
+            let (_, schedule) = emitted_schedule(SortNetwork::OddEvenMerge, n);
+            assert_eq!(sort_comparators(n as u64), schedule.len() as u64, "n = {n}");
+        }
+        // a power of two: 2^20 lanes, k = 20
+        assert_eq!(sort_comparators(1 << 20), (384 << 20) / 4 - 1);
     }
 
     #[test]

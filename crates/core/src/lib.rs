@@ -19,9 +19,10 @@
 //! bit lowering (qec-circuit)      — AND/XOR/NOT gates for MPC/garbling
 //! ```
 //!
-//! [`plan`] is the one planner: it keeps PANDA-C for a query when its
-//! output bound is strictly below the classical circuit's cross product
-//! ([`naive_circuit`]), and the classical circuit otherwise.
+//! [`plan`] is the one planner: it keeps whichever of PANDA-C and the
+//! classical circuit ([`naive_circuit`]) has the smaller
+//! [`predicted_gates`], the word-gate count its lowering is predicted to
+//! emit, read off node capacities without lowering anything.
 //!
 //! For non-full queries, [`OutputSensitive`] implements the two-family
 //! construction of Sec. 6: one circuit computing `OUT = |Q(D)|`
@@ -36,7 +37,7 @@ mod rc;
 mod semiring;
 mod yannakakis;
 
-pub use cost::paper_cost;
+pub use cost::{paper_cost, predicted_gates};
 pub use naive::{naive_circuit, triangle_heavy_light};
 pub use panda::{compile_fcq, CompileError, PandaCircuit};
 pub use plan::{plan, Construction, Plan, MAX_PANDA_C_VARS};

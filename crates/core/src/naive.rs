@@ -1,5 +1,12 @@
 //! Baseline relational circuits: the classical `O(N^m)` construction and
 //! the hand-built heavy/light triangle circuit of Figure 1.
+//!
+//! Both build cross products as degree-bounded joins whose bound is the
+//! right side's whole capacity. Such a join lowers as the key-filtered
+//! cross product, one slot per pair and no sort
+//! ([`join_degree_bounded`](qec_circuit::join_degree_bounded)), so the
+//! classical circuit costs a few word gates per slot of its `N^m`
+//! capacity, plus the sort of a projection onto the head.
 
 use qec_query::Cq;
 use qec_relation::{DcSet, Var, VarSet};
@@ -8,9 +15,9 @@ use crate::panda::CompileError;
 use crate::rc::{NodeId, RcPred, RelationalCircuit};
 
 /// The classical circuit (Abiteboul–Hull–Vianu, Sec. 1): join the atoms
-/// left to right with no degree information, i.e. every join is sized for
-/// the full cross product. Cost `O(N^m)` — the baseline every experiment
-/// compares PANDA-C against.
+/// left to right with no degree information, i.e. every join is the
+/// key-filtered cross product. Cost `O(N^m)` — the baseline every
+/// experiment compares PANDA-C against.
 pub fn naive_circuit(cq: &Cq, dc: &DcSet) -> Result<(RelationalCircuit, NodeId), CompileError> {
     let (mut rc, mut out) = classical_join(cq, dc)?;
     if !cq.is_full() {

@@ -2,22 +2,23 @@
 //! conjunctive query is compiled with.
 //!
 //! Two candidates are built for every query, both over the query's full
-//! body:
+//! body and then projected onto its head:
 //!
 //! * the classical circuit ([`naive_circuit`](crate::naive_circuit)),
-//!   whose join is sized for the cross product, `O(N^m)`;
+//!   the atoms' key-filtered cross product, `O(N^m)` slots and no sort;
 //! * PANDA-C ([`compile_fcq`](crate::compile_fcq)), sized for the
 //!   polymatroid bound (Thm 3). With cardinality constraints only that
 //!   is the AGM bound.
 //!
 //! Building either is cheap: a few relational nodes and no gates. The
-//! planner keeps PANDA-C only when its output node's capacity is
-//! strictly below the classical join's, and keeps the classical circuit
-//! on a tie. The output capacity is what the lowered circuit's sorts and
-//! joins are sized by, so it ranks the two by the gates they lower to.
-//! The paper's asymptotic cost ([`paper_cost`](crate::paper_cost)) does
-//! not: its log factors misrank the two at small `N`. A non-full query
-//! is then projected onto its head, as the classical circuit does.
+//! planner keeps the candidate with the smaller
+//! [`predicted_gates`](crate::predicted_gates), the word-gate count its
+//! lowering is predicted to emit, read off node capacities without
+//! lowering anything; a tie keeps the classical circuit. Output
+//! capacity does not rank the two: the classical circuit's wide join
+//! costs a few gates a slot, while PANDA-C's narrower wires are sorted,
+//! at `≈ log² K` comparators a slot. The paper's asymptotic cost
+//! ([`paper_cost`](crate::paper_cost)) misranks them at small `N` too.
 //!
 //! PANDA-C is a candidate only for queries of at most
 //! [`MAX_PANDA_C_VARS`] variables; wider queries keep the classical
@@ -28,6 +29,7 @@ use qec_relation::DcSet;
 
 use crate::naive::classical_join;
 use crate::panda::{compile_body, CompileError};
+use crate::predicted_gates;
 use crate::rc::{NodeId, RelationalCircuit};
 
 /// The most variables a query may have for PANDA-C to be a candidate.
@@ -44,8 +46,7 @@ pub const MAX_PANDA_C_VARS: u32 = 6;
 /// The construction a [`Plan`]'s circuit comes from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Construction {
-    /// The classical circuit: the atoms joined left to right, sized for
-    /// the cross product.
+    /// The classical circuit: the atoms' key-filtered cross product.
     Classical,
     /// PANDA-C over the query's full body.
     PandaC,
@@ -63,7 +64,8 @@ impl Construction {
 }
 
 /// A planned query: the chosen relational circuit, its one marked
-/// output, and the construction it came from.
+/// output, the construction it came from and the word gates its
+/// lowering is predicted to emit.
 #[derive(Clone, Debug)]
 pub struct Plan {
     /// The relational circuit; `rc.outputs == [output]`.
@@ -72,60 +74,76 @@ pub struct Plan {
     pub output: NodeId,
     /// Which candidate was kept.
     pub construction: Construction,
+    /// [`predicted_gates`](crate::predicted_gates) of `rc`.
+    pub predicted_gates: u64,
 }
 
-/// Plans `cq` under `dc`: builds both candidates and keeps PANDA-C only
-/// when its output capacity is strictly below the classical join's (see
-/// the module docs). A query over more than [`MAX_PANDA_C_VARS`]
-/// variables has the classical circuit as its one candidate. Every atom
-/// must carry a cardinality constraint in `dc`. A PANDA-C failure is
-/// returned as it is, never replaced by the classical circuit.
+/// Plans `cq` under `dc`: builds both candidates and keeps the one with
+/// fewer predicted word gates, the classical circuit on a tie (see the
+/// module docs). A query over more than [`MAX_PANDA_C_VARS`] variables
+/// has the classical circuit as its one candidate. Every atom must carry
+/// a cardinality constraint in `dc`. A PANDA-C failure is returned as it
+/// is, never replaced by the classical circuit.
 ///
 /// ```
 /// use qec_core::{plan, Construction};
 /// use qec_query::parse_cq;
 /// use qec_relation::{DcSet, DegreeConstraint};
 ///
-/// let dc = |q: &qec_query::Cq| {
-///     DcSet::from_vec(q.atoms.iter().map(|a| DegreeConstraint::cardinality(a.vars, 8)).collect())
+/// let dc = |q: &qec_query::Cq, n| {
+///     DcSet::from_vec(q.atoms.iter().map(|a| DegreeConstraint::cardinality(a.vars, n)).collect())
 /// };
-/// // The triangle's AGM bound N^{3/2} beats the cross product N^3.
+/// // At N = 8 the triangle's cross product (512 slots, no sort) is
+/// // smaller than PANDA-C's sorted N^{3/2} wires.
 /// let q = parse_cq("Q(a, b, c) :- R(a, b), S(b, c), T(a, c)").unwrap();
-/// assert_eq!(plan(&q, &dc(&q)).unwrap().construction, Construction::PandaC);
-/// // The 2-path's bound is N^2 either way: a tie keeps the classical circuit.
-/// let q = parse_cq("Q(a, c) :- R(a, b), S(b, c)").unwrap();
-/// assert_eq!(plan(&q, &dc(&q)).unwrap().construction, Construction::Classical);
+/// assert_eq!(plan(&q, &dc(&q, 8)).unwrap().construction, Construction::Classical);
+/// // The 3-path projected onto its ends: PANDA-C sorts N^2 slots where
+/// // the classical circuit sorts N^3.
+/// let q = parse_cq("Q(a, d) :- R(a, b), S(b, c), T(c, d)").unwrap();
+/// assert_eq!(plan(&q, &dc(&q, 8)).unwrap().construction, Construction::PandaC);
 /// ```
 pub fn plan(cq: &Cq, dc: &DcSet) -> Result<Plan, CompileError> {
-    let (classical, join) = classical_join(cq, dc)?;
-    let panda = if cq.num_vars() <= MAX_PANDA_C_VARS {
-        Some(compile_body(cq, dc)?)
-    } else {
-        None
-    };
-    let (mut rc, body, construction) = match panda {
-        Some(p) if p.rc.nodes[p.output].capacity < classical.nodes[join].capacity => {
-            (p.rc, p.output, Construction::PandaC)
-        }
-        _ => (classical, join, Construction::Classical),
-    };
+    // `min_by_key` keeps the first of equal minima: the classical circuit
+    Ok(candidates(cq, dc)?
+        .into_iter()
+        .min_by_key(|p| p.predicted_gates)
+        .expect("the classical circuit is always a candidate"))
+}
+
+/// The planner's candidates for `cq`, classical first, each projected
+/// onto the head with its output marked and its prediction filled in.
+fn candidates(cq: &Cq, dc: &DcSet) -> Result<Vec<Plan>, CompileError> {
+    let mut out = vec![finish(classical_join(cq, dc)?, cq, Construction::Classical)];
+    if cq.num_vars() <= MAX_PANDA_C_VARS {
+        let p = compile_body(cq, dc)?;
+        out.push(finish((p.rc, p.output), cq, Construction::PandaC));
+    }
+    Ok(out)
+}
+
+/// Projects a candidate's body onto the head and marks the output.
+fn finish(
+    (mut rc, body): (RelationalCircuit, NodeId),
+    cq: &Cq,
+    construction: Construction,
+) -> Plan {
     let output = if cq.is_full() {
         body
     } else {
         rc.project(body, cq.free)
     };
     rc.mark_output(output);
-    Ok(Plan {
+    Plan {
+        predicted_gates: predicted_gates(&rc),
         rc,
         output,
         construction,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compile_fcq, naive_circuit};
     use qec_query::{baseline::evaluate_pairwise, parse_cq};
     use qec_relation::{random_relation, random_relation_with_domain, Database, DegreeConstraint};
 
@@ -155,44 +173,52 @@ mod tests {
         )
     }
 
+    /// Boolean and projected paths and stars, which pay for a join they
+    /// never output: the 2-path, the 3-path and the star.
+    const PROBES: [&str; 5] = [
+        "Q() :- R(a, b), S(b, c)",
+        "Q(a) :- R(a, b), S(b, c)",
+        "Q() :- R(a, b), S(b, c), T(c, d)",
+        "Q() :- R(a, b), S(a, c), T(a, d)",
+        "Q(a) :- R(a, b), S(a, c), T(a, d)",
+    ];
+
     #[test]
-    fn panda_c_is_kept_exactly_where_its_output_capacity_is_smaller_and_never_costs_gates() {
+    fn the_planner_keeps_the_candidate_that_lowers_to_fewer_word_gates() {
         let mut kept = [0usize; 2];
-        for text in CORPUS {
+        let mut report = String::new();
+        let mut wrong = Vec::new();
+        for text in CORPUS.iter().chain(&PROBES) {
             let q = parse_cq(text).unwrap();
             for n in [2u64, 3, 4, 8] {
                 let dc = cardinalities(&q, n);
                 let planned = plan(&q, &dc).unwrap();
-                // Both capacities, read off the two candidates as their
-                // own entry points build them.
-                let full = q.to_full();
-                let panda = compile_fcq(&full, &dc).unwrap();
-                let (classical_full, join) = naive_circuit(&full, &dc).unwrap();
-                let smaller =
-                    panda.rc.nodes[panda.output].capacity < classical_full.nodes[join].capacity;
-                let want = if smaller {
-                    Construction::PandaC
-                } else {
-                    Construction::Classical
-                };
-                assert_eq!(planned.construction, want, "{text} at N={n}");
                 assert_eq!(planned.rc.outputs, vec![planned.output]);
                 assert_eq!(planned.rc.nodes[planned.output].schema, q.free);
                 kept[(planned.construction == Construction::PandaC) as usize] += 1;
-
-                let (classical, _) = naive_circuit(&q, &dc).unwrap();
-                let classical_gates = classical.lower().circuit.size();
-                let planned_gates = match planned.construction {
-                    Construction::Classical => classical_gates,
-                    Construction::PandaC => planned.rc.lower().circuit.size(),
+                let [classical, panda] = &candidates(&q, &dc).unwrap()[..] else {
+                    panic!("{text}: two candidates");
                 };
-                assert!(
-                    planned_gates <= classical_gates,
-                    "{text} at N={n}: planned {planned_gates} word gates, \
-                     classical {classical_gates}"
+                let gates = |p: &Plan| p.rc.lower().circuit.size();
+                let (gc, gp) = (gates(classical), gates(panda));
+                let (kept_gates, other) = match planned.construction {
+                    Construction::Classical => (gc, gp),
+                    Construction::PandaC => (gp, gc),
+                };
+                report += &format!(
+                    "{text} N={n}: classical {gc} (predicted {}), PANDA-C {gp} \
+                     (predicted {}), kept {}\n",
+                    classical.predicted_gates,
+                    panda.predicted_gates,
+                    planned.construction.name()
                 );
+                if kept_gates > other {
+                    wrong.push(format!("{text} at N={n}"));
+                }
             }
         }
+        eprint!("{report}");
+        assert!(wrong.is_empty(), "kept the larger circuit: {wrong:?}");
         assert!(
             kept[0] > 0 && kept[1] > 0,
             "both constructions chosen: {kept:?}"

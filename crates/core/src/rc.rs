@@ -3,15 +3,22 @@
 //! A [`RelationalCircuit`] is a DAG of relational gates. Every wire
 //! (node output) carries a relation bounded by a *capacity* that depends
 //! only on the declared degree constraints — never on data — which is
-//! what makes the later word-level lowering possible.
+//! what makes the later word-level lowering possible. The relation on a
+//! wire is a set: inputs come from [`Relation`], and every gate keeps
+//! it one (projection and union deduplicate, and a join of two sets is
+//! a set). The cross-product lowering of a degree-bounded join relies
+//! on that and does not deduplicate.
 //!
-//! Each circuit has three consumers:
+//! Each circuit has four consumers:
 //! * [`RelationalCircuit::evaluate_ram`] — a direct RAM interpretation
 //!   (the reference semantics, with capacity checking);
 //! * [`RelationalCircuit::lower`] — instantiation as an oblivious
 //!   word-level circuit via `qec-circuit`, whose measured gate count the
 //!   experiments compare against the paper's cost model;
-//! * [`crate::paper_cost`] — the abstract cost of Sec. 4.3.
+//! * [`crate::paper_cost`] — the abstract cost of Sec. 4.3;
+//! * [`crate::predicted_gates`] — the word-gate count the lowering is
+//!   predicted to emit, read off node capacities, which the planner
+//!   ranks its candidates by.
 
 use std::collections::HashMap;
 
@@ -110,7 +117,9 @@ pub enum RcOp {
         /// Keyed side.
         b: NodeId,
     },
-    /// Degree-bounded join (Alg. 7): `deg_shared(b) ≤ deg`.
+    /// Degree-bounded join (Alg. 7): `deg_shared(b) ≤ deg`. With
+    /// `deg ≥ cap(b)` it is the key-filtered cross product, lowered
+    /// without a sort.
     JoinDegree {
         /// Probe side (`M` capacity).
         a: NodeId,
@@ -361,11 +370,17 @@ impl RelationalCircuit {
         self.push(RcOp::JoinPk { a, b }, s, c)
     }
 
-    /// Adds a degree-bounded join gate.
+    /// Adds a degree-bounded join gate. Its capacity is
+    /// `cap(a) · min(deg, cap(b))`: a bound of at least `cap(b)` says
+    /// nothing (`deg_shared(b) ≤ |b|` always holds), and such a join
+    /// lowers as the key-filtered cross product of `a` and `b`.
     pub fn join_degree(&mut self, a: NodeId, b: NodeId, deg: u64) -> NodeId {
         assert!(deg >= 1);
         let s = self.node(a).schema.union(self.node(b).schema);
-        let c = self.node(a).capacity.saturating_mul(deg);
+        let c = self
+            .node(a)
+            .capacity
+            .saturating_mul(deg.min(self.node(b).capacity));
         self.push(RcOp::JoinDegree { a, b, deg }, s, c)
     }
 

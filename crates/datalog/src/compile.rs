@@ -12,7 +12,9 @@
 //! Capacity discipline: over a domain of size `d`, an IDB of arity `k`
 //! is capped at `d^k` slots (the trivial output bound), and every join
 //! is a [`RelationalCircuit::join_degree`] with
-//! `deg = d^{#fresh key vars}` — sound because stored relations are
+//! `deg = d^{#fresh key vars}`, capped at the joined atom's capacity,
+//! where the join lowers as the key-filtered cross product — sound
+//! because stored relations are
 //! key-distinct (annotations are functionally determined by keys; the
 //! compiler normalizes annotated EDB inputs with a `⊕`-aggregation on
 //! entry to make that hold for arbitrary inputs).

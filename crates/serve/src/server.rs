@@ -492,6 +492,8 @@ fn process_batch(shared: &Shared, mut batch: Vec<Job>) {
                 };
                 cfg.recorder
                     .add(&format!("plan.{}", planned.construction.name()), 1);
+                cfg.recorder
+                    .gauge_set("plan.predicted_gates", planned.predicted_gates);
                 planned.rc.lower_with(Mode::Build, &cfg.compile)
             }
             JobPlan::Datalog { program, depth } => {

@@ -1,6 +1,7 @@
 //! The server compiles each conjunctive query through the planner and
-//! records its choice: a `plan` span inside `serve.compile` and one
-//! `plan.<construction>` counter per compile.
+//! records its choice: a `plan` span inside `serve.compile`, one
+//! `plan.<construction>` counter per compile and the kept candidate's
+//! `plan.predicted_gates`.
 //!
 //! This file holds one test, so it owns its process: the builder flushes
 //! `build.gates` to the process-global recorder, which the test installs.
@@ -58,8 +59,9 @@ fn expected(req: &Request) -> Relation {
     evaluate_pairwise(&cq, &db).unwrap()
 }
 
-/// Word gates of the classical circuit the server compiled before the
-/// planner, built with the server's builder.
+/// Word gates of the classical circuit, the planner's other candidate
+/// for the queries this file plans through PANDA-C, built with the
+/// server's builder.
 fn classical_gates(query: &str, n: u64) -> u64 {
     let cq = parse_cq(query).unwrap();
     let dc = DcSet::from_vec(
@@ -75,14 +77,15 @@ fn classical_gates(query: &str, n: u64) -> u64 {
 }
 
 #[test]
-fn serve_compiles_the_triangle_through_panda_c_and_the_two_path_and_a_wide_query_classically() {
+fn serve_compiles_the_three_path_ends_through_panda_c_and_the_triangle_and_a_wide_query_classically(
+) {
+    let path_ends = "Q(a, d) :- R(a, b), S(b, c), T(c, d)";
     let triangle = "Q(a, b, c) :- R(a, b), S(b, c), T(a, c)";
-    let two_path = "Q(a, c) :- R(a, b), S(b, c)";
     let wide = "Q(a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p, q) \
                 :- R(a, b, c, d, e, f, g, h, i), S(i, j, k, l, m, n, o, p, q)";
     // Measured before the recorder is installed, so these builds stay
     // out of its counters.
-    let triangle_classical = classical_gates(triangle, 8);
+    let path_ends_classical = classical_gates(path_ends, 8);
 
     let rec = Recorder::new(true);
     let previous = qec_obs::install(rec.clone());
@@ -94,22 +97,27 @@ fn serve_compiles_the_triangle_through_panda_c_and_the_two_path_and_a_wide_query
     });
     let timeout = Duration::from_secs(120);
 
-    let req = request(triangle, 8);
+    // The classical circuit sorts the N^3 slots of the path's cross
+    // product to project them; PANDA-C sorts N^2.
+    let req = request(path_ends, 8);
     let want = expected(&req);
-    assert!(!want.is_empty(), "the triangle request has answers");
+    assert!(!want.is_empty(), "the 3-path request has answers");
     let resp = server.query_timeout(req, timeout).unwrap();
     assert_eq!(resp.relations, vec![want]);
     assert_eq!(rec.counter("plan.panda_c"), 1);
     assert_eq!(rec.counter("plan.classical"), 0);
-    let triangle_gates = rec.counter("build.gates");
+    let path_ends_gates = rec.counter("build.gates");
     assert!(
-        triangle_gates < triangle_classical,
-        "planned triangle: {triangle_gates} word gates, classical {triangle_classical}"
+        path_ends_gates <= path_ends_classical,
+        "planned 3-path: {path_ends_gates} word gates, classical {path_ends_classical}"
     );
+    assert!(rec.counter("plan.predicted_gates") > 0);
 
-    let req = request(two_path, 8);
+    // At N = 8 the triangle's cross product (512 slots, no sort) is far
+    // smaller than PANDA-C's sorted wires.
+    let req = request(triangle, 8);
     let want = expected(&req);
-    assert!(!want.is_empty(), "the 2-path request has answers");
+    assert!(!want.is_empty(), "the triangle request has answers");
     let resp = server.query_timeout(req, timeout).unwrap();
     assert_eq!(resp.relations, vec![want]);
     assert_eq!(rec.counter("plan.panda_c"), 1);

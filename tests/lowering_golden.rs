@@ -81,12 +81,12 @@ fn triangle_word_circuit_matches_its_golden_figures() {
             word.num_inputs(),
             word.outputs().len()
         ),
-        (19_199, 566, 19_240, 36, 64),
+        (14_810, 542, 14_851, 36, 64),
         "word sizes"
     );
     assert_eq!(
         word_fingerprint(&word),
-        1_714_435_261_459_461_483,
+        10_478_690_716_984_892_045,
         "word gate list"
     );
 
@@ -104,7 +104,7 @@ fn triangle_word_circuit_matches_its_golden_figures() {
             st.optimized_depth,
             opt.dead
         ),
-        (19_199, 17_477, 19_240, 17_518, 566, 566, 1722),
+        (14_810, 13_621, 14_851, 13_662, 542, 542, 1189),
         "OptStats sizes"
     );
 }
@@ -150,12 +150,12 @@ fn triangle_lowering_at_width_8_matches_its_golden_figures() {
                 bc.num_inputs(),
                 bc.outputs().len(),
             ),
-            (187_830, 187_540, 62_666, 938, 288, 512),
+            (146_803, 146_513, 48_902, 938, 288, 512),
             "lowered sizes"
         );
         assert_eq!(
             fingerprint(&bc),
-            7_657_080_204_342_093_649,
+            9_230_628_456_119_878_212,
             "lowered gate list"
         );
 
@@ -169,12 +169,12 @@ fn triangle_lowering_at_width_8_matches_its_golden_figures() {
                 st.folds,
                 st.dead
             ),
-            (186_413, 62_666, 938, 0, 0, 1128),
+            (145_712, 48_902, 938, 0, 0, 802),
             "optimized sizes and counters"
         );
         assert_eq!(
             fingerprint(&opt),
-            6_456_103_806_504_801_848,
+            3_279_906_439_116_801_657,
             "optimized gate list"
         );
     }
@@ -200,10 +200,10 @@ fn triangle_gmw_tape_at_width_8_matches_its_golden_figures() {
             st.and_levels,
             eng.level_starts().len()
         ),
-        (187_830, 3208, 2450, 938, 2451),
+        (146_803, 2841, 2288, 938, 2289),
         "schedule shape"
     );
-    assert_eq!(eng.fingerprint(), 14_387_740_654_189_568_452, "GMW tape");
+    assert_eq!(eng.fingerprint(), 14_794_465_252_452_928_758, "GMW tape");
 }
 
 /// The word engine's compile of the N=4 word circuit (optimizer on) and
@@ -245,23 +245,23 @@ fn triangle_word_engine_and_tape_match_their_golden_figures() {
     assert_eq!(
         got,
         (
-            17_518,
-            453,
-            567,
-            15_116_581_570_050_784_929,
-            13_308_018_435_825_662_610,
-            490_792
+            13_662,
+            403,
+            543,
+            13_345_298_467_173_007_043,
+            13_248_649_428_540_488_977,
+            382_496
         ),
         "word engine schedule"
     );
     assert_eq!(
         eng.fingerprint(),
-        10_166_462_704_890_952_506,
+        11_151_614_958_702_044_676,
         "word engine tape"
     );
     assert_eq!(
         got_tape,
-        (232_704, 7_574_160_363_910_707_389),
+        (179_456, 9_070_359_793_085_467_397),
         "word tape bytes"
     );
 }
