@@ -478,7 +478,7 @@ pub fn run_case(
                 stage: "bit-tape-roundtrip",
                 error: format!("reload: {e}"),
             })?;
-        if back.gates() != bits.gates()
+        if !back.gates().eq(bits.gates())
             || back.outputs() != bits.outputs()
             || back.num_inputs() != bits.num_inputs()
         {

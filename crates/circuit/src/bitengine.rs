@@ -52,7 +52,8 @@
 //! override (kernel sweeps clone the engine).
 //!
 //! Assertion semantics match the interpreter: per lane, the *lowest*
-//! source gate index whose [`BGate::AssertFalse`] observed a set bit is
+//! source gate index whose
+//! [`BGate::AssertFalse`](crate::lower::BGate::AssertFalse) observed a set bit is
 //! reported, which equals the first assert a sequential walk would hit.
 //! Padding lanes (batch not a multiple of the lane count) are masked
 //! out of assertion checks, so an all-ones constant can never fire an
@@ -61,7 +62,7 @@
 use std::ops::Range;
 use std::sync::OnceLock;
 
-use crate::lower::{BGate, BitCircuit};
+use crate::lower::BitCircuit;
 use crate::tape::Fnv1a64;
 use crate::EvalError;
 
@@ -128,31 +129,19 @@ pub enum BitOp {
     },
 }
 
-// Opcodes of the packed tape. The values are the tags the fingerprint
-// hashes, so they are fixed.
-const OP_INPUT: u8 = 0;
-const OP_CONST: u8 = 1;
-const OP_XOR: u8 = 2;
-const OP_AND: u8 = 3;
-const OP_NOT: u8 = 4;
-const OP_ASSERT: u8 = 5;
+// Opcodes of the packed tape: the bit store's, so `compile_gmw` copies
+// each gate's opcode onto the tape unchanged. The values are the tags the
+// fingerprint hashes, so they are fixed.
+use crate::lower::bop::{
+    AND as OP_AND, ASSERT as OP_ASSERT, CONST as OP_CONST, INPUT as OP_INPUT, NOT as OP_NOT,
+    XOR as OP_XOR,
+};
 
 impl BitOp {
-    /// The packed form: opcode and `[dst, a, b]`, with `idx`, `v` and
-    /// `gate` riding in the `a`/`b` slots and unused slots 0.
-    fn encode(self) -> (u8, [u32; 3]) {
-        match self {
-            BitOp::Input { dst, idx } => (OP_INPUT, [dst, idx, 0]),
-            BitOp::Const { dst, v } => (OP_CONST, [dst, v as u32, 0]),
-            BitOp::Xor { dst, a, b } => (OP_XOR, [dst, a, b]),
-            BitOp::And { dst, a, b } => (OP_AND, [dst, a, b]),
-            BitOp::Not { dst, a } => (OP_NOT, [dst, a, 0]),
-            BitOp::AssertFalse { dst, a, gate } => (OP_ASSERT, [dst, a, gate]),
-        }
-    }
-
-    /// Inverse of [`encode`](BitOp::encode). Inlined into the kernels,
-    /// where the two matches fold into one dispatch.
+    /// Decodes a packed instruction: opcode and `[dst, a, b]`, with
+    /// `idx`, `v` and `gate` riding in the `a`/`b` slots and unused slots
+    /// 0. Inlined into the kernels, where the two matches fold into one
+    /// dispatch.
     #[inline(always)]
     fn decode(kind: u8, [dst, a, b]: [u32; 3]) -> BitOp {
         match kind {
@@ -282,7 +271,7 @@ pub struct CompiledBitCircuit {
     /// Opcode of each instruction, in execution order.
     kinds: Vec<u8>,
     /// Operands of each instruction, parallel to `kinds` (see
-    /// [`BitOp::encode`]).
+    /// [`BitOp::decode`]).
     args: Vec<[u32; 3]>,
     /// Tape offset where each level begins, plus a final sentinel:
     /// level `l` spans `level_starts[l] .. level_starts[l + 1]`.
@@ -313,13 +302,15 @@ impl CompiledBitCircuit {
         // consumer — the register allocator frees only at level
         // boundaries and relies on a level's destinations never
         // aliasing its sources.
-        let gates = bc.gates();
-        let n = gates.len();
-        // The operand buffer doubles as the schedule's gate order: slot
-        // `p` holds the id of the gate at tape position `p` until the
-        // allocation pass overwrites it with that gate's operands.
+        let store = bc.store();
+        let n = store.len();
+        // The tape, filled in schedule order by the counting sort: each
+        // slot holds its gate's opcode and `[gate id, a, b]` (the source
+        // record's operand words) until the allocation pass overwrites
+        // the operands with registers.
+        let mut kinds = vec![0u8; n];
         let mut args = vec![[0u32; 3]; n];
-        let Schedule { starts, level } = gmw_schedule(gates, &mut args);
+        let Schedule { starts, level } = gmw_schedule(bc, &mut kinds, &mut args);
         let num_levels = starts.len() - 1;
 
         // --- liveness, in place: `slot[i]` goes from wire i's level to
@@ -329,17 +320,15 @@ impl CompiledBitCircuit {
         //     its own definition level. ---
         const PINNED: u32 = u32::MAX;
         let mut slot = level;
-        for (i, g) in gates.iter().enumerate() {
+        for (i, (&op, &[a, b])) in store.ops().iter().zip(store.args()).enumerate() {
             let d = slot[i];
-            match *g {
-                BGate::Xor(a, b) | BGate::And(a, b) => {
-                    slot[a as usize] = slot[a as usize].max(d);
-                    slot[b as usize] = slot[b as usize].max(d);
-                }
-                BGate::Not(a) | BGate::AssertFalse(a) => {
-                    slot[a as usize] = slot[a as usize].max(d);
-                }
-                BGate::Input(_) | BGate::Const(_) => {}
+            let reads = match op {
+                OP_XOR | OP_AND => [Some(a), Some(b)],
+                OP_NOT | OP_ASSERT => [Some(a), None],
+                _ => [None, None],
+            };
+            for o in reads.into_iter().flatten() {
+                slot[o as usize] = slot[o as usize].max(d);
             }
         }
         for &w in bc.outputs() {
@@ -356,14 +345,14 @@ impl CompiledBitCircuit {
         let mut tail: Vec<BitReg> = vec![NIL; num_levels + 1];
         let mut next: Vec<BitReg> = Vec::new();
 
-        // --- register allocation, freeing only at level boundaries so a
-        //     level's destinations can never alias its sources. Once
-        //     wire i has a register, `slot[i]` holds it. ---
+        // --- register allocation, in tape order, freeing only at level
+        //     boundaries so a level's destinations can never alias its
+        //     sources. Once wire i has a register, `slot[i]` holds it. ---
         let mut free: Vec<BitReg> = Vec::new();
         let mut num_regs = 0u32;
-        let mut kinds = Vec::with_capacity(n);
         let mut stats = BitEngineStats {
             circuit_gates: n,
+            tape_len: n,
             num_levels,
             ..BitEngineStats::default()
         };
@@ -375,8 +364,9 @@ impl CompiledBitCircuit {
                 free.push(r);
                 r = next[r as usize];
             }
-            for operands in &mut args[starts[level] as usize..starts[level + 1] as usize] {
-                let gi = operands[0];
+            let span = starts[level] as usize..starts[level + 1] as usize;
+            for (&kind, operands) in kinds[span.clone()].iter().zip(&mut args[span]) {
+                let [gi, a, b] = *operands;
                 let dst = free.pop().unwrap_or_else(|| {
                     next.push(NIL);
                     num_regs += 1;
@@ -394,47 +384,32 @@ impl CompiledBitCircuit {
                 }
                 slot[gi as usize] = dst;
                 let src = |w: u32| -> BitReg { slot[w as usize] };
-                let op = match gates[gi as usize] {
-                    BGate::Input(idx) => BitOp::Input { dst, idx },
-                    BGate::Const(v) => BitOp::Const { dst, v },
-                    BGate::Xor(a, b) => {
+                // The `[dst, a, b]` layout `BitOp::decode` reads.
+                *operands = match kind {
+                    OP_XOR => {
                         stats.xor_ops += 1;
-                        BitOp::Xor {
-                            dst,
-                            a: src(a),
-                            b: src(b),
-                        }
+                        [dst, src(a), src(b)]
                     }
-                    BGate::And(a, b) => {
+                    OP_AND => {
                         stats.and_ops += 1;
-                        BitOp::And {
-                            dst,
-                            a: src(a),
-                            b: src(b),
-                        }
+                        [dst, src(a), src(b)]
                     }
-                    BGate::Not(a) => {
+                    OP_NOT => {
                         stats.not_ops += 1;
-                        BitOp::Not { dst, a: src(a) }
+                        [dst, src(a), 0]
                     }
-                    BGate::AssertFalse(a) => {
+                    OP_ASSERT => {
                         stats.assert_ops += 1;
-                        BitOp::AssertFalse {
-                            dst,
-                            a: src(a),
-                            gate: gi,
-                        }
+                        [dst, src(a), gi]
                     }
+                    // An input's index or a constant's value.
+                    _ => [dst, a, 0],
                 };
-                let (kind, encoded) = op.encode();
-                kinds.push(kind);
-                *operands = encoded;
             }
             if stats.and_ops > ands_before {
                 stats.and_levels += 1;
             }
         }
-        stats.tape_len = kinds.len();
         stats.peak_registers = num_regs as usize;
 
         let output_regs = bc.outputs().iter().map(|&w| slot[w as usize]).collect();
@@ -623,8 +598,8 @@ impl CompiledBitCircuit {
     }
 }
 
-/// The GMW round schedule of a gate list in CSR form; the gate ids
-/// themselves sit in the operand buffer [`gmw_schedule`] filled.
+/// The GMW round schedule of a gate list in CSR form; the gates
+/// themselves sit on the tape [`gmw_schedule`] filled.
 struct Schedule {
     /// Tape offset where each level begins, plus a final sentinel.
     starts: Vec<u32>,
@@ -651,48 +626,55 @@ struct Schedule {
 /// every generation's openings fit in one message — the textbook
 /// GMW round complexity.
 ///
-/// Level `l`'s gate ids, in gate order, go to `args[p][0]` for `p` in
-/// `starts[l]..starts[l + 1]`; `args` holds one entry per gate.
-fn gmw_schedule(gates: &[BGate], args: &mut [[u32; 3]]) -> Schedule {
-    let n = gates.len();
-    // AND depth per gate, and dependency sub-depth within the gate's
-    // own generation (non-AND gates only; an operand from an earlier
-    // generation — or this generation's AND level — contributes 0).
-    let mut ad = vec![0u32; n];
-    let mut sd = vec![0u32; n];
+/// The store is read in gate order only. Until the sort, `args[i]`
+/// holds gate i's AND depth and sub-depth in its spare columns 1 and 2.
+/// The counting sort then copies level `l`'s gates, in gate order, to
+/// the tape slots `starts[l]..starts[l + 1]`: the opcode to `kinds[p]`
+/// and `[gate id, a, b]` to `args[p]`. `kinds` and `args` hold one
+/// entry per gate.
+fn gmw_schedule(bc: &BitCircuit, kinds: &mut [u8], args: &mut [[u32; 3]]) -> Schedule {
+    let store = bc.store();
+    let (ops, operands) = (store.ops(), store.args());
+    let n = ops.len();
+    // AND depth per gate (column 1), and dependency sub-depth within the
+    // gate's own generation (column 2, non-AND gates; an AND's is
+    // `u32::MAX`). An operand from an earlier generation — or this
+    // generation's AND level, whose sub-depth wraps to 0 — contributes 0.
+    const AND_SD: u32 = u32::MAX;
     let mut max_ad = 0u32;
     for i in 0..n {
-        let contrib = |o: u32, r: u32, ad: &[u32], sd: &[u32]| -> u32 {
-            if ad[o as usize] < r || matches!(gates[o as usize], BGate::And(_, _)) {
+        let [a, b] = operands[i].map(|o| o as usize);
+        let contrib = |o: usize, r: u32, args: &[[u32; 3]]| -> u32 {
+            let [_, ad, sd] = args[o];
+            if ad < r {
                 0
             } else {
-                sd[o as usize] + 1
+                sd.wrapping_add(1)
             }
         };
-        match gates[i] {
-            BGate::Input(_) | BGate::Const(_) => {}
-            BGate::And(a, b) => {
-                ad[i] = ad[a as usize].max(ad[b as usize]) + 1;
+        let (ad, sd) = match ops[i] {
+            OP_AND => (args[a][1].max(args[b][1]) + 1, AND_SD),
+            OP_XOR => {
+                let r = args[a][1].max(args[b][1]);
+                (r, contrib(a, r, args).max(contrib(b, r, args)))
             }
-            BGate::Xor(a, b) => {
-                ad[i] = ad[a as usize].max(ad[b as usize]);
-                sd[i] = contrib(a, ad[i], &ad, &sd).max(contrib(b, ad[i], &ad, &sd));
+            OP_NOT | OP_ASSERT => {
+                let r = args[a][1];
+                (r, contrib(a, r, args))
             }
-            BGate::Not(a) | BGate::AssertFalse(a) => {
-                ad[i] = ad[a as usize];
-                sd[i] = contrib(a, ad[i], &ad, &sd);
-            }
-        }
-        max_ad = max_ad.max(ad[i]);
+            _ => (0, 0),
+        };
+        args[i] = [0, ad, sd];
+        max_ad = max_ad.max(ad);
     }
     let d = max_ad as usize;
 
     // Sub-levels each generation's local block needs.
     let mut sub_count = vec![0u32; d + 1];
-    for i in 0..n {
-        if !matches!(gates[i], BGate::And(_, _)) {
-            let r = ad[i] as usize;
-            sub_count[r] = sub_count[r].max(sd[i] + 1);
+    for &[_, ad, sd] in args.iter() {
+        if sd != AND_SD {
+            let r = ad as usize;
+            sub_count[r] = sub_count[r].max(sd + 1);
         }
     }
     // Global level index of each generation's local block and AND level.
@@ -708,23 +690,27 @@ fn gmw_schedule(gates: &[BGate], args: &mut [[u32; 3]]) -> Schedule {
         }
     }
 
-    // Each gate's level, written over its AND depth.
-    let mut level = ad;
-    for (i, g) in gates.iter().enumerate() {
-        let r = level[i] as usize;
-        level[i] = if matches!(g, BGate::And(_, _)) {
-            and_level[r]
-        } else {
-            local_base[r] + sd[i]
-        };
-    }
-    drop(sd);
+    // Each gate's level.
+    let level: Vec<u32> = args
+        .iter()
+        .map(|&[_, ad, sd]| {
+            let r = ad as usize;
+            if sd == AND_SD {
+                and_level[r]
+            } else {
+                local_base[r] + sd
+            }
+        })
+        .collect();
     debug_assert!(
-        gates.iter().zip(&level).all(|(g, &l)| match *g {
-            BGate::Xor(a, b) | BGate::And(a, b) => level[a as usize] < l && level[b as usize] < l,
-            BGate::Not(a) | BGate::AssertFalse(a) => level[a as usize] < l,
-            BGate::Input(_) | BGate::Const(_) => true,
-        }),
+        ops.iter()
+            .zip(operands)
+            .zip(&level)
+            .all(|((&op, &[a, b]), &l)| match op {
+                OP_XOR | OP_AND => level[a as usize] < l && level[b as usize] < l,
+                OP_NOT | OP_ASSERT => level[a as usize] < l,
+                _ => true,
+            }),
         "every operand sits at a strictly lower level than its consumer"
     );
 
@@ -738,8 +724,10 @@ fn gmw_schedule(gates: &[BGate], args: &mut [[u32; 3]]) -> Schedule {
         starts[l] += starts[l - 1];
     }
     let mut fill = starts.clone();
-    for (i, &l) in level.iter().enumerate() {
-        args[fill[l as usize] as usize][0] = i as u32;
+    for (i, ((&op, &[a, b]), &l)) in ops.iter().zip(operands).zip(&level).enumerate() {
+        let p = fill[l as usize] as usize;
+        kinds[p] = op;
+        args[p] = [i as u32, a, b];
         fill[l as usize] += 1;
     }
     // A generation with no local gates leaves no slot behind (its

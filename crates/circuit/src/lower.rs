@@ -20,18 +20,19 @@
 
 use std::sync::OnceLock;
 
-use crate::cons::{hash_fields, ConsIndex, ConsKey};
+use crate::cons::{hash_fields, ConsArena, ConsIndex, ConsKey};
 use crate::driver::CompileOptions;
 use crate::opt::{mark_live, DEAD};
 use crate::validate::ValidateError;
 use crate::{Circuit, Gate, WireId};
 
-/// A bit-level gate over GF(2) with NOT.
+/// A bit-level gate over GF(2) with NOT: the decoded view of one record
+/// of a [`BitCircuit`]'s packed store.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BGate {
     /// The `i`-th input bit. Each input bit is its own gate, so its
-    /// index lives in the bit-wire id space and fits `u32`, which keeps
-    /// a bit gate at 12 bytes.
+    /// index lives in the bit-wire id space and fits `u32`, like an
+    /// operand.
     Input(u32),
     /// A constant bit.
     Const(bool),
@@ -45,6 +46,125 @@ pub enum BGate {
     AssertFalse(u32),
 }
 
+/// Opcodes of the packed bit store. They are the GMW tape's opcodes as
+/// well, so `compile_gmw` copies a gate's opcode onto the tape unchanged,
+/// and the tape fingerprint hashes them, so the values are fixed.
+pub(crate) mod bop {
+    pub(crate) const INPUT: u8 = 0;
+    pub(crate) const CONST: u8 = 1;
+    pub(crate) const XOR: u8 = 2;
+    pub(crate) const AND: u8 = 3;
+    pub(crate) const NOT: u8 = 4;
+    pub(crate) const ASSERT: u8 = 5;
+}
+
+impl BGate {
+    /// The packed record: opcode and two operand words, with the input
+    /// index or the constant in the first word and unused words 0.
+    #[inline]
+    pub(crate) fn pack(self) -> (u8, [u32; 2]) {
+        match self {
+            BGate::Input(i) => (bop::INPUT, [i, 0]),
+            BGate::Const(v) => (bop::CONST, [u32::from(v), 0]),
+            BGate::Xor(a, b) => (bop::XOR, [a, b]),
+            BGate::And(a, b) => (bop::AND, [a, b]),
+            BGate::Not(a) => (bop::NOT, [a, 0]),
+            BGate::AssertFalse(a) => (bop::ASSERT, [a, 0]),
+        }
+    }
+
+    /// Inverse of [`pack`](BGate::pack).
+    #[inline]
+    pub(crate) fn unpack(op: u8, [a, b]: [u32; 2]) -> BGate {
+        match op {
+            bop::INPUT => BGate::Input(a),
+            bop::CONST => BGate::Const(a != 0),
+            bop::XOR => BGate::Xor(a, b),
+            bop::AND => BGate::And(a, b),
+            bop::NOT => BGate::Not(a),
+            bop::ASSERT => BGate::AssertFalse(a),
+            _ => unreachable!("a packed bit record holds one of the six opcodes"),
+        }
+    }
+}
+
+/// The packed bit-gate store: per wire an opcode byte and two operand
+/// words, in two arrays (9 bytes a gate). The lowering interns straight
+/// into it, [`BitCircuit`] keeps it, and `compile_gmw` reads it in gate
+/// order.
+#[derive(Clone, Default)]
+pub(crate) struct BitGates {
+    ops: Vec<u8>,
+    args: Vec<[u32; 2]>,
+}
+
+impl BitGates {
+    pub(crate) fn with_capacity(n: usize) -> BitGates {
+        BitGates {
+            ops: Vec::with_capacity(n),
+            args: Vec::with_capacity(n),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// The opcodes, by wire.
+    pub(crate) fn ops(&self) -> &[u8] {
+        &self.ops
+    }
+
+    /// The operand words, by wire.
+    pub(crate) fn args(&self) -> &[[u32; 2]] {
+        &self.args
+    }
+
+    /// The decoded gate of wire `w`.
+    #[inline]
+    pub(crate) fn get(&self, w: usize) -> BGate {
+        BGate::unpack(self.ops[w], self.args[w])
+    }
+
+    #[inline]
+    pub(crate) fn push(&mut self, g: BGate) {
+        let (op, args) = g.pack();
+        self.ops.push(op);
+        self.args.push(args);
+    }
+
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = BGate> + '_ {
+        self.ops
+            .iter()
+            .zip(&self.args)
+            .map(|(&op, &args)| BGate::unpack(op, args))
+    }
+
+    /// Bytes the stored gates take, by length.
+    pub(crate) fn bytes(&self) -> usize {
+        self.ops.len() + std::mem::size_of_val(self.args.as_slice())
+    }
+}
+
+impl FromIterator<BGate> for BitGates {
+    fn from_iter<I: IntoIterator<Item = BGate>>(iter: I) -> BitGates {
+        let iter = iter.into_iter();
+        let mut gates = BitGates::with_capacity(iter.size_hint().0);
+        for g in iter {
+            gates.push(g);
+        }
+        gates
+    }
+}
+
+impl ConsArena for BitGates {
+    type Key = BGate;
+    #[inline]
+    fn record(&self, w: u32) -> BGate {
+        self.get(w as usize)
+    }
+}
+
 /// A lowered Boolean circuit.
 ///
 /// The circuit is sealed at construction: the gate list, outputs, input
@@ -56,9 +176,12 @@ pub enum BGate {
 /// reporting the stale numbers. To change a circuit, build a new one
 /// with [`BitCircuit::from_raw`], which also makes sure the gate list is
 /// a valid circuit.
+///
+/// The gates are stored packed, an opcode byte and two `u32` operand
+/// words each, so [`BitCircuit::gates`] yields decoded [`BGate`]s.
 pub struct BitCircuit {
     /// Gates in topological order.
-    gates: Vec<BGate>,
+    gates: BitGates,
     /// Output bit wires (the word outputs, `width` bits each, LSB first).
     outputs: Vec<u32>,
     /// Number of input bits.
@@ -80,36 +203,47 @@ struct BitMetrics {
 }
 
 impl BitCircuit {
-    /// Assembles a bit circuit from a raw gate list: the one
-    /// constructor, used by [`lower_with`], [`optimize_bits_with`] and
-    /// [`BitTape::decode`](crate::BitTape::decode). Every operand must
-    /// name an earlier wire, the `Input` gates must carry `0, 1, 2, …` in
-    /// wire order and number `num_inputs`, every output must name a wire
-    /// of the list, and the outputs must be whole `width`-bit words;
-    /// otherwise the typed [`ValidateError`] comes back.
+    /// Assembles a bit circuit from a raw gate list: the one checked
+    /// constructor, which [`lower_with`], [`optimize_bits_with`] and
+    /// [`BitTape::decode`](crate::BitTape::decode) reach through the
+    /// packed store they build. Every operand must name an earlier wire,
+    /// the `Input` gates must carry `0, 1, 2, …` in wire order and number
+    /// `num_inputs`, every output must name a wire of the list, and the
+    /// outputs must be whole `width`-bit words; otherwise the typed
+    /// [`ValidateError`] comes back.
     pub fn from_raw(
         gates: Vec<BGate>,
         outputs: Vec<u32>,
         num_inputs: usize,
         width: u32,
     ) -> Result<BitCircuit, ValidateError> {
+        BitCircuit::from_store(gates.into_iter().collect(), outputs, num_inputs, width)
+    }
+
+    /// [`BitCircuit::from_raw`] over a packed store, with the same checks.
+    pub(crate) fn from_store(
+        gates: BitGates,
+        outputs: Vec<u32>,
+        num_inputs: usize,
+        width: u32,
+    ) -> Result<BitCircuit, ValidateError> {
         let mut found = 0usize;
-        for (i, g) in gates.iter().enumerate() {
-            let ops = match *g {
-                BGate::Input(declared) if declared as usize != found => {
+        for (i, (&op, &[a, b])) in gates.ops.iter().zip(&gates.args).enumerate() {
+            let ops = match op {
+                bop::INPUT if a as usize != found => {
                     return Err(ValidateError::InputIndexOutOfOrder {
                         gate: i,
-                        declared: declared as usize,
+                        declared: a as usize,
                         expected: found,
                     })
                 }
-                BGate::Input(_) => {
+                bop::INPUT => {
                     found += 1;
                     [None, None]
                 }
-                BGate::Const(_) => [None, None],
-                BGate::Xor(a, b) | BGate::And(a, b) => [Some(a), Some(b)],
-                BGate::Not(a) | BGate::AssertFalse(a) => [Some(a), None],
+                bop::CONST => [None, None],
+                bop::XOR | bop::AND => [Some(a), Some(b)],
+                _ => [Some(a), None],
             };
             if let Some(operand) = ops.into_iter().flatten().find(|&w| w as usize >= i) {
                 return Err(ValidateError::ForwardReference { gate: i, operand });
@@ -142,8 +276,28 @@ impl BitCircuit {
         })
     }
 
-    /// The gates, in topological order.
-    pub fn gates(&self) -> &[BGate] {
+    /// The gates, decoded, in topological order.
+    pub fn gates(&self) -> impl ExactSizeIterator<Item = BGate> + '_ {
+        self.gates.iter()
+    }
+
+    /// The gate of wire `w`, decoded.
+    pub fn gate(&self, w: u32) -> BGate {
+        self.gates.get(w as usize)
+    }
+
+    /// Number of bit wires: gates including inputs and constants.
+    pub fn num_wires(&self) -> usize {
+        self.gates.len()
+    }
+
+    /// Bytes the stored gates take: 9 a gate.
+    pub fn gate_bytes(&self) -> usize {
+        self.gates.bytes()
+    }
+
+    /// The packed store, for the GMW compile.
+    pub(crate) fn store(&self) -> &BitGates {
         &self.gates
     }
 
@@ -167,7 +321,7 @@ impl BitCircuit {
             let mut m = BitMetrics::default();
             let mut depth = vec![0u32; self.gates.len()];
             for (i, g) in self.gates.iter().enumerate() {
-                depth[i] = match *g {
+                depth[i] = match g {
                     BGate::Input(_) | BGate::Const(_) => 0,
                     BGate::Xor(a, b) => {
                         m.xor_count += 1;
@@ -236,7 +390,7 @@ impl BitCircuit {
         vals.clear();
         vals.resize(self.gates.len(), false);
         for (i, g) in self.gates.iter().enumerate() {
-            vals[i] = match *g {
+            vals[i] = match g {
                 BGate::Input(idx) => inputs[idx as usize],
                 BGate::Const(v) => v,
                 BGate::Xor(a, b) => vals[a as usize] ^ vals[b as usize],
@@ -340,9 +494,25 @@ fn remap_bgate(g: BGate, renum: &[u32]) -> BGate {
     }
 }
 
+/// Bit `k` of a word's bit vector. A vector holds no trailing
+/// constant-0 bits, so every bit past its end is 0.
+#[inline]
+fn bit(x: &[u32], k: usize) -> u32 {
+    x.get(k).copied().unwrap_or(B_FALSE)
+}
+
+/// Drops the trailing constant-0 bits of a word's bit vector.
+fn trimmed(mut bits: Vec<u32>) -> Vec<u32> {
+    while bits.last() == Some(&B_FALSE) {
+        bits.pop();
+    }
+    bits
+}
+
 /// The bit-gate store behind [`lower_with`] and [`optimize_bits_with`]:
-/// a gate vector plus the cons index over it, with a fold counter for
-/// [`BitOptStats`] (its CSE hits are the index's hits).
+/// the packed gate store plus the cons index over it, with a fold
+/// counter (the lowering's `lower.folds`; [`BitOptStats`] reports it
+/// for the bit optimizer, whose CSE hits are the index's hits).
 ///
 /// Its construction rules fold online and hash-cons: XOR and AND fold
 /// against the constant wires and equal operands, NOT cancels NOT, and
@@ -350,15 +520,18 @@ fn remap_bgate(g: BGate, renum: &[u32]) -> BGate {
 /// wire. All bit wires carry `0`/`1`, so unlike the word level every
 /// identity here is unconditionally sound.
 struct Lowerer {
-    gates: Vec<BGate>,
+    gates: BitGates,
     cons: ConsIndex,
     folds: u64,
 }
 
 impl Lowerer {
     fn new() -> Lowerer {
+        let mut gates = BitGates::default();
+        gates.push(BGate::Const(false));
+        gates.push(BGate::Const(true));
         Lowerer {
-            gates: vec![BGate::Const(false), BGate::Const(true)],
+            gates,
             cons: ConsIndex::new(),
             folds: 0,
         }
@@ -446,7 +619,7 @@ impl Lowerer {
         if a == B_TRUE {
             return B_FALSE;
         }
-        if let BGate::Not(x) = self.gates[a as usize] {
+        if let BGate::Not(x) = self.gates.get(a as usize) {
             self.folds += 1;
             return x;
         }
@@ -476,33 +649,36 @@ impl Lowerer {
         acc
     }
 
-    fn add_words(&mut self, a: &[u32], b: &[u32]) -> Vec<u32> {
+    /// `a + b` mod `2^w`.
+    fn add_words(&mut self, a: &[u32], b: &[u32], w: usize) -> Vec<u32> {
+        let n = a.len().max(b.len());
         let mut carry = B_FALSE;
-        let mut out = Vec::with_capacity(a.len());
-        for (&x, &y) in a.iter().zip(b.iter()) {
+        let mut out = Vec::with_capacity(w.min(n + 1));
+        for k in 0..n {
+            let (x, y) = (bit(a, k), bit(b, k));
             let xy = self.xor(x, y);
-            let s = self.xor(xy, carry);
+            out.push(self.xor(xy, carry));
             // carry' = (x & y) ^ (carry & (x ^ y))
             let g = self.and(x, y);
             let p = self.and(carry, xy);
             carry = self.xor(g, p);
-            out.push(s);
         }
-        out
+        if n < w {
+            out.push(carry);
+        }
+        trimmed(out)
     }
 
-    fn neg_words(&mut self, a: &[u32]) -> Vec<u32> {
-        // two's complement: ~a + 1
-        let inv: Vec<u32> = a.iter().map(|&x| self.not(x)).collect();
-        let mut one_word = vec![B_FALSE; a.len()];
-        one_word[0] = B_TRUE;
-        self.add_words(&inv, &one_word)
+    /// `-a` mod `2^w`: two's complement, `!a + 1`.
+    fn neg_words(&mut self, a: &[u32], w: usize) -> Vec<u32> {
+        let inv: Vec<u32> = (0..w).map(|k| self.not(bit(a, k))).collect();
+        self.add_words(&inv, &[B_TRUE], w)
     }
 
     fn eq_words(&mut self, a: &[u32], b: &[u32]) -> u32 {
         let mut acc = B_TRUE;
-        for (&x, &y) in a.iter().zip(b.iter()) {
-            let d = self.xor(x, y);
+        for k in 0..a.len().max(b.len()) {
+            let d = self.xor(bit(a, k), bit(b, k));
             let same = self.not(d);
             acc = self.and(acc, same);
         }
@@ -514,7 +690,8 @@ impl Lowerer {
         // terms are never both 1, so XOR joins them as OR would, with
         // one AND level per bit instead of two.
         let mut lt = B_FALSE;
-        for (&x, &y) in a.iter().zip(b.iter()) {
+        for k in 0..a.len().max(b.len()) {
+            let (x, y) = (bit(a, k), bit(b, k));
             let nx = self.not(x);
             let here = self.and(nx, y);
             let d = self.xor(x, y);
@@ -525,16 +702,16 @@ impl Lowerer {
         lt
     }
 
-    fn mul_words(&mut self, a: &[u32], b: &[u32]) -> Vec<u32> {
-        let w = a.len();
-        let mut acc = vec![B_FALSE; w];
+    /// `a * b` mod `2^w`: shift-and-add over the set bits of `b`.
+    fn mul_words(&mut self, a: &[u32], b: &[u32], w: usize) -> Vec<u32> {
+        let mut acc = Vec::new();
         for (i, &bi) in b.iter().enumerate() {
             // partial product: (a << i) & bi, truncated to w bits
-            let mut pp = vec![B_FALSE; w];
-            for j in 0..w - i {
-                pp[i + j] = self.and(a[j], bi);
+            let mut pp = vec![B_FALSE; i];
+            for &x in a.iter().take(w - i) {
+                pp.push(self.and(x, bi));
             }
-            acc = self.add_words(&acc, &pp);
+            acc = self.add_words(&acc, &trimmed(pp), w);
         }
         acc
     }
@@ -542,6 +719,9 @@ impl Lowerer {
     /// Expands one word gate into its Boolean block. `word_bits[op]`
     /// holds the bit wires of word wire `op`, already lowered — word gate
     /// lists are topological, so operands always precede their consumers.
+    /// Every vector, this one's result included, holds at most `w` bits
+    /// and no trailing constant 0: a 0/1 word is one bit wide, and a
+    /// constant 0 none.
     fn lower_gate(&mut self, g: Gate, word_bits: &[Vec<u32>], w: usize) -> Vec<u32> {
         let wb = |x: WireId| &word_bits[x as usize];
         match g {
@@ -551,50 +731,52 @@ impl Lowerer {
                     Err(e) => panic!("{e}"),
                 })
                 .collect(),
-            Gate::Const(v) => (0..w)
-                .map(|k| if (v >> k) & 1 == 1 { B_TRUE } else { B_FALSE })
-                .collect(),
-            Gate::Add(a, b) => self.add_words(wb(a), wb(b)),
+            Gate::Const(v) => trimmed(
+                (0..w)
+                    .map(|k| if (v >> k) & 1 == 1 { B_TRUE } else { B_FALSE })
+                    .collect(),
+            ),
+            Gate::Add(a, b) => self.add_words(wb(a), wb(b), w),
             Gate::Sub(a, b) => {
-                let nb = self.neg_words(wb(b));
-                self.add_words(wb(a), &nb)
+                let nb = self.neg_words(wb(b), w);
+                self.add_words(wb(a), &nb, w)
             }
-            Gate::Mul(a, b) => self.mul_words(wb(a), wb(b)),
+            Gate::Mul(a, b) => self.mul_words(wb(a), wb(b), w),
             Gate::Eq(a, b) => {
                 let e = self.eq_words(wb(a), wb(b));
-                bit_word(e, w)
+                bit_word(e)
             }
             Gate::Lt(a, b) => {
                 let l = self.lt_words(wb(a), wb(b));
-                bit_word(l, w)
+                bit_word(l)
             }
             Gate::And(a, b) => {
                 let (ta, tb) = (self.truthy(wb(a)), self.truthy(wb(b)));
                 let r = self.and(ta, tb);
-                bit_word(r, w)
+                bit_word(r)
             }
             Gate::Or(a, b) => {
                 let (ta, tb) = (self.truthy(wb(a)), self.truthy(wb(b)));
                 let r = self.or(ta, tb);
-                bit_word(r, w)
+                bit_word(r)
             }
             Gate::Xor(a, b) => {
                 let (ta, tb) = (self.truthy(wb(a)), self.truthy(wb(b)));
                 let r = self.xor(ta, tb);
-                bit_word(r, w)
+                bit_word(r)
             }
             Gate::Not(a) => {
                 let ta = self.truthy(wb(a));
                 let r = self.not(ta);
-                bit_word(r, w)
+                bit_word(r)
             }
             Gate::Mux(s, a, b) => {
                 let ts = self.truthy(wb(s));
-                wb(a)
-                    .iter()
-                    .zip(wb(b).iter())
-                    .map(|(&x, &y)| self.mux_bit(ts, x, y))
-                    .collect()
+                let (a, b) = (wb(a), wb(b));
+                let bits = (0..a.len().max(b.len()))
+                    .map(|k| self.mux_bit(ts, bit(a, k), bit(b, k)))
+                    .collect();
+                trimmed(bits)
             }
             Gate::AssertZero(a) => {
                 let ta = self.truthy(wb(a));
@@ -604,17 +786,20 @@ impl Lowerer {
                 if ta != B_FALSE {
                     self.push(BGate::AssertFalse(ta));
                 }
-                vec![B_FALSE; w]
+                Vec::new()
             }
         }
     }
 }
 
-/// A word wired to a single result bit: `out[0] = bit`, upper bits zero.
-fn bit_word(bit: u32, w: usize) -> Vec<u32> {
-    let mut out = vec![B_FALSE; w];
-    out[0] = bit;
-    out
+/// The bit vector of a 0/1 word: `bit` alone, or nothing when it is the
+/// constant 0.
+fn bit_word(bit: u32) -> Vec<u32> {
+    if bit == B_FALSE {
+        Vec::new()
+    } else {
+        vec![bit]
+    }
 }
 
 /// Lowers a word circuit to bits under `opts`. Every word input becomes
@@ -635,9 +820,9 @@ fn bit_word(bit: u32, w: usize) -> Vec<u32> {
 ///
 /// The pass is one sequential walk over the word gates on the calling
 /// thread. When `opts.recorder` is enabled it records a `lower` span,
-/// the headline bit-level gate counts and the hash-cons counters
-/// (`lower.cons_*`); the produced circuit never depends on whether
-/// tracing was on.
+/// the headline bit-level gate counts, the rule folds (`lower.folds`)
+/// and the hash-cons counters (`lower.cons_*`); the produced circuit
+/// never depends on whether tracing was on.
 pub fn lower_with(c: &Circuit, width: u32, opts: &CompileOptions) -> BitCircuit {
     let rec = &opts.recorder;
     let _span = rec.span("lower");
@@ -694,13 +879,18 @@ fn lower_seq(c: &Circuit, width: u32, optimize: bool, rec: &qec_obs::Recorder) -
     // The walk is done: its counters go out and the cons index is freed
     // before the bit circuit is sealed.
     std::mem::take(&mut lw.cons).flush(rec, "lower");
+    rec.add("lower.folds", lw.folds);
 
+    // Outputs are whole words: each is zero-extended back to `w` bits.
     let outputs = c
         .outputs()
         .iter()
-        .flat_map(|&w_id: &WireId| word_bits[w_id as usize].clone())
+        .flat_map(|&o| {
+            let bits = &word_bits[o as usize];
+            (0..w).map(move |k| bit(bits, k))
+        })
         .collect();
-    BitCircuit::from_raw(lw.gates, outputs, c.num_inputs() * w, width)
+    BitCircuit::from_store(lw.gates, outputs, c.num_inputs() * w, width)
         .expect("lowering a valid word circuit yields a valid bit circuit")
 }
 
@@ -772,7 +962,7 @@ fn optimize_bits_seq(bc: &BitCircuit) -> (BitCircuit, BitOptStats) {
     let mut lw = Lowerer::new();
     // Source wire → rewritten wire.
     let mut map: Vec<u32> = Vec::with_capacity(bc.gates.len());
-    for &g in &bc.gates {
+    for g in bc.gates.iter() {
         let w = rewrite_bit_gate(&mut lw, &map, g);
         map.push(w);
     }
@@ -785,7 +975,7 @@ fn optimize_bits_seq(bc: &BitCircuit) -> (BitCircuit, BitOptStats) {
         live[map[o as usize] as usize] = true;
     }
     for w in (0..n).rev() {
-        let g = lw.gates[w];
+        let g = lw.gates.get(w);
         if !live[w] && !matches!(g, BGate::AssertFalse(_) | BGate::Input(_)) {
             continue;
         }
@@ -802,11 +992,11 @@ fn optimize_bits_seq(bc: &BitCircuit) -> (BitCircuit, BitOptStats) {
 
     // Sweep: compact the live gates in id order.
     let mut remap = vec![u32::MAX; n];
-    let mut gates = Vec::with_capacity(n);
+    let mut gates = BitGates::with_capacity(n);
     for w in 0..n {
         if live[w] {
             remap[w] = gates.len() as u32;
-            gates.push(remap_bgate(lw.gates[w], &remap));
+            gates.push(remap_bgate(lw.gates.get(w), &remap));
         }
     }
     let dead = (n - gates.len()) as u64;
@@ -815,7 +1005,7 @@ fn optimize_bits_seq(bc: &BitCircuit) -> (BitCircuit, BitOptStats) {
         .iter()
         .map(|&o| remap[map[o as usize] as usize])
         .collect();
-    let opt = BitCircuit::from_raw(gates, outputs, bc.num_inputs, bc.width)
+    let opt = BitCircuit::from_store(gates, outputs, bc.num_inputs, bc.width)
         .expect("the rewrite keeps inputs in order and operands earlier");
     let stats = BitOptStats {
         gates_before: bc.gate_count(),
@@ -1174,17 +1364,14 @@ mod tests {
         let gates_cached = bc.gate_count();
         let and_recount = bc
             .gates()
-            .iter()
             .filter(|g| matches!(g, BGate::And(_, _)))
             .count() as u64;
         let xor_recount = bc
             .gates()
-            .iter()
             .filter(|g| matches!(g, BGate::Xor(_, _)))
             .count() as u64;
         let logic_recount = bc
             .gates()
-            .iter()
             .filter(|g| !matches!(g, BGate::Input(_) | BGate::Const(_)))
             .count() as u64;
         assert_eq!(and_cached, and_recount);

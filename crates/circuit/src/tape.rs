@@ -39,7 +39,7 @@ use std::fmt;
 use std::path::Path;
 
 use crate::ir::{op, Gates};
-use crate::lower::{BGate, BitCircuit, MAX_BIT_WIRES};
+use crate::lower::{BGate, BitCircuit, BitGates, MAX_BIT_WIRES};
 use crate::validate::ValidateError;
 use crate::{Circuit, Gate, WireId};
 
@@ -664,14 +664,14 @@ impl BitTape {
     /// index fits 30 bits.
     pub fn encode(bc: &BitCircuit) -> BitTape {
         let narrow =
-            (bc.gates().len() as u64) < NARROW_LIMIT && (bc.num_inputs() as u64) < NARROW_LIMIT;
+            (bc.num_wires() as u64) < NARROW_LIMIT && (bc.num_inputs() as u64) < NARROW_LIMIT;
         let format = if narrow { FORMAT_NARROW } else { FORMAT_WIDE };
         let mut code = Vec::with_capacity(if narrow {
-            bc.gates().len()
+            bc.num_wires()
         } else {
-            bc.gates().len() * 3
+            bc.num_wires() * 3
         });
-        for &g in bc.gates() {
+        for g in bc.gates() {
             let (op, a, b) = bgate_op(g);
             if narrow {
                 code.push(pack_narrow(op, a, b));
@@ -687,7 +687,7 @@ impl BitTape {
             format,
             width: bc.width(),
             num_inputs: bc.num_inputs() as u64,
-            num_wires: bc.gates().len() as u64,
+            num_wires: bc.num_wires() as u64,
             code,
             outputs: bc.outputs().iter().map(|&w| w as u64).collect(),
         }
@@ -705,7 +705,7 @@ impl BitTape {
                 limit: MAX_BIT_WIRES + 1,
             });
         }
-        let mut gates = Vec::with_capacity(self.num_wires as usize);
+        let mut gates = BitGates::with_capacity(self.num_wires as usize);
         self.for_each_instruction(|_w, op, a, b| {
             let w = |o: u64| o as u32;
             gates.push(match op {
@@ -721,7 +721,7 @@ impl BitTape {
         })?;
         let outputs = self.outputs.iter().map(|&o| o as u32).collect();
         Ok(
-            BitCircuit::from_raw(gates, outputs, self.num_inputs as usize, self.width)
+            BitCircuit::from_store(gates, outputs, self.num_inputs as usize, self.width)
                 .expect("the tape was checked when it was made"),
         )
     }
@@ -1093,7 +1093,7 @@ mod tests {
         let bc = crate::lower_with(&c, 16, &crate::CompileOptions::sequential());
         let t = BitTape::encode(&bc);
         let back = t.decode().unwrap();
-        assert_eq!(back.gates(), bc.gates());
+        assert!(back.gates().eq(bc.gates()));
         assert_eq!(back.outputs(), bc.outputs());
         assert_eq!(back.num_inputs(), bc.num_inputs());
         assert_eq!(back.width(), bc.width());
@@ -1116,7 +1116,7 @@ mod tests {
         let bc = crate::lower_with(&c, 8, &crate::CompileOptions::sequential());
         let narrow = BitTape::encode(&bc);
         let mut code = Vec::new();
-        for &g in bc.gates() {
+        for g in bc.gates() {
             let (op, a, b) = bgate_op(g);
             code.push(op);
             code.push(a);
@@ -1134,7 +1134,7 @@ mod tests {
         };
         let back = BitTape::from_bytes(&wide.to_bytes()).unwrap();
         assert_eq!(back, wide);
-        assert_eq!(back.decode().unwrap().gates(), bc.gates());
+        assert!(back.decode().unwrap().gates().eq(bc.gates()));
     }
 
     #[test]

@@ -107,11 +107,11 @@ proptest! {
         let rec = Recorder::new(true);
         let topts = plain.clone().with_recorder(rec.clone());
         let bc2 = lower_with(&raw, 8, &topts);
-        prop_assert_eq!(bc.gates(), bc2.gates(), "lowered gates diverge");
+        prop_assert!(bc.gates().eq(bc2.gates()), "lowered gates diverge");
         prop_assert_eq!(bc.outputs(), bc2.outputs());
 
         let (bopt2, bst2) = optimize_bits_with(&bc, &topts);
-        prop_assert_eq!(bopt.gates(), bopt2.gates(), "bit-opt gates diverge");
+        prop_assert!(bopt.gates().eq(bopt2.gates()), "bit-opt gates diverge");
         prop_assert_eq!(format!("{bst:?}"), format!("{bst2:?}"));
 
         let eng2 = CompiledCircuit::compile_with(&raw, &topts).expect("evaluable");

@@ -112,8 +112,8 @@ fn triangle_word_circuit_matches_its_golden_figures() {
 /// FNV-1a over a fixed little-endian encoding of every bit gate (a kind
 /// byte and two operand words), then the outputs and the input arity.
 fn fingerprint(bc: &BitCircuit) -> u64 {
-    let mut bytes = Vec::with_capacity(bc.gates().len() * 9 + bc.outputs().len() * 4 + 8);
-    for &g in bc.gates() {
+    let mut bytes = Vec::with_capacity(bc.num_wires() * 9 + bc.outputs().len() * 4 + 8);
+    for g in bc.gates() {
         let (k, a, b) = match g {
             BGate::Input(i) => (0u8, i, 0),
             BGate::Const(v) => (1, u32::from(v), 0),
@@ -143,7 +143,7 @@ fn triangle_lowering_at_width_8_matches_its_golden_figures() {
         let bc = lower_with(&word, 8, &opts);
         assert_eq!(
             (
-                bc.gates().len(),
+                bc.num_wires(),
                 bc.gate_count(),
                 bc.and_count(),
                 bc.and_depth(),
