@@ -21,16 +21,18 @@
 //!    generation, between local levels — so operands always sit at
 //!    strictly lower levels than their consumers and the AND-bearing
 //!    levels number exactly the circuit's AND depth. The schedule is
-//!    flat: level offsets (CSR), each gate's level written over its
-//!    AND-depth scratch, and no separate gate order — the counting sort
-//!    writes each gate id into the operand slot its instruction will
-//!    occupy on the tape.
+//!    flat and reads the circuit's packed store in gate order only: each
+//!    gate's AND depth and sub-depth sit in the spare columns of its
+//!    operand slot, then one gate-sized array holds its level, and the
+//!    counting sort copies each gate's opcode, id and operands into the
+//!    tape slot its instruction will occupy.
 //! 2. **Liveness.** One pass turns each gate's level, in place, into
 //!    the last level reading its wire; output wires are pinned.
-//! 3. **Register allocation.** Gates are emitted in schedule order: each
-//!    tape slot's gate id is read back and overwritten with the
-//!    instruction's register operands. Registers are freed only at level
-//!    boundaries — a level's destinations can never alias its sources —
+//! 3. **Register allocation.** The tape is walked in order: each slot's
+//!    gate id and operand wires are read back and overwritten with the
+//!    instruction's register operands, so no gate is looked up by id.
+//!    Registers are freed only at level boundaries — a level's
+//!    destinations can never alias its sources —
 //!    from per-level FIFO expiry lists linked through the registers
 //!    (`head`/`tail` per level, `next` per register; a register is on at
 //!    most one pending list), shrinking the wire store from `O(gates)`
@@ -53,8 +55,9 @@
 //!
 //! Assertion semantics match the interpreter: per lane, the *lowest*
 //! source gate index whose
-//! [`BGate::AssertFalse`](crate::lower::BGate::AssertFalse) observed a set bit is
-//! reported, which equals the first assert a sequential walk would hit.
+//! [`BGate::AssertFalse`](crate::lower::BGate::AssertFalse) observed a
+//! set bit is reported, which equals the first assert a sequential walk
+//! would hit.
 //! Padding lanes (batch not a multiple of the lane count) are masked
 //! out of assertion checks, so an all-ones constant can never fire an
 //! assert for an instance that does not exist.

@@ -2,21 +2,44 @@
 //!
 //! The paper treats Boolean and arithmetic circuits interchangeably up to
 //! `poly(log u)` factors (Sec. 4.1). This module makes the translation
-//! concrete: every live word wire becomes `width` bit wires (the word
-//! optimizer's liveness mark, [`crate::opt`], read in place: a gate no
-//! output or assert reads is not lowered); word gates expand
-//! to textbook Boolean blocks (ripple-carry adders, comparators,
-//! multiplexers). The result is exactly what garbled-circuit or GMW-style
-//! protocols consume — XOR gates are "free" in both, so [`BitCircuit`]
-//! reports AND count and AND depth separately.
+//! concrete: every live word wire becomes at most `width` bit wires (the
+//! word optimizer's liveness mark, [`crate::opt`], read in place: a gate
+//! no output or assert reads is not lowered); word gates expand to
+//! textbook Boolean blocks. The result is exactly what garbled-circuit or
+//! GMW-style protocols consume — XOR gates are "free" in both, so
+//! [`BitCircuit`] reports AND count and AND depth separately.
 //!
-//! Both passes here, [`lower_with`] and the bit optimizer
-//! [`optimize_bits_with`], are one sequential walk over a topologically
-//! ordered gate list into one store (`Lowerer`: a gate vector plus a
-//! cons index that files each gate under its youngest operand), so a
-//! wire's id is its creation order. This is
-//! the only bit lowering; [`BitTape::encode`](crate::BitTape::encode)
-//! turns its result into the storage and transfer format.
+//! **Templates.** Each costs one AND per bit where an AND is needed
+//! (Kolesnikov–Sadeghi–Schneider's majority forms):
+//! - `Add`/`Sub`: a ripple-carry adder whose carry is the majority
+//!   `c' = x ⊕ ((x ⊕ y) ∧ (x ⊕ c))`, with no carry out of the top bit;
+//!   `a − b` is `a + ¬b + 1`, the `+ 1` as the carry in;
+//! - `Lt`: the chain `lt' = y ⊕ (¬(x ⊕ y) ∧ (y ⊕ lt))` from the LSB, whose
+//!   `¬(x ⊕ y)` is the XNOR `Eq` also builds;
+//! - `Eq`: the AND of the bit XNORs; `Mux`: `b ⊕ (s ∧ (a ⊕ b))` per bit;
+//!   `Mul`: shift-and-add; the logical gates work on OR-reductions.
+//!
+//! A word wire's bit vector holds no trailing constant-0 bits, and the
+//! templates read the missing bits as 0: a 0/1 word (any `Eq`, `Lt` or
+//! `And` result) is one bit wide, and a constant 0 none. A bit is a
+//! literal, a wire plus a pending negation: XOR absorbs a NOT and only an
+//! AND operand, an assert or an output emits one, so no NOT is emitted
+//! that a later rule cancels. A word read by two or more gates gets its
+//! NOTs at once, so its readers share them. Chains start at the top bit
+//! where two constants already decide them, and no carry leaves the top
+//! bit, so the lowered triangles of `tests/lowering_golden.rs` carry no
+//! gate that nothing reads.
+//!
+//! **Store.** A [`BitCircuit`] keeps its gates packed: an opcode byte and
+//! two `u32` operand words per gate (9 bytes), in two arrays, with
+//! [`BGate`] as the decoded view. Both passes here, [`lower_with`] and
+//! the bit optimizer [`optimize_bits_with`], are one sequential walk
+//! over a topologically ordered gate list that interns straight into
+//! that store (`Lowerer`: the packed store plus a cons index that files
+//! each gate under its youngest operand), so a wire's id is its creation
+//! order. This is the only bit lowering;
+//! [`BitTape::encode`](crate::BitTape::encode) turns its result into the
+//! storage and transfer format.
 
 use std::sync::OnceLock;
 
@@ -128,9 +151,13 @@ impl BitGates {
 
     #[inline]
     pub(crate) fn push(&mut self, g: BGate) {
-        let (op, args) = g.pack();
-        self.ops.push(op);
-        self.args.push(args);
+        self.push_rec(g.into());
+    }
+
+    #[inline]
+    fn push_rec(&mut self, r: BRec) {
+        self.ops.push(r.op);
+        self.args.push(r.args);
     }
 
     pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = BGate> + '_ {
@@ -138,11 +165,6 @@ impl BitGates {
             .iter()
             .zip(&self.args)
             .map(|(&op, &args)| BGate::unpack(op, args))
-    }
-
-    /// Bytes the stored gates take, by length.
-    pub(crate) fn bytes(&self) -> usize {
-        self.ops.len() + std::mem::size_of_val(self.args.as_slice())
     }
 }
 
@@ -157,11 +179,48 @@ impl FromIterator<BGate> for BitGates {
     }
 }
 
-impl ConsArena for BitGates {
-    type Key = BGate;
+/// A packed bit record as the lowering's cons index compares it: the
+/// opcode and operand words of [`BGate::pack`], so a lookup compares a
+/// candidate's record without decoding it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct BRec {
+    op: u8,
+    args: [u32; 2],
+}
+
+impl From<BGate> for BRec {
     #[inline]
-    fn record(&self, w: u32) -> BGate {
-        self.get(w as usize)
+    fn from(g: BGate) -> BRec {
+        let (op, args) = g.pack();
+        BRec { op, args }
+    }
+}
+
+impl ConsKey for BRec {
+    #[inline]
+    fn youngest(&self) -> Option<u32> {
+        let [a, b] = self.args;
+        match self.op {
+            bop::INPUT | bop::CONST => None,
+            bop::XOR | bop::AND => Some(a.max(b)),
+            _ => Some(a),
+        }
+    }
+
+    fn cons_hash(&self) -> u64 {
+        let [a, b] = self.args;
+        hash_fields(self.op, a, b, 0)
+    }
+}
+
+impl ConsArena for BitGates {
+    type Key = BRec;
+    #[inline]
+    fn record(&self, w: u32) -> BRec {
+        BRec {
+            op: self.ops[w as usize],
+            args: self.args[w as usize],
+        }
     }
 }
 
@@ -279,21 +338,6 @@ impl BitCircuit {
     /// The gates, decoded, in topological order.
     pub fn gates(&self) -> impl ExactSizeIterator<Item = BGate> + '_ {
         self.gates.iter()
-    }
-
-    /// The gate of wire `w`, decoded.
-    pub fn gate(&self, w: u32) -> BGate {
-        self.gates.get(w as usize)
-    }
-
-    /// Number of bit wires: gates including inputs and constants.
-    pub fn num_wires(&self) -> usize {
-        self.gates.len()
-    }
-
-    /// Bytes the stored gates take: 9 a gate.
-    pub fn gate_bytes(&self) -> usize {
-        self.gates.bytes()
     }
 
     /// The packed store, for the GMW compile.
@@ -494,16 +538,48 @@ fn remap_bgate(g: BGate, renum: &[u32]) -> BGate {
     }
 }
 
+/// A bit of a word during the lowering: a wire plus a pending
+/// negation, `2 · wire + neg`. A NOT costs nothing until a consumer
+/// needs it as a wire: XOR absorbs it (`¬a ⊕ b = ¬(a ⊕ b)`), NOT flips
+/// it, and only an AND operand, an assert or an output bit emits the
+/// NOT gate ([`Lowerer::wire`]). So no NOT is emitted that a later
+/// rule would cancel. The constants are the literals of wire 0:
+/// [`L_FALSE`] and its negation [`L_TRUE`].
+type Lit = u32;
+/// The constant-0 literal (wire [`B_FALSE`]).
+const L_FALSE: Lit = 0;
+/// The constant-1 literal, `¬L_FALSE`; [`Lowerer::wire`] maps it to
+/// wire [`B_TRUE`].
+const L_TRUE: Lit = 1;
+/// Wires past this id have no literal.
+const LIT_WIRES: u64 = 1 << 31;
+
+/// The positive literal of wire `w`.
+#[inline]
+fn lit(w: u32) -> Lit {
+    match w {
+        B_FALSE => L_FALSE,
+        B_TRUE => L_TRUE,
+        w => w << 1,
+    }
+}
+
 /// Bit `k` of a word's bit vector. A vector holds no trailing
 /// constant-0 bits, so every bit past its end is 0.
 #[inline]
-fn bit(x: &[u32], k: usize) -> u32 {
-    x.get(k).copied().unwrap_or(B_FALSE)
+fn bit(x: &[Lit], k: usize) -> Lit {
+    x.get(k).copied().unwrap_or(L_FALSE)
+}
+
+/// Whether two bits are different constants.
+#[inline]
+fn differ_const(x: Lit, y: Lit) -> bool {
+    x <= L_TRUE && y <= L_TRUE && x != y
 }
 
 /// Drops the trailing constant-0 bits of a word's bit vector.
-fn trimmed(mut bits: Vec<u32>) -> Vec<u32> {
-    while bits.last() == Some(&B_FALSE) {
+fn trimmed(mut bits: Vec<Lit>) -> Vec<Lit> {
+    while bits.last() == Some(&L_FALSE) {
         bits.pop();
     }
     bits
@@ -511,14 +587,13 @@ fn trimmed(mut bits: Vec<u32>) -> Vec<u32> {
 
 /// The bit-gate store behind [`lower_with`] and [`optimize_bits_with`]:
 /// the packed gate store plus the cons index over it, with a fold
-/// counter (the lowering's `lower.folds`; [`BitOptStats`] reports it
-/// for the bit optimizer, whose CSE hits are the index's hits).
+/// counter for [`BitOptStats`] (its CSE hits are the index's hits).
 ///
-/// Its construction rules fold online and hash-cons: XOR and AND fold
-/// against the constant wires and equal operands, NOT cancels NOT, and
-/// structurally repeated gates (operands sorted) return the existing
-/// wire. All bit wires carry `0`/`1`, so unlike the word level every
-/// identity here is unconditionally sound.
+/// Its construction rules work on [`Lit`]s, fold online and hash-cons:
+/// XOR and AND fold against the constants and equal operands, NOT
+/// cancels NOT, and structurally repeated gates (operands sorted)
+/// return the existing wire. All bit wires carry `0`/`1`, so unlike the
+/// word level every identity here is unconditionally sound.
 struct Lowerer {
     gates: BitGates,
     cons: ConsIndex,
@@ -539,129 +614,177 @@ impl Lowerer {
 
     /// Appends an uncached gate (inputs, asserts).
     fn push(&mut self, g: BGate) -> u32 {
-        let id = match checked_bit_id(self.gates.len() as u64) {
-            Ok(id) => id,
+        self.push_rec(g.into())
+    }
+
+    fn push_rec(&mut self, r: BRec) -> u32 {
+        let n = self.gates.len() as u64;
+        let id = match checked_bit_id(n) {
+            Ok(id) if u64::from(id) < LIT_WIRES => id,
+            Ok(_) => panic!(
+                "{}",
+                crate::EvalError::CircuitTooLarge {
+                    wires: n + 1,
+                    limit: LIT_WIRES,
+                }
+            ),
             Err(e) => panic!("{e}"),
         };
-        self.gates.push(g);
+        self.gates.push_rec(r);
         id
     }
 
     /// Returns the wire of an earlier gate equal to `g` (operands
     /// sorted), or appends `g` and records it in the cons index.
     fn emit(&mut self, g: BGate) -> u32 {
-        self.intern(canon_bit(g))
+        self.intern(canon_bit(g).into())
     }
 
     /// The cons-index lookup behind [`Lowerer::emit`]. Kept out of line:
     /// inlined, it bloats every folding rule that calls it, and the
     /// lowering runs about 30% slower.
     #[inline(never)]
-    fn intern(&mut self, key: BGate) -> u32 {
+    fn intern(&mut self, key: BRec) -> u32 {
         match self.cons.find(&self.gates, key) {
             Ok(w) => w,
             Err(miss) => {
-                let w = self.push(key);
+                let w = self.push_rec(key);
                 self.cons.insert(miss, w);
                 w
             }
         }
     }
 
-    fn xor(&mut self, a: u32, b: u32) -> u32 {
-        if a == b {
-            self.folds += 1;
-            return B_FALSE;
+    /// The wire carrying `l`: a constant wire, its own wire, or the NOT
+    /// of it, emitted now (the cons index shares it) unless its operand
+    /// is itself a NOT.
+    fn wire(&mut self, l: Lit) -> u32 {
+        match l {
+            L_FALSE => B_FALSE,
+            L_TRUE => B_TRUE,
+            _ if l & 1 == 0 => l >> 1,
+            _ => {
+                let w = l >> 1;
+                if self.gates.ops[w as usize] == bop::NOT {
+                    self.folds += 1;
+                    return self.gates.args[w as usize][0];
+                }
+                self.emit(BGate::Not(w))
+            }
         }
-        if a == B_FALSE {
+    }
+
+    /// `¬a`: a flag flip, no gate.
+    #[inline]
+    fn not(a: Lit) -> Lit {
+        a ^ 1
+    }
+
+    fn xor(&mut self, a: Lit, b: Lit) -> Lit {
+        if a <= L_TRUE || b <= L_TRUE {
+            self.folds += 1;
+            return a ^ b;
+        }
+        let neg = (a ^ b) & 1;
+        let (x, y) = (a >> 1, b >> 1);
+        if x == y {
+            self.folds += 1;
+            return neg;
+        }
+        lit(self.emit(BGate::Xor(x, y))) | neg
+    }
+
+    fn and(&mut self, a: Lit, b: Lit) -> Lit {
+        if a == L_FALSE || b == L_FALSE {
+            self.folds += 1;
+            return L_FALSE;
+        }
+        if a == L_TRUE {
             self.folds += 1;
             return b;
         }
-        if b == B_FALSE {
+        if b == L_TRUE || a == b {
             self.folds += 1;
             return a;
         }
-        if a == B_TRUE {
+        let (x, y) = (self.wire(a), self.wire(b));
+        if x == y {
             self.folds += 1;
-            return self.not(b);
+            return lit(x);
         }
-        if b == B_TRUE {
-            self.folds += 1;
-            return self.not(a);
-        }
-        self.emit(BGate::Xor(a, b))
+        lit(self.emit(BGate::And(x, y)))
     }
 
-    fn and(&mut self, a: u32, b: u32) -> u32 {
-        if a == B_FALSE || b == B_FALSE {
-            self.folds += 1;
-            return B_FALSE;
-        }
-        if a == B_TRUE {
-            self.folds += 1;
-            return b;
-        }
-        if b == B_TRUE {
-            self.folds += 1;
-            return a;
-        }
-        if a == b {
-            self.folds += 1;
-            return a;
-        }
-        self.emit(BGate::And(a, b))
-    }
-
-    fn not(&mut self, a: u32) -> u32 {
-        if a == B_FALSE {
-            return B_TRUE;
-        }
-        if a == B_TRUE {
-            return B_FALSE;
-        }
-        if let BGate::Not(x) = self.gates.get(a as usize) {
-            self.folds += 1;
-            return x;
-        }
-        self.emit(BGate::Not(a))
-    }
-
-    fn or(&mut self, a: u32, b: u32) -> u32 {
-        // a | b = (a ^ b) ^ (a & b)
-        let x = self.xor(a, b);
-        let n = self.and(a, b);
-        self.xor(x, n)
-    }
-
-    fn mux_bit(&mut self, s: u32, a: u32, b: u32) -> u32 {
-        // b ^ (s & (a ^ b)) — one AND per bit
+    /// `¬(a ⊕ b)`, the bit equality.
+    fn xnor(&mut self, a: Lit, b: Lit) -> Lit {
         let d = self.xor(a, b);
-        let m = self.and(s, d);
-        self.xor(b, m)
+        Lowerer::not(d)
+    }
+
+    /// `a ∨ b = ¬(¬a ∧ ¬b)`: one AND, and a NOT only for an operand
+    /// that is not already negated.
+    fn or(&mut self, a: Lit, b: Lit) -> Lit {
+        let n = self.and(Lowerer::not(a), Lowerer::not(b));
+        Lowerer::not(n)
+    }
+
+    fn mux_bit(&mut self, s: Lit, a: Lit, b: Lit) -> Lit {
+        match s {
+            L_FALSE => b,
+            L_TRUE => a,
+            _ => {
+                // b ^ (s & (a ^ b)) — one AND per bit
+                let d = self.xor(a, b);
+                let m = self.and(s, d);
+                self.xor(b, m)
+            }
+        }
     }
 
     /// OR-reduction: "is any bit set" (word truthiness).
-    fn truthy(&mut self, bits: &[u32]) -> u32 {
-        let mut acc = B_FALSE;
+    fn truthy(&mut self, bits: &[Lit]) -> Lit {
+        let mut acc = L_FALSE;
         for &b in bits {
             acc = self.or(acc, b);
         }
         acc
     }
 
-    /// `a + b` mod `2^w`.
-    fn add_words(&mut self, a: &[u32], b: &[u32], w: usize) -> Vec<u32> {
-        let n = a.len().max(b.len());
-        let mut carry = B_FALSE;
+    /// `a + b` mod `2^w`, or `a - b = a + ¬b + 1` with `sub`: a
+    /// ripple-carry adder with one AND per bit. With `y` the bit of `b`
+    /// (of `¬b` under `sub`, a free negation), the carry is the majority
+    /// `c' = x ⊕ ((x ⊕ y) ∧ (x ⊕ c))`, or the AND of the other two when
+    /// one of `x`, `y`, `c` is 0, and none is computed out of the top
+    /// bit.
+    fn add_words(&mut self, a: &[Lit], b: &[Lit], sub: bool, w: usize) -> Vec<Lit> {
+        let n = if sub { w } else { a.len().max(b.len()) };
+        let flip = Lit::from(sub);
+        let mut carry = flip;
         let mut out = Vec::with_capacity(w.min(n + 1));
         for k in 0..n {
-            let (x, y) = (bit(a, k), bit(b, k));
+            let (x, y) = (bit(a, k), bit(b, k) ^ flip);
             let xy = self.xor(x, y);
             out.push(self.xor(xy, carry));
-            // carry' = (x & y) ^ (carry & (x ^ y))
-            let g = self.and(x, y);
-            let p = self.and(carry, xy);
-            carry = self.xor(g, p);
+            if k + 1 == w {
+                return trimmed(out);
+            }
+            carry = if x == L_FALSE {
+                self.and(y, carry)
+            } else if y == L_FALSE {
+                self.and(x, carry)
+            } else if carry == L_FALSE {
+                self.and(x, y)
+            } else {
+                match xy {
+                    L_FALSE => x,
+                    L_TRUE => carry,
+                    _ => {
+                        let xc = self.xor(x, carry);
+                        let m = self.and(xy, xc);
+                        self.xor(x, m)
+                    }
+                }
+            };
         }
         if n < w {
             out.push(carry);
@@ -669,78 +792,100 @@ impl Lowerer {
         trimmed(out)
     }
 
-    /// `-a` mod `2^w`: two's complement, `!a + 1`.
-    fn neg_words(&mut self, a: &[u32], w: usize) -> Vec<u32> {
-        let inv: Vec<u32> = (0..w).map(|k| self.not(bit(a, k))).collect();
-        self.add_words(&inv, &[B_TRUE], w)
-    }
-
-    fn eq_words(&mut self, a: &[u32], b: &[u32]) -> u32 {
-        let mut acc = B_TRUE;
-        for k in 0..a.len().max(b.len()) {
-            let d = self.xor(bit(a, k), bit(b, k));
-            let same = self.not(d);
+    /// `a == b`: the AND of the bit equalities. A bit where the two words
+    /// hold different constants decides it before any gate is emitted.
+    fn eq_words(&mut self, a: &[Lit], b: &[Lit]) -> Lit {
+        let n = a.len().max(b.len());
+        if (0..n).any(|k| differ_const(bit(a, k), bit(b, k))) {
+            self.folds += 1;
+            return L_FALSE;
+        }
+        let mut acc = L_TRUE;
+        for k in 0..n {
+            let same = self.xnor(bit(a, k), bit(b, k));
             acc = self.and(acc, same);
         }
         acc
     }
 
-    fn lt_words(&mut self, a: &[u32], b: &[u32]) -> u32 {
-        // ripple from LSB: lt = (!a & b) ^ (!(a^b) & lt_prev). The two
-        // terms are never both 1, so XOR joins them as OR would, with
-        // one AND level per bit instead of two.
-        let mut lt = B_FALSE;
-        for k in 0..a.len().max(b.len()) {
+    /// `a < b`: the majority chain from the LSB, one AND per bit,
+    /// `lt' = y ⊕ (¬(x ⊕ y) ∧ (y ⊕ lt))` — where `x = y` it keeps `lt`,
+    /// elsewhere it is `y`. A constant `x` makes the step `y ∨ lt` or
+    /// `y ∧ lt`. The chain starts at the top bit where the words hold
+    /// different constants, since that bit alone sets `lt`; no gate
+    /// below it is emitted.
+    fn lt_words(&mut self, a: &[Lit], b: &[Lit]) -> Lit {
+        let n = a.len().max(b.len());
+        let start = (0..n)
+            .rev()
+            .find(|&k| differ_const(bit(a, k), bit(b, k)))
+            .map_or(0, |k| k + 1);
+        let mut lt = if start == 0 {
+            L_FALSE
+        } else {
+            bit(b, start - 1)
+        };
+        for k in start..n {
             let (x, y) = (bit(a, k), bit(b, k));
-            let nx = self.not(x);
-            let here = self.and(nx, y);
-            let d = self.xor(x, y);
-            let same = self.not(d);
-            let keep = self.and(same, lt);
-            lt = self.xor(here, keep);
+            lt = match x {
+                L_TRUE if lt == L_FALSE => L_FALSE,
+                // ¬x ∧ y, through the XOR `eq_words` shares
+                _ if lt == L_FALSE => {
+                    let d = self.xor(x, y);
+                    self.and(d, y)
+                }
+                L_FALSE => self.or(y, lt),
+                L_TRUE => self.and(y, lt),
+                _ if x == y => lt,
+                _ => match self.xor(y, lt) {
+                    L_FALSE => y,
+                    t => {
+                        let same = self.xnor(x, y);
+                        let m = self.and(same, t);
+                        self.xor(y, m)
+                    }
+                },
+            };
         }
         lt
     }
 
     /// `a * b` mod `2^w`: shift-and-add over the set bits of `b`.
-    fn mul_words(&mut self, a: &[u32], b: &[u32], w: usize) -> Vec<u32> {
+    fn mul_words(&mut self, a: &[Lit], b: &[Lit], w: usize) -> Vec<Lit> {
         let mut acc = Vec::new();
         for (i, &bi) in b.iter().enumerate() {
             // partial product: (a << i) & bi, truncated to w bits
-            let mut pp = vec![B_FALSE; i];
+            let mut pp = vec![L_FALSE; i];
             for &x in a.iter().take(w - i) {
                 pp.push(self.and(x, bi));
             }
-            acc = self.add_words(&acc, &trimmed(pp), w);
+            acc = self.add_words(&acc, &trimmed(pp), false, w);
         }
         acc
     }
 
     /// Expands one word gate into its Boolean block. `word_bits[op]`
-    /// holds the bit wires of word wire `op`, already lowered — word gate
+    /// holds the bits of word wire `op`, already lowered — word gate
     /// lists are topological, so operands always precede their consumers.
     /// Every vector, this one's result included, holds at most `w` bits
     /// and no trailing constant 0: a 0/1 word is one bit wide, and a
     /// constant 0 none.
-    fn lower_gate(&mut self, g: Gate, word_bits: &[Vec<u32>], w: usize) -> Vec<u32> {
+    fn lower_gate(&mut self, g: Gate, word_bits: &[Vec<Lit>], w: usize) -> Vec<Lit> {
         let wb = |x: WireId| &word_bits[x as usize];
         match g {
             Gate::Input(idx) => (0..w)
                 .map(|k| match checked_bit_id((idx * w + k) as u64) {
-                    Ok(bit) => self.push(BGate::Input(bit)),
+                    Ok(bit) => lit(self.push(BGate::Input(bit))),
                     Err(e) => panic!("{e}"),
                 })
                 .collect(),
             Gate::Const(v) => trimmed(
                 (0..w)
-                    .map(|k| if (v >> k) & 1 == 1 { B_TRUE } else { B_FALSE })
+                    .map(|k| if (v >> k) & 1 == 1 { L_TRUE } else { L_FALSE })
                     .collect(),
             ),
-            Gate::Add(a, b) => self.add_words(wb(a), wb(b), w),
-            Gate::Sub(a, b) => {
-                let nb = self.neg_words(wb(b), w);
-                self.add_words(wb(a), &nb, w)
-            }
+            Gate::Add(a, b) => self.add_words(wb(a), wb(b), false, w),
+            Gate::Sub(a, b) => self.add_words(wb(a), wb(b), true, w),
             Gate::Mul(a, b) => self.mul_words(wb(a), wb(b), w),
             Gate::Eq(a, b) => {
                 let e = self.eq_words(wb(a), wb(b));
@@ -767,8 +912,7 @@ impl Lowerer {
             }
             Gate::Not(a) => {
                 let ta = self.truthy(wb(a));
-                let r = self.not(ta);
-                bit_word(r)
+                bit_word(Lowerer::not(ta))
             }
             Gate::Mux(s, a, b) => {
                 let ts = self.truthy(wb(s));
@@ -783,8 +927,9 @@ impl Lowerer {
                 // A truthiness that folded to constant 0 can never fire;
                 // anything else (including constant 1 = always-fail)
                 // keeps its assert so failure semantics survive.
-                if ta != B_FALSE {
-                    self.push(BGate::AssertFalse(ta));
+                if ta != L_FALSE {
+                    let w = self.wire(ta);
+                    self.push(BGate::AssertFalse(w));
                 }
                 Vec::new()
             }
@@ -794,8 +939,8 @@ impl Lowerer {
 
 /// The bit vector of a 0/1 word: `bit` alone, or nothing when it is the
 /// constant 0.
-fn bit_word(bit: u32) -> Vec<u32> {
-    if bit == B_FALSE {
+fn bit_word(bit: Lit) -> Vec<Lit> {
+    if bit == L_FALSE {
         Vec::new()
     } else {
         vec![bit]
@@ -820,9 +965,9 @@ fn bit_word(bit: u32) -> Vec<u32> {
 ///
 /// The pass is one sequential walk over the word gates on the calling
 /// thread. When `opts.recorder` is enabled it records a `lower` span,
-/// the headline bit-level gate counts, the rule folds (`lower.folds`)
-/// and the hash-cons counters (`lower.cons_*`); the produced circuit
-/// never depends on whether tracing was on.
+/// the headline bit-level gate counts and the hash-cons counters
+/// (`lower.cons_*`); the produced circuit never depends on whether
+/// tracing was on.
 pub fn lower_with(c: &Circuit, width: u32, opts: &CompileOptions) -> BitCircuit {
     let rec = &opts.recorder;
     let _span = rec.span("lower");
@@ -842,14 +987,17 @@ fn lower_seq(c: &Circuit, width: u32, optimize: bool, rec: &qec_obs::Recorder) -
     // The mark becomes the last live consumer of each live word wire (0:
     // none, since a consumer always comes after its operand); a dead
     // wire keeps `DEAD`, and outputs are pinned to `n`, which no
-    // consumer's index reaches.
+    // consumer's index reaches. `uses` counts the live consumers, up to
+    // 255.
     let (mut last_use, _) = mark_live(c, optimize);
+    let mut uses = vec![0u8; n];
     for (i, g) in c.gates().enumerate() {
         if last_use[i] == DEAD {
             continue;
         }
         for op in g.operands().into_iter().flatten() {
             last_use[op as usize] = i as u32;
+            uses[op as usize] = uses[op as usize].saturating_add(1);
         }
     }
     for &o in c.outputs() {
@@ -861,13 +1009,20 @@ fn lower_seq(c: &Circuit, width: u32, optimize: bool, rec: &qec_obs::Recorder) -
     // vector after its last consumer, or at once when it has none; a dead
     // wire never gets one. Topological order means a freed slot is never
     // read again.
-    let mut word_bits: Vec<Vec<u32>> = Vec::with_capacity(n);
+    let mut word_bits: Vec<Vec<Lit>> = Vec::with_capacity(n);
     for (i, g) in c.gates().enumerate() {
         if last_use[i] == DEAD {
             word_bits.push(Vec::new());
             continue;
         }
-        let bits = lw.lower_gate(g, &word_bits, w);
+        let mut bits = lw.lower_gate(g, &word_bits, w);
+        // A word two gates read gets its NOTs now, shared by both; with
+        // one reader a pending NOT is emitted there, or never.
+        if uses[i] >= 2 {
+            for l in &mut bits {
+                *l = lit(lw.wire(*l));
+            }
+        }
         word_bits.push(if last_use[i] == 0 { Vec::new() } else { bits });
         for op in g.operands().into_iter().flatten() {
             if last_use[op as usize] == i as u32 {
@@ -876,20 +1031,17 @@ fn lower_seq(c: &Circuit, width: u32, optimize: bool, rec: &qec_obs::Recorder) -
         }
     }
     drop(last_use);
+    // Outputs are whole words: each is zero-extended back to `w` bits,
+    // and a negated bit gets its NOT.
+    let mut outputs = Vec::with_capacity(c.outputs().len() * w);
+    for &o in c.outputs() {
+        for k in 0..w {
+            outputs.push(lw.wire(bit(&word_bits[o as usize], k)));
+        }
+    }
     // The walk is done: its counters go out and the cons index is freed
     // before the bit circuit is sealed.
     std::mem::take(&mut lw.cons).flush(rec, "lower");
-    rec.add("lower.folds", lw.folds);
-
-    // Outputs are whole words: each is zero-extended back to `w` bits.
-    let outputs = c
-        .outputs()
-        .iter()
-        .flat_map(|&o| {
-            let bits = &word_bits[o as usize];
-            (0..w).map(move |k| bit(bits, k))
-        })
-        .collect();
     BitCircuit::from_store(lw.gates, outputs, c.num_inputs() * w, width)
         .expect("lowering a valid word circuit yields a valid bit circuit")
 }
@@ -960,19 +1112,24 @@ pub fn optimize_bits_with(bc: &BitCircuit, opts: &CompileOptions) -> (BitCircuit
 /// are dropped.
 fn optimize_bits_seq(bc: &BitCircuit) -> (BitCircuit, BitOptStats) {
     let mut lw = Lowerer::new();
-    // Source wire → rewritten wire.
-    let mut map: Vec<u32> = Vec::with_capacity(bc.gates.len());
+    // Source wire → rewritten literal.
+    let mut map: Vec<Lit> = Vec::with_capacity(bc.gates.len());
     for g in bc.gates.iter() {
-        let w = rewrite_bit_gate(&mut lw, &map, g);
-        map.push(w);
+        let l = rewrite_bit_gate(&mut lw, &map, g);
+        map.push(l);
     }
+    let outputs: Vec<u32> = bc
+        .outputs
+        .iter()
+        .map(|&o| lw.wire(map[o as usize]))
+        .collect();
 
     // Mark: outputs, asserts and inputs are roots; one reverse pass
     // suffices because the gate list is topologically ordered.
     let n = lw.gates.len();
     let mut live = vec![false; n];
-    for &o in &bc.outputs {
-        live[map[o as usize] as usize] = true;
+    for &o in &outputs {
+        live[o as usize] = true;
     }
     for w in (0..n).rev() {
         let g = lw.gates.get(w);
@@ -1000,11 +1157,7 @@ fn optimize_bits_seq(bc: &BitCircuit) -> (BitCircuit, BitOptStats) {
         }
     }
     let dead = (n - gates.len()) as u64;
-    let outputs = bc
-        .outputs
-        .iter()
-        .map(|&o| remap[map[o as usize] as usize])
-        .collect();
+    let outputs = outputs.iter().map(|&o| remap[o as usize]).collect();
     let opt = BitCircuit::from_store(gates, outputs, bc.num_inputs, bc.width)
         .expect("the rewrite keeps inputs in order and operands earlier");
     let stats = BitOptStats {
@@ -1023,28 +1176,20 @@ fn optimize_bits_seq(bc: &BitCircuit) -> (BitCircuit, BitOptStats) {
 
 /// Applies the [`Lowerer`] rules to one source gate against the
 /// committed `map`: the single definition of what "rewriting a bit gate"
-/// means.
-fn rewrite_bit_gate(lw: &mut Lowerer, map: &[u32], g: BGate) -> u32 {
+/// means. A NOT gate is emitted where the source has it, so the rewrite
+/// of a lowered circuit replays it gate for gate.
+fn rewrite_bit_gate(lw: &mut Lowerer, map: &[Lit], g: BGate) -> Lit {
+    let m = |w: u32| map[w as usize];
     match g {
-        BGate::Input(i) => lw.push(BGate::Input(i)),
-        BGate::Const(v) => {
-            if v {
-                B_TRUE
-            } else {
-                B_FALSE
-            }
-        }
-        BGate::Xor(a, b) => lw.xor(map[a as usize], map[b as usize]),
-        BGate::And(a, b) => lw.and(map[a as usize], map[b as usize]),
-        BGate::Not(a) => lw.not(map[a as usize]),
-        BGate::AssertFalse(a) => {
-            let a = map[a as usize];
-            if a == B_FALSE {
-                B_FALSE
-            } else {
-                lw.push(BGate::AssertFalse(a))
-            }
-        }
+        BGate::Input(i) => lit(lw.push(BGate::Input(i))),
+        BGate::Const(v) => Lit::from(v),
+        BGate::Xor(a, b) => lw.xor(m(a), m(b)),
+        BGate::And(a, b) => lw.and(m(a), m(b)),
+        BGate::Not(a) => lit(lw.wire(Lowerer::not(m(a)))),
+        BGate::AssertFalse(a) => match lw.wire(m(a)) {
+            B_FALSE => L_FALSE,
+            a => lit(lw.push(BGate::AssertFalse(a))),
+        },
     }
 }
 
@@ -1159,10 +1304,10 @@ mod tests {
         let s = b.add(x, y);
         let c = b.finish(vec![s]);
         let bc = lower_with(&c, 16, &CompileOptions::sequential());
-        // ripple-carry: 2 ANDs per bit (generate + propagate), except
-        // the LSB where carry-in = 0 folds the propagate AND away
-        assert_eq!(bc.and_count(), 31);
-        assert!(bc.and_depth() >= 15, "carry chain depth");
+        // ripple-carry: one AND per carry (the majority), and no carry
+        // out of the top bit
+        assert_eq!(bc.and_count(), 15);
+        assert_eq!(bc.and_depth(), 15, "carry chain depth");
         assert!(bc.gate_count() > bc.and_count());
         // metrics are cached: repeated calls agree
         assert_eq!(bc.and_depth(), bc.and_depth());
@@ -1362,14 +1507,8 @@ mod tests {
         let and_cached = bc.and_count();
         let xor_cached = bc.xor_count();
         let gates_cached = bc.gate_count();
-        let and_recount = bc
-            .gates()
-            .filter(|g| matches!(g, BGate::And(_, _)))
-            .count() as u64;
-        let xor_recount = bc
-            .gates()
-            .filter(|g| matches!(g, BGate::Xor(_, _)))
-            .count() as u64;
+        let and_recount = bc.gates().filter(|g| matches!(g, BGate::And(_, _))).count() as u64;
+        let xor_recount = bc.gates().filter(|g| matches!(g, BGate::Xor(_, _))).count() as u64;
         let logic_recount = bc
             .gates()
             .filter(|g| !matches!(g, BGate::Input(_) | BGate::Const(_)))
@@ -1383,8 +1522,25 @@ mod tests {
     }
 
     #[test]
-    fn a_bit_gate_is_twelve_bytes() {
-        assert_eq!(std::mem::size_of::<BGate>(), 12);
+    fn a_stored_bit_gate_is_nine_bytes() {
+        let gates: BitGates = [BGate::Input(0), BGate::Not(0), BGate::And(0, 1)]
+            .into_iter()
+            .collect();
+        let stored = std::mem::size_of_val(gates.ops()) + std::mem::size_of_val(gates.args());
+        assert_eq!(stored, 3 * 9);
+        // The packed record round-trips every kind.
+        for g in [
+            BGate::Input(7),
+            BGate::Const(true),
+            BGate::Const(false),
+            BGate::Xor(3, 9),
+            BGate::And(4, 2),
+            BGate::Not(5),
+            BGate::AssertFalse(6),
+        ] {
+            let (op, args) = g.pack();
+            assert_eq!(BGate::unpack(op, args), g);
+        }
     }
 
     /// Lowers the one-gate circuit `build` makes over `arity` inputs at
@@ -1395,7 +1551,7 @@ mod tests {
         name: &str,
         w: u32,
         arity: usize,
-        build: fn(&mut Builder, &[WireId]) -> WireId,
+        build: impl Fn(&mut Builder, &[WireId]) -> WireId,
         cases: &[Vec<u64>],
     ) {
         assert!(
@@ -1425,10 +1581,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_template_matches_word_semantics_exhaustively() {
-        type Build = fn(&mut Builder, &[WireId]) -> WireId;
-        let binary: [(&str, Build); 8] = [
+    type Build = fn(&mut Builder, &[WireId]) -> WireId;
+
+    /// Every binary word gate, as a template under test.
+    fn binary_templates() -> [(&'static str, Build); 8] {
+        [
             ("add", |b, x| b.add(x[0], x[1])),
             ("sub", |b, x| b.sub(x[0], x[1])),
             ("mul", |b, x| b.mul(x[0], x[1])),
@@ -1437,7 +1594,12 @@ mod tests {
             ("and", |b, x| b.and(x[0], x[1])),
             ("or", |b, x| b.or(x[0], x[1])),
             ("xor", |b, x| b.xor(x[0], x[1])),
-        ];
+        ]
+    }
+
+    #[test]
+    fn every_template_matches_word_semantics_exhaustively() {
+        let binary = binary_templates();
         for w in 1..=8u32 {
             let values = 0..1u64 << w;
             let singles: Vec<Vec<u64>> = values.clone().map(|x| vec![x]).collect();
@@ -1473,6 +1635,135 @@ mod tests {
                 .flat_map(|s| mux_pairs.iter().map(move |ab| vec![s, ab[0], ab[1]]))
                 .collect();
             check_template("mux", w, 3, |b, x| b.mux(x[0], x[1], x[2]), &mux);
+        }
+    }
+
+    /// A template operand whose high bits the lowering knows are 0,
+    /// built from one input. Its values stay below `2^w`, as the width
+    /// contract asks.
+    #[derive(Clone, Copy, Debug)]
+    enum Shape {
+        /// The input itself: no known bit.
+        Full,
+        /// `!x`, a 0/1 word: one bit wide.
+        Bool,
+        /// A constant.
+        Const(u64),
+        /// `!x + 2`, in {2, 3}: bit 1 the constant 1, bit 0 a wire.
+        PlusTwo,
+        /// `!x * 6`, in {0, 6}: a constant 0 below two wire bits.
+        TimesSix,
+    }
+
+    impl Shape {
+        /// The shapes whose values fit `w` bits.
+        fn all(w: u32) -> Vec<Shape> {
+            let top = (1u64 << w) - 1;
+            let mut shapes = vec![Shape::Full, Shape::Bool];
+            let mut consts = vec![0, 1, 5 & top, top];
+            consts.dedup();
+            shapes.extend(consts.into_iter().map(Shape::Const));
+            if w >= 2 {
+                shapes.push(Shape::PlusTwo);
+            }
+            if w >= 3 {
+                shapes.push(Shape::TimesSix);
+            }
+            shapes
+        }
+
+        fn build(self, b: &mut Builder, x: WireId) -> WireId {
+            match self {
+                Shape::Full => x,
+                Shape::Bool => b.not(x),
+                Shape::Const(v) => b.constant(v),
+                Shape::PlusTwo => {
+                    let (t, two) = (b.not(x), b.constant(2));
+                    b.add(t, two)
+                }
+                Shape::TimesSix => {
+                    let (t, six) = (b.not(x), b.constant(6));
+                    b.mul(t, six)
+                }
+            }
+        }
+
+        /// Input values that reach every value of the shape (and, for
+        /// `Full`, every value).
+        fn inputs(self, w: u32) -> Vec<u64> {
+            match self {
+                Shape::Full => (0..1u64 << w).collect(),
+                Shape::Const(_) => vec![0],
+                _ => vec![0, 1, (1u64 << w) - 1],
+            }
+        }
+    }
+
+    /// All pairs of two input lists, as template cases.
+    fn pairs_of(xs: &[u64], ys: &[u64]) -> Vec<Vec<u64>> {
+        xs.iter()
+            .flat_map(|&x| ys.iter().map(move |&y| vec![x, y]))
+            .collect()
+    }
+
+    /// The templates read a word's missing high bits as 0: operands
+    /// that are 0/1 words, constants and narrow words, in every mix of
+    /// widths, give the word evaluator's answers at widths 1–8 (the
+    /// full-by-full pairs are the exhaustive test above).
+    #[test]
+    fn every_template_matches_word_semantics_on_known_zero_high_bits() {
+        for w in 1..=8u32 {
+            let shapes = Shape::all(w);
+            for &sa in &shapes {
+                let name = format!("{sa:?}");
+                check_template(
+                    &format!("not {name}"),
+                    w,
+                    1,
+                    |b, x| {
+                        let a = sa.build(b, x[0]);
+                        b.not(a)
+                    },
+                    &sa.inputs(w)
+                        .into_iter()
+                        .map(|x| vec![x])
+                        .collect::<Vec<_>>(),
+                );
+                for &sb in &shapes {
+                    if matches!((sa, sb), (Shape::Full, Shape::Full)) {
+                        continue;
+                    }
+                    let cases = pairs_of(&sa.inputs(w), &sb.inputs(w));
+                    for (op, build) in binary_templates() {
+                        check_template(
+                            &format!("{op} {sa:?} {sb:?}"),
+                            w,
+                            2,
+                            |b, x| {
+                                let (a, c) = (sa.build(b, x[0]), sb.build(b, x[1]));
+                                build(b, &[a, c])
+                            },
+                            &cases,
+                        );
+                    }
+                    // The selector is an input: 0, 1 and a multi-bit
+                    // truthy value.
+                    let mux: Vec<Vec<u64>> = [0, 1, (1u64 << w) - 1]
+                        .into_iter()
+                        .flat_map(|s| cases.iter().map(move |ab| vec![s, ab[0], ab[1]]))
+                        .collect();
+                    check_template(
+                        &format!("mux {sa:?} {sb:?}"),
+                        w,
+                        3,
+                        |b, x| {
+                            let (a, c) = (sa.build(b, x[1]), sb.build(b, x[2]));
+                            b.mux(x[0], a, c)
+                        },
+                        &mux,
+                    );
+                }
+            }
         }
     }
 

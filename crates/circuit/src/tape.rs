@@ -664,12 +664,12 @@ impl BitTape {
     /// index fits 30 bits.
     pub fn encode(bc: &BitCircuit) -> BitTape {
         let narrow =
-            (bc.num_wires() as u64) < NARROW_LIMIT && (bc.num_inputs() as u64) < NARROW_LIMIT;
+            (bc.gates().len() as u64) < NARROW_LIMIT && (bc.num_inputs() as u64) < NARROW_LIMIT;
         let format = if narrow { FORMAT_NARROW } else { FORMAT_WIDE };
         let mut code = Vec::with_capacity(if narrow {
-            bc.num_wires()
+            bc.gates().len()
         } else {
-            bc.num_wires() * 3
+            bc.gates().len() * 3
         });
         for g in bc.gates() {
             let (op, a, b) = bgate_op(g);
@@ -687,7 +687,7 @@ impl BitTape {
             format,
             width: bc.width(),
             num_inputs: bc.num_inputs() as u64,
-            num_wires: bc.num_wires() as u64,
+            num_wires: bc.gates().len() as u64,
             code,
             outputs: bc.outputs().iter().map(|&w| w as u64).collect(),
         }

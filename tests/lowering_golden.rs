@@ -112,7 +112,7 @@ fn triangle_word_circuit_matches_its_golden_figures() {
 /// FNV-1a over a fixed little-endian encoding of every bit gate (a kind
 /// byte and two operand words), then the outputs and the input arity.
 fn fingerprint(bc: &BitCircuit) -> u64 {
-    let mut bytes = Vec::with_capacity(bc.num_wires() * 9 + bc.outputs().len() * 4 + 8);
+    let mut bytes = Vec::with_capacity(bc.gates().len() * 9 + bc.outputs().len() * 4 + 8);
     for g in bc.gates() {
         let (k, a, b) = match g {
             BGate::Input(i) => (0u8, i, 0),
@@ -143,19 +143,19 @@ fn triangle_lowering_at_width_8_matches_its_golden_figures() {
         let bc = lower_with(&word, 8, &opts);
         assert_eq!(
             (
-                bc.num_wires(),
+                bc.gates().len(),
                 bc.gate_count(),
                 bc.and_count(),
                 bc.and_depth(),
                 bc.num_inputs(),
                 bc.outputs().len(),
             ),
-            (146_803, 146_513, 48_902, 938, 288, 512),
+            (137_883, 137_593, 41_740, 938, 288, 512),
             "lowered sizes"
         );
         assert_eq!(
             fingerprint(&bc),
-            9_230_628_456_119_878_212,
+            15_409_856_860_953_363_544,
             "lowered gate list"
         );
 
@@ -169,12 +169,12 @@ fn triangle_lowering_at_width_8_matches_its_golden_figures() {
                 st.folds,
                 st.dead
             ),
-            (145_712, 48_902, 938, 0, 0, 802),
+            (137_593, 41_740, 938, 0, 0, 1),
             "optimized sizes and counters"
         );
         assert_eq!(
             fingerprint(&opt),
-            3_279_906_439_116_801_657,
+            10_146_759_323_755_615_613,
             "optimized gate list"
         );
     }
@@ -200,10 +200,10 @@ fn triangle_gmw_tape_at_width_8_matches_its_golden_figures() {
             st.and_levels,
             eng.level_starts().len()
         ),
-        (146_803, 2841, 2288, 938, 2289),
+        (137_883, 2557, 2633, 938, 2634),
         "schedule shape"
     );
-    assert_eq!(eng.fingerprint(), 14_794_465_252_452_928_758, "GMW tape");
+    assert_eq!(eng.fingerprint(), 18_233_832_879_818_521_992, "GMW tape");
 }
 
 /// The word engine's compile of the N=4 word circuit (optimizer on) and
@@ -264,4 +264,46 @@ fn triangle_word_engine_and_tape_match_their_golden_figures() {
         (179_456, 9_070_359_793_085_467_397),
         "word tape bytes"
     );
+}
+
+/// Logic gates of `bc` that reach neither an output nor an assert: one
+/// reverse pass marks every wire an output or an assert reads.
+fn dead_gates(bc: &BitCircuit) -> usize {
+    let gates: Vec<BGate> = bc.gates().collect();
+    let mut live = vec![false; gates.len()];
+    for &o in bc.outputs() {
+        live[o as usize] = true;
+    }
+    let mut dead = 0;
+    for (w, g) in gates.iter().enumerate().rev() {
+        let root = matches!(g, BGate::AssertFalse(_));
+        if !live[w] && !root {
+            if !matches!(g, BGate::Input(_) | BGate::Const(_)) {
+                dead += 1;
+            }
+            continue;
+        }
+        match *g {
+            BGate::Xor(a, b) | BGate::And(a, b) => {
+                live[a as usize] = true;
+                live[b as usize] = true;
+            }
+            BGate::Not(a) | BGate::AssertFalse(a) => live[a as usize] = true,
+            BGate::Input(_) | BGate::Const(_) => {}
+        }
+    }
+    dead
+}
+
+/// The lowering emits no gate that nothing reads: not on the golden
+/// N=4 triangle, and not on the N=16 one the secure benchmark lowers.
+#[test]
+fn the_lowering_emits_no_dead_bit_gate() {
+    for n in [4, 16] {
+        let (rc, _) = triangle_heavy_light(n);
+        let opts = CompileOptions::sequential();
+        let word = rc.lower_with(Mode::Build, &opts).circuit;
+        let bc = lower_with(&word, 8, &opts);
+        assert_eq!(dead_gates(&bc), 0, "N={n}");
+    }
 }
